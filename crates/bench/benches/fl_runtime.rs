@@ -127,6 +127,115 @@ fn bench_tensor_kernels(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_nn_kernels(c: &mut Criterion) {
+    use shiftex_fl::{aggregate_robust, FoldPolicy, ModelUpdate, WeightedUpdate};
+    use shiftex_nn::{naive, ConvShape, InputShape, Layer, LayerCache, Sgd};
+    use shiftex_tensor::Matrix;
+
+    // The party-side compute path, layer by layer, at the LeNet-lite shapes
+    // the benchmark workloads train (1x8x8 inputs): each convolution beside
+    // its scalar oracle (`_naive`: the loops production ran before the GEMM
+    // lowering, so the pair is the before/after), one whole SGD step per
+    // architecture family, and the Krum fold of a 200-update cohort.
+    let mut rng = StdRng::seed_from_u64(60);
+    let mut group = c.benchmark_group("nn_kernels");
+    group.sample_size(20);
+
+    let conv = |in_c: usize, out_c: usize, side: usize, rng: &mut StdRng| {
+        let shape = ConvShape {
+            in_c,
+            out_c,
+            k: 3,
+            h: side,
+            w: side,
+        };
+        let weight = Matrix::randn(out_c, shape.taps(), 0.0, 0.3, rng);
+        let bias = vec![0.01; out_c];
+        let layer = Layer::Conv2d {
+            shape,
+            weight: weight.clone(),
+            bias: bias.clone(),
+        };
+        (shape, weight, bias, layer)
+    };
+    // Post-ReLU/pool sparsity of a gradient arriving at a conv output.
+    let relu_sparse = |m: Matrix| m.map(|v| if v > 0.8 { v } else { 0.0 });
+
+    for (name, in_c, out_c, side) in [("c1", 1, 6, 8), ("c2", 6, 12, 4)] {
+        let (shape, weight, bias, layer) = conv(in_c, out_c, side, &mut rng);
+        let x = Matrix::randn(16, in_c * side * side, 0.0, 1.0, &mut rng);
+        let (mut out, mut cache) = (Matrix::default(), LayerCache::default());
+        group.bench_function(format!("conv_fwd_lenet_{name}_b16"), |b| {
+            b.iter(|| layer.forward(&x, &mut out, &mut cache))
+        });
+        group.bench_function(format!("conv_fwd_lenet_{name}_b16_naive"), |b| {
+            b.iter(|| naive::conv_forward(shape, &x, &weight, &bias))
+        });
+    }
+    {
+        let (shape, weight, _, layer) = conv(6, 12, 4, &mut rng);
+        let x = Matrix::randn(8, 6 * 16, 0.0, 1.0, &mut rng);
+        let grad_out = relu_sparse(Matrix::randn(8, 12 * 16, 0.0, 1.0, &mut rng));
+        let (mut out, mut cache) = (Matrix::default(), LayerCache::default());
+        layer.forward(&x, &mut out, &mut cache);
+        let mut grad_in = Matrix::default();
+        let mut param_grad = vec![0.0; layer.num_params()];
+        group.bench_function("conv_bwd_lenet_c2_b8", |b| {
+            b.iter(|| {
+                layer.backward(
+                    &x,
+                    &out,
+                    &mut cache,
+                    &grad_out,
+                    Some(&mut grad_in),
+                    &mut param_grad,
+                )
+            })
+        });
+        group.bench_function("conv_bwd_lenet_c2_b8_naive", |b| {
+            b.iter(|| naive::conv_backward(shape, &x, &grad_out, &weight))
+        });
+    }
+
+    let lenet = ArchSpec::lenet5_lite(InputShape { c: 1, h: 8, w: 8 }, 10, 24);
+    let resnet = ArchSpec::resnet18_lite(InputShape { c: 3, h: 8, w: 8 }, 10, 24);
+    for (label, spec, rows) in [
+        ("train_step_lenet_b8", &lenet, 8),
+        ("train_step_resnet18lite_b32", &resnet, 32),
+    ] {
+        let model = Sequential::build(spec, &mut rng);
+        let x = Matrix::randn(rows, spec.input.dim(), 0.0, 1.0, &mut rng);
+        let y: Vec<usize> = (0..rows).map(|i| i % spec.classes).collect();
+        group.bench_function(label, |b| {
+            b.iter_with_setup(
+                || (model.clone(), Sgd::new(0.05, 0.9, 1e-4)),
+                |(mut model, mut opt)| model.train_batch(&x, &y, &mut opt, None),
+            )
+        });
+    }
+
+    // The wide_cohort_byzantine fold: 200 LeNet-lite updates (2146
+    // parameters), 40 tolerated liars.
+    let dim = Sequential::build(&lenet, &mut rng).num_params();
+    let globals = vec![0.0f32; dim];
+    let ready: Vec<WeightedUpdate> = (0..200)
+        .map(|i| WeightedUpdate {
+            update: ModelUpdate {
+                party: PartyId(i),
+                params: Matrix::randn(1, dim, 0.0, 0.1, &mut rng).into_vec(),
+                num_samples: 8,
+                train_loss: 0.5,
+            },
+            staleness: 0,
+            weight: 8.0,
+        })
+        .collect();
+    group.bench_function(format!("krum_200x{dim}"), |b| {
+        b.iter(|| aggregate_robust(&globals, &ready, 1.0, &FoldPolicy::Krum { f: 40 }))
+    });
+    group.finish();
+}
+
 fn bench_scenarios(c: &mut Criterion) {
     use shiftex_fl::{
         run_round_scenario, AsyncSpec, ChurnSpec, LatePolicy, ScenarioEngine, ScenarioSpec,
@@ -680,6 +789,7 @@ criterion_group!(
     bench_fedavg,
     bench_window_step,
     bench_tensor_kernels,
+    bench_nn_kernels,
     bench_scenarios,
     bench_codecs,
     bench_algorithms,

@@ -13,9 +13,9 @@
 //! * `--tolerance` — fail when `current > tolerance × baseline` for any
 //!   gated label (default 1.5);
 //! * `--groups` — comma-separated label-prefix filter selecting which
-//!   benchmark groups are gated (default `mmd,tensor_kernels`: the pure
-//!   compute kernels whose medians are stable enough to gate even from a
-//!   2-sample quick run);
+//!   benchmark groups are gated (default `mmd,tensor_kernels,nn_kernels`:
+//!   the pure compute kernels whose medians are stable enough to gate even
+//!   from a 2-sample quick run);
 //! * `--min-ns` — ignore baselines faster than this (sub-20 µs medians
 //!   jitter too much on shared CI runners to gate reliably).
 //!
@@ -52,7 +52,7 @@ fn main() {
     let mut baseline: Option<String> = None;
     let mut current: Option<String> = None;
     let mut tolerance: f64 = 1.5;
-    let mut groups: Vec<String> = vec!["mmd".into(), "tensor_kernels".into()];
+    let mut groups: Vec<String> = vec!["mmd".into(), "tensor_kernels".into(), "nn_kernels".into()];
     let mut min_ns: u64 = 20_000;
     let mut normalize = true;
     let mut args = std::env::args().skip(1);
@@ -88,7 +88,7 @@ fn main() {
                 eprintln!("unknown argument: {other}");
                 eprintln!(
                     "usage: bench_gate --current <report.json> [--baseline <BENCH_n.json>] \
-                     [--tolerance 1.5] [--groups mmd,tensor_kernels] [--min-ns 20000]"
+                     [--tolerance 1.5] [--groups mmd,tensor_kernels,nn_kernels] [--min-ns 20000]"
                 );
                 std::process::exit(2);
             }

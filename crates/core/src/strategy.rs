@@ -9,18 +9,13 @@
 //! flat parameters and scoring a population under a per-party parameter
 //! assignment.
 
-use rand::rngs::StdRng;
 use shiftex_fl::{Party, PartyId, PopulationView};
 use shiftex_nn::{ArchSpec, Sequential};
 
 /// Builds a model with the given flat parameters (helper shared by all
 /// algorithm implementations).
 pub fn build_model(spec: &ArchSpec, params: &[f32]) -> Sequential {
-    use rand::SeedableRng;
-    let mut rng = StdRng::seed_from_u64(0);
-    let mut model = Sequential::build(spec, &mut rng);
-    model.set_params_flat(params);
-    model
+    Sequential::from_params(spec, params)
 }
 
 /// Sample-weighted population accuracy where `params_of` supplies each
@@ -120,6 +115,7 @@ pub fn evaluate_assigned_view<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
     use rand::SeedableRng;
     use shiftex_data::{ImageShape, PrototypeGenerator};
 

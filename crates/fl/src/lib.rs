@@ -94,8 +94,7 @@ use shiftex_tensor::Matrix;
 ///
 /// Returns 0 when no party has test data.
 pub fn evaluate_on_parties(spec: &ArchSpec, params: &[f32], parties: &[Party]) -> f32 {
-    let mut model = Sequential::build(spec, &mut deterministic_rng());
-    model.set_params_flat(params);
+    let model = Sequential::from_params(spec, params);
     weighted_accuracy(
         &model,
         parties.iter().map(|p| (p.test_features(), p.test_labels())),
@@ -106,8 +105,7 @@ pub fn evaluate_on_parties(spec: &ArchSpec, params: &[f32], parties: &[Party]) -
 /// evaluate a liveness-filtered view every round and must not pay a deep
 /// clone of the population to do so.
 pub fn evaluate_on_party_refs(spec: &ArchSpec, params: &[f32], parties: &[&Party]) -> f32 {
-    let mut model = Sequential::build(spec, &mut deterministic_rng());
-    model.set_params_flat(params);
+    let model = Sequential::from_params(spec, params);
     weighted_accuracy(
         &model,
         parties.iter().map(|p| (p.test_features(), p.test_labels())),
@@ -120,8 +118,7 @@ pub fn evaluate_on_party_refs(spec: &ArchSpec, params: &[f32], parties: &[&Party
 /// any population size. The accumulation order and arithmetic are
 /// identical to the slice evaluators, so the result is bit-identical.
 pub fn evaluate_on_view(spec: &ArchSpec, params: &[f32], view: &PopulationView<'_>) -> f32 {
-    let mut model = Sequential::build(spec, &mut deterministic_rng());
-    model.set_params_flat(params);
+    let model = Sequential::from_params(spec, params);
     let mut correct = 0.0f64;
     let mut total = 0usize;
     for &id in view.ids() {
@@ -162,12 +159,4 @@ fn weighted_accuracy<'a>(
     } else {
         (correct / total as f64) as f32
     }
-}
-
-/// Fixed-seed RNG for places where randomness is structurally required by an
-/// API (model construction before overwriting parameters) but must not
-/// affect results.
-pub(crate) fn deterministic_rng() -> rand::rngs::StdRng {
-    use rand::SeedableRng;
-    rand::rngs::StdRng::seed_from_u64(0x5417_f7ed)
 }

@@ -322,22 +322,11 @@ fn krum(global: &[f32], ready: &[WeightedUpdate], server_lr: f32, f: usize) -> R
         };
     }
     let dim = global.len().max(1);
-    // Pairwise squared distances between valid updates.
-    let mut dist = vec![0.0f32; n * n];
-    for a in 0..n {
-        for b in (a + 1)..n {
-            let pa = &ready[valid[a]].update.params;
-            let pb = &ready[valid[b]].update.params;
-            let len = pa.len().max(pb.len());
-            let mut ss = 0.0f32;
-            for c in 0..len {
-                let d = pa.get(c).copied().unwrap_or(0.0) - pb.get(c).copied().unwrap_or(0.0);
-                ss += d * d;
-            }
-            dist[a * n + b] = ss;
-            dist[b * n + a] = ss;
-        }
-    }
+    let rows: Vec<&[f32]> = valid
+        .iter()
+        .map(|&i| ready[i].update.params.as_slice())
+        .collect();
+    let dist = pairwise_sq_dists(&rows);
     let neighbours = n.saturating_sub(f + 2).max(1).min(n.saturating_sub(1));
     let mut scores = vec![0.0f32; n];
     if n > 1 {
@@ -387,6 +376,67 @@ fn krum(global: &[f32], ready: &[WeightedUpdate], server_lr: f32, f: usize) -> R
         params: aggregate_weighted(global, &chosen, server_lr),
         verdicts,
     }
+}
+
+/// Pairs [`pairwise_sq_dists`] accumulates at once. A lone `ss += d * d`
+/// chain is bound by the latency of one dependent add per coordinate;
+/// eight independent chains keep the adder busy instead.
+const DIST_LANES: usize = 8;
+
+/// The symmetric `n × n` matrix of squared Euclidean distances between
+/// `rows` (zero diagonal), the Krum score input.
+///
+/// Row `a` is measured against [`DIST_LANES`] later rows at a time by
+/// [`sq_dists_from`], stragglers one by one; a pair's distance does not
+/// depend on the batch it lands in. Nothing is transposed or copied: the
+/// scratch is the lane accumulators.
+fn pairwise_sq_dists(rows: &[&[f32]]) -> Vec<f32> {
+    let n = rows.len();
+    let mut dist = vec![0.0f32; n * n];
+    let mut put = |a: usize, b: usize, ss: f32| {
+        dist[a * n + b] = ss;
+        dist[b * n + a] = ss;
+    };
+    for a in 0..n {
+        let mut b = a + 1;
+        while b + DIST_LANES <= n {
+            let lanes: [&[f32]; DIST_LANES] = std::array::from_fn(|l| rows[b + l]);
+            for (l, ss) in sq_dists_from(rows[a], lanes).into_iter().enumerate() {
+                put(a, b + l, ss);
+            }
+            b += DIST_LANES;
+        }
+        for b in b..n {
+            let [ss] = sq_dists_from(rows[a], [rows[b]]);
+            put(a, b, ss);
+        }
+    }
+    dist
+}
+
+/// Squared distances from `from` to each of `to`, one independent lane per
+/// pair. Every lane adds its `(from[c] - to[c])²` terms in ascending `c` —
+/// a rounded multiply and a rounded add each, the scalar `ss += d * d`
+/// chain exactly — so interleaving the lanes changes no bit of any of them.
+/// A shorter vector counts as zero-padded; those tails run once, lane by
+/// lane, outside the hot loop.
+fn sq_dists_from<const L: usize>(from: &[f32], to: [&[f32]; L]) -> [f32; L] {
+    let common = to.iter().fold(from.len(), |m, row| m.min(row.len()));
+    let heads = to.map(|row| &row[..common]);
+    let mut ss = [0.0f32; L];
+    for (c, &x) in from[..common].iter().enumerate() {
+        for l in 0..L {
+            let d = x - heads[l][c];
+            ss[l] += d * d;
+        }
+    }
+    for (acc, row) in ss.iter_mut().zip(to) {
+        for c in common..from.len().max(row.len()) {
+            let d = from.get(c).copied().unwrap_or(0.0) - row.get(c).copied().unwrap_or(0.0);
+            *acc += d * d;
+        }
+    }
+    ss
 }
 
 #[cfg(test)]
@@ -483,6 +533,53 @@ mod tests {
         assert_eq!(quarantined, vec![5, 6]);
         let params = fold.params.expect("aggregates");
         assert!((params[0] - 1.02).abs() < 0.1, "{params:?}");
+    }
+
+    /// The scalar chain the laned kernel must reproduce bit for bit: one
+    /// `ss += d * d` loop per pair, missing coordinates read as zero.
+    fn scalar_sq_dist(pa: &[f32], pb: &[f32]) -> f32 {
+        let mut ss = 0.0f32;
+        for c in 0..pa.len().max(pb.len()) {
+            let d = pa.get(c).copied().unwrap_or(0.0) - pb.get(c).copied().unwrap_or(0.0);
+            ss += d * d;
+        }
+        ss
+    }
+
+    #[test]
+    fn laned_pairwise_distances_are_bit_identical_to_the_scalar_chain() {
+        // Row counts on both sides of every lane-batch boundary; a few rows
+        // are shorter or longer than the rest.
+        for n in [0usize, 1, 2, 8, 9, 10, 17, 26] {
+            let rows: Vec<Vec<f32>> = (0..n)
+                .map(|i| {
+                    let len = match i % 5 {
+                        3 => 61,
+                        4 => 70,
+                        _ => 67,
+                    };
+                    (0..len)
+                        .map(|c| ((i * 131 + c * 31) % 97) as f32 * 0.173 - 8.0 + i as f32 * 1e-3)
+                        .collect()
+                })
+                .collect();
+            let views: Vec<&[f32]> = rows.iter().map(Vec::as_slice).collect();
+            let dist = pairwise_sq_dists(&views);
+            for a in 0..n {
+                for b in 0..n {
+                    let expect = if a == b {
+                        0.0
+                    } else {
+                        scalar_sq_dist(&rows[a.min(b)], &rows[a.max(b)])
+                    };
+                    assert_eq!(
+                        dist[a * n + b].to_bits(),
+                        expect.to_bits(),
+                        "n={n} pair ({a},{b})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

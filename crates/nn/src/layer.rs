@@ -8,6 +8,8 @@
 use serde::{Deserialize, Serialize};
 use shiftex_tensor::{vector, Matrix};
 
+use crate::conv::{self, ConvScratch, ConvShape};
+
 /// A single differentiable layer.
 ///
 /// The enum (rather than a trait object) keeps models `Clone + Serialize`,
@@ -27,16 +29,8 @@ pub enum Layer {
     Tanh,
     /// 2-D convolution with odd kernel, stride 1 and "same" zero padding.
     Conv2d {
-        /// Input channels.
-        in_c: usize,
-        /// Output channels.
-        out_c: usize,
-        /// Kernel side length (odd).
-        k: usize,
-        /// Input height.
-        h: usize,
-        /// Input width.
-        w: usize,
+        /// Channel counts, kernel side and image size.
+        shape: ConvShape,
         /// Filter bank of shape `(out_c, in_c * k * k)`.
         weight: Matrix,
         /// Per-output-channel bias.
@@ -59,26 +53,22 @@ pub enum Layer {
     InstanceNorm,
 }
 
-/// Forward-pass state a layer needs to run its backward pass.
-#[derive(Debug, Clone)]
-pub enum LayerCache {
-    /// Dense: the layer input.
-    Dense(Matrix),
-    /// ReLU: the layer output (used as the activity mask).
-    Relu(Matrix),
-    /// Tanh: the layer output.
-    Tanh(Matrix),
-    /// Conv: the layer input.
-    Conv(Matrix),
+/// What a layer keeps between its forward and backward pass, beyond its
+/// own input and output — those the caller retains and lends back, so
+/// nothing is cloned — plus the convolution's scratch.
+///
+/// A cache belongs to one layer for as long as its owner likes: every
+/// buffer is resized in place, so after the first mini-batch of a
+/// `Sequential::train` call a training step allocates nothing here.
+#[derive(Debug, Default)]
+pub struct LayerCache {
     /// MaxPool: per-output flat index of the winning input element.
-    Pool(Vec<usize>, usize),
-    /// InstanceNorm: normalised output plus per-row std.
-    Norm(Matrix, Vec<f32>),
+    winners: Vec<usize>,
+    /// InstanceNorm: per-row standard deviation.
+    stds: Vec<f32>,
+    /// Conv: im2col panel and accumulator rows of one row chunk.
+    conv: ConvScratch,
 }
-
-/// Gradients with respect to a layer's parameters, in flatten order.
-#[derive(Debug, Clone, Default)]
-pub struct ParamGrad(pub Vec<f32>);
 
 impl Layer {
     /// Number of trainable parameters in this layer.
@@ -95,170 +85,137 @@ impl Layer {
         match self {
             Layer::Dense { w, .. } => w.cols(),
             Layer::Relu | Layer::Tanh => in_dim,
-            Layer::Conv2d { out_c, h, w, .. } => out_c * h * w,
+            Layer::Conv2d { shape, .. } => shape.out_c * shape.pixels(),
             Layer::MaxPool2d { c, h, w } => c * (h / 2) * (w / 2),
             Layer::InstanceNorm => in_dim,
         }
     }
 
-    /// Appends this layer's parameters to `out` (row-major weights, then bias).
-    pub fn extend_params(&self, out: &mut Vec<f32>) {
+    /// This layer's parameters in flatten order — row-major weights, then
+    /// bias; both empty for a layer without parameters.
+    pub fn params(&self) -> [&[f32]; 2] {
         match self {
-            Layer::Dense { w, b } => {
-                out.extend_from_slice(w.as_slice());
-                out.extend_from_slice(b);
-            }
-            Layer::Conv2d { weight, bias, .. } => {
-                out.extend_from_slice(weight.as_slice());
-                out.extend_from_slice(bias);
-            }
-            _ => {}
+            Layer::Dense { w, b } => [w.as_slice(), b],
+            Layer::Conv2d { weight, bias, .. } => [weight.as_slice(), bias],
+            _ => [&[], &[]],
         }
     }
 
-    /// Loads this layer's parameters from `src`, returning how many were read.
+    /// Mutable counterpart of [`Layer::params`]: the optimizer updates the
+    /// parameters where they live.
+    pub fn params_mut(&mut self) -> [&mut [f32]; 2] {
+        match self {
+            Layer::Dense { w, b } => [w.as_mut_slice(), b],
+            Layer::Conv2d { weight, bias, .. } => [weight.as_mut_slice(), bias],
+            _ => [&mut [], &mut []],
+        }
+    }
+
+    /// Runs the forward pass into `out` (reshaped, allocation kept),
+    /// leaving in `cache` what [`Layer::backward`] will need besides
+    /// `input` and `out` themselves. Inference and training share this one
+    /// path.
+    pub fn forward(&self, input: &Matrix, out: &mut Matrix, cache: &mut LayerCache) {
+        match self {
+            Layer::Dense { w, b } => {
+                input.matmul_into(w, out);
+                out.add_row_broadcast(b);
+            }
+            Layer::Relu => map_into(input, out, |v| if v > 0.0 { v } else { 0.0 }),
+            Layer::Tanh => map_into(input, out, f32::tanh),
+            Layer::Conv2d {
+                shape,
+                weight,
+                bias,
+            } => conv::forward(*shape, input, weight.as_slice(), bias, out, &mut cache.conv),
+            Layer::MaxPool2d { c, h, w } => {
+                pool_forward(input, *c, *h, *w, out, &mut cache.winners)
+            }
+            Layer::InstanceNorm => norm_forward(input, out, &mut cache.stds),
+        }
+    }
+
+    /// Runs the backward pass given the `input`, `output` and `cache` of
+    /// the matching [`Layer::forward`] call.
+    ///
+    /// The parameter gradient is written over `param_grad` (length
+    /// [`Layer::num_params`], flatten order). The gradient w.r.t. the layer
+    /// input is written into `grad_in` when one is given; `None` skips that
+    /// work — nothing below the first parametric layer consumes it.
     ///
     /// # Panics
     ///
-    /// Panics if `src` is shorter than `num_params()`.
-    pub fn load_params(&mut self, src: &[f32]) -> usize {
+    /// Panics if `param_grad.len() != self.num_params()`.
+    pub fn backward(
+        &self,
+        input: &Matrix,
+        output: &Matrix,
+        cache: &mut LayerCache,
+        grad_out: &Matrix,
+        grad_in: Option<&mut Matrix>,
+        param_grad: &mut [f32],
+    ) {
+        assert_eq!(
+            param_grad.len(),
+            self.num_params(),
+            "parameter gradient length mismatch"
+        );
         match self {
-            Layer::Dense { w, b } => {
-                let wn = w.len();
-                w.as_mut_slice().copy_from_slice(&src[..wn]);
-                let bn = b.len();
-                b.copy_from_slice(&src[wn..wn + bn]);
-                wn + bn
-            }
-            Layer::Conv2d { weight, bias, .. } => {
-                let wn = weight.len();
-                weight.as_mut_slice().copy_from_slice(&src[..wn]);
-                let bn = bias.len();
-                bias.copy_from_slice(&src[wn..wn + bn]);
-                wn + bn
-            }
-            _ => 0,
-        }
-    }
-
-    /// Runs the forward pass, returning the output and the backward cache.
-    pub fn forward(&self, input: &Matrix) -> (Matrix, LayerCache) {
-        match self {
-            Layer::Dense { w, b } => {
-                let mut out = input.matmul(w);
-                out.add_row_broadcast(b);
-                (out, LayerCache::Dense(input.clone()))
+            Layer::Dense { w, .. } => {
+                let (grad_w, grad_b) = param_grad.split_at_mut(w.len());
+                input.t_matmul_into(grad_out, grad_w);
+                grad_out.col_sums_into(grad_b);
+                if let Some(grad_in) = grad_in {
+                    grad_out.matmul_t_into(w, grad_in);
+                }
             }
             Layer::Relu => {
-                let out = input.map(|v| if v > 0.0 { v } else { 0.0 });
-                (out.clone(), LayerCache::Relu(out))
+                if let Some(grad_in) = grad_in {
+                    zip_into(
+                        grad_out,
+                        output,
+                        grad_in,
+                        |g, o| if o > 0.0 { g } else { 0.0 },
+                    );
+                }
             }
             Layer::Tanh => {
-                let out = input.map(f32::tanh);
-                (out.clone(), LayerCache::Tanh(out))
+                if let Some(grad_in) = grad_in {
+                    zip_into(grad_out, output, grad_in, |g, o| g * (1.0 - o * o));
+                }
             }
-            Layer::Conv2d {
-                in_c,
-                out_c,
-                k,
-                h,
-                w,
-                weight,
-                bias,
-            } => {
-                let (out, _) = conv_forward(input, *in_c, *out_c, *k, *h, *w, weight, bias);
-                (out, LayerCache::Conv(input.clone()))
+            Layer::Conv2d { shape, weight, .. } => {
+                conv::backward(
+                    *shape,
+                    input,
+                    grad_out,
+                    weight.as_slice(),
+                    grad_in,
+                    param_grad,
+                    &mut cache.conv,
+                );
             }
             Layer::MaxPool2d { c, h, w } => {
-                let (out, idx) = pool_forward(input, *c, *h, *w);
-                let in_dim = c * h * w;
-                (out, LayerCache::Pool(idx, in_dim))
-            }
-            Layer::InstanceNorm => {
-                let (out, stds) = norm_forward(input);
-                (out.clone(), LayerCache::Norm(out, stds))
-            }
-        }
-    }
-
-    /// Inference-only forward pass (no cache allocation for stateless layers).
-    pub fn infer(&self, input: &Matrix) -> Matrix {
-        match self {
-            Layer::Dense { w, b } => {
-                let mut out = input.matmul(w);
-                out.add_row_broadcast(b);
-                out
-            }
-            Layer::Relu => input.map(|v| if v > 0.0 { v } else { 0.0 }),
-            Layer::Tanh => input.map(f32::tanh),
-            Layer::Conv2d {
-                in_c,
-                out_c,
-                k,
-                h,
-                w,
-                weight,
-                bias,
-            } => conv_forward(input, *in_c, *out_c, *k, *h, *w, weight, bias).0,
-            Layer::MaxPool2d { c, h, w } => pool_forward(input, *c, *h, *w).0,
-            Layer::InstanceNorm => norm_forward(input).0,
-        }
-    }
-
-    /// Runs the backward pass.
-    ///
-    /// Returns the gradient w.r.t. the layer input and, for parametric
-    /// layers, the parameter gradients in flatten order.
-    pub fn backward(&self, cache: &LayerCache, grad_out: &Matrix) -> (Matrix, ParamGrad) {
-        match (self, cache) {
-            (Layer::Dense { w, .. }, LayerCache::Dense(input)) => {
-                let grad_w = input.t_matmul(grad_out);
-                let grad_b = grad_out.col_sums();
-                let grad_in = grad_out.matmul_t(w);
-                let mut g = grad_w.into_vec();
-                g.extend_from_slice(&grad_b);
-                (grad_in, ParamGrad(g))
-            }
-            (Layer::Relu, LayerCache::Relu(out)) => {
-                let grad_in = grad_out.zip_with(out, |g, o| if o > 0.0 { g } else { 0.0 });
-                (grad_in, ParamGrad::default())
-            }
-            (Layer::Tanh, LayerCache::Tanh(out)) => {
-                let grad_in = grad_out.zip_with(out, |g, o| g * (1.0 - o * o));
-                (grad_in, ParamGrad::default())
-            }
-            (
-                Layer::Conv2d {
-                    in_c,
-                    out_c,
-                    k,
-                    h,
-                    w,
-                    weight,
-                    ..
-                },
-                LayerCache::Conv(input),
-            ) => conv_backward(input, grad_out, *in_c, *out_c, *k, *h, *w, weight),
-            (Layer::MaxPool2d { c, h, w }, LayerCache::Pool(idx, in_dim)) => {
+                let Some(grad_in) = grad_in else { return };
                 let out_dim = c * (h / 2) * (w / 2);
-                let mut grad_in = Matrix::zeros(grad_out.rows(), *in_dim);
+                grad_in.reset(grad_out.rows(), input.cols());
                 for r in 0..grad_out.rows() {
                     let go = grad_out.row(r);
                     let gi = grad_in.row_mut(r);
-                    let winners = &idx[r * out_dim..(r + 1) * out_dim];
+                    let winners = &cache.winners[r * out_dim..(r + 1) * out_dim];
                     for (&src, &g) in winners.iter().zip(go.iter()) {
                         gi[src] += g;
                     }
                 }
-                (grad_in, ParamGrad::default())
             }
-            (Layer::InstanceNorm, LayerCache::Norm(out, stds)) => {
+            Layer::InstanceNorm => {
+                let Some(grad_in) = grad_in else { return };
                 // y = (x - mu) / sigma; dL/dx = (g - mean(g) - y*mean(g*y)) / sigma.
-                let n = out.cols() as f32;
-                let mut grad_in = Matrix::zeros(grad_out.rows(), grad_out.cols());
-                for (r, &sigma) in stds.iter().enumerate() {
+                let n = output.cols() as f32;
+                grad_in.reset(grad_out.rows(), grad_out.cols());
+                for (r, &sigma) in cache.stds.iter().enumerate() {
                     let g = grad_out.row(r);
-                    let y = out.row(r);
+                    let y = output.row(r);
                     let mean_g = vector::mean(g);
                     let mean_gy = vector::dot(g, y) / n;
                     let inv_sigma = 1.0 / sigma;
@@ -267,18 +224,36 @@ impl Layer {
                         *o = (gv - mean_g - yv * mean_gy) * inv_sigma;
                     }
                 }
-                (grad_in, ParamGrad::default())
             }
-            _ => unreachable!("layer/cache variant mismatch"),
         }
     }
 }
 
-/// Per-row standardisation; returns the output and per-row std (eps-floored).
-fn norm_forward(input: &Matrix) -> (Matrix, Vec<f32>) {
+/// `out = f(input)` elementwise, reusing `out`'s allocation.
+fn map_into(input: &Matrix, out: &mut Matrix, f: impl Fn(f32) -> f32) {
+    out.reset(input.rows(), input.cols());
+    for (o, &v) in out.as_mut_slice().iter_mut().zip(input.as_slice()) {
+        *o = f(v);
+    }
+}
+
+/// `out = f(a, b)` elementwise, reusing `out`'s allocation.
+fn zip_into(a: &Matrix, b: &Matrix, out: &mut Matrix, f: impl Fn(f32, f32) -> f32) {
+    assert_eq!(a.shape(), b.shape(), "elementwise shape mismatch");
+    out.reset(a.rows(), a.cols());
+    let pairs = a.as_slice().iter().zip(b.as_slice());
+    for (o, (&x, &y)) in out.as_mut_slice().iter_mut().zip(pairs) {
+        *o = f(x, y);
+    }
+}
+
+/// Per-row standardisation into `out`; `stds` receives the per-row std
+/// (eps-floored).
+fn norm_forward(input: &Matrix, out: &mut Matrix, stds: &mut Vec<f32>) {
     let n = input.cols().max(1) as f32;
-    let mut out = input.clone();
-    let mut stds = Vec::with_capacity(input.rows());
+    out.reset(input.rows(), input.cols());
+    out.as_mut_slice().copy_from_slice(input.as_slice());
+    stds.clear();
     for r in 0..input.rows() {
         let row = out.row_mut(r);
         let mean: f32 = row.iter().sum::<f32>() / n;
@@ -289,119 +264,18 @@ fn norm_forward(input: &Matrix) -> (Matrix, Vec<f32>) {
         }
         stds.push(std);
     }
-    (out, stds)
 }
 
-/// Forward convolution; returns `(output, ())`. "Same" zero padding, stride 1.
-#[allow(clippy::too_many_arguments)]
-fn conv_forward(
+/// Forward 2×2/stride-2 max pooling into `out`; `winners` receives the flat
+/// input index behind every output element.
+fn pool_forward(
     input: &Matrix,
-    in_c: usize,
-    out_c: usize,
-    k: usize,
+    c: usize,
     h: usize,
     w: usize,
-    weight: &Matrix,
-    bias: &[f32],
-) -> (Matrix, ()) {
-    let pad = k / 2;
-    let batch = input.rows();
-    let mut out = Matrix::zeros(batch, out_c * h * w);
-    for b in 0..batch {
-        let x = input.row(b);
-        let out_row = out.row_mut(b);
-        for oc in 0..out_c {
-            let wrow = weight.row(oc);
-            for oy in 0..h {
-                for ox in 0..w {
-                    let mut acc = bias[oc];
-                    for ic in 0..in_c {
-                        let chan = &x[ic * h * w..(ic + 1) * h * w];
-                        let wbase = ic * k * k;
-                        for ky in 0..k {
-                            let iy = oy as isize + ky as isize - pad as isize;
-                            if iy < 0 || iy >= h as isize {
-                                continue;
-                            }
-                            let iy = iy as usize;
-                            for kx in 0..k {
-                                let ix = ox as isize + kx as isize - pad as isize;
-                                if ix < 0 || ix >= w as isize {
-                                    continue;
-                                }
-                                acc += chan[iy * w + ix as usize] * wrow[wbase + ky * k + kx];
-                            }
-                        }
-                    }
-                    out_row[oc * h * w + oy * w + ox] = acc;
-                }
-            }
-        }
-    }
-    (out, ())
-}
-
-/// Backward convolution: gradients w.r.t. input, filters and bias.
-#[allow(clippy::too_many_arguments)]
-fn conv_backward(
-    input: &Matrix,
-    grad_out: &Matrix,
-    in_c: usize,
-    out_c: usize,
-    k: usize,
-    h: usize,
-    w: usize,
-    weight: &Matrix,
-) -> (Matrix, ParamGrad) {
-    let pad = k / 2;
-    let batch = input.rows();
-    let mut grad_in = Matrix::zeros(batch, in_c * h * w);
-    let mut grad_w = vec![0.0f32; out_c * in_c * k * k];
-    let mut grad_b = vec![0.0f32; out_c];
-    for b in 0..batch {
-        let x = input.row(b);
-        let go = grad_out.row(b);
-        let gi = grad_in.row_mut(b);
-        for oc in 0..out_c {
-            let wrow = weight.row(oc);
-            let gw = &mut grad_w[oc * in_c * k * k..(oc + 1) * in_c * k * k];
-            for oy in 0..h {
-                for ox in 0..w {
-                    let g = go[oc * h * w + oy * w + ox];
-                    if g == 0.0 {
-                        continue;
-                    }
-                    grad_b[oc] += g;
-                    for ic in 0..in_c {
-                        let cbase = ic * h * w;
-                        let wbase = ic * k * k;
-                        for ky in 0..k {
-                            let iy = oy as isize + ky as isize - pad as isize;
-                            if iy < 0 || iy >= h as isize {
-                                continue;
-                            }
-                            let iy = iy as usize;
-                            for kx in 0..k {
-                                let ix = ox as isize + kx as isize - pad as isize;
-                                if ix < 0 || ix >= w as isize {
-                                    continue;
-                                }
-                                let ix = ix as usize;
-                                gw[wbase + ky * k + kx] += g * x[cbase + iy * w + ix];
-                                gi[cbase + iy * w + ix] += g * wrow[wbase + ky * k + kx];
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    grad_w.extend_from_slice(&grad_b);
-    (grad_in, ParamGrad(grad_w))
-}
-
-/// Forward 2×2/stride-2 max pooling; returns output and winner indices.
-fn pool_forward(input: &Matrix, c: usize, h: usize, w: usize) -> (Matrix, Vec<usize>) {
+    out: &mut Matrix,
+    winners: &mut Vec<usize>,
+) {
     assert!(
         h.is_multiple_of(2) && w.is_multiple_of(2),
         "pooling requires even spatial dims, got {h}x{w}"
@@ -409,8 +283,9 @@ fn pool_forward(input: &Matrix, c: usize, h: usize, w: usize) -> (Matrix, Vec<us
     let (oh, ow) = (h / 2, w / 2);
     let batch = input.rows();
     let out_dim = c * oh * ow;
-    let mut out = Matrix::zeros(batch, out_dim);
-    let mut winners = vec![0usize; batch * out_dim];
+    out.reset(batch, out_dim);
+    winners.clear();
+    winners.resize(batch * out_dim, 0);
     for b in 0..batch {
         let x = input.row(b);
         let out_row = out.row_mut(b);
@@ -436,7 +311,6 @@ fn pool_forward(input: &Matrix, c: usize, h: usize, w: usize) -> (Matrix, Vec<us
             }
         }
     }
-    (out, winners)
 }
 
 #[cfg(test)]
@@ -453,11 +327,44 @@ mod tests {
         }
     }
 
+    fn forward(layer: &Layer, x: &Matrix) -> (Matrix, LayerCache) {
+        let mut out = Matrix::default();
+        let mut cache = LayerCache::default();
+        layer.forward(x, &mut out, &mut cache);
+        (out, cache)
+    }
+
+    /// Full backward pass: `(grad_in, param_grad)`.
+    fn backward(
+        layer: &Layer,
+        x: &Matrix,
+        out: &Matrix,
+        cache: &mut LayerCache,
+        grad_out: &Matrix,
+    ) -> (Matrix, Vec<f32>) {
+        let mut grad_in = Matrix::default();
+        let mut param_grad = vec![0.0; layer.num_params()];
+        layer.backward(x, out, cache, grad_out, Some(&mut grad_in), &mut param_grad);
+        (grad_in, param_grad)
+    }
+
+    fn flat_params(layer: &Layer) -> Vec<f32> {
+        layer.params().concat()
+    }
+
+    fn load_params(layer: &mut Layer, src: &[f32]) {
+        let mut offset = 0;
+        for dst in layer.params_mut() {
+            dst.copy_from_slice(&src[offset..offset + dst.len()]);
+            offset += dst.len();
+        }
+    }
+
     #[test]
     fn dense_forward_shapes() {
         let layer = dense(4, 3, 0);
         let x = Matrix::ones(5, 4);
-        let (y, _) = layer.forward(&x);
+        let (y, _) = forward(&layer, &x);
         assert_eq!(y.shape(), (5, 3));
     }
 
@@ -465,10 +372,10 @@ mod tests {
     fn relu_masks_negatives() {
         let layer = Layer::Relu;
         let x = Matrix::from_rows(&[&[-1.0, 2.0]]);
-        let (y, cache) = layer.forward(&x);
+        let (y, mut cache) = forward(&layer, &x);
         assert_eq!(y.row(0), &[0.0, 2.0]);
         let g = Matrix::from_rows(&[&[1.0, 1.0]]);
-        let (gi, _) = layer.backward(&cache, &g);
+        let (gi, _) = backward(&layer, &x, &y, &mut cache, &g);
         assert_eq!(gi.row(0), &[0.0, 1.0]);
     }
 
@@ -476,9 +383,10 @@ mod tests {
     fn pool_selects_max_and_routes_grad() {
         let layer = Layer::MaxPool2d { c: 1, h: 2, w: 2 };
         let x = Matrix::from_rows(&[&[1.0, 5.0, 2.0, 3.0]]);
-        let (y, cache) = layer.forward(&x);
+        let (y, mut cache) = forward(&layer, &x);
         assert_eq!(y.row(0), &[5.0]);
-        let (gi, _) = layer.backward(&cache, &Matrix::from_rows(&[&[7.0]]));
+        let g = Matrix::from_rows(&[&[7.0]]);
+        let (gi, _) = backward(&layer, &x, &y, &mut cache, &g);
         assert_eq!(gi.row(0), &[0.0, 7.0, 0.0, 0.0]);
     }
 
@@ -486,17 +394,19 @@ mod tests {
     fn conv_identity_kernel_reproduces_input() {
         // 1x1 kernel with weight 1 and bias 0 must be the identity map.
         let layer = Layer::Conv2d {
-            in_c: 1,
-            out_c: 1,
-            k: 1,
-            h: 3,
-            w: 3,
+            shape: ConvShape {
+                in_c: 1,
+                out_c: 1,
+                k: 1,
+                h: 3,
+                w: 3,
+            },
             weight: Matrix::ones(1, 1),
             bias: vec![0.0],
         };
         let mut rng = StdRng::seed_from_u64(2);
         let x = Matrix::randn(2, 9, 0.0, 1.0, &mut rng);
-        let (y, _) = layer.forward(&x);
+        let (y, _) = forward(&layer, &x);
         for (a, b) in x.as_slice().iter().zip(y.as_slice()) {
             assert!((a - b).abs() < 1e-6);
         }
@@ -516,11 +426,13 @@ mod tests {
     fn conv_gradient_check() {
         let mut rng = StdRng::seed_from_u64(9);
         let mut layer = Layer::Conv2d {
-            in_c: 1,
-            out_c: 2,
-            k: 3,
-            h: 4,
-            w: 4,
+            shape: ConvShape {
+                in_c: 1,
+                out_c: 2,
+                k: 3,
+                h: 4,
+                w: 4,
+            },
             weight: Matrix::randn(2, 9, 0.0, 0.5, &mut rng),
             bias: vec![0.1, -0.1],
         };
@@ -531,23 +443,22 @@ mod tests {
     /// Verifies analytic parameter gradients of `layer` against central
     /// differences of the scalar loss `sum(forward(x))`.
     fn grad_check(layer: &mut Layer, x: &Matrix, tol: f32) {
-        let (out, cache) = layer.forward(x);
+        let (out, mut cache) = forward(layer, x);
         let grad_out = Matrix::ones(out.rows(), out.cols());
-        let (_, ParamGrad(analytic)) = layer.backward(&cache, &grad_out);
+        let (_, analytic) = backward(layer, x, &out, &mut cache, &grad_out);
 
-        let mut params = Vec::new();
-        layer.extend_params(&mut params);
+        let params = flat_params(layer);
         let eps = 1e-2f32;
         for i in 0..params.len() {
             let mut plus = params.clone();
             plus[i] += eps;
-            layer.load_params(&plus);
-            let f_plus = layer.infer(x).sum();
+            load_params(layer, &plus);
+            let f_plus = forward(layer, x).0.sum();
             let mut minus = params.clone();
             minus[i] -= eps;
-            layer.load_params(&minus);
-            let f_minus = layer.infer(x).sum();
-            layer.load_params(&params);
+            load_params(layer, &minus);
+            let f_minus = forward(layer, x).0.sum();
+            load_params(layer, &params);
             let numeric = (f_plus - f_minus) / (2.0 * eps);
             assert!(
                 (numeric - analytic[i]).abs() < tol * numeric.abs().max(1.0),
@@ -561,7 +472,7 @@ mod tests {
     fn instance_norm_standardises_rows() {
         let layer = Layer::InstanceNorm;
         let x = Matrix::from_rows(&[&[10.0, 12.0, 14.0, 16.0]]);
-        let (y, _) = layer.forward(&x);
+        let (y, _) = forward(&layer, &x);
         let mean: f32 = y.row(0).iter().sum::<f32>() / 4.0;
         let var: f32 = y
             .row(0)
@@ -578,8 +489,8 @@ mod tests {
         let layer = Layer::InstanceNorm;
         let x = Matrix::from_rows(&[&[1.0, -2.0, 0.5, 3.0]]);
         let shifted = x.map(|v| v * 7.0 + 100.0);
-        let (a, _) = layer.forward(&x);
-        let (b, _) = layer.forward(&shifted);
+        let (a, _) = forward(&layer, &x);
+        let (b, _) = forward(&layer, &shifted);
         for (u, v) in a.as_slice().iter().zip(b.as_slice()) {
             assert!((u - v).abs() < 1e-3, "{u} vs {v}");
         }
@@ -591,12 +502,12 @@ mod tests {
         let layer = Layer::InstanceNorm;
         let mut rng = StdRng::seed_from_u64(11);
         let x = Matrix::randn(2, 5, 1.0, 2.0, &mut rng);
-        let (out, cache) = layer.forward(&x);
+        let (out, mut cache) = forward(&layer, &x);
         // Scalar loss: sum of out^2 / 2, so dL/dout = out.
-        let (grad_in, _) = layer.backward(&cache, &out);
+        let (grad_in, _) = backward(&layer, &x, &out, &mut cache, &out);
         let eps = 1e-2f32;
         let loss = |m: &Matrix| -> f32 {
-            let (o, _) = layer.forward(m);
+            let (o, _) = forward(&layer, m);
             o.as_slice().iter().map(|v| v * v / 2.0).sum()
         };
         for r in 0..x.rows() {
@@ -615,15 +526,26 @@ mod tests {
         }
     }
 
+    /// A skipped input gradient leaves the parameter gradient unchanged.
+    #[test]
+    fn skipping_grad_in_keeps_param_grad() {
+        let layer = dense(3, 2, 5);
+        let mut rng = StdRng::seed_from_u64(6);
+        let x = Matrix::randn(4, 3, 0.0, 1.0, &mut rng);
+        let (out, mut cache) = forward(&layer, &x);
+        let g = Matrix::randn(4, 2, 0.0, 1.0, &mut rng);
+        let (_, full) = backward(&layer, &x, &out, &mut cache, &g);
+        let mut dead = vec![0.0; layer.num_params()];
+        layer.backward(&x, &out, &mut cache, &g, None, &mut dead);
+        assert_eq!(full, dead);
+    }
+
     #[test]
     fn param_roundtrip() {
         let mut layer = dense(4, 4, 3);
-        let mut before = Vec::new();
-        layer.extend_params(&mut before);
-        let consumed = layer.load_params(&before);
-        assert_eq!(consumed, before.len());
-        let mut after = Vec::new();
-        layer.extend_params(&mut after);
-        assert_eq!(before, after);
+        let before = flat_params(&layer);
+        assert_eq!(before.len(), layer.num_params());
+        load_params(&mut layer, &before);
+        assert_eq!(flat_params(&layer), before);
     }
 }

@@ -31,14 +31,17 @@
 
 mod arch;
 mod average;
+mod conv;
 mod layer;
 mod loss;
 mod model;
+pub mod naive;
 mod optim;
 mod trainer;
 
 pub use arch::{ArchName, ArchSpec, InputShape, LayerSpec};
 pub use average::{cosine_params, fedavg, param_l2_distance, weighted_merge};
+pub use conv::ConvShape;
 pub use layer::{Layer, LayerCache};
 pub use loss::softmax_cross_entropy;
 pub use model::{EvalReport, Sequential};

@@ -1,6 +1,6 @@
 //! Loss functions.
 
-use shiftex_tensor::{vector, Matrix};
+use shiftex_tensor::Matrix;
 
 /// Softmax cross-entropy with integer class labels.
 ///
@@ -11,6 +11,19 @@ use shiftex_tensor::{vector, Matrix};
 ///
 /// Panics if `labels.len() != logits.rows()` or a label is out of range.
 pub fn softmax_cross_entropy(logits: &Matrix, labels: &[usize]) -> (f32, Matrix) {
+    let mut grad = Matrix::default();
+    let loss = softmax_cross_entropy_into(logits, labels, &mut grad);
+    (loss, grad)
+}
+
+/// [`softmax_cross_entropy`] with the gradient written into `grad`
+/// (reshaped, allocation kept): each row's softmax is computed in place in
+/// its gradient row, the same arithmetic as `shiftex_tensor::vector::softmax`.
+pub(crate) fn softmax_cross_entropy_into(
+    logits: &Matrix,
+    labels: &[usize],
+    grad: &mut Matrix,
+) -> f32 {
     assert_eq!(
         logits.rows(),
         labels.len(),
@@ -18,21 +31,29 @@ pub fn softmax_cross_entropy(logits: &Matrix, labels: &[usize]) -> (f32, Matrix)
     );
     let n = logits.rows().max(1);
     let classes = logits.cols();
-    let mut grad = Matrix::zeros(logits.rows(), classes);
+    grad.reset(logits.rows(), classes);
     let mut total_loss = 0.0f32;
     for (r, &label) in labels.iter().enumerate() {
         assert!(
             label < classes,
             "label {label} out of range for {classes} classes"
         );
-        let probs = vector::softmax(logits.row(r));
-        total_loss += -(probs[label].max(1e-12)).ln();
+        let row = logits.row(r);
+        let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
         let grad_row = grad.row_mut(r);
-        for (j, &p) in probs.iter().enumerate() {
-            grad_row[j] = (p - if j == label { 1.0 } else { 0.0 }) / n as f32;
+        for (e, &v) in grad_row.iter_mut().zip(row) {
+            *e = (v - max).exp();
+        }
+        let sum: f32 = grad_row.iter().sum();
+        for (j, e) in grad_row.iter_mut().enumerate() {
+            let p = *e / sum;
+            if j == label {
+                total_loss += -(p.max(1e-12)).ln();
+            }
+            *e = (p - if j == label { 1.0 } else { 0.0 }) / n as f32;
         }
     }
-    (total_loss / n as f32, grad)
+    total_loss / n as f32
 }
 
 #[cfg(test)]

@@ -6,8 +6,9 @@ use serde::{Deserialize, Serialize};
 use shiftex_tensor::Matrix;
 
 use crate::arch::{ArchSpec, InputShape, LayerSpec};
+use crate::conv::ConvShape;
 use crate::layer::{Layer, LayerCache};
-use crate::loss::softmax_cross_entropy;
+use crate::loss::{softmax_cross_entropy, softmax_cross_entropy_into};
 use crate::optim::Sgd;
 use crate::trainer::TrainConfig;
 
@@ -44,12 +45,56 @@ pub struct Sequential {
     layers: Vec<Layer>,
 }
 
+/// Every buffer a training step touches, owned by one
+/// [`Sequential::train`] call and reused across its mini-batches: after the
+/// first (largest) batch a step allocates nothing.
+#[derive(Debug, Default)]
+struct Workspace {
+    /// Output of each layer; layer `i` reads `acts[i - 1]` (the batch
+    /// itself for layer 0) and its backward pass borrows both.
+    acts: Vec<Matrix>,
+    /// Per-layer forward state and scratch.
+    caches: Vec<LayerCache>,
+    /// Gradient w.r.t. the output of the layer being differentiated.
+    grad: Matrix,
+    /// Gradient w.r.t. its input; swapped with `grad` layer by layer.
+    grad_next: Matrix,
+    /// Parameter gradient in flatten order, each layer writing its slice.
+    flat_grad: Vec<f32>,
+}
+
 impl Sequential {
     /// Builds a freshly-initialised model from an architecture spec.
     ///
     /// Weights are Xavier-uniform, biases zero; all randomness comes from
     /// `rng` so builds are reproducible.
     pub fn build(spec: &ArchSpec, rng: &mut impl Rng) -> Self {
+        Self::assemble(spec, |rows, cols, conv| {
+            let weight = Matrix::xavier(rows, cols, rng);
+            if conv {
+                weight.map(|v| v * (2.0 / cols as f32).sqrt())
+            } else {
+                weight
+            }
+        })
+    }
+
+    /// Builds the model of `spec` that holds `params` (as produced by
+    /// [`Sequential::params_flat`]) — no RNG involved, for every place that
+    /// needs a model *of* given parameters rather than a fresh one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params.len()` does not match the architecture.
+    pub fn from_params(spec: &ArchSpec, params: &[f32]) -> Self {
+        let mut model = Self::assemble(spec, |rows, cols, _| Matrix::zeros(rows, cols));
+        model.set_params_flat(params);
+        model
+    }
+
+    /// Lays out the layer stack of `spec`, asking `weight(rows, cols,
+    /// is_conv)` for each weight matrix in flatten order; biases are zero.
+    fn assemble(spec: &ArchSpec, mut weight: impl FnMut(usize, usize, bool) -> Matrix) -> Self {
         let mut layers = Vec::with_capacity(spec.hidden.len() + 2);
         // Every architecture standardises its input per sample, matching
         // the per-image normalisation of standard vision pipelines and
@@ -59,9 +104,8 @@ impl Sequential {
         for ls in &spec.hidden {
             match *ls {
                 LayerSpec::Dense(out) => {
-                    let fan_in = shape.dim();
                     layers.push(Layer::Dense {
-                        w: Matrix::xavier(fan_in, out, rng),
+                        w: weight(shape.dim(), out, false),
                         b: vec![0.0; out],
                     });
                     shape = InputShape::flat(out);
@@ -69,18 +113,18 @@ impl Sequential {
                 LayerSpec::Relu => layers.push(Layer::Relu),
                 LayerSpec::Tanh => layers.push(Layer::Tanh),
                 LayerSpec::Conv { out_c, k } => {
-                    let fan_in = shape.c * k * k;
                     layers.push(Layer::Conv2d {
-                        in_c: shape.c,
-                        out_c,
-                        k,
-                        h: shape.h,
-                        w: shape.w,
-                        weight: Matrix::xavier(out_c.max(1), fan_in, rng)
-                            .map(|v| v * (2.0 / fan_in as f32).sqrt()),
+                        shape: ConvShape {
+                            in_c: shape.c,
+                            out_c,
+                            k,
+                            h: shape.h,
+                            w: shape.w,
+                        },
+                        // Filter bank: (rows = out_c, cols = fan_in).
+                        weight: weight(out_c.max(1), shape.c * k * k, true),
                         bias: vec![0.0; out_c],
                     });
-                    // xavier() gives (rows=out_c, cols=fan_in) already:
                     shape = InputShape {
                         c: out_c,
                         h: shape.h,
@@ -102,9 +146,8 @@ impl Sequential {
             }
         }
         // Final classifier.
-        let fan_in = shape.dim();
         layers.push(Layer::Dense {
-            w: Matrix::xavier(fan_in, spec.classes, rng),
+            w: weight(shape.dim(), spec.classes, false),
             b: vec![0.0; spec.classes],
         });
         Self {
@@ -132,8 +175,8 @@ impl Sequential {
     /// biases within each layer). This is the unit of federated exchange.
     pub fn params_flat(&self) -> Vec<f32> {
         let mut out = Vec::with_capacity(self.num_params());
-        for layer in &self.layers {
-            layer.extend_params(&mut out);
+        for part in self.layers.iter().flat_map(Layer::params) {
+            out.extend_from_slice(part);
         }
         out
     }
@@ -151,19 +194,41 @@ impl Sequential {
             params.len(),
             self.num_params()
         );
+        self.for_each_param_slice(|offset, part| {
+            part.copy_from_slice(&params[offset..offset + part.len()]);
+        });
+    }
+
+    /// Visits every parameter slice where it lives, in flatten order, with
+    /// its offset into the flat vector.
+    fn for_each_param_slice(&mut self, mut f: impl FnMut(usize, &mut [f32])) {
         let mut offset = 0;
-        for layer in &mut self.layers {
-            offset += layer.load_params(&params[offset..]);
+        for part in self.layers.iter_mut().flat_map(Layer::params_mut) {
+            f(offset, part);
+            offset += part.len();
+        }
+    }
+
+    /// Runs `layers` over `x` in inference mode. Layer 0 reads `x` where it
+    /// is; later activations ping-pong between two buffers.
+    fn infer<'a>(x: &Matrix, layers: impl Iterator<Item = &'a Layer>) -> Matrix {
+        let mut cache = LayerCache::default();
+        let (mut cur, mut next) = (Matrix::default(), Matrix::default());
+        let mut input = None;
+        for layer in layers {
+            layer.forward(input.unwrap_or(x), &mut next, &mut cache);
+            std::mem::swap(&mut cur, &mut next);
+            input = Some(&cur);
+        }
+        match input {
+            Some(_) => cur,
+            None => x.clone(),
         }
     }
 
     /// Full forward pass, returning the class logits.
     pub fn forward(&self, x: &Matrix) -> Matrix {
-        let mut h = x.clone();
-        for layer in &self.layers {
-            h = layer.infer(&h);
-        }
-        h
+        Self::infer(x, self.layers.iter())
     }
 
     /// Forward pass that stops at the penultimate layer, returning the
@@ -177,14 +242,8 @@ impl Sequential {
     /// input distribution through the learned feature map, while
     /// classification uses the normalised path.
     pub fn embed(&self, x: &Matrix) -> Matrix {
-        let mut h = x.clone();
-        for layer in &self.layers[..self.layers.len() - 1] {
-            if matches!(layer, Layer::InstanceNorm) {
-                continue;
-            }
-            h = layer.infer(&h);
-        }
-        h
+        let body = &self.layers[..self.layers.len() - 1];
+        Self::infer(x, body.iter().filter(|l| !matches!(l, Layer::InstanceNorm)))
     }
 
     /// Evaluates mean loss and top-1 accuracy.
@@ -227,37 +286,82 @@ impl Sequential {
         opt: &mut Sgd,
         prox: Option<(&[f32], f32)>,
     ) -> f32 {
-        // Forward with caches.
-        let mut activations = x.clone();
-        let mut caches: Vec<LayerCache> = Vec::with_capacity(self.layers.len());
-        for layer in &self.layers {
-            let (out, cache) = layer.forward(&activations);
-            activations = out;
-            caches.push(cache);
-        }
-        let (loss, mut grad) = softmax_cross_entropy(&activations, labels);
+        let floor = self.first_parametric();
+        self.train_step(&mut Workspace::default(), floor, x, labels, opt, prox)
+    }
 
-        // Backward, collecting parameter gradients in flatten order.
-        let mut grads_rev: Vec<Vec<f32>> = Vec::with_capacity(self.layers.len());
-        for (layer, cache) in self.layers.iter().zip(caches.iter()).rev() {
-            let (grad_in, pgrad) = layer.backward(cache, &grad);
-            grads_rev.push(pgrad.0);
-            grad = grad_in;
+    /// Index of the first layer that has parameters: the backward sweep
+    /// stops there, because no parameter sits below it to use the input
+    /// gradient it would pass down.
+    fn first_parametric(&self) -> usize {
+        self.layers
+            .iter()
+            .position(|l| l.num_params() > 0)
+            .expect("every model ends in a dense classifier")
+    }
+
+    /// [`Sequential::train_batch`] on the buffers of `ws`. The backward
+    /// sweep runs from the last layer down to layer `floor`, which computes
+    /// its parameter gradient only.
+    fn train_step(
+        &mut self,
+        ws: &mut Workspace,
+        floor: usize,
+        x: &Matrix,
+        labels: &[usize],
+        opt: &mut Sgd,
+        prox: Option<(&[f32], f32)>,
+    ) -> f32 {
+        let Workspace {
+            acts,
+            caches,
+            grad,
+            grad_next,
+            flat_grad,
+        } = ws;
+        let depth = self.layers.len();
+        acts.resize_with(depth, Matrix::default);
+        caches.resize_with(depth, LayerCache::default);
+        flat_grad.resize(self.num_params(), 0.0);
+
+        for (i, layer) in self.layers.iter().enumerate() {
+            let (before, after) = acts.split_at_mut(i);
+            layer.forward(before.last().unwrap_or(x), &mut after[0], &mut caches[i]);
         }
-        let mut flat_grad = Vec::with_capacity(self.num_params());
-        for g in grads_rev.into_iter().rev() {
-            flat_grad.extend_from_slice(&g);
+        let loss = softmax_cross_entropy_into(&acts[depth - 1], labels, grad);
+
+        let mut end = flat_grad.len();
+        for i in (floor..depth).rev() {
+            let layer = &self.layers[i];
+            let start = end - layer.num_params();
+            let input = if i == 0 { x } else { &acts[i - 1] };
+            layer.backward(
+                input,
+                &acts[i],
+                &mut caches[i],
+                grad,
+                (i > floor).then_some(&mut *grad_next),
+                &mut flat_grad[start..end],
+            );
+            std::mem::swap(grad, grad_next);
+            end = start;
         }
 
-        let mut params = self.params_flat();
         if let Some((global, mu)) = prox {
-            assert_eq!(global.len(), params.len(), "prox anchor length mismatch");
-            for ((g, &w), &wg) in flat_grad.iter_mut().zip(params.iter()).zip(global.iter()) {
-                *g += mu * (w - wg);
-            }
+            assert_eq!(global.len(), flat_grad.len(), "prox anchor length mismatch");
+            self.for_each_param_slice(|offset, part| {
+                let anchor = &global[offset..offset + part.len()];
+                let grads = &mut flat_grad[offset..offset + part.len()];
+                for ((g, &w), &wg) in grads.iter_mut().zip(part.iter()).zip(anchor) {
+                    *g += mu * (w - wg);
+                }
+            });
         }
-        opt.step(&mut params, &flat_grad);
-        self.set_params_flat(&params);
+        let scale = opt.begin_step(flat_grad);
+        self.for_each_param_slice(|offset, part| {
+            let grads = &flat_grad[offset..offset + part.len()];
+            opt.apply(offset, part, grads, scale);
+        });
         loss
     }
 
@@ -282,6 +386,9 @@ impl Sequential {
         }
         let mut opt = Sgd::new(cfg.lr, cfg.momentum, cfg.weight_decay);
         let anchor = cfg.prox_mu.map(|mu| (self.params_flat(), mu));
+        let floor = self.first_parametric();
+        let mut ws = Workspace::default();
+        let (mut bx, mut by) = (Matrix::default(), Vec::new());
         let mut order: Vec<usize> = (0..n).collect();
         let mut first = f32::NAN;
         let mut last = 0.0;
@@ -291,10 +398,11 @@ impl Sequential {
             let mut epoch_loss = 0.0;
             let mut batches = 0;
             for chunk in order.chunks(cfg.batch_size.max(1)) {
-                let bx = x.select_rows(chunk);
-                let by: Vec<usize> = chunk.iter().map(|&i| labels[i]).collect();
+                x.select_rows_into(chunk, &mut bx);
+                by.clear();
+                by.extend(chunk.iter().map(|&i| labels[i]));
                 let prox = anchor.as_ref().map(|(p, mu)| (p.as_slice(), *mu));
-                epoch_loss += self.train_batch(&bx, &by, &mut opt, prox);
+                epoch_loss += self.train_step(&mut ws, floor, &bx, &by, &mut opt, prox);
                 batches += 1;
                 steps += 1;
             }
@@ -435,6 +543,53 @@ mod tests {
         model.train(&x, &labels, &cfg, &mut rng);
         let eval = model.evaluate(&x, &labels);
         assert!(eval.accuracy > 0.9, "conv accuracy {}", eval.accuracy);
+    }
+
+    /// N steps with the backward sweep stopped at the first parametric
+    /// layer leave exactly the parameters of N full sweeps (floor 0: the
+    /// first layer's input gradient and the InstanceNorm backward are
+    /// computed and dropped, as every step did before dead-gradient
+    /// elimination) — FedProx term and momentum included.
+    #[test]
+    fn dead_gradient_elimination_is_bit_identical_to_full_backward() {
+        let lenet = ArchSpec::lenet5_lite(InputShape { c: 1, h: 8, w: 8 }, 4, 16);
+        let mlp = ArchSpec::mlp("t", 12, &[9, 5], 4);
+        for (spec, seed) in [(mlp, 20u64), (lenet, 21)] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut fast = Sequential::build(&spec, &mut rng);
+            let mut full = fast.clone();
+            let anchor = fast.params_flat();
+            let (mut opt_fast, mut opt_full) =
+                (Sgd::new(0.05, 0.9, 1e-4), Sgd::new(0.05, 0.9, 1e-4));
+            let (mut ws_fast, mut ws_full) = (Workspace::default(), Workspace::default());
+            let floor = fast.first_parametric();
+            assert!(floor > 0, "InstanceNorm sits below the first parameters");
+            for step in 0..6 {
+                // Batch sizes vary so the reused buffers shrink and regrow.
+                let rows = [8, 3, 8, 1, 5, 8][step];
+                let x = Matrix::randn(rows, spec.input.dim(), 0.5, 1.5, &mut rng);
+                let y: Vec<usize> = (0..rows).map(|i| (i + step) % spec.classes).collect();
+                let prox = Some((anchor.as_slice(), 0.1));
+                let a = fast.train_step(&mut ws_fast, floor, &x, &y, &mut opt_fast, prox);
+                let b = full.train_step(&mut ws_full, 0, &x, &y, &mut opt_full, prox);
+                assert_eq!(a.to_bits(), b.to_bits(), "loss at step {step}");
+            }
+            let bits = |m: &Sequential| -> Vec<u32> {
+                m.params_flat().iter().map(|v| v.to_bits()).collect()
+            };
+            assert_eq!(bits(&fast), bits(&full), "{}", spec.label);
+            assert_ne!(fast.params_flat(), anchor, "training moved the parameters");
+        }
+    }
+
+    #[test]
+    fn from_params_holds_the_given_parameters_without_an_rng() {
+        let spec = ArchSpec::lenet5_lite(InputShape { c: 1, h: 8, w: 8 }, 3, 8);
+        let built = Sequential::build(&spec, &mut StdRng::seed_from_u64(5));
+        let rebuilt = Sequential::from_params(&spec, &built.params_flat());
+        assert_eq!(rebuilt.params_flat(), built.params_flat());
+        let x = Matrix::randn(4, 64, 0.0, 1.0, &mut StdRng::seed_from_u64(6));
+        assert_eq!(rebuilt.forward(&x), built.forward(&x));
     }
 
     #[test]

@@ -52,24 +52,35 @@ impl Sgd {
     /// Panics if `params.len() != grads.len()`.
     pub fn step(&mut self, params: &mut [f32], grads: &[f32]) {
         assert_eq!(params.len(), grads.len(), "gradient length mismatch");
-        if self.velocity.len() != params.len() {
-            self.velocity = vec![0.0; params.len()];
+        let scale = self.begin_step(grads);
+        self.apply(0, params, grads, scale);
+    }
+
+    /// First half of a step over parameters that live in several slices:
+    /// sizes the velocity to the whole flat gradient and returns the factor
+    /// that clips its global L2 norm to `clip_norm`.
+    pub(crate) fn begin_step(&mut self, grads: &[f32]) -> f32 {
+        if self.velocity.len() != grads.len() {
+            self.velocity = vec![0.0; grads.len()];
         }
         let norm = grads
             .iter()
             .map(|g| (*g as f64) * (*g as f64))
             .sum::<f64>()
             .sqrt() as f32;
-        let scale = if norm > self.clip_norm && norm > 0.0 {
+        if norm > self.clip_norm && norm > 0.0 {
             self.clip_norm / norm
         } else {
             1.0
-        };
-        for ((w, &g), v) in params
-            .iter_mut()
-            .zip(grads.iter())
-            .zip(self.velocity.iter_mut())
-        {
+        }
+    }
+
+    /// Second half: updates in place the parameter slice that sits at
+    /// `offset` of the flat vector, given its gradient slice and the
+    /// `scale` from [`Sgd::begin_step`].
+    pub(crate) fn apply(&mut self, offset: usize, params: &mut [f32], grads: &[f32], scale: f32) {
+        let velocity = &mut self.velocity[offset..offset + params.len()];
+        for ((w, &g), v) in params.iter_mut().zip(grads.iter()).zip(velocity) {
             let g = g * scale + self.weight_decay * *w;
             *v = self.momentum * *v + g;
             *w -= self.lr * *v;

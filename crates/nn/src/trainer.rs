@@ -71,6 +71,10 @@ pub fn train_local_params(
     cfg: &TrainConfig,
     rng: &mut impl Rng,
 ) -> LocalFitReport {
+    // Not `Sequential::from_params`: the initialisation draws of `build`
+    // come off the party's seeded stream *before* the shuffle draws of
+    // `train`, so every conformance golden pins them. Only the values are
+    // discarded, never the draws.
     let mut model = Sequential::build(spec, rng);
     model.set_params_flat(global_params);
     let report = model.train(x, labels, cfg, rng);

@@ -39,7 +39,7 @@ mod simd;
 pub mod stats;
 pub mod vector;
 
-pub use matrix::{naive, Matrix};
+pub use matrix::{gemm_acc, naive, Matrix};
 
 /// Error type for shape mismatches and invalid numeric arguments.
 #[derive(Debug, Clone, PartialEq, Eq)]

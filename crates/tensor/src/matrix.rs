@@ -20,9 +20,10 @@ use crate::vector;
 const MR: usize = 4;
 /// Depth (shared-dimension) blocking factor of [`Matrix::matmul`].
 const KC: usize = 256;
-/// Output-column blocking factor of [`Matrix::matmul`]: one `KC × NC` panel
-/// of `rhs` (1 MiB at f32) stays cache-resident while a row tile sweeps it.
-const NC: usize = 1024;
+/// Output-column blocking factor of [`Matrix::matmul`]: the [`MR`] output
+/// stripes a tile updates (4 KiB) and the `rhs` stripes it sweeps stay
+/// L1-resident, the `KC × NC` panel of `rhs` (256 KiB at f32) L2-resident.
+const NC: usize = 256;
 /// Square tile side of the blocked [`Matrix::transpose`].
 const TB: usize = 32;
 
@@ -41,7 +42,7 @@ const TB: usize = 32;
 /// assert_eq!(m.rows(), 2);
 /// assert_eq!(m.cols(), 3);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -184,6 +185,16 @@ impl Matrix {
         self.data
     }
 
+    /// Reshapes to `rows × cols` and zero-fills, keeping the allocation:
+    /// the `*_into` kernels start from this so a buffer reused across
+    /// batches is never reallocated once it has seen its largest shape.
+    pub fn reset(&mut self, rows: usize, cols: usize) {
+        self.data.clear();
+        self.data.resize(rows * cols, 0.0);
+        self.rows = rows;
+        self.cols = cols;
+    }
+
     /// Element accessor.
     ///
     /// # Panics
@@ -262,20 +273,32 @@ impl Matrix {
     ///
     /// Panics if `self.cols != rhs.rows`.
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
+        let mut out = Matrix::default();
+        self.matmul_into(rhs, &mut out);
+        out
+    }
+
+    /// [`Matrix::matmul`] written into `out`, which is reshaped to
+    /// `(self.rows, rhs.cols)` and keeps its allocation — the form a
+    /// training loop calls once per batch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.cols != rhs.rows`.
+    pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols, rhs.rows,
             "matmul shape mismatch: ({}x{}) x ({}x{})",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
         let (kd, n) = (self.cols, rhs.cols);
-        let mut out = Matrix::zeros(self.rows, n);
+        out.reset(self.rows, n);
         let work = self.rows * kd * n;
         let (a, b) = (&self.data, &rhs.data);
         crate::par::for_each_row_chunk(&mut out.data, n.max(1), work, |first, chunk| {
             let rows = chunk.len() / n;
-            matmul_block(&a[first * kd..(first + rows) * kd], b, chunk, kd, n);
+            matmul_block::<true>(&a[first * kd..(first + rows) * kd], b, chunk, kd, n);
         });
-        out
     }
 
     /// `selfᵀ · rhs` without materialising the transpose.
@@ -289,16 +312,30 @@ impl Matrix {
     ///
     /// Panics if `self.rows != rhs.rows`.
     pub fn t_matmul(&self, rhs: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(self.cols, rhs.cols);
+        self.t_matmul_into(rhs, &mut out.data);
+        out
+    }
+
+    /// [`Matrix::t_matmul`] written over `out`, a row-major
+    /// `self.cols × rhs.cols` buffer — a dense layer's weight gradient lands
+    /// directly in its slice of the flat gradient vector.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.rows != rhs.rows` or `out` has the wrong length.
+    pub fn t_matmul_into(&self, rhs: &Matrix, out: &mut [f32]) {
         assert_eq!(
             self.rows, rhs.rows,
             "t_matmul shape mismatch: ({}x{})^T x ({}x{})",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
         let (m, ca, n) = (self.rows, self.cols, rhs.cols);
-        let mut out = Matrix::zeros(ca, n);
+        assert_eq!(out.len(), ca * n, "t_matmul output length mismatch");
+        out.fill(0.0);
         let work = m * ca * n;
         let (a, b) = (&self.data, &rhs.data);
-        crate::par::for_each_row_chunk(&mut out.data, n.max(1), work, |first, chunk| {
+        crate::par::for_each_row_chunk(out, n.max(1), work, |first, chunk| {
             for r in 0..m {
                 let a_row = &a[r * ca..(r + 1) * ca];
                 let b_row = &b[r * n..(r + 1) * n];
@@ -310,7 +347,6 @@ impl Matrix {
                 }
             }
         });
-        out
     }
 
     /// `self · rhsᵀ` without materialising the transpose.
@@ -323,13 +359,25 @@ impl Matrix {
     ///
     /// Panics if `self.cols != rhs.cols`.
     pub fn matmul_t(&self, rhs: &Matrix) -> Matrix {
+        let mut out = Matrix::default();
+        self.matmul_t_into(rhs, &mut out);
+        out
+    }
+
+    /// [`Matrix::matmul_t`] written into `out`, which is reshaped to
+    /// `(self.rows, rhs.rows)` and keeps its allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.cols != rhs.cols`.
+    pub fn matmul_t_into(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols, rhs.cols,
             "matmul_t shape mismatch: ({}x{}) x ({}x{})^T",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
         let (kd, p) = (self.cols, rhs.rows);
-        let mut out = Matrix::zeros(self.rows, p);
+        out.reset(self.rows, p);
         let work = self.rows * p * kd;
         let (a, b) = (&self.data, &rhs.data);
         crate::par::for_each_row_chunk(&mut out.data, p.max(1), work, |first, chunk| {
@@ -355,7 +403,6 @@ impl Matrix {
                 }
             }
         });
-        out
     }
 
     /// Symmetric Gram product `self · selfᵀ`: computes only the upper
@@ -538,12 +585,23 @@ impl Matrix {
     /// Column-wise sum, returning a vector of length `cols`.
     pub fn col_sums(&self) -> Vec<f32> {
         let mut sums = vec![0.0; self.cols];
+        self.col_sums_into(&mut sums);
+        sums
+    }
+
+    /// [`Matrix::col_sums`] written over `out` (length `cols`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != cols`.
+    pub fn col_sums_into(&self, out: &mut [f32]) {
+        assert_eq!(out.len(), self.cols, "col_sums output length mismatch");
+        out.fill(0.0);
         for row in self.iter_rows() {
-            for (s, &v) in sums.iter_mut().zip(row.iter()) {
+            for (s, &v) in out.iter_mut().zip(row.iter()) {
                 *s += v;
             }
         }
-        sums
     }
 
     /// Column-wise mean, returning a vector of length `cols`.
@@ -583,15 +641,21 @@ impl Matrix {
 
     /// Extracts the sub-matrix made of the given rows (copied).
     pub fn select_rows(&self, indices: &[usize]) -> Matrix {
-        let mut data = Vec::with_capacity(indices.len() * self.cols);
+        let mut out = Matrix::default();
+        self.select_rows_into(indices, &mut out);
+        out
+    }
+
+    /// [`Matrix::select_rows`] gathered into `out`, which keeps its
+    /// allocation — one mini-batch buffer serves a whole training call.
+    pub fn select_rows_into(&self, indices: &[usize], out: &mut Matrix) {
+        out.data.clear();
+        out.data.reserve(indices.len() * self.cols);
         for &i in indices {
-            data.extend_from_slice(self.row(i));
+            out.data.extend_from_slice(self.row(i));
         }
-        Matrix {
-            rows: indices.len(),
-            cols: self.cols,
-            data,
-        }
+        out.rows = indices.len();
+        out.cols = self.cols;
     }
 
     /// Stacks matrices vertically. All inputs must share `cols`.
@@ -618,7 +682,12 @@ impl Matrix {
 /// depth `kd`), `b` the full right-hand operand. Output rows are processed
 /// in [`MR`]-row register tiles; within a tile, each depth index broadcasts
 /// one coefficient per row against a cache-resident `KC × NC` panel of `b`.
-fn matmul_block(a: &[f32], b: &[f32], out: &mut [f32], kd: usize, n: usize) {
+///
+/// `SKIP_ZERO` drops the update of a zero coefficient (sparse activations
+/// and ReLU-masked gradients make these common). Skipping `x += 0·b` is
+/// bit-neutral for finite `b` as long as `x` is not `-0.0`, which a sum
+/// started at `+0.0` never is.
+fn matmul_block<const SKIP_ZERO: bool>(a: &[f32], b: &[f32], out: &mut [f32], kd: usize, n: usize) {
     for (t, tile) in out.chunks_mut(MR * n).enumerate() {
         let tile_rows = tile.len() / n;
         let a_tile = &a[t * MR * kd..t * MR * kd + tile_rows * kd];
@@ -632,10 +701,10 @@ fn matmul_block(a: &[f32], b: &[f32], out: &mut [f32], kd: usize, n: usize) {
                     let jend = (jb + NC).min(n);
                     for k in kb..kend {
                         let b_stripe = &b[k * n + jb..k * n + jend];
-                        axpy_nonzero(&mut r0[jb..jend], a_tile[k], b_stripe);
-                        axpy_nonzero(&mut r1[jb..jend], a_tile[kd + k], b_stripe);
-                        axpy_nonzero(&mut r2[jb..jend], a_tile[2 * kd + k], b_stripe);
-                        axpy_nonzero(&mut r3[jb..jend], a_tile[3 * kd + k], b_stripe);
+                        axpy_coeff::<SKIP_ZERO>(&mut r0[jb..jend], a_tile[k], b_stripe);
+                        axpy_coeff::<SKIP_ZERO>(&mut r1[jb..jend], a_tile[kd + k], b_stripe);
+                        axpy_coeff::<SKIP_ZERO>(&mut r2[jb..jend], a_tile[2 * kd + k], b_stripe);
+                        axpy_coeff::<SKIP_ZERO>(&mut r3[jb..jend], a_tile[3 * kd + k], b_stripe);
                     }
                 }
             }
@@ -650,7 +719,7 @@ fn matmul_block(a: &[f32], b: &[f32], out: &mut [f32], kd: usize, n: usize) {
                         let jend = (jb + NC).min(n);
                         for k in kb..kend {
                             let b_stripe = &b[k * n + jb..k * n + jend];
-                            axpy_nonzero(&mut out_row[jb..jend], a_row[k], b_stripe);
+                            axpy_coeff::<SKIP_ZERO>(&mut out_row[jb..jend], a_row[k], b_stripe);
                         }
                     }
                 }
@@ -659,12 +728,41 @@ fn matmul_block(a: &[f32], b: &[f32], out: &mut [f32], kd: usize, n: usize) {
     }
 }
 
-/// [`vector::axpy`] that skips zero coefficients (sparse activations and
-/// ReLU-masked gradients make these common).
+/// [`vector::axpy`] that, under `SKIP_ZERO`, skips zero coefficients.
 #[inline]
-fn axpy_nonzero(out: &mut [f32], coeff: f32, b: &[f32]) {
-    if coeff != 0.0 {
+fn axpy_coeff<const SKIP_ZERO: bool>(out: &mut [f32], coeff: f32, b: &[f32]) {
+    if !SKIP_ZERO || coeff != 0.0 {
         vector::axpy(out, coeff, b);
+    }
+}
+
+/// Accumulating slice-level GEMM: `out += a · b` for row-major `a`
+/// (`m × kd`), `b` (`kd × n`) and `out` (`m × n`), on the same blocked,
+/// register-tiled serial kernel as [`Matrix::matmul`].
+///
+/// Every output element receives its addends in ascending order of the
+/// shared index, one rounded multiply and one rounded add each (no FMA, no
+/// reassociation), on top of whatever `out` already holds — so a caller
+/// that seeds `out` (with a bias, say) and lowers its loops onto this
+/// kernel reproduces a scalar `acc = seed; acc += a·b` loop bit for bit.
+/// `skip_zero` drops the addends of zero `a` coefficients, which is how the
+/// scalar loops over ReLU-masked gradients are written.
+///
+/// # Panics
+///
+/// Panics if a slice length disagrees with `kd`, `n` and the row count
+/// implied by `out`.
+pub fn gemm_acc(a: &[f32], b: &[f32], out: &mut [f32], kd: usize, n: usize, skip_zero: bool) {
+    if out.is_empty() {
+        return;
+    }
+    assert_eq!(out.len() % n, 0, "gemm_acc output is not whole rows");
+    assert_eq!(a.len(), out.len() / n * kd, "gemm_acc lhs length mismatch");
+    assert_eq!(b.len(), kd * n, "gemm_acc rhs length mismatch");
+    if skip_zero {
+        matmul_block::<true>(a, b, out, kd, n);
+    } else {
+        matmul_block::<false>(a, b, out, kd, n);
     }
 }
 
