@@ -124,8 +124,7 @@ mod tests {
     use rand::SeedableRng;
     use shiftex_data::{ImageShape, PrototypeGenerator};
     use shiftex_fl::{
-        run_algorithm_round, CodecSpec, Party, PopulationStore, ScenarioEngine, ScenarioSpec,
-        UniformSelector,
+        run_algorithm_round, Party, PopulationStore, RoundCtx, ScenarioEngine, ScenarioSpec,
     };
 
     #[test]
@@ -149,16 +148,7 @@ mod tests {
         let before = alg.eval(&store.view(store.party_ids()));
         let mut engine = ScenarioEngine::new(ScenarioSpec::sync(1), &ids);
         for _ in 0..8 {
-            run_algorithm_round(
-                &mut alg,
-                &store,
-                &mut engine,
-                &CodecSpec::dense(),
-                &mut UniformSelector,
-                &FoldPolicy::Mean,
-                None,
-                &mut rng,
-            );
+            run_algorithm_round(&mut alg, &mut RoundCtx::new(&store, &mut engine), &mut rng);
         }
         let after = alg.eval(&store.view(store.party_ids()));
         assert!(after > before, "{before} -> {after}");

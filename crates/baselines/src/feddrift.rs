@@ -266,8 +266,7 @@ mod tests {
     use rand::SeedableRng;
     use shiftex_data::{Corruption, ImageShape, PrototypeGenerator, Regime};
     use shiftex_fl::{
-        run_algorithm_round, CodecSpec, Party, PopulationStore, ScenarioEngine, ScenarioSpec,
-        UniformSelector,
+        run_algorithm_round, Party, PopulationStore, RoundCtx, ScenarioEngine, ScenarioSpec,
     };
 
     fn make(n: usize, rng: &mut StdRng) -> (PrototypeGenerator, Vec<Party>) {
@@ -289,16 +288,7 @@ mod tests {
         let ids = store.party_ids();
         let mut engine = ScenarioEngine::new(ScenarioSpec::sync(1), &ids);
         for _ in 0..n {
-            run_algorithm_round(
-                alg,
-                &store,
-                &mut engine,
-                &CodecSpec::dense(),
-                &mut UniformSelector,
-                &FoldPolicy::Mean,
-                None,
-                rng,
-            );
+            run_algorithm_round(alg, &mut RoundCtx::new(&store, &mut engine), rng);
         }
     }
 

@@ -151,8 +151,7 @@ mod tests {
     use rand::SeedableRng;
     use shiftex_data::{ImageShape, PrototypeGenerator};
     use shiftex_fl::{
-        run_algorithm_round, CodecSpec, Party, PopulationStore, ScenarioEngine, ScenarioSpec,
-        UniformSelector,
+        run_algorithm_round, Party, PopulationStore, RoundCtx, ScenarioEngine, ScenarioSpec,
     };
 
     #[test]
@@ -182,16 +181,7 @@ mod tests {
         assert_eq!(alg.num_label_clusters(), 2);
         let mut engine = ScenarioEngine::new(ScenarioSpec::sync(1), &ids);
         for _ in 0..6 {
-            run_algorithm_round(
-                &mut alg,
-                &store,
-                &mut engine,
-                &CodecSpec::dense(),
-                &mut UniformSelector,
-                &FoldPolicy::Mean,
-                None,
-                &mut rng,
-            );
+            run_algorithm_round(&mut alg, &mut RoundCtx::new(&store, &mut engine), &mut rng);
         }
         assert!(alg.eval(&store.view(store.party_ids())) > 0.3);
         // A boundary refit still works over a member view.

@@ -143,8 +143,7 @@ mod tests {
     use rand::SeedableRng;
     use shiftex_data::{ImageShape, PrototypeGenerator};
     use shiftex_fl::{
-        run_algorithm_round, CodecSpec, Party, PopulationStore, ScenarioEngine, ScenarioSpec,
-        UniformSelector,
+        run_algorithm_round, Party, PopulationStore, RoundCtx, ScenarioEngine, ScenarioSpec,
     };
 
     #[test]
@@ -174,16 +173,7 @@ mod tests {
         assert_eq!(fitted, 2, "two label regimes");
         let mut engine = ScenarioEngine::new(ScenarioSpec::sync(1), &ids);
         for _ in 0..4 {
-            run_algorithm_round(
-                &mut alg,
-                &store,
-                &mut engine,
-                &CodecSpec::dense(),
-                &mut UniformSelector,
-                &FoldPolicy::Mean,
-                None,
-                &mut rng,
-            );
+            run_algorithm_round(&mut alg, &mut RoundCtx::new(&store, &mut engine), &mut rng);
         }
         // Window boundaries leave the clustering untouched.
         alg.begin_window(1, &store.view(store.party_ids()), &mut rng);

@@ -327,8 +327,8 @@ mod tests {
     fn selector_feeds_from_the_generic_driver_liveness_hook() {
         use crate::FedAvg;
         use shiftex_fl::{
-            run_algorithm_round, ChurnSpec, CodecSpec, FederatedAlgorithm, FoldPolicy,
-            PopulationStore, ScenarioEngine, ScenarioSpec,
+            run_algorithm_round, ChurnSpec, FederatedAlgorithm, PopulationStore, RoundCtx,
+            ScenarioEngine, ScenarioSpec,
         };
         use shiftex_nn::{ArchSpec, TrainConfig};
         let mut rng = StdRng::seed_from_u64(3);
@@ -341,21 +341,10 @@ mod tests {
         let scenario = ScenarioSpec::sync(4).with_churn(ChurnSpec::dropout_only(0.4));
         let mut engine = ScenarioEngine::new(scenario, &ids);
         let mut sel = OortSelector::new(OortSelectorConfig::default());
-        let mut lost = 0;
-        for _ in 0..6 {
-            lost += run_algorithm_round(
-                &mut alg,
-                &store,
-                &mut engine,
-                &CodecSpec::dense(),
-                &mut sel,
-                &FoldPolicy::Mean,
-                None,
-                &mut rng,
-            )
-            .lost
-            .len();
-        }
+        let mut ctx = RoundCtx::new(&store, &mut engine).with_selector(&mut sel);
+        let lost: usize = (0..6)
+            .map(|_| run_algorithm_round(&mut alg, &mut ctx, &mut rng).lost.len())
+            .sum();
         assert!(lost > 0, "40% dropout must abort something");
         assert!(
             sel.cooldown_marks() > 0,

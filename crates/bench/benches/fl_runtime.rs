@@ -1,12 +1,13 @@
-//! Criterion benches for the federated runtime itself: one communication
-//! round, federated averaging, and a full ShiftEx window step — the costs a
-//! deployment pays per round versus the per-shift adaptation overhead.
+//! Criterion benches for the federated runtime itself: communication
+//! rounds through the one driver, federated averaging, and a full ShiftEx
+//! window step — the costs a deployment pays per round versus the
+//! per-shift adaptation overhead.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::{rngs::StdRng, SeedableRng};
 use shiftex_core::{ShiftEx, ShiftExConfig};
 use shiftex_data::{Corruption, ImageShape, PrototypeGenerator, Regime};
-use shiftex_fl::{run_round, Party, PartyId, RoundConfig};
+use shiftex_fl::{Party, PartyId};
 use shiftex_nn::{fedavg, ArchSpec, Sequential};
 
 fn make_parties(n: usize, samples: usize, seed: u64) -> (PrototypeGenerator, Vec<Party>) {
@@ -22,30 +23,6 @@ fn make_parties(n: usize, samples: usize, seed: u64) -> (PrototypeGenerator, Vec
         })
         .collect();
     (gen, parties)
-}
-
-fn bench_round(c: &mut Criterion) {
-    let (_, parties) = make_parties(8, 40, 0);
-    let spec = ArchSpec::resnet18_lite(shiftex_nn::InputShape { c: 3, h: 8, w: 8 }, 10, 24);
-    let mut rng = StdRng::seed_from_u64(1);
-    let init = Sequential::build(&spec, &mut rng).params_flat();
-    let cohort: Vec<&Party> = parties.iter().collect();
-    let mut group = c.benchmark_group("federated_round");
-    group.sample_size(10);
-    for parallel in [false, true] {
-        let cfg = RoundConfig {
-            parallel,
-            ..RoundConfig::default()
-        };
-        let label = if parallel { "parallel" } else { "serial" };
-        group.bench_function(format!("8_parties_{label}"), |b| {
-            b.iter(|| {
-                let mut rng = StdRng::seed_from_u64(2);
-                run_round(&spec, &init, &cohort, &cfg, None, &mut rng)
-            })
-        });
-    }
-    group.finish();
 }
 
 fn bench_fedavg(c: &mut Criterion) {
@@ -236,74 +213,8 @@ fn bench_nn_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_scenarios(c: &mut Criterion) {
-    use shiftex_fl::{
-        run_round_scenario, AsyncSpec, ChurnSpec, LatePolicy, ScenarioEngine, ScenarioSpec,
-        StragglerSpec,
-    };
-    // A 100-party federation on a deliberately small model: the group
-    // measures the *runtime's* per-round cost (selection, fates, buffering,
-    // weighted aggregation) rather than local SGD throughput.
-    let mut rng = StdRng::seed_from_u64(7);
-    let gen = PrototypeGenerator::new(ImageShape::new(1, 6, 6), 4, &mut rng);
-    let parties: Vec<Party> = (0..100)
-        .map(|i| {
-            Party::new(
-                PartyId(i),
-                gen.generate_uniform(12, &mut rng),
-                gen.generate_uniform(6, &mut rng),
-            )
-        })
-        .collect();
-    let ids: Vec<PartyId> = parties.iter().map(|p| p.id()).collect();
-    let spec = ArchSpec::mlp("scen", 36, &[16], 4);
-    let init = Sequential::build(&spec, &mut rng).params_flat();
-    let cohort: Vec<&Party> = parties.iter().collect();
-    let cfg = RoundConfig {
-        participants_per_round: 100,
-        ..RoundConfig::default()
-    };
-
-    let mut group = c.benchmark_group("fl_scenarios");
-    group.sample_size(10);
-    group.bench_function("sync_round_100_parties", |b| {
-        b.iter_with_setup(
-            || {
-                let mut engine = ScenarioEngine::new(ScenarioSpec::sync(1), &ids);
-                engine.begin_round();
-                (engine, StdRng::seed_from_u64(2))
-            },
-            |(mut engine, mut rng)| {
-                run_round_scenario(&spec, &init, &cohort, &cfg, &mut engine, 0, None, &mut rng)
-            },
-        )
-    });
-    let churny = ScenarioSpec::sync(1)
-        .with_churn(ChurnSpec::dropout_only(0.15))
-        .with_stragglers(StragglerSpec::uniform(0.8, 1.0, LatePolicy::Defer))
-        .with_async(AsyncSpec {
-            min_buffer: 16,
-            staleness_alpha: 0.5,
-            max_staleness: 4,
-            server_lr: 1.0,
-        });
-    group.bench_function("async_churn_round_100_parties", |b| {
-        b.iter_with_setup(
-            || {
-                let mut engine = ScenarioEngine::new(churny.clone(), &ids);
-                engine.begin_round();
-                (engine, StdRng::seed_from_u64(2))
-            },
-            |(mut engine, mut rng)| {
-                run_round_scenario(&spec, &init, &cohort, &cfg, &mut engine, 0, None, &mut rng)
-            },
-        )
-    });
-    group.finish();
-}
-
 fn bench_codecs(c: &mut Criterion) {
-    use shiftex_fl::{run_round_scenario, CodecSpec, ModelUpdate, ScenarioEngine, ScenarioSpec};
+    use shiftex_fl::{CodecSpec, ModelUpdate};
     let mut rng = StdRng::seed_from_u64(8);
     // Encode/decode throughput on a production-ish flat model (100k params).
     let n = 100_000usize;
@@ -333,62 +244,14 @@ fn bench_codecs(c: &mut Criterion) {
         });
     }
 
-    // End-to-end: one synchronous 100-party scenario round with quantised
-    // exchanges metered on a live ledger — the per-round runtime cost of
-    // paying for compression (compare fl_scenarios/sync_round_100_parties
-    // for the uncoded baseline).
-    let gen = PrototypeGenerator::new(ImageShape::new(1, 6, 6), 4, &mut rng);
-    let parties: Vec<Party> = (0..100)
-        .map(|i| {
-            Party::new(
-                PartyId(i),
-                gen.generate_uniform(12, &mut rng),
-                gen.generate_uniform(6, &mut rng),
-            )
-        })
-        .collect();
-    let ids: Vec<PartyId> = parties.iter().map(|p| p.id()).collect();
-    let spec = ArchSpec::mlp("codec", 36, &[16], 4);
-    let init = Sequential::build(&spec, &mut rng).params_flat();
-    let cohort: Vec<&Party> = parties.iter().collect();
-    let cfg = RoundConfig {
-        participants_per_round: 100,
-        codec: CodecSpec::quant8(256).with_delta(),
-        ..RoundConfig::default()
-    };
-    group.bench_function("e2e_round_quant8_100_parties", |b| {
-        b.iter_with_setup(
-            || {
-                let mut engine = ScenarioEngine::new(ScenarioSpec::sync(1), &ids);
-                engine.begin_round();
-                (
-                    engine,
-                    shiftex_fl::CommLedger::new(),
-                    StdRng::seed_from_u64(2),
-                )
-            },
-            |(mut engine, ledger, mut rng)| {
-                run_round_scenario(
-                    &spec,
-                    &init,
-                    &cohort,
-                    &cfg,
-                    &mut engine,
-                    0,
-                    Some(&ledger),
-                    &mut rng,
-                )
-            },
-        )
-    });
     group.finish();
 }
 
 fn bench_algorithms(c: &mut Criterion) {
     use shiftex_baselines::{FedAvg, FedDrift, FedDriftConfig, FedProx, Fielding, Flips};
     use shiftex_fl::{
-        run_algorithm_round, ChurnSpec, CodecSpec, FederatedAlgorithm, FoldPolicy, PopulationStore,
-        ScenarioEngine, ScenarioSpec, UniformSelector,
+        run_algorithm_round, ChurnSpec, CodecSpec, FederatedAlgorithm, PopulationStore, RoundCtx,
+        ScenarioEngine, ScenarioSpec,
     };
     use shiftex_nn::TrainConfig;
 
@@ -461,12 +324,7 @@ fn bench_algorithms(c: &mut Criterion) {
                 |(mut engine, mut rng)| {
                     run_algorithm_round(
                         algorithm.as_mut(),
-                        &store,
-                        &mut engine,
-                        &codec,
-                        &mut UniformSelector,
-                        &FoldPolicy::Mean,
-                        None,
+                        &mut RoundCtx::new(&store, &mut engine).with_codec(&codec),
                         &mut rng,
                     )
                 },
@@ -479,8 +337,8 @@ fn bench_algorithms(c: &mut Criterion) {
 fn bench_robust(c: &mut Criterion) {
     use shiftex_baselines::FedAvg;
     use shiftex_fl::{
-        run_algorithm_round, AttackKind, AttackSpec, CodecSpec, FederatedAlgorithm, FoldPolicy,
-        PopulationStore, ScenarioEngine, ScenarioSpec, UniformSelector,
+        run_algorithm_round, AttackKind, AttackSpec, FederatedAlgorithm, FoldPolicy,
+        PopulationStore, RoundCtx, ScenarioEngine, ScenarioSpec,
     };
     use shiftex_nn::TrainConfig;
 
@@ -504,7 +362,6 @@ fn bench_robust(c: &mut Criterion) {
     let spec = ArchSpec::mlp("robust", 36, &[16], 4);
     let train = TrainConfig::default();
     let hostile = ScenarioSpec::sync(5).with_attack(AttackSpec::new(AttackKind::SignFlip, 0.2));
-    let codec = CodecSpec::dense();
 
     let store = PopulationStore::from_parties(parties);
     let mut group = c.benchmark_group("fl_robust");
@@ -525,12 +382,7 @@ fn bench_robust(c: &mut Criterion) {
                 |(mut engine, mut rng)| {
                     run_algorithm_round(
                         &mut algorithm,
-                        &store,
-                        &mut engine,
-                        &codec,
-                        &mut UniformSelector,
-                        &fold,
-                        None,
+                        &mut RoundCtx::new(&store, &mut engine).with_fold(&fold),
                         &mut rng,
                     )
                 },
@@ -545,8 +397,8 @@ fn bench_population(c: &mut Criterion) {
     use shiftex_data::{DatasetKind, SimScale};
     use shiftex_experiments::{LazyPopulation, Scenario};
     use shiftex_fl::{
-        run_algorithm_round, ChurnSpec, CodecSpec, FederatedAlgorithm, FoldPolicy, ScenarioEngine,
-        ScenarioSpec, UniformSelector,
+        run_algorithm_round, ChurnSpec, CodecSpec, FederatedAlgorithm, RoundCtx, ScenarioEngine,
+        ScenarioSpec,
     };
     use shiftex_nn::TrainConfig;
 
@@ -585,12 +437,7 @@ fn bench_population(c: &mut Criterion) {
             |(mut engine, mut rng)| {
                 run_algorithm_round(
                     &mut algorithm,
-                    &store,
-                    &mut engine,
-                    &codec,
-                    &mut UniformSelector,
-                    &FoldPolicy::Mean,
-                    None,
+                    &mut RoundCtx::new(&store, &mut engine).with_codec(&codec),
                     &mut rng,
                 )
             },
@@ -608,9 +455,8 @@ fn bench_population(c: &mut Criterion) {
 fn bench_join(c: &mut Criterion) {
     use shiftex_baselines::FedAvg;
     use shiftex_fl::{
-        run_algorithm_round, run_algorithm_round_with, BudgetSpec, ChurnSpec, CodecController,
-        CodecSpec, FederatedAlgorithm, FoldPolicy, JoinConfig, PopulationStore, RoundCodec,
-        ScenarioEngine, ScenarioSpec, UniformSelector,
+        run_algorithm_round, BudgetSpec, ChurnSpec, CodecController, FederatedAlgorithm,
+        JoinConfig, PopulationStore, RoundCtx, ScenarioEngine, ScenarioSpec,
     };
     use shiftex_nn::TrainConfig;
 
@@ -638,7 +484,6 @@ fn bench_join(c: &mut Criterion) {
         join_ramp_rounds: 2,
         ..ChurnSpec::dropout_only(0.2)
     });
-    let dense = CodecSpec::dense();
     let controller = CodecController::new(48, BudgetSpec::per_round(98_304));
 
     let store = PopulationStore::from_parties(parties);
@@ -657,12 +502,7 @@ fn bench_join(c: &mut Criterion) {
             |(mut engine, mut rng)| {
                 run_algorithm_round(
                     &mut algorithm,
-                    &store,
-                    &mut engine,
-                    &dense,
-                    &mut UniformSelector,
-                    &FoldPolicy::Mean,
-                    None,
+                    &mut RoundCtx::new(&store, &mut engine),
                     &mut rng,
                 )
             },
@@ -676,14 +516,9 @@ fn bench_join(c: &mut Criterion) {
                 (engine, StdRng::seed_from_u64(50))
             },
             |(mut engine, mut rng)| {
-                run_algorithm_round_with(
+                run_algorithm_round(
                     &mut algorithm,
-                    &store,
-                    &mut engine,
-                    RoundCodec::Adaptive(&controller),
-                    &mut UniformSelector,
-                    &FoldPolicy::Mean,
-                    None,
+                    &mut RoundCtx::new(&store, &mut engine).with_codec(&controller),
                     &mut rng,
                 )
             },
@@ -703,8 +538,7 @@ fn bench_net(c: &mut Criterion) {
         FedSelector, LazyPopulation, NetFedConfig, Scenario,
     };
     use shiftex_fl::{
-        run_algorithm_round_transported, CodecSpec, CommLedger, FoldPolicy, RoundCodec,
-        ScenarioEngine, ScenarioSpec, UniformSelector,
+        run_algorithm_round, CodecSpec, CommLedger, RoundCtx, ScenarioEngine, ScenarioSpec,
     };
     use shiftex_net::Coordinator;
 
@@ -759,22 +593,14 @@ fn bench_net(c: &mut Criterion) {
         build_algorithm("fedavg", &scenario, &ShiftExConfig::default()).expect("fedavg");
     algorithm.init(&store.view(ids.clone()), &mut rng);
 
+    let mut ctx = RoundCtx::new(&store, &mut engine)
+        .with_codec(&cfg.codec)
+        .with_ledger(&ledger)
+        .with_transport(&mut coordinator);
     let mut group = c.benchmark_group("fl_net");
     group.sample_size(10);
     group.bench_function("loopback_round_trip_dense_4_workers", |b| {
-        b.iter(|| {
-            run_algorithm_round_transported(
-                algorithm.as_mut(),
-                &store,
-                &mut engine,
-                RoundCodec::Static(&cfg.codec),
-                &mut UniformSelector,
-                &FoldPolicy::Mean,
-                Some(&ledger),
-                &mut rng,
-                &mut coordinator,
-            )
-        })
+        b.iter(|| run_algorithm_round(algorithm.as_mut(), &mut ctx, &mut rng))
     });
     group.finish();
     coordinator.shutdown();
@@ -785,12 +611,10 @@ fn bench_net(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_round,
     bench_fedavg,
     bench_window_step,
     bench_tensor_kernels,
     bench_nn_kernels,
-    bench_scenarios,
     bench_codecs,
     bench_algorithms,
     bench_robust,

@@ -10,16 +10,17 @@ use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 use rand::rngs::StdRng;
+use rand::Rng;
 use serde::{Deserialize, Serialize};
 use shiftex_cluster::choose_k;
 use shiftex_detect::{CalibratedThresholds, EmbeddingProfile, RbfKernel, ThresholdCalibrator};
 use shiftex_fl::{
-    aggregate_robust, run_round, FederatedAlgorithm, FoldPolicy, ParticipantSelector, Party,
-    PartyId, PartyInfo, PopulationView, RoundConfig, UniformSelector, UpdateVerdict,
+    aggregate_robust, local_update, FederatedAlgorithm, FoldPolicy, ModelUpdate,
+    ParticipantSelector, Party, PartyId, PartyInfo, PopulationView, UniformSelector, UpdateVerdict,
     WeightedUpdate,
 };
 use shiftex_flips::FlipsSelector;
-use shiftex_nn::{train_local_params, ArchSpec, Sequential, TrainConfig};
+use shiftex_nn::{fedavg, train_local_params, ArchSpec, Sequential, TrainConfig};
 use shiftex_tensor::Matrix;
 
 use crate::config::ShiftExConfig;
@@ -540,34 +541,33 @@ impl ShiftEx {
     }
 
     fn train_round_impl<M: MemberAccess>(&mut self, parties: &M, rng: &mut StdRng) {
-        let round_cfg = self.round_config();
         for expert_id in self.registry.ids() {
             let cohort_ids = self.expert_cohort_impl(expert_id, parties, rng);
-            // Materialize only this expert's cohort; it is dropped again at
-            // the end of the iteration.
-            let cohort: Vec<Party> = cohort_ids
+            // One pre-drawn seed per member, in cohort order — the same
+            // draw sequence as the scenario driver.
+            let seeds: Vec<u64> = cohort_ids.iter().map(|_| rng.random::<u64>()).collect();
+            let params = &self.registry.live(expert_id).params;
+            // Only one cohort member is ever borrowed at a time.
+            let updates: Vec<ModelUpdate> = cohort_ids
                 .iter()
-                .filter_map(|&id| parties.with_member(id, Party::clone))
+                .zip(&seeds)
+                .filter_map(|(&id, &seed)| {
+                    parties.with_member(id, |party| {
+                        local_update(&self.spec, params, party, &self.cfg.train, seed)
+                    })
+                })
+                .filter(|update| update.num_samples > 0)
                 .collect();
-            if cohort.is_empty() {
+            if updates.is_empty() {
                 continue;
             }
-            let cohort_refs: Vec<&Party> = cohort.iter().collect();
-            let params = self.registry.live(expert_id).params.clone();
-            let outcome = run_round(&self.spec, &params, &cohort_refs, &round_cfg, None, rng);
-            self.registry.live_mut(expert_id).params = outcome.params;
+            let (trained, samples): (Vec<&[f32]>, Vec<usize>) = updates
+                .iter()
+                .map(|update| (update.params.as_slice(), update.num_samples))
+                .unzip();
+            self.registry.live_mut(expert_id).params = fedavg(&trained, &samples);
         }
         self.personal_steps_impl(parties, rng);
-    }
-
-    /// Round configuration shared by every expert's federated round.
-    fn round_config(&self) -> RoundConfig {
-        RoundConfig {
-            train: self.cfg.train,
-            participants_per_round: self.cfg.participants_per_round,
-            parallel: false,
-            codec: self.cfg.codec,
-        }
     }
 
     /// Selects this round's cohort for `expert_id` from the (already
@@ -1083,6 +1083,51 @@ mod tests {
         );
     }
 
+    /// FNV-1a over the bit patterns of every live expert's parameters.
+    fn expert_fingerprint(shiftex: &ShiftEx) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for expert in shiftex.registry().iter() {
+            for x in &expert.params {
+                for byte in x.to_bits().to_le_bytes() {
+                    h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn standalone_rounds_are_bit_pinned() {
+        // `to_bits` fingerprints of the standalone slice API (cohort → one
+        // pre-drawn seed per member → `local_update` → `fedavg`), recorded
+        // before it was composed from the driver's primitives: any change to
+        // the draw order or the averaging arithmetic moves them.
+        let (gen, mut parties, mut shiftex, mut rng) = setup(8);
+        shiftex.bootstrap(&parties, 3, &mut rng);
+        for _ in 0..2 {
+            shiftex.train_round(&parties, &mut rng);
+        }
+        assert_eq!(
+            expert_fingerprint(&shiftex),
+            0x4022_8048_9d38_c98a,
+            "one expert"
+        );
+
+        // Two experts plus the window-boundary machinery in between.
+        let fog = Regime::corrupted(Corruption::Fog, 4);
+        advance_with_regime(&mut parties, &gen, &fog, &[0, 1, 2, 3], 48, &mut rng);
+        shiftex.process_window(&parties, &mut rng);
+        assert_eq!(shiftex.num_experts(), 2);
+        for _ in 0..2 {
+            shiftex.train_round(&parties, &mut rng);
+        }
+        assert_eq!(
+            expert_fingerprint(&shiftex),
+            0x1d05_828a_2083_ef68,
+            "two experts"
+        );
+    }
+
     #[test]
     fn max_experts_cap_is_respected() {
         let (gen, mut parties, mut shiftex, mut rng) = setup(8);
@@ -1108,7 +1153,7 @@ mod tests {
     #[test]
     fn scenario_rounds_train_experts_under_churn() {
         use shiftex_fl::{
-            run_algorithm_round, AsyncSpec, ChurnSpec, CodecSpec, CommLedger, PopulationStore,
+            run_algorithm_round, AsyncSpec, ChurnSpec, CommLedger, PopulationStore, RoundCtx,
             ScenarioSpec, StragglerSpec,
         };
         let (gen, mut parties, mut shiftex, mut rng) = setup(8);
@@ -1141,17 +1186,9 @@ mod tests {
             .iter()
             .map(|e| e.params.clone())
             .collect();
+        let mut ctx = RoundCtx::new(&store, &mut engine).with_ledger(&ledger);
         for _ in 0..6 {
-            run_algorithm_round(
-                &mut shiftex,
-                &store,
-                &mut engine,
-                &CodecSpec::dense(),
-                &mut UniformSelector,
-                &FoldPolicy::Mean,
-                Some(&ledger),
-                &mut rng,
-            );
+            run_algorithm_round(&mut shiftex, &mut ctx, &mut rng);
         }
         let after = shiftex.evaluate(&parties);
         let params_after: Vec<Vec<f32>> = shiftex

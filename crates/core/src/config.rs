@@ -1,7 +1,6 @@
 //! ShiftEx configuration.
 
 use serde::{Deserialize, Serialize};
-use shiftex_fl::CodecSpec;
 use shiftex_nn::TrainConfig;
 
 /// All tunables of the ShiftEx aggregator, with the paper's defaults.
@@ -49,8 +48,6 @@ pub struct ShiftExConfig {
     pub disable_consolidation: bool,
     /// Use uniform instead of FLIPS selection (ablation).
     pub uniform_selection: bool,
-    /// Wire codec for every expert round's broadcasts and uploads.
-    pub codec: CodecSpec,
 }
 
 impl Default for ShiftExConfig {
@@ -72,7 +69,6 @@ impl Default for ShiftExConfig {
             disable_memory: false,
             disable_consolidation: false,
             uniform_selection: false,
-            codec: CodecSpec::dense(),
         }
     }
 }

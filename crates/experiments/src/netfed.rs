@@ -21,9 +21,8 @@ use rand::SeedableRng;
 use shiftex_baselines::OortSelector;
 use shiftex_core::ShiftExConfig;
 use shiftex_fl::{
-    run_algorithm_round_transported, CodecSpec, CohortTransport, CommLedger, CommTotals,
-    FoldPolicy, JoinConfig, ParticipantSelector, PartyId, RoundCodec, ScenarioSpec,
-    UniformSelector,
+    run_algorithm_round, CodecSpec, CohortTransport, CommLedger, CommTotals, JoinConfig,
+    ParticipantSelector, PartyId, RoundCtx, ScenarioSpec, UniformSelector,
 };
 use shiftex_net::{serve, NetError, WorkerConfig, WorkerSummary};
 
@@ -169,24 +168,18 @@ pub fn run_netfed_rounds(
 
     let mut uniform = UniformSelector;
     let mut oort = OortSelector::default();
+    let selector: &mut dyn ParticipantSelector = match cfg.selector {
+        FedSelector::Uniform => &mut uniform,
+        FedSelector::Oort => &mut oort,
+    };
+    let mut ctx = RoundCtx::new(&store, &mut engine)
+        .with_codec(&cfg.codec)
+        .with_selector(selector)
+        .with_ledger(&ledger)
+        .with_transport(transport);
     let mut lost = Vec::new();
     for _ in 0..cfg.rounds {
-        let selector: &mut dyn ParticipantSelector = match cfg.selector {
-            FedSelector::Uniform => &mut uniform,
-            FedSelector::Oort => &mut oort,
-        };
-        let outcome = run_algorithm_round_transported(
-            algorithm.as_mut(),
-            &store,
-            &mut engine,
-            RoundCodec::Static(&cfg.codec),
-            selector,
-            &FoldPolicy::Mean,
-            Some(&ledger),
-            &mut rng,
-            transport,
-        );
-        lost.extend(outcome.lost);
+        lost.extend(run_algorithm_round(algorithm.as_mut(), &mut ctx, &mut rng).lost);
     }
     let params = algorithm
         .streams()

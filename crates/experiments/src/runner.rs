@@ -15,9 +15,10 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use shiftex_baselines::OortSelector;
 use shiftex_fl::{
-    run_algorithm_round_with, BudgetSpec, CodecController, CodecSpec, CommLedger, CommTotals,
+    run_algorithm_round, BudgetSpec, CodecController, CodecSpec, CommLedger, CommTotals,
     FederatedAlgorithm, FoldPolicy, JoinConfig, ParticipantSelector, ParticipationStats,
-    PopulationStore, RoundCodec, RoundParticipation, ScenarioEngine, ScenarioSpec, UniformSelector,
+    PopulationStore, RoundCodec, RoundCtx, RoundParticipation, ScenarioEngine, ScenarioSpec,
+    UniformSelector,
 };
 
 use crate::algorithms::build_algorithm;
@@ -333,17 +334,16 @@ pub fn run_federation_scenario<A: FederatedAlgorithm + ?Sized>(
     // --- W0: burn-in rounds under the full scenario runtime.
     let per_round = run_round_block(
         algorithm,
-        &store,
+        &mut RoundCtx::new(&store, &mut engine)
+            .with_codec(round_codec)
+            .with_selector(selector.as_mut())
+            .with_fold(&opts.fold)
+            .with_ledger(&ledger),
         opts.bootstrap_rounds,
-        &mut engine,
-        round_codec,
-        selector.as_mut(),
-        &opts.fold,
-        &ledger,
         &mut rng,
-        &mut accuracy_series,
         &mut participation,
     );
+    accuracy_series.extend_from_slice(&per_round);
     expert_distribution.push(distribution(algorithm, &store));
     let mut pre_shift = per_round.last().copied().unwrap_or_else(|| {
         let members = store.view(engine.live_members(&ids));
@@ -369,17 +369,16 @@ pub fn run_federation_scenario<A: FederatedAlgorithm + ?Sized>(
         post_shift_accuracy.push(post_shift);
         let per_round = run_round_block(
             algorithm,
-            &store,
+            &mut RoundCtx::new(&store, &mut engine)
+                .with_codec(round_codec)
+                .with_selector(selector.as_mut())
+                .with_fold(&opts.fold)
+                .with_ledger(&ledger),
             opts.rounds_per_window,
-            &mut engine,
-            round_codec,
-            selector.as_mut(),
-            &opts.fold,
-            &ledger,
             &mut rng,
-            &mut accuracy_series,
             &mut participation,
         );
+        accuracy_series.extend_from_slice(&per_round);
         windows.push(window_metrics(pre_shift, post_shift, &per_round));
         expert_distribution.push(distribution(algorithm, &store));
         pre_shift = per_round.last().copied().unwrap_or(post_shift);
@@ -406,48 +405,33 @@ pub fn run_federation_scenario<A: FederatedAlgorithm + ?Sized>(
     }
 }
 
-/// Runs `rounds` scenario-mediated rounds, recording accuracy and
-/// per-round participation rows; returns this block's accuracy trace.
-#[allow(clippy::too_many_arguments)] // one driver call site, two phases
+/// Runs `rounds` scenario-mediated rounds under `ctx`, recording one
+/// participation row per round (byte columns from the context's ledger);
+/// returns this block's accuracy trace.
 fn run_round_block<A: FederatedAlgorithm + ?Sized>(
     algorithm: &mut A,
-    population: &PopulationStore,
+    ctx: &mut RoundCtx<'_>,
     rounds: usize,
-    engine: &mut ScenarioEngine,
-    codec: RoundCodec<'_>,
-    selector: &mut dyn ParticipantSelector,
-    fold: &FoldPolicy,
-    ledger: &CommLedger,
     rng: &mut StdRng,
-    accuracy_series: &mut Vec<f32>,
     participation: &mut Vec<RoundParticipation>,
 ) -> Vec<f32> {
+    let comm_totals = |ctx: &RoundCtx<'_>| ctx.ledger.map(CommLedger::totals).unwrap_or_default();
     let mut per_round = Vec::with_capacity(rounds);
     for _ in 0..rounds {
-        let before = engine.stats();
-        let comm_before = ledger.totals();
-        let outcome = run_algorithm_round_with(
-            algorithm,
-            population,
-            engine,
-            codec,
-            selector,
-            fold,
-            Some(ledger),
-            rng,
-        );
+        let before = ctx.engine.stats();
+        let comm_before = comm_totals(ctx);
+        let outcome = run_algorithm_round(algorithm, ctx, rng);
         // `outcome.live` is already in population order (the engine filters
-        // the id universe in place), so the view evaluates the same member
-        // sequence the pre-store slice filter produced.
-        let live = population.view(outcome.live.clone());
+        // the id universe in place), which is the member sequence the
+        // accuracy goldens were recorded over.
+        let live = ctx.population.view(outcome.live.clone());
         let accuracy = algorithm.eval(&live);
         per_round.push(accuracy);
-        accuracy_series.push(accuracy);
-        let comm = ledger.totals();
+        let comm = comm_totals(ctx);
         participation.push(RoundParticipation {
             round: outcome.round,
             live: live.len(),
-            delta: engine.stats().minus(&before),
+            delta: ctx.engine.stats().minus(&before),
             accuracy,
             up_bytes: (comm.up_bytes + comm.aborted_up_bytes)
                 - (comm_before.up_bytes + comm_before.aborted_up_bytes),

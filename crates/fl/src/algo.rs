@@ -1,8 +1,10 @@
 //! The unified algorithm API: every federated algorithm — ShiftEx and all
 //! baselines — implements [`FederatedAlgorithm`], and one generic driver
-//! ([`run_algorithm_round`]) threads the scenario engine (churn, stragglers,
-//! staleness-aware async aggregation), the wire codec, the participant
-//! selector, and the communication ledger through each of them identically.
+//! ([`run_algorithm_round`], configured by a [`RoundCtx`]) threads the
+//! scenario engine (churn, stragglers, staleness-aware async aggregation),
+//! the wire codec, the participant selector, the fold policy, the
+//! communication ledger, and the cohort transport through each of them
+//! identically.
 //!
 //! The paper's claim is comparative, so the runtime must be too: an
 //! algorithm that only runs on a bespoke driver cannot be measured under
@@ -42,9 +44,9 @@
 use std::collections::BTreeSet;
 
 use rand::rngs::StdRng;
-use rand::Rng;
+use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use shiftex_nn::{ArchSpec, TrainConfig};
+use shiftex_nn::{train_local_params, ArchSpec, TrainConfig};
 
 use crate::codec::CodecSpec;
 use crate::comm::CommLedger;
@@ -52,9 +54,8 @@ use crate::control::CodecController;
 use crate::party::{Party, PartyId};
 use crate::population::{PopulationStore, PopulationView};
 use crate::robust::{FoldPolicy, UpdateVerdict};
-use crate::round::local_update;
 use crate::scenario::{RoundMode, ScenarioEngine, WeightedUpdate};
-use crate::selection::ParticipantSelector;
+use crate::selection::{ParticipantSelector, UniformSelector};
 use crate::transport::{CohortExchange, CohortTransport, LocalTransport, UploadOutcome};
 use crate::update::ModelUpdate;
 
@@ -146,6 +147,42 @@ pub trait FederatedAlgorithm {
     fn num_models(&self) -> usize;
 }
 
+/// One party's local training step from the (decoded) global parameters,
+/// under an independent RNG stream derived from `seed` — the default
+/// [`FederatedAlgorithm::local_step`]. Parties with no training data return
+/// a zero-sample echo of the globals.
+pub fn local_update(
+    spec: &ArchSpec,
+    global_params: &[f32],
+    party: &Party,
+    train: &TrainConfig,
+    seed: u64,
+) -> ModelUpdate {
+    let mut rng = StdRng::seed_from_u64(seed);
+    if party.train().is_empty() {
+        return ModelUpdate {
+            party: party.id(),
+            params: global_params.to_vec(),
+            num_samples: 0,
+            train_loss: 0.0,
+        };
+    }
+    let fit = train_local_params(
+        spec,
+        global_params,
+        party.train_features(),
+        party.train_labels(),
+        train,
+        &mut rng,
+    );
+    ModelUpdate {
+        party: party.id(),
+        params: fit.params,
+        num_samples: fit.num_samples,
+        train_loss: fit.final_loss,
+    }
+}
+
 /// Per-round robust-aggregation telemetry, summed over an algorithm's
 /// streams: how many updates arrived, how many the fold refused, and how
 /// suspicious the cohort looked (fold-specific distance scores from
@@ -209,101 +246,132 @@ pub struct AlgoRoundOutcome {
 /// observed byte ledger and the stream's error-feedback magnitude.
 #[derive(Debug, Clone, Copy)]
 pub enum RoundCodec<'a> {
-    /// The same spec on every stream — the pre-controller behaviour, with
-    /// byte accounting pinned by the conformance goldens.
+    /// The same spec on every stream; its byte accounting is pinned by the
+    /// conformance goldens.
     Static(&'a CodecSpec),
     /// Per-`(round, stream)` choice within a byte budget. The controller
     /// is pure, so adaptive rounds stay rerun-identical.
     Adaptive(&'a CodecController),
 }
 
+impl<'a> From<&'a CodecSpec> for RoundCodec<'a> {
+    fn from(spec: &'a CodecSpec) -> Self {
+        RoundCodec::Static(spec)
+    }
+}
+
+impl<'a> From<&'a CodecController> for RoundCodec<'a> {
+    fn from(controller: &'a CodecController) -> Self {
+        RoundCodec::Adaptive(controller)
+    }
+}
+
+/// Everything a round runs against besides the algorithm and the seed: the
+/// population, the scenario engine, and the wire / selection / fold /
+/// metering / transport policies. [`RoundCtx::new`] is the paper's clean
+/// protocol — lossless dense frames, uniform selection, mean fold, no
+/// ledger, in-process transport — and each `with_*` swaps one policy in.
+pub struct RoundCtx<'a> {
+    /// The party population rounds draw cohorts from.
+    pub population: &'a PopulationStore,
+    /// Round clock, churn/straggler/attack fates, staleness buffers.
+    pub engine: &'a mut ScenarioEngine,
+    /// Wire codec policy for every broadcast and upload.
+    pub codec: RoundCodec<'a>,
+    /// Cohort selector for algorithms that delegate selection (`None` =
+    /// [`UniformSelector`]).
+    pub selector: Option<&'a mut dyn ParticipantSelector>,
+    /// Fold every stream's released updates pass through.
+    pub fold: &'a FoldPolicy,
+    /// Byte meter for every exchange, if any.
+    pub ledger: Option<&'a CommLedger>,
+    /// Where the broadcast → local-step → upload leg runs (`None` =
+    /// [`LocalTransport`]).
+    pub transport: Option<&'a mut dyn CohortTransport>,
+}
+
+impl<'a> RoundCtx<'a> {
+    /// The default round context over `population` and `engine`.
+    pub fn new(population: &'a PopulationStore, engine: &'a mut ScenarioEngine) -> Self {
+        const DENSE: CodecSpec = CodecSpec::dense();
+        Self {
+            population,
+            engine,
+            codec: RoundCodec::Static(&DENSE),
+            selector: None,
+            fold: &FoldPolicy::Mean,
+            ledger: None,
+            transport: None,
+        }
+    }
+
+    /// Runs under `codec`: a static [`CodecSpec`] or an adaptive
+    /// [`CodecController`].
+    pub fn with_codec(mut self, codec: impl Into<RoundCodec<'a>>) -> Self {
+        self.codec = codec.into();
+        self
+    }
+
+    /// Hands cohort selection to `selector`.
+    pub fn with_selector(mut self, selector: &'a mut dyn ParticipantSelector) -> Self {
+        self.selector = Some(selector);
+        self
+    }
+
+    /// Folds under `fold`.
+    pub fn with_fold(mut self, fold: &'a FoldPolicy) -> Self {
+        self.fold = fold;
+        self
+    }
+
+    /// Meters every exchange on `ledger`.
+    pub fn with_ledger(mut self, ledger: &'a CommLedger) -> Self {
+        self.ledger = Some(ledger);
+        self
+    }
+
+    /// Delegates each stream's exchange to `transport`.
+    pub fn with_transport(mut self, transport: &'a mut dyn CohortTransport) -> Self {
+        self.transport = Some(transport);
+        self
+    }
+}
+
 /// Runs one scenario-mediated round of `algorithm`: advances the engine's
 /// round clock, gates the pool by churn, and — per stream — selects a
-/// cohort, broadcasts the encoded globals (first-contact recipients get
-/// metered full-state frames), fans out local steps (label-poisoning
-/// attackers train on flipped labels), ships every upload through `codec`
-/// (with error feedback when configured; wire-level attackers corrupt
-/// theirs in transit), lets the engine apply dropout/straggler/staleness
-/// fates, feeds selector utility, liveness, and rejection signals, and
-/// folds whatever matured under `policy`, metering and refunding whatever
-/// the fold quarantines.
+/// cohort, resolves the stream's codec, and hands the broadcast →
+/// local-step → upload leg to the [`CohortTransport`] ([`LocalTransport`]
+/// trains in process: first-contact recipients get metered full-state
+/// frames, label-poisoning attackers train on flipped labels, uploads ship
+/// through the codec with error feedback when configured and wire-level
+/// attackers corrupt theirs in transit; a networked transport ships the
+/// same frames to worker processes). Parties the transport reports as
+/// [`UploadOutcome::Lost`] (real disconnects, sockets stalled past the
+/// round deadline) are metered as aborted uploads at the exact frame size
+/// and fed to the selector's availability hook — the same paths the
+/// engine's simulated churn and straggler axes use. The engine then applies
+/// dropout/straggler/staleness fates, the selector hears utility, liveness
+/// and rejection signals, and whatever matured folds under the context's
+/// policy, with quarantined uploads metered and refunded.
 ///
 /// This is the *only* round driver: ShiftEx and every baseline pay for the
 /// same scenario axes and the same bytes, so head-to-head numbers compare
 /// algorithms rather than runtimes.
-#[allow(clippy::too_many_arguments)] // the round's full I/O surface: wire, fold, meter, seed
 pub fn run_algorithm_round<A: FederatedAlgorithm + ?Sized>(
     algorithm: &mut A,
-    population: &PopulationStore,
-    engine: &mut ScenarioEngine,
-    codec: &CodecSpec,
-    selector: &mut dyn ParticipantSelector,
-    policy: &FoldPolicy,
-    ledger: Option<&CommLedger>,
+    ctx: &mut RoundCtx<'_>,
     rng: &mut StdRng,
 ) -> AlgoRoundOutcome {
-    run_algorithm_round_with(
-        algorithm,
-        population,
-        engine,
-        RoundCodec::Static(codec),
-        selector,
-        policy,
-        ledger,
-        rng,
-    )
-}
-
-/// Like [`run_algorithm_round`] but with the codec policy generalised to
-/// [`RoundCodec`]: an adaptive controller picks each stream's spec from
-/// the observed ledger snapshot and the stream's error-feedback magnitude
-/// before the stream broadcasts. The static arm is byte-for-byte the old
-/// driver.
-#[allow(clippy::too_many_arguments)] // the round's full I/O surface: wire, fold, meter, seed
-pub fn run_algorithm_round_with<A: FederatedAlgorithm + ?Sized>(
-    algorithm: &mut A,
-    population: &PopulationStore,
-    engine: &mut ScenarioEngine,
-    codec: RoundCodec<'_>,
-    selector: &mut dyn ParticipantSelector,
-    policy: &FoldPolicy,
-    ledger: Option<&CommLedger>,
-    rng: &mut StdRng,
-) -> AlgoRoundOutcome {
-    run_algorithm_round_transported(
-        algorithm,
-        population,
-        engine,
-        codec,
-        selector,
-        policy,
-        ledger,
-        rng,
-        &mut LocalTransport,
-    )
-}
-
-/// Like [`run_algorithm_round_with`] but with the broadcast → local-step →
-/// upload leg of each stream delegated to an explicit [`CohortTransport`]:
-/// [`LocalTransport`] reproduces the in-process exchange bit-for-bit, a
-/// networked transport ships the same encoded frames to worker processes
-/// over real sockets. Parties the transport reports as
-/// [`UploadOutcome::Lost`] (real disconnects, sockets stalled past the
-/// round deadline) are metered as aborted uploads at the exact frame size
-/// and fed to the selector's availability hook — the same paths the
-/// engine's simulated churn and straggler axes use.
-#[allow(clippy::too_many_arguments)] // the round's full I/O surface: wire, fold, meter, seed
-pub fn run_algorithm_round_transported<A: FederatedAlgorithm + ?Sized>(
-    algorithm: &mut A,
-    population: &PopulationStore,
-    engine: &mut ScenarioEngine,
-    codec: RoundCodec<'_>,
-    selector: &mut dyn ParticipantSelector,
-    policy: &FoldPolicy,
-    ledger: Option<&CommLedger>,
-    rng: &mut StdRng,
-    transport: &mut dyn CohortTransport,
-) -> AlgoRoundOutcome {
+    let (population, codec, policy, ledger) = (ctx.population, ctx.codec, ctx.fold, ctx.ledger);
+    let engine = &mut *ctx.engine;
+    let selector: &mut dyn ParticipantSelector = match &mut ctx.selector {
+        Some(selector) => &mut **selector,
+        None => &mut UniformSelector,
+    };
+    let transport: &mut dyn CohortTransport = match &mut ctx.transport {
+        Some(transport) => &mut **transport,
+        None => &mut LocalTransport,
+    };
     let round = engine.begin_round();
     selector.begin_round();
     let all_ids = population.party_ids();
@@ -422,9 +490,9 @@ pub fn run_algorithm_round_transported<A: FederatedAlgorithm + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{ChurnSpec, ScenarioSpec};
-    use crate::selection::UniformSelector;
-    use rand::SeedableRng;
+    use crate::scenario::{
+        ChurnSchedule, ChurnSpec, DelayDist, LatePolicy, ScenarioSpec, StragglerSpec,
+    };
     use shiftex_data::{ImageShape, PrototypeGenerator};
     use shiftex_nn::Sequential;
 
@@ -498,7 +566,9 @@ mod tests {
         }
     }
 
-    fn setup(n: usize, seed: u64) -> (PlainFedAvg, Vec<Party>) {
+    /// `n` parties behind a store, a `PlainFedAvg` over all of them
+    /// initialised from the returned RNG, and the party ids.
+    fn setup(n: usize, seed: u64) -> (PlainFedAvg, PopulationStore, Vec<PartyId>, StdRng) {
         let mut rng = StdRng::seed_from_u64(seed);
         let gen = PrototypeGenerator::new(ImageShape::new(1, 4, 4), 3, &mut rng);
         let parties: Vec<Party> = (0..n)
@@ -510,130 +580,246 @@ mod tests {
                 )
             })
             .collect();
-        let spec = ArchSpec::mlp("algo", 16, &[10], 3);
-        let alg = PlainFedAvg {
-            spec,
+        let store = PopulationStore::from_parties(parties);
+        let ids = store.party_ids();
+        let mut alg = PlainFedAvg {
+            spec: ArchSpec::mlp("algo", 16, &[10], 3),
             params: Vec::new(),
             ppr: n,
         };
-        (alg, parties)
+        alg.init(&store.view(ids.clone()), &mut rng);
+        (alg, store, ids, rng)
+    }
+
+    /// One clean synchronous round under `codec`; returns the new globals.
+    fn round_under(codec: CodecSpec, seed: u64) -> Vec<f32> {
+        let (mut alg, store, ids, mut rng) = setup(4, seed);
+        let mut engine = ScenarioEngine::new(ScenarioSpec::sync(0), &ids);
+        let mut ctx = RoundCtx::new(&store, &mut engine).with_codec(&codec);
+        let out = run_algorithm_round(&mut alg, &mut ctx, &mut rng);
+        assert_eq!(out.folded, 4, "{codec}");
+        alg.params
     }
 
     #[test]
-    fn driver_round_matches_legacy_job_round() {
-        // The generic driver on a plain single-model algorithm must be
-        // bit-identical to FederatedJob::run_rounds_scenario: same RNG
-        // draw order, same aggregation.
-        let (mut alg, parties) = setup(5, 0);
-        let ids: Vec<PartyId> = parties.iter().map(Party::id).collect();
-        let store = PopulationStore::from_parties(parties.clone());
+    fn dense_round_is_bit_identical_to_an_uncoded_round() {
+        // The reference has no wire stage at all: select, pre-draw one seed
+        // per member, train from the raw globals, sample-weighted average.
+        let (alg, store, ids, mut rng) = setup(4, 30);
+        let view = store.view(ids.clone());
+        let chosen = UniformSelector.select(&view.infos(), 4, &mut rng);
+        assert_eq!(chosen.len(), 4, "everyone trains, in id order");
+        let seeds: Vec<u64> = ids.iter().map(|_| rng.random::<u64>()).collect();
+        let ready: Vec<WeightedUpdate> = view
+            .parties(&ids)
+            .iter()
+            .zip(&seeds)
+            .map(|(party, &seed)| {
+                let update =
+                    local_update(&alg.spec, &alg.params, party, &TrainConfig::default(), seed);
+                WeightedUpdate {
+                    weight: update.num_samples as f32,
+                    staleness: 0,
+                    update,
+                }
+            })
+            .collect();
+        let reference = crate::aggregate_weighted(&alg.params, &ready, 1.0).unwrap();
+        assert_eq!(round_under(CodecSpec::dense(), 30), reference);
 
-        let mut rng = StdRng::seed_from_u64(1);
-        alg.init(&store.view(store.party_ids()), &mut rng);
-        let init = alg.params.clone();
-        let mut engine = ScenarioEngine::new(ScenarioSpec::sync(3), &ids);
-        for _ in 0..2 {
-            run_algorithm_round(
-                &mut alg,
-                &store,
-                &mut engine,
-                &CodecSpec::dense(),
-                &mut UniformSelector,
-                &FoldPolicy::Mean,
-                None,
-                &mut rng,
+        // Delta+dense pays a real roundtrip ((p − r) + r rounds in f32), so
+        // it is near-lossless, not bit-identical.
+        let delta = round_under(CodecSpec::dense().with_delta(), 30);
+        for (&a, &b) in reference.iter().zip(delta.iter()) {
+            assert!(
+                (a - b).abs() <= a.abs().max(1.0) * 1e-6,
+                "delta+dense drifted: {a} vs {b}"
             );
         }
+    }
 
-        let mut job = crate::FederatedJob::new(
-            alg.spec.clone(),
-            parties.clone(),
-            crate::RoundConfig {
-                participants_per_round: 5,
-                ..Default::default()
-            },
+    #[test]
+    fn quantized_round_stays_numerically_pinned_to_dense() {
+        let dense = round_under(CodecSpec::dense(), 32);
+        let rel_to = |coded: &[f32]| {
+            let num: f32 = dense
+                .iter()
+                .zip(coded.iter())
+                .map(|(a, b)| (a - b) * (a - b))
+                .sum();
+            let den: f32 = dense.iter().map(|a| a * a).sum();
+            (num / den.max(f32::MIN_POSITIVE)).sqrt()
+        };
+        for codec in [CodecSpec::quant8(256), CodecSpec::quant8(256).with_delta()] {
+            let rel = rel_to(&round_under(codec, 32));
+            assert!(
+                rel <= 1e-2,
+                "{codec}: aggregated params drift {rel:.2e} from the dense reference"
+            );
+        }
+        // Top-k is aggressive by design (only a quarter of the residual
+        // ships), so it is not held to the int8 pinning bound — but it must
+        // still move the globals toward the dense result, not away.
+        let (init, ..) = setup(4, 32);
+        assert!(
+            rel_to(&round_under(CodecSpec::topk(0.25).with_delta(), 32)) < rel_to(&init.params),
+            "sparsified round must land closer to the dense result than the start"
         );
-        let mut rng2 = StdRng::seed_from_u64(1);
-        // Burn the draw the algorithm's init consumed.
-        let init2 = Sequential::build(&alg.spec, &mut rng2).params_flat();
-        assert_eq!(init, init2);
-        let mut engine2 = ScenarioEngine::new(ScenarioSpec::sync(3), &ids);
-        let report =
-            job.run_rounds_scenario(init2, 2, &mut UniformSelector, &mut engine2, &mut rng2);
-        assert_eq!(alg.params, report.params, "driver == legacy job path");
+    }
+
+    #[test]
+    fn ledger_meters_exact_encoded_sizes_per_codec() {
+        for codec in [
+            CodecSpec::dense(),
+            CodecSpec::quant8(128),
+            CodecSpec::topk(0.1).with_delta(),
+            CodecSpec::quant8(256).with_delta(),
+        ] {
+            let (mut alg, store, ids, mut rng) = setup(3, 34);
+            let n = alg.params.len();
+            let ledger = CommLedger::new();
+            let mut engine = ScenarioEngine::new(ScenarioSpec::sync(0), &ids);
+            let mut ctx = RoundCtx::new(&store, &mut engine)
+                .with_codec(&codec)
+                .with_ledger(&ledger);
+            // Round 1's recipients hold no reference: their self-contained
+            // full-state frames land on the distinct first-contact counters.
+            run_algorithm_round(&mut alg, &mut ctx, &mut rng);
+            let t1 = ledger.totals();
+            let first = codec.first_contact_spec().broadcast_len(n) as u64;
+            assert_eq!(t1.down_bytes, 0, "{codec}: round 1 is all first contact");
+            assert_eq!(t1.first_contact_down_bytes, 3 * first, "{codec}");
+            assert_eq!(t1.first_contact_messages, 3, "{codec}");
+            assert_eq!(t1.up_bytes, 3 * codec.update_len(n) as u64, "{codec}");
+            assert!(ctx.engine.last_broadcast(0).is_some(), "{codec}");
+            // Round 2 is regular: the downlink (delta-coded when configured)
+            // references round 1's stored broadcast and still decodes.
+            let out = run_algorithm_round(&mut alg, &mut ctx, &mut rng);
+            assert_eq!(out.folded, 3, "{codec}");
+            let t2 = ledger.totals();
+            let regular = codec.broadcast_spec(true).broadcast_len(n) as u64;
+            assert_eq!(t2.down_bytes, 3 * regular, "{codec}");
+            assert_eq!(t2.first_contact_down_bytes, 3 * first, "{codec}");
+            assert_eq!(t2.up_bytes, 6 * codec.update_len(n) as u64, "{codec}");
+            assert_eq!(t2.messages, 12, "{codec}: 6 downloads + 6 uploads");
+        }
     }
 
     #[test]
     fn driver_survives_a_fully_churned_round() {
-        let (mut alg, parties) = setup(4, 7);
-        let ids: Vec<PartyId> = parties.iter().map(Party::id).collect();
-        let store = PopulationStore::from_parties(parties);
-        let mut rng = StdRng::seed_from_u64(8);
-        alg.init(&store.view(store.party_ids()), &mut rng);
+        let (mut alg, store, ids, mut rng) = setup(4, 7);
         let before = alg.params.clone();
         let spec = ScenarioSpec::sync(1).with_churn(ChurnSpec::dropout_only(1.0));
         let mut engine = ScenarioEngine::new(spec, &ids);
-        let out = run_algorithm_round(
-            &mut alg,
-            &store,
-            &mut engine,
-            &CodecSpec::dense(),
-            &mut UniformSelector,
-            &FoldPolicy::Mean,
-            None,
-            &mut rng,
-        );
+        let ledger = CommLedger::new();
+        let mut ctx = RoundCtx::new(&store, &mut engine).with_ledger(&ledger);
+        let out = run_algorithm_round(&mut alg, &mut ctx, &mut rng);
         assert_eq!(out.folded, 0);
         assert_eq!(out.lost.len(), 4);
         assert_eq!(alg.params, before, "no survivors → globals unchanged");
+        assert_eq!(ledger.totals().aborted_messages, 4);
     }
 
     #[test]
-    fn driver_meters_first_contact_then_regular_frames() {
-        let (mut alg, parties) = setup(3, 11);
-        let ids: Vec<PartyId> = parties.iter().map(Party::id).collect();
-        let store = PopulationStore::from_parties(parties);
-        let mut rng = StdRng::seed_from_u64(12);
-        alg.init(&store.view(store.party_ids()), &mut rng);
-        let codec = CodecSpec::quant8(256).with_delta();
+    fn churned_rounds_give_every_selected_update_exactly_one_fate() {
+        let (mut alg, store, ids, mut rng) = setup(8, 8);
+        let spec = ScenarioSpec::sync(3).with_churn(ChurnSpec {
+            join_fraction: 0.25,
+            join_ramp_rounds: 3,
+            leave_fraction: 0.25,
+            leave_after: 2,
+            horizon: 6,
+            dropout: 0.3,
+        });
+        let mut engine = ScenarioEngine::new(spec, &ids);
         let ledger = CommLedger::new();
-        let mut engine = ScenarioEngine::new(ScenarioSpec::sync(2), &ids);
-        run_algorithm_round(
-            &mut alg,
-            &store,
-            &mut engine,
-            &codec,
-            &mut UniformSelector,
-            &FoldPolicy::Mean,
-            Some(&ledger),
-            &mut rng,
-        );
-        let n = alg.params.len();
-        let t1 = ledger.totals();
-        assert_eq!(t1.down_bytes, 0, "round 1 is all first contact");
+        let mut ctx = RoundCtx::new(&store, &mut engine).with_ledger(&ledger);
+        for round in 1..=6 {
+            assert_eq!(
+                run_algorithm_round(&mut alg, &mut ctx, &mut rng).round,
+                round
+            );
+        }
+        let totals = engine.stats();
         assert_eq!(
-            t1.first_contact_down_bytes,
-            3 * codec.first_contact_spec().broadcast_len(n) as u64
+            totals.selected,
+            totals.delivered + totals.dropped_churn + totals.dropped_late + totals.deferred,
+            "every selected update has exactly one first-round fate: {totals:?}"
         );
-        run_algorithm_round(
-            &mut alg,
-            &store,
-            &mut engine,
-            &codec,
-            &mut UniformSelector,
-            &FoldPolicy::Mean,
-            Some(&ledger),
-            &mut rng,
-        );
-        let t2 = ledger.totals();
-        assert_eq!(
-            t2.down_bytes,
-            3 * codec.broadcast_len(n) as u64,
-            "round 2 recipients hold the reference"
+        assert!(
+            totals.dropped_churn > 0,
+            "30% dropout over 6 rounds: {totals:?}"
         );
         assert_eq!(
-            t2.first_contact_down_bytes, t1.first_contact_down_bytes,
-            "no new first contacts"
+            ledger.totals().aborted_messages,
+            totals.dropped_churn + totals.dropped_late,
+            "aborted uploads are on the ledger"
+        );
+    }
+
+    /// A schedule under which every party in `ids` leaves before `round`.
+    fn everyone_leaves_before(round: usize, ids: &[PartyId]) -> ChurnSchedule {
+        ids.iter().fold(ChurnSchedule::always_on(0.0, 0), |c, &id| {
+            c.with_leave(id, round)
+        })
+    }
+
+    #[test]
+    fn deferred_updates_mature_even_when_pool_empties() {
+        let (mut alg, store, ids, mut rng) = setup(3, 14);
+        let init = alg.params.clone();
+        // Every update is 1 round late; every party leaves after round 1.
+        let spec = ScenarioSpec::sync(2).with_stragglers(StragglerSpec {
+            dist: DelayDist::Constant(1.5),
+            slow_fraction: 0.0,
+            slow_factor: 1.0,
+            deadline: 1.0,
+            late: LatePolicy::Defer,
+        });
+        let mut engine = ScenarioEngine::new(spec, &ids);
+        *engine.churn_mut() = everyone_leaves_before(2, &ids);
+        let mut ctx = RoundCtx::new(&store, &mut engine);
+        let r1 = run_algorithm_round(&mut alg, &mut ctx, &mut rng);
+        assert_eq!((r1.folded, r1.deferred), (0, 3));
+        assert_eq!(alg.params, init);
+        // Round 2 has nobody live, but the deferred updates still mature
+        // and aggregate.
+        let r2 = run_algorithm_round(&mut alg, &mut ctx, &mut rng);
+        assert!(r2.live.is_empty());
+        assert_eq!(r2.folded, 3);
+        assert_ne!(alg.params, init, "matured updates must be folded in");
+    }
+
+    #[test]
+    fn rounds_with_everyone_left_keep_initial_params() {
+        let (mut alg, store, ids, mut rng) = setup(3, 10);
+        let init = alg.params.clone();
+        let mut engine = ScenarioEngine::new(ScenarioSpec::sync(0), &ids);
+        *engine.churn_mut() = everyone_leaves_before(1, &ids);
+        let mut ctx = RoundCtx::new(&store, &mut engine);
+        for _ in 0..3 {
+            assert!(run_algorithm_round(&mut alg, &mut ctx, &mut rng)
+                .live
+                .is_empty());
+        }
+        assert_eq!(alg.params, init);
+        assert_eq!(engine.stats().selected, 0);
+    }
+
+    #[test]
+    fn empty_party_contributes_nothing() {
+        let (alg, store, ids, _) = setup(2, 8);
+        let mut party = store.view(ids.clone()).parties(&ids[..1]).remove(0);
+        let (classes, shape) = (party.train().num_classes(), party.train().shape());
+        party.advance_window(
+            shiftex_data::Dataset::empty(classes, shape),
+            shiftex_data::Dataset::empty(classes, shape),
+        );
+        let update = local_update(&alg.spec, &alg.params, &party, &TrainConfig::default(), 9);
+        assert_eq!(update.num_samples, 0);
+        assert_eq!(
+            update.params, alg.params,
+            "a zero-sample echo of the globals"
         );
     }
 }

@@ -26,12 +26,11 @@
 //!   classic sparsified-update scheme.
 //!
 //! [`CodecSpec`] is the serialisable, `Copy` configuration that selects and
-//! parameterises a codec; it rides inside
-//! [`RoundConfig`](crate::RoundConfig) through every round path. Encoded
-//! sizes are **value-independent** — [`CodecSpec::update_len`] /
-//! [`CodecSpec::broadcast_len`] compute the exact wire size from the
-//! parameter count alone, which is what lets the scenario engine meter
-//! aborted and late uploads without re-encoding.
+//! parameterises a codec; a round runs under the one in its
+//! [`RoundCtx`](crate::RoundCtx). Encoded sizes are **value-independent** —
+//! [`CodecSpec::update_len`] / [`CodecSpec::broadcast_len`] compute the
+//! exact wire size from the parameter count alone, which is what lets the
+//! scenario engine meter aborted and late uploads without re-encoding.
 //!
 //! # Wire format
 //!
@@ -465,8 +464,8 @@ pub enum CodecKind {
 
 /// Wire-format configuration: a base codec plus an optional [`Delta`] stage.
 ///
-/// `Copy` and serialisable so it can ride inside
-/// [`RoundConfig`](crate::RoundConfig) and scenario reports.
+/// `Copy` and serialisable so it can ride inside run options and scenario
+/// reports.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CodecSpec {
     /// Base payload codec.
@@ -517,7 +516,7 @@ impl fmt::Display for CodecSpec {
 
 impl CodecSpec {
     /// Lossless dense `f32` framing (the default).
-    pub fn dense() -> Self {
+    pub const fn dense() -> Self {
         Self {
             kind: CodecKind::Dense,
             delta: false,

@@ -1,7 +1,8 @@
 //! Communication accounting: upload/download byte ledger shared across
 //! threads.
 
-use parking_lot::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 use serde::{Deserialize, Serialize};
 
 /// Aggregate communication counters for one simulation.
@@ -64,16 +65,22 @@ impl CommLedger {
         Self::default()
     }
 
+    /// The counters, poison-tolerant: every update is a plain add, so a
+    /// holder that panicked cannot have left them inconsistent.
+    fn lock(&self) -> MutexGuard<'_, CommTotals> {
+        self.totals.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Records a party → aggregator payload.
     pub fn record_upload(&self, bytes: usize) {
-        let mut t = self.totals.lock();
+        let mut t = self.lock();
         t.up_bytes += bytes as u64;
         t.messages += 1;
     }
 
     /// Records an aggregator → party payload.
     pub fn record_download(&self, bytes: usize) {
-        let mut t = self.totals.lock();
+        let mut t = self.lock();
         t.down_bytes += bytes as u64;
         t.messages += 1;
     }
@@ -83,7 +90,7 @@ impl CommLedger {
     /// a real message but kept on distinct byte/message counters — see
     /// [`CommTotals::first_contact_down_bytes`].
     pub fn record_first_contact_download(&self, bytes: usize) {
-        let mut t = self.totals.lock();
+        let mut t = self.lock();
         t.first_contact_down_bytes += bytes as u64;
         t.first_contact_messages += 1;
         t.messages += 1;
@@ -94,7 +101,7 @@ impl CommLedger {
     /// policy). Kept separate from successful traffic so overhead reports
     /// stay honest under churn: the bytes were spent, the update wasn't.
     pub fn record_aborted_upload(&self, bytes: usize) {
-        let mut t = self.totals.lock();
+        let mut t = self.lock();
         t.aborted_up_bytes += bytes as u64;
         t.aborted_messages += 1;
     }
@@ -104,7 +111,7 @@ impl CommLedger {
     /// this overlays the rejection so robustness tables can report what the
     /// federation paid for updates it refused to aggregate.
     pub fn record_quarantined_upload(&self, bytes: usize) {
-        let mut t = self.totals.lock();
+        let mut t = self.lock();
         t.quarantined_up_bytes += bytes as u64;
         t.quarantined_updates += 1;
     }
@@ -114,7 +121,7 @@ impl CommLedger {
     /// [`CommLedger::record_first_contact_download`] so the two join paths
     /// never double-count.
     pub fn record_join_chunks(&self, bytes: usize, chunks: usize) {
-        let mut t = self.totals.lock();
+        let mut t = self.lock();
         t.join_chunk_down_bytes += bytes as u64;
         t.join_chunk_messages += chunks as u64;
         t.messages += chunks as u64;
@@ -125,19 +132,19 @@ impl CommLedger {
     /// only: the spend already hit its primary counter when it shipped, so
     /// neither bytes nor messages are re-counted here.
     pub fn record_join_loss(&self, bytes: usize, frames: usize) {
-        let mut t = self.totals.lock();
+        let mut t = self.lock();
         t.join_lost_down_bytes += bytes as u64;
         t.join_lost_messages += frames as u64;
     }
 
     /// Snapshot of the counters.
     pub fn totals(&self) -> CommTotals {
-        *self.totals.lock()
+        *self.lock()
     }
 
     /// Resets all counters.
     pub fn reset(&self) {
-        *self.totals.lock() = CommTotals::default();
+        *self.lock() = CommTotals::default();
     }
 }
 

@@ -621,6 +621,32 @@ impl ParticipationStats {
     }
 }
 
+/// Per-round participation record of a scenario run.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct RoundParticipation {
+    /// 1-based round index.
+    pub round: usize,
+    /// Enrolled members this round (after join/leave churn).
+    pub live: usize,
+    /// This round's counter deltas (selected/delivered/dropped/…).
+    pub delta: ParticipationStats,
+    /// Population accuracy on the live members after the round.
+    pub accuracy: f32,
+    /// Encoded upstream bytes this round, including aborted uploads (the
+    /// traffic was paid either way).
+    pub up_bytes: u64,
+    /// Encoded downstream (broadcast) bytes this round, to recipients that
+    /// already held the stream's broadcast reference.
+    pub down_bytes: u64,
+    /// Encoded bytes of first-contact full-state downlinks this round (new
+    /// joiners, round-1 cohorts) — distinct so join costs are visible.
+    pub first_contact_down_bytes: u64,
+    /// Updates a robust fold quarantined this round.
+    pub quarantined: u64,
+    /// Largest fold distance score this round (0 under the mean fold).
+    pub fold_score: f32,
+}
+
 /// An update ready for aggregation, with its staleness discount applied.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WeightedUpdate {

@@ -1,17 +1,18 @@
 //! The cohort transport seam: where a round's broadcast → local-step →
 //! upload exchange actually happens.
 //!
-//! [`run_algorithm_round_with`](crate::run_algorithm_round_with)
-//! historically inlined the exchange: materialize the cohort, hand every
-//! member the decoded broadcast, call its local step, and ship the result
-//! through the simulated wire
-//! ([`ScenarioEngine::transport_upload`]). That is exactly the part of a
+//! Materializing the cohort, handing every member the decoded broadcast,
+//! calling its local step and shipping the result is exactly the part of a
 //! round that stops being simulation once parties are real processes on
-//! real sockets, so it now lives behind [`CohortTransport`]:
+//! real sockets, so [`run_algorithm_round`](crate::run_algorithm_round)
+//! delegates it to the [`CohortTransport`] in its
+//! [`RoundCtx`](crate::RoundCtx):
 //!
-//! * [`LocalTransport`] reproduces the historical inline exchange
-//!   bit-for-bit — the default for every in-process scenario run and the
-//!   reference the conformance goldens pin;
+//! * [`LocalTransport`] trains the cohort in this process and ships
+//!   uploads through the simulated wire
+//!   ([`ScenarioEngine::transport_upload`]) — the default for every
+//!   in-process scenario run and the reference the conformance goldens
+//!   pin;
 //! * a networked implementation (`shiftex_net`) ships the same encoded
 //!   codec frames over TCP to worker processes and reports parties whose
 //!   sockets stalled past the round deadline or disconnected as
@@ -110,8 +111,7 @@ pub trait CohortTransport {
 /// population view, trained in this process, and their uploads shipped
 /// through the engine's simulated wire
 /// ([`ScenarioEngine::transport_upload`] — codec roundtrip, error
-/// feedback, wire-level attack corruption). Bit-identical to the driver's
-/// historical inline exchange.
+/// feedback, wire-level attack corruption).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LocalTransport;
 

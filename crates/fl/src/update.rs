@@ -1,6 +1,5 @@
 //! Model updates: the unit of party → aggregator communication.
 
-use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 
 use crate::codec::{CodecError, CodecSpec};
@@ -26,8 +25,8 @@ impl ModelUpdate {
     /// hold — used by delta-coded specs (others ignore it). The simulator
     /// meters these payloads through [`CommLedger`](crate::CommLedger), so
     /// the byte size is the honest cost of the exchange.
-    pub fn encode(&self, codec: &CodecSpec, reference: &[f32]) -> Bytes {
-        Bytes::from(codec.encode_update(self, reference))
+    pub fn encode(&self, codec: &CodecSpec, reference: &[f32]) -> Vec<u8> {
+        codec.encode_update(self, reference)
     }
 
     /// Decodes a wire frame (self-describing: the codec is read from the

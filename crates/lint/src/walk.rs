@@ -191,7 +191,7 @@ mod tests {
         assert!(classify("tests/algorithm_conformance.rs").all_test);
         assert!(classify("examples/churny_federation.rs").all_test);
         assert!(classify("crates/fl/benches/fl_runtime.rs").all_test);
-        assert!(!classify("crates/fl/src/round.rs").all_test);
+        assert!(!classify("crates/fl/src/algo.rs").all_test);
     }
 
     #[test]

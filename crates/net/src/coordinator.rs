@@ -1,8 +1,9 @@
 //! The federation coordinator: the networked [`CohortTransport`].
 //!
 //! [`Coordinator`] owns one TCP connection per worker process and runs the
-//! broadcast → remote-train → upload leg of each round over them, plugging
-//! into [`run_algorithm_round_transported`](shiftex_fl::run_algorithm_round_transported)
+//! broadcast → remote-train → upload leg of each round over them: hand it
+//! to [`RoundCtx::with_transport`](shiftex_fl::RoundCtx::with_transport)
+//! and [`run_algorithm_round`](shiftex_fl::run_algorithm_round) uses it
 //! exactly where [`LocalTransport`](shiftex_fl::LocalTransport) runs the
 //! in-process exchange. The [`ScenarioEngine`] stays the single metering
 //! and membership authority: the coordinator calls

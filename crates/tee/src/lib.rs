@@ -32,7 +32,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 
 /// An opaque sealed payload: ciphertext plus integrity tag.
@@ -207,8 +206,8 @@ impl Enclave {
     }
 
     /// Wire representation of a sealed blob.
-    pub fn to_wire(blob: &SealedBlob) -> Bytes {
-        Bytes::from(serde_json::to_vec(blob).expect("blob serialises"))
+    pub fn to_wire(blob: &SealedBlob) -> Vec<u8> {
+        serde_json::to_vec(blob).expect("blob serialises")
     }
 }
 

@@ -65,6 +65,50 @@
 //! let report = shiftex.process_window(&parties, &mut rng);
 //! assert!(report.cov_shifted.len() >= 2, "the fog cohort is detected");
 //! ```
+//!
+//! # One round driver
+//!
+//! Every algorithm — ShiftEx and each baseline — implements
+//! [`fl::FederatedAlgorithm`] and trains through the same
+//! [`fl::run_algorithm_round`], configured by an [`fl::RoundCtx`] (codec,
+//! selector, fold, ledger, transport; the defaults are the paper's clean
+//! synchronous protocol):
+//!
+//! ```
+//! use rand::{rngs::StdRng, SeedableRng};
+//! use shiftex::baselines::FedAvg;
+//! use shiftex::data::{ImageShape, PrototypeGenerator};
+//! use shiftex::fl::{
+//!     run_algorithm_round, CodecSpec, CommLedger, FederatedAlgorithm, Party, PartyId,
+//!     PopulationStore, RoundCtx, ScenarioEngine, ScenarioSpec,
+//! };
+//! use shiftex::nn::{ArchSpec, TrainConfig};
+//!
+//! let mut rng = StdRng::seed_from_u64(0);
+//! let gen = PrototypeGenerator::new(ImageShape::new(1, 4, 4), 3, &mut rng);
+//! let parties: Vec<Party> = (0..4)
+//!     .map(|i| Party::new(PartyId(i),
+//!                         gen.generate_uniform(32, &mut rng),
+//!                         gen.generate_uniform(16, &mut rng)))
+//!     .collect();
+//! // `from_parties` keeps everyone resident; a custom `PartyProvider`
+//! // makes the same rounds lazy.
+//! let population = PopulationStore::from_parties(parties);
+//! let ids = population.party_ids();
+//!
+//! let mut fedavg = FedAvg::new(ArchSpec::mlp("demo", 16, &[8], 3), TrainConfig::default(), 4);
+//! fedavg.init(&population.view(ids.clone()), &mut rng);
+//! let mut engine = ScenarioEngine::new(ScenarioSpec::sync(0), &ids);
+//! let (codec, ledger) = (CodecSpec::quant8(64), CommLedger::new());
+//! let mut ctx = RoundCtx::new(&population, &mut engine)
+//!     .with_codec(&codec)
+//!     .with_ledger(&ledger);
+//! for round in 1..=3 {
+//!     let outcome = run_algorithm_round(&mut fedavg, &mut ctx, &mut rng);
+//!     assert_eq!((outcome.round, outcome.folded), (round, 4));
+//! }
+//! assert_eq!(ledger.totals().up_bytes, 12 * codec.update_len(fedavg.params().len()) as u64);
+//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

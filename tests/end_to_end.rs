@@ -6,7 +6,7 @@ use rand::{rngs::StdRng, SeedableRng};
 use shiftex::core::{ShiftEx, ShiftExConfig};
 use shiftex::data::{Corruption, DatasetKind, ImageShape, PrototypeGenerator, Regime, SimScale};
 use shiftex::experiments::{build_algorithm, run_scenario, Scenario, ALGORITHM_NAMES};
-use shiftex::fl::{FederatedAlgorithm, FoldPolicy, Party, PartyId};
+use shiftex::fl::{FederatedAlgorithm, Party, PartyId};
 use shiftex::nn::ArchSpec;
 
 #[test]
@@ -127,8 +127,7 @@ fn expert_lifecycle_create_reuse_and_bounded_pool() {
 #[test]
 fn algorithms_are_interchangeable_as_trait_objects() {
     use shiftex::fl::{
-        run_algorithm_round, CodecSpec, PopulationStore, ScenarioEngine, ScenarioSpec,
-        UniformSelector,
+        run_algorithm_round, PopulationStore, RoundCtx, ScenarioEngine, ScenarioSpec,
     };
     let scenario = Scenario::build(DatasetKind::Cifar10C, SimScale::Smoke, 8);
     let mut rng = StdRng::seed_from_u64(9);
@@ -146,12 +145,7 @@ fn algorithms_are_interchangeable_as_trait_objects() {
         let mut engine = ScenarioEngine::new(ScenarioSpec::sync(1), &ids);
         let out = run_algorithm_round(
             alg.as_mut(),
-            &store,
-            &mut engine,
-            &CodecSpec::dense(),
-            &mut UniformSelector,
-            &FoldPolicy::Mean,
-            None,
+            &mut RoundCtx::new(&store, &mut engine),
             &mut rng,
         );
         assert!(out.folded > 0, "{}: a sync round must fold", alg.name());

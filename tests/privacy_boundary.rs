@@ -3,10 +3,14 @@
 //! communication is metered.
 
 use rand::{rngs::StdRng, SeedableRng};
+use shiftex::baselines::FedAvg;
 use shiftex::core::{compute_shift_stats, ShiftEx, ShiftExConfig};
 use shiftex::data::{ImageShape, PrototypeGenerator};
-use shiftex::fl::{CommLedger, Party, PartyId};
-use shiftex::nn::{ArchSpec, Sequential};
+use shiftex::fl::{
+    run_algorithm_round, CodecSpec, CommLedger, CommTotals, FederatedAlgorithm, Party, PartyId,
+    PopulationStore, RoundCtx, ScenarioEngine, ScenarioSpec,
+};
+use shiftex::nn::{ArchSpec, Sequential, TrainConfig};
 use shiftex::tee::{Enclave, TeeError};
 
 fn party(samples: usize, rng: &mut StdRng) -> (Party, PrototypeGenerator) {
@@ -65,10 +69,11 @@ fn enclave_protects_statistics_in_transit() {
     assert_eq!(verdicts, vec![false, true, false]);
 }
 
-#[test]
-fn communication_is_metered_per_exchange() {
+/// One clean FedAvg round of 4 parties on `input`×`input` images under
+/// `codec`; returns the metered totals and the model's parameter count.
+fn metered_round(input: usize, hidden: usize, codec: &CodecSpec) -> (CommTotals, usize) {
     let mut rng = StdRng::seed_from_u64(1);
-    let gen = PrototypeGenerator::new(ImageShape::new(1, 4, 4), 3, &mut rng);
+    let gen = PrototypeGenerator::new(ImageShape::new(1, input, input), 3, &mut rng);
     let parties: Vec<Party> = (0..4)
         .map(|i| {
             Party::new(
@@ -78,62 +83,43 @@ fn communication_is_metered_per_exchange() {
             )
         })
         .collect();
-    let spec = ArchSpec::mlp("t", 16, &[8], 3);
-    let init = Sequential::build(&spec, &mut rng).params_flat();
+    let store = PopulationStore::from_parties(parties);
+    let ids = store.party_ids();
+    let spec = ArchSpec::mlp("t", input * input, &[hidden], 3);
+    let mut fedavg = FedAvg::new(spec, TrainConfig::default(), 4);
+    fedavg.init(&store.view(ids.clone()), &mut rng);
     let ledger = CommLedger::new();
-    let cohort: Vec<&Party> = parties.iter().collect();
-    shiftex::fl::run_round(
-        &spec,
-        &init,
-        &cohort,
-        &shiftex::fl::RoundConfig::default(),
-        Some(&ledger),
-        &mut rng,
-    );
-    let totals = ledger.totals();
+    let mut engine = ScenarioEngine::new(ScenarioSpec::sync(0), &ids);
+    let mut ctx = RoundCtx::new(&store, &mut engine)
+        .with_codec(codec)
+        .with_ledger(&ledger);
+    run_algorithm_round(&mut fedavg, &mut ctx, &mut rng);
+    (ledger.totals(), fedavg.params().len())
+}
+
+#[test]
+fn communication_is_metered_per_exchange() {
+    let codec = CodecSpec::dense();
+    let (totals, n) = metered_round(4, 8, &codec);
     // One download + one upload per participant, at the codec's exact frame
     // sizes (dense: 6-byte header broadcasts, 22-byte-header updates, 4
-    // bytes per parameter — not a nominal guess).
+    // bytes per parameter — not a nominal guess). A first round's
+    // downloads are all first-contact full-state frames.
     assert_eq!(totals.messages, 8);
-    let codec = shiftex::fl::CodecSpec::dense();
-    assert_eq!(totals.up_bytes, codec.update_len(init.len()) as u64 * 4);
+    assert_eq!(totals.up_bytes, codec.update_len(n) as u64 * 4);
+    assert_eq!(totals.down_bytes, 0);
     assert_eq!(
-        totals.down_bytes,
-        codec.broadcast_len(init.len()) as u64 * 4
+        totals.first_contact_down_bytes,
+        codec.first_contact_spec().broadcast_len(n) as u64 * 4
     );
 }
 
 #[test]
 fn quantized_uploads_shrink_the_metered_bill() {
-    use shiftex::fl::{CodecSpec, RoundConfig};
-    let mut rng = StdRng::seed_from_u64(1);
-    let gen = PrototypeGenerator::new(ImageShape::new(1, 8, 8), 3, &mut rng);
-    let parties: Vec<Party> = (0..4)
-        .map(|i| {
-            Party::new(
-                PartyId(i),
-                gen.generate_uniform(24, &mut rng),
-                gen.generate_uniform(12, &mut rng),
-            )
-        })
-        .collect();
     // Realistic enough that per-update frame overhead stops dominating:
     // ~2.2k parameters already sits at the asymptotic ~3.9x int8 ratio.
-    let spec = ArchSpec::mlp("t", 64, &[32], 3);
-    let init = Sequential::build(&spec, &mut rng).params_flat();
-    let cohort: Vec<&Party> = parties.iter().collect();
-
-    let mut up = Vec::new();
-    for codec in [CodecSpec::dense(), CodecSpec::quant8(256).with_delta()] {
-        let ledger = CommLedger::new();
-        let cfg = RoundConfig {
-            codec,
-            ..RoundConfig::default()
-        };
-        let mut rng = StdRng::seed_from_u64(2);
-        shiftex::fl::run_round(&spec, &init, &cohort, &cfg, Some(&ledger), &mut rng);
-        up.push(ledger.totals().up_bytes);
-    }
+    let up = [CodecSpec::dense(), CodecSpec::quant8(256).with_delta()]
+        .map(|codec| metered_round(8, 32, &codec).0.up_bytes);
     let ratio = up[0] as f64 / up[1] as f64;
     assert!(
         ratio >= 3.5,
