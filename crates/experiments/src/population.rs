@@ -112,19 +112,25 @@ pub struct ResidentPopulation {
     stream_seed: u64,
     parties: Vec<Party>,
     index: BTreeMap<PartyId, usize>,
+    /// Window the resident parties currently hold.
+    window: usize,
+}
+
+/// Every party at window 0, each from its own `(id, 0)` stream.
+fn build_window0(scenario: &Scenario, stream_seed: u64) -> Vec<Party> {
+    (0..scenario.profile.num_parties)
+        .map(|i| {
+            let seed = party_stream_seed(stream_seed, PartyId(i), 0);
+            scenario.build_party(i, &mut StdRng::seed_from_u64(seed))
+        })
+        .collect()
 }
 
 impl ResidentPopulation {
     /// Materializes the whole population at window 0 from the per-party
     /// streams.
     pub fn new(scenario: Scenario, stream_seed: u64) -> Self {
-        let parties: Vec<Party> = (0..scenario.profile.num_parties)
-            .map(|i| {
-                let id = PartyId(i);
-                let mut rng = StdRng::seed_from_u64(party_stream_seed(stream_seed, id, 0));
-                scenario.build_party(i, &mut rng)
-            })
-            .collect();
+        let parties = build_window0(&scenario, stream_seed);
         let index = parties
             .iter()
             .enumerate()
@@ -135,6 +141,7 @@ impl ResidentPopulation {
             stream_seed,
             parties,
             index,
+            window: 0,
         }
     }
 
@@ -165,12 +172,22 @@ impl PartyProvider for ResidentPopulation {
         }
     }
 
+    /// Replays every window in `(current, window]` so a jump lands on the
+    /// same chain [`LazyPopulation`] rebuilds; a repeat is a no-op and a
+    /// step backwards restarts the chain from window 0.
     fn advance_window(&mut self, window: usize) {
-        for party in &mut self.parties {
-            let seed = party_stream_seed(self.stream_seed, party.id(), window);
-            let mut rng = StdRng::seed_from_u64(seed);
-            self.scenario.advance_party(party, window, &mut rng);
+        if window < self.window {
+            self.parties = build_window0(&self.scenario, self.stream_seed);
+            self.window = 0;
         }
+        for w in self.window + 1..=window {
+            for party in &mut self.parties {
+                let seed = party_stream_seed(self.stream_seed, party.id(), w);
+                self.scenario
+                    .advance_party(party, w, &mut StdRng::seed_from_u64(seed));
+            }
+        }
+        self.window = window;
     }
 }
 
@@ -189,31 +206,50 @@ mod tests {
         )
     }
 
+    /// Asserts both stores hold bit-identical data (window, carried
+    /// `prev_train`) for a spread of parties.
+    fn assert_stores_agree(lazy: &PopulationStore, resident: &PopulationStore, what: &str) {
+        for id in [PartyId(0), PartyId(17), PartyId(39)] {
+            let a = lazy.party(id).expect("lazy id");
+            let b = resident.party(id).expect("resident id");
+            assert_eq!(a.train_labels(), b.train_labels(), "{what}");
+            assert_eq!(
+                a.train_features().as_slice(),
+                b.train_features().as_slice(),
+                "{what} features"
+            );
+            assert_eq!(
+                a.prev_train().map(|d| d.features()),
+                b.prev_train().map(|d| d.features()),
+                "{what} prev_train"
+            );
+        }
+    }
+
     #[test]
     fn lazy_and_resident_agree_at_every_window() {
-        let lazy = LazyPopulation::new(scenario(), 77).into_store();
+        let mut lazy = LazyPopulation::new(scenario(), 77).into_store();
         let mut resident = ResidentPopulation::new(scenario(), 77).into_store();
-        let mut lazy = lazy;
         for w in 0..3 {
             if w > 0 {
                 lazy.set_window(w);
                 resident.set_window(w);
             }
-            for id in [PartyId(0), PartyId(17), PartyId(39)] {
-                let a = lazy.party(id).expect("lazy id");
-                let b = resident.party(id).expect("resident id");
-                assert_eq!(a.train_labels(), b.train_labels(), "window {w}");
-                assert_eq!(
-                    a.train_features().as_slice(),
-                    b.train_features().as_slice(),
-                    "window {w} features"
-                );
-                assert_eq!(a.prev_train().is_some(), b.prev_train().is_some());
-                if let (Some(pa), Some(pb)) = (a.prev_train(), b.prev_train()) {
-                    assert_eq!(pa.features(), pb.features(), "window {w} prev_train");
-                }
-            }
+            assert_stores_agree(&lazy, &resident, &format!("window {w}"));
         }
+        // A repeated `set_window` must not advance the resident arm again.
+        resident.set_window(2);
+        assert_stores_agree(&lazy, &resident, "repeated set_window(2)");
+        // Stepping back restarts the chain.
+        lazy.set_window(1);
+        resident.set_window(1);
+        assert_stores_agree(&lazy, &resident, "back to window 1");
+        // A 0 → 2 jump replays window 1 on the way (what the benchmark's
+        // layer probe does).
+        let mut jumped = ResidentPopulation::new(scenario(), 77).into_store();
+        jumped.set_window(2);
+        lazy.set_window(2);
+        assert_stores_agree(&lazy, &jumped, "0 -> 2 jump");
         assert_eq!(lazy.stats().pinned, 0, "lazy reads never pin");
     }
 
