@@ -11,7 +11,7 @@
 //!     [--dataset fashionmnist] [--scale smoke|small|paper] [--seed N] \
 //!     [--strategy shiftex|fedavg|fedprox|feddrift|fielding|flips] \
 //!     [--selector uniform|oort] \
-//!     [--parties N] [--samples N] [--population materialized|lazy|resident] \
+//!     [--parties N] [--samples N] [--population lazy|resident] \
 //!     [--windows N] [--rounds N] [--bootstrap N] \
 //!     [--codec dense|quant8|delta|delta-quant8|topk|delta-topk|ef-topk|adaptive] \
 //!     [--quant-block N] [--topk-density D] [--sweep-codecs] \
@@ -53,10 +53,11 @@
 //! `--sweep-attacks` reruns it under {none, 20 % sign-flip, 20 %
 //! scaled-noise} × {mean, trimmed, median, krum} and prints the
 //! attack-vs-fold recovery table (plus `robust_sweep.csv` with `--csv`).
-//! `--population` picks the party store: `materialized` (legacy resident
-//! `Vec`, shared data stream), `lazy` (per-party seeded specs, O(cohort)
-//! residency — the default at ≥1024 parties, e.g. `--parties 10000`), or
-//! `resident` (lazy's bit-identical fully-resident reference arm).
+//! `--population` picks how the parties are held, never what data they
+//! see — both modes read the same per-party seeded streams and print the
+//! same tables: `resident` (every party built up front; the default below
+//! 1024 parties) or `lazy` (parties rebuilt per cohort, O(cohort)
+//! residency; the default from 1024 parties up, e.g. `--parties 10000`).
 
 use shiftex_core::ShiftExConfig;
 use shiftex_data::{DatasetKind, SimScale};
@@ -120,14 +121,13 @@ fn main() {
         (false, None) => None,
     };
     let fold = fold_policy_from_args(&args);
-    // Large federations default to the lazy store (O(cohort) residency);
-    // small ones keep the golden-pinned materialized path.
+    // Same data either way: large federations default to O(cohort)
+    // residency, small ones to paying the build once.
     let population = match args.value("population") {
-        Some(name) => PopulationMode::parse(name).unwrap_or_else(|| {
-            panic!("unknown --population {name:?} (materialized|lazy|resident)")
-        }),
+        Some(name) => PopulationMode::parse(name)
+            .unwrap_or_else(|| panic!("unknown --population {name:?} (lazy|resident)")),
         None if scenario.profile.num_parties >= 1024 => PopulationMode::Lazy,
-        None => PopulationMode::Materialized,
+        None => PopulationMode::Resident,
     };
     let mut opts = FedRunOptions::new(windows, bootstrap, rounds)
         .with_codec(codec)

@@ -1,29 +1,24 @@
 //! Scenario-backed [`PartyProvider`]s: the population as seeded specs.
 //!
 //! A [`Scenario`] already is a complete recipe for any party's data at any
-//! window — generator, shift schedule, windowing mode. The providers here
-//! exploit that: instead of materializing `num_parties` [`Party`] values up
-//! front, they rebuild `(party, window)` on demand from a per-party seed
-//! stream, so a [`PopulationStore`] stays
-//! O(cohort) resident at 10k–100k parties.
+//! window — generator, shift schedule, windowing mode. Each party reads its
+//! own stream, seeded per `(id, window)`, as the paper's parties each
+//! consume their own windowed stream (§6): party 9 999's window never
+//! depends on having generated parties 0…9 998 first, so any
+//! `(party, window)` can be rebuilt on demand and a [`PopulationStore`]
+//! stays O(cohort) resident at 10k–100k parties.
 //!
-//! Two providers share one data stream:
+//! Two providers share that one stream, and the runner uses nothing else:
 //!
 //! * [`LazyPopulation`] — rebuilds a party every time it is sampled into a
-//!   cohort and lets the store evict it after the round; resident memory is
-//!   independent of population size.
-//! * [`ResidentPopulation`] — materializes every party up front and mutates
-//!   them in place on window advances, drawing from the *same* per-party
-//!   streams. It is the reference arm for the conformance suite: a run over
-//!   `LazyPopulation` must be bit-identical to one over
-//!   [`ResidentPopulation`] built from the same scenario and stream seed.
+//!   cohort and lets the round drop it; resident memory is independent of
+//!   population size, every read pays a rebuild.
+//! * [`ResidentPopulation`] — builds every party up front and advances
+//!   them in place. Reads are free, memory is O(population).
 //!
-//! Per-party streams differ from the legacy shared-stream path
-//! ([`Scenario::initial_parties`] + [`Scenario::advance`], which thread one
-//! RNG through every party in order): a shared stream cannot rebuild party
-//! 9_999 without generating parties 0..9_999 first. The runner therefore
-//! keeps the legacy stream for its golden-pinned materialized mode and uses
-//! these providers for scale runs.
+//! A run over one must be bit-identical to a run over the other built from
+//! the same scenario and stream seed; the conformance suite pins that for
+//! all six algorithms.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -73,8 +68,8 @@ pub struct LazyPopulation {
 }
 
 impl LazyPopulation {
-    /// Wraps `scenario` with a per-party stream seed (conventionally the
-    /// same base the runner would have used for the shared stream).
+    /// Wraps `scenario` with the base seed every per-party stream is
+    /// derived from.
     pub fn new(scenario: Scenario, stream_seed: u64) -> Self {
         Self {
             scenario,
@@ -103,9 +98,9 @@ impl PartyProvider for LazyPopulation {
 }
 
 /// The resident twin of [`LazyPopulation`]: same per-party streams, but
-/// every party is materialized up front and mutated in place on window
-/// advances. Exists so the conformance suite can compare a lazy run
-/// against a fully-resident run over identical data.
+/// every party is built up front and advanced in place — the runner's
+/// default below the scale where O(population) memory matters, and the
+/// arm the conformance suite compares a lazy run against.
 #[derive(Debug)]
 pub struct ResidentPopulation {
     scenario: Scenario,

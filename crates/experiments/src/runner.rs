@@ -121,26 +121,23 @@ impl FedSelector {
     }
 }
 
-/// How the party population is stored and advanced between windows.
+/// How the party population is held in memory.
 ///
-/// The mode changes memory behaviour (and, for the seeded modes, the data
-/// stream), never the protocol: every mode drives the same
-/// [`shiftex_fl::run_algorithm_round`] loop through the same
-/// [`PopulationStore`]
-/// interface.
+/// Both modes draw every party's data from the same per-`(id, window)`
+/// seeded streams and drive the same [`shiftex_fl::run_algorithm_round`]
+/// loop through the same [`PopulationStore`] interface, so a run is
+/// bit-identical under either: the mode is a memory/speed choice, never a
+/// data or protocol one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PopulationMode {
-    /// Whole population materialized up front from one shared RNG stream —
-    /// the legacy representation, pinned by the golden conformance
-    /// fixtures. Window advances mutate every party in order.
-    Materialized,
-    /// Parties as per-`(id, window)` seeded specs
-    /// ([`LazyPopulation`]): materialized only when sampled into a cohort,
-    /// evicted when the round drops it. Resident memory is O(cohort).
+    /// Parties as seeded specs ([`LazyPopulation`]): rebuilt when sampled
+    /// into a cohort, dropped when the round drops it. Resident memory is
+    /// O(cohort); every read pays a rebuild.
     Lazy,
-    /// The same per-party streams as [`PopulationMode::Lazy`] but fully
-    /// resident ([`ResidentPopulation`]) — the reference arm the
-    /// conformance suite compares a lazy run against, bit for bit.
+    /// Every party built up front and advanced in place
+    /// ([`ResidentPopulation`]). Resident memory is O(population); reads
+    /// are free. The default, and the arm the conformance suite compares a
+    /// lazy run against, bit for bit.
     Resident,
 }
 
@@ -148,7 +145,6 @@ impl PopulationMode {
     /// Parses a CLI name.
     pub fn parse(s: &str) -> Option<PopulationMode> {
         match s.to_ascii_lowercase().as_str() {
-            "materialized" => Some(PopulationMode::Materialized),
             "lazy" => Some(PopulationMode::Lazy),
             "resident" => Some(PopulationMode::Resident),
             _ => None,
@@ -185,7 +181,8 @@ pub struct FedRunOptions {
 }
 
 impl FedRunOptions {
-    /// Plain budget with dense framing and uniform selection.
+    /// Plain budget with dense framing, uniform selection and a resident
+    /// population.
     pub fn new(windows: usize, bootstrap_rounds: usize, rounds_per_window: usize) -> Self {
         Self {
             windows,
@@ -194,7 +191,7 @@ impl FedRunOptions {
             codec: CodecSpec::dense(),
             selector: FedSelector::Uniform,
             fold: FoldPolicy::Mean,
-            population: PopulationMode::Materialized,
+            population: PopulationMode::Resident,
             budget: None,
             join: None,
         }
@@ -294,12 +291,7 @@ pub fn run_federation_scenario<A: FederatedAlgorithm + ?Sized>(
     );
     let stream_seed = fed.seed ^ scenario.seed.rotate_left(17);
     let mut rng = StdRng::seed_from_u64(stream_seed);
-    // Materialized consumes the shared stream up front (the golden-pinned
-    // path); the seeded modes derive per-party streams from the same base.
     let mut store = match opts.population {
-        PopulationMode::Materialized => {
-            PopulationStore::from_parties(scenario.initial_parties(&mut rng))
-        }
         PopulationMode::Lazy => LazyPopulation::new(scenario.clone(), stream_seed).into_store(),
         PopulationMode::Resident => {
             ResidentPopulation::new(scenario.clone(), stream_seed).into_store()
@@ -352,16 +344,7 @@ pub fn run_federation_scenario<A: FederatedAlgorithm + ?Sized>(
 
     // --- W1..Wn: shifted windows.
     for w in 1..=opts.windows {
-        match opts.population {
-            // The legacy mutation path: stream `advance_party` over every
-            // resident party in canonical order, reproducing the shared-RNG
-            // sequence of the pre-store runtime bit for bit.
-            PopulationMode::Materialized => {
-                store.advance_window_with(w, |p| scenario.advance_party(p, w, &mut rng));
-            }
-            // Seeded modes re-derive party state from `(id, window)`.
-            PopulationMode::Lazy | PopulationMode::Resident => store.set_window(w),
-        }
+        store.set_window(w);
         // Only enrolled members publish shift statistics for this window.
         let members = store.view(engine.live_members(&ids));
         algorithm.begin_window(w, &members, &mut rng);
@@ -508,6 +491,21 @@ mod tests {
         // The shifted population migrates off expert 0 (Figure 7c shape).
         let last = shiftex.expert_distribution.last().unwrap();
         assert!(last.len() >= 2 && last.iter().skip(1).sum::<usize>() > 0);
+    }
+
+    #[test]
+    fn population_mode_parses_exactly_two_names() {
+        for (name, mode) in [
+            ("lazy", PopulationMode::Lazy),
+            ("LAZY", PopulationMode::Lazy),
+            ("resident", PopulationMode::Resident),
+            ("Resident", PopulationMode::Resident),
+        ] {
+            assert_eq!(PopulationMode::parse(name), Some(mode), "{name}");
+        }
+        for name in ["materialized", "Materialized", "", "eager", "lazy "] {
+            assert_eq!(PopulationMode::parse(name), None, "{name:?}");
+        }
     }
 
     #[test]

@@ -127,7 +127,10 @@ impl Scenario {
         self.rounds_per_window * 3
     }
 
-    /// Initial (window 0, bootstrap) party population.
+    /// Initial (window 0, bootstrap) party population, every party drawn
+    /// in order from the one `rng` — the hand-built `Vec<Party>` that
+    /// callers of the standalone ShiftEx API (the `ablations` bin, the
+    /// recovery and end-to-end suites) drive directly.
     pub fn initial_parties(&self, rng: &mut StdRng) -> Vec<Party> {
         (0..self.profile.num_parties)
             .map(|i| self.build_party(i, rng))
@@ -136,8 +139,9 @@ impl Scenario {
 
     /// Builds party `i`'s window-0 state, drawing from `rng`.
     ///
-    /// The materialized path calls this for every `i` against one shared
-    /// stream; a lazy provider calls it against a per-party stream.
+    /// [`Scenario::initial_parties`] calls this for every `i` against one
+    /// shared stream; the population providers call it against party `i`'s
+    /// own stream.
     pub fn build_party(&self, i: usize, rng: &mut StdRng) -> Party {
         let regime = self.schedule.regime(0, i);
         let train =
@@ -149,7 +153,8 @@ impl Scenario {
         Party::new(PartyId(i), train, test)
     }
 
-    /// Advances every party to `window` per the schedule.
+    /// Advances every party of a hand-built population to `window` per the
+    /// schedule, in order from the one `rng`.
     ///
     /// Tumbling windows draw entirely fresh data; sliding windows carry half
     /// of the previous window's training samples forward (the overlap that
@@ -169,9 +174,8 @@ impl Scenario {
     }
 
     /// Advances a single party to `window`, keyed by its [`PartyId`] in the
-    /// shift schedule. Factored out of [`Scenario::advance`] so that a lazy
-    /// provider can replay one party's window chain without materializing
-    /// the rest of the population.
+    /// shift schedule — what a population provider replays, one party's
+    /// window chain at a time, without touching the rest of the population.
     pub fn advance_party(&self, party: &mut Party, window: usize, rng: &mut StdRng) {
         let i = party.id().0;
         let regime = self.schedule.regime(window, i);

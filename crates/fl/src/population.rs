@@ -1,25 +1,25 @@
-//! Lazy population store: parties as seeded specs, materialized O(cohort).
+//! Population store: the runtime's one handle on the parties, materialized
+//! O(cohort).
 //!
 //! Every round of a federation touches a *cohort* of a handful of parties,
-//! yet the pre-store runtime kept the whole population resident as a
-//! `Vec<Party>` — memory and window-advance cost scaled with population,
-//! not cohort. [`PopulationStore`] inverts that: parties exist only as
-//! entries of a [`PartyProvider`] (typically a seeded generator that can
-//! rebuild any party's window data bit-identically on demand), and a
-//! concrete [`Party`] is instantiated only when a selector samples it into
-//! a cohort — then dropped when the round ends. Resident state is
-//! O(cohort ∪ pinned), so a 100k-party federation costs the same per round
-//! as a 100-party one.
+//! so the runtime never holds a `&[Party]`. A [`PopulationStore`] fronts a
+//! [`PartyProvider`] and hands out a concrete [`Party`] only when a
+//! selector samples it into a cohort; the cohort `Vec` is dropped when the
+//! round ends. What the store itself keeps resident is O(cohort ∪ pinned),
+//! so over a provider that rebuilds parties on demand a 100k-party
+//! federation costs the same per round as a 100-party one.
 //!
-//! Two provider families cover the runtime:
+//! Two kinds of provider sit behind the store:
 //!
-//! * a **materialized** provider (via [`PopulationStore::from_parties`])
-//!   wraps an owned `Vec<Party>` — the legacy representation, kept for the
-//!   golden bit-identity fixtures and for small populations where laziness
-//!   buys nothing;
-//! * **lazy** providers implement [`PartyProvider`] over a seed and rebuild
-//!   `(party, window)` deterministically; re-instantiation after eviction
-//!   must be bit-identical (the conformance suite enforces this).
+//! * an **owned** provider ([`PopulationStore::from_parties`]) wraps a
+//!   `Vec<Party>` the caller built by hand — tests, examples and the
+//!   standalone ShiftEx API use it; the store borrows from the `Vec` and
+//!   absorbs mutations in place;
+//! * **seeded** providers implement [`PartyProvider`] over a recipe and a
+//!   seed and rebuild `(party, window)` deterministically; rebuilding the
+//!   same pair twice must be bit-identical (the conformance suite enforces
+//!   this). Whether such a provider also keeps its parties resident is its
+//!   own memory/speed choice — the store cannot tell.
 //!
 //! # Example
 //!
@@ -132,15 +132,15 @@ pub trait PartyProvider: std::fmt::Debug {
     fn advance_window(&mut self, _window: usize) {}
 }
 
-/// The legacy representation behind the same interface: every party
-/// resident in a `Vec`, mutated in place by window advances.
+/// Provider over a caller-built `Vec<Party>`: every party resident,
+/// mutated in place, identical at every window.
 #[derive(Debug)]
-struct MaterializedProvider {
+struct OwnedProvider {
     parties: Vec<Party>,
     index: BTreeMap<PartyId, usize>,
 }
 
-impl MaterializedProvider {
+impl OwnedProvider {
     fn new(parties: Vec<Party>) -> Self {
         let index = parties
             .iter()
@@ -151,7 +151,7 @@ impl MaterializedProvider {
     }
 }
 
-impl PartyProvider for MaterializedProvider {
+impl PartyProvider for OwnedProvider {
     fn party_ids(&self) -> Vec<PartyId> {
         self.parties.iter().map(|p| p.id()).collect()
     }
@@ -228,10 +228,10 @@ impl PopulationStore {
         }
     }
 
-    /// Wraps an owned, fully-materialized population (the legacy
-    /// `Vec<Party>` representation).
+    /// Wraps a caller-built population: the parties stay resident exactly
+    /// as given, whatever the window.
     pub fn from_parties(parties: Vec<Party>) -> Self {
-        Self::new(Box::new(MaterializedProvider::new(parties)))
+        Self::new(Box::new(OwnedProvider::new(parties)))
     }
 
     /// Population size.
@@ -259,37 +259,14 @@ impl PopulationStore {
         self.window
     }
 
-    /// Advances a lazily-backed store to `window`: the provider is
-    /// notified, cached infos and pinned copies are dropped (party state is
-    /// re-derived from `(id, window)`).
+    /// Moves the stream to `window`: the provider is notified, cached infos
+    /// and pinned copies are dropped (party state is re-derived from
+    /// `(id, window)`).
     pub fn set_window(&mut self, window: usize) {
         self.window = window;
         self.provider.advance_window(window);
         self.pinned.clear();
         self.infos.borrow_mut().clear();
-    }
-
-    /// Advances a materialized store to `window` by streaming `advance`
-    /// over every resident party in canonical order — the legacy mutation
-    /// path, preserved verbatim for bit-identity with the pre-store runs.
-    pub fn advance_window_with(&mut self, window: usize, mut advance: impl FnMut(&mut Party)) {
-        self.window = window;
-        self.infos.borrow_mut().clear();
-        let order = self.order.clone();
-        for id in order {
-            if let Some(p) = self.pinned.get_mut(&id) {
-                advance(p);
-                continue;
-            }
-            let absorbed = self.provider.with_party_mut(id, &mut |p| advance(p));
-            if !absorbed {
-                // Lazy provider under the mutation API: pin the mutated copy.
-                if let Some(mut p) = self.build(id) {
-                    advance(&mut p);
-                    self.pinned.insert(id, p);
-                }
-            }
-        }
     }
 
     /// Borrows `id`'s party (materializing it if the backing is lazy) and
@@ -540,7 +517,7 @@ mod tests {
     }
 
     #[test]
-    fn materialized_store_round_trips_parties() {
+    fn owned_store_round_trips_parties() {
         let parties = make_parties(4);
         let expected: Vec<Vec<usize>> = parties.iter().map(|p| p.train_labels().to_vec()).collect();
         let store = PopulationStore::from_parties(parties);
@@ -618,15 +595,6 @@ mod tests {
         assert_ne!(before, after, "reads must see the pinned mutation");
         store.set_window(1);
         assert_eq!(store.stats().pinned, 0, "window advance drops pins");
-    }
-
-    #[test]
-    fn window_advance_with_streams_every_party_in_order() {
-        let mut store = PopulationStore::from_parties(make_parties(5));
-        let mut seen = Vec::new();
-        store.advance_window_with(1, |p| seen.push(p.id()));
-        assert_eq!(seen, (0..5).map(PartyId).collect::<Vec<_>>());
-        assert_eq!(store.window(), 1);
     }
 
     #[test]

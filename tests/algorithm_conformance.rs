@@ -5,10 +5,13 @@
 //! * **determinism** — identical runs under churn are bit-identical;
 //! * **empty-cohort legality** — a federation the churn schedule empties
 //!   completes without panicking and keeps reporting every round;
-//! * **pre-refactor pinning** — ShiftEx and FedAvg dense synchronous runs
-//!   are bit-identical to the dedicated drivers the trait replaced
-//!   (`run_fed_shiftex` / `run_fed_fedavg`), captured as golden accuracy
-//!   bit patterns before the refactor;
+//! * **golden pinning** — ShiftEx and FedAvg dense synchronous runs
+//!   reproduce accuracy bit patterns and byte totals recorded once, so a
+//!   refactor of the driver, the store or the party-side compute cannot
+//!   move a run silently. The byte totals date from the dedicated
+//!   pre-trait drivers (`run_fed_shiftex` / `run_fed_fedavg`); the accuracy
+//!   bits were re-pinned once onto the per-`(id, window)` party streams,
+//!   when the shared-RNG population mode was retired;
 //! * **error feedback** — top-k at 2 % density recovers accuracy when the
 //!   codec's residual accumulator is enabled.
 
@@ -33,9 +36,9 @@ fn run_named(
     run_federation_scenario(algorithm.as_mut(), scenario, fed, opts)
 }
 
-/// The golden scenario of the pre-refactor capture: FashionMNIST smoke,
-/// seed 17, sync federation seed 9, 2 bootstrap rounds + 1 window × 2
-/// rounds, dense codec, uniform selection.
+/// The golden scenario: FashionMNIST smoke, seed 17, sync federation seed
+/// 9, 2 bootstrap rounds + 1 window × 2 rounds, dense codec, uniform
+/// selection, default (resident, per-party-stream) population.
 fn golden_setup() -> (Scenario, ScenarioSpec, FedRunOptions) {
     let scenario =
         Scenario::build_with_population(DatasetKind::FashionMnist, SimScale::Smoke, 17, None, None);
@@ -51,12 +54,15 @@ fn acc_bits(result: &FedRunResult) -> Vec<u32> {
 fn fedavg_dense_sync_is_bit_identical_to_pre_refactor_driver() {
     let (scenario, fed, opts) = golden_setup();
     let result = run_named("fedavg", &scenario, &fed, &opts);
-    // Captured from run_fed_fedavg (the deleted FedStrategy::FedAvg path)
-    // immediately before the FederatedAlgorithm refactor.
+    // Recorded at commit f267bec (PR 13, the parent of the PR that retired
+    // `PopulationMode::Materialized`) by running this test with
+    // `golden_setup()` under `.with_population(PopulationMode::Resident)`:
+    // the per-party streams every run now reads. The counts and byte
+    // totals below did not move and still date from run_fed_fedavg.
     assert_eq!(
         acc_bits(&result),
-        vec![1038090240, 1039138816, 1041235968, 1042808832],
-        "accuracy series must be bit-identical to the legacy driver"
+        vec![1040187392, 1040711680, 1037041664, 1041760256],
+        "accuracy series must be bit-identical to the recorded run"
     );
     assert_eq!(result.final_models, 1);
     assert_eq!(result.param_count, 2146);
@@ -74,13 +80,16 @@ fn fedavg_dense_sync_is_bit_identical_to_pre_refactor_driver() {
 fn shiftex_dense_sync_is_bit_identical_to_pre_refactor_driver() {
     let (scenario, fed, opts) = golden_setup();
     let result = run_named("shiftex", &scenario, &fed, &opts);
-    // Captured from run_fed_shiftex (ShiftEx::train_round_scenario) before
-    // the refactor. Covers per-expert streams, FLIPS cohorts, a real
+    // Recorded at commit f267bec (PR 13) under
+    // `.with_population(PopulationMode::Resident)`, like the FedAvg golden
+    // above. Covers per-expert streams, FLIPS cohorts, a real
     // process_window boundary (an expert spawns), and the RNG draw order.
+    // The counts and byte totals below did not move and still date from
+    // run_fed_shiftex.
     assert_eq!(
         acc_bits(&result),
-        vec![1038090240, 1039138816, 1037041664, 1042808832],
-        "accuracy series must be bit-identical to the legacy driver"
+        vec![1040187392, 1040711680, 1041235968, 1042284544],
+        "accuracy series must be bit-identical to the recorded run"
     );
     assert_eq!(
         result.final_models, 2,
@@ -156,8 +165,9 @@ fn every_algorithm_is_deterministic_under_attack_and_churn() {
 #[test]
 fn mean_fold_with_inactive_attack_axis_matches_the_golden_capture() {
     // An attack spec whose schedule never fires must leave the Mean fold's
-    // bit-identical golden path untouched: same accuracy bits, no
-    // quarantines, no refused bytes.
+    // bit-identical golden path untouched: same accuracy bits as the
+    // FedAvg golden above (recorded at commit f267bec under
+    // `PopulationMode::Resident`), no quarantines, no refused bytes.
     let (scenario, fed, opts) = golden_setup();
     let fed = fed.with_attack(
         AttackSpec::new(AttackKind::SignFlip, 0.5)
@@ -166,7 +176,7 @@ fn mean_fold_with_inactive_attack_axis_matches_the_golden_capture() {
     let result = run_named("fedavg", &scenario, &fed, &opts);
     assert_eq!(
         acc_bits(&result),
-        vec![1038090240, 1039138816, 1041235968, 1042808832],
+        vec![1040187392, 1040711680, 1037041664, 1041760256],
         "a dormant adversary must not perturb the golden run"
     );
     assert_eq!(result.comm.quarantined_updates, 0);

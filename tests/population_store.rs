@@ -76,9 +76,9 @@ fn six_way_200_party_lazy_run_is_bit_identical_to_resident() {
     }
 }
 
-/// The lazy arm's data stream is by construction different from the legacy
-/// shared-stream materialized mode — but the protocol metrics must still
-/// line up structurally (same round count, same population accounting).
+/// The default `FedRunOptions` read the per-party streams: a run that
+/// names no population mode is the lazy run, field for field, apart from
+/// the residency counters.
 #[test]
 fn lazy_mode_matches_materialized_mode_structure() {
     let scenario = Scenario::build_with_population(
@@ -91,16 +91,12 @@ fn lazy_mode_matches_materialized_mode_structure() {
     let fed = ScenarioSpec::sync(3);
     let opts = FedRunOptions::new(1, 2, 2);
     let lazy = run_mode("fedavg", &scenario, &fed, &opts, PopulationMode::Lazy);
-    let mat = run_mode(
-        "fedavg",
-        &scenario,
-        &fed,
-        &opts,
-        PopulationMode::Materialized,
-    );
-    assert_eq!(lazy.accuracy_series.len(), mat.accuracy_series.len());
-    assert_eq!(lazy.totals.selected, mat.totals.selected);
-    assert_eq!(lazy.residency.population, mat.residency.population);
+    let mut algorithm =
+        build_algorithm("fedavg", &scenario, &ShiftExConfig::default()).expect("fedavg");
+    let mut default = run_federation_scenario(algorithm.as_mut(), &scenario, &fed, &opts);
+    assert_eq!(lazy.residency.population, default.residency.population);
+    default.residency = lazy.residency;
+    assert_eq!(lazy, default, "the default is the per-party stream");
     for dist in &lazy.expert_distribution {
         assert_eq!(dist.iter().sum::<usize>(), 64);
     }
