@@ -1,6 +1,10 @@
 //! FedAvg (McMahan et al., AISTATS 2017): one global model, federated
 //! averaging, no shift awareness — the reference point every comparison in
-//! the paper is anchored to.
+//! the paper is anchored to — and FedProx (Li et al., MLSys 2020), which is
+//! FedAvg plus a proximal term that keeps local updates near the global
+//! model: the canonical "traditional FL" baseline. The server side is the
+//! same, so FedProx is [`FedAvg::fedprox`]: the same struct with the
+//! proximal coefficient set in its local [`TrainConfig`].
 //!
 //! Cohort selection delegates to the scenario driver's pluggable
 //! [`ParticipantSelector`], so the same implementation runs as classic
@@ -13,9 +17,10 @@ use shiftex_fl::{
 };
 use shiftex_nn::{ArchSpec, Sequential, TrainConfig};
 
-/// The FedAvg baseline.
+/// The FedAvg baseline, and FedProx via [`FedAvg::fedprox`].
 #[derive(Debug)]
 pub struct FedAvg {
+    name: &'static str,
     spec: ArchSpec,
     train: TrainConfig,
     participants_per_round: usize,
@@ -27,10 +32,34 @@ impl FedAvg {
     /// RNG stream at [`FederatedAlgorithm::init`] time.
     pub fn new(spec: ArchSpec, train: TrainConfig, participants_per_round: usize) -> Self {
         Self {
+            name: "FedAvg",
             spec,
             train,
             participants_per_round,
             params: Vec::new(),
+        }
+    }
+
+    /// Creates a FedProx instance: FedAvg whose local steps carry a
+    /// proximal term with coefficient `mu`, reported as `"FedProx"`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mu < 0`.
+    pub fn fedprox(
+        spec: ArchSpec,
+        train: TrainConfig,
+        participants_per_round: usize,
+        mu: f32,
+    ) -> Self {
+        assert!(mu >= 0.0, "prox coefficient must be non-negative");
+        let train = TrainConfig {
+            prox_mu: Some(mu),
+            ..train
+        };
+        Self {
+            name: "FedProx",
+            ..Self::new(spec, train, participants_per_round)
         }
     }
 
@@ -42,7 +71,7 @@ impl FedAvg {
 
 impl FederatedAlgorithm for FedAvg {
     fn name(&self) -> &str {
-        "FedAvg"
+        self.name
     }
 
     fn arch(&self) -> &ArchSpec {
@@ -127,8 +156,9 @@ mod tests {
         run_algorithm_round, Party, PopulationStore, RoundCtx, ScenarioEngine, ScenarioSpec,
     };
 
-    #[test]
-    fn fedavg_trains_a_single_model_through_the_driver() {
+    /// Six uniform parties; trains `alg` for eight driver rounds and
+    /// asserts the single global model improved.
+    fn assert_improves_through_the_driver(mut alg: FedAvg) {
         let mut rng = StdRng::seed_from_u64(0);
         let gen = PrototypeGenerator::new(ImageShape::new(1, 4, 4), 3, &mut rng);
         let parties: Vec<Party> = (0..6)
@@ -142,8 +172,6 @@ mod tests {
             .collect();
         let ids: Vec<PartyId> = parties.iter().map(Party::id).collect();
         let store = PopulationStore::from_parties(parties);
-        let spec = ArchSpec::mlp("t", 16, &[10], 3);
-        let mut alg = FedAvg::new(spec, TrainConfig::default(), 6);
         alg.init(&store.view(store.party_ids()), &mut rng);
         let before = alg.eval(&store.view(store.party_ids()));
         let mut engine = ScenarioEngine::new(ScenarioSpec::sync(1), &ids);
@@ -154,5 +182,22 @@ mod tests {
         assert!(after > before, "{before} -> {after}");
         assert_eq!(alg.num_models(), 1);
         assert_eq!(alg.model_index(PartyId(3)), 0);
+    }
+
+    #[test]
+    fn fedavg_trains_a_single_model_through_the_driver() {
+        let alg = FedAvg::new(ArchSpec::mlp("t", 16, &[10], 3), TrainConfig::default(), 6);
+        assert_eq!(alg.name(), "FedAvg");
+        assert_eq!(alg.train_config(0).prox_mu, None);
+        assert_improves_through_the_driver(alg);
+    }
+
+    #[test]
+    fn fedprox_carries_the_proximal_term_and_improves() {
+        let spec = ArchSpec::mlp("t", 16, &[10], 3);
+        let alg = FedAvg::fedprox(spec, TrainConfig::default(), 6, 0.01);
+        assert_eq!(alg.name(), "FedProx");
+        assert_eq!(alg.train_config(0).prox_mu, Some(0.01));
+        assert_improves_through_the_driver(alg);
     }
 }

@@ -1,14 +1,27 @@
-//! Fielding (Li et al., 2024): re-clusters parties by *label distribution*
-//! at window boundaries and trains a single global model with
-//! cluster-balanced participant selection.
+//! Fielding (Li et al., 2024) and FLIPS (Bhope et al., Middleware 2023) as
+//! standalone techniques: a single global model trained with
+//! label-cluster-balanced participant selection. They differ in one
+//! decision — whether the label clusters are refit at window boundaries —
+//! so they are one struct with two constructors.
 //!
-//! Per the paper's characterisation: it "re-clusters parties based on label
-//! distributions to train balanced experts, as in FLIPS, but overlooks
-//! covariate shifts and does not adapt clusters as party distributions
-//! change across windows" — the re-clustering reacts to label histograms
-//! only, so weather-style covariate shifts pass undetected. Selection is
-//! internal (the refit FLIPS clusters), so the driver's pluggable selector
-//! is not consulted.
+//! **Fielding** ([`Fielding::new`]) re-clusters parties by *label
+//! distribution* at every window boundary. Per the paper's
+//! characterisation: it "re-clusters parties based on label distributions
+//! to train balanced experts, as in FLIPS, but overlooks covariate shifts
+//! and does not adapt clusters as party distributions change across
+//! windows" — the re-clustering reacts to label histograms only, so
+//! weather-style covariate shifts pass undetected.
+//!
+//! **FLIPS** ([`Fielding::flips`]) fits the clusters **once** at bootstrap.
+//! This is the federation ShiftEx borrows its selection subsystem from
+//! (the [`FlipsSelector`] itself lives in `shiftex-flips`). As a baseline
+//! it isolates what equitable label representation buys *without* any
+//! shift reaction: clusters are never refit, so parties whose label mix
+//! drifts across windows keep their stale cluster membership — exactly the
+//! gap Fielding (per-window refit) and ShiftEx (expert spawning) close.
+//!
+//! Selection is internal (the FLIPS clusters) in both, so the driver's
+//! pluggable selector is not consulted.
 
 use rand::rngs::StdRng;
 use shiftex_fl::{
@@ -18,9 +31,12 @@ use shiftex_fl::{
 use shiftex_flips::FlipsSelector;
 use shiftex_nn::{ArchSpec, Sequential, TrainConfig};
 
-/// The Fielding baseline.
+/// The Fielding baseline, and FLIPS via [`Fielding::flips`].
 #[derive(Debug)]
 pub struct Fielding {
+    /// `true` = Fielding (refit at every boundary); `false` = FLIPS (the
+    /// bootstrap clusters stand for the whole run).
+    refit_each_window: bool,
     spec: ArchSpec,
     train: TrainConfig,
     participants_per_round: usize,
@@ -35,6 +51,7 @@ impl Fielding {
     /// [`FederatedAlgorithm::init`] time.
     pub fn new(spec: ArchSpec, train: TrainConfig, participants_per_round: usize) -> Self {
         Self {
+            refit_each_window: true,
             spec,
             train,
             participants_per_round,
@@ -44,7 +61,17 @@ impl Fielding {
         }
     }
 
-    /// The current number of label clusters (after the last re-cluster).
+    /// Creates a FLIPS instance: the same federation with the label
+    /// clusters fitted once at [`FederatedAlgorithm::init`] time and never
+    /// refit, reported as `"FLIPS"`.
+    pub fn flips(spec: ArchSpec, train: TrainConfig, participants_per_round: usize) -> Self {
+        Self {
+            refit_each_window: false,
+            ..Self::new(spec, train, participants_per_round)
+        }
+    }
+
+    /// The current number of label clusters (after the last fit).
     pub fn num_label_clusters(&self) -> usize {
         self.selector
             .as_ref()
@@ -64,7 +91,11 @@ impl Fielding {
 
 impl FederatedAlgorithm for Fielding {
     fn name(&self) -> &str {
-        "Fielding"
+        if self.refit_each_window {
+            "Fielding"
+        } else {
+            "FLIPS"
+        }
     }
 
     fn arch(&self) -> &ArchSpec {
@@ -77,8 +108,12 @@ impl FederatedAlgorithm for Fielding {
     }
 
     fn begin_window(&mut self, _window: usize, members: &PopulationView<'_>, rng: &mut StdRng) {
-        // Window boundary: re-cluster on the *new* label distributions.
-        self.refit(&members.infos(), rng);
+        // Fielding re-clusters on the *new* label distributions. FLIPS
+        // "assumes stationary label distributions": no refit, which is its
+        // failure mode under shift.
+        if self.refit_each_window {
+            self.refit(&members.infos(), rng);
+        }
     }
 
     fn streams(&self) -> Vec<usize> {
@@ -148,17 +183,15 @@ impl FederatedAlgorithm for Fielding {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
     use shiftex_data::{ImageShape, PrototypeGenerator};
     use shiftex_fl::{
         run_algorithm_round, Party, PopulationStore, RoundCtx, ScenarioEngine, ScenarioSpec,
     };
 
-    #[test]
-    fn fielding_reclusters_each_window() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let gen = PrototypeGenerator::new(ImageShape::new(1, 4, 4), 4, &mut rng);
-        // Half the parties class-0-heavy, half class-3-heavy.
+    /// Eight parties, half class-0-heavy and half class-3-heavy.
+    fn two_label_regimes(rng: &mut StdRng) -> (PopulationStore, Vec<PartyId>) {
+        let gen = PrototypeGenerator::new(ImageShape::new(1, 4, 4), 4, rng);
         let parties: Vec<Party> = (0..8)
             .map(|i| {
                 let weights = if i < 4 {
@@ -168,15 +201,22 @@ mod tests {
                 };
                 Party::new(
                     PartyId(i),
-                    gen.generate(32, &weights, &mut rng),
-                    gen.generate_uniform(16, &mut rng),
+                    gen.generate(32, &weights, rng),
+                    gen.generate_uniform(16, rng),
                 )
             })
             .collect();
-        let ids: Vec<PartyId> = parties.iter().map(Party::id).collect();
+        let ids = parties.iter().map(Party::id).collect();
+        (PopulationStore::from_parties(parties), ids)
+    }
+
+    #[test]
+    fn fielding_reclusters_each_window() {
+        let mut rng = StdRng::seed_from_u64(0);
+        let (store, ids) = two_label_regimes(&mut rng);
         let spec = ArchSpec::mlp("t", 16, &[10], 4);
         let mut alg = Fielding::new(spec, TrainConfig::default(), 4);
-        let store = PopulationStore::from_parties(parties);
+        assert_eq!(alg.name(), "Fielding");
         alg.init(&store.view(store.party_ids()), &mut rng);
         assert_eq!(alg.num_label_clusters(), 2);
         let mut engine = ScenarioEngine::new(ScenarioSpec::sync(1), &ids);
@@ -187,5 +227,27 @@ mod tests {
         // A boundary refit still works over a member view.
         alg.begin_window(1, &store.view(store.party_ids()), &mut rng);
         assert!(alg.num_label_clusters() >= 1);
+    }
+
+    #[test]
+    fn flips_balances_cohorts_and_keeps_clusters_static() {
+        let mut rng = StdRng::seed_from_u64(0);
+        let (store, ids) = two_label_regimes(&mut rng);
+        let spec = ArchSpec::mlp("t", 16, &[10], 4);
+        let mut alg = Fielding::flips(spec, TrainConfig::default(), 4);
+        assert_eq!(alg.name(), "FLIPS");
+        alg.init(&store.view(store.party_ids()), &mut rng);
+        let fitted = alg.num_label_clusters();
+        assert_eq!(fitted, 2, "two label regimes");
+        let mut engine = ScenarioEngine::new(ScenarioSpec::sync(1), &ids);
+        for _ in 0..4 {
+            run_algorithm_round(&mut alg, &mut RoundCtx::new(&store, &mut engine), &mut rng);
+        }
+        // Window boundaries leave the clustering untouched: the boundary
+        // must not draw from the RNG a refit would consume.
+        let mut untouched = rng.clone();
+        alg.begin_window(1, &store.view(store.party_ids()), &mut rng);
+        assert_eq!(alg.num_label_clusters(), fitted);
+        assert_eq!(rng.random::<u64>(), untouched.random::<u64>());
     }
 }

@@ -10,9 +10,9 @@
 //! | Baseline | Handles | Blind to |
 //! |----------|---------|----------|
 //! | [`FedAvg`] | the plain federated objective | any shift structure (single global model) |
-//! | [`FedProx`] | non-IID drift via proximal regularisation | any shift structure (single global model) |
+//! | FedProx ([`FedAvg::fedprox`]) | non-IID drift via proximal regularisation | any shift structure (single global model) |
 //! | [`OortSelector`] | system/statistical utility in selection | temporal shifts (utility assumed static) |
-//! | [`Flips`] | label imbalance via one-time cluster-balanced cohorts | any shift (clusters never refit) |
+//! | FLIPS ([`Fielding::flips`]) | label imbalance via one-time cluster-balanced cohorts | any shift (clusters never refit) |
 //! | [`Fielding`] | label-distribution changes via re-clustering | covariate shifts |
 //! | [`FedDrift`] | drift via loss-pattern clustering into multiple models | explicit covariate/label shift signals |
 
@@ -21,14 +21,10 @@
 
 mod fedavg;
 mod feddrift;
-mod fedprox;
 mod fielding;
-mod flips;
 mod oort;
 
 pub use fedavg::FedAvg;
 pub use feddrift::{FedDrift, FedDriftConfig};
-pub use fedprox::FedProx;
 pub use fielding::Fielding;
-pub use flips::Flips;
 pub use oort::{OortSelector, OortSelectorConfig};

@@ -248,7 +248,7 @@ fn bench_codecs(c: &mut Criterion) {
 }
 
 fn bench_algorithms(c: &mut Criterion) {
-    use shiftex_baselines::{FedAvg, FedDrift, FedDriftConfig, FedProx, Fielding, Flips};
+    use shiftex_baselines::{FedAvg, FedDrift, FedDriftConfig, Fielding};
     use shiftex_fl::{
         run_algorithm_round, ChurnSpec, CodecSpec, FederatedAlgorithm, PopulationStore, RoundCtx,
         ScenarioEngine, ScenarioSpec,
@@ -280,13 +280,13 @@ fn bench_algorithms(c: &mut Criterion) {
         ("fedavg", Box::new(FedAvg::new(spec.clone(), train, 100))),
         (
             "fedprox",
-            Box::new(FedProx::new(spec.clone(), train, 100, 0.01)),
+            Box::new(FedAvg::fedprox(spec.clone(), train, 100, 0.01)),
         ),
         (
             "fielding",
             Box::new(Fielding::new(spec.clone(), train, 100)),
         ),
-        ("flips", Box::new(Flips::new(spec.clone(), train, 100))),
+        ("flips", Box::new(Fielding::flips(spec.clone(), train, 100))),
         (
             "feddrift",
             Box::new(FedDrift::new(

@@ -7,7 +7,7 @@
 //! arm — the scenario driver, codecs, selectors and reports compose with it
 //! for free.
 
-use shiftex_baselines::{FedAvg, FedDrift, FedDriftConfig, FedProx, Fielding, Flips};
+use shiftex_baselines::{FedAvg, FedDrift, FedDriftConfig, Fielding};
 use shiftex_core::{ShiftEx, ShiftExConfig};
 use shiftex_fl::FederatedAlgorithm;
 use shiftex_nn::TrainConfig;
@@ -54,9 +54,9 @@ pub fn build_algorithm(
     let spec = scenario.spec.clone();
     Some(match name.to_ascii_lowercase().as_str() {
         "fedavg" => Box::new(FedAvg::new(spec, train, ppr)),
-        "fedprox" => Box::new(FedProx::new(spec, train, ppr, 0.01)),
+        "fedprox" => Box::new(FedAvg::fedprox(spec, train, ppr, 0.01)),
         "fielding" => Box::new(Fielding::new(spec, train, ppr)),
-        "flips" => Box::new(Flips::new(spec, train, ppr)),
+        "flips" => Box::new(Fielding::flips(spec, train, ppr)),
         "feddrift" => Box::new(FedDrift::new(spec, train, ppr, FedDriftConfig::default())),
         "shiftex" => {
             let cfg = ShiftExConfig {
