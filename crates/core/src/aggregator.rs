@@ -27,7 +27,9 @@ use crate::config::ShiftExConfig;
 use crate::consolidate::{consolidate_experts, MergeEvent};
 use crate::party::{compute_shift_stats, ShiftStats};
 use crate::registry::{ExpertId, ExpertRegistry};
-use crate::strategy::{build_model, evaluate_assigned_refs, evaluate_assigned_view};
+use crate::strategy::{
+    build_model, evaluate_assigned_refs, evaluate_assigned_view, MemberAccess, SliceAccess,
+};
 
 /// Upper bound on the parties contributing embeddings to threshold
 /// calibration. The split-half null needs a representative sample, not the
@@ -36,68 +38,6 @@ use crate::strategy::{build_model, evaluate_assigned_refs, evaluate_assigned_vie
 /// calibration strides evenly across the id space instead. Populations at
 /// or below the cap use every party — bit-identical to the uncapped code.
 const CALIBRATION_MAX_PARTIES: usize = 64;
-
-/// How the aggregator reaches enrolled members: by id, one at a time —
-/// either a liveness-filtered [`PopulationView`] (parties materialize
-/// lazily and are dropped after the closure) or a resident slice (the
-/// legacy representation the public slice APIs keep).
-trait MemberAccess {
-    /// Member ids in iteration order.
-    fn member_ids(&self) -> Vec<PartyId>;
-    /// Whether `id` is an enrolled member.
-    fn contains(&self, id: PartyId) -> bool;
-    /// Borrows `id`'s party for the duration of `f`.
-    fn with_member<R>(&self, id: PartyId, f: impl FnOnce(&Party) -> R) -> Option<R>;
-    /// `id`'s publishable metadata.
-    fn member_info(&self, id: PartyId) -> Option<PartyInfo>;
-}
-
-impl MemberAccess for PopulationView<'_> {
-    fn member_ids(&self) -> Vec<PartyId> {
-        self.ids().to_vec()
-    }
-    fn contains(&self, id: PartyId) -> bool {
-        PopulationView::contains(self, id)
-    }
-    fn with_member<R>(&self, id: PartyId, f: impl FnOnce(&Party) -> R) -> Option<R> {
-        self.with_party(id, f)
-    }
-    fn member_info(&self, id: PartyId) -> Option<PartyInfo> {
-        self.info(id)
-    }
-}
-
-/// Resident-slice access for the legacy `&[Party]` / `&[&Party]` APIs.
-struct SliceAccess<'a, P: Borrow<Party>> {
-    items: &'a [P],
-    index: BTreeMap<PartyId, usize>,
-}
-
-impl<'a, P: Borrow<Party>> SliceAccess<'a, P> {
-    fn new(items: &'a [P]) -> Self {
-        let index = items
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (p.borrow().id(), i))
-            .collect();
-        Self { items, index }
-    }
-}
-
-impl<P: Borrow<Party>> MemberAccess for SliceAccess<'_, P> {
-    fn member_ids(&self) -> Vec<PartyId> {
-        self.items.iter().map(|p| p.borrow().id()).collect()
-    }
-    fn contains(&self, id: PartyId) -> bool {
-        self.index.contains_key(&id)
-    }
-    fn with_member<R>(&self, id: PartyId, f: impl FnOnce(&Party) -> R) -> Option<R> {
-        self.index.get(&id).map(|&i| f(self.items[i].borrow()))
-    }
-    fn member_info(&self, id: PartyId) -> Option<PartyInfo> {
-        self.with_member(id, |p| p.info())
-    }
-}
 
 /// What happened in one window of aggregator-side processing.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

@@ -9,7 +9,10 @@
 //! flat parameters and scoring a population under a per-party parameter
 //! assignment.
 
-use shiftex_fl::{Party, PartyId, PopulationView};
+use std::borrow::Borrow;
+use std::collections::BTreeMap;
+
+use shiftex_fl::{Party, PartyId, PartyInfo, PopulationView};
 use shiftex_nn::{ArchSpec, Sequential};
 
 /// Builds a model with the given flat parameters (helper shared by all
@@ -25,8 +28,7 @@ pub fn evaluate_assigned<'a>(
     parties: &[Party],
     params_of: impl FnMut(PartyId) -> &'a [f32],
 ) -> f32 {
-    let refs: Vec<&Party> = parties.iter().collect();
-    evaluate_assigned_refs(spec, &refs, params_of)
+    evaluate_assigned_members(spec, &SliceAccess::new(parties), params_of)
 }
 
 /// Like [`evaluate_assigned`] but over borrowed parties — scenario loops
@@ -35,56 +37,37 @@ pub fn evaluate_assigned<'a>(
 pub fn evaluate_assigned_refs<'a>(
     spec: &ArchSpec,
     parties: &[&Party],
-    mut params_of: impl FnMut(PartyId) -> &'a [f32],
+    params_of: impl FnMut(PartyId) -> &'a [f32],
 ) -> f32 {
-    let mut correct = 0.0f64;
-    let mut total = 0usize;
-    // Cache built models by parameter pointer identity is overkill here;
-    // group parties by identical parameter slices instead.
-    let mut cache: Vec<(&[f32], Sequential)> = Vec::new();
-    for &party in parties {
-        if party.test().is_empty() {
-            continue;
-        }
-        let params = params_of(party.id());
-        let slot = match cache
-            .iter()
-            .position(|(p, _)| std::ptr::eq(p.as_ptr(), params.as_ptr()))
-        {
-            Some(i) => i,
-            None => {
-                cache.push((params, build_model(spec, params)));
-                cache.len() - 1
-            }
-        };
-        let model = &cache[slot].1;
-        let report = model.evaluate(party.test_features(), party.test_labels());
-        correct += report.accuracy as f64 * report.n as f64;
-        total += report.n;
-    }
-    if total == 0 {
-        0.0
-    } else {
-        (correct / total as f64) as f32
-    }
+    evaluate_assigned_members(spec, &SliceAccess::new(parties), params_of)
 }
 
 /// Like [`evaluate_assigned_refs`] but streamed through a
 /// [`PopulationView`]: each party is materialized transiently in view
 /// order and dropped after scoring, so assigned evaluation is
-/// O(1)-resident at any population size. Accumulation order, arithmetic,
-/// and the parameter-identity model cache are identical to the slice
-/// version, so results are bit-identical.
+/// O(1)-resident at any population size. It is the same body as the slice
+/// versions, so results are bit-identical.
 pub fn evaluate_assigned_view<'a>(
     spec: &ArchSpec,
     parties: &PopulationView<'_>,
+    params_of: impl FnMut(PartyId) -> &'a [f32],
+) -> f32 {
+    evaluate_assigned_members(spec, parties, params_of)
+}
+
+/// The one scoring loop behind the three public entry points: members are
+/// visited one at a time in [`MemberAccess::member_ids`] order.
+fn evaluate_assigned_members<'a, M: MemberAccess>(
+    spec: &ArchSpec,
+    members: &M,
     mut params_of: impl FnMut(PartyId) -> &'a [f32],
 ) -> f32 {
     let mut correct = 0.0f64;
     let mut total = 0usize;
+    // One built model per distinct parameter slice (by pointer identity).
     let mut cache: Vec<(&[f32], Sequential)> = Vec::new();
-    for &id in parties.ids() {
-        parties.with_party(id, |party| {
+    for id in members.member_ids() {
+        members.with_member(id, |party| {
             if party.test().is_empty() {
                 return;
             }
@@ -109,6 +92,68 @@ pub fn evaluate_assigned_view<'a>(
         0.0
     } else {
         (correct / total as f64) as f32
+    }
+}
+
+/// How ShiftEx reaches enrolled members: by id, one at a time —
+/// either a liveness-filtered [`PopulationView`] (parties materialize
+/// lazily and are dropped after the closure) or a resident slice (the
+/// legacy representation the public slice APIs keep).
+pub(crate) trait MemberAccess {
+    /// Member ids in iteration order.
+    fn member_ids(&self) -> Vec<PartyId>;
+    /// Whether `id` is an enrolled member.
+    fn contains(&self, id: PartyId) -> bool;
+    /// Borrows `id`'s party for the duration of `f`.
+    fn with_member<R>(&self, id: PartyId, f: impl FnOnce(&Party) -> R) -> Option<R>;
+    /// `id`'s publishable metadata.
+    fn member_info(&self, id: PartyId) -> Option<PartyInfo>;
+}
+
+impl MemberAccess for PopulationView<'_> {
+    fn member_ids(&self) -> Vec<PartyId> {
+        self.ids().to_vec()
+    }
+    fn contains(&self, id: PartyId) -> bool {
+        PopulationView::contains(self, id)
+    }
+    fn with_member<R>(&self, id: PartyId, f: impl FnOnce(&Party) -> R) -> Option<R> {
+        self.with_party(id, f)
+    }
+    fn member_info(&self, id: PartyId) -> Option<PartyInfo> {
+        self.info(id)
+    }
+}
+
+/// Resident-slice access for the legacy `&[Party]` / `&[&Party]` APIs.
+pub(crate) struct SliceAccess<'a, P: Borrow<Party>> {
+    items: &'a [P],
+    index: BTreeMap<PartyId, usize>,
+}
+
+impl<'a, P: Borrow<Party>> SliceAccess<'a, P> {
+    pub(crate) fn new(items: &'a [P]) -> Self {
+        let index = items
+            .iter()
+            .enumerate()
+            .map(|(i, p)| (p.borrow().id(), i))
+            .collect();
+        Self { items, index }
+    }
+}
+
+impl<P: Borrow<Party>> MemberAccess for SliceAccess<'_, P> {
+    fn member_ids(&self) -> Vec<PartyId> {
+        self.items.iter().map(|p| p.borrow().id()).collect()
+    }
+    fn contains(&self, id: PartyId) -> bool {
+        self.index.contains_key(&id)
+    }
+    fn with_member<R>(&self, id: PartyId, f: impl FnOnce(&Party) -> R) -> Option<R> {
+        self.index.get(&id).map(|&i| f(self.items[i].borrow()))
+    }
+    fn member_info(&self, id: PartyId) -> Option<PartyInfo> {
+        self.with_member(id, |p| p.info())
     }
 }
 

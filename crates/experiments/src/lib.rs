@@ -16,6 +16,7 @@
 //! * [`metrics`] — Accuracy Drop / Recovery Time / Max Accuracy per window,
 //!   aggregated over repeated runs.
 //! * [`report`] — text tables, figure series and CSV dumps.
+//! * [`tables`] — the shared `main` of the `table1` / `table2` binaries.
 //!
 //! Binaries under `src/bin/` map one-to-one onto the paper's artifacts; see
 //! `DESIGN.md` §4 for the index.
@@ -31,6 +32,7 @@ pub mod population;
 pub mod report;
 pub mod runner;
 pub mod scenario;
+pub mod tables;
 
 pub use algorithms::{build_algorithm, ALGORITHMS, ALGORITHM_NAMES};
 pub use metrics::{aggregate_windows, WindowMetrics, WindowMetricsAgg};
@@ -46,3 +48,4 @@ pub use scenario::{
     budget_spec_from_args, codec_spec_from_args, federation_spec_from_args, fold_policy_from_args,
     Scenario,
 };
+pub use tables::run_tables;
