@@ -23,7 +23,6 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use shiftex_fl::{Party, PartyId, PartyProvider, PopulationStore};
-use std::collections::BTreeMap;
 
 use crate::scenario::Scenario;
 
@@ -39,19 +38,21 @@ pub fn party_stream_seed(stream_seed: u64, id: PartyId, window: usize) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Builds `id`'s party at `window` by replaying its window chain: window 0
-/// from the `(id, 0)` stream, then [`Scenario::advance_party`] once per
-/// window with the `(id, w)` stream. The chain is what keeps sliding-window
-/// carry-over and `prev_train` (the shift detector's reference window)
-/// exactly as a resident party would hold them.
-fn build_chained(scenario: &Scenario, stream_seed: u64, id: PartyId, window: usize) -> Party {
-    let mut rng = StdRng::seed_from_u64(party_stream_seed(stream_seed, id, 0));
-    let mut party = scenario.build_party(id.0, &mut rng);
-    for w in 1..=window {
-        let mut rng = StdRng::seed_from_u64(party_stream_seed(stream_seed, id, w));
-        scenario.advance_party(&mut party, w, &mut rng);
+/// Party `i` at window 0, from its own `(id, 0)` stream.
+fn build_window0(scenario: &Scenario, stream_seed: u64, i: usize) -> Party {
+    let seed = party_stream_seed(stream_seed, PartyId(i), 0);
+    scenario.build_party(i, &mut StdRng::seed_from_u64(seed))
+}
+
+/// Advances `party` through every window in `(from, to]`, one
+/// [`Scenario::advance_party`] step per window from the `(id, w)` stream.
+/// The chain is what keeps sliding-window carry-over and `prev_train` (the
+/// shift detector's reference window) the same however a party got there.
+fn replay(scenario: &Scenario, stream_seed: u64, party: &mut Party, from: usize, to: usize) {
+    for w in from + 1..=to {
+        let seed = party_stream_seed(stream_seed, party.id(), w);
+        scenario.advance_party(party, w, &mut StdRng::seed_from_u64(seed));
     }
-    party
 }
 
 /// Party provider that materializes nothing until asked.
@@ -92,7 +93,9 @@ impl PartyProvider for LazyPopulation {
 
     fn with_party(&self, id: PartyId, window: usize, f: &mut dyn FnMut(&Party)) {
         if id.0 < self.scenario.profile.num_parties {
-            f(&build_chained(&self.scenario, self.stream_seed, id, window));
+            let mut party = build_window0(&self.scenario, self.stream_seed, id.0);
+            replay(&self.scenario, self.stream_seed, &mut party, 0, window);
+            f(&party);
         }
     }
 }
@@ -105,37 +108,23 @@ impl PartyProvider for LazyPopulation {
 pub struct ResidentPopulation {
     scenario: Scenario,
     stream_seed: u64,
+    /// `parties[i]` is party `PartyId(i)`.
     parties: Vec<Party>,
-    index: BTreeMap<PartyId, usize>,
     /// Window the resident parties currently hold.
     window: usize,
-}
-
-/// Every party at window 0, each from its own `(id, 0)` stream.
-fn build_window0(scenario: &Scenario, stream_seed: u64) -> Vec<Party> {
-    (0..scenario.profile.num_parties)
-        .map(|i| {
-            let seed = party_stream_seed(stream_seed, PartyId(i), 0);
-            scenario.build_party(i, &mut StdRng::seed_from_u64(seed))
-        })
-        .collect()
 }
 
 impl ResidentPopulation {
     /// Materializes the whole population at window 0 from the per-party
     /// streams.
     pub fn new(scenario: Scenario, stream_seed: u64) -> Self {
-        let parties = build_window0(&scenario, stream_seed);
-        let index = parties
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (p.id(), i))
+        let parties = (0..scenario.profile.num_parties)
+            .map(|i| build_window0(&scenario, stream_seed, i))
             .collect();
         Self {
             scenario,
             stream_seed,
             parties,
-            index,
             window: 0,
         }
     }
@@ -148,23 +137,17 @@ impl ResidentPopulation {
 
 impl PartyProvider for ResidentPopulation {
     fn party_ids(&self) -> Vec<PartyId> {
-        self.parties.iter().map(|p| p.id()).collect()
+        (0..self.parties.len()).map(PartyId).collect()
     }
 
     fn with_party(&self, id: PartyId, _window: usize, f: &mut dyn FnMut(&Party)) {
-        if let Some(&i) = self.index.get(&id) {
-            f(&self.parties[i]);
+        if let Some(party) = self.parties.get(id.0) {
+            f(party);
         }
     }
 
     fn with_party_mut(&mut self, id: PartyId, f: &mut dyn FnMut(&mut Party)) -> bool {
-        match self.index.get(&id) {
-            Some(&i) => {
-                f(&mut self.parties[i]);
-                true
-            }
-            None => false,
-        }
+        self.parties.get_mut(id.0).map(f).is_some()
     }
 
     /// Replays every window in `(current, window]` so a jump lands on the
@@ -172,15 +155,10 @@ impl PartyProvider for ResidentPopulation {
     /// step backwards restarts the chain from window 0.
     fn advance_window(&mut self, window: usize) {
         if window < self.window {
-            self.parties = build_window0(&self.scenario, self.stream_seed);
-            self.window = 0;
+            *self = Self::new(self.scenario.clone(), self.stream_seed);
         }
-        for w in self.window + 1..=window {
-            for party in &mut self.parties {
-                let seed = party_stream_seed(self.stream_seed, party.id(), w);
-                self.scenario
-                    .advance_party(party, w, &mut StdRng::seed_from_u64(seed));
-            }
+        for party in &mut self.parties {
+            replay(&self.scenario, self.stream_seed, party, self.window, window);
         }
         self.window = window;
     }
