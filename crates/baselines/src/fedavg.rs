@@ -20,7 +20,6 @@ use shiftex_nn::{ArchSpec, Sequential, TrainConfig};
 /// The FedAvg baseline, and FedProx via [`FedAvg::fedprox`].
 #[derive(Debug)]
 pub struct FedAvg {
-    name: &'static str,
     spec: ArchSpec,
     train: TrainConfig,
     participants_per_round: usize,
@@ -29,10 +28,10 @@ pub struct FedAvg {
 
 impl FedAvg {
     /// Creates a FedAvg instance. Model parameters are drawn from the run's
-    /// RNG stream at [`FederatedAlgorithm::init`] time.
+    /// RNG stream at [`FederatedAlgorithm::init`] time. A `train` config that
+    /// already carries a proximal coefficient makes it FedProx.
     pub fn new(spec: ArchSpec, train: TrainConfig, participants_per_round: usize) -> Self {
         Self {
-            name: "FedAvg",
             spec,
             train,
             participants_per_round,
@@ -57,10 +56,7 @@ impl FedAvg {
             prox_mu: Some(mu),
             ..train
         };
-        Self {
-            name: "FedProx",
-            ..Self::new(spec, train, participants_per_round)
-        }
+        Self::new(spec, train, participants_per_round)
     }
 
     /// Current global parameters (empty before `init`).
@@ -71,7 +67,10 @@ impl FedAvg {
 
 impl FederatedAlgorithm for FedAvg {
     fn name(&self) -> &str {
-        self.name
+        match self.train.prox_mu {
+            Some(_) => "FedProx",
+            None => "FedAvg",
+        }
     }
 
     fn arch(&self) -> &ArchSpec {
