@@ -1069,6 +1069,78 @@ mod tests {
     }
 
     #[test]
+    fn driver_rounds_match_the_slice_api_bit_for_bit() {
+        use shiftex_fl::{
+            run_algorithm_round, PopulationStore, RoundCtx, ScenarioEngine, ScenarioSpec,
+        };
+        let fog = Regime::corrupted(Corruption::Fog, 4);
+
+        // Arm A — the standalone slice API, mirroring `init` (template
+        // redrawn from the run RNG, then a zero-round bootstrap).
+        let (gen, mut parties, template, mut rng_a) = setup(8);
+        let mut a = ShiftEx::new(template.cfg.clone(), template.spec.clone(), &mut rng_a);
+        a.bootstrap(&parties, 0, &mut rng_a);
+        for _ in 0..3 {
+            a.train_round(&parties, &mut rng_a);
+        }
+        let a_one = expert_fingerprint(&a);
+        advance_with_regime(&mut parties, &gen, &fog, &[0, 1, 2, 3], 48, &mut rng_a);
+        let a_report = a.process_window(&parties, &mut rng_a);
+        for _ in 0..3 {
+            a.train_round(&parties, &mut rng_a);
+        }
+
+        // Arm B — the same federation through `FederatedAlgorithm` and the
+        // one round driver, clean synchronous protocol.
+        let (gen, parties_b, mut b, mut rng_b) = setup(8);
+        let ids: Vec<PartyId> = parties_b.iter().map(|p| p.id()).collect();
+        let mut store = PopulationStore::from_parties(parties_b);
+        let mut engine = ScenarioEngine::new(ScenarioSpec::sync(0), &ids);
+        b.init(&store.view(ids.clone()), &mut rng_b);
+        for _ in 0..3 {
+            run_algorithm_round(&mut b, &mut RoundCtx::new(&store, &mut engine), &mut rng_b);
+        }
+        let b_one = expert_fingerprint(&b);
+        for (i, &id) in ids.iter().enumerate() {
+            let (train, test) = if i < 4 {
+                (
+                    gen.generate_with_regime(48, &fog, &mut rng_b),
+                    gen.generate_with_regime(24, &fog, &mut rng_b),
+                )
+            } else {
+                (
+                    gen.generate_uniform(48, &mut rng_b),
+                    gen.generate_uniform(24, &mut rng_b),
+                )
+            };
+            store.with_party_mut(id, |p| p.advance_window(train, test));
+        }
+        b.begin_window(1, &store.view(ids.clone()), &mut rng_b);
+        assert_eq!(b.num_experts(), 2);
+        for _ in 0..3 {
+            run_algorithm_round(&mut b, &mut RoundCtx::new(&store, &mut engine), &mut rng_b);
+        }
+
+        println!(
+            "driver fingerprints: one expert {b_one:#018x}, two experts {:#018x}",
+            expert_fingerprint(&b)
+        );
+        assert_eq!(a_one, b_one, "W0 rounds");
+        assert_eq!(Some(&a_report), b.last_report(), "window report");
+        assert_eq!(expert_fingerprint(&a), expert_fingerprint(&b), "W1 rounds");
+        assert_eq!(
+            a.evaluate(&parties).to_bits(),
+            b.eval(&store.view(ids)).to_bits(),
+            "evaluate vs eval"
+        );
+        assert_eq!(
+            rng_a.random::<u64>(),
+            rng_b.random::<u64>(),
+            "RNG draw count"
+        );
+    }
+
+    #[test]
     fn max_experts_cap_is_respected() {
         let (gen, mut parties, mut shiftex, mut rng) = setup(8);
         shiftex.cfg.max_experts = 2;
