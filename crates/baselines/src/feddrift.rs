@@ -18,10 +18,9 @@ use std::collections::BTreeMap;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 use shiftex_cluster::choose_k;
-use shiftex_core::strategy::{build_model, evaluate_assigned_view};
 use shiftex_fl::{
-    aggregate_robust, FederatedAlgorithm, FoldPolicy, ParticipantSelector, PartyId, PopulationView,
-    UpdateVerdict, WeightedUpdate,
+    aggregate_robust, evaluate_assigned_view, FederatedAlgorithm, FoldPolicy, ParticipantSelector,
+    PartyId, PopulationView, UpdateVerdict, WeightedUpdate,
 };
 use shiftex_nn::{ArchSpec, Sequential, TrainConfig};
 
@@ -89,7 +88,7 @@ impl FedDrift {
         let built: Vec<Sequential> = self
             .models
             .iter()
-            .map(|m| build_model(&self.spec, m))
+            .map(|m| Sequential::from_params(&self.spec, m))
             .collect();
         parties
             .ids()

@@ -7,7 +7,10 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rand::{rngs::StdRng, SeedableRng};
 use shiftex_core::{ShiftEx, ShiftExConfig};
 use shiftex_data::{Corruption, ImageShape, PrototypeGenerator, Regime};
-use shiftex_fl::{Party, PartyId};
+use shiftex_fl::{
+    run_algorithm_round, FederatedAlgorithm, Party, PartyId, PopulationStore, RoundCtx,
+    ScenarioEngine, ScenarioSpec,
+};
 use shiftex_nn::{fedavg, ArchSpec, Sequential};
 
 fn make_parties(n: usize, samples: usize, seed: u64) -> (PrototypeGenerator, Vec<Party>) {
@@ -43,7 +46,9 @@ fn bench_window_step(c: &mut Criterion) {
     group.bench_function("process_window_8_parties", |b| {
         b.iter_with_setup(
             || {
-                let (gen, mut parties) = make_parties(8, 40, 4);
+                let (gen, parties) = make_parties(8, 40, 4);
+                let mut store = PopulationStore::from_parties(parties);
+                let ids = store.party_ids();
                 let spec =
                     ArchSpec::resnet18_lite(shiftex_nn::InputShape { c: 3, h: 8, w: 8 }, 10, 24);
                 let mut rng = StdRng::seed_from_u64(5);
@@ -55,10 +60,18 @@ fn bench_window_step(c: &mut Criterion) {
                     spec,
                     &mut rng,
                 );
-                shiftex.bootstrap(&parties, 2, &mut rng);
+                shiftex.init(&store.view(ids.clone()), &mut rng);
+                let mut engine = ScenarioEngine::new(ScenarioSpec::sync(0), &ids);
+                for _ in 0..2 {
+                    run_algorithm_round(
+                        &mut shiftex,
+                        &mut RoundCtx::new(&store, &mut engine),
+                        &mut rng,
+                    );
+                }
                 let fog = Regime::corrupted(Corruption::Fog, 5);
-                for (i, p) in parties.iter_mut().enumerate() {
-                    let (tr, te) = if i < 4 {
+                for &id in &ids {
+                    let (tr, te) = if id.0 < 4 {
                         (
                             gen.generate_with_regime(40, &fog, &mut rng),
                             gen.generate_with_regime(20, &fog, &mut rng),
@@ -69,11 +82,13 @@ fn bench_window_step(c: &mut Criterion) {
                             gen.generate_uniform(20, &mut rng),
                         )
                     };
-                    p.advance_window(tr, te);
+                    store.with_party_mut(id, |p| p.advance_window(tr, te));
                 }
-                (shiftex, parties, rng)
+                (shiftex, store, rng)
             },
-            |(mut shiftex, parties, mut rng)| shiftex.process_window(&parties, &mut rng),
+            |(mut shiftex, store, mut rng)| {
+                shiftex.begin_window(1, &store.view(store.party_ids()), &mut rng)
+            },
         )
     });
     group.finish();

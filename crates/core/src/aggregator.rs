@@ -5,31 +5,31 @@
 //! existing experts through the latent memory (or create new experts),
 //! train each expert with FLIPS label-balanced cohorts, locally fine-tune
 //! sub-γ clusters, and consolidate near-duplicate experts.
+//!
+//! [`ShiftEx`] has no runtime of its own: it implements
+//! [`FederatedAlgorithm`] and is trained, like every baseline, by
+//! [`shiftex_fl::run_algorithm_round`].
 
-use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 use rand::rngs::StdRng;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 use shiftex_cluster::choose_k;
 use shiftex_detect::{CalibratedThresholds, EmbeddingProfile, RbfKernel, ThresholdCalibrator};
 use shiftex_fl::{
-    aggregate_robust, local_update, FederatedAlgorithm, FoldPolicy, ModelUpdate,
-    ParticipantSelector, Party, PartyId, PartyInfo, PopulationView, UniformSelector, UpdateVerdict,
-    WeightedUpdate,
+    aggregate_robust, evaluate_assigned_view, FederatedAlgorithm, FoldPolicy, ParticipantSelector,
+    PartyId, PartyInfo, PopulationView, UniformSelector, UpdateVerdict, WeightedUpdate,
 };
 use shiftex_flips::FlipsSelector;
-use shiftex_nn::{fedavg, train_local_params, ArchSpec, Sequential, TrainConfig};
+use shiftex_nn::{train_local_params, ArchSpec, Sequential, TrainConfig};
 use shiftex_tensor::Matrix;
 
 use crate::config::ShiftExConfig;
 use crate::consolidate::{consolidate_experts, MergeEvent};
+use crate::memory::LatentMemory;
 use crate::party::{compute_shift_stats, ShiftStats};
 use crate::registry::{ExpertId, ExpertRegistry};
-use crate::strategy::{
-    build_model, evaluate_assigned_refs, evaluate_assigned_view, MemberAccess, SliceAccess,
-};
+use crate::snapshot::{RegistrySnapshot, SNAPSHOT_VERSION};
 
 /// Upper bound on the parties contributing embeddings to threshold
 /// calibration. The split-half null needs a representative sample, not the
@@ -80,14 +80,11 @@ pub struct ShiftEx {
     /// Kernel fixed at calibration time; all MMD scores (detection, memory
     /// matching) use this bandwidth so they are comparable to `δ_cov`.
     kernel: Option<RbfKernel>,
-    /// θ0 — the bootstrap template cloned for new experts (Algorithm 2
-    /// line 20).
-    bootstrap_params: Vec<f32>,
-    /// Frozen encoder parameters for embedding extraction. Fixed at the end
-    /// of the bootstrap phase so profiles are comparable across windows,
-    /// parties and the latent memory (the paper's "reliance on frozen
-    /// encoders", §9).
-    encoder_params: Vec<f32>,
+    /// θ0 — the frozen encoder for embedding extraction and the template
+    /// cloned for new experts (Algorithm 2 line 20). Fixed at the end of the
+    /// W0 burn-in so profiles are comparable across windows, parties and
+    /// the latent memory (the paper's "reliance on frozen encoders", §9).
+    frozen_params: Vec<f32>,
     window: usize,
     stats: BTreeMap<PartyId, ShiftStats>,
     last_report: Option<WindowReport>,
@@ -101,7 +98,7 @@ impl ShiftEx {
     /// Panics if the configuration is invalid.
     pub fn new(cfg: ShiftExConfig, spec: ArchSpec, rng: &mut StdRng) -> Self {
         cfg.validate();
-        let bootstrap_params = Sequential::build(&spec, rng).params_flat();
+        let frozen_params = Sequential::build(&spec, rng).params_flat();
         Self {
             cfg,
             spec,
@@ -110,8 +107,7 @@ impl ShiftEx {
             personal: BTreeMap::new(),
             thresholds: None,
             kernel: None,
-            encoder_params: bootstrap_params.clone(),
-            bootstrap_params,
+            frozen_params,
             window: 0,
             stats: BTreeMap::new(),
             last_report: None,
@@ -143,55 +139,53 @@ impl ShiftEx {
         &self.assignment
     }
 
-    /// Calibrated thresholds, once available.
-    pub fn thresholds(&self) -> Option<CalibratedThresholds> {
-        self.thresholds
-    }
-
     /// Report of the most recent window.
     pub fn last_report(&self) -> Option<&WindowReport> {
         self.last_report.as_ref()
     }
 
-    /// The frozen encoder parameters used for embedding extraction
-    /// (fixed at the end of the bootstrap phase).
-    pub fn encoder_params(&self) -> &[f32] {
-        &self.encoder_params
-    }
-
-    /// Current window index (0 until the first `process_window`).
+    /// Current window index (0 until the first
+    /// [`begin_window`](FederatedAlgorithm::begin_window)).
     pub fn window(&self) -> usize {
         self.window
     }
 
-    /// Personalised (sub-γ fine-tuned) parameters currently in force.
-    pub fn personal_params(&self) -> impl Iterator<Item = (PartyId, &[f32])> {
-        self.personal.iter().map(|(p, v)| (*p, v.as_slice()))
+    /// Captures the current serving state as a snapshot.
+    pub fn snapshot(&self) -> RegistrySnapshot {
+        RegistrySnapshot {
+            version: SNAPSHOT_VERSION,
+            window: self.window,
+            registry: self.registry.clone(),
+            assignment: self.assignment.iter().map(|(p, e)| (*p, *e)).collect(),
+            personal: self.personal.iter().map(|(p, v)| (*p, v.clone())).collect(),
+            thresholds: self.thresholds,
+            kernel: self.kernel,
+            frozen_params: self.frozen_params.clone(),
+        }
     }
 
-    /// Restores serving state (used by [`crate::snapshot`]).
-    pub(crate) fn restore_parts(
-        &mut self,
-        window: usize,
-        registry: ExpertRegistry,
-        assignment: Vec<(PartyId, ExpertId)>,
-        personal: Vec<(PartyId, Vec<f32>)>,
-        thresholds: Option<CalibratedThresholds>,
-    ) {
-        assert!(!registry.is_empty(), "cannot restore an empty registry");
-        self.window = window;
-        // The first expert's parameters double as encoder/θ0 on restore;
-        // they were frozen from the same model at snapshot time.
-        let first = registry.ids()[0];
-        let params = registry.live(first).params.clone();
-        self.encoder_params = params.clone();
-        self.bootstrap_params = params;
-        self.registry = registry;
-        self.assignment = assignment.into_iter().collect();
-        self.personal = personal.into_iter().collect();
-        self.thresholds = thresholds;
+    /// Restores serving state from a snapshot: expert parameters and
+    /// memories, assignments, thresholds, and the calibrated kernel and
+    /// frozen encoder every later MMD is scored under. Per-party shift
+    /// statistics are not part of a snapshot; the next window recomputes
+    /// them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the snapshot's registry is empty.
+    pub fn restore(&mut self, snapshot: RegistrySnapshot) {
+        assert!(
+            !snapshot.registry.is_empty(),
+            "cannot restore an empty registry"
+        );
+        self.window = snapshot.window;
+        self.registry = snapshot.registry;
+        self.assignment = snapshot.assignment.into_iter().collect();
+        self.personal = snapshot.personal.into_iter().collect();
+        self.thresholds = snapshot.thresholds;
+        self.kernel = snapshot.kernel;
+        self.frozen_params = snapshot.frozen_params;
         self.stats.clear();
-        self.kernel = None; // re-derived at the next calibration
     }
 
     /// The most recent shift statistics per party (diagnostics, TEE export).
@@ -199,242 +193,26 @@ impl ShiftEx {
         self.stats.values()
     }
 
-    /// Bootstrap phase (§4.1): creates expert 0 from the template, assigns
-    /// every party to it, runs `rounds` FLIPS-balanced federated rounds, and
-    /// records each party's initial profile.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parties` is empty.
-    pub fn bootstrap(&mut self, parties: &[Party], rounds: usize, rng: &mut StdRng) {
-        self.bootstrap_impl(&SliceAccess::new(parties), rounds, rng);
-    }
-
-    fn bootstrap_impl<M: MemberAccess>(&mut self, parties: &M, rounds: usize, rng: &mut StdRng) {
-        let ids = parties.member_ids();
-        assert!(!ids.is_empty(), "bootstrap needs parties");
-        self.window = 0;
-        // Provisional stats (for FLIPS label histograms during the burn-in
-        // rounds) under the untrained template. Parties are visited one at a
-        // time so a lazy population only ever has one resident member here.
-        let template = build_model(&self.spec, &self.bootstrap_params);
-        let provisional: Vec<ShiftStats> = ids
+    /// Party side (Algorithm 1): every member of `parties` computes and
+    /// "transmits" its shift statistics under `model`. Each member is
+    /// materialized, summarised, and dropped in turn — only the
+    /// O(profile_rows) statistics stay resident.
+    fn shift_stats(
+        &self,
+        parties: &PopulationView<'_>,
+        model: &Sequential,
+        kernel: Option<&RbfKernel>,
+        rng: &mut StdRng,
+    ) -> Vec<ShiftStats> {
+        parties
+            .ids()
             .iter()
             .filter_map(|&id| {
-                parties.with_member(id, |p| {
-                    compute_shift_stats(p, &template, self.cfg.profile_rows, None, rng)
+                parties.with_party(id, |p| {
+                    compute_shift_stats(p, model, self.cfg.profile_rows, kernel, rng)
                 })
             })
-            .collect();
-        let profile_refs: Vec<&EmbeddingProfile> = provisional.iter().map(|s| &s.profile).collect();
-        let pooled = EmbeddingProfile::pool(&profile_refs, self.cfg.profile_rows * 2, rng);
-        let expert0 = self
-            .registry
-            .create(self.bootstrap_params.clone(), &pooled, 0);
-        for &id in &ids {
-            self.assignment.insert(id, expert0);
-        }
-        for s in provisional {
-            self.stats.insert(s.party, s);
-        }
-        self.refresh_cohort_sizes();
-        for _ in 0..rounds {
-            self.train_round_impl(parties, rng);
-        }
-        // Freeze the encoder at the bootstrap-trained global model and keep
-        // θ0 = that model as the clone template for new experts.
-        let trained = self.registry.live(expert0).params.clone();
-        self.bootstrap_params = trained.clone();
-        self.encoder_params = trained;
-
-        // Recompute stats and the expert-0 latent signature under the frozen
-        // encoder so every later comparison shares one embedding space.
-        let encoder = build_model(&self.spec, &self.encoder_params);
-        let final_stats: Vec<ShiftStats> = ids
-            .iter()
-            .filter_map(|&id| {
-                parties.with_member(id, |p| {
-                    compute_shift_stats(p, &encoder, self.cfg.profile_rows, None, rng)
-                })
-            })
-            .collect();
-        let profile_refs: Vec<&EmbeddingProfile> = final_stats.iter().map(|s| &s.profile).collect();
-        let pooled = EmbeddingProfile::pool(&profile_refs, self.cfg.profile_rows * 2, rng);
-        self.registry.live_mut(expert0).memory = crate::memory::LatentMemory::from_profile(&pooled);
-        self.stats = final_stats.into_iter().map(|s| (s.party, s)).collect();
-    }
-
-    /// Processes one new window (Algorithm 2 body). Parties' data must have
-    /// been advanced first.
-    pub fn process_window(
-        &mut self,
-        parties: &[impl Borrow<Party>],
-        rng: &mut StdRng,
-    ) -> WindowReport {
-        self.process_window_impl(&SliceAccess::new(parties), rng)
-    }
-
-    fn process_window_impl<M: MemberAccess>(
-        &mut self,
-        parties: &M,
-        rng: &mut StdRng,
-    ) -> WindowReport {
-        self.window += 1;
-        if self.window == 1 {
-            // End of the burn-in: W0 training (however it was driven — via
-            // `bootstrap(…, rounds)` or external `train_round` calls) is
-            // complete, so *now* freeze the encoder and the θ0 clone
-            // template at the trained global model, and re-tag expert 0's
-            // latent memory in the frozen embedding space.
-            self.freeze_encoder_impl(parties, rng);
-        }
-        // --- Thresholds and kernel: calibrate lazily from the previous
-        // (stable) window before any score is computed, so every MMD below
-        // shares the calibrated bandwidth.
-        let thresholds = self.ensure_thresholds_impl(parties, rng);
-
-        // --- Party side (Algorithm 1): compute and "transmit" statistics.
-        // All embeddings come from the frozen encoder so windows, parties
-        // and the latent memory share one comparable embedding space. Each
-        // member is materialized, summarised, and dropped in turn — only
-        // the O(profile_rows) statistics stay resident.
-        let encoder = build_model(&self.spec, &self.encoder_params);
-        let kernel = self.kernel;
-        let all_stats: Vec<ShiftStats> = parties
-            .member_ids()
-            .into_iter()
-            .filter_map(|id| {
-                parties.with_member(id, |party| {
-                    compute_shift_stats(
-                        party,
-                        &encoder,
-                        self.cfg.profile_rows,
-                        kernel.as_ref(),
-                        rng,
-                    )
-                })
-            })
-            .collect();
-
-        // --- Detection.
-        let cov_shifted: Vec<PartyId> = all_stats
-            .iter()
-            .filter(|s| s.mmd > thresholds.delta_cov)
-            .map(|s| s.party)
-            .collect();
-        let label_shifted: Vec<PartyId> = all_stats
-            .iter()
-            .filter(|s| s.jsd > thresholds.delta_label)
-            .map(|s| s.party)
-            .collect();
-        let mut shifted: Vec<PartyId> = cov_shifted.clone();
-        for id in &label_shifted {
-            if !shifted.contains(id) {
-                shifted.push(*id);
-            }
-        }
-
-        let mut report = WindowReport {
-            window: self.window,
-            cov_shifted,
-            label_shifted,
-            num_clusters: 0,
-            created: Vec::new(),
-            reused: Vec::new(),
-            finetuned: Vec::new(),
-            merges: Vec::new(),
-            cohort_sizes: Vec::new(),
-            delta_cov: thresholds.delta_cov,
-            delta_label: thresholds.delta_label,
-        };
-
-        let stats_by_id: BTreeMap<PartyId, &ShiftStats> =
-            all_stats.iter().map(|s| (s.party, s)).collect();
-
-        if !shifted.is_empty() {
-            // --- Cluster shifted parties on their latent profile means.
-            let points: Vec<Vec<f32>> = shifted
-                .iter()
-                .map(|id| stats_by_id[id].profile.mean().to_vec())
-                .collect();
-            let selection = choose_k(&points, self.cfg.max_clusters_per_window, rng);
-            let groups = selection.result.groups();
-            report.num_clusters = groups.len();
-
-            for group in &groups {
-                let members: Vec<PartyId> = group.iter().map(|&i| shifted[i]).collect();
-                if members.is_empty() {
-                    continue;
-                }
-                let profiles: Vec<&EmbeddingProfile> =
-                    members.iter().map(|id| &stats_by_id[id].profile).collect();
-                let pooled = EmbeddingProfile::pool(&profiles, self.cfg.profile_rows * 2, rng);
-
-                if members.len() >= self.cfg.gamma_min_cluster {
-                    let target = self.match_or_create(&pooled, thresholds.delta_cov, &mut report);
-                    for id in &members {
-                        self.assignment.insert(*id, target);
-                        self.personal.remove(id);
-                    }
-                } else {
-                    // Sub-γ cluster: local fine-tuning on the assigned expert.
-                    for id in &members {
-                        let base = self.personal.get(id).cloned().unwrap_or_else(|| {
-                            self.registry.live(self.expert_of(*id)).params.clone()
-                        });
-                        let mut cfg = self.cfg.train;
-                        cfg.epochs = self.cfg.finetune_epochs;
-                        // Members are drawn from `parties`' own stats lines
-                        // above, so the lookup always lands.
-                        let fit = parties.with_member(*id, |party| {
-                            train_local_params(
-                                &self.spec,
-                                &base,
-                                party.train_features(),
-                                party.train_labels(),
-                                &cfg,
-                                rng,
-                            )
-                        });
-                        if let Some(fit) = fit {
-                            self.personal.insert(*id, fit.params);
-                            report.finetuned.push(*id);
-                        }
-                    }
-                }
-            }
-        }
-
-        // --- Consolidation.
-        self.refresh_cohort_sizes();
-        if !self.cfg.disable_consolidation {
-            let merges = consolidate_experts(
-                &mut self.registry,
-                self.cfg.tau,
-                self.window,
-                self.cfg.epsilon_factor * thresholds.delta_cov,
-                self.kernel.as_ref(),
-            );
-            for m in &merges {
-                for target in self.assignment.values_mut() {
-                    if *target == m.removed {
-                        *target = m.kept;
-                    }
-                }
-            }
-            report.merges = merges;
-            self.refresh_cohort_sizes();
-        }
-
-        report.cohort_sizes = self
-            .registry
-            .iter()
-            .map(|e| (e.id, e.cohort_size))
-            .collect();
-
-        self.stats = all_stats.into_iter().map(|s| (s.party, s)).collect();
-        self.last_report = Some(report.clone());
-        report
+            .collect()
     }
 
     /// Latent-memory matching, falling back to expert creation
@@ -468,140 +246,9 @@ impl ShiftEx {
         }
         let id = self
             .registry
-            .create(self.bootstrap_params.clone(), pooled, self.window);
+            .create(self.frozen_params.clone(), pooled, self.window);
         report.created.push(id);
         id
-    }
-
-    /// Runs one communication round: every expert trains on its cohort with
-    /// FLIPS (or uniform, per config) selection; personalised parties run a
-    /// local step instead.
-    pub fn train_round(&mut self, parties: &[Party], rng: &mut StdRng) {
-        self.train_round_impl(&SliceAccess::new(parties), rng);
-    }
-
-    fn train_round_impl<M: MemberAccess>(&mut self, parties: &M, rng: &mut StdRng) {
-        for expert_id in self.registry.ids() {
-            let cohort_ids = self.expert_cohort_impl(expert_id, parties, rng);
-            // One pre-drawn seed per member, in cohort order — the same
-            // draw sequence as the scenario driver.
-            let seeds: Vec<u64> = cohort_ids.iter().map(|_| rng.random::<u64>()).collect();
-            let params = &self.registry.live(expert_id).params;
-            // Only one cohort member is ever borrowed at a time.
-            let updates: Vec<ModelUpdate> = cohort_ids
-                .iter()
-                .zip(&seeds)
-                .filter_map(|(&id, &seed)| {
-                    parties.with_member(id, |party| {
-                        local_update(&self.spec, params, party, &self.cfg.train, seed)
-                    })
-                })
-                .filter(|update| update.num_samples > 0)
-                .collect();
-            if updates.is_empty() {
-                continue;
-            }
-            let (trained, samples): (Vec<&[f32]>, Vec<usize>) = updates
-                .iter()
-                .map(|update| (update.params.as_slice(), update.num_samples))
-                .unzip();
-            self.registry.live_mut(expert_id).params = fedavg(&trained, &samples);
-        }
-        self.personal_steps_impl(parties, rng);
-    }
-
-    /// Selects this round's cohort for `expert_id` from the (already
-    /// liveness-filtered) member view of the population, in selection
-    /// order with empty-train parties dropped. Only metadata
-    /// ([`PartyInfo`]) is consulted — no party materializes here.
-    fn expert_cohort_impl<M: MemberAccess>(
-        &self,
-        expert_id: ExpertId,
-        parties: &M,
-        rng: &mut StdRng,
-    ) -> Vec<PartyId> {
-        let cohort_ids: Vec<PartyId> = self
-            .assignment
-            .iter()
-            .filter(|(pid, &eid)| {
-                eid == expert_id && !self.personal.contains_key(pid) && parties.contains(**pid)
-            })
-            .map(|(pid, _)| *pid)
-            .collect();
-        if cohort_ids.is_empty() {
-            return Vec::new();
-        }
-        let infos: Vec<PartyInfo> = cohort_ids
-            .iter()
-            .filter_map(|id| {
-                let mut info = parties.member_info(*id)?;
-                if let Some(s) = self.stats.get(id) {
-                    info.label_hist = s.label_hist.clone();
-                }
-                Some(info)
-            })
-            .collect();
-        let chosen: Vec<PartyId> = if self.cfg.uniform_selection {
-            UniformSelector.select(&infos, self.cfg.participants_per_round, rng)
-        } else {
-            let mut flips = FlipsSelector::fit(&infos, 4, rng);
-            flips.select(&infos, self.cfg.participants_per_round, rng)
-        };
-        chosen
-            .into_iter()
-            .filter(|id| {
-                parties
-                    .member_info(*id)
-                    .is_some_and(|info| info.num_samples > 0)
-            })
-            .collect()
-    }
-
-    /// Personalised parties take one local continuation step.
-    fn personal_steps_impl<M: MemberAccess>(&mut self, parties: &M, rng: &mut StdRng) {
-        let personal_ids: Vec<PartyId> = self.personal.keys().copied().collect();
-        for id in personal_ids {
-            let base = self.personal[&id].clone();
-            let mut cfg = self.cfg.train;
-            cfg.epochs = 1;
-            let fit = parties
-                .with_member(id, |party| {
-                    if party.train().is_empty() {
-                        return None;
-                    }
-                    Some(train_local_params(
-                        &self.spec,
-                        &base,
-                        party.train_features(),
-                        party.train_labels(),
-                        &cfg,
-                        rng,
-                    ))
-                })
-                .flatten();
-            if let Some(fit) = fit {
-                self.personal.insert(id, fit.params);
-            }
-        }
-    }
-
-    /// Population accuracy under the current assignment (personal params
-    /// take precedence over the assigned expert's).
-    pub fn evaluate(&self, parties: &[Party]) -> f32 {
-        let refs: Vec<&Party> = parties.iter().collect();
-        self.evaluate_refs(&refs)
-    }
-
-    /// Like [`ShiftEx::evaluate`] over borrowed parties (scenario loops
-    /// evaluate a liveness-filtered view every round without cloning it).
-    pub fn evaluate_refs(&self, parties: &[&Party]) -> f32 {
-        evaluate_assigned_refs(&self.spec, parties, |id| {
-            if let Some(p) = self.personal.get(&id) {
-                p.as_slice()
-            } else {
-                &self.registry.live(self.expert_of(id)).params
-            }
-        })
     }
 
     /// The expert currently assigned to `party` (defaults to the first
@@ -626,16 +273,14 @@ impl ShiftEx {
     /// Freezes the encoder / θ0 template at the current first expert's
     /// (bootstrap-trained) parameters and rebuilds that expert's latent
     /// memory from the previous window's data in the frozen embedding space.
-    fn freeze_encoder_impl<M: MemberAccess>(&mut self, parties: &M, rng: &mut StdRng) {
+    fn freeze_encoder(&mut self, parties: &PopulationView<'_>, rng: &mut StdRng) {
         let expert0 = self.registry.ids()[0];
-        let trained = self.registry.live(expert0).params.clone();
-        self.bootstrap_params = trained.clone();
-        self.encoder_params = trained;
-        let encoder = build_model(&self.spec, &self.encoder_params);
+        self.frozen_params = self.registry.live(expert0).params.clone();
+        let encoder = Sequential::from_params(&self.spec, &self.frozen_params);
         let mut profiles = Vec::new();
-        for id in parties.member_ids() {
+        for &id in parties.ids() {
             let profile = parties
-                .with_member(id, |p| {
+                .with_party(id, |p| {
                     let data = match p.prev_train() {
                         Some(prev) if !prev.is_empty() => prev,
                         _ => p.train(),
@@ -658,16 +303,15 @@ impl ShiftEx {
         if !profiles.is_empty() {
             let refs: Vec<&EmbeddingProfile> = profiles.iter().collect();
             let pooled = EmbeddingProfile::pool(&refs, self.cfg.profile_rows * 2, rng);
-            self.registry.live_mut(expert0).memory =
-                crate::memory::LatentMemory::from_profile(&pooled);
+            self.registry.live_mut(expert0).memory = LatentMemory::from_profile(&pooled);
         }
     }
 
     /// Calibrates thresholds from the previous (assumed stable) window's
     /// data if not yet fixed.
-    fn ensure_thresholds_impl<M: MemberAccess>(
+    fn ensure_thresholds(
         &mut self,
-        parties: &M,
+        parties: &PopulationView<'_>,
         rng: &mut StdRng,
     ) -> CalibratedThresholds {
         if let (Some(dc), Some(dl)) = (self.cfg.delta_cov, self.cfg.delta_label) {
@@ -693,14 +337,14 @@ impl ShiftEx {
         // median-heuristic kernel fit below is quadratic in pooled rows.
         // Populations at or below the cap take stride 1 — every party
         // contributes, exactly as before the cap existed.
-        let model = build_model(&self.spec, &self.encoder_params);
+        let model = Sequential::from_params(&self.spec, &self.frozen_params);
         let mut mats: Vec<Matrix> = Vec::new();
         let mut hists: Vec<Vec<f32>> = Vec::new();
         let mut count = 0usize;
-        let ids = parties.member_ids();
+        let ids = parties.ids();
         let stride = ids.len().div_ceil(CALIBRATION_MAX_PARTIES).max(1);
-        for id in ids.into_iter().step_by(stride) {
-            parties.with_member(id, |p| {
+        for &id in ids.iter().step_by(stride) {
+            parties.with_party(id, |p| {
                 if let Some(prev) = p.prev_train() {
                     if prev.is_empty() {
                         return;
@@ -779,21 +423,183 @@ impl FederatedAlgorithm for ShiftEx {
         &self.spec
     }
 
+    /// Bootstrap enrolment (§4.1): creates expert 0 from a fresh template,
+    /// assigns every party to it, and records each party's initial profile.
+    /// The W0 burn-in rounds are the driver's job.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `parties` is empty.
     fn init(&mut self, parties: &PopulationView<'_>, rng: &mut StdRng) {
         // Rebuild the model template from *this run's* RNG stream (the
-        // instance may have been constructed with a throwaway seed), then
-        // enrol everyone on expert 0. Burn-in training is the driver's job.
+        // instance may have been constructed with a throwaway seed).
         *self = ShiftEx::new(self.cfg.clone(), self.spec.clone(), rng);
-        self.bootstrap_impl(parties, 0, rng);
+        assert!(!parties.is_empty(), "bootstrap needs parties");
+        let template = Sequential::from_params(&self.spec, &self.frozen_params);
+        // The population is profiled twice and only the second pass is
+        // kept: the first pass's draws are part of the pinned RNG stream
+        // (it fed the burn-in rounds that used to run in between).
+        let profile = |rng: &mut StdRng| {
+            let stats = self.shift_stats(parties, &template, None, rng);
+            let profiles: Vec<&EmbeddingProfile> = stats.iter().map(|s| &s.profile).collect();
+            let pooled = EmbeddingProfile::pool(&profiles, self.cfg.profile_rows * 2, rng);
+            (stats, pooled)
+        };
+        profile(rng);
+        let (stats, pooled) = profile(rng);
+        let expert0 = self.registry.create(self.frozen_params.clone(), &pooled, 0);
+        for &id in parties.ids() {
+            self.assignment.insert(id, expert0);
+        }
+        self.stats = stats.into_iter().map(|s| (s.party, s)).collect();
+        self.refresh_cohort_sizes();
     }
 
-    fn begin_window(&mut self, _window: usize, members: &PopulationView<'_>, rng: &mut StdRng) {
+    /// Algorithm 2 body for one new window; the outcome is kept as
+    /// [`ShiftEx::last_report`].
+    fn begin_window(&mut self, _window: usize, parties: &PopulationView<'_>, rng: &mut StdRng) {
         // Only enrolled members publish shift statistics for the window; a
         // fully churned-out boundary processes nothing.
-        if members.is_empty() {
+        if parties.is_empty() {
             return;
         }
-        self.process_window_impl(members, rng);
+        self.window += 1;
+        if self.window == 1 {
+            // End of the burn-in: W0 training is complete, so *now* freeze
+            // the encoder and the θ0 clone template at the trained global
+            // model, and re-tag expert 0's latent memory in the frozen
+            // embedding space.
+            self.freeze_encoder(parties, rng);
+        }
+        // --- Thresholds and kernel: calibrate lazily from the previous
+        // (stable) window before any score is computed, so every MMD below
+        // shares the calibrated bandwidth.
+        let thresholds = self.ensure_thresholds(parties, rng);
+
+        // --- Party side (Algorithm 1). All embeddings come from the frozen
+        // encoder so windows, parties and the latent memory share one
+        // comparable embedding space.
+        let encoder = Sequential::from_params(&self.spec, &self.frozen_params);
+        let all_stats = self.shift_stats(parties, &encoder, self.kernel.as_ref(), rng);
+
+        // --- Detection.
+        let cov_shifted: Vec<PartyId> = all_stats
+            .iter()
+            .filter(|s| s.mmd > thresholds.delta_cov)
+            .map(|s| s.party)
+            .collect();
+        let label_shifted: Vec<PartyId> = all_stats
+            .iter()
+            .filter(|s| s.jsd > thresholds.delta_label)
+            .map(|s| s.party)
+            .collect();
+        let mut shifted: Vec<PartyId> = cov_shifted.clone();
+        for id in &label_shifted {
+            if !shifted.contains(id) {
+                shifted.push(*id);
+            }
+        }
+
+        let mut report = WindowReport {
+            window: self.window,
+            cov_shifted,
+            label_shifted,
+            num_clusters: 0,
+            created: Vec::new(),
+            reused: Vec::new(),
+            finetuned: Vec::new(),
+            merges: Vec::new(),
+            cohort_sizes: Vec::new(),
+            delta_cov: thresholds.delta_cov,
+            delta_label: thresholds.delta_label,
+        };
+
+        let stats_by_id: BTreeMap<PartyId, &ShiftStats> =
+            all_stats.iter().map(|s| (s.party, s)).collect();
+
+        if !shifted.is_empty() {
+            // --- Cluster shifted parties on their latent profile means.
+            let points: Vec<Vec<f32>> = shifted
+                .iter()
+                .map(|id| stats_by_id[id].profile.mean().to_vec())
+                .collect();
+            let selection = choose_k(&points, self.cfg.max_clusters_per_window, rng);
+            let groups = selection.result.groups();
+            report.num_clusters = groups.len();
+
+            for group in &groups {
+                let members: Vec<PartyId> = group.iter().map(|&i| shifted[i]).collect();
+                if members.is_empty() {
+                    continue;
+                }
+                let profiles: Vec<&EmbeddingProfile> =
+                    members.iter().map(|id| &stats_by_id[id].profile).collect();
+                let pooled = EmbeddingProfile::pool(&profiles, self.cfg.profile_rows * 2, rng);
+
+                if members.len() >= self.cfg.gamma_min_cluster {
+                    let target = self.match_or_create(&pooled, thresholds.delta_cov, &mut report);
+                    for id in &members {
+                        self.assignment.insert(*id, target);
+                        self.personal.remove(id);
+                    }
+                } else {
+                    // Sub-γ cluster: local fine-tuning on the assigned expert.
+                    for id in &members {
+                        let base = self.personal.get(id).cloned().unwrap_or_else(|| {
+                            self.registry.live(self.expert_of(*id)).params.clone()
+                        });
+                        let mut cfg = self.cfg.train;
+                        cfg.epochs = self.cfg.finetune_epochs;
+                        // Members are drawn from `parties`' own stats lines
+                        // above, so the lookup always lands.
+                        let fit = parties.with_party(*id, |party| {
+                            train_local_params(
+                                &self.spec,
+                                &base,
+                                party.train_features(),
+                                party.train_labels(),
+                                &cfg,
+                                rng,
+                            )
+                        });
+                        if let Some(fit) = fit {
+                            self.personal.insert(*id, fit.params);
+                            report.finetuned.push(*id);
+                        }
+                    }
+                }
+            }
+        }
+
+        // --- Consolidation.
+        self.refresh_cohort_sizes();
+        if !self.cfg.disable_consolidation {
+            let merges = consolidate_experts(
+                &mut self.registry,
+                self.cfg.tau,
+                self.window,
+                self.cfg.epsilon_factor * thresholds.delta_cov,
+                self.kernel.as_ref(),
+            );
+            for m in &merges {
+                for target in self.assignment.values_mut() {
+                    if *target == m.removed {
+                        *target = m.kept;
+                    }
+                }
+            }
+            report.merges = merges;
+            self.refresh_cohort_sizes();
+        }
+
+        report.cohort_sizes = self
+            .registry
+            .iter()
+            .map(|e| (e.id, e.cohort_size))
+            .collect();
+
+        self.stats = all_stats.into_iter().map(|s| (s.party, s)).collect();
+        self.last_report = Some(report);
     }
 
     fn streams(&self) -> Vec<usize> {
@@ -808,14 +614,48 @@ impl FederatedAlgorithm for ShiftEx {
         self.cfg.train
     }
 
+    /// Selects this round's cohort for expert `key` from the live view, in
+    /// selection order with empty-train parties dropped. Only metadata
+    /// ([`PartyInfo`]) is consulted — no party materializes here.
     fn cohort(
         &mut self,
         key: usize,
-        live: &PopulationView<'_>,
+        parties: &PopulationView<'_>,
         _selector: &mut dyn ParticipantSelector,
         rng: &mut StdRng,
     ) -> Vec<PartyId> {
-        self.expert_cohort_impl(ExpertId(key as u32), live, rng)
+        let expert_id = ExpertId(key as u32);
+        let cohort_ids: Vec<PartyId> = self
+            .assignment
+            .iter()
+            .filter(|(pid, &eid)| {
+                eid == expert_id && !self.personal.contains_key(pid) && parties.contains(**pid)
+            })
+            .map(|(pid, _)| *pid)
+            .collect();
+        if cohort_ids.is_empty() {
+            return Vec::new();
+        }
+        let infos: Vec<PartyInfo> = cohort_ids
+            .iter()
+            .filter_map(|id| {
+                let mut info = parties.info(*id)?;
+                if let Some(s) = self.stats.get(id) {
+                    info.label_hist = s.label_hist.clone();
+                }
+                Some(info)
+            })
+            .collect();
+        let chosen: Vec<PartyId> = if self.cfg.uniform_selection {
+            UniformSelector.select(&infos, self.cfg.participants_per_round, rng)
+        } else {
+            let mut flips = FlipsSelector::fit(&infos, 4, rng);
+            flips.select(&infos, self.cfg.participants_per_round, rng)
+        };
+        chosen
+            .into_iter()
+            .filter(|id| parties.info(*id).is_some_and(|info| info.num_samples > 0))
+            .collect()
     }
 
     fn fold(
@@ -836,8 +676,32 @@ impl FederatedAlgorithm for ShiftEx {
         fold.verdicts
     }
 
-    fn end_round(&mut self, live: &PopulationView<'_>, rng: &mut StdRng) {
-        self.personal_steps_impl(live, rng);
+    /// Personalised parties take one local continuation step.
+    fn end_round(&mut self, parties: &PopulationView<'_>, rng: &mut StdRng) {
+        let personal_ids: Vec<PartyId> = self.personal.keys().copied().collect();
+        for id in personal_ids {
+            let base = self.personal[&id].clone();
+            let mut cfg = self.cfg.train;
+            cfg.epochs = 1;
+            let fit = parties
+                .with_party(id, |party| {
+                    if party.train().is_empty() {
+                        return None;
+                    }
+                    Some(train_local_params(
+                        &self.spec,
+                        &base,
+                        party.train_features(),
+                        party.train_labels(),
+                        &cfg,
+                        rng,
+                    ))
+                })
+                .flatten();
+            if let Some(fit) = fit {
+                self.personal.insert(id, fit.params);
+            }
+        }
     }
 
     fn eval(&self, parties: &PopulationView<'_>) -> f32 {
@@ -869,154 +733,187 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use shiftex_data::{Corruption, ImageShape, PrototypeGenerator, Regime};
+    use shiftex_fl::{
+        run_algorithm_round, AsyncSpec, ChurnSpec, CommLedger, LatePolicy, Party, PopulationStore,
+        RoundCtx, ScenarioEngine, ScenarioSpec, StragglerSpec,
+    };
 
-    fn make_parties(
-        gen: &PrototypeGenerator,
-        n: usize,
-        samples: usize,
-        rng: &mut StdRng,
-    ) -> Vec<Party> {
-        (0..n)
-            .map(|i| {
-                Party::new(
-                    PartyId(i),
-                    gen.generate_uniform(samples, rng),
-                    gen.generate_uniform(samples / 2, rng),
-                )
-            })
-            .collect()
+    const SAMPLES: usize = 48;
+
+    /// A hand-built federation driven the way every caller drives ShiftEx:
+    /// `init`, `run_algorithm_round`, `begin_window`, `eval`.
+    struct Fed {
+        gen: PrototypeGenerator,
+        store: PopulationStore,
+        engine: ScenarioEngine,
+        shiftex: ShiftEx,
+        rng: StdRng,
     }
 
-    fn advance_with_regime(
-        parties: &mut [Party],
-        gen: &PrototypeGenerator,
-        regime: &Regime,
-        which: &[usize],
-        samples: usize,
-        rng: &mut StdRng,
-    ) {
-        for (i, p) in parties.iter_mut().enumerate() {
-            let (train, test) = if which.contains(&i) {
-                (
-                    gen.generate_with_regime(samples, regime, rng),
-                    gen.generate_with_regime(samples / 2, regime, rng),
-                )
-            } else {
-                (
-                    gen.generate_uniform(samples, rng),
-                    gen.generate_uniform(samples / 2, rng),
-                )
+    impl Fed {
+        /// `n` clear-regime parties enrolled on expert 0 under the clean
+        /// synchronous protocol.
+        fn new(n: usize) -> Self {
+            let mut rng = StdRng::seed_from_u64(42);
+            let gen = PrototypeGenerator::new(ImageShape::new(1, 8, 8), 4, &mut rng);
+            let parties: Vec<Party> = (0..n)
+                .map(|i| {
+                    Party::new(
+                        PartyId(i),
+                        gen.generate_uniform(SAMPLES, &mut rng),
+                        gen.generate_uniform(SAMPLES / 2, &mut rng),
+                    )
+                })
+                .collect();
+            let store = PopulationStore::from_parties(parties);
+            let engine = ScenarioEngine::new(ScenarioSpec::sync(0), &store.party_ids());
+            let cfg = ShiftExConfig {
+                participants_per_round: n,
+                ..ShiftExConfig::default()
             };
-            p.advance_window(train, test);
+            let mut shiftex = ShiftEx::new(cfg, ArchSpec::mlp("t", 64, &[24, 12], 4), &mut rng);
+            shiftex.init(&store.view(store.party_ids()), &mut rng);
+            Self {
+                gen,
+                store,
+                engine,
+                shiftex,
+                rng,
+            }
+        }
+
+        fn rounds(&mut self, n: usize) {
+            for _ in 0..n {
+                run_algorithm_round(
+                    &mut self.shiftex,
+                    &mut RoundCtx::new(&self.store, &mut self.engine),
+                    &mut self.rng,
+                );
+            }
+        }
+
+        /// Advances every party one window: parties in `shifted` draw from
+        /// `regime`, the rest stay clear.
+        fn advance(&mut self, regime: &Regime, shifted: std::ops::Range<usize>) {
+            for id in self.store.party_ids() {
+                let (train, test) = if shifted.contains(&id.0) {
+                    (
+                        self.gen
+                            .generate_with_regime(SAMPLES, regime, &mut self.rng),
+                        self.gen
+                            .generate_with_regime(SAMPLES / 2, regime, &mut self.rng),
+                    )
+                } else {
+                    (
+                        self.gen.generate_uniform(SAMPLES, &mut self.rng),
+                        self.gen.generate_uniform(SAMPLES / 2, &mut self.rng),
+                    )
+                };
+                self.store
+                    .with_party_mut(id, |p| p.advance_window(train, test));
+            }
+        }
+
+        /// Runs the window boundary and returns its report.
+        fn window(&mut self) -> WindowReport {
+            let view = self.store.view(self.store.party_ids());
+            self.shiftex
+                .begin_window(self.shiftex.window() + 1, &view, &mut self.rng);
+            self.shiftex.last_report().expect("window ran").clone()
+        }
+
+        fn eval(&self) -> f32 {
+            self.shiftex.eval(&self.store.view(self.store.party_ids()))
         }
     }
 
-    fn setup(n: usize) -> (PrototypeGenerator, Vec<Party>, ShiftEx, StdRng) {
-        let mut rng = StdRng::seed_from_u64(42);
-        let gen = PrototypeGenerator::new(ImageShape::new(1, 8, 8), 4, &mut rng);
-        let parties = make_parties(&gen, n, 48, &mut rng);
-        let spec = ArchSpec::mlp("t", 64, &[24, 12], 4);
-        let cfg = ShiftExConfig {
-            participants_per_round: n,
-            ..ShiftExConfig::default()
-        };
-        let shiftex = ShiftEx::new(cfg, spec, &mut rng);
-        (gen, parties, shiftex, rng)
+    fn fog() -> Regime {
+        Regime::corrupted(Corruption::Fog, 4)
     }
 
     #[test]
     fn bootstrap_creates_single_expert_and_assigns_all() {
-        let (_gen, parties, mut shiftex, mut rng) = setup(6);
-        shiftex.bootstrap(&parties, 2, &mut rng);
-        assert_eq!(shiftex.num_experts(), 1);
-        assert_eq!(shiftex.assignments().len(), 6);
+        let mut fed = Fed::new(6);
+        fed.rounds(2);
+        assert_eq!(fed.shiftex.num_experts(), 1);
+        assert_eq!(fed.shiftex.assignments().len(), 6);
     }
 
     #[test]
     fn stable_window_creates_no_experts() {
-        let (gen, mut parties, mut shiftex, mut rng) = setup(6);
-        shiftex.bootstrap(&parties, 3, &mut rng);
-        advance_with_regime(&mut parties, &gen, &Regime::clear(), &[], 48, &mut rng);
-        let report = shiftex.process_window(&parties, &mut rng);
+        let mut fed = Fed::new(6);
+        fed.rounds(3);
+        fed.advance(&Regime::clear(), 0..0);
+        let report = fed.window();
         assert!(
             report.created.is_empty(),
             "stable window spawned {:?}",
             report.created
         );
-        assert_eq!(shiftex.num_experts(), 1);
+        assert_eq!(fed.shiftex.num_experts(), 1);
     }
 
     #[test]
     fn covariate_shift_spawns_expert_for_shifted_group() {
-        let (gen, mut parties, mut shiftex, mut rng) = setup(8);
-        shiftex.bootstrap(&parties, 3, &mut rng);
-        let fog = Regime::corrupted(Corruption::Fog, 4);
-        advance_with_regime(&mut parties, &gen, &fog, &[0, 1, 2, 3], 48, &mut rng);
-        let report = shiftex.process_window(&parties, &mut rng);
+        let mut fed = Fed::new(8);
+        fed.rounds(3);
+        fed.advance(&fog(), 0..4);
+        let report = fed.window();
         assert!(
             report.cov_shifted.len() >= 3,
             "expected most of the fog group detected, got {:?}",
             report.cov_shifted
         );
         assert_eq!(report.created.len(), 1, "one new expert for the fog regime");
-        assert_eq!(shiftex.num_experts(), 2);
+        assert_eq!(fed.shiftex.num_experts(), 2);
         // The shifted parties point at the new expert.
         let new_expert = report.created[0];
         for i in 0..4 {
-            assert_eq!(shiftex.expert_of(PartyId(i)), new_expert);
+            assert_eq!(fed.shiftex.expert_of(PartyId(i)), new_expert);
         }
     }
 
     #[test]
     fn recurring_regime_reuses_expert_via_latent_memory() {
-        let (gen, mut parties, mut shiftex, mut rng) = setup(8);
-        shiftex.bootstrap(&parties, 3, &mut rng);
-        let fog = Regime::corrupted(Corruption::Fog, 4);
-        let rounds = |s: &mut ShiftEx, parties: &[Party], rng: &mut StdRng| {
-            for _ in 0..2 {
-                ShiftEx::train_round(s, parties, rng);
-            }
-        };
+        let mut fed = Fed::new(8);
+        fed.rounds(3);
 
         // W1: fog arrives for half the parties → new expert.
-        advance_with_regime(&mut parties, &gen, &fog, &[0, 1, 2, 3], 48, &mut rng);
-        let r1 = shiftex.process_window(&parties, &mut rng);
+        fed.advance(&fog(), 0..4);
+        let r1 = fed.window();
         assert_eq!(r1.created.len(), 1);
         let fog_expert = r1.created[0];
-        rounds(&mut shiftex, &parties, &mut rng);
+        fed.rounds(2);
 
         // W2: everyone clear again → shifted-back parties should go to an
         // existing expert (the clear expert 0), not a new one.
-        advance_with_regime(&mut parties, &gen, &Regime::clear(), &[], 48, &mut rng);
-        let r2 = shiftex.process_window(&parties, &mut rng);
+        fed.advance(&Regime::clear(), 0..0);
+        let r2 = fed.window();
         assert!(r2.created.is_empty(), "clear regime must reuse: {r2:?}");
-        rounds(&mut shiftex, &parties, &mut rng);
+        fed.rounds(2);
 
         // W3: fog recurs for a different subset → reuse the fog expert.
-        advance_with_regime(&mut parties, &gen, &fog, &[4, 5, 6, 7], 48, &mut rng);
-        let r3 = shiftex.process_window(&parties, &mut rng);
+        fed.advance(&fog(), 4..8);
+        let r3 = fed.window();
         assert!(
             r3.created.is_empty() && !r3.reused.is_empty(),
             "recurring fog should reuse the fog expert: {r3:?}"
         );
         assert!(
-            r3.reused.contains(&fog_expert) || shiftex.registry().get(fog_expert).is_none(),
+            r3.reused.contains(&fog_expert) || fed.shiftex.registry().get(fog_expert).is_none(),
             "the fog expert (or its consolidation survivor) should be reused: {r3:?}"
         );
     }
 
     #[test]
     fn training_rounds_improve_shifted_accuracy() {
-        let (gen, mut parties, mut shiftex, mut rng) = setup(8);
-        shiftex.bootstrap(&parties, 5, &mut rng);
-        let fog = Regime::corrupted(Corruption::Fog, 4);
-        advance_with_regime(&mut parties, &gen, &fog, &[0, 1, 2, 3], 48, &mut rng);
-        shiftex.process_window(&parties, &mut rng);
-        let before = shiftex.evaluate(&parties);
-        for _ in 0..6 {
-            ShiftEx::train_round(&mut shiftex, &parties, &mut rng);
-        }
-        let after = shiftex.evaluate(&parties);
+        let mut fed = Fed::new(8);
+        fed.rounds(5);
+        fed.advance(&fog(), 0..4);
+        fed.window();
+        let before = fed.eval();
+        fed.rounds(6);
+        let after = fed.eval();
         assert!(
             after > before,
             "training should recover accuracy: {before} -> {after}"
@@ -1037,114 +934,69 @@ mod tests {
     }
 
     #[test]
-    fn standalone_rounds_are_bit_pinned() {
-        // `to_bits` fingerprints of the standalone slice API (cohort → one
-        // pre-drawn seed per member → `local_update` → `fedavg`), recorded
-        // before it was composed from the driver's primitives: any change to
-        // the draw order or the averaging arithmetic moves them.
-        let (gen, mut parties, mut shiftex, mut rng) = setup(8);
-        shiftex.bootstrap(&parties, 3, &mut rng);
-        for _ in 0..2 {
-            shiftex.train_round(&parties, &mut rng);
-        }
+    fn driver_rounds_are_bit_pinned() {
+        // `to_bits` fingerprints of ShiftEx under the one round driver: any
+        // change to the RNG draw order of `init` / `cohort` / `begin_window`
+        // or to the fold arithmetic moves them.
+        let mut fed = Fed::new(8);
+        fed.rounds(3);
         assert_eq!(
-            expert_fingerprint(&shiftex),
-            0x4022_8048_9d38_c98a,
+            expert_fingerprint(&fed.shiftex),
+            0xb333_1ce8_d0a4_fbb7,
             "one expert"
         );
 
         // Two experts plus the window-boundary machinery in between.
-        let fog = Regime::corrupted(Corruption::Fog, 4);
-        advance_with_regime(&mut parties, &gen, &fog, &[0, 1, 2, 3], 48, &mut rng);
-        shiftex.process_window(&parties, &mut rng);
-        assert_eq!(shiftex.num_experts(), 2);
-        for _ in 0..2 {
-            shiftex.train_round(&parties, &mut rng);
-        }
+        fed.advance(&fog(), 0..4);
+        fed.window();
+        assert_eq!(fed.shiftex.num_experts(), 2);
+        fed.rounds(3);
         assert_eq!(
-            expert_fingerprint(&shiftex),
-            0x1d05_828a_2083_ef68,
+            expert_fingerprint(&fed.shiftex),
+            0xeb15_8976_c218_ecf2,
             "two experts"
         );
     }
 
     #[test]
-    fn driver_rounds_match_the_slice_api_bit_for_bit() {
-        use shiftex_fl::{
-            run_algorithm_round, PopulationStore, RoundCtx, ScenarioEngine, ScenarioSpec,
+    fn restore_resumes_detection_bit_identically() {
+        // Two same-seed runs; one is interrupted by snapshot → JSON → fresh
+        // aggregator → restore. Everything downstream must agree to the bit:
+        // the restored run scores MMDs under the calibrated kernel and the
+        // frozen encoder, not under whatever expert 0 has since become.
+        let run = |interrupt: bool| {
+            let mut fed = Fed::new(8);
+            fed.rounds(3);
+            fed.advance(&fog(), 0..4);
+            fed.window();
+            fed.rounds(2);
+            if interrupt {
+                let json = fed.shiftex.snapshot().to_json().expect("serialises");
+                let mut fresh = ShiftEx::new(
+                    fed.shiftex.config().clone(),
+                    fed.shiftex.spec().clone(),
+                    &mut StdRng::seed_from_u64(99),
+                );
+                fresh.restore(RegistrySnapshot::from_json(&json).expect("parses"));
+                fed.shiftex = fresh;
+            }
+            fed.advance(&Regime::corrupted(Corruption::Snow, 4), 0..4);
+            let report = fed.window();
+            let mmds: Vec<u32> = fed.shiftex.party_stats().map(|s| s.mmd.to_bits()).collect();
+            fed.rounds(1);
+            (report, mmds, expert_fingerprint(&fed.shiftex))
         };
-        let fog = Regime::corrupted(Corruption::Fog, 4);
-
-        // Arm A — the standalone slice API, mirroring `init` (template
-        // redrawn from the run RNG, then a zero-round bootstrap).
-        let (gen, mut parties, template, mut rng_a) = setup(8);
-        let mut a = ShiftEx::new(template.cfg.clone(), template.spec.clone(), &mut rng_a);
-        a.bootstrap(&parties, 0, &mut rng_a);
-        for _ in 0..3 {
-            a.train_round(&parties, &mut rng_a);
-        }
-        let a_one = expert_fingerprint(&a);
-        advance_with_regime(&mut parties, &gen, &fog, &[0, 1, 2, 3], 48, &mut rng_a);
-        let a_report = a.process_window(&parties, &mut rng_a);
-        for _ in 0..3 {
-            a.train_round(&parties, &mut rng_a);
-        }
-
-        // Arm B — the same federation through `FederatedAlgorithm` and the
-        // one round driver, clean synchronous protocol.
-        let (gen, parties_b, mut b, mut rng_b) = setup(8);
-        let ids: Vec<PartyId> = parties_b.iter().map(|p| p.id()).collect();
-        let mut store = PopulationStore::from_parties(parties_b);
-        let mut engine = ScenarioEngine::new(ScenarioSpec::sync(0), &ids);
-        b.init(&store.view(ids.clone()), &mut rng_b);
-        for _ in 0..3 {
-            run_algorithm_round(&mut b, &mut RoundCtx::new(&store, &mut engine), &mut rng_b);
-        }
-        let b_one = expert_fingerprint(&b);
-        for (i, &id) in ids.iter().enumerate() {
-            let (train, test) = if i < 4 {
-                (
-                    gen.generate_with_regime(48, &fog, &mut rng_b),
-                    gen.generate_with_regime(24, &fog, &mut rng_b),
-                )
-            } else {
-                (
-                    gen.generate_uniform(48, &mut rng_b),
-                    gen.generate_uniform(24, &mut rng_b),
-                )
-            };
-            store.with_party_mut(id, |p| p.advance_window(train, test));
-        }
-        b.begin_window(1, &store.view(ids.clone()), &mut rng_b);
-        assert_eq!(b.num_experts(), 2);
-        for _ in 0..3 {
-            run_algorithm_round(&mut b, &mut RoundCtx::new(&store, &mut engine), &mut rng_b);
-        }
-
-        println!(
-            "driver fingerprints: one expert {b_one:#018x}, two experts {:#018x}",
-            expert_fingerprint(&b)
-        );
-        assert_eq!(a_one, b_one, "W0 rounds");
-        assert_eq!(Some(&a_report), b.last_report(), "window report");
-        assert_eq!(expert_fingerprint(&a), expert_fingerprint(&b), "W1 rounds");
-        assert_eq!(
-            a.evaluate(&parties).to_bits(),
-            b.eval(&store.view(ids)).to_bits(),
-            "evaluate vs eval"
-        );
-        assert_eq!(
-            rng_a.random::<u64>(),
-            rng_b.random::<u64>(),
-            "RNG draw count"
-        );
+        let (straight, restored) = (run(false), run(true));
+        assert_eq!(straight.0, restored.0, "window report");
+        assert_eq!(straight.1, restored.1, "party MMD bits");
+        assert_eq!(straight.2, restored.2, "expert fingerprints");
     }
 
     #[test]
     fn max_experts_cap_is_respected() {
-        let (gen, mut parties, mut shiftex, mut rng) = setup(8);
-        shiftex.cfg.max_experts = 2;
-        shiftex.bootstrap(&parties, 2, &mut rng);
+        let mut fed = Fed::new(8);
+        fed.shiftex.cfg.max_experts = 2;
+        fed.rounds(2);
         for (w, corruption) in [
             Corruption::Fog,
             Corruption::Snow,
@@ -1156,60 +1008,50 @@ mod tests {
         {
             let regime =
                 Regime::corrupted(corruption, 5).with_id(shiftex_data::RegimeId(w as u32 + 1));
-            advance_with_regime(&mut parties, &gen, &regime, &[0, 1, 2, 3], 48, &mut rng);
-            shiftex.process_window(&parties, &mut rng);
+            fed.advance(&regime, 0..4);
+            fed.window();
         }
-        assert!(shiftex.num_experts() <= 2);
+        assert!(fed.shiftex.num_experts() <= 2);
     }
 
     #[test]
     fn scenario_rounds_train_experts_under_churn() {
-        use shiftex_fl::{
-            run_algorithm_round, AsyncSpec, ChurnSpec, CommLedger, PopulationStore, RoundCtx,
-            ScenarioSpec, StragglerSpec,
-        };
-        let (gen, mut parties, mut shiftex, mut rng) = setup(8);
-        shiftex.bootstrap(&parties, 3, &mut rng);
-        let fog = Regime::corrupted(Corruption::Fog, 4);
-        advance_with_regime(&mut parties, &gen, &fog, &[0, 1, 2, 3], 48, &mut rng);
-        shiftex.process_window(&parties, &mut rng);
-        assert_eq!(shiftex.num_experts(), 2);
-
-        let ids: Vec<PartyId> = parties.iter().map(|p| p.id()).collect();
-        let store = PopulationStore::from_parties(parties.clone());
         let spec = ScenarioSpec::sync(5)
             .with_churn(ChurnSpec::dropout_only(0.2))
-            .with_stragglers(StragglerSpec::uniform(
-                0.8,
-                1.0,
-                shiftex_fl::LatePolicy::Defer,
-            ))
+            .with_stragglers(StragglerSpec::uniform(0.8, 1.0, LatePolicy::Defer))
             .with_async(AsyncSpec {
                 min_buffer: 2,
                 staleness_alpha: 0.5,
                 max_staleness: 3,
                 server_lr: 1.0,
             });
-        let mut engine = shiftex_fl::ScenarioEngine::new(spec, &ids);
+        // W0 and the fog window run clean; the churned engine takes over
+        // for the rounds under test.
+        let mut fed = Fed::new(8);
+        fed.rounds(3);
+        fed.advance(&fog(), 0..4);
+        fed.window();
+        assert_eq!(fed.shiftex.num_experts(), 2);
+
+        let mut engine = ScenarioEngine::new(spec, &fed.store.party_ids());
         let ledger = CommLedger::new();
-        let before = shiftex.evaluate(&parties);
-        let params_before: Vec<Vec<f32>> = shiftex
-            .registry()
-            .iter()
-            .map(|e| e.params.clone())
-            .collect();
-        let mut ctx = RoundCtx::new(&store, &mut engine).with_ledger(&ledger);
+        let before = fed.eval();
+        let params = |shiftex: &ShiftEx| -> Vec<Vec<f32>> {
+            shiftex
+                .registry()
+                .iter()
+                .map(|e| e.params.clone())
+                .collect()
+        };
+        let params_before = params(&fed.shiftex);
+        let mut ctx = RoundCtx::new(&fed.store, &mut engine).with_ledger(&ledger);
         for _ in 0..6 {
-            run_algorithm_round(&mut shiftex, &mut ctx, &mut rng);
+            run_algorithm_round(&mut fed.shiftex, &mut ctx, &mut fed.rng);
         }
-        let after = shiftex.evaluate(&parties);
-        let params_after: Vec<Vec<f32>> = shiftex
-            .registry()
-            .iter()
-            .map(|e| e.params.clone())
-            .collect();
+        let after = fed.eval();
         assert_ne!(
-            params_before, params_after,
+            params_before,
+            params(&fed.shiftex),
             "experts must keep training under churned async rounds"
         );
         let stats = engine.stats();
@@ -1230,34 +1072,19 @@ mod tests {
 
     #[test]
     fn algorithm_interface_reports_models() {
-        use shiftex_fl::PopulationStore;
-        let (gen, mut parties, mut shiftex, mut rng) = setup(6);
-        let init_store = PopulationStore::from_parties(parties.clone());
-        FederatedAlgorithm::init(
-            &mut shiftex,
-            &init_store.view(init_store.party_ids()),
-            &mut rng,
-        );
-        assert_eq!(FederatedAlgorithm::name(&shiftex), "ShiftEx");
-        assert_eq!(shiftex.num_models(), 1);
-        assert_eq!(shiftex.streams(), vec![0]);
-        advance_with_regime(
-            &mut parties,
-            &gen,
-            &Regime::corrupted(Corruption::Fog, 4),
-            &[0, 1, 2],
-            48,
-            &mut rng,
-        );
-        let store = PopulationStore::from_parties(parties.clone());
-        FederatedAlgorithm::begin_window(&mut shiftex, 1, &store.view(store.party_ids()), &mut rng);
-        for p in &parties {
-            let idx = shiftex.model_index(p.id());
-            assert!(idx < shiftex.num_models());
+        let mut fed = Fed::new(6);
+        assert_eq!(FederatedAlgorithm::name(&fed.shiftex), "ShiftEx");
+        assert_eq!(fed.shiftex.num_models(), 1);
+        assert_eq!(fed.shiftex.streams(), vec![0]);
+        fed.advance(&fog(), 0..3);
+        fed.window();
+        for id in fed.store.party_ids() {
+            let idx = fed.shiftex.model_index(id);
+            assert!(idx < fed.shiftex.num_models());
         }
         // Stream keys are expert ids — stable even when experts merge.
-        for key in shiftex.streams() {
-            assert!(!shiftex.broadcast_state(key).is_empty());
+        for key in fed.shiftex.streams() {
+            assert!(!fed.shiftex.broadcast_state(key).is_empty());
         }
     }
 }

@@ -15,7 +15,6 @@ use shiftex_nn::{softmax_cross_entropy, ArchSpec, Sequential, Sgd};
 use shiftex_tensor::{vector, Matrix};
 
 use crate::registry::Expert;
-use crate::strategy::build_model;
 
 /// Distillation hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -84,7 +83,7 @@ pub fn distill_experts(
     let total_w: f32 = weights.iter().sum();
     let teachers: Vec<Sequential> = experts
         .iter()
-        .map(|e| build_model(spec, &e.params))
+        .map(|e| Sequential::from_params(spec, &e.params))
         .collect();
     let mut mixture = Matrix::zeros(reference.rows(), spec.classes);
     for (teacher, &w) in teachers.iter().zip(weights.iter()) {
@@ -220,9 +219,9 @@ mod tests {
         );
         // The student should agree with the mixture, and the mixture is
         // dominated by the strong teacher: compare against it directly.
-        let teacher = build_model(&spec, &strong.params);
+        let teacher = Sequential::from_params(&spec, &strong.params);
         let teacher_preds = teacher.forward(reference.features()).argmax_rows();
-        let student = build_model(&spec, &report.student_params);
+        let student = Sequential::from_params(&spec, &report.student_params);
         let student_preds = student.forward(reference.features()).argmax_rows();
         let agree = teacher_preds
             .iter()

@@ -21,32 +21,16 @@
 //!   branch-and-bound and the modular greedy approximation
 //! * [`consolidate`] — cosine-similarity expert merging
 //! * [`aggregator`] — the window-level orchestration (paper Algorithm 2)
-//! * [`strategy`] — shared evaluation helpers for
-//!   [`shiftex_fl::FederatedAlgorithm`] implementations
 //! * [`overhead`] — §5.4 space/time accounting
 //! * [`distill`] — expert compression via distillation (§9 future work)
 //! * [`snapshot`] — registry serialisation for aggregator recovery
 //!
 //! # Example
 //!
-//! ```
-//! use shiftex_core::{ShiftEx, ShiftExConfig};
-//! use shiftex_fl::{Party, PartyId};
-//! use shiftex_data::{ImageShape, PrototypeGenerator};
-//! use shiftex_nn::ArchSpec;
-//! use rand::{rngs::StdRng, SeedableRng};
-//!
-//! let mut rng = StdRng::seed_from_u64(0);
-//! let gen = PrototypeGenerator::new(ImageShape::new(1, 4, 4), 3, &mut rng);
-//! let parties: Vec<Party> = (0..6)
-//!     .map(|i| Party::new(PartyId(i), gen.generate_uniform(32, &mut rng),
-//!                         gen.generate_uniform(16, &mut rng)))
-//!     .collect();
-//! let spec = ArchSpec::mlp("demo", 16, &[8], 3);
-//! let mut shiftex = ShiftEx::new(ShiftExConfig::default(), spec, &mut rng);
-//! shiftex.bootstrap(&parties, 2, &mut rng);
-//! assert_eq!(shiftex.num_experts(), 1);
-//! ```
+//! ShiftEx is driven through [`shiftex_fl::FederatedAlgorithm`] and the one
+//! round driver, like every baseline; a runnable federation (bootstrap,
+//! covariate shift, detection) is the facade crate's quickstart (`shiftex`,
+//! "Quickstart") and `examples/quickstart.rs`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -61,7 +45,6 @@ pub mod overhead;
 pub mod party;
 pub mod registry;
 pub mod snapshot;
-pub mod strategy;
 
 pub use aggregator::{ShiftEx, WindowReport};
 pub use config::ShiftExConfig;

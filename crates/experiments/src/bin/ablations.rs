@@ -105,25 +105,31 @@ fn main() {
     {
         use rand::{rngs::StdRng, SeedableRng};
         use shiftex_core::{distill_experts, DistillConfig, ShiftEx};
+        use shiftex_experiments::ResidentPopulation;
+        use shiftex_fl::{evaluate_on_view, FederatedAlgorithm};
         let mut rng = StdRng::seed_from_u64(scenario.seed ^ 0x9e37);
         let sx_cfg = shiftex_core::ShiftExConfig {
             participants_per_round: scenario.participants_per_round(),
             ..Default::default()
         };
         let mut sx = ShiftEx::new(sx_cfg, scenario.spec.clone(), &mut rng);
-        let mut parties = scenario.initial_parties(&mut rng);
-        sx.bootstrap(&parties, 0, &mut rng);
-        for _ in 0..scenario.bootstrap_rounds() {
-            ShiftEx::train_round(&mut sx, &parties, &mut rng);
-        }
-        for w in 1..=scenario.eval_windows() {
-            scenario.advance(&mut parties, w, &mut rng);
-            sx.process_window(&parties, &mut rng);
-            for _ in 0..scenario.rounds_per_window {
-                ShiftEx::train_round(&mut sx, &parties, &mut rng);
-            }
-        }
-        let before = sx.evaluate(&parties);
+        run_federation_scenario(
+            &mut sx,
+            &scenario,
+            &ScenarioSpec::sync(scenario.seed ^ 0x9e37),
+            &FedRunOptions::new(
+                scenario.eval_windows(),
+                scenario.bootstrap_rounds(),
+                scenario.rounds_per_window,
+            ),
+        );
+        // Mixture and student are scored on one held-out draw of the
+        // final window's population.
+        let mut store =
+            ResidentPopulation::new(scenario.clone(), scenario.seed ^ 0x5c0e).into_store();
+        store.set_window(scenario.eval_windows());
+        let view = store.view(store.party_ids());
+        let before = sx.eval(&view);
         let experts: Vec<_> = sx.registry().iter().collect();
 
         // The reference set must *cover the regimes* the experts serve: a
@@ -151,10 +157,7 @@ fn main() {
             &DistillConfig::default(),
             &mut rng,
         );
-        let student_acc =
-            shiftex_core::strategy::evaluate_assigned(&scenario.spec, &parties, |_| {
-                report.student_params.as_slice()
-            });
+        let student_acc = evaluate_on_view(&scenario.spec, &report.student_params, &view);
         println!(
             "\nExpert distillation ({} experts -> 1 student, {} regime-covering reference inputs):",
             experts.len(),

@@ -127,21 +127,8 @@ impl Scenario {
         self.rounds_per_window * 3
     }
 
-    /// Initial (window 0, bootstrap) party population, every party drawn
-    /// in order from the one `rng` — the hand-built `Vec<Party>` that
-    /// callers of the standalone ShiftEx API (the `ablations` bin, the
-    /// recovery and end-to-end suites) drive directly.
-    pub fn initial_parties(&self, rng: &mut StdRng) -> Vec<Party> {
-        (0..self.profile.num_parties)
-            .map(|i| self.build_party(i, rng))
-            .collect()
-    }
-
-    /// Builds party `i`'s window-0 state, drawing from `rng`.
-    ///
-    /// [`Scenario::initial_parties`] calls this for every `i` against one
-    /// shared stream; the population providers call it against party `i`'s
-    /// own stream.
+    /// Builds party `i`'s window-0 (bootstrap) state, drawing from `rng` —
+    /// the population providers call it against party `i`'s own stream.
     pub fn build_party(&self, i: usize, rng: &mut StdRng) -> Party {
         let regime = self.schedule.regime(0, i);
         let train =
@@ -153,8 +140,9 @@ impl Scenario {
         Party::new(PartyId(i), train, test)
     }
 
-    /// Advances every party of a hand-built population to `window` per the
-    /// schedule, in order from the one `rng`.
+    /// Advances a single party to `window`, keyed by its [`PartyId`] in the
+    /// shift schedule — what a population provider replays, one party's
+    /// window chain at a time, without touching the rest of the population.
     ///
     /// Tumbling windows draw entirely fresh data; sliding windows carry half
     /// of the previous window's training samples forward (the overlap that
@@ -162,20 +150,7 @@ impl Scenario {
     ///
     /// # Panics
     ///
-    /// Panics if `window` is 0 or out of schedule range.
-    pub fn advance(&self, parties: &mut [Party], window: usize, rng: &mut StdRng) {
-        assert!(
-            window > 0 && window < self.schedule.num_windows(),
-            "window out of range"
-        );
-        for party in parties.iter_mut() {
-            self.advance_party(party, window, rng);
-        }
-    }
-
-    /// Advances a single party to `window`, keyed by its [`PartyId`] in the
-    /// shift schedule — what a population provider replays, one party's
-    /// window chain at a time, without touching the rest of the population.
+    /// Panics if `window` is out of schedule range.
     pub fn advance_party(&self, party: &mut Party, window: usize, rng: &mut StdRng) {
         let i = party.id().0;
         let regime = self.schedule.regime(window, i);
@@ -458,6 +433,7 @@ fn arch_for(kind: DatasetKind, profile: &DatasetProfile) -> ArchSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::population::ResidentPopulation;
 
     #[test]
     fn build_produces_consistent_scenario() {
@@ -469,14 +445,13 @@ mod tests {
     }
 
     #[test]
-    fn initial_parties_have_window_data() {
+    fn window0_parties_have_window_data() {
         let s = Scenario::build(DatasetKind::Femnist, SimScale::Smoke, 2);
-        let mut rng = StdRng::seed_from_u64(3);
-        let parties = s.initial_parties(&mut rng);
-        assert_eq!(parties.len(), s.profile.num_parties);
-        assert!(parties
-            .iter()
-            .all(|p| p.train().len() == s.profile.samples_per_party));
+        let store = ResidentPopulation::new(s.clone(), 3).into_store();
+        assert_eq!(store.len(), s.profile.num_parties);
+        assert!(store.party_ids().into_iter().all(|id| {
+            store.with_party(id, |p| p.train().len()) == Some(s.profile.samples_per_party)
+        }));
     }
 
     #[test]
@@ -485,10 +460,10 @@ mod tests {
         let s = Scenario::build(DatasetKind::FashionMnist, SimScale::Smoke, 4);
         assert_eq!(s.profile.windowing, WindowingMode::Sliding);
         let mut rng = StdRng::seed_from_u64(5);
-        let mut parties = s.initial_parties(&mut rng);
-        let before = parties[0].train().clone();
-        s.advance(&mut parties, 1, &mut rng);
-        let after = parties[0].train();
+        let mut party = s.build_party(0, &mut rng);
+        let before = party.train().clone();
+        s.advance_party(&mut party, 1, &mut rng);
+        let after = party.train();
         assert_eq!(after.len(), s.profile.samples_per_party);
         // First half of the new window equals the last half of the old one.
         let carried = before.subset(&(before.len() / 2..before.len()).collect::<Vec<_>>());
@@ -497,10 +472,10 @@ mod tests {
         // Tumbling: all fresh.
         let s = Scenario::build(DatasetKind::Fmow, SimScale::Smoke, 6);
         assert_eq!(s.profile.windowing, WindowingMode::Tumbling);
-        let mut parties = s.initial_parties(&mut rng);
-        let before = parties[0].train().clone();
-        s.advance(&mut parties, 1, &mut rng);
-        assert_ne!(parties[0].train().features(), before.features());
+        let mut party = s.build_party(0, &mut rng);
+        let before = party.train().clone();
+        s.advance_party(&mut party, 1, &mut rng);
+        assert_ne!(party.train().features(), before.features());
     }
 
     #[test]
@@ -523,10 +498,12 @@ mod tests {
         );
         assert_eq!(s.profile.num_parties, 100);
         assert_eq!(s.schedule.num_parties(), 100);
-        let mut rng = StdRng::seed_from_u64(4);
-        let parties = s.initial_parties(&mut rng);
-        assert_eq!(parties.len(), 100);
-        assert!(parties.iter().all(|p| p.train().len() == 12));
+        let store = ResidentPopulation::new(s, 4).into_store();
+        assert_eq!(store.len(), 100);
+        assert!(store
+            .party_ids()
+            .into_iter()
+            .all(|id| store.with_party(id, |p| p.train().len()) == Some(12)));
     }
 
     #[test]
@@ -776,10 +753,8 @@ mod tests {
     fn same_seed_same_scenario() {
         let a = Scenario::build(DatasetKind::Fmow, SimScale::Smoke, 9);
         let b = Scenario::build(DatasetKind::Fmow, SimScale::Smoke, 9);
-        let mut ra = StdRng::seed_from_u64(1);
-        let mut rb = StdRng::seed_from_u64(1);
-        let pa = a.initial_parties(&mut ra);
-        let pb = b.initial_parties(&mut rb);
-        assert_eq!(pa[0].train().features(), pb[0].train().features());
+        let pa = a.build_party(0, &mut StdRng::seed_from_u64(1));
+        let pb = b.build_party(0, &mut StdRng::seed_from_u64(1));
+        assert_eq!(pa.train().features(), pb.train().features());
     }
 }

@@ -18,9 +18,9 @@
 //!
 //! # Example
 //!
-//! A runnable federation (`FedAvg` under [`run_algorithm_round`]) is in the
-//! facade crate's docs (`shiftex`, "One round driver") — the shipped
-//! algorithms live downstream of this crate, in `shiftex_baselines` and
+//! A runnable federation (`ShiftEx` under [`run_algorithm_round`]) is in the
+//! facade crate's docs (`shiftex`, "Quickstart") — the shipped algorithms
+//! live downstream of this crate, in `shiftex_baselines` and
 //! `shiftex_core`.
 
 #![forbid(unsafe_code)]
@@ -63,27 +63,101 @@ use shiftex_nn::{ArchSpec, Sequential};
 
 /// Evaluates `params` on the test split of every party in `view`,
 /// returning the sample-weighted mean accuracy in `[0, 1]` (0 when no party
-/// has test data). Parties are materialized one at a time in view order and
-/// dropped after scoring, so evaluation stays O(1)-resident at any
-/// population size.
+/// has test data) — [`evaluate_assigned_view`] with one model for everyone.
 pub fn evaluate_on_view(spec: &ArchSpec, params: &[f32], view: &PopulationView<'_>) -> f32 {
-    let model = Sequential::from_params(spec, params);
+    evaluate_assigned_view(spec, view, |_| params)
+}
+
+/// Sample-weighted population accuracy where `params_of` supplies each
+/// party's assigned parameters — the one per-party scoring loop. Parties
+/// are materialized one at a time in view order and dropped after scoring,
+/// so evaluation stays O(1)-resident at any population size.
+pub fn evaluate_assigned_view<'a>(
+    spec: &ArchSpec,
+    view: &PopulationView<'_>,
+    mut params_of: impl FnMut(PartyId) -> &'a [f32],
+) -> f32 {
     let mut correct = 0.0f64;
     let mut total = 0usize;
+    // One built model per distinct parameter slice (by pointer identity).
+    let mut cache: Vec<(&[f32], Sequential)> = Vec::new();
     for &id in view.ids() {
-        view.with_party(id, |p| {
-            let y = p.test_labels();
-            if y.is_empty() {
+        view.with_party(id, |party| {
+            if party.test().is_empty() {
                 return;
             }
-            let report = model.evaluate(p.test_features(), y);
-            correct += (report.accuracy as f64) * y.len() as f64;
-            total += y.len();
+            let params = params_of(id);
+            let slot = match cache
+                .iter()
+                .position(|(p, _)| std::ptr::eq(p.as_ptr(), params.as_ptr()))
+            {
+                Some(i) => i,
+                None => {
+                    cache.push((params, Sequential::from_params(spec, params)));
+                    cache.len() - 1
+                }
+            };
+            let report = cache[slot]
+                .1
+                .evaluate(party.test_features(), party.test_labels());
+            correct += report.accuracy as f64 * report.n as f64;
+            total += report.n;
         });
     }
     if total == 0 {
         0.0
     } else {
         (correct / total as f64) as f32
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use shiftex_data::{ImageShape, PrototypeGenerator};
+
+    #[test]
+    fn evaluate_assigned_uses_per_party_models() {
+        let mut rng = StdRng::seed_from_u64(0);
+        let gen = PrototypeGenerator::new(ImageShape::new(1, 4, 4), 2, &mut rng);
+        let parties: Vec<Party> = (0..3)
+            .map(|i| {
+                Party::new(
+                    PartyId(i),
+                    gen.generate_uniform(16, &mut rng),
+                    gen.generate_uniform(16, &mut rng),
+                )
+            })
+            .collect();
+        let spec = ArchSpec::mlp("t", 16, &[6], 2);
+        let good = {
+            // Train a model on pooled data so it beats random.
+            let pooled = shiftex_data::Dataset::concat(&[
+                parties[0].train(),
+                parties[1].train(),
+                parties[2].train(),
+            ]);
+            let mut m = Sequential::build(&spec, &mut rng);
+            let cfg = shiftex_nn::TrainConfig {
+                epochs: 25,
+                ..Default::default()
+            };
+            m.train(pooled.features(), pooled.labels(), &cfg, &mut rng);
+            m.params_flat()
+        };
+        let bad = Sequential::build(&spec, &mut StdRng::seed_from_u64(99)).params_flat();
+        let store = PopulationStore::from_parties(parties);
+        let view = store.view(store.party_ids());
+
+        let acc_good = evaluate_on_view(&spec, &good, &view);
+        let acc_bad = evaluate_on_view(&spec, &bad, &view);
+        assert!(acc_good > acc_bad, "trained {acc_good} vs fresh {acc_bad}");
+
+        // Mixed assignment lands between the two pure assignments.
+        let acc_mixed =
+            evaluate_assigned_view(&spec, &view, |id| if id.0 == 0 { &bad } else { &good });
+        assert!(acc_mixed <= acc_good + 1e-6 && acc_mixed >= acc_bad - 1e-6);
     }
 }

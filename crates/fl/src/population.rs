@@ -12,9 +12,8 @@
 //! Two kinds of provider sit behind the store:
 //!
 //! * an **owned** provider ([`PopulationStore::from_parties`]) wraps a
-//!   `Vec<Party>` the caller built by hand — tests, examples and the
-//!   standalone ShiftEx API use it; the store borrows from the `Vec` and
-//!   absorbs mutations in place;
+//!   `Vec<Party>` the caller built by hand — tests and examples use it;
+//!   the store owns the `Vec` and absorbs mutations in place;
 //! * **seeded** providers implement [`PartyProvider`] over a recipe and a
 //!   seed and rebuild `(party, window)` deterministically; rebuilding the
 //!   same pair twice must be bit-identical (the conformance suite enforces

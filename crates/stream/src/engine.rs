@@ -6,7 +6,7 @@
 //! *emitted* once the watermark passes its end. Sliding windows duplicate
 //! records across overlapping windows, tumbling windows partition them.
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use std::sync::mpsc::channel;
 
 use crate::source::Record;
 use crate::window::WindowSpec;
@@ -100,7 +100,7 @@ impl WindowedIngest {
 /// This demonstrates the streaming topology; the experiment harness calls
 /// the engine synchronously for determinism.
 pub fn run_pipeline(spec: WindowSpec, records: Vec<Record>) -> Vec<EmittedWindow> {
-    let (tx, rx): (Sender<Record>, Receiver<Record>) = unbounded();
+    let (tx, rx) = channel::<Record>();
     let consumer = std::thread::spawn(move || {
         let mut engine = WindowedIngest::new(spec);
         let mut emitted = Vec::new();

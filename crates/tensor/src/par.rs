@@ -4,7 +4,7 @@
 //! buffer, so the only parallel primitive they need is "split the output
 //! into contiguous row chunks and run a closure on each chunk in its own
 //! scoped thread". [`for_each_row_chunk`] provides exactly that, built on
-//! the vendored crossbeam scoped threads.
+//! [`std::thread::scope`].
 //!
 //! Small problems stay serial: thread spawn/join costs microseconds, which
 //! dwarfs the kernel time for the tiny per-layer matrices most models here
@@ -46,7 +46,7 @@ pub fn max_threads() -> usize {
 /// [`PAR_MIN_WORK`], or only one thread is available, `f` runs once on the
 /// whole buffer — the serial fast path pays zero synchronisation cost.
 /// Otherwise the rows are split into at most [`max_threads`] chunks, each
-/// handled by a crossbeam scoped thread.
+/// handled by a scoped thread.
 ///
 /// # Panics
 ///
@@ -69,13 +69,12 @@ where
     }
     let chunks = threads.min(rows);
     let rows_per_chunk = rows.div_ceil(chunks);
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for (ci, chunk) in out.chunks_mut(rows_per_chunk * row_width).enumerate() {
             let f = &f;
-            scope.spawn(move |_| f(ci * rows_per_chunk, chunk));
+            scope.spawn(move || f(ci * rows_per_chunk, chunk));
         }
-    })
-    .expect("tensor worker thread panicked");
+    });
 }
 
 #[cfg(test)]

@@ -13,7 +13,10 @@ use rand::{rngs::StdRng, SeedableRng};
 use shiftex::core::{ShiftEx, ShiftExConfig};
 use shiftex::data::{Corruption, ImageShape, PrototypeGenerator, Regime, RegimeId};
 use shiftex::detect::DriftMonitor;
-use shiftex::fl::{Party, PartyId};
+use shiftex::fl::{
+    run_algorithm_round, FederatedAlgorithm, Party, PartyId, PopulationStore, RoundCtx,
+    ScenarioEngine, ScenarioSpec,
+};
 use shiftex::nn::ArchSpec;
 
 fn main() {
@@ -23,7 +26,7 @@ fn main() {
 
     let n = 10;
     let drifting: Vec<usize> = (0..n / 2).collect(); // first half drifts
-    let mut parties: Vec<Party> = (0..n)
+    let parties: Vec<Party> = (0..n)
         .map(|i| {
             Party::new(
                 PartyId(i),
@@ -37,11 +40,20 @@ fn main() {
         participants_per_round: 6,
         ..ShiftExConfig::default()
     };
+    let mut store = PopulationStore::from_parties(parties);
+    let ids = store.party_ids();
+    let mut engine = ScenarioEngine::new(ScenarioSpec::sync(31), &ids);
     let mut shiftex = ShiftEx::new(cfg, spec, &mut rng);
-    shiftex.bootstrap(&parties, 12, &mut rng);
+    shiftex.init(&store.view(ids.clone()), &mut rng);
+    let mut rounds = |shiftex: &mut ShiftEx, store: &PopulationStore, n, rng: &mut StdRng| {
+        for _ in 0..n {
+            run_algorithm_round(shiftex, &mut RoundCtx::new(store, &mut engine), rng);
+        }
+    };
+    rounds(&mut shiftex, &store, 12, &mut rng);
     println!(
         "W0 clear: accuracy {:.1}%\n",
-        shiftex.evaluate(&parties) * 100.0
+        shiftex.eval(&store.view(ids.clone())) * 100.0
     );
 
     // Fog rolls in *gradually*: severity ramps 1 → 5 over five windows.
@@ -50,18 +62,18 @@ fn main() {
     for (window, severity) in (1u8..=5).enumerate() {
         let regime =
             Regime::corrupted(Corruption::Fog, severity).with_id(RegimeId(severity as u32));
-        for (i, p) in parties.iter_mut().enumerate() {
-            let r = if drifting.contains(&i) {
+        for &id in &ids {
+            let r = if drifting.contains(&id.0) {
                 regime.clone()
             } else {
                 Regime::clear()
             };
-            p.advance_window(
-                gen.generate_with_regime(40, &r, &mut rng),
-                gen.generate_with_regime(20, &r, &mut rng),
-            );
+            let train = gen.generate_with_regime(40, &r, &mut rng);
+            let test = gen.generate_with_regime(20, &r, &mut rng);
+            store.with_party_mut(id, |p| p.advance_window(train, test));
         }
-        let report = shiftex.process_window(&parties, &mut rng);
+        shiftex.begin_window(window + 1, &store.view(ids.clone()), &mut rng);
+        let report = shiftex.last_report().expect("window ran").clone();
         // Initialise the CUSUM reference at the calibrated noise level.
         let mon = monitor.get_or_insert_with(|| {
             DriftMonitor::new(report.delta_cov * 0.3, report.delta_cov * 2.0)
@@ -75,9 +87,7 @@ fn main() {
             scores.iter().sum::<f32>() / scores.len().max(1) as f32
         };
         let alarm = mon.observe(mean_mmd.max(0.0));
-        for _ in 0..6 {
-            ShiftEx::train_round(&mut shiftex, &parties, &mut rng);
-        }
+        rounds(&mut shiftex, &store, 6, &mut rng);
         println!(
             "W{} fog severity {severity}: mean MMD {:.4} (δ_cov {:.4}) | window detector: {:>2} \
              parties | CUSUM pressure {:.3}{} | acc {:.1}% | {} experts",
@@ -87,7 +97,7 @@ fn main() {
             report.cov_shifted.len(),
             mon.pressure(),
             if alarm { "  << DRIFT ALARM" } else { "" },
-            shiftex.evaluate(&parties) * 100.0,
+            shiftex.eval(&store.view(ids.clone())) * 100.0,
             shiftex.num_experts()
         );
     }

@@ -10,7 +10,10 @@
 use rand::{rngs::StdRng, SeedableRng};
 use shiftex::core::{ShiftEx, ShiftExConfig};
 use shiftex::data::{Corruption, ImageShape, PrototypeGenerator, Regime, RegimeId};
-use shiftex::fl::{Party, PartyId};
+use shiftex::fl::{
+    run_algorithm_round, FederatedAlgorithm, Party, PartyId, PopulationStore, RoundCtx,
+    ScenarioEngine, ScenarioSpec,
+};
 use shiftex::nn::ArchSpec;
 
 fn main() {
@@ -19,7 +22,7 @@ fn main() {
     let spec = ArchSpec::densenet121_lite(shiftex::nn::InputShape { c: 3, h: 8, w: 8 }, 10, 24);
 
     let n = 10;
-    let mut parties: Vec<Party> = (0..n)
+    let parties: Vec<Party> = (0..n)
         .map(|i| {
             Party::new(
                 PartyId(i),
@@ -33,11 +36,20 @@ fn main() {
         participants_per_round: 6,
         ..ShiftExConfig::default()
     };
+    let mut store = PopulationStore::from_parties(parties);
+    let ids = store.party_ids();
+    let mut engine = ScenarioEngine::new(ScenarioSpec::sync(2024), &ids);
     let mut shiftex = ShiftEx::new(cfg, spec, &mut rng);
-    shiftex.bootstrap(&parties, 12, &mut rng);
+    shiftex.init(&store.view(ids.clone()), &mut rng);
+    let mut rounds = |shiftex: &mut ShiftEx, store: &PopulationStore, n, rng: &mut StdRng| {
+        for _ in 0..n {
+            run_algorithm_round(shiftex, &mut RoundCtx::new(store, &mut engine), rng);
+        }
+    };
+    rounds(&mut shiftex, &store, 12, &mut rng);
     println!(
         "W0 (clear summer imagery): accuracy {:.1}%",
-        shiftex.evaluate(&parties) * 100.0
+        shiftex.eval(&store.view(ids.clone())) * 100.0
     );
 
     // Seasons: winter frost arrives, clears, then *returns* next year.
@@ -57,28 +69,26 @@ fn main() {
         ("W4 stable winter", Some(&frost), &[0, 1, 2, 3, 4]),
     ];
 
-    for (label, regime, affected) in seasons {
-        for (i, p) in parties.iter_mut().enumerate() {
-            let r = if affected.contains(&i) {
+    for (window, (label, regime, affected)) in seasons.into_iter().enumerate() {
+        for &id in &ids {
+            let r = if affected.contains(&id.0) {
                 regime.cloned().unwrap_or_else(Regime::clear)
             } else {
                 Regime::clear()
             };
-            p.advance_window(
-                gen.generate_with_regime(40, &r, &mut rng),
-                gen.generate_with_regime(20, &r, &mut rng),
-            );
+            let train = gen.generate_with_regime(40, &r, &mut rng);
+            let test = gen.generate_with_regime(20, &r, &mut rng);
+            store.with_party_mut(id, |p| p.advance_window(train, test));
         }
-        let report = shiftex.process_window(&parties, &mut rng);
-        for _ in 0..6 {
-            ShiftEx::train_round(&mut shiftex, &parties, &mut rng);
-        }
+        shiftex.begin_window(window + 1, &store.view(ids.clone()), &mut rng);
+        let report = shiftex.last_report().expect("window ran").clone();
+        rounds(&mut shiftex, &store, 6, &mut rng);
         println!(
             "{label}\n  detected {:>2} shifted | created {:?} | reused {:?} | accuracy {:.1}% | {} experts",
             report.cov_shifted.len(),
             report.created,
             report.reused,
-            shiftex.evaluate(&parties) * 100.0,
+            shiftex.eval(&store.view(ids.clone())) * 100.0,
             shiftex.num_experts()
         );
     }

@@ -30,84 +30,64 @@
 //!
 //! # Quickstart
 //!
+//! Every algorithm — ShiftEx and each baseline — implements
+//! [`fl::FederatedAlgorithm`] and trains through the same
+//! [`fl::run_algorithm_round`], configured by an [`fl::RoundCtx`] (codec,
+//! selector, fold, ledger, transport; the defaults are the paper's clean
+//! synchronous protocol). ShiftEx has no other runtime:
+//!
 //! ```
 //! use rand::{rngs::StdRng, SeedableRng};
 //! use shiftex::core::{ShiftEx, ShiftExConfig};
 //! use shiftex::data::{Corruption, ImageShape, PrototypeGenerator, Regime};
-//! use shiftex::fl::{Party, PartyId};
+//! use shiftex::fl::{
+//!     run_algorithm_round, CodecSpec, CommLedger, FederatedAlgorithm, Party, PartyId,
+//!     PopulationStore, RoundCtx, ScenarioEngine, ScenarioSpec,
+//! };
 //! use shiftex::nn::ArchSpec;
 //!
 //! let mut rng = StdRng::seed_from_u64(7);
 //! let gen = PrototypeGenerator::new(ImageShape::new(1, 8, 8), 4, &mut rng);
 //!
-//! // A small federation on the clean distribution.
-//! let mut parties: Vec<Party> = (0..8)
+//! // A small federation on the clean distribution. `from_parties` keeps
+//! // everyone resident; a custom `PartyProvider` makes the same rounds lazy.
+//! let parties: Vec<Party> = (0..8)
 //!     .map(|i| Party::new(PartyId(i),
 //!                         gen.generate_uniform(40, &mut rng),
 //!                         gen.generate_uniform(20, &mut rng)))
 //!     .collect();
+//! let mut population = PopulationStore::from_parties(parties);
+//! let ids = population.party_ids();
 //!
-//! // Bootstrap a global model, then let fog arrive for half the parties.
+//! // Bootstrap: enrol everyone on expert 0, then three metered rounds.
 //! let spec = ArchSpec::mlp("quickstart", 64, &[24, 12], 4);
 //! let mut shiftex = ShiftEx::new(ShiftExConfig::default(), spec, &mut rng);
-//! shiftex.bootstrap(&parties, 3, &mut rng);
+//! shiftex.init(&population.view(ids.clone()), &mut rng);
+//! let mut engine = ScenarioEngine::new(ScenarioSpec::sync(0), &ids);
+//! let (codec, ledger) = (CodecSpec::quant8(64), CommLedger::new());
+//! for round in 1..=3 {
+//!     let mut ctx = RoundCtx::new(&population, &mut engine)
+//!         .with_codec(&codec)
+//!         .with_ledger(&ledger);
+//!     let outcome = run_algorithm_round(&mut shiftex, &mut ctx, &mut rng);
+//!     assert_eq!((outcome.round, outcome.folded), (round, 8));
+//! }
+//! assert!(ledger.totals().up_bytes > 0);
 //!
+//! // Fog arrives for half the parties; the window boundary detects it.
 //! let fog = Regime::corrupted(Corruption::Fog, 5);
-//! for (i, p) in parties.iter_mut().enumerate() {
-//!     let (train, test) = if i < 4 {
+//! for &id in &ids {
+//!     let (train, test) = if id.0 < 4 {
 //!         (gen.generate_with_regime(40, &fog, &mut rng),
 //!          gen.generate_with_regime(20, &fog, &mut rng))
 //!     } else {
 //!         (gen.generate_uniform(40, &mut rng), gen.generate_uniform(20, &mut rng))
 //!     };
-//!     p.advance_window(train, test);
+//!     population.with_party_mut(id, |p| p.advance_window(train, test));
 //! }
-//! let report = shiftex.process_window(&parties, &mut rng);
+//! shiftex.begin_window(1, &population.view(ids.clone()), &mut rng);
+//! let report = shiftex.last_report().expect("window ran");
 //! assert!(report.cov_shifted.len() >= 2, "the fog cohort is detected");
-//! ```
-//!
-//! # One round driver
-//!
-//! Every algorithm — ShiftEx and each baseline — implements
-//! [`fl::FederatedAlgorithm`] and trains through the same
-//! [`fl::run_algorithm_round`], configured by an [`fl::RoundCtx`] (codec,
-//! selector, fold, ledger, transport; the defaults are the paper's clean
-//! synchronous protocol):
-//!
-//! ```
-//! use rand::{rngs::StdRng, SeedableRng};
-//! use shiftex::baselines::FedAvg;
-//! use shiftex::data::{ImageShape, PrototypeGenerator};
-//! use shiftex::fl::{
-//!     run_algorithm_round, CodecSpec, CommLedger, FederatedAlgorithm, Party, PartyId,
-//!     PopulationStore, RoundCtx, ScenarioEngine, ScenarioSpec,
-//! };
-//! use shiftex::nn::{ArchSpec, TrainConfig};
-//!
-//! let mut rng = StdRng::seed_from_u64(0);
-//! let gen = PrototypeGenerator::new(ImageShape::new(1, 4, 4), 3, &mut rng);
-//! let parties: Vec<Party> = (0..4)
-//!     .map(|i| Party::new(PartyId(i),
-//!                         gen.generate_uniform(32, &mut rng),
-//!                         gen.generate_uniform(16, &mut rng)))
-//!     .collect();
-//! // `from_parties` keeps everyone resident; a custom `PartyProvider`
-//! // makes the same rounds lazy.
-//! let population = PopulationStore::from_parties(parties);
-//! let ids = population.party_ids();
-//!
-//! let mut fedavg = FedAvg::new(ArchSpec::mlp("demo", 16, &[8], 3), TrainConfig::default(), 4);
-//! fedavg.init(&population.view(ids.clone()), &mut rng);
-//! let mut engine = ScenarioEngine::new(ScenarioSpec::sync(0), &ids);
-//! let (codec, ledger) = (CodecSpec::quant8(64), CommLedger::new());
-//! let mut ctx = RoundCtx::new(&population, &mut engine)
-//!     .with_codec(&codec)
-//!     .with_ledger(&ledger);
-//! for round in 1..=3 {
-//!     let outcome = run_algorithm_round(&mut fedavg, &mut ctx, &mut rng);
-//!     assert_eq!((outcome.round, outcome.folded), (round, 4));
-//! }
-//! assert_eq!(ledger.totals().up_bytes, 12 * codec.update_len(fedavg.params().len()) as u64);
 //! ```
 
 #![forbid(unsafe_code)]

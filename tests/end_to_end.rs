@@ -5,8 +5,13 @@
 use rand::{rngs::StdRng, SeedableRng};
 use shiftex::core::{ShiftEx, ShiftExConfig};
 use shiftex::data::{Corruption, DatasetKind, ImageShape, PrototypeGenerator, Regime, SimScale};
-use shiftex::experiments::{build_algorithm, run_scenario, Scenario, ALGORITHM_NAMES};
-use shiftex::fl::{FederatedAlgorithm, Party, PartyId};
+use shiftex::experiments::{
+    build_algorithm, run_scenario, ResidentPopulation, Scenario, ALGORITHM_NAMES,
+};
+use shiftex::fl::{
+    run_algorithm_round, FederatedAlgorithm, Party, PartyId, PopulationStore, RoundCtx,
+    ScenarioEngine, ScenarioSpec,
+};
 use shiftex::nn::ArchSpec;
 
 #[test]
@@ -65,7 +70,7 @@ fn expert_lifecycle_create_reuse_and_bounded_pool() {
     let mut rng = StdRng::seed_from_u64(3);
     let gen = PrototypeGenerator::new(ImageShape::new(3, 8, 8), 6, &mut rng);
     let spec = ArchSpec::resnet18_lite(shiftex::nn::InputShape { c: 3, h: 8, w: 8 }, 6, 16);
-    let mut parties: Vec<Party> = (0..10)
+    let parties: Vec<Party> = (0..10)
         .map(|i| {
             Party::new(
                 PartyId(i),
@@ -74,12 +79,21 @@ fn expert_lifecycle_create_reuse_and_bounded_pool() {
             )
         })
         .collect();
+    let mut store = PopulationStore::from_parties(parties);
+    let ids = store.party_ids();
+    let mut engine = ScenarioEngine::new(ScenarioSpec::sync(3), &ids);
     let cfg = ShiftExConfig {
         participants_per_round: 8,
         ..ShiftExConfig::default()
     };
     let mut shiftex = ShiftEx::new(cfg, spec, &mut rng);
-    shiftex.bootstrap(&parties, 8, &mut rng);
+    shiftex.init(&store.view(ids.clone()), &mut rng);
+    let mut rounds = |shiftex: &mut ShiftEx, store: &PopulationStore, n, rng: &mut StdRng| {
+        for _ in 0..n {
+            run_algorithm_round(shiftex, &mut RoundCtx::new(store, &mut engine), rng);
+        }
+    };
+    rounds(&mut shiftex, &store, 8, &mut rng);
 
     let fog = Regime::corrupted(Corruption::Fog, 5);
     let mut created_total = 0;
@@ -91,23 +105,21 @@ fn expert_lifecycle_create_reuse_and_bounded_pool() {
         } else {
             Regime::clear()
         };
-        for (i, p) in parties.iter_mut().enumerate() {
-            let r = if i < 5 {
+        for &id in &ids {
+            let r = if id.0 < 5 {
                 regime.clone()
             } else {
                 Regime::clear()
             };
-            p.advance_window(
-                gen.generate_with_regime(40, &r, &mut rng),
-                gen.generate_with_regime(20, &r, &mut rng),
-            );
+            let train = gen.generate_with_regime(40, &r, &mut rng);
+            let test = gen.generate_with_regime(20, &r, &mut rng);
+            store.with_party_mut(id, |p| p.advance_window(train, test));
         }
-        let report = shiftex.process_window(&parties, &mut rng);
+        shiftex.begin_window(window + 1, &store.view(ids.clone()), &mut rng);
+        let report = shiftex.last_report().expect("window ran");
         created_total += report.created.len();
         reused_total += report.reused.len();
-        for _ in 0..4 {
-            ShiftEx::train_round(&mut shiftex, &parties, &mut rng);
-        }
+        rounds(&mut shiftex, &store, 4, &mut rng);
     }
     assert!(
         created_total >= 1,
@@ -126,9 +138,6 @@ fn expert_lifecycle_create_reuse_and_bounded_pool() {
 
 #[test]
 fn algorithms_are_interchangeable_as_trait_objects() {
-    use shiftex::fl::{
-        run_algorithm_round, PopulationStore, RoundCtx, ScenarioEngine, ScenarioSpec,
-    };
     let scenario = Scenario::build(DatasetKind::Cifar10C, SimScale::Smoke, 8);
     let mut rng = StdRng::seed_from_u64(9);
     let mut algorithms: Vec<Box<dyn FederatedAlgorithm>> = ALGORITHM_NAMES
@@ -137,9 +146,8 @@ fn algorithms_are_interchangeable_as_trait_objects() {
             build_algorithm(name, &scenario, &ShiftExConfig::default()).expect("known name")
         })
         .collect();
-    let parties = scenario.initial_parties(&mut rng);
-    let ids: Vec<PartyId> = parties.iter().map(Party::id).collect();
-    let store = PopulationStore::from_parties(parties);
+    let store = ResidentPopulation::new(scenario.clone(), 9).into_store();
+    let ids = store.party_ids();
     for alg in algorithms.iter_mut() {
         alg.init(&store.view(store.party_ids()), &mut rng);
         let mut engine = ScenarioEngine::new(ScenarioSpec::sync(1), &ids);

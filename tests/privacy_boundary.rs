@@ -143,8 +143,17 @@ fn aggregator_state_contains_no_raw_samples() {
         })
         .collect();
     let spec = ArchSpec::mlp("t", 64, &[16], 4);
+    let store = PopulationStore::from_parties(parties);
+    let mut engine = ScenarioEngine::new(ScenarioSpec::sync(2), &store.party_ids());
     let mut shiftex = ShiftEx::new(ShiftExConfig::default(), spec, &mut rng);
-    shiftex.bootstrap(&parties, 2, &mut rng);
+    shiftex.init(&store.view(store.party_ids()), &mut rng);
+    for _ in 0..2 {
+        run_algorithm_round(
+            &mut shiftex,
+            &mut RoundCtx::new(&store, &mut engine),
+            &mut rng,
+        );
+    }
 
     // Everything the aggregator retains per party is embedding-space.
     for stats in shiftex.party_stats() {
