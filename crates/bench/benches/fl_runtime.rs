@@ -191,6 +191,44 @@ fn bench_nn_kernels(c: &mut Criterion) {
 
     let lenet = ArchSpec::lenet5_lite(InputShape { c: 1, h: 8, w: 8 }, 10, 24);
     let resnet = ArchSpec::resnet18_lite(InputShape { c: 3, h: 8, w: 8 }, 10, 24);
+
+    // The dense products of the paper_shift MLP (192 -> 48 -> 24 -> 10) at
+    // its batch of 32 and its 60-row test split, labelled `rows x shared x
+    // cols` of the product computed, operands ReLU-sparse where production's
+    // are; then the 200-row forward `embed` that `begin_window` runs per
+    // party. Own RNG: the labels below keep the inputs they always had.
+    {
+        let mut rng = StdRng::seed_from_u64(61);
+        let mut out = Matrix::default();
+        let mut dense = |rows: usize, cols: usize| Matrix::randn(rows, cols, 0.0, 1.0, &mut rng);
+        let (x32, x60, w1) = (dense(32, 192), dense(60, 192), dense(192, 48));
+        let (w2, w3) = (dense(48, 24), dense(24, 10));
+        let (g1, g2, g3) = (
+            relu_sparse(dense(32, 48)),
+            relu_sparse(dense(32, 24)),
+            dense(32, 10),
+        );
+        group.bench_function("matmul_32x192x48", |b| {
+            b.iter(|| x32.matmul_into(&w1, &mut out))
+        });
+        group.bench_function("matmul_60x192x48", |b| {
+            b.iter(|| x60.matmul_into(&w1, &mut out))
+        });
+        let mut grad_w = vec![0.0; 192 * 48];
+        group.bench_function("t_matmul_192x32x48", |b| {
+            b.iter(|| x32.t_matmul_into(&g1, &mut grad_w))
+        });
+        group.bench_function("matmul_t_32x24x48", |b| {
+            b.iter(|| g2.matmul_t_into(&w2, &mut out))
+        });
+        group.bench_function("matmul_t_32x10x24", |b| {
+            b.iter(|| g3.matmul_t_into(&w3, &mut out))
+        });
+        let model = Sequential::build(&resnet, &mut rng);
+        let x200 = Matrix::randn(200, 192, 0.0, 1.0, &mut rng);
+        group.bench_function("embed_200x192", |b| b.iter(|| model.embed(&x200)));
+    }
+
     for (label, spec, rows) in [
         ("train_step_lenet_b8", &lenet, 8),
         ("train_step_resnet18lite_b32", &resnet, 32),

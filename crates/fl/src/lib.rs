@@ -97,11 +97,15 @@ pub fn evaluate_assigned_view<'a>(
                     cache.len() - 1
                 }
             };
-            let report = cache[slot]
+            // Arg-max against the label only; the same `f32` accuracy, then
+            // `f64` weighting, that an `EvalReport` would have gone through.
+            let n = party.test_labels().len();
+            let hits = cache[slot]
                 .1
-                .evaluate(party.test_features(), party.test_labels());
-            correct += report.accuracy as f64 * report.n as f64;
-            total += report.n;
+                .count_correct(party.test_features(), party.test_labels());
+            let accuracy = hits as f32 / n as f32;
+            correct += accuracy as f64 * n as f64;
+            total += n;
         });
     }
     if total == 0 {

@@ -3,8 +3,8 @@
 //!
 //! Stride 1, odd kernel, "same" zero padding — the arithmetic of the scalar
 //! loops in [`crate::naive`], addend for addend and in the same order, run
-//! on the blocked [`shiftex_tensor::gemm_acc`] kernel over an im2col panel
-//! of a bounded chunk of rows:
+//! on the register-tile [`shiftex_tensor::gemm_acc`] kernel over an im2col
+//! panel of a bounded chunk of rows:
 //!
 //! * **forward** gathers a *tap-major* panel `(in_c·k·k) × (rows·h·w)` —
 //!   row `(ic, ky, kx)` holds, for every output pixel of the chunk, the
@@ -15,17 +15,19 @@
 //! * **backward, parameters** gathers the transposed *patch-major* panel
 //!   `(rows·h·w) × (in_c·k·k)` and accumulates `grad_out · panel` one batch
 //!   row at a time: every filter weight receives its addends in ascending
-//!   `(b, oy, ox)` order, zero gradients skipped as in the scalar loop.
+//!   `(b, oy, ox)` order, zero gradients added as `±0.0` where the scalar
+//!   loop skips them.
 //! * **backward, input** is the forward kernel run on `grad_out` with the
 //!   filter bank transposed and flipped, `w'[ic][oc, ky, kx] =
 //!   w[oc][ic, k−1−ky, k−1−kx]`: ascending flipped taps are descending
 //!   original taps, i.e. ascending `(oy, ox)` for each input pixel, after
 //!   ascending `oc` — the scalar loop's order again.
 //!
-//! # Why the padding addends are harmless
+//! # Why the zero addends are harmless
 //!
-//! Where the scalar loops *skip* an out-of-image tap (or a zero gradient),
-//! the panel holds `0.0` and the kernel *adds* `c·0.0 = ±0.0`. For finite
+//! Where the scalar loops *skip* an out-of-image tap or a zero gradient,
+//! the kernel multiplies through — the panel holds `0.0` under the tap, the
+//! gradient is a `0.0` coefficient — and *adds* `c·0.0 = ±0.0`. For finite
 //! operands `x + (±0.0)` is `x` bit for bit unless `x` is `-0.0`, and a
 //! running sum that started at `+0.0` can never be `-0.0` (`x + y` is
 //! `-0.0` only when both are). That covers every gradient accumulator and
@@ -33,7 +35,7 @@
 //! bias the outputs are still equal as numbers; only an output that is
 //! exactly zero at a border pixel may come out `+0.0` where the scalar loop
 //! leaves `-0.0`, and the ReLU that follows every convolution here maps
-//! both to `+0.0`. Non-finite weights or gradients are outside the
+//! both to `+0.0`. Non-finite weights, inputs or gradients are outside the
 //! contract (`∞·0.0` is NaN).
 //!
 //! # Residency
@@ -134,7 +136,7 @@ pub(crate) fn backward(
         im2col::<true>(shape, input, first, rows, &mut scratch.panel);
         for (r, patches) in scratch.panel.chunks_exact(px * taps).enumerate() {
             let g = grad_out.row(first + r);
-            gemm_acc(g, patches, grad_w, px, taps, true);
+            gemm_acc(g, patches, grad_w, px, taps);
             for (gb, plane) in grad_b.iter_mut().zip(g.chunks_exact(px)) {
                 for &v in plane {
                     if v != 0.0 {
@@ -189,7 +191,7 @@ fn correlate(
         for oc in 0..shape.out_c {
             acc.resize((oc + 1) * n, seed(oc));
         }
-        gemm_acc(weight, panel, acc, taps, n, false);
+        gemm_acc(weight, panel, acc, taps, n);
         for (oc, acc_row) in acc.chunks_exact(n).enumerate() {
             for (r, plane) in acc_row.chunks_exact(px).enumerate() {
                 out.row_mut(first + r)[oc * px..(oc + 1) * px].copy_from_slice(plane);

@@ -68,6 +68,8 @@ pub struct LayerCache {
     stds: Vec<f32>,
     /// Conv: im2col panel and accumulator rows of one row chunk.
     conv: ConvScratch,
+    /// Dense: `Wᵀ` packed for the input-gradient product of a narrow layer.
+    pack: Vec<f32>,
 }
 
 impl Layer {
@@ -166,7 +168,7 @@ impl Layer {
                 input.t_matmul_into(grad_out, grad_w);
                 grad_out.col_sums_into(grad_b);
                 if let Some(grad_in) = grad_in {
-                    grad_out.matmul_t_into(w, grad_in);
+                    grad_out.matmul_t_into_packed(w, grad_in, &mut cache.pack);
                 }
             }
             Layer::Relu => {

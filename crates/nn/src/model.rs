@@ -63,6 +63,15 @@ struct Workspace {
     flat_grad: Vec<f32>,
 }
 
+/// Rows of `logits` whose arg-max (first on ties) is the row's label.
+fn top1_hits(logits: &Matrix, labels: &[usize]) -> usize {
+    logits
+        .iter_rows()
+        .zip(labels)
+        .filter(|(row, &label)| shiftex_tensor::vector::argmax(row) == label)
+        .count()
+}
+
 impl Sequential {
     /// Builds a freshly-initialised model from an architecture spec.
     ///
@@ -261,17 +270,21 @@ impl Sequential {
         }
         let logits = self.forward(x);
         let (loss, _) = softmax_cross_entropy(&logits, labels);
-        let preds = logits.argmax_rows();
-        let correct = preds
-            .iter()
-            .zip(labels.iter())
-            .filter(|(p, l)| p == l)
-            .count();
         EvalReport {
             loss,
-            accuracy: correct as f32 / labels.len() as f32,
+            accuracy: top1_hits(&logits, labels) as f32 / labels.len() as f32,
             n: labels.len(),
         }
+    }
+
+    /// Number of rows of `x` whose top-1 prediction is its label — the
+    /// numerator of [`EvalReport::accuracy`] without the loss (an `exp` per
+    /// logit), for scoring loops that read nothing else.
+    pub fn count_correct(&self, x: &Matrix, labels: &[usize]) -> usize {
+        if x.rows() == 0 {
+            return 0;
+        }
+        top1_hits(&self.forward(x), labels)
     }
 
     /// One SGD step on a single mini-batch; returns the batch loss.
@@ -590,6 +603,25 @@ mod tests {
         assert_eq!(rebuilt.params_flat(), built.params_flat());
         let x = Matrix::randn(4, 64, 0.0, 1.0, &mut StdRng::seed_from_u64(6));
         assert_eq!(rebuilt.forward(&x), built.forward(&x));
+    }
+
+    /// The loss-free count is the count `evaluate` reports, exactly.
+    #[test]
+    fn count_correct_is_the_numerator_of_evaluate_accuracy() {
+        let mut rng = StdRng::seed_from_u64(12);
+        let spec = ArchSpec::mlp("t", 4, &[8], 2);
+        let model = Sequential::build(&spec, &mut rng);
+        let x = Matrix::randn(37, 4, 0.0, 1.0, &mut rng);
+        let y: Vec<usize> = (0..37).map(|i| i % 2).collect();
+        let report = model.evaluate(&x, &y);
+        let hits = model.count_correct(&x, &y);
+        assert!(hits > 0 && hits < 37, "labels unrelated to the inputs");
+        assert_eq!(
+            (hits as f32 / 37.0).to_bits(),
+            report.accuracy.to_bits(),
+            "{hits} of 37"
+        );
+        assert_eq!(model.count_correct(&Matrix::zeros(0, 4), &[]), 0);
     }
 
     #[test]

@@ -27,6 +27,7 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+mod gemm;
 mod matrix;
 pub mod par;
 pub mod rngx;
@@ -39,7 +40,8 @@ mod simd;
 pub mod stats;
 pub mod vector;
 
-pub use matrix::{gemm_acc, naive, Matrix};
+pub use gemm::gemm_acc;
+pub use matrix::{naive, Matrix};
 
 /// Error type for shape mismatches and invalid numeric arguments.
 #[derive(Debug, Clone, PartialEq, Eq)]

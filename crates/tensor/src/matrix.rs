@@ -1,29 +1,22 @@
 //! Row-major `f32` matrix with the operations a small NN stack needs.
 //!
-//! The matrix-product kernels ([`Matrix::matmul`], [`Matrix::matmul_t`],
-//! [`Matrix::t_matmul`]) are blocked for cache reuse, register-tiled over
-//! [`MR`] output rows, and split across scoped worker threads once the
-//! estimated work crosses [`crate::par::PAR_MIN_WORK`] (tiny model matrices
-//! never pay spawn cost). Accumulation order over the shared dimension is
-//! the same ascending order as the textbook loops, so `matmul`/`t_matmul`
-//! results are bit-identical to the naive references in [`naive`];
-//! `matmul_t` rides the lane-unrolled [`crate::vector::dot`] and may differ
-//! by normal `f32` rounding.
+//! The dense products ([`Matrix::matmul`], [`Matrix::t_matmul`], and
+//! [`Matrix::matmul_t`] below [`vector::LANES`] shared columns) all run on
+//! the one register-tile kernel of `crate::gemm`, split across scoped worker
+//! threads once the work crosses [`crate::par::PAR_MIN_WORK`] (model-sized
+//! products never pay spawn cost). Every element accumulates over the shared
+//! dimension in the ascending order of the textbook loops, one rounded
+//! multiply and one rounded add per addend, so `matmul`/`t_matmul` are
+//! bit-identical to the references in [`naive`]; `matmul_t` is bit-identical
+//! to one lane-unrolled [`vector::dot`] per element, which may differ from
+//! the strict loop by normal `f32` rounding.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
+use crate::gemm::{gemm_par, Lhs};
 use crate::vector;
 
-/// Register tile height: output rows updated together in [`Matrix::matmul`],
-/// amortising each load of a `rhs` row stripe over four accumulator rows.
-const MR: usize = 4;
-/// Depth (shared-dimension) blocking factor of [`Matrix::matmul`].
-const KC: usize = 256;
-/// Output-column blocking factor of [`Matrix::matmul`]: the [`MR`] output
-/// stripes a tile updates (4 KiB) and the `rhs` stripes it sweeps stay
-/// L1-resident, the `KC × NC` panel of `rhs` (256 KiB at f32) L2-resident.
-const NC: usize = 256;
 /// Square tile side of the blocked [`Matrix::transpose`].
 const TB: usize = 32;
 
@@ -263,11 +256,10 @@ impl Matrix {
 
     /// Matrix product `self · rhs`.
     ///
-    /// Blocked over depth (`KC`) and output columns (`NC`) with an
-    /// `MR`-row register tile, and parallelised over output-row chunks for
-    /// large shapes (see [`crate::par`]). Per-element accumulation over the
-    /// shared dimension stays ascending, so results are bit-identical to
-    /// [`naive::matmul`].
+    /// Runs on the register-tile kernel (`crate::gemm`), parallelised over
+    /// output-row chunks for large shapes (see [`crate::par`]). Per-element
+    /// accumulation over the shared dimension stays ascending, so results
+    /// are bit-identical to [`naive::matmul`] for finite operands.
     ///
     /// # Panics
     ///
@@ -293,20 +285,12 @@ impl Matrix {
         );
         let (kd, n) = (self.cols, rhs.cols);
         out.reset(self.rows, n);
-        let work = self.rows * kd * n;
-        let (a, b) = (&self.data, &rhs.data);
-        crate::par::for_each_row_chunk(&mut out.data, n.max(1), work, |first, chunk| {
-            let rows = chunk.len() / n;
-            matmul_block::<true>(&a[first * kd..(first + rows) * kd], b, chunk, kd, n);
-        });
+        gemm_par::<false>(Lhs::rows(&self.data, kd), &rhs.data, &mut out.data, kd, n);
     }
 
-    /// `selfᵀ · rhs` without materialising the transpose.
-    ///
-    /// Sweeps the rows of both operands once per output-row chunk,
-    /// accumulating rank-1 updates with the lane-unrolled
-    /// [`crate::vector::axpy`]; zero coefficients (common in post-ReLU
-    /// gradients) skip their update. Bit-identical to [`naive::t_matmul`].
+    /// `selfᵀ · rhs` without materialising the transpose: the same kernel
+    /// as [`Matrix::matmul`], reading `self` down its columns. Bit-identical
+    /// to [`naive::t_matmul`] for finite operands.
     ///
     /// # Panics
     ///
@@ -330,23 +314,14 @@ impl Matrix {
             "t_matmul shape mismatch: ({}x{})^T x ({}x{})",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        let (m, ca, n) = (self.rows, self.cols, rhs.cols);
-        assert_eq!(out.len(), ca * n, "t_matmul output length mismatch");
+        assert_eq!(
+            out.len(),
+            self.cols * rhs.cols,
+            "t_matmul output length mismatch"
+        );
         out.fill(0.0);
-        let work = m * ca * n;
-        let (a, b) = (&self.data, &rhs.data);
-        crate::par::for_each_row_chunk(out, n.max(1), work, |first, chunk| {
-            for r in 0..m {
-                let a_row = &a[r * ca..(r + 1) * ca];
-                let b_row = &b[r * n..(r + 1) * n];
-                for (li, out_row) in chunk.chunks_exact_mut(n).enumerate() {
-                    let coeff = a_row[first + li];
-                    if coeff != 0.0 {
-                        vector::axpy(out_row, coeff, b_row);
-                    }
-                }
-            }
-        });
+        let a = Lhs::transposed(&self.data, self.cols);
+        gemm_par::<false>(a, &rhs.data, out, self.rows, rhs.cols);
     }
 
     /// `self · rhsᵀ` without materialising the transpose.
@@ -371,6 +346,20 @@ impl Matrix {
     ///
     /// Panics if `self.cols != rhs.cols`.
     pub fn matmul_t_into(&self, rhs: &Matrix, out: &mut Matrix) {
+        self.matmul_t_into_packed(rhs, out, &mut Vec::new());
+    }
+
+    /// [`Matrix::matmul_t_into`] with caller-kept scratch. Below
+    /// [`vector::LANES`] shared columns a `dot` is one scalar FMA chain, so
+    /// the product runs on the register-tile kernel instead — same chain per
+    /// element, same bits — over `rhsᵀ` packed into `pack`, which keeps its
+    /// allocation (a training step that lends the same `pack` every batch
+    /// allocates nothing). Longer rows never touch `pack`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.cols != rhs.cols`.
+    pub fn matmul_t_into_packed(&self, rhs: &Matrix, out: &mut Matrix, pack: &mut Vec<f32>) {
         assert_eq!(
             self.cols, rhs.cols,
             "matmul_t shape mismatch: ({}x{}) x ({}x{})^T",
@@ -378,8 +367,18 @@ impl Matrix {
         );
         let (kd, p) = (self.cols, rhs.rows);
         out.reset(self.rows, p);
-        let work = self.rows * p * kd;
         let (a, b) = (&self.data, &rhs.data);
+        if kd < vector::LANES {
+            pack.clear();
+            pack.resize(kd * p, 0.0);
+            for (j, row) in b.chunks_exact(kd.max(1)).enumerate() {
+                for (k, &v) in row.iter().enumerate() {
+                    pack[k * p + j] = v;
+                }
+            }
+            return gemm_par::<true>(Lhs::rows(a, kd), pack, &mut out.data, kd, p);
+        }
+        let work = self.rows * p * kd;
         crate::par::for_each_row_chunk(&mut out.data, p.max(1), work, |first, chunk| {
             // Row pairs share each streamed rhs row via dot2; a trailing odd
             // row falls back to a single dot (bit-identical result).
@@ -676,104 +675,29 @@ impl Matrix {
     }
 }
 
-/// Serial blocked matmul kernel over one chunk of output rows.
+/// Naive reference implementations of the [`Matrix`] kernels.
 ///
-/// `a` holds the matching chunk of `self`'s rows (`chunk.len() / n` rows of
-/// depth `kd`), `b` the full right-hand operand. Output rows are processed
-/// in [`MR`]-row register tiles; within a tile, each depth index broadcasts
-/// one coefficient per row against a cache-resident `KC × NC` panel of `b`.
+/// Textbook loops with no tiling, unrolling or threading. They exist so
+/// property tests (and benches) can check the optimized kernels against an
+/// implementation whose correctness is obvious; production code should
+/// always call the `Matrix` methods.
 ///
-/// `SKIP_ZERO` drops the update of a zero coefficient (sparse activations
-/// and ReLU-masked gradients make these common). Skipping `x += 0·b` is
-/// bit-neutral for finite `b` as long as `x` is not `-0.0`, which a sum
-/// started at `+0.0` never is.
-fn matmul_block<const SKIP_ZERO: bool>(a: &[f32], b: &[f32], out: &mut [f32], kd: usize, n: usize) {
-    for (t, tile) in out.chunks_mut(MR * n).enumerate() {
-        let tile_rows = tile.len() / n;
-        let a_tile = &a[t * MR * kd..t * MR * kd + tile_rows * kd];
-        if tile_rows == MR {
-            let (r0, rest) = tile.split_at_mut(n);
-            let (r1, rest) = rest.split_at_mut(n);
-            let (r2, r3) = rest.split_at_mut(n);
-            for kb in (0..kd).step_by(KC) {
-                let kend = (kb + KC).min(kd);
-                for jb in (0..n).step_by(NC) {
-                    let jend = (jb + NC).min(n);
-                    for k in kb..kend {
-                        let b_stripe = &b[k * n + jb..k * n + jend];
-                        axpy_coeff::<SKIP_ZERO>(&mut r0[jb..jend], a_tile[k], b_stripe);
-                        axpy_coeff::<SKIP_ZERO>(&mut r1[jb..jend], a_tile[kd + k], b_stripe);
-                        axpy_coeff::<SKIP_ZERO>(&mut r2[jb..jend], a_tile[2 * kd + k], b_stripe);
-                        axpy_coeff::<SKIP_ZERO>(&mut r3[jb..jend], a_tile[3 * kd + k], b_stripe);
-                    }
-                }
-            }
-        } else {
-            // Remainder tile (fewer than MR rows): row-at-a-time, same
-            // kb/jb blocking so the accumulation order is unchanged.
-            for (r, out_row) in tile.chunks_exact_mut(n).enumerate() {
-                let a_row = &a_tile[r * kd..(r + 1) * kd];
-                for kb in (0..kd).step_by(KC) {
-                    let kend = (kb + KC).min(kd);
-                    for jb in (0..n).step_by(NC) {
-                        let jend = (jb + NC).min(n);
-                        for k in kb..kend {
-                            let b_stripe = &b[k * n + jb..k * n + jend];
-                            axpy_coeff::<SKIP_ZERO>(&mut out_row[jb..jend], a_row[k], b_stripe);
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// [`vector::axpy`] that, under `SKIP_ZERO`, skips zero coefficients.
-#[inline]
-fn axpy_coeff<const SKIP_ZERO: bool>(out: &mut [f32], coeff: f32, b: &[f32]) {
-    if !SKIP_ZERO || coeff != 0.0 {
-        vector::axpy(out, coeff, b);
-    }
-}
-
-/// Accumulating slice-level GEMM: `out += a · b` for row-major `a`
-/// (`m × kd`), `b` (`kd × n`) and `out` (`m × n`), on the same blocked,
-/// register-tiled serial kernel as [`Matrix::matmul`].
-///
-/// Every output element receives its addends in ascending order of the
-/// shared index, one rounded multiply and one rounded add each (no FMA, no
-/// reassociation), on top of whatever `out` already holds — so a caller
-/// that seeds `out` (with a bias, say) and lowers its loops onto this
-/// kernel reproduces a scalar `acc = seed; acc += a·b` loop bit for bit.
-/// `skip_zero` drops the addends of zero `a` coefficients, which is how the
-/// scalar loops over ReLU-masked gradients are written.
-///
-/// # Panics
-///
-/// Panics if a slice length disagrees with `kd`, `n` and the row count
-/// implied by `out`.
-pub fn gemm_acc(a: &[f32], b: &[f32], out: &mut [f32], kd: usize, n: usize, skip_zero: bool) {
-    if out.is_empty() {
-        return;
-    }
-    assert_eq!(out.len() % n, 0, "gemm_acc output is not whole rows");
-    assert_eq!(a.len(), out.len() / n * kd, "gemm_acc lhs length mismatch");
-    assert_eq!(b.len(), kd * n, "gemm_acc rhs length mismatch");
-    if skip_zero {
-        matmul_block::<true>(a, b, out, kd, n);
-    } else {
-        matmul_block::<false>(a, b, out, kd, n);
-    }
-}
-
-/// Naive reference implementations of the blocked [`Matrix`] kernels.
-///
-/// Textbook loops with no blocking, tiling, unrolling or threading. They
-/// exist so property tests (and benches) can check the optimized kernels
-/// against an implementation whose correctness is obvious; production code
-/// should always call the `Matrix` methods.
+/// The products accumulate with an explicit `acc = 0.0; acc += a * b` loop,
+/// not `Iterator::sum`: the neutral element of `sum::<f32>()` is `-0.0` on
+/// current toolchains and was `+0.0` on older ones, so the sign of an
+/// all-zero-product element would depend on the compiler — and disagree
+/// with the kernels, whose sums are seeded `+0.0`.
 pub mod naive {
     use super::Matrix;
+
+    /// `Σ term(k)` over `k` in `0..kd` ascending, seeded `+0.0`.
+    fn chain(kd: usize, term: impl Fn(usize) -> f32) -> f32 {
+        let mut acc = 0.0;
+        for k in 0..kd {
+            acc += term(k);
+        }
+        acc
+    }
 
     /// Textbook triple-loop `a · b`.
     ///
@@ -783,7 +707,7 @@ pub mod naive {
     pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
         assert_eq!(a.cols(), b.rows(), "matmul shape mismatch");
         Matrix::from_fn(a.rows(), b.cols(), |i, j| {
-            (0..a.cols()).map(|k| a.get(i, k) * b.get(k, j)).sum()
+            chain(a.cols(), |k| a.get(i, k) * b.get(k, j))
         })
     }
 
@@ -795,7 +719,7 @@ pub mod naive {
     pub fn t_matmul(a: &Matrix, b: &Matrix) -> Matrix {
         assert_eq!(a.rows(), b.rows(), "t_matmul shape mismatch");
         Matrix::from_fn(a.cols(), b.cols(), |i, j| {
-            (0..a.rows()).map(|r| a.get(r, i) * b.get(r, j)).sum()
+            chain(a.rows(), |r| a.get(r, i) * b.get(r, j))
         })
     }
 
@@ -807,7 +731,7 @@ pub mod naive {
     pub fn matmul_t(a: &Matrix, b: &Matrix) -> Matrix {
         assert_eq!(a.cols(), b.cols(), "matmul_t shape mismatch");
         Matrix::from_fn(a.rows(), b.rows(), |i, j| {
-            (0..a.cols()).map(|k| a.get(i, k) * b.get(j, k)).sum()
+            chain(a.cols(), |k| a.get(i, k) * b.get(j, k))
         })
     }
 
@@ -852,6 +776,7 @@ impl std::fmt::Display for Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gemm::tests::{bits, relu_sparse};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -973,15 +898,88 @@ mod tests {
         assert!(Matrix::zeros(0, 3).col(2).is_empty());
     }
 
+    /// ReLU-sparse `rows × cols` operand (≥ 50 % exact zeros, some `-0.0`).
+    fn sparse(rows: usize, cols: usize, rng: &mut StdRng) -> Matrix {
+        Matrix::from_vec(rows, cols, relu_sparse(rows * cols, rng))
+    }
+
+    /// What `matmul_t` promises per element: one [`vector::dot`] — which,
+    /// below [`vector::LANES`] shared columns, is spelled out here as the
+    /// scalar chain it reduces to: fused multiply-adds from `0.0`, added to
+    /// an all-zero lane reduction.
+    fn matmul_t_oracle(a: &Matrix, b: &Matrix) -> Matrix {
+        Matrix::from_fn(a.rows(), b.rows(), |i, j| {
+            let d = vector::dot(a.row(i), b.row(j));
+            if a.cols() < vector::LANES {
+                let mut chain = 0.0f32;
+                for (&x, &y) in a.row(i).iter().zip(b.row(j)) {
+                    chain = vector::madd(x, y, chain);
+                }
+                assert_eq!(
+                    d.to_bits(),
+                    (0.0 + chain).to_bits(),
+                    "dot is its tail chain"
+                );
+            }
+            d
+        })
+    }
+
+    /// `matmul_into`, `t_matmul_into` and `matmul_t_into` (plain and with
+    /// kept scratch) on an `m`-row, `n`-column output over depth `kd`, each
+    /// against its explicit-loop oracle, bit for bit. Outputs start dirty
+    /// and mis-shaped: the kernels own their reset.
+    fn assert_products_bit_identical(m: usize, kd: usize, n: usize, rng: &mut StdRng) {
+        let at = format!("{m}x{kd}x{n}");
+        let (a, b) = (sparse(m, kd, rng), sparse(kd, n, rng));
+        let mut out = Matrix::full(2, 3, f32::NAN);
+        a.matmul_into(&b, &mut out);
+        assert_eq!(out.shape(), (m, n));
+        let want = naive::matmul(&a, &b);
+        assert_eq!(bits(out.as_slice()), bits(want.as_slice()), "matmul {at}");
+
+        let at_ = sparse(kd, m, rng);
+        let mut flat = vec![f32::NAN; m * n];
+        at_.t_matmul_into(&b, &mut flat);
+        let want = naive::t_matmul(&at_, &b);
+        assert_eq!(bits(&flat), bits(want.as_slice()), "t_matmul {at}");
+
+        let bt = sparse(n, kd, rng);
+        let want = matmul_t_oracle(&a, &bt);
+        let mut pack = vec![f32::NAN; 5];
+        a.matmul_t_into(&bt, &mut out);
+        assert_eq!(bits(out.as_slice()), bits(want.as_slice()), "matmul_t {at}");
+        out.reset(1, 1);
+        a.matmul_t_into_packed(&bt, &mut out, &mut pack);
+        assert_eq!(out.shape(), (m, n));
+        assert_eq!(bits(out.as_slice()), bits(want.as_slice()), "packed {at}");
+    }
+
+    /// Every tile edge: all four row remainders (odd counts included),
+    /// columns around one, two, three and six tile vectors, depths on both
+    /// sides of the `matmul_t` regime switch and far past it.
     #[test]
-    fn blocked_kernels_cross_depth_block_boundary() {
-        // Shapes straddling KC (256) exercise the kb remainder handling.
+    fn products_are_bit_identical_across_every_tile_edge() {
         let mut rng = StdRng::seed_from_u64(21);
-        let a = Matrix::randn(3, 300, 0.0, 1.0, &mut rng);
-        let b = Matrix::randn(300, 5, 0.0, 1.0, &mut rng);
-        assert_close(&a.matmul(&b), &naive::matmul(&a, &b), 1e-4);
-        let c = Matrix::randn(7, 300, 0.0, 1.0, &mut rng);
-        assert_close(&a.matmul_t(&c), &naive::matmul_t(&a, &c), 1e-4);
+        for m in [1, 2, 3, 4, 5, 7, 8] {
+            for n in [1, 7, 8, 9, 23, 24, 25, 47, 48, 49] {
+                for kd in [0, 1, 31, 32, 33, 300] {
+                    assert_products_bit_identical(m, kd, n, &mut rng);
+                }
+            }
+        }
+    }
+
+    /// Above `PAR_MIN_WORK` the rows split over threads (where the machine
+    /// has any); which thread owns a row changes no element.
+    #[test]
+    fn product_above_the_parallel_threshold_is_bit_identical() {
+        let mut rng = StdRng::seed_from_u64(23);
+        let (m, kd, n) = (130, 1024, 130);
+        assert!(m * kd * n >= crate::par::PAR_MIN_WORK);
+        let (a, b) = (sparse(m, kd, &mut rng), sparse(kd, n, &mut rng));
+        let (fast, slow) = (a.matmul(&b), naive::matmul(&a, &b));
+        assert_eq!(bits(fast.as_slice()), bits(slow.as_slice()));
     }
 
     #[test]
@@ -1009,35 +1007,12 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// Blocked `matmul` matches the naive reference across random
-        /// shapes, including non-multiple-of-MR row counts.
+        /// The three products on random shapes and ReLU-sparse operands,
+        /// bit for bit against their explicit-loop oracles.
         #[test]
-        fn prop_matmul_matches_naive(m in 1usize..13, k in 1usize..40, n in 1usize..13,
-                                     seed in 0u64..1000) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let a = Matrix::randn(m, k, 0.0, 1.0, &mut rng);
-            let b = Matrix::randn(k, n, 0.0, 1.0, &mut rng);
-            assert_close(&a.matmul(&b), &naive::matmul(&a, &b), 1e-4);
-        }
-
-        /// Blocked `matmul_t` matches the naive reference.
-        #[test]
-        fn prop_matmul_t_matches_naive(m in 1usize..13, k in 1usize..40, p in 1usize..13,
-                                       seed in 0u64..1000) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let a = Matrix::randn(m, k, 0.0, 1.0, &mut rng);
-            let b = Matrix::randn(p, k, 0.0, 1.0, &mut rng);
-            assert_close(&a.matmul_t(&b), &naive::matmul_t(&a, &b), 1e-4);
-        }
-
-        /// Blocked `t_matmul` matches the naive reference.
-        #[test]
-        fn prop_t_matmul_matches_naive(m in 1usize..40, k in 1usize..13, n in 1usize..13,
-                                       seed in 0u64..1000) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let a = Matrix::randn(m, k, 0.0, 1.0, &mut rng);
-            let b = Matrix::randn(m, n, 0.0, 1.0, &mut rng);
-            assert_close(&a.t_matmul(&b), &naive::t_matmul(&a, &b), 1e-4);
+        fn prop_products_are_bit_identical_to_explicit_loops(m in 1usize..14, kd in 0usize..70,
+                                                             n in 1usize..60, seed in 0u64..1000) {
+            assert_products_bit_identical(m, kd, n, &mut StdRng::seed_from_u64(seed));
         }
 
         /// Tiled transpose matches the naive reference, including

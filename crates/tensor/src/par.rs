@@ -6,18 +6,25 @@
 //! scoped thread". [`for_each_row_chunk`] provides exactly that, built on
 //! [`std::thread::scope`].
 //!
-//! Small problems stay serial: thread spawn/join costs microseconds, which
-//! dwarfs the kernel time for the tiny per-layer matrices most models here
-//! use. Work is estimated by the caller in multiply-add units and compared
-//! against [`PAR_MIN_WORK`].
+//! Small problems stay serial: spawning and joining the scoped threads costs
+//! more than a model-sized product takes. Work is estimated by the caller in
+//! multiply-add units and compared against [`PAR_MIN_WORK`].
 
 use std::sync::OnceLock;
 
 /// Minimum estimated work (multiply-adds) before a kernel goes parallel.
 ///
-/// Below this, scoped-thread spawn/join overhead exceeds the kernel time;
-/// 1M multiply-adds is ~0.1–1 ms of serial work on one core.
-pub const PAR_MIN_WORK: usize = 1 << 20;
+/// Set from measurement (2 vCPUs, three alternating runs, `nn_kernels` /
+/// `tensor_kernels` medians): the register-tile kernel runs at 20–30 G
+/// multiply-adds per second, and one `thread::scope` spawn + join costs
+/// 40–100 µs. At the previous `1 << 20` the 200 × 192 forward `embed`
+/// (1.8 M multiply-adds, called ~1 200 times per `paper_shift` repetition)
+/// took 73–107 µs on one thread and 113–177 µs split over two, and
+/// `matmul_64x256x128` (2.1 M) 89–116 µs against 145–165 µs. `1 << 24` is
+/// ~0.6–0.8 ms of serial work: every dense-layer product of the shipped
+/// models stays serial, while the 41–82 M multiply-add Gram products of the
+/// MMD / clustering path still split.
+pub const PAR_MIN_WORK: usize = 1 << 24;
 
 /// Number of worker threads tensor kernels may use.
 ///

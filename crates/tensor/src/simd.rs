@@ -1,4 +1,5 @@
-//! Explicit AVX2+FMA kernels behind the [`crate::vector`] dispatch.
+//! Explicit AVX2+FMA kernels behind the [`crate::vector`] dispatch and the
+//! `crate::gemm` register tile.
 //!
 //! The safe lane-unrolled kernels in [`crate::vector`] are written so the
 //! autovectorizer *can* turn them into SIMD — but whether it actually does
@@ -6,9 +7,10 @@
 //! to clean 8-wide FMA chains in one crate context and to a shuffle-heavy
 //! 4-wide form in another (observed with rustc 1.95: presence of a second
 //! caller of the kernel closure flips the chosen vector axis and costs
-//! 2–4× on the Gram-matrix hot path). The reductions here are the one
-//! place in the workspace where that variance is unacceptable, so this
-//! module pins the instruction selection with `core::arch` intrinsics.
+//! 2–4× on the Gram-matrix hot path). The reductions and the dense-product
+//! tile here are the places in the workspace where that variance is
+//! unacceptable, so this module pins the instruction selection with
+//! `core::arch` intrinsics.
 //!
 //! This is the only module in the crate allowed to use `unsafe`; it is
 //! compiled (and reachable) only when the build target enables both `avx2`
@@ -18,16 +20,19 @@
 //! The accumulator layout (four 8-lane registers per operand row, i.e.
 //! [`LANES`] = 32 partial sums) and the reduction tree mirror the safe
 //! fallback exactly, so both paths agree up to the usual FMA-vs-mul-add
-//! rounding differences of the tails they share.
+//! rounding differences of the tails they share. [`gemm_tile`] and its safe
+//! twin agree bit for bit (a test runs one against the other).
 
 #![allow(unsafe_code)]
 
 use core::arch::x86_64::{
-    __m256, _mm256_add_ps, _mm256_castps256_ps128, _mm256_extractf128_ps, _mm256_fmadd_ps,
-    _mm256_loadu_ps, _mm256_setzero_ps, _mm256_sub_ps, _mm_add_ps, _mm_add_ss, _mm_cvtss_f32,
-    _mm_movehl_ps, _mm_shuffle_ps,
+    __m256, __m256i, _mm256_add_ps, _mm256_castps256_ps128, _mm256_extractf128_ps, _mm256_fmadd_ps,
+    _mm256_loadu_ps, _mm256_loadu_si256, _mm256_maskload_ps, _mm256_maskstore_ps, _mm256_mul_ps,
+    _mm256_set1_ps, _mm256_setzero_ps, _mm256_storeu_ps, _mm256_sub_ps, _mm_add_ps, _mm_add_ss,
+    _mm_cvtss_f32, _mm_movehl_ps, _mm_shuffle_ps,
 };
 
+use crate::gemm::{Lhs, MR, NR, VL};
 use crate::vector::LANES;
 
 /// Dot product over the main [`LANES`]-multiple prefix plus a scalar tail.
@@ -170,6 +175,159 @@ pub fn sq_dist(a: &[f32], b: &[f32]) -> f32 {
             tail = d.mul_add(d, tail);
         }
         reduce4(acc0, acc1, acc2, acc3) + tail
+    }
+}
+
+/// Lane masks of a ragged last tile vector: the [`VL`] entries starting at
+/// `VL - live` select the first `live` lanes.
+static TAIL_MASK: [i32; 2 * VL] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
+
+/// One register tile of the dense-product kernel: rows `0..mr` and columns
+/// `0..nc` of `c` (row stride `ldc`) receive `a · b` over `k` in `0..kd`
+/// ascending, `b` read at row stride `ldb`. With `FMA` each addend is one
+/// fused multiply-add and the sum is rounded through a final `+ 0.0`;
+/// without, one rounded multiply then one rounded add. See `crate::gemm`
+/// for the contract and [`crate::gemm::tile_lanes`] for the safe twin.
+///
+/// # Panics
+///
+/// Panics if the tile shape exceeds [`MR`] × [`NR`] or a slice is too short
+/// for the shape and strides.
+#[inline]
+pub fn gemm_tile<const FMA: bool>(
+    a: Lhs<'_>,
+    b: &[f32],
+    ldb: usize,
+    c: &mut [f32],
+    ldc: usize,
+    (mr, nc, kd): (usize, usize, usize),
+) {
+    assert!(
+        (1..=MR).contains(&mr) && (1..=NR).contains(&nc),
+        "tile shape {mr}x{nc}"
+    );
+    // `i * stride + extra`, `None` on overflow: the unsafe tile must never
+    // be handed an offset that only passed its check by wrapping.
+    let offset = |i: usize, stride: usize, extra: usize| i.checked_mul(stride)?.checked_add(extra);
+    assert!(
+        offset(mr - 1, ldc, nc).is_some_and(|end| end <= c.len()),
+        "tile output out of bounds"
+    );
+    if kd > 0 {
+        assert!(
+            offset(kd - 1, ldb, nc).is_some_and(|end| end <= b.len()),
+            "tile rhs out of bounds"
+        );
+        let last = offset(mr - 1, a.row_stride, 0).and_then(|row| offset(kd - 1, a.k_stride, row));
+        assert!(
+            last.is_some_and(|last| last < a.data.len()),
+            "tile lhs out of bounds"
+        );
+    }
+    let (pa, pb, pc) = (a.data.as_ptr(), b.as_ptr(), c.as_mut_ptr());
+    let strides = (a.row_stride, a.k_stride, ldb, ldc);
+    // SAFETY: avx2+fma are statically enabled (module-level cfg). The match
+    // instantiates `ROWS = mr` and `VECS = ceil(nc / VL)`, so `nc` lies in
+    // `(VECS - 1) * VL + 1 ..= VECS * VL`. The asserts above bound, without
+    // wrapping, the largest offset the tile forms into each slice — last row,
+    // last `k`, column `nc - 1` — and every other offset is no larger, which
+    // is what `gemm_tile_impl` requires of `a`, `b` and `c`; `c` is borrowed
+    // mutably, so nothing aliases the stores.
+    unsafe {
+        match (mr, nc.div_ceil(VL)) {
+            (4, 3) => gemm_tile_impl::<4, 3, FMA>(pa, pb, pc, strides, nc, kd),
+            (4, 2) => gemm_tile_impl::<4, 2, FMA>(pa, pb, pc, strides, nc, kd),
+            (4, 1) => gemm_tile_impl::<4, 1, FMA>(pa, pb, pc, strides, nc, kd),
+            (3, 3) => gemm_tile_impl::<3, 3, FMA>(pa, pb, pc, strides, nc, kd),
+            (3, 2) => gemm_tile_impl::<3, 2, FMA>(pa, pb, pc, strides, nc, kd),
+            (3, 1) => gemm_tile_impl::<3, 1, FMA>(pa, pb, pc, strides, nc, kd),
+            (2, 3) => gemm_tile_impl::<2, 3, FMA>(pa, pb, pc, strides, nc, kd),
+            (2, 2) => gemm_tile_impl::<2, 2, FMA>(pa, pb, pc, strides, nc, kd),
+            (2, 1) => gemm_tile_impl::<2, 1, FMA>(pa, pb, pc, strides, nc, kd),
+            (1, 3) => gemm_tile_impl::<1, 3, FMA>(pa, pb, pc, strides, nc, kd),
+            (1, 2) => gemm_tile_impl::<1, 2, FMA>(pa, pb, pc, strides, nc, kd),
+            (1, 1) => gemm_tile_impl::<1, 1, FMA>(pa, pb, pc, strides, nc, kd),
+            _ => unreachable!("asserted above"),
+        }
+    }
+}
+
+/// [`gemm_tile`] for a compile-time tile of `ROWS` rows by `VECS` vectors
+/// whose last vector holds `nc - (VECS - 1) · VL` live lanes; `strides` is
+/// `(a row, a k, ldb, ldc)`. The `ROWS × VECS` accumulators stay in
+/// registers from the load of `c` to its store.
+///
+/// # Safety
+///
+/// Requires avx2+fma, `(VECS - 1) * VL < nc <= VECS * VL`, and — for every
+/// `i < ROWS`, `k < kd`, `j < nc` — `a + i * strides.0 + k * strides.1`,
+/// `b + k * strides.2 + j` readable and `c + i * strides.3 + j` readable and
+/// writable, with `c` not aliased.
+#[inline]
+// SAFETY: see the `# Safety` section above; the only caller is `gemm_tile`.
+unsafe fn gemm_tile_impl<const ROWS: usize, const VECS: usize, const FMA: bool>(
+    a: *const f32,
+    b: *const f32,
+    c: *mut f32,
+    (a_row, a_k, ldb, ldc): (usize, usize, usize, usize),
+    nc: usize,
+    kd: usize,
+) {
+    let live = nc - (VECS - 1) * VL;
+    // SAFETY: avx2+fma per the caller's contract. Every vector but the last
+    // covers columns `v * VL .. (v + 1) * VL <= nc` and is accessed whole;
+    // the last covers `(VECS - 1) * VL .. nc` — whole when `live == VL`,
+    // otherwise through `mask`, whose first `live` lanes are set (`8 - live`
+    // is in `0..VL`, so the 8-entry mask load stays inside the 16-entry
+    // table), and masked-out lanes are neither read nor written. All touched
+    // columns are therefore `< nc`, at rows `i < ROWS` of `c`, `k < kd` of
+    // `b` and `(i, k)` of `a` — in bounds by the caller's contract.
+    unsafe {
+        let mask = _mm256_loadu_si256(TAIL_MASK.as_ptr().add(VL - live) as *const __m256i);
+        let load = |p: *const f32, v: usize| {
+            if v + 1 < VECS || live == VL {
+                _mm256_loadu_ps(p.add(v * VL))
+            } else {
+                _mm256_maskload_ps(p.add(v * VL), mask)
+            }
+        };
+        let mut acc = [[_mm256_setzero_ps(); VECS]; ROWS];
+        for (i, row) in acc.iter_mut().enumerate() {
+            for (v, lanes) in row.iter_mut().enumerate() {
+                *lanes = load(c.add(i * ldc), v);
+            }
+        }
+        for k in 0..kd {
+            let mut bv = [_mm256_setzero_ps(); VECS];
+            for (v, lanes) in bv.iter_mut().enumerate() {
+                *lanes = load(b.add(k * ldb), v);
+            }
+            for (i, row) in acc.iter_mut().enumerate() {
+                let x = _mm256_set1_ps(*a.add(i * a_row + k * a_k));
+                for (s, &y) in row.iter_mut().zip(&bv) {
+                    *s = if FMA {
+                        _mm256_fmadd_ps(x, y, *s)
+                    } else {
+                        _mm256_add_ps(*s, _mm256_mul_ps(x, y))
+                    };
+                }
+            }
+        }
+        for (i, row) in acc.iter().enumerate() {
+            for (v, &s) in row.iter().enumerate() {
+                let s = if FMA {
+                    _mm256_add_ps(s, _mm256_setzero_ps())
+                } else {
+                    s
+                };
+                let dst = c.add(i * ldc + v * VL);
+                if v + 1 < VECS || live == VL {
+                    _mm256_storeu_ps(dst, s);
+                } else {
+                    _mm256_maskstore_ps(dst, mask, s);
+                }
+            }
+        }
     }
 }
 

@@ -23,27 +23,31 @@ pub const LANES: usize = 32;
 ))]
 use crate::simd;
 
-/// Fused multiply-add `a * b + acc` for the safe fallback path when the
-/// target has hardware FMA but the intrinsics path is unavailable;
+/// Fused multiply-add `a * b + acc` for the safe fallback paths when the
+/// target has hardware FMA (the intrinsics path covers AVX2+FMA itself, where
+/// only the tests call this, to check the fallbacks against it);
 /// `f32::mul_add` without hardware support would fall back to a (correct
 /// but ~100x slower) libm soft-fma call, hence the gate.
 #[cfg(all(
     target_feature = "fma",
-    not(all(
-        target_arch = "x86_64",
-        target_feature = "avx2",
-        target_feature = "fma"
-    ))
+    any(
+        test,
+        not(all(
+            target_arch = "x86_64",
+            target_feature = "avx2",
+            target_feature = "fma"
+        ))
+    )
 ))]
 #[inline(always)]
-fn madd(a: f32, b: f32, acc: f32) -> f32 {
+pub(crate) fn madd(a: f32, b: f32, acc: f32) -> f32 {
     a.mul_add(b, acc)
 }
 
 /// Non-FMA fallback of [`madd`]: separate multiply and add.
 #[cfg(not(target_feature = "fma"))]
 #[inline(always)]
-fn madd(a: f32, b: f32, acc: f32) -> f32 {
+pub(crate) fn madd(a: f32, b: f32, acc: f32) -> f32 {
     acc + a * b
 }
 
