@@ -359,6 +359,10 @@ impl ShiftEx {
             });
         }
         let calibrator = ThresholdCalibrator::new(self.cfg.calibration_p_value, 40, 32);
+        // Old ≡ new while both exist: `detect::calibrate` must reproduce the
+        // inline loop below — thresholds, kernel and every RNG draw.
+        let mut moved_rng = rng.clone();
+        let moved = calibrator.calibrate_per_party(&mats, &hists, count, &mut moved_rng);
         let mut t = if mats.is_empty() {
             // No stable window available: fall back to permissive defaults.
             CalibratedThresholds {
@@ -397,6 +401,16 @@ impl ShiftEx {
                 delta_label,
             }
         };
+        assert_eq!(
+            (t.delta_cov.to_bits(), t.delta_label.to_bits(), self.kernel),
+            (
+                moved.0.delta_cov.to_bits(),
+                moved.0.delta_label.to_bits(),
+                moved.1
+            ),
+            "calibrate_per_party diverged from the inline calibration"
+        );
+        assert_eq!(*rng, moved_rng, "calibrate_per_party moved an RNG draw");
         if let Some(dc) = self.cfg.delta_cov {
             t.delta_cov = dc;
         }

@@ -12,7 +12,7 @@ use shiftex_tensor::{rngx, stats, Matrix};
 
 use crate::divergence::jsd;
 use crate::kernel::RbfKernel;
-use crate::mmd::mmd2_biased;
+use crate::mmd::{mmd2_biased, mmd2_unbiased};
 
 /// Calibrated detection thresholds.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -118,6 +118,71 @@ impl ThresholdCalibrator {
             nulls.push(jsd(h, &resampled));
         }
         stats::quantile(&nulls, 1.0 - self.p_value)
+    }
+
+    /// Calibrates both thresholds from per-party stable-window statistics —
+    /// the decision the aggregator runs at its first window boundary.
+    ///
+    /// `embeddings` holds one matrix per party (frozen-encoder embeddings of
+    /// its previous window, already capped to the profile size by the
+    /// caller) and `histograms` the matching label histograms. One kernel
+    /// is fitted by the median heuristic over the pooled rows and shared by
+    /// every score. The `δ_cov` null is *within* party: each party with at
+    /// least four rows is split into random halves up to 20 times
+    /// (`min(iterations, 20)`) and scored with [`mmd2_unbiased`]; the
+    /// threshold is the `1 − p` quantile. Pooling the null *across* parties
+    /// (as [`calibrate_cov`](Self::calibrate_cov) does) would confound it
+    /// with cross-party heterogeneity (different label mixes), inflating
+    /// `δ_cov` and masking real shifts. `δ_label` comes from
+    /// [`calibrate_label`](Self::calibrate_label) with `label_count` draws.
+    ///
+    /// With no embeddings at all (no stable window to learn from) nothing
+    /// is drawn from `rng` and the permissive defaults `δ_cov = 0.05`,
+    /// `δ_label = 0.1` come back without a kernel; `δ_cov` also falls back
+    /// to `0.05` when no party has four rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `embeddings` is non-empty and `histograms` is empty or
+    /// `label_count == 0`.
+    pub fn calibrate_per_party(
+        &self,
+        embeddings: &[Matrix],
+        histograms: &[Vec<f32>],
+        label_count: usize,
+        rng: &mut impl Rng,
+    ) -> (CalibratedThresholds, Option<RbfKernel>) {
+        if embeddings.is_empty() {
+            let fallback = CalibratedThresholds {
+                delta_cov: 0.05,
+                delta_label: 0.1,
+            };
+            return (fallback, None);
+        }
+        let refs: Vec<&Matrix> = embeddings.iter().collect();
+        let pooled = Matrix::vstack(&refs);
+        let kernel = RbfKernel::median_heuristic(&pooled, &pooled);
+        let mut nulls = Vec::new();
+        for m in embeddings.iter().filter(|m| m.rows() >= 4) {
+            let half = m.rows() / 2;
+            for _ in 0..self.iterations.min(20) {
+                let idx = rngx::sample_without_replacement(rng, m.rows(), 2 * half);
+                let a = m.select_rows(&idx[..half]);
+                let b = m.select_rows(&idx[half..]);
+                nulls.push(mmd2_unbiased(&a, &b, &kernel));
+            }
+        }
+        let delta_cov = if nulls.is_empty() {
+            0.05
+        } else {
+            stats::quantile(&nulls, 1.0 - self.p_value)
+        };
+        let delta_label = self.calibrate_label(histograms, label_count, rng);
+        let thresholds = CalibratedThresholds {
+            delta_cov,
+            delta_label,
+        };
+        (thresholds, Some(kernel))
     }
 
     /// Runs both calibrations, returning thresholds plus the fixed kernel.

@@ -443,6 +443,122 @@ impl<C: UpdateCodec> UpdateCodec for Delta<'_, C> {
 }
 
 // ---------------------------------------------------------------------------
+// The three payload codecs: stateless value-to-bytes functions. Framing
+// (headers, update metadata) and the delta stage live in `CodecSpec`.
+
+fn encode_dense(values: &[f32], out: &mut Vec<u8>) {
+    out.reserve(4 * values.len());
+    for &v in values {
+        put_f32(out, v);
+    }
+}
+
+fn decode_dense(reader: &mut Reader<'_>, n: usize) -> Result<Vec<f32>, CodecError> {
+    (0..n).map(|_| reader.f32()).collect()
+}
+
+/// Each block of up to `block` coordinates maps to `u8` codes via
+/// `code = round((x − zero_point) / scale)` with `zero_point = min(block)`
+/// and `scale = (max − min) / 255`.
+fn encode_quant8(values: &[f32], block: usize, out: &mut Vec<u8>) {
+    let block = block.max(1);
+    put_u32(out, block as u32);
+    for chunk in values.chunks(block) {
+        let mut lo = f32::INFINITY;
+        let mut hi = f32::NEG_INFINITY;
+        for &x in chunk {
+            lo = lo.min(x);
+            hi = hi.max(x);
+        }
+        let scale = if hi > lo { (hi - lo) / 255.0 } else { 0.0 };
+        put_f32(out, lo);
+        put_f32(out, scale);
+        for &x in chunk {
+            let code = if scale > 0.0 {
+                ((x - lo) / scale).round().clamp(0.0, 255.0) as u8
+            } else {
+                0
+            };
+            out.push(code);
+        }
+    }
+}
+
+/// Decodes `zero_point + code · scale` per coordinate; the block size is
+/// read from the payload.
+fn decode_quant8(reader: &mut Reader<'_>, n: usize) -> Result<Vec<f32>, CodecError> {
+    let block = reader.u32()? as usize;
+    if block == 0 {
+        return Err(CodecError::BadLength {
+            expected: 1,
+            got: 0,
+        });
+    }
+    let mut values = Vec::with_capacity(n);
+    let mut remaining = n;
+    while remaining > 0 {
+        let len = remaining.min(block);
+        let zero_point = reader.f32()?;
+        let scale = reader.f32()?;
+        for &code in reader.take(len)? {
+            values.push(zero_point + f32::from(code) * scale);
+        }
+        remaining -= len;
+    }
+    Ok(values)
+}
+
+/// Number of coordinates top-k keeps from an `n`-parameter vector.
+fn topk_kept(density: f32, n: usize) -> usize {
+    if n == 0 {
+        return 0;
+    }
+    let d = density.clamp(0.0, 1.0);
+    ((d * n as f32).ceil() as usize).clamp(1, n)
+}
+
+fn encode_topk(values: &[f32], density: f32, out: &mut Vec<u8>) {
+    let k = topk_kept(density, values.len());
+    // Deterministic selection: magnitude descending, index ascending on
+    // ties, via an O(n) partition; then sort the survivors by index for
+    // a canonical wire order. Magnitudes are non-negative, so their IEEE
+    // bit patterns order them totally (NaN sorts above infinity and is
+    // kept first — finite inputs are the caller's contract).
+    let mut order: Vec<u32> = (0..values.len() as u32).collect();
+    let rank = |i: u32| (std::cmp::Reverse(values[i as usize].abs().to_bits()), i);
+    if k < order.len() && k > 0 {
+        order.select_nth_unstable_by_key(k - 1, |&i| rank(i));
+        order.truncate(k);
+    }
+    order.sort_unstable();
+    put_u32(out, k as u32);
+    for i in order {
+        put_u32(out, i);
+        put_f32(out, values[i as usize]);
+    }
+}
+
+/// Selected coordinates decode exactly; everything else decodes to zero.
+fn decode_topk(reader: &mut Reader<'_>, n: usize) -> Result<Vec<f32>, CodecError> {
+    let k = reader.u32()? as usize;
+    if k > n {
+        return Err(CodecError::BadLength {
+            expected: n,
+            got: k,
+        });
+    }
+    let mut values = vec![0.0f32; n];
+    for _ in 0..k {
+        let index = reader.u32()? as usize;
+        let value = reader.f32()?;
+        *values
+            .get_mut(index)
+            .ok_or(CodecError::BadIndex { index, n })? = value;
+    }
+    Ok(values)
+}
+
+// ---------------------------------------------------------------------------
 // CodecSpec: serialisable configuration + framing.
 
 /// Which base codec transforms parameter values into payload bytes.
@@ -460,6 +576,38 @@ pub enum CodecKind {
         /// Kept fraction in `(0, 1]`.
         density: f32,
     },
+}
+
+impl CodecKind {
+    /// Exact payload size for `n` values. Sizes are value-independent by
+    /// design, so the ledger can meter traffic (including aborted uploads)
+    /// without re-encoding payloads.
+    fn payload_len(self, n: usize) -> usize {
+        match self {
+            CodecKind::Dense => 4 * n,
+            CodecKind::Quant8 { block } => 4 + n.div_ceil(block.max(1)) * 8 + n,
+            CodecKind::TopK { density } => 4 + 8 * topk_kept(density, n),
+        }
+    }
+
+    /// Appends the encoded payload for `values` to `out`.
+    fn encode_payload(self, values: &[f32], out: &mut Vec<u8>) {
+        match self {
+            CodecKind::Dense => encode_dense(values, out),
+            CodecKind::Quant8 { block } => encode_quant8(values, block, out),
+            CodecKind::TopK { density } => encode_topk(values, density, out),
+        }
+    }
+
+    /// Decodes a payload of `n` values. Block size and kept count are read
+    /// from the payload, so the variant's own parameters are not consulted.
+    fn decode_payload(self, reader: &mut Reader<'_>, n: usize) -> Result<Vec<f32>, CodecError> {
+        match self {
+            CodecKind::Dense => decode_dense(reader, n),
+            CodecKind::Quant8 { .. } => decode_quant8(reader, n),
+            CodecKind::TopK { .. } => decode_topk(reader, n),
+        }
+    }
 }
 
 /// Wire-format configuration: a base codec plus an optional [`Delta`] stage.
@@ -656,11 +804,7 @@ impl CodecSpec {
 
     /// Exact payload size for `n` parameters.
     pub fn payload_len(&self, n: usize) -> usize {
-        match self.kind {
-            CodecKind::Dense => DenseF32.encoded_len(n),
-            CodecKind::Quant8 { block } => QuantizedI8 { block }.encoded_len(n),
-            CodecKind::TopK { density } => TopKSparse { density }.encoded_len(n),
-        }
+        self.kind.payload_len(n)
     }
 
     fn tag(&self) -> u8 {
@@ -677,7 +821,41 @@ impl CodecSpec {
         put_u32(out, n as u32);
     }
 
+    /// The delta stage subtracts the reference (the last broadcast global,
+    /// which both endpoints hold) before encoding; missing coordinates (an
+    /// empty or shorter reference) count as zero, so delta against nothing
+    /// degenerates to the base codec.
     fn encode_payload(&self, params: &[f32], reference: &[f32], out: &mut Vec<u8>) {
+        if self.delta {
+            let residual: Vec<f32> = params
+                .iter()
+                .enumerate()
+                .map(|(i, &p)| p - reference.get(i).copied().unwrap_or(0.0))
+                .collect();
+            self.kind.encode_payload(&residual, out);
+        } else {
+            self.kind.encode_payload(params, out);
+        }
+    }
+
+    /// Decodes the payload and, under the delta stage, re-adds the reference.
+    fn decode_payload(
+        &self,
+        reader: &mut Reader<'_>,
+        n: usize,
+        reference: &[f32],
+    ) -> Result<Vec<f32>, CodecError> {
+        let mut params = self.kind.decode_payload(reader, n)?;
+        if self.delta {
+            for (i, p) in params.iter_mut().enumerate() {
+                *p += reference.get(i).copied().unwrap_or(0.0);
+            }
+        }
+        Ok(params)
+    }
+
+    #[cfg(test)]
+    fn encode_payload_ladder(&self, params: &[f32], reference: &[f32], out: &mut Vec<u8>) {
         macro_rules! with_base {
             ($base:expr) => {
                 if self.delta {
@@ -698,7 +876,8 @@ impl CodecSpec {
         }
     }
 
-    fn decode_payload(
+    #[cfg(test)]
+    fn decode_payload_ladder(
         &self,
         reader: &mut Reader<'_>,
         n: usize,
@@ -965,10 +1144,62 @@ mod tests {
         );
         let mut wire = CodecSpec::dense().encode_global(&[1.0], &[]);
         wire.push(0);
-        assert!(matches!(
+        assert_eq!(
             CodecSpec::decode_global(&wire, &[]),
-            Err(CodecError::BadLength { .. })
-        ));
+            Err(CodecError::BadLength {
+                expected: 10,
+                got: 11
+            })
+        );
+        // A zero quantisation block can never be encoded.
+        let mut wire = CodecSpec::quant8(4).encode_global(&[1.0, 2.0], &[]);
+        wire[6] = 0;
+        assert_eq!(
+            CodecSpec::decode_global(&wire, &[]),
+            Err(CodecError::BadLength {
+                expected: 1,
+                got: 0
+            })
+        );
+    }
+
+    #[test]
+    fn every_strict_prefix_is_truncated_and_every_suffix_is_bad_length() {
+        let params = lcg_values(70, 5, 1.0);
+        let update = ModelUpdate {
+            party: PartyId(9),
+            params: params.clone(),
+            num_samples: 3,
+            train_loss: 1.5,
+        };
+        for (label, _, _) in WIRE_TABLE {
+            let spec = wire_spec(label);
+            let global = spec.encode_global(&params, &[]);
+            for cut in 0..global.len() {
+                assert_eq!(
+                    CodecSpec::decode_global(&global[..cut], &[]),
+                    Err(CodecError::Truncated),
+                    "{label}: broadcast cut at {cut}"
+                );
+            }
+            let frame = update.encode(&spec, &[]);
+            for cut in 0..frame.len() {
+                assert_eq!(
+                    ModelUpdate::decode(&frame[..cut], &[]),
+                    Err(CodecError::Truncated),
+                    "{label}: update cut at {cut}"
+                );
+            }
+            let long = [frame.as_slice(), &[0]].concat();
+            assert_eq!(
+                ModelUpdate::decode(&long, &[]),
+                Err(CodecError::BadLength {
+                    expected: frame.len(),
+                    got: frame.len() + 1
+                }),
+                "{label}"
+            );
+        }
     }
 
     #[test]
@@ -977,10 +1208,211 @@ mod tests {
         let mut wire = spec.encode_global(&[1.0, 2.0], &[]);
         // Corrupt the first index (header 6 bytes + k 4 bytes).
         wire[10] = 0xff;
-        assert!(matches!(
+        assert_eq!(
             CodecSpec::decode_global(&wire, &[]),
-            Err(CodecError::BadIndex { .. }) | Err(CodecError::BadLength { .. })
-        ));
+            Err(CodecError::BadIndex { index: 0xff, n: 2 })
+        );
+        // More pairs declared than the vector has coordinates.
+        let mut wire = spec.encode_global(&[1.0, 2.0], &[]);
+        wire[6] = 3;
+        assert_eq!(
+            CodecSpec::decode_global(&wire, &[]),
+            Err(CodecError::BadLength {
+                expected: 2,
+                got: 3
+            })
+        );
+    }
+
+    /// FNV-1a over a byte stream.
+    fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+        bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Fingerprint of a frame and of what it decodes to (`to_bits`).
+    fn frame_fingerprint(frame: &[u8], decoded: &[f32]) -> u64 {
+        let bits = decoded.iter().flat_map(|v| v.to_bits().to_le_bytes());
+        fnv1a(frame.iter().copied().chain(bits))
+    }
+
+    /// `n` values in `[-scale, scale)` from integer arithmetic only, so the
+    /// table below does not depend on libm or on the vendored RNG.
+    fn lcg_values(n: usize, seed: u64, scale: f32) -> Vec<f32> {
+        let mut x = seed;
+        (0..n)
+            .map(|_| {
+                x = x
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                ((x >> 40) as f32 / (1u64 << 23) as f32 - 1.0) * scale
+            })
+            .collect()
+    }
+
+    const WIRE_SIZES: [usize; 6] = [0, 1, 255, 256, 257, 10_690];
+
+    /// Fingerprints of the broadcast frame and of the update frame at each
+    /// of [`WIRE_SIZES`], for one spec.
+    fn wire_fingerprints(spec: &CodecSpec) -> ([u64; 6], [u64; 6]) {
+        let mut global = [0u64; 6];
+        let mut update = [0u64; 6];
+        for (slot, &n) in WIRE_SIZES.iter().enumerate() {
+            let reference = lcg_values(n, 11, 2.0);
+            let params: Vec<f32> = lcg_values(n, 29, 0.25)
+                .iter()
+                .zip(&reference)
+                .map(|(d, r)| r + d)
+                .collect();
+            let frame = spec.encode_global(&params, &reference);
+            let decoded = CodecSpec::decode_global(&frame, &reference).expect("decodes");
+            global[slot] = frame_fingerprint(&frame, &decoded);
+            let sent = ModelUpdate {
+                party: PartyId(n + 3),
+                params,
+                num_samples: 17 + n,
+                train_loss: 0.625,
+            };
+            let frame = sent.encode(spec, &reference);
+            let back = ModelUpdate::decode(&frame, &reference).expect("decodes");
+            assert_eq!(
+                (back.party, back.num_samples, back.train_loss),
+                (sent.party, sent.num_samples, sent.train_loss)
+            );
+            update[slot] = frame_fingerprint(&frame, &back.params);
+        }
+        (global, update)
+    }
+
+    /// One row per distinct wire: the broadcast-frame and update-frame
+    /// fingerprints at each of [`WIRE_SIZES`]. The first five labels are
+    /// [`CodecSpec::parse`] names at block 256 / density 0.1.
+    #[rustfmt::skip]
+    const WIRE_TABLE: [(&str, [u64; 6], [u64; 6]); 8] = [
+        ("dense",
+         [0xfb4e_98c7_3bab_ab04, 0x1b4e_e397_d1b2_b889, 0x9749_43b4_1625_4c2b,
+          0x0514_7acf_c757_9967, 0xa50b_cbc2_48e9_bdb2, 0x5444_c895_2db1_b701],
+         [0xd642_cff4_6f93_ffb7, 0xd72a_ee69_a8c3_60fe, 0x6ed7_f39d_74cf_e214,
+          0x4d67_9292_7aa6_d4f4, 0x95bd_bb62_ebd8_c335, 0x85ae_d096_9b14_d58e]),
+        ("quant8",
+         [0x9273_ced3_22af_3574, 0x4df0_7fd1_996a_6075, 0x7b42_fb87_9d3d_8b0e,
+          0x0c49_76b8_43e1_7cf8, 0x9fa8_8637_470c_8c1f, 0x6784_eee9_b130_ccbe],
+         [0x3abe_19a8_473a_f9bb, 0x8ca7_2f69_e37d_1c7c, 0x07fa_bcdf_14e8_650b,
+          0xa59a_4679_0bb6_15b3, 0x2368_202b_03cc_2346, 0x1cb2_8d49_674b_ce6d]),
+        ("delta",
+         [0x07fd_7bf1_b8fb_1567, 0xe2d5_f69a_cf74_741d, 0x6090_f5e7_0475_ad5a,
+          0xeb93_ca38_827f_a8d0, 0x59a6_ad5a_caf6_c380, 0x4714_1f04_c333_b98f],
+         [0xc3bf_a3a0_6935_cfd8, 0x3552_719e_a6ff_fdd2, 0x163d_2aef_c02b_c5cd,
+          0x7ba2_4f4c_3783_5fdb, 0x63c3_0311_6deb_3b17, 0x50b2_90f5_c665_b524]),
+        ("delta-quant8",
+         [0x105c_6f75_97e4_3cb7, 0x7498_aa4e_9653_4e79, 0xc850_544e_a71d_ee94,
+          0x5d8a_0ef1_0049_33ce, 0xd86c_6a18_c2de_1682, 0x48b2_8abd_a942_9a59],
+         [0xc63d_a73b_2f61_ac34, 0x2f5c_1d34_4d31_eb88, 0xbabb_6d91_b9e6_a539,
+          0x0094_9b88_bbea_d655, 0x9aa3_6519_645f_134b, 0x20a1_f553_9450_0612]),
+        ("topk",
+         [0x15e2_7e2d_38e2_07e9, 0x5b21_ea81_ad3d_87be, 0xd26c_97da_8956_1b52,
+          0x83fb_40fb_6b60_7137, 0x0be6_1e4d_b651_0fef, 0xc1ea_229b_b9ca_e917],
+         [0x7cd8_7090_b21d_ece2, 0x7786_2374_431e_d7a5, 0x4705_00de_3fc5_eed1,
+          0xe767_bf25_ef5d_2800, 0xff44_19a4_df9b_de90, 0x5940_cd7e_cb3f_2520]),
+        ("quant8 block 1",
+         [0xfb22_9dca_d161_778e, 0x9356_9104_b0be_fad7, 0xe280_fea9_cb4c_9e31,
+          0x7483_f3c7_fac7_04b1, 0x3cee_e146_c42a_5bd2, 0x89c6_f9c4_971a_f6bb],
+         [0xd20f_4ab0_9888_b7a1, 0xac9f_1ee7_230d_252a, 0x24a5_7ee0_e79d_c158,
+          0x8851_9c8a_faf9_239e, 0x6dce_f14b_b363_4c8f, 0xa9c3_be01_3ef8_59e4]),
+        ("topk 0.01",
+         [0x15e2_7e2d_38e2_07e9, 0x5b21_ea81_ad3d_87be, 0xafdd_22c6_88a3_5b3c,
+          0x6a2a_5100_58cd_7c2d, 0x1c02_6968_3fb2_1435, 0x0b17_f883_1120_1ded],
+         [0x7cd8_7090_b21d_ece2, 0x7786_2374_431e_d7a5, 0x3f6a_1667_dbbe_41c3,
+          0x7c1a_0f72_3b36_ce46, 0x3f8e_157c_8170_af76, 0x747c_09db_5788_146a]),
+        ("topk 1.0",
+         [0x15e2_7e2d_38e2_07e9, 0x5b21_ea81_ad3d_87be, 0x6ef9_8e47_f18c_86a0,
+          0xf98b_80cc_b229_7801, 0x6d6f_e0fd_1380_088f, 0x019b_a550_523b_ea01],
+         [0x7cd8_7090_b21d_ece2, 0x7786_2374_431e_d7a5, 0x278d_0f35_4da3_7933,
+          0xa894_ecb9_428a_2f3e, 0x4039_ce67_7e57_af54, 0xc571_3347_8820_c04e]),
+    ];
+
+    fn wire_spec(label: &str) -> CodecSpec {
+        match label {
+            "quant8 block 1" => CodecSpec::quant8(1),
+            "topk 0.01" => CodecSpec::topk(0.01).with_delta(),
+            "topk 1.0" => CodecSpec::topk(1.0).with_delta(),
+            name => CodecSpec::parse(name, 256, 0.1).expect("a CLI codec name"),
+        }
+    }
+
+    #[test]
+    fn wire_frames_are_bit_pinned() {
+        for (label, global, update) in WIRE_TABLE {
+            assert_eq!(
+                wire_fingerprints(&wire_spec(label)),
+                (global, update),
+                "{label}"
+            );
+        }
+        // The remaining CLI names put the same bytes on the wire as `topk`
+        // (both are residual-coded; error feedback is party-side state).
+        for alias in ["delta-topk", "ef-topk", "ef-delta-topk"] {
+            assert_eq!(
+                wire_fingerprints(&wire_spec(alias)),
+                wire_fingerprints(&wire_spec("topk")),
+                "{alias}"
+            );
+        }
+    }
+
+    #[test]
+    fn codec_kind_matches_the_update_codec_ladder() {
+        // Old ≡ new while both exist: the `CodecKind` matches against the
+        // `UpdateCodec` trait path, on bytes, sizes, values and errors.
+        let mut specs: Vec<CodecSpec> = WIRE_TABLE.iter().map(|row| wire_spec(row.0)).collect();
+        specs.push(CodecSpec::topk(0.3));
+        for spec in specs {
+            for n in WIRE_SIZES.into_iter().chain([70]) {
+                let params = lcg_values(n, 29, 3.0);
+                for reference in [vec![], lcg_values(n / 2, 11, 2.0), lcg_values(n, 11, 2.0)] {
+                    let (mut new, mut old) = (Vec::new(), Vec::new());
+                    spec.encode_payload(&params, &reference, &mut new);
+                    spec.encode_payload_ladder(&params, &reference, &mut old);
+                    assert_eq!(new, old, "{spec} n={n}: payload bytes");
+                    assert_eq!(new.len(), spec.payload_len(n), "{spec} n={n}: size");
+                    let cuts = if n == 70 { 0..new.len() } else { 0..0 };
+                    for cut in cuts.chain([new.len()]) {
+                        let decoded =
+                            spec.decode_payload(&mut Reader::new(&new[..cut]), n, &reference);
+                        let ladder = spec.decode_payload_ladder(
+                            &mut Reader::new(&new[..cut]),
+                            n,
+                            &reference,
+                        );
+                        match (&decoded, &ladder) {
+                            (Ok(a), Ok(b)) => assert!(
+                                a.iter()
+                                    .map(|v| v.to_bits())
+                                    .eq(b.iter().map(|v| v.to_bits())),
+                                "{spec} n={n}: decoded bits"
+                            ),
+                            _ => assert_eq!(decoded, ladder, "{spec} n={n} cut={cut}"),
+                        }
+                    }
+                }
+            }
+        }
+        for n in WIRE_SIZES {
+            assert_eq!(CodecKind::Dense.payload_len(n), DenseF32.encoded_len(n));
+            for block in [1, 7, 256] {
+                assert_eq!(
+                    CodecKind::Quant8 { block }.payload_len(n),
+                    QuantizedI8 { block }.encoded_len(n)
+                );
+            }
+            for density in [0.01, 0.1, 1.0] {
+                assert_eq!(
+                    CodecKind::TopK { density }.payload_len(n),
+                    TopKSparse { density }.encoded_len(n)
+                );
+            }
+        }
     }
 
     #[test]
