@@ -14,21 +14,20 @@
 //!
 //! **FLIPS** ([`Fielding::flips`]) fits the clusters **once** at bootstrap.
 //! This is the federation ShiftEx borrows its selection subsystem from
-//! (the [`FlipsSelector`] itself lives in `shiftex-flips`). As a baseline
-//! it isolates what equitable label representation buys *without* any
-//! shift reaction: clusters are never refit, so parties whose label mix
-//! drifts across windows keep their stale cluster membership — exactly the
-//! gap Fielding (per-window refit) and ShiftEx (expert spawning) close.
+//! ([`FlipsSelector`]). As a baseline it isolates what equitable label
+//! representation buys *without* any shift reaction: clusters are never
+//! refit, so parties whose label mix drifts across windows keep their stale
+//! cluster membership — exactly the gap Fielding (per-window refit) and
+//! ShiftEx (expert spawning) close.
 //!
 //! Selection is internal (the FLIPS clusters) in both, so the driver's
 //! pluggable selector is not consulted.
 
 use rand::rngs::StdRng;
 use shiftex_fl::{
-    aggregate_robust, evaluate_on_view, FederatedAlgorithm, FoldPolicy, ParticipantSelector,
-    PartyId, PartyInfo, PopulationView, UpdateVerdict, WeightedUpdate,
+    aggregate_robust, evaluate_on_view, FederatedAlgorithm, FlipsSelector, FoldPolicy,
+    ParticipantSelector, PartyId, PartyInfo, PopulationView, UpdateVerdict, WeightedUpdate,
 };
-use shiftex_flips::FlipsSelector;
 use shiftex_nn::{ArchSpec, Sequential, TrainConfig};
 
 /// The Fielding baseline, and FLIPS via [`Fielding::flips`].

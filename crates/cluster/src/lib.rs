@@ -29,4 +29,4 @@ mod validity;
 
 pub use kmeans::{KMeans, KMeansResult};
 pub use select::{choose_k, KSelection, DB_ACCEPT, ELBOW_FRAC};
-pub use validity::{davies_bouldin, silhouette};
+pub use validity::davies_bouldin;

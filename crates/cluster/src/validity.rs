@@ -1,5 +1,5 @@
-//! Cluster-validity indices: Davies–Bouldin (used by the paper to pick the
-//! number of covariate clusters) and silhouette (used by tests/ablations).
+//! Cluster validity: the Davies–Bouldin index the paper uses to pick the
+//! number of covariate clusters.
 
 use shiftex_tensor::vector;
 
@@ -47,55 +47,6 @@ pub fn davies_bouldin(points: &[Vec<f32>], assignment: &[usize], centroids: &[Ve
     total / k as f32
 }
 
-/// Mean silhouette coefficient in `[-1, 1]`. **Higher is better.**
-///
-/// Returns `0.0` for fewer than two clusters or trivially small inputs.
-///
-/// # Panics
-///
-/// Panics if `assignment.len() != points.len()`.
-pub fn silhouette(points: &[Vec<f32>], assignment: &[usize]) -> f32 {
-    assert_eq!(points.len(), assignment.len(), "assignment length mismatch");
-    let k = assignment.iter().copied().max().map_or(0, |m| m + 1);
-    if k < 2 || points.len() < 3 {
-        return 0.0;
-    }
-    let mut total = 0.0f32;
-    let mut counted = 0usize;
-    for (i, p) in points.iter().enumerate() {
-        // Mean distance to own cluster (a) and nearest other cluster (b).
-        let mut dist_sum = vec![0.0f32; k];
-        let mut dist_count = vec![0usize; k];
-        for (j, q) in points.iter().enumerate() {
-            if i == j {
-                continue;
-            }
-            dist_sum[assignment[j]] += vector::l2_dist(p, q);
-            dist_count[assignment[j]] += 1;
-        }
-        let own = assignment[i];
-        if dist_count[own] == 0 {
-            continue; // singleton cluster: silhouette undefined, skip
-        }
-        let a = dist_sum[own] / dist_count[own] as f32;
-        let mut b = f32::INFINITY;
-        for c in 0..k {
-            if c != own && dist_count[c] > 0 {
-                b = b.min(dist_sum[c] / dist_count[c] as f32);
-            }
-        }
-        if b.is_finite() {
-            total += (b - a) / a.max(b).max(1e-12);
-            counted += 1;
-        }
-    }
-    if counted == 0 {
-        0.0
-    } else {
-        total / counted as f32
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,23 +82,5 @@ mod tests {
     fn db_index_zero_for_single_cluster() {
         let points = vec![vec![0.0], vec![1.0]];
         assert_eq!(davies_bouldin(&points, &[0, 0], &[vec![0.5]]), 0.0);
-    }
-
-    #[test]
-    fn silhouette_high_for_separated_blobs() {
-        let (p, a, _) = blobs(10.0);
-        assert!(silhouette(&p, &a) > 0.8);
-    }
-
-    #[test]
-    fn silhouette_low_for_overlapping_blobs() {
-        let (p, a, _) = blobs(0.05);
-        assert!(silhouette(&p, &a) < 0.5);
-    }
-
-    #[test]
-    fn silhouette_zero_for_single_cluster() {
-        let points = vec![vec![0.0], vec![1.0], vec![2.0]];
-        assert_eq!(silhouette(&points, &[0, 0, 0]), 0.0);
     }
 }

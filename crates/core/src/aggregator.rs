@@ -17,10 +17,10 @@ use serde::{Deserialize, Serialize};
 use shiftex_cluster::choose_k;
 use shiftex_detect::{CalibratedThresholds, EmbeddingProfile, RbfKernel, ThresholdCalibrator};
 use shiftex_fl::{
-    aggregate_robust, evaluate_assigned_view, FederatedAlgorithm, FoldPolicy, ParticipantSelector,
-    PartyId, PartyInfo, PopulationView, UniformSelector, UpdateVerdict, WeightedUpdate,
+    aggregate_robust, evaluate_assigned_view, FederatedAlgorithm, FlipsSelector, FoldPolicy,
+    ParticipantSelector, PartyId, PartyInfo, PopulationView, UniformSelector, UpdateVerdict,
+    WeightedUpdate,
 };
-use shiftex_flips::FlipsSelector;
 use shiftex_nn::{train_local_params, ArchSpec, Sequential, TrainConfig};
 use shiftex_tensor::Matrix;
 
@@ -188,7 +188,7 @@ impl ShiftEx {
         self.stats.clear();
     }
 
-    /// The most recent shift statistics per party (diagnostics, TEE export).
+    /// The most recent shift statistics per party (diagnostics).
     pub fn party_stats(&self) -> impl Iterator<Item = &ShiftStats> {
         self.stats.values()
     }
@@ -325,16 +325,10 @@ impl ShiftEx {
         if let Some(t) = self.thresholds {
             return t;
         }
-        // Per-party null distributions under the frozen encoder
-        // ("bootstrapped client feature representations assuming no shift",
-        // §5): each party's previous-window embeddings are split into random
-        // halves and compared with the shared kernel. Pooling *across*
-        // parties would confound the null with cross-party heterogeneity
-        // (different label mixes), inflating δ_cov and masking real shifts.
-        //
-        // Calibration strides across the population so at most
-        // [`CALIBRATION_MAX_PARTIES`] parties contribute embeddings: the
-        // median-heuristic kernel fit below is quadratic in pooled rows.
+        // The null is learned from the previous (stable) window under the
+        // frozen encoder. Calibration strides across the population so at
+        // most [`CALIBRATION_MAX_PARTIES`] parties contribute embeddings: the
+        // median-heuristic kernel fit is quadratic in pooled rows.
         // Populations at or below the cap take stride 1 — every party
         // contributes, exactly as before the cap existed.
         let model = Sequential::from_params(&self.spec, &self.frozen_params);
@@ -358,59 +352,9 @@ impl ShiftEx {
                 }
             });
         }
-        let calibrator = ThresholdCalibrator::new(self.cfg.calibration_p_value, 40, 32);
-        // Old ≡ new while both exist: `detect::calibrate` must reproduce the
-        // inline loop below — thresholds, kernel and every RNG draw.
-        let mut moved_rng = rng.clone();
-        let moved = calibrator.calibrate_per_party(&mats, &hists, count, &mut moved_rng);
-        let mut t = if mats.is_empty() {
-            // No stable window available: fall back to permissive defaults.
-            CalibratedThresholds {
-                delta_cov: 0.05,
-                delta_label: 0.1,
-            }
-        } else {
-            // Shared kernel from the pooled stable embeddings.
-            let mat_refs: Vec<&Matrix> = mats.iter().collect();
-            let pooled = Matrix::vstack(&mat_refs);
-            let kernel = shiftex_detect::RbfKernel::median_heuristic(&pooled, &pooled);
-            // Within-party split-half null scores.
-            let mut nulls = Vec::new();
-            for m in &mats {
-                if m.rows() < 4 {
-                    continue;
-                }
-                let half = (m.rows() / 2).min(self.cfg.profile_rows);
-                for _ in 0..calibrator.iterations.min(20) {
-                    let idx =
-                        shiftex_tensor::rngx::sample_without_replacement(rng, m.rows(), 2 * half);
-                    let a = m.select_rows(&idx[..half]);
-                    let b = m.select_rows(&idx[half..]);
-                    nulls.push(shiftex_detect::mmd2_unbiased(&a, &b, &kernel));
-                }
-            }
-            let delta_cov = if nulls.is_empty() {
-                0.05
-            } else {
-                shiftex_tensor::stats::quantile(&nulls, 1.0 - self.cfg.calibration_p_value)
-            };
-            let delta_label = calibrator.calibrate_label(&hists, count.max(1), rng);
-            self.kernel = Some(kernel);
-            CalibratedThresholds {
-                delta_cov,
-                delta_label,
-            }
-        };
-        assert_eq!(
-            (t.delta_cov.to_bits(), t.delta_label.to_bits(), self.kernel),
-            (
-                moved.0.delta_cov.to_bits(),
-                moved.0.delta_label.to_bits(),
-                moved.1
-            ),
-            "calibrate_per_party diverged from the inline calibration"
-        );
-        assert_eq!(*rng, moved_rng, "calibrate_per_party moved an RNG draw");
+        let (mut t, kernel) = ThresholdCalibrator::new(self.cfg.calibration_p_value, 40, 32)
+            .calibrate_per_party(&mats, &hists, count, rng);
+        self.kernel = kernel;
         if let Some(dc) = self.cfg.delta_cov {
             t.delta_cov = dc;
         }

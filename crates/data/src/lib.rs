@@ -13,7 +13,10 @@
 //!   geometric transform ([`Transform`]) applied to inputs at one of five
 //!   severities — the construction of the `-C` benchmark family;
 //! * **label shift** is Dirichlet re-sampling of per-party class proportions
-//!   ([`partition`]), the standard federated non-IID knob.
+//!   ([`partition`]), the standard federated non-IID knob;
+//! * the **§6 regime schedule** ([`ScheduleBuilder`] → [`ShiftSchedule`])
+//!   decides which [`Regime`] each party experiences in each window,
+//!   including the paper's 50 % partial-population shift.
 //!
 //! # Example
 //!
@@ -36,6 +39,7 @@ mod corruption;
 mod dataset;
 pub mod partition;
 mod registry;
+mod schedule;
 mod shift;
 mod synth;
 mod transform;
@@ -43,6 +47,7 @@ mod transform;
 pub use corruption::Corruption;
 pub use dataset::{Dataset, ImageShape};
 pub use registry::{profile, DatasetKind, DatasetProfile, SimScale, WindowingMode};
+pub use schedule::{ScheduleBuilder, ShiftSchedule};
 pub use shift::{Regime, RegimeId};
 pub use synth::PrototypeGenerator;
 pub use transform::Transform;

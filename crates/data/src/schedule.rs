@@ -10,8 +10,10 @@
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use shiftex_data::{DatasetProfile, Regime};
 use shiftex_tensor::rngx;
+
+use crate::registry::DatasetProfile;
+use crate::shift::Regime;
 
 /// A fully-materialised schedule: `regimes[window][party]`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -144,7 +146,13 @@ impl ScheduleBuilder {
 
     /// After this many windows, regimes recur from the start of the pool
     /// (exercises ShiftEx's latent-memory expert reuse).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `windows == 0`: a recurrence period of zero windows has no
+    /// pool position to return to.
     pub fn recur_after(mut self, windows: usize) -> Self {
+        assert!(windows > 0, "recurrence period must be at least one window");
         self.recurrence_after = Some(windows);
         self
     }
@@ -208,13 +216,14 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use shiftex_data::{profile, Corruption, DatasetKind, SimScale};
+
+    use crate::{profile, Corruption, DatasetKind, RegimeId, SimScale};
 
     fn pool() -> Vec<Regime> {
         vec![
             Regime::clear(),
-            Regime::corrupted(Corruption::Fog, 3).with_id(shiftex_data::RegimeId(1)),
-            Regime::corrupted(Corruption::Snow, 3).with_id(shiftex_data::RegimeId(2)),
+            Regime::corrupted(Corruption::Fog, 3).with_id(RegimeId(1)),
+            Regime::corrupted(Corruption::Snow, 3).with_id(RegimeId(2)),
         ]
     }
 
@@ -268,6 +277,12 @@ mod tests {
         // With pool of 2 variants and recurrence after 2, W3 should reuse
         // W1's regime id.
         assert_eq!(s.regimes_in_window(3), s.regimes_in_window(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "recurrence period must be at least one window")]
+    fn zero_recurrence_period_is_rejected() {
+        let _ = ScheduleBuilder::new(10, 4, pool(), 4).recur_after(0);
     }
 
     #[test]

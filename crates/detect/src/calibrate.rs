@@ -184,25 +184,6 @@ impl ThresholdCalibrator {
         };
         (thresholds, Some(kernel))
     }
-
-    /// Runs both calibrations, returning thresholds plus the fixed kernel.
-    pub fn calibrate(
-        &self,
-        embeddings: &Matrix,
-        histograms: &[Vec<f32>],
-        label_count: usize,
-        rng: &mut impl Rng,
-    ) -> (CalibratedThresholds, RbfKernel) {
-        let (delta_cov, kernel) = self.calibrate_cov(embeddings, rng);
-        let delta_label = self.calibrate_label(histograms, label_count, rng);
-        (
-            CalibratedThresholds {
-                delta_cov,
-                delta_label,
-            },
-            kernel,
-        )
-    }
 }
 
 /// Draws `count` samples from the categorical distribution `probs` and
@@ -271,6 +252,37 @@ mod tests {
         let (strict, _) = ThresholdCalibrator::new(0.01, 200, 32).calibrate_cov(&stable, &mut rng1);
         let (loose, _) = ThresholdCalibrator::new(0.25, 200, 32).calibrate_cov(&stable, &mut rng2);
         assert!(strict >= loose, "strict {strict} < loose {loose}");
+    }
+
+    #[test]
+    fn per_party_null_ignores_cross_party_heterogeneity() {
+        // Two parties far apart in embedding space: the within-party null
+        // stays small where the pooled null would span the gap.
+        let mut rng = StdRng::seed_from_u64(4);
+        let parties = [
+            Matrix::randn(32, 6, 0.0, 1.0, &mut rng),
+            Matrix::randn(32, 6, 4.0, 1.0, &mut rng),
+        ];
+        let hists = vec![vec![0.25; 4], vec![0.4, 0.2, 0.2, 0.2]];
+        let cal = ThresholdCalibrator::new(0.05, 40, 32);
+        let (t, kernel) = cal.calibrate_per_party(&parties, &hists, 100, &mut rng);
+        let kernel = kernel.expect("a kernel is fitted whenever embeddings exist");
+        assert!(t.delta_cov < mmd2_unbiased(&parties[0], &parties[1], &kernel));
+        assert!(t.delta_label > 0.0);
+    }
+
+    #[test]
+    fn per_party_fallbacks_draw_nothing_without_embeddings() {
+        let cal = ThresholdCalibrator::new(0.05, 40, 32);
+        let mut rng = StdRng::seed_from_u64(5);
+        let (t, kernel) = cal.calibrate_per_party(&[], &[], 0, &mut rng);
+        assert_eq!((t.delta_cov, t.delta_label, kernel), (0.05, 0.1, None));
+        assert_eq!(rng, StdRng::seed_from_u64(5), "no draw without embeddings");
+        // Too few rows for a split-half: δ_cov falls back, δ_label does not.
+        let tiny = [Matrix::randn(3, 4, 0.0, 1.0, &mut rng)];
+        let (t, kernel) = cal.calibrate_per_party(&tiny, &[vec![0.5, 0.5]], 50, &mut rng);
+        assert_eq!(t.delta_cov, 0.05);
+        assert!(kernel.is_some());
     }
 
     #[test]

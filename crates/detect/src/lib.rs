@@ -30,7 +30,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod alternatives;
 mod calibrate;
 mod divergence;
 mod kernel;
@@ -38,7 +37,6 @@ mod mmd;
 mod online;
 mod summary;
 
-pub use alternatives::{energy_distance, ks_max};
 pub use calibrate::{CalibratedThresholds, ThresholdCalibrator};
 pub use divergence::{jsd, jsd_max, kl_divergence};
 pub use kernel::RbfKernel;

@@ -4,14 +4,14 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use shiftex_data::{
-    profile, Dataset, DatasetKind, DatasetProfile, PrototypeGenerator, SimScale, WindowingMode,
+    profile, Dataset, DatasetKind, DatasetProfile, PrototypeGenerator, ScheduleBuilder,
+    ShiftSchedule, SimScale, WindowingMode,
 };
 use shiftex_fl::{
     AsyncSpec, AttackKind, AttackSchedule, AttackSpec, BudgetSpec, ChurnSpec, CodecSpec, DelayDist,
     FoldPolicy, LatePolicy, Party, PartyId, ScenarioSpec, StragglerSpec,
 };
 use shiftex_nn::{ArchSpec, InputShape};
-use shiftex_stream::{ScheduleBuilder, ShiftSchedule};
 
 use crate::cli::Args;
 

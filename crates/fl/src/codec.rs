@@ -6,19 +6,19 @@
 //! compressed bytes — and so the [`CommLedger`](crate::CommLedger) meters
 //! **actual encoded bytes** instead of a nominal `4 × params` guess.
 //!
-//! Four [`UpdateCodec`] implementations cover the standard levers:
+//! Three [`CodecKind`]s plus a delta stage cover the standard levers:
 //!
-//! * [`DenseF32`] — compact binary framing of raw `f32` little-endian words
-//!   (replaces the seed's JSON wire format; lossless).
-//! * [`QuantizedI8`] — affine 8-bit quantisation with a per-block
+//! * [`CodecKind::Dense`] — compact binary framing of raw `f32`
+//!   little-endian words (replaces the seed's JSON wire format; lossless).
+//! * [`CodecKind::Quant8`] — affine 8-bit quantisation with a per-block
 //!   `(zero_point, scale)` pair (block = 256 by default): ~3.9× smaller than
 //!   dense, error bounded by `scale / 2` per coordinate.
-//! * [`TopKSparse`] — magnitude sparsification: only the `⌈density · n⌉`
-//!   largest-magnitude coordinates ship, as `(index, value)` pairs.
-//!   Unselected coordinates decode to zero, so top-k is only meaningful on
-//!   *residuals* — compose it with [`Delta`].
-//! * [`Delta`] — encodes the residual against a reference vector (the last
-//!   broadcast global, which both endpoints hold) with any base codec.
+//! * [`CodecKind::TopK`] — magnitude sparsification: only the
+//!   `⌈density · n⌉` largest-magnitude coordinates ship, as `(index, value)`
+//!   pairs. Unselected coordinates decode to zero, so top-k is only
+//!   meaningful on *residuals* — compose it with the delta stage.
+//! * [`CodecSpec::delta`] — encodes the residual against a reference vector
+//!   (the last broadcast global, which both endpoints hold) with any kind.
 //!   Dense deltas are lossless up to `f32` rounding of the residual
 //!   (`(p − r) + r` is not bit-exact, so delta variants always pay the
 //!   real roundtrip); quantised deltas are *more* accurate than quantised
@@ -104,24 +104,19 @@ impl std::error::Error for CodecError {}
 // ---------------------------------------------------------------------------
 // Little-endian cursor helpers.
 
-/// Bounds-checked little-endian cursor over a wire payload.
-pub struct Reader<'a> {
+/// Bounds-checked little-endian cursor over a wire payload. Every read
+/// returns [`CodecError::Truncated`] when the input ends first.
+struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    /// Wraps a byte slice, starting at offset 0.
-    pub fn new(bytes: &'a [u8]) -> Self {
+    fn new(bytes: &'a [u8]) -> Self {
         Self { bytes, pos: 0 }
     }
 
-    /// Takes the next `len` raw bytes.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::Truncated`] when fewer than `len` bytes remain.
-    pub fn take(&mut self, len: usize) -> Result<&'a [u8], CodecError> {
+    fn take(&mut self, len: usize) -> Result<&'a [u8], CodecError> {
         let end = self.pos.checked_add(len).ok_or(CodecError::Truncated)?;
         if end > self.bytes.len() {
             return Err(CodecError::Truncated);
@@ -131,53 +126,29 @@ impl<'a> Reader<'a> {
         Ok(slice)
     }
 
-    /// Reads one byte.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::Truncated`] at end of input.
-    pub fn u8(&mut self) -> Result<u8, CodecError> {
+    fn u8(&mut self) -> Result<u8, CodecError> {
         Ok(self.take(1)?[0])
     }
 
-    /// Reads a little-endian `u32`.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::Truncated`] at end of input.
-    pub fn u32(&mut self) -> Result<u32, CodecError> {
+    fn u32(&mut self) -> Result<u32, CodecError> {
         let b = self.take(4)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
-    /// Reads a little-endian `u64`.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::Truncated`] at end of input.
-    pub fn u64(&mut self) -> Result<u64, CodecError> {
+    fn u64(&mut self) -> Result<u64, CodecError> {
         let b = self.take(8)?;
         Ok(u64::from_le_bytes([
             b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
         ]))
     }
 
-    /// Reads a little-endian `f32`.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::Truncated`] at end of input.
-    pub fn f32(&mut self) -> Result<f32, CodecError> {
+    fn f32(&mut self) -> Result<f32, CodecError> {
         let b = self.take(4)?;
         Ok(f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
-    /// Asserts the payload was fully consumed.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::BadLength`] when trailing bytes remain.
-    pub fn done(&self) -> Result<(), CodecError> {
+    /// [`CodecError::BadLength`] unless the payload was fully consumed.
+    fn done(&self) -> Result<(), CodecError> {
         if self.pos == self.bytes.len() {
             Ok(())
         } else {
@@ -195,251 +166,6 @@ fn put_u32(out: &mut Vec<u8>, v: u32) {
 
 fn put_f32(out: &mut Vec<u8>, v: f32) {
     out.extend_from_slice(&v.to_le_bytes());
-}
-
-// ---------------------------------------------------------------------------
-// The codec trait and its four implementations.
-
-/// A wire codec over flat parameter vectors.
-///
-/// Implementations are stateless value-to-bytes transforms; framing
-/// (headers, update metadata) lives in [`CodecSpec`] / [`ModelUpdate`].
-/// `encoded_len` must be exact for every input of length `n` — sizes are
-/// value-independent by design so the ledger can meter traffic (including
-/// aborted uploads) without re-encoding payloads.
-pub trait UpdateCodec {
-    /// Human-readable codec name.
-    fn name(&self) -> String;
-
-    /// Exact payload size in bytes for an `n`-parameter vector.
-    fn encoded_len(&self, n: usize) -> usize;
-
-    /// Appends the encoded payload for `params` to `out`.
-    fn encode_into(&self, params: &[f32], out: &mut Vec<u8>);
-
-    /// Decodes a payload of `n` parameters from `reader`.
-    fn decode_from(&self, reader: &mut Reader<'_>, n: usize) -> Result<Vec<f32>, CodecError>;
-}
-
-/// Lossless binary framing: `n` little-endian `f32` words.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DenseF32;
-
-impl UpdateCodec for DenseF32 {
-    fn name(&self) -> String {
-        "dense".into()
-    }
-
-    fn encoded_len(&self, n: usize) -> usize {
-        4 * n
-    }
-
-    fn encode_into(&self, params: &[f32], out: &mut Vec<u8>) {
-        out.reserve(4 * params.len());
-        for &p in params {
-            put_f32(out, p);
-        }
-    }
-
-    fn decode_from(&self, reader: &mut Reader<'_>, n: usize) -> Result<Vec<f32>, CodecError> {
-        (0..n).map(|_| reader.f32()).collect()
-    }
-}
-
-/// Affine 8-bit quantisation with a per-block `(zero_point, scale)` pair.
-///
-/// Each block of up to `block` coordinates is mapped to `u8` codes via
-/// `code = round((x − zero_point) / scale)` with `zero_point = min(block)`
-/// and `scale = (max − min) / 255`; decoding returns
-/// `zero_point + code · scale`, so the per-coordinate error is bounded by
-/// `scale / 2`. Payload: `1 + blocks·8/block ≈ 1.03` bytes per parameter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QuantizedI8 {
-    /// Coordinates per quantisation block (≥ 1).
-    pub block: usize,
-}
-
-impl QuantizedI8 {
-    /// The default 256-coordinate block.
-    pub fn new() -> Self {
-        Self { block: 256 }
-    }
-}
-
-impl Default for QuantizedI8 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl UpdateCodec for QuantizedI8 {
-    fn name(&self) -> String {
-        format!("quant8(block={})", self.block)
-    }
-
-    fn encoded_len(&self, n: usize) -> usize {
-        let block = self.block.max(1);
-        4 + n.div_ceil(block) * 8 + n
-    }
-
-    fn encode_into(&self, params: &[f32], out: &mut Vec<u8>) {
-        let block = self.block.max(1);
-        put_u32(out, block as u32);
-        for chunk in params.chunks(block) {
-            let mut lo = f32::INFINITY;
-            let mut hi = f32::NEG_INFINITY;
-            for &x in chunk {
-                lo = lo.min(x);
-                hi = hi.max(x);
-            }
-            let scale = if hi > lo { (hi - lo) / 255.0 } else { 0.0 };
-            put_f32(out, lo);
-            put_f32(out, scale);
-            for &x in chunk {
-                let code = if scale > 0.0 {
-                    ((x - lo) / scale).round().clamp(0.0, 255.0) as u8
-                } else {
-                    0
-                };
-                out.push(code);
-            }
-        }
-    }
-
-    fn decode_from(&self, reader: &mut Reader<'_>, n: usize) -> Result<Vec<f32>, CodecError> {
-        let block = reader.u32()? as usize;
-        if block == 0 {
-            return Err(CodecError::BadLength {
-                expected: 1,
-                got: 0,
-            });
-        }
-        let mut params = Vec::with_capacity(n);
-        let mut remaining = n;
-        while remaining > 0 {
-            let len = remaining.min(block);
-            let zero_point = reader.f32()?;
-            let scale = reader.f32()?;
-            for &code in reader.take(len)? {
-                params.push(zero_point + f32::from(code) * scale);
-            }
-            remaining -= len;
-        }
-        Ok(params)
-    }
-}
-
-/// Magnitude sparsification: only the `⌈density · n⌉` largest-magnitude
-/// coordinates ship, as sorted `(index, value)` pairs.
-///
-/// Selected coordinates are preserved **exactly**; everything else decodes
-/// to zero. Ship *residuals* (compose with [`Delta`]) — top-k of absolute
-/// parameters would zero out every unselected weight.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TopKSparse {
-    /// Fraction of coordinates kept, in `(0, 1]`.
-    pub density: f32,
-}
-
-impl TopKSparse {
-    /// Number of coordinates kept from an `n`-parameter vector.
-    pub fn k_for(&self, n: usize) -> usize {
-        if n == 0 {
-            return 0;
-        }
-        let d = self.density.clamp(0.0, 1.0);
-        ((d * n as f32).ceil() as usize).clamp(1, n)
-    }
-}
-
-impl UpdateCodec for TopKSparse {
-    fn name(&self) -> String {
-        format!("topk(density={})", self.density)
-    }
-
-    fn encoded_len(&self, n: usize) -> usize {
-        4 + 8 * self.k_for(n)
-    }
-
-    fn encode_into(&self, params: &[f32], out: &mut Vec<u8>) {
-        let k = self.k_for(params.len());
-        // Deterministic selection: magnitude descending, index ascending on
-        // ties, via an O(n) partition; then sort the survivors by index for
-        // a canonical wire order. Magnitudes are non-negative, so their IEEE
-        // bit patterns order them totally (NaN sorts above infinity and is
-        // kept first — finite inputs are the caller's contract).
-        let mut order: Vec<u32> = (0..params.len() as u32).collect();
-        let rank = |i: u32| (std::cmp::Reverse(params[i as usize].abs().to_bits()), i);
-        if k < order.len() && k > 0 {
-            order.select_nth_unstable_by_key(k - 1, |&i| rank(i));
-            order.truncate(k);
-        }
-        order.sort_unstable();
-        put_u32(out, k as u32);
-        for i in order {
-            put_u32(out, i);
-            put_f32(out, params[i as usize]);
-        }
-    }
-
-    fn decode_from(&self, reader: &mut Reader<'_>, n: usize) -> Result<Vec<f32>, CodecError> {
-        let k = reader.u32()? as usize;
-        if k > n {
-            return Err(CodecError::BadLength {
-                expected: n,
-                got: k,
-            });
-        }
-        let mut params = vec![0.0f32; n];
-        for _ in 0..k {
-            let index = reader.u32()? as usize;
-            let value = reader.f32()?;
-            *params
-                .get_mut(index)
-                .ok_or(CodecError::BadIndex { index, n })? = value;
-        }
-        Ok(params)
-    }
-}
-
-/// Residual coding against a reference vector with any base codec.
-///
-/// The reference is the last broadcast global, which both the party and the
-/// aggregator hold; missing coordinates (an empty or shorter reference)
-/// count as zero, so delta against nothing degenerates to the base codec.
-#[derive(Debug)]
-pub struct Delta<'a, C: UpdateCodec> {
-    /// Codec applied to the residual.
-    pub base: C,
-    /// Reference vector subtracted before encoding and re-added after.
-    pub reference: &'a [f32],
-}
-
-impl<C: UpdateCodec> UpdateCodec for Delta<'_, C> {
-    fn name(&self) -> String {
-        format!("delta+{}", self.base.name())
-    }
-
-    fn encoded_len(&self, n: usize) -> usize {
-        self.base.encoded_len(n)
-    }
-
-    fn encode_into(&self, params: &[f32], out: &mut Vec<u8>) {
-        let residual: Vec<f32> = params
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| p - self.reference.get(i).copied().unwrap_or(0.0))
-            .collect();
-        self.base.encode_into(&residual, out);
-    }
-
-    fn decode_from(&self, reader: &mut Reader<'_>, n: usize) -> Result<Vec<f32>, CodecError> {
-        let mut params = self.base.decode_from(reader, n)?;
-        for (i, p) in params.iter_mut().enumerate() {
-            *p += self.reference.get(i).copied().unwrap_or(0.0);
-        }
-        Ok(params)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -564,14 +290,19 @@ fn decode_topk(reader: &mut Reader<'_>, n: usize) -> Result<Vec<f32>, CodecError
 /// Which base codec transforms parameter values into payload bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum CodecKind {
-    /// [`DenseF32`].
+    /// Lossless binary framing: `n` little-endian `f32` words.
     Dense,
-    /// [`QuantizedI8`] with the given block size.
+    /// Affine 8-bit quantisation with a per-block `(zero_point, scale)`
+    /// pair; the per-coordinate error is bounded by `scale / 2`. Payload:
+    /// `1 + 8/block ≈ 1.03` bytes per parameter.
     Quant8 {
         /// Coordinates per quantisation block.
         block: usize,
     },
-    /// [`TopKSparse`] keeping this fraction of coordinates.
+    /// Magnitude sparsification: only the `⌈density · n⌉` largest-magnitude
+    /// coordinates ship, as sorted `(index, value)` pairs. Selected
+    /// coordinates are preserved **exactly**; everything else decodes to
+    /// zero, so ship *residuals* ([`CodecSpec::with_delta`]).
     TopK {
         /// Kept fraction in `(0, 1]`.
         density: f32,
@@ -610,7 +341,7 @@ impl CodecKind {
     }
 }
 
-/// Wire-format configuration: a base codec plus an optional [`Delta`] stage.
+/// Wire-format configuration: a base codec plus an optional delta stage.
 ///
 /// `Copy` and serialisable so it can ride inside run options and scenario
 /// reports.
@@ -626,7 +357,7 @@ pub struct CodecSpec {
     /// and the decode path are identical — but requires per-party state, so
     /// it only takes effect on paths that hold accumulators (the
     /// [`ScenarioEngine`](crate::ScenarioEngine) upload path). Only lossy
-    /// kinds benefit; it matters most for [`TopKSparse`] at low density.
+    /// kinds benefit; it matters most for [`CodecKind::TopK`] at low density.
     pub error_feedback: bool,
 }
 
@@ -852,55 +583,6 @@ impl CodecSpec {
             }
         }
         Ok(params)
-    }
-
-    #[cfg(test)]
-    fn encode_payload_ladder(&self, params: &[f32], reference: &[f32], out: &mut Vec<u8>) {
-        macro_rules! with_base {
-            ($base:expr) => {
-                if self.delta {
-                    Delta {
-                        base: $base,
-                        reference,
-                    }
-                    .encode_into(params, out)
-                } else {
-                    $base.encode_into(params, out)
-                }
-            };
-        }
-        match self.kind {
-            CodecKind::Dense => with_base!(DenseF32),
-            CodecKind::Quant8 { block } => with_base!(QuantizedI8 { block }),
-            CodecKind::TopK { density } => with_base!(TopKSparse { density }),
-        }
-    }
-
-    #[cfg(test)]
-    fn decode_payload_ladder(
-        &self,
-        reader: &mut Reader<'_>,
-        n: usize,
-        reference: &[f32],
-    ) -> Result<Vec<f32>, CodecError> {
-        macro_rules! with_base {
-            ($base:expr) => {
-                if self.delta {
-                    Delta {
-                        base: $base,
-                        reference,
-                    }
-                    .decode_from(reader, n)
-                } else {
-                    $base.decode_from(reader, n)
-                }
-            };
-        }
-        match self.kind {
-            CodecKind::Dense => with_base!(DenseF32),
-            CodecKind::Quant8 { block } => with_base!(QuantizedI8 { block }),
-            CodecKind::TopK { density } => with_base!(TopKSparse { density }),
-        }
     }
 
     /// Reads a header, returning the spec it declares and the parameter
@@ -1362,60 +1044,6 @@ mod tests {
     }
 
     #[test]
-    fn codec_kind_matches_the_update_codec_ladder() {
-        // Old ≡ new while both exist: the `CodecKind` matches against the
-        // `UpdateCodec` trait path, on bytes, sizes, values and errors.
-        let mut specs: Vec<CodecSpec> = WIRE_TABLE.iter().map(|row| wire_spec(row.0)).collect();
-        specs.push(CodecSpec::topk(0.3));
-        for spec in specs {
-            for n in WIRE_SIZES.into_iter().chain([70]) {
-                let params = lcg_values(n, 29, 3.0);
-                for reference in [vec![], lcg_values(n / 2, 11, 2.0), lcg_values(n, 11, 2.0)] {
-                    let (mut new, mut old) = (Vec::new(), Vec::new());
-                    spec.encode_payload(&params, &reference, &mut new);
-                    spec.encode_payload_ladder(&params, &reference, &mut old);
-                    assert_eq!(new, old, "{spec} n={n}: payload bytes");
-                    assert_eq!(new.len(), spec.payload_len(n), "{spec} n={n}: size");
-                    let cuts = if n == 70 { 0..new.len() } else { 0..0 };
-                    for cut in cuts.chain([new.len()]) {
-                        let decoded =
-                            spec.decode_payload(&mut Reader::new(&new[..cut]), n, &reference);
-                        let ladder = spec.decode_payload_ladder(
-                            &mut Reader::new(&new[..cut]),
-                            n,
-                            &reference,
-                        );
-                        match (&decoded, &ladder) {
-                            (Ok(a), Ok(b)) => assert!(
-                                a.iter()
-                                    .map(|v| v.to_bits())
-                                    .eq(b.iter().map(|v| v.to_bits())),
-                                "{spec} n={n}: decoded bits"
-                            ),
-                            _ => assert_eq!(decoded, ladder, "{spec} n={n} cut={cut}"),
-                        }
-                    }
-                }
-            }
-        }
-        for n in WIRE_SIZES {
-            assert_eq!(CodecKind::Dense.payload_len(n), DenseF32.encoded_len(n));
-            for block in [1, 7, 256] {
-                assert_eq!(
-                    CodecKind::Quant8 { block }.payload_len(n),
-                    QuantizedI8 { block }.encoded_len(n)
-                );
-            }
-            for density in [0.01, 0.1, 1.0] {
-                assert_eq!(
-                    CodecKind::TopK { density }.payload_len(n),
-                    TopKSparse { density }.encoded_len(n)
-                );
-            }
-        }
-    }
-
-    #[test]
     fn parse_covers_the_cli_names() {
         assert_eq!(
             CodecSpec::parse("dense", 256, 0.1),
@@ -1553,7 +1181,7 @@ mod tests {
             let spec = CodecSpec::topk(density_pct as f32 / 100.0);
             let decoded = roundtrip(&spec, &params, &[]);
             let kept = decoded.iter().filter(|v| **v != 0.0).count();
-            let k = TopKSparse { density: density_pct as f32 / 100.0 }.k_for(params.len());
+            let k = topk_kept(density_pct as f32 / 100.0, params.len());
             prop_assert!(kept <= k, "kept {} > k {}", kept, k);
             // Every surviving coordinate is bit-identical to its source.
             for (&orig, &dec) in params.iter().zip(decoded.iter()) {

@@ -43,7 +43,7 @@ pub use algo::{
     local_update, run_algorithm_round, AlgoRoundOutcome, FederatedAlgorithm, RobustnessReport,
     RoundCodec, RoundCtx,
 };
-pub use codec::{CodecError, CodecKind, CodecSpec, UpdateCodec};
+pub use codec::{CodecError, CodecKind, CodecSpec};
 pub use comm::{CommLedger, CommTotals};
 pub use control::{BudgetSpec, CodecController};
 pub use join::{JoinConfig, JoinSync, JOIN_CHUNK_HEADER_LEN};
@@ -55,7 +55,7 @@ pub use scenario::{
     ChurnSchedule, ChurnSpec, DelayDist, LatePolicy, ParticipationStats, RoundDelivery, RoundMode,
     RoundParticipation, ScenarioEngine, ScenarioSpec, StragglerSpec, WeightedUpdate,
 };
-pub use selection::{ParticipantSelector, UniformSelector};
+pub use selection::{FlipsSelector, ParticipantSelector, UniformSelector};
 pub use transport::{CohortExchange, CohortTransport, LocalStepFn, LocalTransport, UploadOutcome};
 pub use update::ModelUpdate;
 

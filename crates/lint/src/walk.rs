@@ -14,7 +14,7 @@ use crate::rules::FileClass;
 /// Crates whose library code must be rerun-deterministic: everything the
 /// bit-identical conformance goldens and the seeded scenario schedules run
 /// through. D-rules apply to their `src/` (bin targets excluded).
-pub const DETERMINISTIC_CRATES: &[&str] = &["fl", "baselines", "flips", "core", "cluster"];
+pub const DETERMINISTIC_CRATES: &[&str] = &["fl", "baselines", "core", "cluster"];
 
 /// Crates whose library code must not panic on hot paths (P001). The codec
 /// lives inside `fl`, so `fl` + `core` covers the ISSUE's fl/core/codec
@@ -161,7 +161,7 @@ mod tests {
         assert!(classify("crates/bench/src/bin/bench_runner.rs").timing_exempt);
         assert!(classify("crates/bench/src/lib.rs").timing_exempt);
         assert!(classify("shims/criterion/src/lib.rs").timing_exempt);
-        assert!(!classify("crates/tee/src/lib.rs").timing_exempt);
+        assert!(!classify("crates/detect/src/lib.rs").timing_exempt);
     }
 
     #[test]

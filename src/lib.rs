@@ -17,15 +17,12 @@
 //! |--------|-------|----------|
 //! | [`core`] | `shiftex-core` | the ShiftEx framework (Algorithms 1–2, Eq. 2) |
 //! | [`fl`] | `shiftex-fl` | federated runtime: parties, rounds, FedAvg/FedProx |
-//! | [`flips`] | `shiftex-flips` | FLIPS label-balanced participant selection |
 //! | [`baselines`] | `shiftex-baselines` | FedProx, OORT, Fielding, FedDrift |
 //! | [`detect`] | `shiftex-detect` | MMD / JSD detectors + threshold calibration |
 //! | [`cluster`] | `shiftex-cluster` | k-means + Davies–Bouldin model selection |
 //! | [`data`] | `shiftex-data` | synthetic shifted-stream datasets |
-//! | [`stream`] | `shiftex-stream` | tumbling/sliding windows, shift schedules |
 //! | [`nn`] | `shiftex-nn` | neural-network substrate with embeddings |
 //! | [`tensor`] | `shiftex-tensor` | matrix math + seedable distributions |
-//! | [`tee`] | `shiftex-tee` | simulated trusted execution environment |
 //! | [`experiments`] | `shiftex-experiments` | the paper's evaluation harness |
 //!
 //! # Quickstart
@@ -100,8 +97,5 @@ pub use shiftex_data as data;
 pub use shiftex_detect as detect;
 pub use shiftex_experiments as experiments;
 pub use shiftex_fl as fl;
-pub use shiftex_flips as flips;
 pub use shiftex_nn as nn;
-pub use shiftex_stream as stream;
-pub use shiftex_tee as tee;
 pub use shiftex_tensor as tensor;

@@ -3,11 +3,10 @@
 //! architecture pairing, 50 % partial population shift, metrics).
 
 use rand::{rngs::StdRng, SeedableRng};
-use shiftex::data::{profile, DatasetKind, SimScale, WindowingMode};
+use shiftex::data::{profile, DatasetKind, ScheduleBuilder, SimScale, WindowingMode};
 use shiftex::experiments::metrics::window_metrics;
 use shiftex::experiments::Scenario;
 use shiftex::nn::ArchName;
-use shiftex::stream::ScheduleBuilder;
 
 #[test]
 fn paper_scale_party_and_window_counts() {

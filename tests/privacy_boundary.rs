@@ -1,6 +1,5 @@
 //! Privacy-boundary integration tests: what crosses the party → aggregator
-//! boundary is bounded aggregate statistics, the TEE path protects them, and
-//! communication is metered.
+//! boundary is bounded aggregate statistics, and communication is metered.
 
 use rand::{rngs::StdRng, SeedableRng};
 use shiftex::baselines::FedAvg;
@@ -11,7 +10,6 @@ use shiftex::fl::{
     PopulationStore, RoundCtx, ScenarioEngine, ScenarioSpec,
 };
 use shiftex::nn::{ArchSpec, Sequential, TrainConfig};
-use shiftex::tee::{Enclave, TeeError};
 
 fn party(samples: usize, rng: &mut StdRng) -> (Party, PrototypeGenerator) {
     let gen = PrototypeGenerator::new(ImageShape::new(1, 8, 8), 4, rng);
@@ -40,33 +38,6 @@ fn shift_stats_are_bounded_aggregates_not_raw_data() {
     assert_ne!(stats.profile.dim(), party.train().shape().dim());
     // …and the histogram is normalised (no raw counts leak).
     assert!((stats.label_hist.iter().sum::<f32>() - 1.0).abs() < 1e-4);
-}
-
-#[test]
-fn enclave_protects_statistics_in_transit() {
-    let enclave = Enclave::new(42, 0.05);
-    let scores = vec![0.01f32, 0.42, 0.03];
-    let sealed = enclave.seal_value(&scores);
-
-    // The aggregator-side ciphertext reveals nothing readable.
-    let plaintext_json = serde_json::to_vec(&scores).unwrap();
-    assert_ne!(sealed.ciphertext(), plaintext_json.as_slice());
-
-    // Only the owning enclave can unseal; a different enclave fails closed.
-    let other = Enclave::new(43, 0.05);
-    assert_eq!(
-        other.unseal_value::<Vec<f32>>(&sealed),
-        Err(TeeError::IntegrityFailure)
-    );
-
-    // Enclave-side thresholding matches the plaintext computation.
-    let sealed_verdicts = enclave
-        .run(&sealed, |s: Vec<f32>| {
-            s.into_iter().map(|v| v > 0.1).collect::<Vec<bool>>()
-        })
-        .unwrap();
-    let verdicts: Vec<bool> = enclave.unseal_value(&sealed_verdicts).unwrap();
-    assert_eq!(verdicts, vec![false, true, false]);
 }
 
 /// One clean FedAvg round of 4 parties on `input`×`input` images under
