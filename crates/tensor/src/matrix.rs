@@ -982,6 +982,27 @@ mod tests {
         assert_eq!(bits(fast.as_slice()), bits(slow.as_slice()));
     }
 
+    /// `self_gram` computes the upper triangle and mirrors it; the result
+    /// must equal the full `matmul_t` on the matrix itself, bit for bit, on
+    /// ReLU-sparse and dense operands — the 130 × 2048 shape included, the
+    /// largest Gram the MMD path forms.
+    #[test]
+    fn self_gram_is_bit_identical_to_matmul_t_on_itself() {
+        let mut rng = StdRng::seed_from_u64(24);
+        for rows in [1, 2, 3, 7, 8, 33, 130] {
+            for kd in [1, 7, 31, 32, 33, 300, 2048] {
+                let dense = Matrix::randn(rows, kd, 0.0, 1.0, &mut rng);
+                for (kind, a) in [("sparse", sparse(rows, kd, &mut rng)), ("dense", dense)] {
+                    assert_eq!(
+                        bits(a.self_gram().as_slice()),
+                        bits(a.matmul_t(&a).as_slice()),
+                        "{kind} {rows}x{kd}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn pairwise_sq_dists_of_identical_rows_is_exactly_zero() {
         let mut rng = StdRng::seed_from_u64(22);
