@@ -1,7 +1,6 @@
 //! Criterion benches for the federated runtime itself: communication
-//! rounds through the one driver, federated averaging, and a full ShiftEx
-//! window step — the costs a deployment pays per round versus the
-//! per-shift adaptation overhead.
+//! rounds through the one driver and a full ShiftEx window step — the costs
+//! a deployment pays per round versus the per-shift adaptation overhead.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::{rngs::StdRng, SeedableRng};
@@ -11,7 +10,7 @@ use shiftex_fl::{
     run_algorithm_round, FederatedAlgorithm, Party, PartyId, PopulationStore, RoundCtx,
     ScenarioEngine, ScenarioSpec,
 };
-use shiftex_nn::{fedavg, ArchSpec, Sequential};
+use shiftex_nn::{ArchSpec, Sequential};
 
 fn make_parties(n: usize, samples: usize, seed: u64) -> (PrototypeGenerator, Vec<Party>) {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -26,18 +25,6 @@ fn make_parties(n: usize, samples: usize, seed: u64) -> (PrototypeGenerator, Vec
         })
         .collect();
     (gen, parties)
-}
-
-fn bench_fedavg(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(3);
-    let models: Vec<Vec<f32>> = (0..10)
-        .map(|_| shiftex_tensor::Matrix::randn(1, 100_000, 0.0, 1.0, &mut rng).into_vec())
-        .collect();
-    let refs: Vec<&[f32]> = models.iter().map(Vec::as_slice).collect();
-    let counts = vec![32usize; 10];
-    c.bench_function("fedavg_10x100k_params", |b| {
-        b.iter(|| fedavg(&refs, &counts))
-    });
 }
 
 fn bench_window_step(c: &mut Criterion) {
@@ -664,7 +651,6 @@ fn bench_net(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_fedavg,
     bench_window_step,
     bench_tensor_kernels,
     bench_nn_kernels,

@@ -13,7 +13,7 @@
 //!   geometric transform ([`Transform`]) applied to inputs at one of five
 //!   severities — the construction of the `-C` benchmark family;
 //! * **label shift** is Dirichlet re-sampling of per-party class proportions
-//!   ([`partition`]), the standard federated non-IID knob;
+//!   ([`Regime::with_label_dist`]), the standard federated non-IID knob;
 //! * the **§6 regime schedule** ([`ScheduleBuilder`] → [`ShiftSchedule`])
 //!   decides which [`Regime`] each party experiences in each window,
 //!   including the paper's 50 % partial-population shift.
@@ -37,7 +37,6 @@
 
 mod corruption;
 mod dataset;
-pub mod partition;
 mod registry;
 mod schedule;
 mod shift;

@@ -1,21 +1,8 @@
-//! Parameter-space operations used by federated aggregation and expert
-//! consolidation: weighted averaging (FedAvg), cosine similarity and L2
-//! distance between flattened parameter vectors.
+//! Parameter-space operations used by expert consolidation: a weighted
+//! two-model merge, cosine similarity and L2 distance between flattened
+//! parameter vectors. (The federated mean is `shiftex_fl::aggregate_weighted`.)
 
 use shiftex_tensor::vector;
-
-/// Federated averaging: sample-count-weighted mean of parameter vectors.
-///
-/// This is the aggregation rule of FedAvg (McMahan et al.) and the primitive
-/// every strategy in this workspace builds on.
-///
-/// # Panics
-///
-/// Panics if inputs are empty, lengths differ, or all weights are zero.
-pub fn fedavg(params: &[&[f32]], sample_counts: &[usize]) -> Vec<f32> {
-    let weights: Vec<f32> = sample_counts.iter().map(|&c| c as f32).collect();
-    vector::weighted_mean(params, &weights)
-}
 
 /// Weighted two-model merge used by expert consolidation
 /// (`CONSOLIDATEEXPERTS` in Algorithm 2): `wa·a + wb·b`, weights normalised.
@@ -41,30 +28,6 @@ pub fn param_l2_distance(a: &[f32], b: &[f32]) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-
-    #[test]
-    fn fedavg_identity_on_single_model() {
-        let p = vec![1.0, 2.0, 3.0];
-        assert_eq!(fedavg(&[&p], &[10]), p);
-    }
-
-    #[test]
-    fn fedavg_weights_by_samples() {
-        let a = vec![0.0];
-        let b = vec![4.0];
-        let avg = fedavg(&[&a, &b], &[1, 3]);
-        assert!((avg[0] - 3.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn fedavg_of_identical_models_is_identity() {
-        let p = vec![0.5, -0.5, 2.0];
-        let avg = fedavg(&[&p, &p, &p], &[5, 1, 7]);
-        for (x, y) in avg.iter().zip(p.iter()) {
-            assert!((x - y).abs() < 1e-6);
-        }
-    }
 
     #[test]
     fn merge_is_convex_combination() {
@@ -78,22 +41,5 @@ mod tests {
     fn cosine_of_same_params_is_one() {
         let p = vec![1.0, -2.0, 0.5];
         assert!((cosine_params(&p, &p) - 1.0).abs() < 1e-6);
-    }
-
-    proptest! {
-        #[test]
-        fn prop_fedavg_stays_in_hull(
-            a in proptest::collection::vec(-5.0f32..5.0, 4),
-            b in proptest::collection::vec(-5.0f32..5.0, 4),
-            na in 1usize..100,
-            nb in 1usize..100,
-        ) {
-            let avg = fedavg(&[&a, &b], &[na, nb]);
-            for i in 0..4 {
-                let lo = a[i].min(b[i]) - 1e-4;
-                let hi = a[i].max(b[i]) + 1e-4;
-                prop_assert!(avg[i] >= lo && avg[i] <= hi);
-            }
-        }
     }
 }

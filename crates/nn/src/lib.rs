@@ -40,7 +40,7 @@ mod optim;
 mod trainer;
 
 pub use arch::{ArchName, ArchSpec, InputShape, LayerSpec};
-pub use average::{cosine_params, fedavg, param_l2_distance, weighted_merge};
+pub use average::{cosine_params, param_l2_distance, weighted_merge};
 pub use conv::ConvShape;
 pub use layer::{Layer, LayerCache};
 pub use loss::softmax_cross_entropy;

@@ -39,8 +39,6 @@
 //! `sq_dist` arrangement. Both are monomorphised per tile shape so the
 //! accumulators are compile-time-sized, and they agree bit for bit.
 
-use crate::par;
-
 #[cfg(all(
     target_arch = "x86_64",
     target_feature = "avx2",
@@ -100,9 +98,9 @@ impl<'a> Lhs<'a> {
 }
 
 /// `c += a · b` for row-major `b` (`kd × n`) and `c` (whole rows of width
-/// `n`), serially, tile by tile: each band of [`MR`] rows keeps its slice of
-/// `a` cache-resident while it sweeps `b` once. See the module docs for the
-/// arithmetic contract.
+/// `n`), tile by tile on the caller's thread: each band of [`MR`] rows keeps
+/// its slice of `a` cache-resident while it sweeps `b` once. See the module
+/// docs for the arithmetic contract.
 pub(crate) fn gemm<const FMA: bool>(a: Lhs<'_>, b: &[f32], c: &mut [f32], kd: usize, n: usize) {
     if c.is_empty() || kd == 0 {
         return; // an empty sum adds nothing
@@ -116,16 +114,6 @@ pub(crate) fn gemm<const FMA: bool>(a: Lhs<'_>, b: &[f32], c: &mut [f32], kd: us
             tile::<FMA>(a.rows_from(i0), &b[j0..], n, c_tile, n, shape);
         }
     }
-}
-
-/// [`gemm`] split over chunks of output rows by [`par::for_each_row_chunk`]
-/// (serial below [`par::PAR_MIN_WORK`]). Chunking changes which thread owns
-/// a row, never the order in which any element is accumulated.
-pub(crate) fn gemm_par<const FMA: bool>(a: Lhs<'_>, b: &[f32], c: &mut [f32], kd: usize, n: usize) {
-    let work = c.len() * kd;
-    par::for_each_row_chunk(c, n, work, |first, chunk| {
-        gemm::<FMA>(a.rows_from(first), b, chunk, kd, n);
-    });
 }
 
 /// Accumulating slice-level GEMM: `out += a · b` for row-major `a`

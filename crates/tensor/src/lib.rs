@@ -5,10 +5,14 @@
 //! small neural-network library needs, free-function vector helpers in
 //! [`vector`], seedable sampling distributions in [`rngx`] (normal, gamma,
 //! Dirichlet — implemented from scratch so the workspace depends only on the
-//! `rand` core), descriptive statistics in [`stats`], and the row-chunk
-//! parallel executor behind the blocked matrix kernels in [`par`]. Naive
-//! reference implementations of the blocked kernels live in [`naive`] for
-//! equivalence testing.
+//! `rand` core) and descriptive statistics in [`stats`]. Naive reference
+//! implementations of the blocked kernels live in [`naive`] for equivalence
+//! testing.
+//!
+//! Every kernel runs on the caller's thread: the crate spawns none. A
+//! federation gets its parallelism from its parties, one process each, and
+//! every product the shipped models form is too small to repay a thread
+//! spawn — so a result is bit-identical on any machine by construction.
 //!
 //! # Example
 //!
@@ -29,7 +33,6 @@
 
 mod gemm;
 mod matrix;
-pub mod par;
 pub mod rngx;
 #[cfg(all(
     target_arch = "x86_64",

@@ -2,10 +2,11 @@
 //!
 //! The dense products ([`Matrix::matmul`], [`Matrix::t_matmul`], and
 //! [`Matrix::matmul_t`] below [`vector::LANES`] shared columns) all run on
-//! the one register-tile kernel of `crate::gemm`, split across scoped worker
-//! threads once the work crosses [`crate::par::PAR_MIN_WORK`] (model-sized
-//! products never pay spawn cost). Every element accumulates over the shared
-//! dimension in the ascending order of the textbook loops, one rounded
+//! the one register-tile kernel of `crate::gemm`; longer `matmul_t` rows run
+//! on [`vector::dot2`] row pairs. Every product runs on the caller's thread —
+//! parallelism comes from the parties, one process each. Every element
+//! accumulates over the shared dimension in the ascending order of the
+//! textbook loops, one rounded
 //! multiply and one rounded add per addend, so `matmul`/`t_matmul` are
 //! bit-identical to the references in [`naive`]; `matmul_t` is bit-identical
 //! to one lane-unrolled [`vector::dot`] per element, which may differ from
@@ -14,7 +15,7 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::gemm::{gemm_par, Lhs};
+use crate::gemm::{gemm, Lhs};
 use crate::vector;
 
 /// Square tile side of the blocked [`Matrix::transpose`].
@@ -256,8 +257,7 @@ impl Matrix {
 
     /// Matrix product `self · rhs`.
     ///
-    /// Runs on the register-tile kernel (`crate::gemm`), parallelised over
-    /// output-row chunks for large shapes (see [`crate::par`]). Per-element
+    /// Runs on the register-tile kernel (`crate::gemm`). Per-element
     /// accumulation over the shared dimension stays ascending, so results
     /// are bit-identical to [`naive::matmul`] for finite operands.
     ///
@@ -285,7 +285,7 @@ impl Matrix {
         );
         let (kd, n) = (self.cols, rhs.cols);
         out.reset(self.rows, n);
-        gemm_par::<false>(Lhs::rows(&self.data, kd), &rhs.data, &mut out.data, kd, n);
+        gemm::<false>(Lhs::rows(&self.data, kd), &rhs.data, &mut out.data, kd, n);
     }
 
     /// `selfᵀ · rhs` without materialising the transpose: the same kernel
@@ -321,14 +321,13 @@ impl Matrix {
         );
         out.fill(0.0);
         let a = Lhs::transposed(&self.data, self.cols);
-        gemm_par::<false>(a, &rhs.data, out, self.rows, rhs.cols);
+        gemm::<false>(a, &rhs.data, out, self.rows, rhs.cols);
     }
 
     /// `self · rhsᵀ` without materialising the transpose.
     ///
     /// Every output element is one lane-unrolled [`crate::vector::dot`] of
-    /// two contiguous rows — the ideal memory layout for a Gram matrix —
-    /// parallelised over output-row chunks.
+    /// two contiguous rows — the ideal memory layout for a Gram matrix.
     ///
     /// # Panics
     ///
@@ -376,72 +375,56 @@ impl Matrix {
                     pack[k * p + j] = v;
                 }
             }
-            return gemm_par::<true>(Lhs::rows(a, kd), pack, &mut out.data, kd, p);
+            return gemm::<true>(Lhs::rows(a, kd), pack, &mut out.data, kd, p);
         }
-        let work = self.rows * p * kd;
-        crate::par::for_each_row_chunk(&mut out.data, p.max(1), work, |first, chunk| {
-            // Row pairs share each streamed rhs row via dot2; a trailing odd
-            // row falls back to a single dot (bit-identical result).
-            let mut tiles = chunk.chunks_exact_mut(2 * p);
-            let mut i0 = first;
-            for tile in &mut tiles {
-                let a0 = &a[i0 * kd..(i0 + 1) * kd];
-                let a1 = &a[(i0 + 1) * kd..(i0 + 2) * kd];
-                let (r0, r1) = tile.split_at_mut(p);
-                for j in 0..p {
-                    let d = vector::dot2(a0, a1, &b[j * kd..(j + 1) * kd]);
-                    r0[j] = d[0];
-                    r1[j] = d[1];
-                }
-                i0 += 2;
+        // Row pairs share each streamed rhs row via dot2; a trailing odd row
+        // falls back to a single dot (bit-identical result).
+        let m = self.rows;
+        let mut i = 0;
+        while i + 2 <= m {
+            let a0 = &a[i * kd..(i + 1) * kd];
+            let a1 = &a[(i + 1) * kd..(i + 2) * kd];
+            let (r0, r1) = out.data[i * p..(i + 2) * p].split_at_mut(p);
+            for (j, b_row) in b.chunks_exact(kd).enumerate() {
+                [r0[j], r1[j]] = vector::dot2(a0, a1, b_row);
             }
-            for (li, out_row) in tiles.into_remainder().chunks_exact_mut(p).enumerate() {
-                let a_row = &a[(i0 + li) * kd..(i0 + li + 1) * kd];
-                for (j, o) in out_row.iter_mut().enumerate() {
-                    *o = vector::dot(a_row, &b[j * kd..(j + 1) * kd]);
-                }
+            i += 2;
+        }
+        if i < m {
+            let a_row = &a[i * kd..(i + 1) * kd];
+            for (o, b_row) in out.data[i * p..].iter_mut().zip(b.chunks_exact(kd)) {
+                *o = vector::dot(a_row, b_row);
             }
-        });
+        }
     }
 
     /// Symmetric Gram product `self · selfᵀ`: computes only the upper
-    /// triangle (row pairs via [`crate::vector::dot2`], split over the
-    /// parallel executor like [`Matrix::matmul_t`]) and mirrors it, roughly
-    /// halving the work of `matmul_t` on its own transpose. `dot(x, y)` and
-    /// `dot(y, x)` are bit-identical, so the mirrored matrix equals the
-    /// full product exactly.
+    /// triangle (row pairs via [`crate::vector::dot2`], like
+    /// [`Matrix::matmul_t`]) and mirrors it, roughly halving the work of
+    /// `matmul_t` on its own transpose. `dot(x, y)` and `dot(y, x)` are
+    /// bit-identical, so the mirrored matrix equals `self.matmul_t(self)`
+    /// exactly.
     pub fn self_gram(&self) -> Matrix {
         let (n, kd) = (self.rows, self.cols);
         let mut out = Matrix::zeros(n, n);
         let a = &self.data;
-        // Triangle work ≈ half of the full product; chunks of later rows
-        // carry less of it, which is acceptable imbalance for the executor.
-        let work = n * n * kd / 2;
-        crate::par::for_each_row_chunk(&mut out.data, n.max(1), work, |first, chunk| {
-            // Pair rows within the chunk; each row i owns entries j >= i.
-            let rows = chunk.len() / n;
-            let mut li = 0;
-            while li + 2 <= rows {
-                let i = first + li;
-                let a0 = &a[i * kd..(i + 1) * kd];
-                let a1 = &a[(i + 1) * kd..(i + 2) * kd];
-                let (r0, rest) = chunk[li * n..(li + 2) * n].split_at_mut(n);
-                for j in i..n {
-                    let d = vector::dot2(a0, a1, &a[j * kd..(j + 1) * kd]);
-                    r0[j] = d[0];
-                    rest[j] = d[1];
-                }
-                li += 2;
+        // Pair rows; each row i owns entries j >= i.
+        let mut i = 0;
+        while i + 2 <= n {
+            let a0 = &a[i * kd..(i + 1) * kd];
+            let a1 = &a[(i + 1) * kd..(i + 2) * kd];
+            let (r0, r1) = out.data[i * n..(i + 2) * n].split_at_mut(n);
+            for j in i..n {
+                [r0[j], r1[j]] = vector::dot2(a0, a1, &a[j * kd..(j + 1) * kd]);
             }
-            if li < rows {
-                let i = first + li;
-                let a_row = &a[i * kd..(i + 1) * kd];
-                let out_row = &mut chunk[li * n..(li + 1) * n];
-                for (j, o) in out_row.iter_mut().enumerate().skip(i) {
-                    *o = vector::dot(a_row, &a[j * kd..(j + 1) * kd]);
-                }
+            i += 2;
+        }
+        if i < n {
+            let a_row = &a[i * kd..(i + 1) * kd];
+            for j in i..n {
+                out.data[i * n + j] = vector::dot(a_row, &a[j * kd..(j + 1) * kd]);
             }
-        });
+        }
         // Mirror the strict upper triangle down.
         let dst = &mut out.data;
         for r in 0..n {
@@ -515,11 +498,6 @@ impl Matrix {
     /// Element-wise subtraction. Panics on shape mismatch.
     pub fn sub(&self, rhs: &Matrix) -> Matrix {
         self.zip_with(rhs, |a, b| a - b)
-    }
-
-    /// Element-wise (Hadamard) product. Panics on shape mismatch.
-    pub fn hadamard(&self, rhs: &Matrix) -> Matrix {
-        self.zip_with(rhs, |a, b| a * b)
     }
 
     /// Element-wise combination with a binary function. Panics on shape mismatch.
@@ -626,11 +604,6 @@ impl Matrix {
         } else {
             self.sum() / self.data.len() as f32
         }
-    }
-
-    /// Frobenius norm `sqrt(Σ v²)`.
-    pub fn frobenius_norm(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
     }
 
     /// Index of the maximum element in each row (ties go to the first).
@@ -968,18 +941,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// Above `PAR_MIN_WORK` the rows split over threads (where the machine
-    /// has any); which thread owns a row changes no element.
-    #[test]
-    fn product_above_the_parallel_threshold_is_bit_identical() {
-        let mut rng = StdRng::seed_from_u64(23);
-        let (m, kd, n) = (130, 1024, 130);
-        assert!(m * kd * n >= crate::par::PAR_MIN_WORK);
-        let (a, b) = (sparse(m, kd, &mut rng), sparse(kd, n, &mut rng));
-        let (fast, slow) = (a.matmul(&b), naive::matmul(&a, &b));
-        assert_eq!(bits(fast.as_slice()), bits(slow.as_slice()));
     }
 
     /// `self_gram` computes the upper triangle and mirrors it; the result

@@ -285,19 +285,6 @@ pub fn argmax(a: &[f32]) -> usize {
     best
 }
 
-/// Index of the minimum element (first on ties). Returns 0 for empty input.
-pub fn argmin(a: &[f32]) -> usize {
-    let mut best = 0;
-    let mut best_v = f32::INFINITY;
-    for (i, &v) in a.iter().enumerate() {
-        if v < best_v {
-            best_v = v;
-            best = i;
-        }
-    }
-    best
-}
-
 /// Numerically-stable softmax, returning a fresh probability vector.
 pub fn softmax(a: &[f32]) -> Vec<f32> {
     if a.is_empty() {
@@ -436,9 +423,8 @@ mod tests {
     }
 
     #[test]
-    fn argmax_argmin() {
+    fn argmax_ties_go_to_the_first() {
         assert_eq!(argmax(&[1.0, 5.0, 5.0, 2.0]), 1);
-        assert_eq!(argmin(&[1.0, -5.0, 2.0]), 1);
     }
 
     proptest! {
