@@ -478,7 +478,7 @@ pub fn ordered_names() -> Vec<String> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::metrics::{aggregate_windows, window_metrics};
 
@@ -497,7 +497,7 @@ mod tests {
         assert!(s.contains("W1 Drop"));
     }
 
-    fn sample_result() -> FedRunResult {
+    pub(crate) fn sample_result() -> FedRunResult {
         use shiftex_fl::{ParticipationStats, RoundParticipation};
         FedRunResult {
             strategy: "FedAvg".into(),

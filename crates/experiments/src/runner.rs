@@ -74,10 +74,13 @@ impl FedRunResult {
     /// Upload compression ratio versus dense framing. Static codecs report
     /// their analytic ratio; adaptive runs (where the per-round spec varies)
     /// report the *measured* ratio — what the same update frames would have
-    /// cost dense, over what the ledger actually metered.
+    /// cost dense, over what the ledger actually metered. Every metered
+    /// upload frame counts: delivered, aborted, and stale-discarded (which
+    /// arrived and was metered, then thrown away).
     pub fn compression_ratio(&self) -> f64 {
         if self.codec_label == "adaptive" {
-            let frames = self.totals.delivered + self.comm.aborted_messages;
+            let frames =
+                self.totals.delivered + self.totals.stale_dropped + self.comm.aborted_messages;
             let actual = self.comm.up_bytes + self.comm.aborted_up_bytes;
             if actual == 0 {
                 return 1.0;
@@ -491,6 +494,30 @@ mod tests {
         // The shifted population migrates off expert 0 (Figure 7c shape).
         let last = shiftex.expert_distribution.last().unwrap();
         assert!(last.len() >= 2 && last.iter().skip(1).sum::<usize>() > 0);
+    }
+
+    /// The `scenarios --strategy fedavg --parties 40 --samples 12 --windows 1
+    /// --rounds 6 --bootstrap 4 --codec adaptive --budget-bytes 98304 --async
+    /// --buffer 2 --max-staleness 1 --straggle-mean 1.2 --deadline 1.0 --late
+    /// defer --seed 7` totals: the 9 stale discards were metered as uploads,
+    /// so their dense cost counts too — 95 frames, not 86 (8.75×).
+    #[test]
+    fn adaptive_compression_counts_stale_discarded_frames() {
+        let mut r = crate::report::tests::sample_result();
+        let static_ratio = r.compression_ratio();
+        assert_eq!(static_ratio, r.codec.compression_ratio(r.param_count));
+        r.codec_label = "adaptive".into();
+        r.param_count = 2146;
+        (r.totals.delivered, r.totals.stale_dropped) = (86, 9);
+        (
+            r.comm.up_bytes,
+            r.comm.aborted_up_bytes,
+            r.comm.aborted_messages,
+        ) = (84_550, 0, 0);
+        let dense = CodecSpec::dense().update_len(2146) as u64;
+        assert_eq!(dense, 8_606);
+        assert_eq!(r.compression_ratio(), (95 * dense) as f64 / 84_550.0);
+        assert_eq!(format!("{:.2}", r.compression_ratio()), "9.67");
     }
 
     #[test]
