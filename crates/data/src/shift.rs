@@ -132,23 +132,6 @@ impl Regime {
             }
         }
     }
-
-    /// Short human-readable description.
-    pub fn describe(&self) -> String {
-        let cov = match &self.covariate {
-            CovariateSpec::Clear => "clear".to_string(),
-            CovariateSpec::Corrupted(c, s) => format!("{c}@s{s}"),
-            CovariateSpec::Transformed(ts) => ts
-                .iter()
-                .map(|t| t.to_string())
-                .collect::<Vec<_>>()
-                .join("+"),
-        };
-        match &self.label_dist {
-            Some(_) => format!("{} ({cov}, label-shifted)", self.id),
-            None => format!("{} ({cov})", self.id),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -187,13 +170,6 @@ mod tests {
         let regime = Regime::clear().with_label_dist(vec![1.0, 0.0, 0.0]);
         let ds = g.generate_with_regime(50, &regime, &mut rng);
         assert!(ds.labels().iter().all(|&l| l == 0));
-    }
-
-    #[test]
-    fn describe_mentions_condition() {
-        let r = Regime::corrupted(Corruption::Snow, 2).with_id(RegimeId(7));
-        assert!(r.describe().contains("snow"));
-        assert!(r.describe().contains('7'));
     }
 
     #[test]

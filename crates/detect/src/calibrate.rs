@@ -103,12 +103,7 @@ impl ThresholdCalibrator {
     /// # Panics
     ///
     /// Panics if `histograms` is empty or `count == 0`.
-    pub fn calibrate_label(
-        &self,
-        histograms: &[Vec<f32>],
-        count: usize,
-        rng: &mut impl Rng,
-    ) -> f32 {
+    fn calibrate_label(&self, histograms: &[Vec<f32>], count: usize, rng: &mut impl Rng) -> f32 {
         assert!(!histograms.is_empty(), "need at least one histogram");
         assert!(count > 0, "resample count must be positive");
         let mut nulls = Vec::with_capacity(self.iterations);
@@ -133,8 +128,9 @@ impl ThresholdCalibrator {
     /// threshold is the `1 − p` quantile. Pooling the null *across* parties
     /// (as [`calibrate_cov`](Self::calibrate_cov) does) would confound it
     /// with cross-party heterogeneity (different label mixes), inflating
-    /// `δ_cov` and masking real shifts. `δ_label` comes from
-    /// [`calibrate_label`](Self::calibrate_label) with `label_count` draws.
+    /// `δ_cov` and masking real shifts. `δ_label` is the `1 − p` quantile of
+    /// the JSD between a randomly chosen histogram and a `label_count`-draw
+    /// multinomial resample of it, over `iterations` draws.
     ///
     /// With no embeddings at all (no stable window to learn from) nothing
     /// is drawn from `rng` and the permissive defaults `δ_cov = 0.05`,

@@ -472,11 +472,6 @@ pub fn write_table_csv(
     Ok(())
 }
 
-/// Stable display ordering for algorithms in figures.
-pub fn ordered_names() -> Vec<String> {
-    row_order().map(str::to_string).collect()
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;

@@ -34,6 +34,10 @@ use crate::scenario::draw_unit;
 /// Salt for the controller's threshold-dither hash draws.
 const SALT_CODEC: u64 = 0xc0dec;
 
+/// Mean-|EF-residual| level separating "owes mass, spend dense" from
+/// "residual quiet, bank bytes" (dithered ±50 % per decision).
+const EF_THRESHOLD: f32 = 0.01;
+
 /// Scenario-level byte budget for the adaptive codec controller.
 ///
 /// `None` caps are unlimited; with both set, both must hold.
@@ -85,45 +89,25 @@ impl BudgetSpec {
 pub struct CodecController {
     seed: u64,
     budget: BudgetSpec,
-    /// Candidate specs, densest first. Invariant: per-coordinate wire cost
-    /// is non-increasing along the ladder (checked in debug builds).
+    /// Candidate specs, densest first: per-coordinate wire cost is
+    /// non-increasing along the ladder.
     ladder: Vec<CodecSpec>,
-    /// Mean-|EF-residual| level separating "owes mass, spend dense" from
-    /// "residual quiet, bank bytes" (dithered ±50 % per decision).
-    ef_threshold: f32,
 }
 
 impl CodecController {
-    /// Builds a controller on the default ladder: delta-dense →
-    /// delta-quant8(256) → EF-delta-top-k(5 %) → EF-delta-top-k(1 %).
+    /// Builds a controller on the ladder delta-dense → delta-quant8(256) →
+    /// EF-delta-top-k(5 %) → EF-delta-top-k(1 %).
     pub fn new(seed: u64, budget: BudgetSpec) -> Self {
-        Self::with_ladder(
+        Self {
             seed,
             budget,
-            vec![
+            ladder: vec![
                 CodecSpec::dense().with_delta(),
                 CodecSpec::quant8(256).with_delta(),
                 CodecSpec::topk(0.05).with_delta().with_error_feedback(),
                 CodecSpec::topk(0.01).with_delta().with_error_feedback(),
             ],
-        )
-    }
-
-    /// Builds a controller on a custom non-empty ladder (densest first).
-    pub fn with_ladder(seed: u64, budget: BudgetSpec, ladder: Vec<CodecSpec>) -> Self {
-        assert!(!ladder.is_empty(), "controller ladder must be non-empty");
-        Self {
-            seed,
-            budget,
-            ladder,
-            ef_threshold: 0.01,
         }
-    }
-
-    /// Replaces the EF-magnitude threshold (default 0.01 mean |residual|).
-    pub fn with_ef_threshold(mut self, threshold: f32) -> Self {
-        self.ef_threshold = threshold;
-        self
     }
 
     /// The candidate specs, densest first.
@@ -186,7 +170,7 @@ impl CodecController {
             (round as u64) << 16 | stream as u64,
             spent,
         );
-        let tau = self.ef_threshold * (0.5 + dither);
+        let tau = EF_THRESHOLD * (0.5 + dither);
         if ef_magnitude > tau {
             // The residual says compression has been withholding mass the
             // parties still owe: spend the densest affordable rung.
