@@ -9,10 +9,10 @@
 //! implementations of the blocked kernels live in [`naive`] for equivalence
 //! testing.
 //!
-//! Every kernel runs on the caller's thread: the crate spawns none. A
-//! federation gets its parallelism from its parties, one process each, and
-//! every product the shipped models form is too small to repay a thread
-//! spawn — so a result is bit-identical on any machine by construction.
+//! Every kernel runs on the caller's thread: the crate spawns none, so no
+//! result depends on the core count. A federation gets its parallelism from
+//! its parties, one process each; no product the shipped models form is
+//! large enough to repay a thread spawn.
 //!
 //! # Example
 //!

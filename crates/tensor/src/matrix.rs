@@ -3,14 +3,13 @@
 //! The dense products ([`Matrix::matmul`], [`Matrix::t_matmul`], and
 //! [`Matrix::matmul_t`] below [`vector::LANES`] shared columns) all run on
 //! the one register-tile kernel of `crate::gemm`; longer `matmul_t` rows run
-//! on [`vector::dot2`] row pairs. Every product runs on the caller's thread —
-//! parallelism comes from the parties, one process each. Every element
-//! accumulates over the shared dimension in the ascending order of the
-//! textbook loops, one rounded
-//! multiply and one rounded add per addend, so `matmul`/`t_matmul` are
-//! bit-identical to the references in [`naive`]; `matmul_t` is bit-identical
-//! to one lane-unrolled [`vector::dot`] per element, which may differ from
-//! the strict loop by normal `f32` rounding.
+//! on [`vector::dot2`] row pairs. Every product runs on the caller's thread.
+//! Every element accumulates over the shared dimension in the ascending
+//! order of the textbook loops, one rounded multiply and one rounded add per
+//! addend, so `matmul`/`t_matmul` are bit-identical to the references in
+//! [`naive`]; `matmul_t` is bit-identical to one lane-unrolled
+//! [`vector::dot`] per element, which may differ from the strict loop by
+//! normal `f32` rounding.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -945,8 +944,8 @@ mod tests {
 
     /// `self_gram` computes the upper triangle and mirrors it; the result
     /// must equal the full `matmul_t` on the matrix itself, bit for bit, on
-    /// ReLU-sparse and dense operands — the 130 × 2048 shape included, the
-    /// largest Gram the MMD path forms.
+    /// ReLU-sparse and dense operands, odd and even row counts, and depths
+    /// on both sides of the `matmul_t` regime switch up to d = 2048.
     #[test]
     fn self_gram_is_bit_identical_to_matmul_t_on_itself() {
         let mut rng = StdRng::seed_from_u64(24);
