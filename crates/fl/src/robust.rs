@@ -19,7 +19,10 @@
 //! * [`FoldPolicy::Krum`] — multi-Krum selection: each update is scored by
 //!   the summed squared distances to its nearest neighbours, the `f`
 //!   highest-scored updates are quarantined, and the survivors are averaged
-//!   with their staleness weights intact.
+//!   with their staleness weights intact. The O(n²·d) distance matrix
+//!   behind the scores runs on the tensor crate's register tile
+//!   ([`shiftex_tensor::sq_dist_acc`]) over per-panel scratch, bit-identical
+//!   to one scalar `ss += d * d` chain per pair.
 //!
 //! Every fold also returns one [`UpdateVerdict`] per input — whether the
 //! update was quarantined (rejected outright, its bytes metered on the
@@ -27,6 +30,8 @@
 //! and a per-fold distance score for the detection surface.
 
 use serde::{Deserialize, Serialize};
+
+use shiftex_tensor::{sq_dist_acc, MR, NR};
 
 use crate::party::PartyId;
 use crate::scenario::{aggregate_weighted, WeightedUpdate};
@@ -378,65 +383,63 @@ fn krum(global: &[f32], ready: &[WeightedUpdate], server_lr: f32, f: usize) -> R
     }
 }
 
-/// Pairs [`pairwise_sq_dists`] accumulates at once. A lone `ss += d * d`
-/// chain is bound by the latency of one dependent add per coordinate;
-/// eight independent chains keep the adder busy instead.
-const DIST_LANES: usize = 8;
-
 /// The symmetric `n × n` matrix of squared Euclidean distances between
-/// `rows` (zero diagonal), the Krum score input.
+/// `rows` (zero diagonal), the Krum score input, on the tensor crate's
+/// register tile ([`sq_dist_acc`]).
 ///
-/// Row `a` is measured against [`DIST_LANES`] later rows at a time by
-/// [`sq_dists_from`], stragglers one by one; a pair's distance does not
-/// depend on the batch it lands in. Nothing is transposed or copied: the
-/// scratch is the lane accumulators.
+/// Rows are taken [`NR`] at a time as a *panel*, transposed so that each
+/// row is a column, and every band of [`MR`] rows up to the panel's last
+/// row is measured against the panel in one tile. Only pairs above the
+/// diagonal (`a < b`) are kept; the lower triangle is their mirror. The
+/// scratch is one panel, one band and one tile — `(MR + NR)·d` floats,
+/// never `n·d` — reused across the whole matrix.
+///
+/// Every pair adds its terms in ascending coordinate order, each term
+/// `d = x_a - x_b` (`a < b`), `ss += d * d` — the scalar chain exactly (a
+/// NaN distance stays NaN; its sign bit is not pinned). Rows
+/// shorter than the longest are zero-padded, which is exact: a padding term
+/// is `(0 - 0)² = +0.0`, and adding `+0.0` to a `+0.0`-seeded sum of
+/// squares changes no bit of it.
 fn pairwise_sq_dists(rows: &[&[f32]]) -> Vec<f32> {
     let n = rows.len();
+    let dim = rows.iter().map(|row| row.len()).max().unwrap_or(0);
     let mut dist = vec![0.0f32; n * n];
-    let mut put = |a: usize, b: usize, ss: f32| {
-        dist[a * n + b] = ss;
-        dist[b * n + a] = ss;
-    };
-    for a in 0..n {
-        let mut b = a + 1;
-        while b + DIST_LANES <= n {
-            let lanes: [&[f32]; DIST_LANES] = std::array::from_fn(|l| rows[b + l]);
-            for (l, ss) in sq_dists_from(rows[a], lanes).into_iter().enumerate() {
-                put(a, b + l, ss);
+    if dim == 0 {
+        return dist;
+    }
+    let (mut panel, mut band) = (vec![0.0f32; dim * NR], vec![0.0f32; MR * dim]);
+    let mut tile = [0.0f32; MR * NR];
+    for j0 in (0..n).step_by(NR) {
+        let cols = &rows[j0..n.min(j0 + NR)];
+        let nc = cols.len();
+        let panel = &mut panel[..dim * nc];
+        panel.fill(0.0);
+        for (j, row) in cols.iter().enumerate() {
+            for (k, &x) in row.iter().enumerate() {
+                panel[k * nc + j] = x;
             }
-            b += DIST_LANES;
         }
-        for b in b..n {
-            let [ss] = sq_dists_from(rows[a], [rows[b]]);
-            put(a, b, ss);
+        for i0 in (0..j0 + nc).step_by(MR) {
+            let mr = MR.min(j0 + nc - i0);
+            let band = &mut band[..mr * dim];
+            for (dst, row) in band.chunks_exact_mut(dim).zip(&rows[i0..]) {
+                dst[..row.len()].copy_from_slice(row);
+                dst[row.len()..].fill(0.0);
+            }
+            let tile = &mut tile[..mr * nc];
+            tile.fill(0.0);
+            sq_dist_acc(band, panel, tile, dim, nc);
+            for (a, out) in (i0..).zip(tile.chunks_exact(nc)) {
+                for (b, &ss) in (j0..).zip(out) {
+                    if a < b {
+                        dist[a * n + b] = ss;
+                        dist[b * n + a] = ss;
+                    }
+                }
+            }
         }
     }
     dist
-}
-
-/// Squared distances from `from` to each of `to`, one independent lane per
-/// pair. Every lane adds its `(from[c] - to[c])²` terms in ascending `c` —
-/// a rounded multiply and a rounded add each, the scalar `ss += d * d`
-/// chain exactly — so interleaving the lanes changes no bit of any of them.
-/// A shorter vector counts as zero-padded; those tails run once, lane by
-/// lane, outside the hot loop.
-fn sq_dists_from<const L: usize>(from: &[f32], to: [&[f32]; L]) -> [f32; L] {
-    let common = to.iter().fold(from.len(), |m, row| m.min(row.len()));
-    let heads = to.map(|row| &row[..common]);
-    let mut ss = [0.0f32; L];
-    for (c, &x) in from[..common].iter().enumerate() {
-        for l in 0..L {
-            let d = x - heads[l][c];
-            ss[l] += d * d;
-        }
-    }
-    for (acc, row) in ss.iter_mut().zip(to) {
-        for c in common..from.len().max(row.len()) {
-            let d = from.get(c).copied().unwrap_or(0.0) - row.get(c).copied().unwrap_or(0.0);
-            *acc += d * d;
-        }
-    }
-    ss
 }
 
 #[cfg(test)]
@@ -548,23 +551,45 @@ mod tests {
 
     #[test]
     fn laned_pairwise_distances_are_bit_identical_to_the_scalar_chain() {
-        // Row counts on both sides of every lane-batch boundary; a few rows
-        // are shorter or longer than the rest.
-        for n in [0usize, 1, 2, 8, 9, 10, 17, 26] {
+        // Row counts on both sides of every band (4) and panel (24) edge,
+        // up to the benchmark's 200-update cohort at its d = 2146; a few
+        // rows are shorter or longer than the rest. Some entries are -0.0,
+        // and from n = 23 on rows 3, 11, 12 and 13 carry NaN, +∞, -∞, +∞.
+        for n in [0usize, 1, 2, 7, 8, 9, 10, 17, 23, 24, 25, 26, 49, 200] {
+            let dim = if n == 200 { 2146 } else { 67 };
             let rows: Vec<Vec<f32>> = (0..n)
                 .map(|i| {
                     let len = match i % 5 {
-                        3 => 61,
-                        4 => 70,
-                        _ => 67,
+                        3 => dim - 6,
+                        4 => dim + 3,
+                        _ => dim,
                     };
-                    (0..len)
-                        .map(|c| ((i * 131 + c * 31) % 97) as f32 * 0.173 - 8.0 + i as f32 * 1e-3)
-                        .collect()
+                    let mut row: Vec<f32> = (0..len)
+                        .map(|c| match (i * 7 + c) % 13 {
+                            0 => -0.0,
+                            _ => ((i * 131 + c * 31) % 97) as f32 * 0.173 - 8.0 + i as f32 * 1e-3,
+                        })
+                        .collect();
+                    match i {
+                        3 => row[5] = f32::NAN,
+                        11 | 13 => row[0] = f32::INFINITY,
+                        12 => row[0] = f32::NEG_INFINITY,
+                        _ => {}
+                    }
+                    row
                 })
                 .collect();
             let views: Vec<&[f32]> = rows.iter().map(Vec::as_slice).collect();
             let dist = pairwise_sq_dists(&views);
+            // A NaN distance must be NaN on both sides; which NaN (its sign
+            // and payload) IEEE 754 leaves open, so NaNs compare as a class.
+            let bits = |x: f32| {
+                if x.is_nan() {
+                    f32::NAN.to_bits()
+                } else {
+                    x.to_bits()
+                }
+            };
             for a in 0..n {
                 for b in 0..n {
                     let expect = if a == b {
@@ -572,11 +597,7 @@ mod tests {
                     } else {
                         scalar_sq_dist(&rows[a.min(b)], &rows[a.max(b)])
                     };
-                    assert_eq!(
-                        dist[a * n + b].to_bits(),
-                        expect.to_bits(),
-                        "n={n} pair ({a},{b})"
-                    );
+                    assert_eq!(bits(dist[a * n + b]), bits(expect), "n={n} pair ({a},{b})");
                 }
             }
         }

@@ -43,7 +43,7 @@ mod simd;
 pub mod stats;
 pub mod vector;
 
-pub use gemm::gemm_acc;
+pub use gemm::{gemm_acc, sq_dist_acc, MR, NR};
 pub use matrix::{naive, Matrix};
 
 /// Error type for shape mismatches and invalid numeric arguments.

@@ -14,7 +14,7 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::gemm::{gemm, Lhs};
+use crate::gemm::{gemm, Lhs, FUSED, MUL_ADD};
 use crate::vector;
 
 /// Square tile side of the blocked [`Matrix::transpose`].
@@ -284,7 +284,7 @@ impl Matrix {
         );
         let (kd, n) = (self.cols, rhs.cols);
         out.reset(self.rows, n);
-        gemm::<false>(Lhs::rows(&self.data, kd), &rhs.data, &mut out.data, kd, n);
+        gemm::<MUL_ADD>(Lhs::rows(&self.data, kd), &rhs.data, &mut out.data, kd, n);
     }
 
     /// `selfᵀ · rhs` without materialising the transpose: the same kernel
@@ -320,7 +320,7 @@ impl Matrix {
         );
         out.fill(0.0);
         let a = Lhs::transposed(&self.data, self.cols);
-        gemm::<false>(a, &rhs.data, out, self.rows, rhs.cols);
+        gemm::<MUL_ADD>(a, &rhs.data, out, self.rows, rhs.cols);
     }
 
     /// `self · rhsᵀ` without materialising the transpose.
@@ -374,7 +374,7 @@ impl Matrix {
                     pack[k * p + j] = v;
                 }
             }
-            return gemm::<true>(Lhs::rows(a, kd), pack, &mut out.data, kd, p);
+            return gemm::<FUSED>(Lhs::rows(a, kd), pack, &mut out.data, kd, p);
         }
         // Row pairs share each streamed rhs row via dot2; a trailing odd row
         // falls back to a single dot (bit-identical result).

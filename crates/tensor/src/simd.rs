@@ -20,8 +20,10 @@
 //! The accumulator layout (four 8-lane registers per operand row, i.e.
 //! [`LANES`] = 32 partial sums) and the reduction tree mirror the safe
 //! fallback exactly, so both paths agree up to the usual FMA-vs-mul-add
-//! rounding differences of the tails they share. [`gemm_tile`] and its safe
-//! twin agree bit for bit (a test runs one against the other).
+//! rounding differences of the tails they share. [`gemm_tile`] is one tile
+//! with three addends — multiply-then-add, fused multiply-add, and the
+//! squared difference behind Krum's distance matrix — and agrees with its
+//! safe twin bit for bit under each (a test runs one against the other).
 
 #![allow(unsafe_code)]
 
@@ -32,7 +34,7 @@ use core::arch::x86_64::{
     _mm_cvtss_f32, _mm_movehl_ps, _mm_shuffle_ps,
 };
 
-use crate::gemm::{Lhs, MR, NR, VL};
+use crate::gemm::{Addend, Lhs, FUSED, MR, MUL_ADD, NR, SQ_DIFF, VL};
 use crate::vector::LANES;
 
 /// Dot product over the main [`LANES`]-multiple prefix plus a scalar tail.
@@ -183,18 +185,20 @@ pub fn sq_dist(a: &[f32], b: &[f32]) -> f32 {
 static TAIL_MASK: [i32; 2 * VL] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
 
 /// One register tile of the dense-product kernel: rows `0..mr` and columns
-/// `0..nc` of `c` (row stride `ldc`) receive `a · b` over `k` in `0..kd`
-/// ascending, `b` read at row stride `ldb`. With `FMA` each addend is one
-/// fused multiply-add and the sum is rounded through a final `+ 0.0`;
-/// without, one rounded multiply then one rounded add. See `crate::gemm`
-/// for the contract and [`crate::gemm::tile_lanes`] for the safe twin.
+/// `0..nc` of `c` (row stride `ldc`) receive `addend(a[i, k], b[k, j])`
+/// over `k` in `0..kd` ascending, `b` read at row stride `ldb`. `ADD`
+/// picks the addend: [`MUL_ADD`], one rounded multiply then one rounded
+/// add; [`FUSED`], one fused multiply-add per step and a final `+ 0.0`;
+/// [`SQ_DIFF`], one rounded subtract, multiply and add, never fused. See
+/// `crate::gemm` for the contract and [`crate::gemm::tile_lanes`] for the
+/// safe twin.
 ///
 /// # Panics
 ///
 /// Panics if the tile shape exceeds [`MR`] × [`NR`] or a slice is too short
 /// for the shape and strides.
 #[inline]
-pub fn gemm_tile<const FMA: bool>(
+pub fn gemm_tile<const ADD: Addend>(
     a: Lhs<'_>,
     b: &[f32],
     ldb: usize,
@@ -235,18 +239,18 @@ pub fn gemm_tile<const FMA: bool>(
     // mutably, so nothing aliases the stores.
     unsafe {
         match (mr, nc.div_ceil(VL)) {
-            (4, 3) => gemm_tile_impl::<4, 3, FMA>(pa, pb, pc, strides, nc, kd),
-            (4, 2) => gemm_tile_impl::<4, 2, FMA>(pa, pb, pc, strides, nc, kd),
-            (4, 1) => gemm_tile_impl::<4, 1, FMA>(pa, pb, pc, strides, nc, kd),
-            (3, 3) => gemm_tile_impl::<3, 3, FMA>(pa, pb, pc, strides, nc, kd),
-            (3, 2) => gemm_tile_impl::<3, 2, FMA>(pa, pb, pc, strides, nc, kd),
-            (3, 1) => gemm_tile_impl::<3, 1, FMA>(pa, pb, pc, strides, nc, kd),
-            (2, 3) => gemm_tile_impl::<2, 3, FMA>(pa, pb, pc, strides, nc, kd),
-            (2, 2) => gemm_tile_impl::<2, 2, FMA>(pa, pb, pc, strides, nc, kd),
-            (2, 1) => gemm_tile_impl::<2, 1, FMA>(pa, pb, pc, strides, nc, kd),
-            (1, 3) => gemm_tile_impl::<1, 3, FMA>(pa, pb, pc, strides, nc, kd),
-            (1, 2) => gemm_tile_impl::<1, 2, FMA>(pa, pb, pc, strides, nc, kd),
-            (1, 1) => gemm_tile_impl::<1, 1, FMA>(pa, pb, pc, strides, nc, kd),
+            (4, 3) => gemm_tile_impl::<4, 3, ADD>(pa, pb, pc, strides, nc, kd),
+            (4, 2) => gemm_tile_impl::<4, 2, ADD>(pa, pb, pc, strides, nc, kd),
+            (4, 1) => gemm_tile_impl::<4, 1, ADD>(pa, pb, pc, strides, nc, kd),
+            (3, 3) => gemm_tile_impl::<3, 3, ADD>(pa, pb, pc, strides, nc, kd),
+            (3, 2) => gemm_tile_impl::<3, 2, ADD>(pa, pb, pc, strides, nc, kd),
+            (3, 1) => gemm_tile_impl::<3, 1, ADD>(pa, pb, pc, strides, nc, kd),
+            (2, 3) => gemm_tile_impl::<2, 3, ADD>(pa, pb, pc, strides, nc, kd),
+            (2, 2) => gemm_tile_impl::<2, 2, ADD>(pa, pb, pc, strides, nc, kd),
+            (2, 1) => gemm_tile_impl::<2, 1, ADD>(pa, pb, pc, strides, nc, kd),
+            (1, 3) => gemm_tile_impl::<1, 3, ADD>(pa, pb, pc, strides, nc, kd),
+            (1, 2) => gemm_tile_impl::<1, 2, ADD>(pa, pb, pc, strides, nc, kd),
+            (1, 1) => gemm_tile_impl::<1, 1, ADD>(pa, pb, pc, strides, nc, kd),
             _ => unreachable!("asserted above"),
         }
     }
@@ -265,7 +269,7 @@ pub fn gemm_tile<const FMA: bool>(
 /// writable, with `c` not aliased.
 #[inline]
 // SAFETY: see the `# Safety` section above; the only caller is `gemm_tile`.
-unsafe fn gemm_tile_impl<const ROWS: usize, const VECS: usize, const FMA: bool>(
+unsafe fn gemm_tile_impl<const ROWS: usize, const VECS: usize, const ADD: Addend>(
     a: *const f32,
     b: *const f32,
     c: *mut f32,
@@ -305,17 +309,21 @@ unsafe fn gemm_tile_impl<const ROWS: usize, const VECS: usize, const FMA: bool>(
             for (i, row) in acc.iter_mut().enumerate() {
                 let x = _mm256_set1_ps(*a.add(i * a_row + k * a_k));
                 for (s, &y) in row.iter_mut().zip(&bv) {
-                    *s = if FMA {
-                        _mm256_fmadd_ps(x, y, *s)
-                    } else {
-                        _mm256_add_ps(*s, _mm256_mul_ps(x, y))
+                    *s = match ADD {
+                        MUL_ADD => _mm256_add_ps(*s, _mm256_mul_ps(x, y)),
+                        FUSED => _mm256_fmadd_ps(x, y, *s),
+                        SQ_DIFF => {
+                            let d = _mm256_sub_ps(x, y);
+                            _mm256_add_ps(*s, _mm256_mul_ps(d, d))
+                        }
+                        _ => unreachable!("addend kind {ADD}"),
                     };
                 }
             }
         }
         for (i, row) in acc.iter().enumerate() {
             for (v, &s) in row.iter().enumerate() {
-                let s = if FMA {
+                let s = if ADD == FUSED {
                     _mm256_add_ps(s, _mm256_setzero_ps())
                 } else {
                     s
