@@ -34,7 +34,7 @@ use serde::{Deserialize, Serialize};
 use shiftex_tensor::{sq_dist_acc, MR, NR};
 
 use crate::party::PartyId;
-use crate::scenario::{aggregate_weighted, WeightedUpdate};
+use crate::scenario::{aggregate_weighted, blend, fold_weighted, is_valid, WeightedUpdate};
 
 /// How an algorithm folds staleness-weighted updates into its globals.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -120,24 +120,6 @@ impl RobustFold {
     pub fn quarantined(&self) -> impl Iterator<Item = &UpdateVerdict> {
         self.verdicts.iter().filter(|v| v.quarantined)
     }
-}
-
-/// Does this update carry aggregation weight? (Same predicate as
-/// [`aggregate_weighted`]: zero-weight and zero-sample updates are inert.)
-fn is_valid(w: &WeightedUpdate) -> bool {
-    w.weight > 0.0 && w.update.num_samples > 0
-}
-
-/// Server-rate blend, identical to the tail of [`aggregate_weighted`]:
-/// `params ← (1-η)·global + η·avg` with η clamped to `[0, 1]`.
-fn blend(global: &[f32], mut avg: Vec<f32>, server_lr: f32) -> Vec<f32> {
-    let eta = server_lr.clamp(0.0, 1.0);
-    if eta < 1.0 {
-        for (acc, &g) in avg.iter_mut().zip(global.iter()) {
-            *acc = (1.0 - eta) * g + eta * *acc;
-        }
-    }
-    avg
 }
 
 /// Folds `ready` into `global` under `policy`.
@@ -355,12 +337,6 @@ fn krum(global: &[f32], ready: &[WeightedUpdate], server_lr: f32, f: usize) -> R
     for &a in &order[..select] {
         selected[valid[a]] = true;
     }
-    let chosen: Vec<WeightedUpdate> = ready
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| selected[i])
-        .map(|(_, w)| w.clone())
-        .collect();
     let score_of: Vec<f32> = {
         let mut per_ready = vec![0.0f32; ready.len()];
         for (a, &i) in valid.iter().enumerate() {
@@ -377,8 +353,9 @@ fn krum(global: &[f32], ready: &[WeightedUpdate], server_lr: f32, f: usize) -> R
             score: score_of[i],
         })
         .collect();
+    let chosen = ready.iter().zip(&selected).filter(|&(_, &s)| s);
     RobustFold {
-        params: aggregate_weighted(global, &chosen, server_lr),
+        params: fold_weighted(global, chosen.map(|(w, _)| w), server_lr),
         verdicts,
     }
 }

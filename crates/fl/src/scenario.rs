@@ -1252,31 +1252,48 @@ pub fn aggregate_weighted(
     ready: &[WeightedUpdate],
     server_lr: f32,
 ) -> Option<Vec<f32>> {
-    let total: f32 = ready
-        .iter()
-        .filter(|w| w.weight > 0.0 && w.update.num_samples > 0)
-        .map(|w| w.weight)
-        .sum();
+    fold_weighted(global, ready.iter(), server_lr)
+}
+
+/// [`aggregate_weighted`] over any sequence of borrowed updates, so a robust
+/// fold averages the updates it selected without copying them. Zero-weight
+/// and zero-sample updates are inert ([`is_valid`]); the rest are summed in
+/// sequence order.
+pub(crate) fn fold_weighted<'a, I>(global: &[f32], ready: I, server_lr: f32) -> Option<Vec<f32>>
+where
+    I: Iterator<Item = &'a WeightedUpdate> + Clone,
+{
+    let valid = ready.filter(|w| is_valid(w));
+    let total: f32 = valid.clone().map(|w| w.weight).sum();
     if total <= 0.0 {
         return None;
     }
     let mut avg = vec![0.0f32; global.len()];
-    for w in ready {
-        if w.weight <= 0.0 || w.update.num_samples == 0 {
-            continue;
-        }
+    for w in valid {
         let scale = w.weight / total;
         for (acc, &p) in avg.iter_mut().zip(w.update.params.iter()) {
             *acc += scale * p;
         }
     }
+    Some(blend(global, avg, server_lr))
+}
+
+/// Does this update carry aggregation weight? Zero-weight and zero-sample
+/// updates are inert in every fold.
+pub(crate) fn is_valid(w: &WeightedUpdate) -> bool {
+    w.weight > 0.0 && w.update.num_samples > 0
+}
+
+/// Server-rate blend: `params ← (1-η)·global + η·avg` with η clamped to
+/// `[0, 1]`.
+pub(crate) fn blend(global: &[f32], mut avg: Vec<f32>, server_lr: f32) -> Vec<f32> {
     let eta = server_lr.clamp(0.0, 1.0);
     if eta < 1.0 {
         for (acc, &g) in avg.iter_mut().zip(global.iter()) {
             *acc = (1.0 - eta) * g + eta * *acc;
         }
     }
-    Some(avg)
+    avg
 }
 
 #[cfg(test)]
