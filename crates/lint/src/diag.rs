@@ -64,8 +64,9 @@ pub static RULES: &[RuleInfo] = &[
         code: "U001",
         name: "unsafe-scope",
         default_severity: Severity::Error,
-        rationale: "unsafe is only legal in the audited allowlist (tensor/src/simd.rs); a new \
-                    file growing unsafe must be added there deliberately, with review",
+        rationale: "unsafe is only legal in the audited allowlist (tensor/src/simd.rs and the \
+                    net crate's allocation-probe test); a new file growing unsafe must be added \
+                    there deliberately, with review",
     },
     RuleInfo {
         code: "U002",

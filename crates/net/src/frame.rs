@@ -48,6 +48,12 @@ pub const PROTO_VERSION: u32 = 1;
 /// not become a multi-gigabyte allocation.
 pub const MAX_FRAME_LEN: usize = 64 << 20;
 
+/// Most bytes [`read_msg`] reserves before any payload byte has arrived. A
+/// length prefix is unauthenticated, so a larger payload's buffer grows only
+/// as its bytes are read; every data-plane frame the runtime ships is
+/// smaller and is read into one allocation of exactly its length.
+const FIRST_RESERVE: usize = 64 << 10;
+
 /// Message kinds of the federation wire protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
@@ -161,7 +167,12 @@ pub fn write_msg<W: Write>(w: &mut W, kind: MsgKind, payload: &[u8]) -> Result<u
 
 /// Reads one frame, returning its kind and payload. Fails with a
 /// timeout-kinded [`NetError::Io`] when the stream's read timeout expires
-/// (see [`NetError::is_timeout`]).
+/// (see [`NetError::is_timeout`]), and with an `UnexpectedEof` one when the
+/// stream ends inside the frame.
+///
+/// Memory follows the bytes received, not the header's claim: the payload
+/// buffer starts at no more than 64 KiB and grows only as bytes arrive, so
+/// a header announcing [`MAX_FRAME_LEN`] and then closing costs 64 KiB.
 pub fn read_msg<R: Read>(r: &mut R) -> Result<(MsgKind, Vec<u8>), NetError> {
     let mut header = [0u8; FRAME_HEADER_LEN];
     r.read_exact(&mut header)?;
@@ -170,8 +181,12 @@ pub fn read_msg<R: Read>(r: &mut R) -> Result<(MsgKind, Vec<u8>), NetError> {
     if len > MAX_FRAME_LEN {
         return Err(NetError::Oversize(len));
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
+    let mut payload = Vec::with_capacity(len.min(FIRST_RESERVE));
+    r.take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() < len {
+        let cut = format!("frame payload ended at {} of {len} bytes", payload.len());
+        return Err(io::Error::new(io::ErrorKind::UnexpectedEof, cut).into());
+    }
     Ok((kind, payload))
 }
 
@@ -489,6 +504,47 @@ mod tests {
         assert_eq!(enc.len(), UPLOAD_CTX_LEN + 21);
         assert_eq!(decode_upload(&enc).expect("valid"), m);
         assert_eq!(decode_round_end(&encode_round_end(11)).expect("valid"), 11);
+    }
+
+    /// Yields `bytes` at most three at a time, then fails with `then`.
+    struct Trickle {
+        bytes: Vec<u8>,
+        at: usize,
+        then: io::ErrorKind,
+    }
+
+    impl Read for Trickle {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = buf.len().min(self.bytes.len() - self.at).min(3);
+            if n == 0 {
+                return Err(io::Error::new(self.then, "trickle ran dry"));
+            }
+            buf[..n].copy_from_slice(&self.bytes[self.at..self.at + n]);
+            self.at += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn short_reads_assemble_and_cut_frames_keep_their_error_kind() {
+        let mut wire = Vec::new();
+        write_msg(&mut wire, MsgKind::Upload, b"ten bytes!").expect("write");
+        let trickle = |upto: usize, then| Trickle {
+            bytes: wire[..upto].to_vec(),
+            at: 0,
+            then,
+        };
+        let whole = read_msg(&mut trickle(wire.len(), io::ErrorKind::UnexpectedEof));
+        assert_eq!(whole.expect("reads").1, b"ten bytes!");
+        // The stream ends four bytes into the payload.
+        let cut = FRAME_HEADER_LEN + 4;
+        match read_msg(&mut &wire[..cut]) {
+            Err(NetError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof),
+            other => panic!("a cut frame must be UnexpectedEof, got {other:?}"),
+        }
+        // The peer stalls there instead: still a timeout, not a dead peer.
+        let stalled = read_msg(&mut trickle(cut, io::ErrorKind::WouldBlock));
+        assert!(stalled.expect_err("stalls").is_timeout());
     }
 
     #[test]
