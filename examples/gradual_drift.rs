@@ -2,8 +2,12 @@
 //! accumulate and degrade model performance over time … requiring sustained
 //! monitoring". Per-window thresholding misses each small step; the CUSUM
 //! [`DriftMonitor`](shiftex::detect::DriftMonitor) accumulates the
-//! sub-threshold MMD scores and raises the alarm, at which point the
-//! federation re-routes the drifted parties to a specialist expert.
+//! sub-threshold MMD scores and raises the alarm.
+//!
+//! The alarm is only printed: nothing in the federation reads it, so no
+//! party is re-routed when it fires, and ShiftEx's own per-window detection
+//! is unchanged. The monitored score is also the mean MMD over the parties
+//! this example *knows* are drifting, which a real server cannot know.
 //!
 //! ```text
 //! cargo run --release --example gradual_drift
