@@ -48,11 +48,12 @@ pub const PROTO_VERSION: u32 = 1;
 /// not become a multi-gigabyte allocation.
 pub const MAX_FRAME_LEN: usize = 64 << 20;
 
-/// Most bytes [`read_msg`] reserves before any payload byte has arrived. A
-/// length prefix is unauthenticated, so a larger payload's buffer grows only
-/// as its bytes are read; every data-plane frame the runtime ships is
-/// smaller and is read into one allocation of exactly its length.
-const FIRST_RESERVE: usize = 64 << 10;
+/// Most bytes [`read_msg`] allocates before any payload byte has arrived.
+/// A length prefix is unauthenticated, so a longer payload's buffer grows a
+/// chunk at a time, each chunk no larger than what has already arrived. A
+/// payload of at most this size (`netfed_tcp`'s ~43 KB frames) is one
+/// `read_exact` into one allocation of exactly its length.
+const FIRST_CHUNK: usize = 64 << 10;
 
 /// Message kinds of the federation wire protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -171,8 +172,9 @@ pub fn write_msg<W: Write>(w: &mut W, kind: MsgKind, payload: &[u8]) -> Result<u
 /// stream ends inside the frame.
 ///
 /// Memory follows the bytes received, not the header's claim: the payload
-/// buffer starts at no more than 64 KiB and grows only as bytes arrive, so
-/// a header announcing [`MAX_FRAME_LEN`] and then closing costs 64 KiB.
+/// buffer starts at no more than 64 KiB and at most doubles per chunk that
+/// arrives whole, so a header announcing [`MAX_FRAME_LEN`] and then closing
+/// costs 64 KiB.
 pub fn read_msg<R: Read>(r: &mut R) -> Result<(MsgKind, Vec<u8>), NetError> {
     let mut header = [0u8; FRAME_HEADER_LEN];
     r.read_exact(&mut header)?;
@@ -181,11 +183,12 @@ pub fn read_msg<R: Read>(r: &mut R) -> Result<(MsgKind, Vec<u8>), NetError> {
     if len > MAX_FRAME_LEN {
         return Err(NetError::Oversize(len));
     }
-    let mut payload = Vec::with_capacity(len.min(FIRST_RESERVE));
-    r.take(len as u64).read_to_end(&mut payload)?;
-    if payload.len() < len {
-        let cut = format!("frame payload ended at {} of {len} bytes", payload.len());
-        return Err(io::Error::new(io::ErrorKind::UnexpectedEof, cut).into());
+    let mut payload = Vec::new();
+    while payload.len() < len {
+        let start = payload.len();
+        let chunk = (len - start).min(start.max(FIRST_CHUNK));
+        payload.resize(start + chunk, 0);
+        r.read_exact(&mut payload[start..])?;
     }
     Ok((kind, payload))
 }
@@ -431,6 +434,11 @@ mod tests {
         let (kind, payload) = read_msg(&mut wire.as_slice()).expect("read");
         assert_eq!(kind, MsgKind::Upload);
         assert_eq!(payload, b"payload");
+        // Past the first 64 KiB the payload arrives in growing chunks.
+        let big: Vec<u8> = (0..150_000u32).map(|i| (i % 251) as u8).collect();
+        let mut wire = Vec::new();
+        write_msg(&mut wire, MsgKind::Broadcast, &big).expect("write");
+        assert_eq!(read_msg(&mut wire.as_slice()).expect("read").1, big);
     }
 
     #[test]
