@@ -353,9 +353,12 @@ fn krum(global: &[f32], ready: &[WeightedUpdate], server_lr: f32, f: usize) -> R
             score: score_of[i],
         })
         .collect();
-    let chosen = ready.iter().zip(&selected).filter(|&(_, &s)| s);
+    let chosen = ready
+        .iter()
+        .zip(&selected)
+        .filter_map(|(w, &s)| s.then_some(w));
     RobustFold {
-        params: fold_weighted(global, chosen.map(|(w, _)| w), server_lr),
+        params: fold_weighted(global, chosen, server_lr),
         verdicts,
     }
 }
