@@ -316,7 +316,7 @@ pub(crate) mod tests {
     }
 
     /// Operand carrying every special value the squared-difference addend
-    /// can meet — NaN, ±∞, ±0.0 — among normals, about one entry in ten.
+    /// can meet — NaN, ±∞, ±0.0 — among normals, one entry in eight.
     fn hostile(len: usize, rng: &mut StdRng) -> Vec<f32> {
         (0..len)
             .map(|_| match rng.random_range(0..40u32) {
