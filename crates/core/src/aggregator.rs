@@ -900,7 +900,7 @@ mod tests {
         fed.rounds(3);
         assert_eq!(
             expert_fingerprint(&fed.shiftex),
-            0xb333_1ce8_d0a4_fbb7,
+            0xd495_f9bd_6203_f681,
             "one expert"
         );
 
@@ -911,7 +911,7 @@ mod tests {
         fed.rounds(3);
         assert_eq!(
             expert_fingerprint(&fed.shiftex),
-            0xeb15_8976_c218_ecf2,
+            0x0222_ff09_5898_ed24,
             "two experts"
         );
     }

@@ -15,17 +15,16 @@
 //!
 //! Every output element receives its addends in strictly ascending order of
 //! the shared index on top of what `C` already holds, lanes never mix, and
-//! the tile's `ADD` parameter makes each addend one of three kinds:
+//! the tile's `ADD` parameter makes each addend one of two kinds:
 //!
 //! * [`MUL_ADD`]: one rounded multiply then one rounded add — a scalar
 //!   `acc = seed; for k { acc += a[k] * b[k] }` loop, bit for bit;
-//! * [`FUSED`]: one fused multiply-add, with a final `+ 0.0` once the chain
-//!   is done — exactly what [`crate::vector::dot`] computes for slices
-//!   shorter than [`crate::vector::LANES`]: its tail chain, added to an
-//!   all-zero lane reduction;
 //! * [`SQ_DIFF`]: `d = a[k] - b[k]`, then `acc += d * d` — one rounded
-//!   subtract, one rounded multiply and one rounded add, never fused: a
-//!   scalar squared-distance loop, bit for bit.
+//!   subtract, one rounded multiply and one rounded add: a scalar
+//!   squared-distance loop, bit for bit.
+//!
+//! Neither fuses a multiply into an add, on any target, so every build
+//! computes the same bits.
 //!
 //! "Bit for bit" holds for every result that is not NaN. A NaN result is
 //! NaN on every path, but IEEE 754 leaves its sign and payload open and the
@@ -43,24 +42,16 @@
 //!
 //! # Instruction selection
 //!
-//! On AVX2+FMA targets the tile is `core::arch` intrinsics
+//! On AVX2 targets the tile is `core::arch` intrinsics
 //! (`crate::simd::gemm_tile`); everywhere else it is [`tile_lanes`], the
 //! same tile on `[f32; 8]` lanes in safe code — the `dot` / `dot2` /
 //! `sq_dist` arrangement. Both are monomorphised per tile shape and addend
 //! kind so the accumulators are compile-time-sized, and they agree bit for
 //! bit.
 
-#[cfg(all(
-    target_arch = "x86_64",
-    target_feature = "avx2",
-    target_feature = "fma"
-))]
+#[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
 use crate::simd::gemm_tile as tile;
-#[cfg(not(all(
-    target_arch = "x86_64",
-    target_feature = "avx2",
-    target_feature = "fma"
-)))]
+#[cfg(not(all(target_arch = "x86_64", target_feature = "avx2")))]
 use tile_lanes as tile;
 
 /// Output rows of one register tile.
@@ -72,15 +63,13 @@ pub const NR: usize = 3 * VL;
 
 /// What one step of the tile adds to an accumulator: the const parameter
 /// `ADD` of [`gemm`], [`tile_lanes`] and `crate::simd::gemm_tile`, one of
-/// the three kinds of the module-level arithmetic contract.
+/// the two kinds of the module-level arithmetic contract.
 pub(crate) type Addend = u8;
 /// `acc + x * y`: one rounded multiply, then one rounded add.
 pub(crate) const MUL_ADD: Addend = 0;
-/// `fma(x, y, acc)` per step, and `+ 0.0` once the chain is done.
-pub(crate) const FUSED: Addend = 1;
 /// `acc + (x - y) * (x - y)`: one rounded subtract, one rounded multiply,
 /// one rounded add.
-pub(crate) const SQ_DIFF: Addend = 2;
+pub(crate) const SQ_DIFF: Addend = 1;
 
 /// The left operand of [`gemm`]: element `(i, k)` — output row `i`, shared
 /// index `k` — lives at `data[i * row_stride + k * k_stride]`.
@@ -197,7 +186,7 @@ fn tile_acc<const ADD: Addend>(a: &[f32], b: &[f32], out: &mut [f32], kd: usize,
 /// `0..nc` of `c` (row stride `ldc`) receive `addend(a[i, k], b[k, j])`
 /// over `k` in `0..kd`, `b` read at row stride `ldb`. The twin of
 /// `crate::simd::gemm_tile` — same tile, same order, same bits, for every
-/// [`Addend`] — for targets without AVX2+FMA.
+/// [`Addend`] — for targets without AVX2.
 ///
 /// It works through the tile one vector at a time: `MR × VL` accumulators
 /// are what a sixteen-register SSE2 or NEON file holds, and finishing one
@@ -207,14 +196,7 @@ fn tile_acc<const ADD: Addend>(a: &[f32], b: &[f32], out: &mut [f32], kd: usize,
 /// # Panics
 ///
 /// Panics if the tile has more than [`MR`] rows or a slice is too short.
-#[cfg(any(
-    test,
-    not(all(
-        target_arch = "x86_64",
-        target_feature = "avx2",
-        target_feature = "fma"
-    ))
-))]
+#[cfg(any(test, not(all(target_arch = "x86_64", target_feature = "avx2"))))]
 pub(crate) fn tile_lanes<const ADD: Addend>(
     a: Lhs<'_>,
     b: &[f32],
@@ -244,14 +226,7 @@ pub(crate) fn tile_lanes<const ADD: Addend>(
 /// compile-time row count. `WHOLE` (`live == VL`) reads plain 8-lane
 /// vectors; a ragged vector is zero-padded on load, computed like any other,
 /// and only its live lanes are stored.
-#[cfg(any(
-    test,
-    not(all(
-        target_arch = "x86_64",
-        target_feature = "avx2",
-        target_feature = "fma"
-    ))
-))]
+#[cfg(any(test, not(all(target_arch = "x86_64", target_feature = "avx2"))))]
 fn tile_vector<const ROWS: usize, const ADD: Addend, const WHOLE: bool>(
     a: Lhs<'_>,
     b: &[f32],
@@ -260,7 +235,6 @@ fn tile_vector<const ROWS: usize, const ADD: Addend, const WHOLE: bool>(
     ldc: usize,
     (live, kd): (usize, usize),
 ) {
-    use crate::vector::madd;
     use std::array::from_fn;
 
     let load = |src: &[f32]| -> [f32; VL] {
@@ -280,7 +254,6 @@ fn tile_vector<const ROWS: usize, const ADD: Addend, const WHOLE: bool>(
             for (s, &y) in lanes.iter_mut().zip(&y) {
                 *s = match ADD {
                     MUL_ADD => *s + x * y,
-                    FUSED => madd(x, y, *s),
                     SQ_DIFF => {
                         let d = x - y;
                         *s + d * d
@@ -291,9 +264,7 @@ fn tile_vector<const ROWS: usize, const ADD: Addend, const WHOLE: bool>(
         }
     }
     for (i, lanes) in acc.iter().enumerate() {
-        for (o, &s) in c[i * ldc..][..live].iter_mut().zip(lanes) {
-            *o = if ADD == FUSED { s + 0.0 } else { s };
-        }
+        c[i * ldc..][..live].copy_from_slice(&lanes[..live]);
     }
 }
 
@@ -338,7 +309,7 @@ pub(crate) mod tests {
     /// sign and payload of a NaN result open and LLVM commutes additions
     /// freely, so two paths agree on *whether* a result is NaN, not on
     /// which NaN it is.
-    fn nan_blind(x: f32) -> u32 {
+    pub(crate) fn nan_blind(x: f32) -> u32 {
         if x.is_nan() {
             f32::NAN.to_bits()
         } else {
@@ -416,27 +387,23 @@ pub(crate) mod tests {
                     let c0 = relu_sparse(mr * ldc, &mut rng);
                     let (ha, hb) = (hostile(mr * kd, &mut rng), hostile(kd * ldb, &mut rng));
                     let lhs = Lhs::rows(&a, kd);
-                    let (mut plain, mut fused, mut sq) = (c0.clone(), c0.clone(), c0.clone());
+                    let (mut plain, mut sq) = (c0.clone(), c0.clone());
                     tile_lanes::<MUL_ADD>(lhs, &b, ldb, &mut plain, ldc, (mr, nc, kd));
-                    tile_lanes::<FUSED>(lhs, &b, ldb, &mut fused, ldc, (mr, nc, kd));
                     let hostile_lhs = Lhs::rows(&ha, kd);
                     tile_lanes::<SQ_DIFF>(hostile_lhs, &hb, ldb, &mut sq, ldc, (mr, nc, kd));
                     for i in 0..mr {
                         for j in 0..ldc {
                             let seed = c0[i * ldc + j];
-                            let (mut p, mut f, mut q) = (seed, seed, seed);
+                            let (mut p, mut q) = (seed, seed);
                             if j < nc {
                                 for k in 0..kd {
                                     p += a[i * kd + k] * b[k * ldb + j];
-                                    f = crate::vector::madd(a[i * kd + k], b[k * ldb + j], f);
                                     let d = ha[i * kd + k] - hb[k * ldb + j];
                                     q += d * d;
                                 }
-                                f += 0.0;
                             }
                             let at = format!("{mr}x{nc}x{kd} at ({i},{j})");
                             assert_eq!(plain[i * ldc + j].to_bits(), p.to_bits(), "{at}");
-                            assert_eq!(fused[i * ldc + j].to_bits(), f.to_bits(), "fma {at}");
                             assert_eq!(nan_blind(sq[i * ldc + j]), nan_blind(q), "sq {at}");
                         }
                     }
@@ -464,11 +431,7 @@ pub(crate) mod tests {
     }
 
     /// Intrinsics ≡ safe twin: only where the intrinsics are compiled in.
-    #[cfg(all(
-        target_arch = "x86_64",
-        target_feature = "avx2",
-        target_feature = "fma"
-    ))]
+    #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
     mod intrinsics {
         use super::*;
         use crate::simd;
@@ -530,7 +493,7 @@ pub(crate) mod tests {
             #![proptest_config(ProptestConfig::with_cases(256))]
 
             /// Intrinsics ≡ safe twin, bit for bit, on both operand layouts,
-            /// all three addends and every tile shape.
+            /// both addends and every tile shape.
             #[test]
             fn prop_intrinsics_tile_matches_lane_twin(mr in 1usize..=MR, nc in 1usize..=NR,
                                                       kd in 0usize..70, transposed in 0u8..2,
@@ -539,10 +502,6 @@ pub(crate) mod tests {
                 prop_assert_eq!(
                     run_tile(simd::gemm_tile::<MUL_ADD>, relu_sparse, t, shape, seed),
                     run_tile(tile_lanes::<MUL_ADD>, relu_sparse, t, shape, seed)
-                );
-                prop_assert_eq!(
-                    run_tile(simd::gemm_tile::<FUSED>, relu_sparse, t, shape, seed),
-                    run_tile(tile_lanes::<FUSED>, relu_sparse, t, shape, seed)
                 );
                 prop_assert_eq!(
                     run_tile(simd::gemm_tile::<SQ_DIFF>, hostile, t, shape, seed),

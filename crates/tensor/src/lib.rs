@@ -34,11 +34,7 @@
 mod gemm;
 mod matrix;
 pub mod rngx;
-#[cfg(all(
-    target_arch = "x86_64",
-    target_feature = "avx2",
-    target_feature = "fma"
-))]
+#[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
 mod simd;
 pub mod stats;
 pub mod vector;

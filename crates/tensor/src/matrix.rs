@@ -14,7 +14,7 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::gemm::{gemm, Lhs, FUSED, MUL_ADD};
+use crate::gemm::{gemm, Lhs, MUL_ADD};
 use crate::vector;
 
 /// Square tile side of the blocked [`Matrix::transpose`].
@@ -348,9 +348,11 @@ impl Matrix {
     }
 
     /// [`Matrix::matmul_t_into`] with caller-kept scratch. Below
-    /// [`vector::LANES`] shared columns a `dot` is one scalar FMA chain, so
-    /// the product runs on the register-tile kernel instead — same chain per
-    /// element, same bits — over `rhsᵀ` packed into `pack`, which keeps its
+    /// [`vector::LANES`] shared columns a `dot` is one scalar multiply-add
+    /// chain from `+0.0`, so the product runs on the register-tile kernel
+    /// instead — same chain per element, same bits (a sum seeded `+0.0` is
+    /// never `-0.0`, so adding the all-zero lane reduction changes nothing)
+    /// — over `rhsᵀ` packed into `pack`, which keeps its
     /// allocation (a training step that lends the same `pack` every batch
     /// allocates nothing). Longer rows never touch `pack`.
     ///
@@ -374,7 +376,7 @@ impl Matrix {
                     pack[k * p + j] = v;
                 }
             }
-            return gemm::<FUSED>(Lhs::rows(a, kd), pack, &mut out.data, kd, p);
+            return gemm::<MUL_ADD>(Lhs::rows(a, kd), pack, &mut out.data, kd, p);
         }
         // Row pairs share each streamed rhs row via dot2; a trailing odd row
         // falls back to a single dot (bit-identical result).
@@ -877,15 +879,15 @@ mod tests {
 
     /// What `matmul_t` promises per element: one [`vector::dot`] — which,
     /// below [`vector::LANES`] shared columns, is spelled out here as the
-    /// scalar chain it reduces to: fused multiply-adds from `0.0`, added to
-    /// an all-zero lane reduction.
+    /// scalar chain it reduces to: multiply-adds from `0.0`, added to an
+    /// all-zero lane reduction.
     fn matmul_t_oracle(a: &Matrix, b: &Matrix) -> Matrix {
         Matrix::from_fn(a.rows(), b.rows(), |i, j| {
             let d = vector::dot(a.row(i), b.row(j));
             if a.cols() < vector::LANES {
                 let mut chain = 0.0f32;
                 for (&x, &y) in a.row(i).iter().zip(b.row(j)) {
-                    chain = vector::madd(x, y, chain);
+                    chain += x * y;
                 }
                 assert_eq!(
                     d.to_bits(),

@@ -1,10 +1,10 @@
-//! Explicit AVX2+FMA kernels behind the [`crate::vector`] dispatch and the
+//! Explicit AVX2 kernels behind the [`crate::vector`] dispatch and the
 //! `crate::gemm` register tile.
 //!
 //! The safe lane-unrolled kernels in [`crate::vector`] are written so the
 //! autovectorizer *can* turn them into SIMD — but whether it actually does
 //! depends on fragile SLP-vectorizer heuristics: the same source compiles
-//! to clean 8-wide FMA chains in one crate context and to a shuffle-heavy
+//! to clean 8-wide chains in one crate context and to a shuffle-heavy
 //! 4-wide form in another (observed with rustc 1.95: presence of a second
 //! caller of the kernel closure flips the chosen vector axis and costs
 //! 2–4× on the Gram-matrix hot path). The reductions and the dense-product
@@ -13,29 +13,35 @@
 //! `core::arch` intrinsics.
 //!
 //! This is the only module in the crate allowed to use `unsafe`; it is
-//! compiled (and reachable) only when the build target enables both `avx2`
-//! and `fma` — which the repo's `target-cpu=native` build flag does on any
-//! modern x86-64 host. Every other configuration uses the safe fallbacks.
+//! compiled (and reachable) only when the build target enables `avx2` —
+//! which the repo's `target-cpu=native` build flag does on any modern
+//! x86-64 host. Every other configuration uses the safe fallbacks.
 //!
-//! The accumulator layout (four 8-lane registers per operand row, i.e.
-//! [`LANES`] = 32 partial sums) and the reduction tree mirror the safe
-//! fallback exactly, so both paths agree up to the usual FMA-vs-mul-add
-//! rounding differences of the tails they share. [`gemm_tile`] is one tile
-//! with three addends — multiply-then-add, fused multiply-add, and the
-//! squared difference behind Krum's distance matrix — and agrees with its
-//! safe twin bit for bit under each (a test runs one against the other).
+//! Nothing here fuses a multiply into an add: every step is one rounded
+//! multiply then one rounded add, as in the safe fallbacks. The
+//! accumulator layout (four 8-lane registers per operand row, i.e.
+//! [`LANES`] = 32 partial sums), the reduction tree and the scalar tails
+//! mirror those fallbacks exactly, so [`dot`], [`dot2`] and [`sq_dist`]
+//! agree with their safe twins bit for bit. [`gemm_tile`] is one tile with
+//! two addends — multiply-then-add, and the squared difference behind
+//! Krum's distance matrix — and agrees with its safe twin bit for bit
+//! under each. Tests run every kernel against its twin.
 
 #![allow(unsafe_code)]
 
 use core::arch::x86_64::{
-    __m256, __m256i, _mm256_add_ps, _mm256_castps256_ps128, _mm256_extractf128_ps, _mm256_fmadd_ps,
-    _mm256_loadu_ps, _mm256_loadu_si256, _mm256_maskload_ps, _mm256_maskstore_ps, _mm256_mul_ps,
-    _mm256_set1_ps, _mm256_setzero_ps, _mm256_storeu_ps, _mm256_sub_ps, _mm_add_ps, _mm_add_ss,
-    _mm_cvtss_f32, _mm_movehl_ps, _mm_shuffle_ps,
+    __m256, __m256i, _mm256_add_ps, _mm256_castps256_ps128, _mm256_extractf128_ps, _mm256_loadu_ps,
+    _mm256_loadu_si256, _mm256_maskload_ps, _mm256_maskstore_ps, _mm256_mul_ps, _mm256_set1_ps,
+    _mm256_setzero_ps, _mm256_storeu_ps, _mm256_sub_ps, _mm_add_ps, _mm_add_ss, _mm_cvtss_f32,
+    _mm_movehl_ps, _mm_shuffle_ps,
 };
 
-use crate::gemm::{Addend, Lhs, FUSED, MR, MUL_ADD, NR, SQ_DIFF, VL};
+use crate::gemm::{Addend, Lhs, MR, MUL_ADD, NR, SQ_DIFF, VL};
 use crate::vector::LANES;
+
+/// 8-lane accumulators per operand row of [`dot`], [`dot2`] and
+/// [`sq_dist`]: [`LANES`] partial sums in all.
+const ACCS: usize = LANES / VL;
 
 /// Dot product over the main [`LANES`]-multiple prefix plus a scalar tail.
 #[inline]
@@ -43,43 +49,29 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
     let n = b.len();
     let main = n - n % LANES;
-    // SAFETY: avx2+fma are statically enabled (this module only compiles
-    // under `cfg(all(target_feature = "avx2", target_feature = "fma"))`, see
-    // the module docs), so the intrinsics cannot fault. Every unaligned load
-    // reads 8 floats at offset `i + {0,8,16,24}` with `i + 32 <= main`, and
+    // SAFETY: avx2 is statically enabled (this module only compiles under
+    // `cfg(target_feature = "avx2")`, see the module docs), so the
+    // intrinsics cannot fault. Every unaligned load reads 8 floats at offset
+    // `i + v * VL` for `v < ACCS` with `i + LANES <= main`, and
     // `main <= a.len() == b.len()` (lengths asserted equal above), so all
     // accesses stay inside the two live slices.
     unsafe {
         let (pa, pb) = (a.as_ptr(), b.as_ptr());
-        let mut acc0 = _mm256_setzero_ps();
-        let mut acc1 = _mm256_setzero_ps();
-        let mut acc2 = _mm256_setzero_ps();
-        let mut acc3 = _mm256_setzero_ps();
+        let mut acc = [_mm256_setzero_ps(); ACCS];
         let mut i = 0;
         while i < main {
-            acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(pa.add(i)), _mm256_loadu_ps(pb.add(i)), acc0);
-            acc1 = _mm256_fmadd_ps(
-                _mm256_loadu_ps(pa.add(i + 8)),
-                _mm256_loadu_ps(pb.add(i + 8)),
-                acc1,
-            );
-            acc2 = _mm256_fmadd_ps(
-                _mm256_loadu_ps(pa.add(i + 16)),
-                _mm256_loadu_ps(pb.add(i + 16)),
-                acc2,
-            );
-            acc3 = _mm256_fmadd_ps(
-                _mm256_loadu_ps(pa.add(i + 24)),
-                _mm256_loadu_ps(pb.add(i + 24)),
-                acc3,
-            );
+            for (v, s) in acc.iter_mut().enumerate() {
+                let at = i + v * VL;
+                let (x, y) = (_mm256_loadu_ps(pa.add(at)), _mm256_loadu_ps(pb.add(at)));
+                *s = _mm256_add_ps(*s, _mm256_mul_ps(x, y));
+            }
             i += LANES;
         }
         let mut tail = 0.0f32;
         for k in main..n {
-            tail = a[k].mul_add(b[k], tail);
+            tail += a[k] * b[k];
         }
-        reduce4(acc0, acc1, acc2, acc3) + tail
+        reduce4(acc) + tail
     }
 }
 
@@ -90,46 +82,32 @@ pub fn dot2(a0: &[f32], a1: &[f32], b: &[f32]) -> [f32; 2] {
     debug_assert_eq!(a1.len(), b.len());
     let n = b.len();
     let main = n - n % LANES;
-    // SAFETY: avx2+fma are statically enabled (module-level cfg), so the
-    // intrinsics cannot fault. Each load reads 8 floats at `i + {0,8,16,24}`
-    // with `i + 32 <= main`, and `main` is bounded by the asserted-equal
-    // lengths of all three slices, so every access is in bounds.
+    // SAFETY: avx2 is statically enabled (module-level cfg), so the
+    // intrinsics cannot fault. Each load reads 8 floats at `i + v * VL` for
+    // `v < ACCS` with `i + LANES <= main`, and `main` is bounded by the
+    // asserted-equal lengths of all three slices, so every access is in
+    // bounds.
     unsafe {
-        let (p0, p1, pb) = (a0.as_ptr(), a1.as_ptr(), b.as_ptr());
-        let mut acc00 = _mm256_setzero_ps();
-        let mut acc01 = _mm256_setzero_ps();
-        let mut acc02 = _mm256_setzero_ps();
-        let mut acc03 = _mm256_setzero_ps();
-        let mut acc10 = _mm256_setzero_ps();
-        let mut acc11 = _mm256_setzero_ps();
-        let mut acc12 = _mm256_setzero_ps();
-        let mut acc13 = _mm256_setzero_ps();
+        let rows = [a0.as_ptr(), a1.as_ptr()];
+        let mut acc = [[_mm256_setzero_ps(); ACCS]; 2];
         let mut i = 0;
         while i < main {
-            let b0 = _mm256_loadu_ps(pb.add(i));
-            let b1 = _mm256_loadu_ps(pb.add(i + 8));
-            let b2 = _mm256_loadu_ps(pb.add(i + 16));
-            let b3 = _mm256_loadu_ps(pb.add(i + 24));
-            acc00 = _mm256_fmadd_ps(_mm256_loadu_ps(p0.add(i)), b0, acc00);
-            acc01 = _mm256_fmadd_ps(_mm256_loadu_ps(p0.add(i + 8)), b1, acc01);
-            acc02 = _mm256_fmadd_ps(_mm256_loadu_ps(p0.add(i + 16)), b2, acc02);
-            acc03 = _mm256_fmadd_ps(_mm256_loadu_ps(p0.add(i + 24)), b3, acc03);
-            acc10 = _mm256_fmadd_ps(_mm256_loadu_ps(p1.add(i)), b0, acc10);
-            acc11 = _mm256_fmadd_ps(_mm256_loadu_ps(p1.add(i + 8)), b1, acc11);
-            acc12 = _mm256_fmadd_ps(_mm256_loadu_ps(p1.add(i + 16)), b2, acc12);
-            acc13 = _mm256_fmadd_ps(_mm256_loadu_ps(p1.add(i + 24)), b3, acc13);
+            for v in 0..ACCS {
+                let y = _mm256_loadu_ps(b.as_ptr().add(i + v * VL));
+                for (row, p) in acc.iter_mut().zip(rows) {
+                    let x = _mm256_loadu_ps(p.add(i + v * VL));
+                    row[v] = _mm256_add_ps(row[v], _mm256_mul_ps(x, y));
+                }
+            }
             i += LANES;
         }
         let mut t0 = 0.0f32;
         let mut t1 = 0.0f32;
         for k in main..n {
-            t0 = a0[k].mul_add(b[k], t0);
-            t1 = a1[k].mul_add(b[k], t1);
+            t0 += a0[k] * b[k];
+            t1 += a1[k] * b[k];
         }
-        [
-            reduce4(acc00, acc01, acc02, acc03) + t0,
-            reduce4(acc10, acc11, acc12, acc13) + t1,
-        ]
+        [reduce4(acc[0]) + t0, reduce4(acc[1]) + t1]
     }
 }
 
@@ -140,43 +118,30 @@ pub fn sq_dist(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
     let n = b.len();
     let main = n - n % LANES;
-    // SAFETY: avx2+fma are statically enabled (module-level cfg), so the
-    // intrinsics cannot fault. Each load reads 8 floats at `i + {0,8,16,24}`
-    // with `i + 32 <= main <= a.len() == b.len()` (lengths asserted equal
-    // above), so every access stays inside the two live slices.
+    // SAFETY: avx2 is statically enabled (module-level cfg), so the
+    // intrinsics cannot fault. Each load reads 8 floats at `i + v * VL` for
+    // `v < ACCS` with `i + LANES <= main <= a.len() == b.len()` (lengths
+    // asserted equal above), so every access stays inside the two live
+    // slices.
     unsafe {
         let (pa, pb) = (a.as_ptr(), b.as_ptr());
-        let mut acc0 = _mm256_setzero_ps();
-        let mut acc1 = _mm256_setzero_ps();
-        let mut acc2 = _mm256_setzero_ps();
-        let mut acc3 = _mm256_setzero_ps();
+        let mut acc = [_mm256_setzero_ps(); ACCS];
         let mut i = 0;
         while i < main {
-            let d0 = _mm256_sub_ps(_mm256_loadu_ps(pa.add(i)), _mm256_loadu_ps(pb.add(i)));
-            let d1 = _mm256_sub_ps(
-                _mm256_loadu_ps(pa.add(i + 8)),
-                _mm256_loadu_ps(pb.add(i + 8)),
-            );
-            let d2 = _mm256_sub_ps(
-                _mm256_loadu_ps(pa.add(i + 16)),
-                _mm256_loadu_ps(pb.add(i + 16)),
-            );
-            let d3 = _mm256_sub_ps(
-                _mm256_loadu_ps(pa.add(i + 24)),
-                _mm256_loadu_ps(pb.add(i + 24)),
-            );
-            acc0 = _mm256_fmadd_ps(d0, d0, acc0);
-            acc1 = _mm256_fmadd_ps(d1, d1, acc1);
-            acc2 = _mm256_fmadd_ps(d2, d2, acc2);
-            acc3 = _mm256_fmadd_ps(d3, d3, acc3);
+            for (v, s) in acc.iter_mut().enumerate() {
+                let at = i + v * VL;
+                let (x, y) = (_mm256_loadu_ps(pa.add(at)), _mm256_loadu_ps(pb.add(at)));
+                let d = _mm256_sub_ps(x, y);
+                *s = _mm256_add_ps(*s, _mm256_mul_ps(d, d));
+            }
             i += LANES;
         }
         let mut tail = 0.0f32;
         for k in main..n {
             let d = a[k] - b[k];
-            tail = d.mul_add(d, tail);
+            tail += d * d;
         }
-        reduce4(acc0, acc1, acc2, acc3) + tail
+        reduce4(acc) + tail
     }
 }
 
@@ -188,8 +153,7 @@ static TAIL_MASK: [i32; 2 * VL] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0
 /// `0..nc` of `c` (row stride `ldc`) receive `addend(a[i, k], b[k, j])`
 /// over `k` in `0..kd` ascending, `b` read at row stride `ldb`. `ADD`
 /// picks the addend: [`MUL_ADD`], one rounded multiply then one rounded
-/// add; [`FUSED`], one fused multiply-add per step and a final `+ 0.0`;
-/// [`SQ_DIFF`], one rounded subtract, multiply and add, never fused. See
+/// add; [`SQ_DIFF`], one rounded subtract, multiply and add. See
 /// `crate::gemm` for the contract and [`crate::gemm::tile_lanes`] for the
 /// safe twin.
 ///
@@ -230,7 +194,7 @@ pub fn gemm_tile<const ADD: Addend>(
     }
     let (pa, pb, pc) = (a.data.as_ptr(), b.as_ptr(), c.as_mut_ptr());
     let strides = (a.row_stride, a.k_stride, ldb, ldc);
-    // SAFETY: avx2+fma are statically enabled (module-level cfg). The match
+    // SAFETY: avx2 is statically enabled (module-level cfg). The match
     // instantiates `ROWS = mr` and `VECS = ceil(nc / VL)`, so `nc` lies in
     // `(VECS - 1) * VL + 1 ..= VECS * VL`. The asserts above bound, without
     // wrapping, the largest offset the tile forms into each slice — last row,
@@ -263,7 +227,7 @@ pub fn gemm_tile<const ADD: Addend>(
 ///
 /// # Safety
 ///
-/// Requires avx2+fma, `(VECS - 1) * VL < nc <= VECS * VL`, and — for every
+/// Requires avx2, `(VECS - 1) * VL < nc <= VECS * VL`, and — for every
 /// `i < ROWS`, `k < kd`, `j < nc` — `a + i * strides.0 + k * strides.1`,
 /// `b + k * strides.2 + j` readable and `c + i * strides.3 + j` readable and
 /// writable, with `c` not aliased.
@@ -278,7 +242,7 @@ unsafe fn gemm_tile_impl<const ROWS: usize, const VECS: usize, const ADD: Addend
     kd: usize,
 ) {
     let live = nc - (VECS - 1) * VL;
-    // SAFETY: avx2+fma per the caller's contract. Every vector but the last
+    // SAFETY: avx2 per the caller's contract. Every vector but the last
     // covers columns `v * VL .. (v + 1) * VL <= nc` and is accessed whole;
     // the last covers `(VECS - 1) * VL .. nc` — whole when `live == VL`,
     // otherwise through `mask`, whose first `live` lanes are set (`8 - live`
@@ -311,7 +275,6 @@ unsafe fn gemm_tile_impl<const ROWS: usize, const VECS: usize, const ADD: Addend
                 for (s, &y) in row.iter_mut().zip(&bv) {
                     *s = match ADD {
                         MUL_ADD => _mm256_add_ps(*s, _mm256_mul_ps(x, y)),
-                        FUSED => _mm256_fmadd_ps(x, y, *s),
                         SQ_DIFF => {
                             let d = _mm256_sub_ps(x, y);
                             _mm256_add_ps(*s, _mm256_mul_ps(d, d))
@@ -323,11 +286,6 @@ unsafe fn gemm_tile_impl<const ROWS: usize, const VECS: usize, const ADD: Addend
         }
         for (i, row) in acc.iter().enumerate() {
             for (v, &s) in row.iter().enumerate() {
-                let s = if ADD == FUSED {
-                    _mm256_add_ps(s, _mm256_setzero_ps())
-                } else {
-                    s
-                };
                 let dst = c.add(i * ldc + v * VL);
                 if v + 1 < VECS || live == VL {
                     _mm256_storeu_ps(dst, s);
@@ -339,13 +297,13 @@ unsafe fn gemm_tile_impl<const ROWS: usize, const VECS: usize, const ADD: Addend
     }
 }
 
-/// Horizontal sum of four 8-lane accumulators with a balanced tree:
-/// `(a+b) + (c+d)` lanewise, then `8 → 4 → 2 → 1`.
+/// Horizontal sum of four 8-lane accumulators `[a, b, c, d]` with a
+/// balanced tree: `(a+b) + (c+d)` lanewise, then `8 → 4 → 2 → 1`.
 #[inline]
 // SAFETY: callers must (and do — this fn is module-private) run under the
 // avx2 target feature; with that established the body is pure register
 // arithmetic with no memory access, so there is no pointer obligation.
-unsafe fn reduce4(a: __m256, b: __m256, c: __m256, d: __m256) -> f32 {
+unsafe fn reduce4([a, b, c, d]: [__m256; ACCS]) -> f32 {
     // SAFETY: avx2 is statically enabled (module-level cfg); pure register
     // arithmetic, no memory access.
     unsafe {
@@ -358,16 +316,48 @@ unsafe fn reduce4(a: __m256, b: __m256, c: __m256, d: __m256) -> f32 {
 
 #[cfg(test)]
 mod tests {
+    use super::{dot, dot2, sq_dist};
+    use crate::gemm::tests::nan_blind;
+    use crate::vector::{dot2_lanes, dot_lanes, sq_dist_lanes};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Normals times `scale`, with one entry in eight drawn from the first
+    /// `specials` of: ±0.0, a positive and a negative subnormal, ±∞.
+    fn operand(len: usize, scale: f32, specials: usize, rng: &mut StdRng) -> Vec<f32> {
+        let pool = [0.0, -0.0, 1e-40, -3e-39, f32::INFINITY, f32::NEG_INFINITY];
+        (0..len)
+            .map(|_| match rng.random_range(0..8 * specials) {
+                k if k < specials => pool[k],
+                _ => scale * crate::rngx::normal(rng, 0.0, 1.0),
+            })
+            .collect()
+    }
+
+    /// Each reduction's intrinsics ≡ its safe lane twin, `to_bits` (NaN as
+    /// a class), at lengths around every lane and tail edge: finite operands
+    /// with ±0.0 and subnormal entries, the same with ±∞, and operands small
+    /// enough that every product is subnormal. `dot2` also equals `dot` per
+    /// row.
     #[test]
-    fn simd_dot_matches_scalar() {
-        let a: Vec<f32> = (0..77).map(|i| i as f32 * 0.25 - 9.0).collect();
-        let b: Vec<f32> = (0..77).map(|i| 3.0 - i as f32 * 0.125).collect();
-        let scalar: f64 = a.iter().zip(&b).map(|(&x, &y)| (x as f64) * y as f64).sum();
-        let fast = super::dot(&a, &b) as f64;
-        assert!((fast - scalar).abs() < 1e-2 * scalar.abs().max(1.0));
-        let pair = super::dot2(&a, &a, &b);
-        assert_eq!(pair[0], pair[1]);
-        assert_eq!(pair[0], super::dot(&a, &b));
+    fn reductions_match_their_lane_twins_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(29);
+        for len in [0, 1, 7, 31, 32, 33, 63, 64, 65, 2048] {
+            for (scale, specials) in [(1.0, 4), (1.0, 6), (1e-20, 4)] {
+                for rep in 0..4 {
+                    let mut draw = || operand(len, scale, specials, &mut rng);
+                    let (a0, a1, b) = (draw(), draw(), draw());
+                    let at = format!("len {len}, scale {scale}, specials {specials}, rep {rep}");
+                    let one = nan_blind(dot(&a0, &b));
+                    assert_eq!(one, nan_blind(dot_lanes(&a0, &b)), "dot {at}");
+                    let pair = dot2(&a0, &a1, &b).map(nan_blind);
+                    assert_eq!(pair, dot2_lanes(&a0, &a1, &b).map(nan_blind), "dot2 {at}");
+                    assert_eq!(pair[0], one, "dot2 row 0 is dot, {at}");
+                    let sq = nan_blind(sq_dist(&a0, &b));
+                    assert_eq!(sq, nan_blind(sq_dist_lanes(&a0, &b)), "sq_dist {at}");
+                }
+            }
+        }
     }
 
     #[test]

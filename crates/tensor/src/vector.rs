@@ -9,70 +9,34 @@
 /// Thirty-two independent `f32` accumulators (four AVX2 registers' worth)
 /// break the sequential floating-point dependency chain — strict
 /// left-to-right `f32` addition cannot be reordered — with enough
-/// instruction-level parallelism to cover FMA latency. The explicit-SIMD
-/// path in `crate::simd` uses the same layout.
+/// instruction-level parallelism to cover the add latency. The
+/// explicit-SIMD path in `crate::simd` uses the same layout.
 pub const LANES: usize = 32;
 
-/// The reduction kernels dispatch to pinned AVX2+FMA intrinsics when the
-/// build target guarantees them (see `crate::simd` for why autovectorizing
-/// the safe fallbacks is not reliable enough for the Gram-matrix hot path).
-#[cfg(all(
-    target_arch = "x86_64",
-    target_feature = "avx2",
-    target_feature = "fma"
-))]
-use crate::simd;
+// The reductions run on pinned AVX2 intrinsics when the build target
+// guarantees them (see `crate::simd` for why autovectorizing the safe lane
+// twins is not reliable enough for the Gram-matrix hot path), and on those
+// twins everywhere else. Both multiply, then add — never fused — so every
+// target computes the same bits.
+#[cfg(not(all(target_arch = "x86_64", target_feature = "avx2")))]
+use self::{dot2_lanes as dot2_kernel, dot_lanes as dot_kernel, sq_dist_lanes as sq_dist_kernel};
+#[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
+use crate::simd::{dot as dot_kernel, dot2 as dot2_kernel, sq_dist as sq_dist_kernel};
 
-/// Fused multiply-add `a * b + acc` for the safe fallback paths when the
-/// target has hardware FMA (the intrinsics path covers AVX2+FMA itself, where
-/// only the tests call this, to check the fallbacks against it);
-/// `f32::mul_add` without hardware support would fall back to a (correct
-/// but ~100x slower) libm soft-fma call, hence the gate.
-#[cfg(all(
-    target_feature = "fma",
-    any(
-        test,
-        not(all(
-            target_arch = "x86_64",
-            target_feature = "avx2",
-            target_feature = "fma"
-        ))
-    )
-))]
+/// One [`LANES`]-wide step `acc[l] += x[l] * b[l]` of the safe twins, kept
+/// as its own always-inlined function so the vectorizer treats the lane
+/// axis as the vector axis.
+#[cfg(any(test, not(all(target_arch = "x86_64", target_feature = "avx2"))))]
 #[inline(always)]
-pub(crate) fn madd(a: f32, b: f32, acc: f32) -> f32 {
-    a.mul_add(b, acc)
-}
-
-/// Non-FMA fallback of [`madd`]: separate multiply and add.
-#[cfg(not(target_feature = "fma"))]
-#[inline(always)]
-pub(crate) fn madd(a: f32, b: f32, acc: f32) -> f32 {
-    acc + a * b
-}
-
-/// One [`LANES`]-wide multiply-add step `acc[l] += x[l] * b[l]` for the
-/// safe fallback path, kept as its own always-inlined function so the
-/// vectorizer treats the lane axis as the vector axis.
-#[cfg(not(all(
-    target_arch = "x86_64",
-    target_feature = "avx2",
-    target_feature = "fma"
-)))]
-#[inline(always)]
-fn fma_lanes(acc: &mut [f32; LANES], x: &[f32], b: &[f32]) {
+fn accumulate_lanes(acc: &mut [f32; LANES], x: &[f32], b: &[f32]) {
     for l in 0..LANES {
-        acc[l] = madd(x[l], b[l], acc[l]);
+        acc[l] += x[l] * b[l];
     }
 }
 
 /// Pairwise tree reduction of the lane accumulators, matching the
 /// `crate::simd` reduction order exactly.
-#[cfg(not(all(
-    target_arch = "x86_64",
-    target_feature = "avx2",
-    target_feature = "fma"
-)))]
+#[cfg(any(test, not(all(target_arch = "x86_64", target_feature = "avx2"))))]
 #[inline(always)]
 fn reduce_lanes(acc: &[f32; LANES]) -> f32 {
     let mut s = [0.0f32; 8];
@@ -83,14 +47,77 @@ fn reduce_lanes(acc: &[f32; LANES]) -> f32 {
     (q[0] + q[2]) + (q[1] + q[3])
 }
 
+/// The safe twin of `crate::simd::dot`: same accumulators, tail and
+/// reduction tree, same bits.
+#[cfg(any(test, not(all(target_arch = "x86_64", target_feature = "avx2"))))]
+pub(crate) fn dot_lanes(a: &[f32], b: &[f32]) -> f32 {
+    let mut acc = [0.0f32; LANES];
+    let mut ca = a.chunks_exact(LANES);
+    let mut cb = b.chunks_exact(LANES);
+    for (xa, xb) in (&mut ca).zip(&mut cb) {
+        accumulate_lanes(&mut acc, xa, xb);
+    }
+    let mut tail = 0.0f32;
+    for (&x, &y) in ca.remainder().iter().zip(cb.remainder()) {
+        tail += x * y;
+    }
+    reduce_lanes(&acc) + tail
+}
+
+/// The safe twin of `crate::simd::dot2`.
+#[cfg(any(test, not(all(target_arch = "x86_64", target_feature = "avx2"))))]
+pub(crate) fn dot2_lanes(a0: &[f32], a1: &[f32], b: &[f32]) -> [f32; 2] {
+    let mut acc0 = [0.0f32; LANES];
+    let mut acc1 = [0.0f32; LANES];
+    let mut cb = b.chunks_exact(LANES);
+    let mut c0 = a0.chunks_exact(LANES);
+    let mut c1 = a1.chunks_exact(LANES);
+    for ((xb, x0), x1) in (&mut cb).zip(&mut c0).zip(&mut c1) {
+        accumulate_lanes(&mut acc0, x0, xb);
+        accumulate_lanes(&mut acc1, x1, xb);
+    }
+    let mut t0 = 0.0f32;
+    let mut t1 = 0.0f32;
+    for ((&x0, &x1), &y) in c0
+        .remainder()
+        .iter()
+        .zip(c1.remainder())
+        .zip(cb.remainder())
+    {
+        t0 += x0 * y;
+        t1 += x1 * y;
+    }
+    [reduce_lanes(&acc0) + t0, reduce_lanes(&acc1) + t1]
+}
+
+/// The safe twin of `crate::simd::sq_dist`.
+#[cfg(any(test, not(all(target_arch = "x86_64", target_feature = "avx2"))))]
+pub(crate) fn sq_dist_lanes(a: &[f32], b: &[f32]) -> f32 {
+    let mut acc = [0.0f32; LANES];
+    let mut ca = a.chunks_exact(LANES);
+    let mut cb = b.chunks_exact(LANES);
+    for (xa, xb) in (&mut ca).zip(&mut cb) {
+        for l in 0..LANES {
+            let d = xa[l] - xb[l];
+            acc[l] += d * d;
+        }
+    }
+    let mut tail = 0.0f32;
+    for (&x, &y) in ca.remainder().iter().zip(cb.remainder()) {
+        let d = x - y;
+        tail += d * d;
+    }
+    reduce_lanes(&acc) + tail
+}
+
 /// Dot product of two equal-length slices.
 ///
 /// Accumulates over [`LANES`] independent partial sums (SIMD-friendly), so
 /// the summation order differs from a strict left-to-right reduction;
-/// results may differ from a naive loop by normal `f32` rounding. On
-/// AVX2+FMA targets the accumulation runs on pinned intrinsics
-/// (`crate::simd`); elsewhere on a safe lane-unrolled loop with the same
-/// accumulator layout.
+/// results may differ from a naive loop by normal `f32` rounding. Every
+/// target computes the same bits: AVX2 targets run pinned intrinsics
+/// (`crate::simd`), the rest a safe lane-unrolled loop with the same
+/// accumulator layout, and both multiply, then add.
 ///
 /// # Panics
 ///
@@ -104,30 +131,7 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
         a.len(),
         b.len()
     );
-    #[cfg(all(
-        target_arch = "x86_64",
-        target_feature = "avx2",
-        target_feature = "fma"
-    ))]
-    return simd::dot(a, b);
-    #[cfg(not(all(
-        target_arch = "x86_64",
-        target_feature = "avx2",
-        target_feature = "fma"
-    )))]
-    {
-        let mut acc = [0.0f32; LANES];
-        let mut ca = a.chunks_exact(LANES);
-        let mut cb = b.chunks_exact(LANES);
-        for (xa, xb) in (&mut ca).zip(&mut cb) {
-            fma_lanes(&mut acc, xa, xb);
-        }
-        let mut tail = 0.0f32;
-        for (&x, &y) in ca.remainder().iter().zip(cb.remainder()) {
-            tail = madd(x, y, tail);
-        }
-        reduce_lanes(&acc) + tail
-    }
+    dot_kernel(a, b)
 }
 
 /// Two dot products sharing one streamed right-hand vector.
@@ -136,10 +140,10 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 /// single [`dot`] issues two loads per multiply-add. Pairing two left-hand
 /// rows against one `b` stream amortises the `b` loads and runs two
 /// independent [`LANES`]-wide accumulator chains, which is what keeps the
-/// FMA units fed (wider row tiles spill accumulators out of registers and
-/// regress). Each result is bit-identical to `dot(a_i, b)` — same lane
-/// layout and reduction order — so kernels mix `dot` and `dot2` freely
-/// across rows.
+/// multiply and add units fed (wider row tiles spill accumulators out of
+/// registers and regress). Each result is bit-identical to `dot(a_i, b)` —
+/// same lane layout and reduction order — so kernels mix `dot` and `dot2`
+/// freely across rows.
 ///
 /// # Panics
 ///
@@ -148,37 +152,7 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 pub fn dot2(a0: &[f32], a1: &[f32], b: &[f32]) -> [f32; 2] {
     assert_eq!(a0.len(), b.len(), "dot2 length mismatch");
     assert_eq!(a1.len(), b.len(), "dot2 length mismatch");
-    #[cfg(all(
-        target_arch = "x86_64",
-        target_feature = "avx2",
-        target_feature = "fma"
-    ))]
-    return simd::dot2(a0, a1, b);
-    #[cfg(not(all(
-        target_arch = "x86_64",
-        target_feature = "avx2",
-        target_feature = "fma"
-    )))]
-    {
-        let mut acc0 = [0.0f32; LANES];
-        let mut acc1 = [0.0f32; LANES];
-        let mut cb = b.chunks_exact(LANES);
-        let mut c0 = a0.chunks_exact(LANES);
-        let mut c1 = a1.chunks_exact(LANES);
-        for ((xb, x0), x1) in (&mut cb).zip(&mut c0).zip(&mut c1) {
-            fma_lanes(&mut acc0, x0, xb);
-            fma_lanes(&mut acc1, x1, xb);
-        }
-        let mut t0 = 0.0f32;
-        let mut t1 = 0.0f32;
-        for (&x, &y) in c0.remainder().iter().zip(cb.remainder()) {
-            t0 = madd(x, y, t0);
-        }
-        for (&x, &y) in c1.remainder().iter().zip(cb.remainder()) {
-            t1 = madd(x, y, t1);
-        }
-        [reduce_lanes(&acc0) + t0, reduce_lanes(&acc1) + t1]
-    }
+    dot2_kernel(a0, a1, b)
 }
 
 /// Euclidean (L2) norm.
@@ -199,34 +173,7 @@ pub fn norm(a: &[f32]) -> f32 {
 #[inline]
 pub fn sq_dist(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "sq_dist length mismatch");
-    #[cfg(all(
-        target_arch = "x86_64",
-        target_feature = "avx2",
-        target_feature = "fma"
-    ))]
-    return simd::sq_dist(a, b);
-    #[cfg(not(all(
-        target_arch = "x86_64",
-        target_feature = "avx2",
-        target_feature = "fma"
-    )))]
-    {
-        let mut acc = [0.0f32; LANES];
-        let mut ca = a.chunks_exact(LANES);
-        let mut cb = b.chunks_exact(LANES);
-        for (xa, xb) in (&mut ca).zip(&mut cb) {
-            for l in 0..LANES {
-                let d = xa[l] - xb[l];
-                acc[l] = madd(d, d, acc[l]);
-            }
-        }
-        let mut tail = 0.0f32;
-        for (&x, &y) in ca.remainder().iter().zip(cb.remainder()) {
-            let d = x - y;
-            tail = madd(d, d, tail);
-        }
-        reduce_lanes(&acc) + tail
-    }
+    sq_dist_kernel(a, b)
 }
 
 /// Euclidean distance between two equal-length slices.
