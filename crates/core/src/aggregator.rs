@@ -394,17 +394,9 @@ impl FederatedAlgorithm for ShiftEx {
         *self = ShiftEx::new(self.cfg.clone(), self.spec.clone(), rng);
         assert!(!parties.is_empty(), "bootstrap needs parties");
         let template = Sequential::from_params(&self.spec, &self.frozen_params);
-        // The population is profiled twice and only the second pass is
-        // kept: the first pass's draws are part of the pinned RNG stream
-        // (it fed the burn-in rounds that used to run in between).
-        let profile = |rng: &mut StdRng| {
-            let stats = self.shift_stats(parties, &template, None, rng);
-            let profiles: Vec<&EmbeddingProfile> = stats.iter().map(|s| &s.profile).collect();
-            let pooled = EmbeddingProfile::pool(&profiles, self.cfg.profile_rows * 2, rng);
-            (stats, pooled)
-        };
-        profile(rng);
-        let (stats, pooled) = profile(rng);
+        let stats = self.shift_stats(parties, &template, None, rng);
+        let profiles: Vec<&EmbeddingProfile> = stats.iter().map(|s| &s.profile).collect();
+        let pooled = EmbeddingProfile::pool(&profiles, self.cfg.profile_rows * 2, rng);
         let expert0 = self.registry.create(self.frozen_params.clone(), &pooled, 0);
         for &id in parties.ids() {
             self.assignment.insert(id, expert0);
@@ -900,7 +892,7 @@ mod tests {
         fed.rounds(3);
         assert_eq!(
             expert_fingerprint(&fed.shiftex),
-            0xd495_f9bd_6203_f681,
+            0xbf7a_740a_9767_df35,
             "one expert"
         );
 
@@ -911,7 +903,7 @@ mod tests {
         fed.rounds(3);
         assert_eq!(
             expert_fingerprint(&fed.shiftex),
-            0x0222_ff09_5898_ed24,
+            0x53bf_0c3c_94aa_37b9,
             "two experts"
         );
     }

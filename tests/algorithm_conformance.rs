@@ -84,11 +84,13 @@ fn shiftex_dense_sync_is_bit_identical_to_pre_refactor_driver() {
     // `.with_population(PopulationMode::Resident)`, like the FedAvg golden
     // above. Covers per-expert streams, FLIPS cohorts, a real
     // process_window boundary (an expert spawns), and the RNG draw order.
+    // The accuracy series was re-pinned once since, when `ShiftEx::init`
+    // stopped drawing a second, discarded profiling pass from the run RNG.
     // The counts and byte totals below did not move and still date from
     // run_fed_shiftex.
     assert_eq!(
         acc_bits(&result),
-        vec![1040187392, 1040711680, 1041235968, 1042284544],
+        vec![1039138816, 1040187392, 1041235968, 1042284544],
         "accuracy series must be bit-identical to the recorded run"
     );
     assert_eq!(

@@ -42,19 +42,19 @@ const TABLE: [(&str, u64); 23] = [
     ("fielding/krum",          0x5699_c0c7_1beb_8f7f),
     ("flips/krum",             0xc2a4_d00b_6a90_8dde),
     ("feddrift/krum",          0x88ab_39a9_6435_1983),
-    ("shiftex/krum",           0xf61b_a4d3_8672_556c),
+    ("shiftex/krum",           0x6130_7635_2e09_41eb),
     ("fedavg/trimmed",         0xb48b_7bdd_de54_ed8b),
     ("fedprox/trimmed",        0x0acb_c691_337d_09f4),
     ("fielding/trimmed",       0xa7ac_f86f_6f42_23ec),
     ("flips/trimmed",          0x29ef_b085_7618_6d59),
     ("feddrift/trimmed",       0xb48b_7bdd_de54_ed8b),
-    ("shiftex/trimmed",        0xe22c_db4f_df4e_96d7),
+    ("shiftex/trimmed",        0x8803_100e_eca4_510e),
     ("fedavg/median",          0x927f_4ea7_024a_54c5),
     ("fedprox/median",         0xb8fe_0bb3_f327_94a2),
     ("fielding/median",        0x0436_6c9a_f955_2b15),
     ("flips/median",           0x313d_18e2_4a3e_0b53),
     ("feddrift/median",        0x927f_4ea7_024a_54c5),
-    ("shiftex/median",         0xb489_09b4_1538_e17f),
+    ("shiftex/median",         0x2b57_64e0_808f_6035),
     ("wide40/fedavg/krum",     0xa006_e2a1_bd7e_60d6),
     ("fold200x2146/mean",      0xd6fd_2b19_f45f_fb3f),
     ("fold200x2146/trimmed",   0x22d6_5e67_944d_274a),
