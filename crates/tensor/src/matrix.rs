@@ -349,12 +349,12 @@ impl Matrix {
 
     /// [`Matrix::matmul_t_into`] with caller-kept scratch. Below
     /// [`vector::LANES`] shared columns a `dot` is one scalar multiply-add
-    /// chain from `+0.0`, so the product runs on the register-tile kernel
-    /// instead — same chain per element, same bits (a sum seeded `+0.0` is
-    /// never `-0.0`, so adding the all-zero lane reduction changes nothing)
-    /// — over `rhsᵀ` packed into `pack`, which keeps its
-    /// allocation (a training step that lends the same `pack` every batch
-    /// allocates nothing). Longer rows never touch `pack`.
+    /// chain from `+0.0` plus an all-zero lane reduction, which changes
+    /// nothing (a sum seeded `+0.0` is never `-0.0`). So the product runs on
+    /// the register-tile kernel instead, over `rhsᵀ` packed into `pack`:
+    /// same chain per element, same bits. `pack` keeps its allocation (a
+    /// training step that lends the same `pack` every batch allocates
+    /// nothing). Longer rows never touch `pack`.
     ///
     /// # Panics
     ///

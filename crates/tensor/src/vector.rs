@@ -78,14 +78,11 @@ pub(crate) fn dot2_lanes(a0: &[f32], a1: &[f32], b: &[f32]) -> [f32; 2] {
     }
     let mut t0 = 0.0f32;
     let mut t1 = 0.0f32;
-    for ((&x0, &x1), &y) in c0
-        .remainder()
-        .iter()
-        .zip(c1.remainder())
-        .zip(cb.remainder())
-    {
-        t0 += x0 * y;
-        t1 += x1 * y;
+    for (&x, &y) in c0.remainder().iter().zip(cb.remainder()) {
+        t0 += x * y;
+    }
+    for (&x, &y) in c1.remainder().iter().zip(cb.remainder()) {
+        t1 += x * y;
     }
     [reduce_lanes(&acc0) + t0, reduce_lanes(&acc1) + t1]
 }
