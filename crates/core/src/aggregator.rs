@@ -64,6 +64,8 @@ pub struct WindowReport {
     pub delta_cov: f32,
     /// Threshold on JSD in force this window.
     pub delta_label: f32,
+    /// `(party, Δcov, Δlabel)` per reporting party, in view order.
+    pub scores: Vec<(PartyId, f32, f32)>,
 }
 
 /// The ShiftEx middleware: expert registry + assignment map + detection
@@ -86,7 +88,6 @@ pub struct ShiftEx {
     /// the latent memory (the paper's "reliance on frozen encoders", §9).
     frozen_params: Vec<f32>,
     window: usize,
-    stats: BTreeMap<PartyId, ShiftStats>,
     last_report: Option<WindowReport>,
 }
 
@@ -109,7 +110,6 @@ impl ShiftEx {
             kernel: None,
             frozen_params,
             window: 0,
-            stats: BTreeMap::new(),
             last_report: None,
         }
     }
@@ -166,9 +166,7 @@ impl ShiftEx {
 
     /// Restores serving state from a snapshot: expert parameters and
     /// memories, assignments, thresholds, and the calibrated kernel and
-    /// frozen encoder every later MMD is scored under. Per-party shift
-    /// statistics are not part of a snapshot; the next window recomputes
-    /// them.
+    /// frozen encoder every later MMD is scored under.
     ///
     /// # Panics
     ///
@@ -185,15 +183,9 @@ impl ShiftEx {
         self.thresholds = snapshot.thresholds;
         self.kernel = snapshot.kernel;
         self.frozen_params = snapshot.frozen_params;
-        self.stats.clear();
     }
 
-    /// The most recent shift statistics per party (diagnostics).
-    pub fn party_stats(&self) -> impl Iterator<Item = &ShiftStats> {
-        self.stats.values()
-    }
-
-    /// Party side (Algorithm 1): every member of `parties` computes and
+    /// Party side (Algorithm 1): every member of `parties` with data
     /// "transmits" its shift statistics under `model`. Each member is
     /// materialized, summarised, and dropped in turn — only the
     /// O(profile_rows) statistics stay resident.
@@ -208,9 +200,11 @@ impl ShiftEx {
             .ids()
             .iter()
             .filter_map(|&id| {
-                parties.with_party(id, |p| {
-                    compute_shift_stats(p, model, self.cfg.profile_rows, kernel, rng)
-                })
+                parties
+                    .with_party(id, |p| {
+                        compute_shift_stats(p, model, self.cfg.profile_rows, kernel, rng)
+                    })
+                    .flatten()
             })
             .collect()
     }
@@ -270,97 +264,78 @@ impl ShiftEx {
         }
     }
 
-    /// Freezes the encoder / θ0 template at the current first expert's
-    /// (bootstrap-trained) parameters and rebuilds that expert's latent
-    /// memory from the previous window's data in the frozen embedding space.
-    fn freeze_encoder(&mut self, parties: &PopulationView<'_>, rng: &mut StdRng) {
-        let expert0 = self.registry.ids()[0];
-        self.frozen_params = self.registry.live(expert0).params.clone();
-        let encoder = Sequential::from_params(&self.spec, &self.frozen_params);
-        let mut profiles = Vec::new();
-        for &id in parties.ids() {
-            let profile = parties
-                .with_party(id, |p| {
-                    let data = match p.prev_train() {
-                        Some(prev) if !prev.is_empty() => prev,
-                        _ => p.train(),
-                    };
-                    if data.is_empty() {
-                        return None;
-                    }
-                    let emb = encoder.embed(data.features());
-                    Some(EmbeddingProfile::from_embeddings(
-                        &emb,
-                        self.cfg.profile_rows,
-                        rng,
-                    ))
-                })
-                .flatten();
-            if let Some(profile) = profile {
-                profiles.push(profile);
-            }
-        }
-        if !profiles.is_empty() {
-            let refs: Vec<&EmbeddingProfile> = profiles.iter().collect();
-            let pooled = EmbeddingProfile::pool(&refs, self.cfg.profile_rows * 2, rng);
-            self.registry.live_mut(expert0).memory = LatentMemory::from_profile(&pooled);
-        }
-    }
-
-    /// Calibrates thresholds from the previous (assumed stable) window's
-    /// data if not yet fixed.
-    fn ensure_thresholds(
+    /// Reads each party's previous (stable) window at most once; returns the
+    /// thresholds in force. At window 1 it freezes θ0 at the first expert's
+    /// trained parameters and rebuilds that expert's latent memory in the
+    /// frozen embedding space. While no thresholds are in force, the same
+    /// embeddings calibrate them and the kernel.
+    fn stable_window(
         &mut self,
         parties: &PopulationView<'_>,
         rng: &mut StdRng,
     ) -> CalibratedThresholds {
-        if let (Some(dc), Some(dl)) = (self.cfg.delta_cov, self.cfg.delta_label) {
-            let t = CalibratedThresholds {
-                delta_cov: dc,
-                delta_label: dl,
-            };
-            self.thresholds = Some(t);
+        if let Some((delta_cov, delta_label)) = self.cfg.delta_cov.zip(self.cfg.delta_label) {
+            self.thresholds = Some(CalibratedThresholds {
+                delta_cov,
+                delta_label,
+            });
+        }
+        let freeze = self.window == 1;
+        if let (Some(t), false) = (self.thresholds, freeze) {
             return t;
         }
-        if let Some(t) = self.thresholds {
-            return t;
+        let expert0 = self.registry.ids()[0];
+        if freeze {
+            self.frozen_params = self.registry.live(expert0).params.clone();
         }
-        // The null is learned from the previous (stable) window under the
-        // frozen encoder. Calibration strides across the population so at
-        // most [`CALIBRATION_MAX_PARTIES`] parties contribute embeddings: the
-        // median-heuristic kernel fit is quadratic in pooled rows.
-        // Populations at or below the cap take stride 1 — every party
-        // contributes, exactly as before the cap existed.
-        let model = Sequential::from_params(&self.spec, &self.frozen_params);
+        let encoder = Sequential::from_params(&self.spec, &self.frozen_params);
+        let calibrate = self.thresholds.is_none();
+        let rows = self.cfg.profile_rows;
+        // Calibration reads every `stride`-th party: at most
+        // [`CALIBRATION_MAX_PARTIES`] contribute.
+        let ids = parties.ids();
+        let stride = ids.len().div_ceil(CALIBRATION_MAX_PARTIES).max(1);
+        let mut profiles: Vec<EmbeddingProfile> = Vec::new();
         let mut mats: Vec<Matrix> = Vec::new();
         let mut hists: Vec<Vec<f32>> = Vec::new();
         let mut count = 0usize;
-        let ids = parties.ids();
-        let stride = ids.len().div_ceil(CALIBRATION_MAX_PARTIES).max(1);
-        for &id in ids.iter().step_by(stride) {
+        for (i, &id) in ids.iter().enumerate() {
+            let calibrates = calibrate && i % stride == 0;
+            if !freeze && !calibrates {
+                continue;
+            }
             parties.with_party(id, |p| {
-                if let Some(prev) = p.prev_train() {
-                    if prev.is_empty() {
-                        return;
-                    }
-                    let emb = model.embed(prev.features());
-                    let rows = emb.rows().min(self.cfg.profile_rows);
-                    let idx: Vec<usize> = (0..rows).collect();
+                let prev = p.prev_train().filter(|prev| !prev.is_empty());
+                let data = prev.unwrap_or_else(|| p.train());
+                if data.is_empty() {
+                    return;
+                }
+                let emb = encoder.embed(data.features());
+                if freeze {
+                    profiles.push(EmbeddingProfile::from_embeddings(&emb, rows, rng));
+                }
+                // The null is learned from the previous window only.
+                if let Some(prev) = prev.filter(|_| calibrates) {
+                    let idx: Vec<usize> = (0..emb.rows().min(rows)).collect();
                     mats.push(emb.select_rows(&idx));
                     hists.push(prev.label_histogram());
                     count = count.max(prev.len());
                 }
             });
         }
+        if !profiles.is_empty() {
+            let refs: Vec<&EmbeddingProfile> = profiles.iter().collect();
+            let pooled = EmbeddingProfile::pool(&refs, rows * 2, rng);
+            self.registry.live_mut(expert0).memory = LatentMemory::from_profile(&pooled);
+        }
+        if let Some(t) = self.thresholds {
+            return t;
+        }
         let (mut t, kernel) = ThresholdCalibrator::new(self.cfg.calibration_p_value, 40, 32)
             .calibrate_per_party(&mats, &hists, count, rng);
         self.kernel = kernel;
-        if let Some(dc) = self.cfg.delta_cov {
-            t.delta_cov = dc;
-        }
-        if let Some(dl) = self.cfg.delta_label {
-            t.delta_label = dl;
-        }
+        t.delta_cov = self.cfg.delta_cov.unwrap_or(t.delta_cov);
+        t.delta_label = self.cfg.delta_label.unwrap_or(t.delta_label);
         self.thresholds = Some(t);
         t
     }
@@ -382,8 +357,8 @@ impl FederatedAlgorithm for ShiftEx {
     }
 
     /// Bootstrap enrolment (§4.1): creates expert 0 from a fresh template,
-    /// assigns every party to it, and records each party's initial profile.
-    /// The W0 burn-in rounds are the driver's job.
+    /// assigns every party to it, and pools the initial profiles into its
+    /// memory. The W0 burn-in rounds are the driver's job.
     ///
     /// # Panics
     ///
@@ -401,7 +376,6 @@ impl FederatedAlgorithm for ShiftEx {
         for &id in parties.ids() {
             self.assignment.insert(id, expert0);
         }
-        self.stats = stats.into_iter().map(|s| (s.party, s)).collect();
         self.refresh_cohort_sizes();
     }
 
@@ -414,17 +388,10 @@ impl FederatedAlgorithm for ShiftEx {
             return;
         }
         self.window += 1;
-        if self.window == 1 {
-            // End of the burn-in: W0 training is complete, so *now* freeze
-            // the encoder and the θ0 clone template at the trained global
-            // model, and re-tag expert 0's latent memory in the frozen
-            // embedding space.
-            self.freeze_encoder(parties, rng);
-        }
-        // --- Thresholds and kernel: calibrate lazily from the previous
-        // (stable) window before any score is computed, so every MMD below
-        // shares the calibrated bandwidth.
-        let thresholds = self.ensure_thresholds(parties, rng);
+        // --- Encoder, thresholds and kernel come from the previous (stable)
+        // window before any score is computed, so every MMD below shares
+        // the frozen embedding space and the calibrated bandwidth.
+        let thresholds = self.stable_window(parties, rng);
 
         // --- Party side (Algorithm 1). All embeddings come from the frozen
         // encoder so windows, parties and the latent memory share one
@@ -462,6 +429,7 @@ impl FederatedAlgorithm for ShiftEx {
             cohort_sizes: Vec::new(),
             delta_cov: thresholds.delta_cov,
             delta_label: thresholds.delta_label,
+            scores: all_stats.iter().map(|s| (s.party, s.mmd, s.jsd)).collect(),
         };
 
         let stats_by_id: BTreeMap<PartyId, &ShiftStats> =
@@ -548,7 +516,6 @@ impl FederatedAlgorithm for ShiftEx {
             .map(|e| (e.id, e.cohort_size))
             .collect();
 
-        self.stats = all_stats.into_iter().map(|s| (s.party, s)).collect();
         self.last_report = Some(report);
     }
 
@@ -588,13 +555,7 @@ impl FederatedAlgorithm for ShiftEx {
         }
         let infos: Vec<PartyInfo> = cohort_ids
             .iter()
-            .filter_map(|id| {
-                let mut info = parties.info(*id)?;
-                if let Some(s) = self.stats.get(id) {
-                    info.label_hist = s.label_hist.clone();
-                }
-                Some(info)
-            })
+            .filter_map(|id| parties.info(*id))
             .collect();
         let chosen: Vec<PartyId> = if self.cfg.uniform_selection {
             UniformSelector.select(&infos, self.cfg.participants_per_round, rng)
@@ -682,7 +643,7 @@ impl FederatedAlgorithm for ShiftEx {
 mod tests {
     use super::*;
     use rand::SeedableRng;
-    use shiftex_data::{Corruption, ImageShape, PrototypeGenerator, Regime};
+    use shiftex_data::{Corruption, Dataset, ImageShape, PrototypeGenerator, Regime};
     use shiftex_fl::{
         run_algorithm_round, AsyncSpec, ChurnSpec, CommLedger, LatePolicy, Party, PopulationStore,
         RoundCtx, ScenarioEngine, ScenarioSpec, StragglerSpec,
@@ -932,7 +893,7 @@ mod tests {
             }
             fed.advance(&Regime::corrupted(Corruption::Snow, 4), 0..4);
             let report = fed.window();
-            let mmds: Vec<u32> = fed.shiftex.party_stats().map(|s| s.mmd.to_bits()).collect();
+            let mmds: Vec<u32> = report.scores.iter().map(|s| s.1.to_bits()).collect();
             fed.rounds(1);
             (report, mmds, expert_fingerprint(&fed.shiftex))
         };
@@ -940,6 +901,60 @@ mod tests {
         assert_eq!(straight.0, restored.0, "window report");
         assert_eq!(straight.1, restored.1, "party MMD bits");
         assert_eq!(straight.2, restored.2, "expert fingerprints");
+    }
+
+    #[test]
+    fn restore_without_thresholds_calibrates_again() {
+        let mut fed = Fed::new(6);
+        fed.rounds(2);
+        fed.advance(&Regime::clear(), 0..0);
+        fed.window();
+        let mut snapshot = fed.shiftex.snapshot();
+        snapshot.thresholds = None;
+        fed.shiftex.restore(snapshot);
+        fed.advance(&fog(), 0..3);
+        let report = fed.window();
+        assert!(report.delta_cov > 0.0 && report.delta_label > 0.0);
+    }
+
+    #[test]
+    fn party_with_empty_window_reports_nothing_and_keeps_its_expert() {
+        let mut fed = Fed::new(6);
+        fed.rounds(2);
+        fed.advance(&fog(), 0..3);
+        let empty = PartyId(5);
+        let expert = fed.shiftex.expert_of(empty);
+        let blank = || Dataset::empty(4, ImageShape::new(1, 8, 8));
+        fed.store
+            .with_party_mut(empty, |p| p.advance_window(blank(), blank()));
+        let report = fed.window();
+        assert_eq!(report.scores.len(), 5);
+        assert!(report.scores.iter().all(|&(id, _, _)| id != empty));
+        fed.rounds(2);
+        assert_eq!(fed.shiftex.expert_of(empty), expert);
+    }
+
+    #[test]
+    fn boundary_reads_each_party_once_per_pass() {
+        // Window 1 reads every party twice — the stable-window pass and the
+        // shift statistics — plus once per fine-tuned party; later windows
+        // skip the stable-window pass.
+        let n = 8;
+        let mut fed = Fed::new(n);
+        let reads = |fed: &Fed| fed.store.stats().materializations;
+        fed.rounds(2);
+        fed.advance(&fog(), 0..4);
+        let before = reads(&fed);
+        let report = fed.window();
+        assert_eq!(
+            reads(&fed) - before,
+            (2 * n + report.finetuned.len()) as u64
+        );
+        fed.rounds(2);
+        fed.advance(&Regime::clear(), 0..0);
+        let before = reads(&fed);
+        let report = fed.window();
+        assert_eq!(reads(&fed) - before, (n + report.finetuned.len()) as u64);
     }
 
     #[test]

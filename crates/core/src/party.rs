@@ -38,21 +38,17 @@ pub struct ShiftStats {
 /// When `kernel` is provided (calibrated once from stable bootstrap
 /// embeddings), it is used for the MMD so scores are comparable to the
 /// calibrated threshold; otherwise the per-pair median heuristic applies.
-///
-/// # Panics
-///
-/// Panics if the party's current window has no training data.
+/// A party whose current window has no training data reports nothing.
 pub fn compute_shift_stats(
     party: &Party,
     model: &Sequential,
     profile_rows: usize,
     kernel: Option<&RbfKernel>,
     rng: &mut impl Rng,
-) -> ShiftStats {
-    assert!(
-        !party.train().is_empty(),
-        "cannot compute shift stats without data"
-    );
+) -> Option<ShiftStats> {
+    if party.train().is_empty() {
+        return None;
+    }
     let emb_now = model.embed(party.train_features());
     let profile = EmbeddingProfile::from_embeddings(&emb_now, profile_rows, rng);
     let label_hist = party.train().label_histogram();
@@ -71,14 +67,14 @@ pub fn compute_shift_stats(
         _ => (0.0, 0.0),
     };
 
-    ShiftStats {
+    Some(ShiftStats {
         party: party.id(),
         profile,
         label_hist,
         mmd,
         jsd: jsd_v,
         num_samples: party.train().len(),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -105,7 +101,8 @@ mod tests {
             gen.generate_uniform(40, &mut rng),
             gen.generate_uniform(10, &mut rng),
         );
-        let stats = compute_shift_stats(&party, &model, 32, None, &mut rng);
+        let stats =
+            compute_shift_stats(&party, &model, 32, None, &mut rng).expect("party has data");
         assert_eq!(stats.mmd, 0.0);
         assert_eq!(stats.jsd, 0.0);
         assert_eq!(stats.num_samples, 40);
@@ -124,7 +121,8 @@ mod tests {
             gen.generate_uniform(60, &mut rng),
             gen.generate_uniform(10, &mut rng),
         );
-        let s_stable = compute_shift_stats(&stable, &model, 48, None, &mut rng);
+        let s_stable =
+            compute_shift_stats(&stable, &model, 48, None, &mut rng).expect("party has data");
 
         // Shifted party: fog corruption arrives in the second window.
         let mut shifted = Party::new(
@@ -134,7 +132,8 @@ mod tests {
         );
         let foggy = gen.generate_with_regime(60, &Regime::corrupted(Corruption::Fog, 4), &mut rng);
         shifted.advance_window(foggy, gen.generate_uniform(10, &mut rng));
-        let s_shifted = compute_shift_stats(&shifted, &model, 48, None, &mut rng);
+        let s_shifted =
+            compute_shift_stats(&shifted, &model, 48, None, &mut rng).expect("party has data");
 
         assert!(
             s_shifted.mmd > s_stable.mmd * 3.0,
@@ -157,7 +156,8 @@ mod tests {
             gen.generate(60, &[10.0, 0.3, 0.3, 0.3], &mut rng),
             gen.generate_uniform(10, &mut rng),
         );
-        let stats = compute_shift_stats(&party, &model, 48, None, &mut rng);
+        let stats =
+            compute_shift_stats(&party, &model, 48, None, &mut rng).expect("party has data");
         assert!(stats.jsd > 0.1, "label shift jsd {}", stats.jsd);
     }
 
@@ -169,7 +169,8 @@ mod tests {
             gen.generate_uniform(100, &mut rng),
             gen.generate_uniform(10, &mut rng),
         );
-        let stats = compute_shift_stats(&party, &model, 16, None, &mut rng);
+        let stats =
+            compute_shift_stats(&party, &model, 16, None, &mut rng).expect("party has data");
         assert_eq!(stats.profile.len(), 16);
         assert_eq!(stats.profile.dim(), model.embed_dim());
     }

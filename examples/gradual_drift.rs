@@ -83,10 +83,11 @@ fn main() {
             DriftMonitor::new(report.delta_cov * 0.3, report.delta_cov * 2.0)
         });
         let mean_mmd: f32 = {
-            let scores: Vec<f32> = shiftex
-                .party_stats()
-                .filter(|s| drifting.contains(&s.party.0))
-                .map(|s| s.mmd)
+            let scores: Vec<f32> = report
+                .scores
+                .iter()
+                .filter(|(id, _, _)| drifting.contains(&id.0))
+                .map(|&(_, mmd, _)| mmd)
                 .collect();
             scores.iter().sum::<f32>() / scores.len().max(1) as f32
         };

@@ -15,7 +15,7 @@
 //!
 //! | module | crate | contents |
 //! |--------|-------|----------|
-//! | [`core`] | `shiftex-core` | the ShiftEx framework (Algorithms 1–2, Eq. 2) |
+//! | [`core`] | `shiftex-core` | the ShiftEx framework (Algorithms 1–2) |
 //! | [`fl`] | `shiftex-fl` | federated runtime: parties, rounds, FedAvg/FedProx |
 //! | [`baselines`] | `shiftex-baselines` | FedProx, OORT, Fielding, FedDrift |
 //! | [`detect`] | `shiftex-detect` | MMD / JSD detectors + threshold calibration |

@@ -29,7 +29,8 @@ fn shift_stats_are_bounded_aggregates_not_raw_data() {
     let model = Sequential::build(&spec, &mut rng);
 
     let profile_rows = 32;
-    let stats = compute_shift_stats(&party, &model, profile_rows, None, &mut rng);
+    let stats =
+        compute_shift_stats(&party, &model, profile_rows, None, &mut rng).expect("party has data");
 
     // The profile is capped regardless of how much raw data the party holds…
     assert_eq!(stats.profile.len(), profile_rows);
@@ -114,10 +115,11 @@ fn aggregator_state_contains_no_raw_samples() {
         })
         .collect();
     let spec = ArchSpec::mlp("t", 64, &[16], 4);
-    let store = PopulationStore::from_parties(parties);
-    let mut engine = ScenarioEngine::new(ScenarioSpec::sync(2), &store.party_ids());
+    let mut store = PopulationStore::from_parties(parties);
+    let ids = store.party_ids();
+    let mut engine = ScenarioEngine::new(ScenarioSpec::sync(2), &ids);
     let mut shiftex = ShiftEx::new(ShiftExConfig::default(), spec, &mut rng);
-    shiftex.init(&store.view(store.party_ids()), &mut rng);
+    shiftex.init(&store.view(ids.clone()), &mut rng);
     for _ in 0..2 {
         run_algorithm_round(
             &mut shiftex,
@@ -125,14 +127,26 @@ fn aggregator_state_contains_no_raw_samples() {
             &mut rng,
         );
     }
-
-    // Everything the aggregator retains per party is embedding-space.
-    for stats in shiftex.party_stats() {
-        assert_eq!(
-            stats.profile.dim(),
-            16,
-            "profiles must be embeddings, not inputs"
+    for &id in &ids {
+        let (train, test) = (
+            gen.generate_uniform(30, &mut rng),
+            gen.generate_uniform(15, &mut rng),
         );
-        assert!(stats.profile.len() <= shiftex.config().profile_rows);
+        store.with_party_mut(id, |p| p.advance_window(train, test));
     }
+    shiftex.begin_window(1, &store.view(ids.clone()), &mut rng);
+
+    // Past the boundary the aggregator holds no per-party profile: its
+    // embedding samples are the experts' latent memories, bounded and in
+    // embedding space…
+    let max_rows = 2 * shiftex.config().profile_rows;
+    for expert in shiftex.registry().iter() {
+        let sample = expert.memory.sample();
+        assert_eq!(sample.cols(), 16, "memories must be embeddings, not inputs");
+        assert!(sample.rows() <= max_rows);
+    }
+    // …and the window report carries one pair of scalar scores per party.
+    let report = shiftex.last_report().expect("window ran");
+    let reported: Vec<PartyId> = report.scores.iter().map(|&(id, _, _)| id).collect();
+    assert_eq!(reported, ids);
 }
