@@ -1,7 +1,9 @@
 //! Networked-federation party worker: connects to a coordinator, hosts
-//! its contiguous slice of the party population (materialized locally
-//! from the shared seed — party data never crosses the wire), trains on
-//! each broadcast and ships encoded updates back.
+//! its contiguous slice of the party population, trains on each broadcast
+//! and ships encoded updates back. Each hosted party is built from the
+//! shared seed on its first broadcast and kept for the session, so the
+//! worker holds O(hosted parties) of data; party data never crosses the
+//! wire.
 //!
 //! ```text
 //! party-worker --connect 127.0.0.1:7070 --workers 4 --worker-index 0 \
@@ -68,7 +70,12 @@ fn main() {
     )
     .expect("worker session");
     println!(
-        "worker {index} done: broadcasts {} join_chunks {} uploads {} rounds_seen {} left {}",
-        summary.broadcasts, summary.join_chunks, summary.uploads, summary.rounds_seen, summary.left
+        "worker {index} done: broadcasts {} join_chunks {} uploads {} rounds_seen {} left {} parties_built {}",
+        summary.broadcasts,
+        summary.join_chunks,
+        summary.uploads,
+        summary.rounds_seen,
+        summary.left,
+        summary.parties_built
     );
 }

@@ -22,7 +22,7 @@ use shiftex_baselines::OortSelector;
 use shiftex_core::ShiftExConfig;
 use shiftex_fl::{
     run_algorithm_round, CodecSpec, CohortTransport, CommLedger, CommTotals, JoinConfig,
-    ParticipantSelector, PartyId, RoundCtx, ScenarioSpec, UniformSelector,
+    ParticipantSelector, Party, PartyId, RoundCtx, ScenarioSpec, UniformSelector,
 };
 use shiftex_net::{serve, NetError, WorkerConfig, WorkerSummary};
 
@@ -198,9 +198,15 @@ pub fn run_netfed_rounds(
 }
 
 /// Runs one party-worker session over `stream`: builds the same algorithm
-/// and lazy population the coordinator derives from the shared flags,
-/// hosts `parties`, and trains each broadcast through the algorithm's own
-/// `local_step` — bit-identical to the in-process driver's training leg.
+/// the coordinator derives from the shared flags, hosts `parties`, and
+/// trains each broadcast through the algorithm's own `local_step` —
+/// bit-identical to the in-process driver's training leg.
+///
+/// Each hosted party is built from its seeded stream (the lazy store the
+/// coordinator's reference run reads) the first time a broadcast names it,
+/// and kept for the rest of the session: worker memory is O(hosted
+/// parties), and training data never crosses the wire. The returned
+/// summary's `parties_built` counts those builds.
 ///
 /// `stall_after_uploads` / `leave_after_round` are passed through to
 /// [`WorkerConfig`] for the churn smoke tests.
@@ -220,27 +226,32 @@ pub fn run_worker<S: Read + Write>(
     stall_after_uploads: Option<u64>,
     leave_after_round: Option<usize>,
 ) -> Result<WorkerSummary, NetError> {
-    let stream_seed = netfed_stream_seed(scenario.seed);
-    let store = LazyPopulation::new(scenario.clone(), stream_seed).into_store();
-    let mut rng = StdRng::seed_from_u64(stream_seed);
-    let mut algorithm = build_algorithm(&cfg.strategy, scenario, &ShiftExConfig::default())
+    let store =
+        LazyPopulation::new(scenario.clone(), netfed_stream_seed(scenario.seed)).into_store();
+    // `local_step` reads only `arch` and `train_config`, which every
+    // algorithm fixes at construction, so the worker never calls `init`.
+    let algorithm = build_algorithm(&cfg.strategy, scenario, &ShiftExConfig::default())
         .unwrap_or_else(|| panic!("unknown strategy {:?}", cfg.strategy));
-    // Init gives stateful algorithms their architecture buffers; the
-    // worker only ever consults `arch`/`train_config` through
-    // `local_step`, so its own RNG here does not need to mirror the
-    // coordinator's.
-    algorithm.init(&store.view(parties.clone()), &mut rng);
-    let view = store.view(parties.clone());
+    // A session only ever trains window 0: no window boundary travels on
+    // the wire yet. Once one does, hosted parties must advance in place,
+    // the way `ResidentPopulation::advance_window` does.
+    let mut hosted: BTreeMap<PartyId, Party> = BTreeMap::new();
     let worker_cfg = WorkerConfig {
         parties,
         codec: cfg.codec,
         stall_after_uploads,
         leave_after_round,
     };
-    serve(stream, &worker_cfg, &mut |key, party, state, seed| {
-        let cohort = view.parties(&[party]);
-        algorithm.local_step(key, &cohort[0], state, seed)
-    })
+    let mut summary = serve(stream, &worker_cfg, &mut |key, id, state, seed| {
+        // `serve` admits only broadcasts for hosted parties, all of which
+        // are in the store.
+        let party = hosted
+            .entry(id)
+            .or_insert_with(|| store.party(id).expect("hosted party is in the population"));
+        algorithm.local_step(key, party, state, seed)
+    })?;
+    summary.parties_built = store.stats().materializations;
+    Ok(summary)
 }
 
 #[cfg(test)]

@@ -146,6 +146,32 @@ fn loopback_quant8_sync_is_bit_identical_to_in_process_driver() {
 }
 
 #[test]
+fn loopback_workers_build_each_hosted_party_once_per_session() {
+    let scenario = scenario();
+    let cfg = NetFedConfig {
+        rounds: 8,
+        ..config("fedavg", CodecSpec::dense(), None)
+    };
+    let reference = run_netfed_rounds(&scenario, &cfg, &mut LocalTransport);
+    let (net, _, _, _, summaries) = net_session(&scenario, &cfg);
+    assert_eq!(net, reference, "resident parties train the same bits");
+    for (i, s) in summaries.iter().enumerate() {
+        let hosted = worker_partition(scenario.profile.num_parties, WORKERS, i).len() as u64;
+        assert!(
+            s.parties_built <= hosted,
+            "worker {i} built {} parties but hosts {hosted}",
+            s.parties_built
+        );
+    }
+    let built: u64 = summaries.iter().map(|s| s.parties_built).sum();
+    let broadcasts: u64 = summaries.iter().map(|s| s.broadcasts).sum();
+    assert!(
+        broadcasts > built,
+        "{broadcasts} broadcasts over {built} builds: later rounds must reuse hosted parties"
+    );
+}
+
+#[test]
 fn wire_bytes_reconcile_with_ledger_dense() {
     let scenario = scenario();
     let cfg = config("fedavg", CodecSpec::dense(), None);

@@ -6,8 +6,9 @@
 //! first-contact join), run the caller's training closure, and ship the
 //! encoded update back. Training itself is injected as a closure so this
 //! crate stays free of model/data dependencies: the experiments binary
-//! builds it from the algorithm's architecture, train config, and a lazy
-//! population store holding the hosted parties' data streams.
+//! builds it from the algorithm's architecture, train config, and the
+//! hosted parties, each built from its seeded data stream on first use
+//! and kept for the session.
 //!
 //! The worker exits cleanly on EOF (the coordinator closed the session)
 //! or, when configured, departs gracefully with a `Leave` frame after a
@@ -72,6 +73,10 @@ pub struct WorkerSummary {
     pub rounds_seen: u64,
     /// `true` when the session ended with a graceful `Leave`.
     pub left: bool,
+    /// Hosted parties the embedding built to train on. [`serve`] builds
+    /// none and leaves this 0; the embedding that owns the party data
+    /// fills it in.
+    pub parties_built: u64,
 }
 
 /// Reassembly state of one `(stream, party)` chunked join.
