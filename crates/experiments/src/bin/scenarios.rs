@@ -294,8 +294,8 @@ fn main() {
     );
     let res = result.residency;
     println!(
-        "population store: {} parties, peak cohort {}, {} pinned, {} materializations",
-        res.population, res.peak_cohort, res.pinned, res.materializations
+        "population store: {} parties, peak cohort {}, {} materializations",
+        res.population, res.peak_cohort, res.materializations
     );
 
     if let Some(dir) = &csv_dir {

@@ -11,14 +11,17 @@
 //! Two providers share that one stream, and the runner uses nothing else:
 //!
 //! * [`LazyPopulation`] — rebuilds a party every time it is sampled into a
-//!   cohort and lets the round drop it; resident memory is independent of
-//!   population size, every read pays a rebuild.
-//! * [`ResidentPopulation`] — builds every party up front and advances
-//!   them in place. Reads are free, memory is O(population).
+//!   cohort and hands it over for the round to drop; resident memory is
+//!   independent of population size, every read pays a rebuild.
+//! * [`ResidentPopulation`] — builds every party up front, advances them
+//!   in place at each window and lends borrows. Reads are free, memory is
+//!   O(population).
 //!
 //! A run over one must be bit-identical to a run over the other built from
 //! the same scenario and stream seed; the conformance suite pins that for
 //! all six algorithms.
+
+use std::borrow::Cow;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -58,10 +61,10 @@ fn replay(scenario: &Scenario, stream_seed: u64, party: &mut Party, from: usize,
 /// Party provider that materializes nothing until asked.
 ///
 /// Holds only the scenario recipe and a stream seed; every
-/// [`with_party`](PartyProvider::with_party) call rebuilds the requested
-/// party from its per-`(id, window)` seed chain and drops it when the
-/// callback returns. Re-instantiation is bit-identical by construction —
-/// the same seeds drive the same generator calls.
+/// [`party`](PartyProvider::party) call rebuilds the requested party from
+/// its per-`(id, window)` seed chain and hands it over. Re-instantiation
+/// is bit-identical by construction — the same seeds drive the same
+/// generator calls.
 #[derive(Debug, Clone)]
 pub struct LazyPopulation {
     scenario: Scenario,
@@ -91,12 +94,13 @@ impl PartyProvider for LazyPopulation {
             .collect()
     }
 
-    fn with_party(&self, id: PartyId, window: usize, f: &mut dyn FnMut(&Party)) {
-        if id.0 < self.scenario.profile.num_parties {
-            let mut party = build_window0(&self.scenario, self.stream_seed, id.0);
-            replay(&self.scenario, self.stream_seed, &mut party, 0, window);
-            f(&party);
+    fn party(&self, id: PartyId, window: usize) -> Option<Cow<'_, Party>> {
+        if id.0 >= self.scenario.profile.num_parties {
+            return None;
         }
+        let mut party = build_window0(&self.scenario, self.stream_seed, id.0);
+        replay(&self.scenario, self.stream_seed, &mut party, 0, window);
+        Some(Cow::Owned(party))
     }
 }
 
@@ -140,14 +144,8 @@ impl PartyProvider for ResidentPopulation {
         (0..self.parties.len()).map(PartyId).collect()
     }
 
-    fn with_party(&self, id: PartyId, _window: usize, f: &mut dyn FnMut(&Party)) {
-        if let Some(party) = self.parties.get(id.0) {
-            f(party);
-        }
-    }
-
-    fn with_party_mut(&mut self, id: PartyId, f: &mut dyn FnMut(&mut Party)) -> bool {
-        self.parties.get_mut(id.0).map(f).is_some()
+    fn party(&self, id: PartyId, _window: usize) -> Option<Cow<'_, Party>> {
+        self.parties.get(id.0).map(Cow::Borrowed)
     }
 
     /// Replays every window in `(current, window]` so a jump lands on the

@@ -64,9 +64,9 @@ pub struct FedRunResult {
     pub fold: FoldPolicy,
     /// Flattened model parameter count (sizes the compression ratio).
     pub param_count: usize,
-    /// Population residency counters at the end of the run (pinned copies,
-    /// peak materialized cohort, total materializations) — the memory
-    /// envelope the lazy store is held to.
+    /// Population residency counters at the end of the run (peak
+    /// materialized cohort, total materializations) — the memory envelope
+    /// the lazy store is held to.
     pub residency: shiftex_fl::PopulationStats,
 }
 

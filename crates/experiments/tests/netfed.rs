@@ -210,3 +210,37 @@ fn wire_bytes_reconcile_with_ledger_chunked_join() {
     assert_eq!(chunks, stats.join_chunk_msgs);
     assert_wire_honesty(&run, &stats, wire_out, wire_in);
 }
+
+#[test]
+fn cohort_parties_no_worker_hosts_are_lost_once_without_a_panic() {
+    // Workers launched for a 2-way split, coordinator told to expect one:
+    // half the population is registered by nobody.
+    let scenario = scenario();
+    let cfg = NetFedConfig {
+        rounds: 6,
+        ..config("fedavg", CodecSpec::dense(), None)
+    };
+    let hosted = worker_partition(scenario.profile.num_parties, 2, 0);
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback listener");
+    let addr = listener.local_addr().expect("listener addr");
+    let worker = {
+        let (scenario, cfg, hosted) = (scenario.clone(), cfg.clone(), hosted.clone());
+        thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).expect("connect to coordinator");
+            run_worker(&mut stream, &scenario, &cfg, hosted, None, None).expect("worker session")
+        })
+    };
+    let mut coordinator = Coordinator::accept(&listener, 1, cfg.codec, Duration::from_secs(60))
+        .expect("register the worker");
+    let run = run_netfed_rounds(&scenario, &cfg, &mut coordinator);
+    let stats = coordinator.shutdown();
+    worker.join().expect("worker thread");
+    assert_eq!(stats.rounds as usize, cfg.rounds, "the session finishes");
+    assert!(!run.lost.is_empty(), "some cohort named an unowned party");
+    for p in &run.lost {
+        assert!(!hosted.contains(p), "hosted party {} was lost", p.0);
+    }
+    let unique: std::collections::BTreeSet<_> = run.lost.iter().collect();
+    assert_eq!(unique.len(), run.lost.len(), "a party was lost twice");
+    assert_eq!(stats.dead_conns, 0);
+}

@@ -809,7 +809,11 @@ mod tests {
     #[test]
     fn empty_party_contributes_nothing() {
         let (alg, store, ids, _) = setup(2, 8);
-        let mut party = store.view(ids.clone()).parties(&ids[..1]).remove(0);
+        let mut party = store
+            .view(ids.clone())
+            .parties(&ids[..1])
+            .remove(0)
+            .into_owned();
         let (classes, shape) = (party.train().num_classes(), party.train().shape());
         party.advance_window(
             shiftex_data::Dataset::empty(classes, shape),

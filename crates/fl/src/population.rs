@@ -1,24 +1,26 @@
-//! Population store: the runtime's one handle on the parties, materialized
+//! Population store: the runtime's one handle on the parties, lent
 //! O(cohort).
 //!
 //! Every round of a federation touches a *cohort* of a handful of parties,
 //! so the runtime never holds a `&[Party]`. A [`PopulationStore`] fronts a
-//! [`PartyProvider`] and hands out a concrete [`Party`] only when a
-//! selector samples it into a cohort; the cohort `Vec` is dropped when the
-//! round ends. What the store itself keeps resident is O(cohort ∪ pinned),
-//! so over a provider that rebuilds parties on demand a 100k-party
-//! federation costs the same per round as a 100-party one.
+//! [`PartyProvider`] and lends a concrete [`Party`] only when a selector
+//! samples it into a cohort; the cohort `Vec` is dropped when the round
+//! ends. The store keeps no party of its own, only a per-window cache of
+//! [`PartyInfo`], so over a provider that rebuilds parties on demand a
+//! 100k-party federation costs the same per round as a 100-party one.
 //!
 //! Two kinds of provider sit behind the store:
 //!
 //! * an **owned** provider ([`PopulationStore::from_parties`]) wraps a
 //!   `Vec<Party>` the caller built by hand — tests and examples use it;
-//!   the store owns the `Vec` and absorbs mutations in place;
+//!   it lends borrows and is the only provider that can be mutated in
+//!   place ([`PopulationStore::with_party_mut`]);
 //! * **seeded** providers implement [`PartyProvider`] over a recipe and a
 //!   seed and rebuild `(party, window)` deterministically; rebuilding the
 //!   same pair twice must be bit-identical (the conformance suite enforces
-//!   this). Whether such a provider also keeps its parties resident is its
-//!   own memory/speed choice — the store cannot tell.
+//!   this). Whether such a provider also keeps its parties resident, and
+//!   so lends borrows instead of fresh builds, is its own memory/speed
+//!   choice — the store cannot tell.
 //!
 //! # Example
 //!
@@ -40,17 +42,18 @@
 //! assert_eq!(store.len(), 4);
 //!
 //! // A view restricts the store to the round's live members; cohorts are
-//! // materialized through it and dropped when the round's loop ends.
+//! // lent through it and dropped when the round's loop ends.
 //! let view = store.view(vec![PartyId(1), PartyId(3)]);
 //! assert_eq!(view.len(), 2);
 //! let cohort = view.parties(&[PartyId(3)]);
 //! assert_eq!(cohort.len(), 1);
 //! assert_eq!(cohort[0].id(), PartyId(3));
 //! // PartyId(0) is alive in the store but filtered out of this view.
-//! assert!(view.party(PartyId(0)).is_none());
+//! assert!(view.with_party(PartyId(0), |p| p.id()).is_none());
 //! assert!(store.with_party(PartyId(0), |p| p.train().len()).is_some());
 //! ```
 
+use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -58,19 +61,19 @@ use crate::party::{Party, PartyId, PartyInfo};
 
 /// Source of parties for a [`PopulationStore`].
 ///
-/// Implementations rebuild a party's data for a given window on demand.
+/// Implementations lend a party's data for a given window on demand.
 /// The contract a provider must honour:
 ///
 /// * [`party_ids`](Self::party_ids) is the fixed population, in iteration
 ///   order, stable for the provider's lifetime (churn is modelled by the
 ///   scenario engine's liveness schedule, not by the provider);
-/// * [`with_party`](Self::with_party) invokes the callback **exactly once**
-///   for a known id and **never** for an unknown one;
+/// * [`party`](Self::party) returns `Some` for exactly those ids;
 /// * rebuilding the same `(id, window)` twice yields bit-identical data —
-///   the store evicts cohort parties after every round and relies on
+///   the store drops cohort parties after every round and relies on
 ///   re-instantiation determinism.
 ///
 /// ```
+/// use std::borrow::Cow;
 /// use shiftex_fl::{Party, PartyId, PartyProvider, PopulationStore};
 /// use shiftex_data::{ImageShape, PrototypeGenerator};
 /// use rand::{rngs::StdRng, SeedableRng};
@@ -81,25 +84,20 @@ use crate::party::{Party, PartyId, PartyInfo};
 ///     n: usize,
 /// }
 ///
-/// impl Seeded {
-///     fn build(&self, id: PartyId, window: usize) -> Party {
+/// impl PartyProvider for Seeded {
+///     fn party_ids(&self) -> Vec<PartyId> {
+///         (0..self.n).map(PartyId).collect()
+///     }
+///     fn party(&self, id: PartyId, window: usize) -> Option<Cow<'_, Party>> {
+///         if id.0 >= self.n {
+///             return None;
+///         }
 ///         let seed = (id.0 as u64) << 20 | window as u64;
 ///         let mut rng = StdRng::seed_from_u64(seed);
 ///         let gen = PrototypeGenerator::new(ImageShape::new(1, 4, 4), 3, &mut rng);
 ///         let train = gen.generate_uniform(8, &mut rng);
 ///         let test = gen.generate_uniform(4, &mut rng);
-///         Party::new(id, train, test)
-///     }
-/// }
-///
-/// impl PartyProvider for Seeded {
-///     fn party_ids(&self) -> Vec<PartyId> {
-///         (0..self.n).map(PartyId).collect()
-///     }
-///     fn with_party(&self, id: PartyId, window: usize, f: &mut dyn FnMut(&Party)) {
-///         if id.0 < self.n {
-///             f(&self.build(id, window));
-///         }
+///         Some(Cow::Owned(Party::new(id, train, test)))
 ///     }
 /// }
 ///
@@ -107,22 +105,22 @@ use crate::party::{Party, PartyId, PartyInfo};
 /// let a = store.party(PartyId(4096)).unwrap();
 /// let b = store.party(PartyId(4096)).unwrap();
 /// assert_eq!(a.train_labels(), b.train_labels()); // re-instantiation is stable
-/// assert_eq!(store.stats().pinned, 0); // nothing stays resident
+/// assert_eq!(store.stats().materializations, 2); // nothing stays resident
 /// ```
 pub trait PartyProvider: std::fmt::Debug {
     /// The full population, in canonical iteration order.
     fn party_ids(&self) -> Vec<PartyId>;
 
-    /// Materializes `id`'s party at `window` and hands it to `f`.
-    ///
-    /// Must call `f` exactly once when `id` is known and never otherwise.
-    fn with_party(&self, id: PartyId, window: usize, f: &mut dyn FnMut(&Party));
+    /// `id`'s party at `window`, or `None` if `id` is unknown. A provider
+    /// that keeps its parties resident lends a borrow; one that rebuilds
+    /// them hands over the party it just built.
+    fn party(&self, id: PartyId, window: usize) -> Option<Cow<'_, Party>>;
 
-    /// Mutates `id`'s party in place, returning `true` if this provider
-    /// owns mutable storage for it. Lazy providers return `false` (the
-    /// default): the store then materializes, mutates, and pins the party.
-    fn with_party_mut(&mut self, _id: PartyId, _f: &mut dyn FnMut(&mut Party)) -> bool {
-        false
+    /// `id`'s party for in-place mutation, if this provider owns storage
+    /// the caller may change. Providers that derive their parties from
+    /// `(id, window)` return `None` (the default).
+    fn party_mut(&mut self, _id: PartyId) -> Option<&mut Party> {
+        None
     }
 
     /// Notifies the provider that the stream advanced to `window`; lazy
@@ -155,20 +153,14 @@ impl PartyProvider for OwnedProvider {
         self.parties.iter().map(|p| p.id()).collect()
     }
 
-    fn with_party(&self, id: PartyId, _window: usize, f: &mut dyn FnMut(&Party)) {
-        if let Some(&i) = self.index.get(&id) {
-            f(&self.parties[i]);
-        }
+    fn party(&self, id: PartyId, _window: usize) -> Option<Cow<'_, Party>> {
+        let &i = self.index.get(&id)?;
+        Some(Cow::Borrowed(&self.parties[i]))
     }
 
-    fn with_party_mut(&mut self, id: PartyId, f: &mut dyn FnMut(&mut Party)) -> bool {
-        match self.index.get(&id) {
-            Some(&i) => {
-                f(&mut self.parties[i]);
-                true
-            }
-            None => false,
-        }
+    fn party_mut(&mut self, id: PartyId) -> Option<&mut Party> {
+        let &i = self.index.get(&id)?;
+        Some(&mut self.parties[i])
     }
 }
 
@@ -178,12 +170,12 @@ impl PartyProvider for OwnedProvider {
 pub struct PopulationStats {
     /// Total parties the provider can produce.
     pub population: usize,
-    /// Parties currently pinned resident in the store (mutated copies a
-    /// lazy provider could not absorb).
+    /// Parties the store holds beyond what its provider lends. Always 0:
+    /// the store keeps no copies. Kept for reports that read it.
     pub pinned: usize,
     /// Largest cohort materialized through the store at once.
     pub peak_cohort: usize,
-    /// Transient party materializations since construction.
+    /// Party reads from the provider since construction.
     pub materializations: u64,
     /// Current stream window.
     pub window: usize,
@@ -193,16 +185,13 @@ pub struct PopulationStats {
 ///
 /// The store is the runtime's only population handle: the scenario driver
 /// asks it for the id universe, builds liveness-filtered [`PopulationView`]s
-/// for algorithms, and materializes concrete cohorts just-in-time. See the
+/// for algorithms, and lends concrete cohorts just-in-time. See the
 /// [module docs](self) for a runnable example.
 #[derive(Debug)]
 pub struct PopulationStore {
     provider: Box<dyn PartyProvider>,
     order: Vec<PartyId>,
     members: BTreeSet<PartyId>,
-    /// Parties holding state the provider cannot reproduce (mutated under a
-    /// lazy provider); shadow the provider until dropped by `set_window`.
-    pinned: BTreeMap<PartyId, Party>,
     window: usize,
     infos: RefCell<BTreeMap<PartyId, PartyInfo>>,
     materialized: Cell<u64>,
@@ -219,7 +208,6 @@ impl PopulationStore {
             provider,
             order,
             members,
-            pinned: BTreeMap::new(),
             window: 0,
             infos: RefCell::new(BTreeMap::new()),
             materialized: Cell::new(0),
@@ -258,46 +246,42 @@ impl PopulationStore {
         self.window
     }
 
-    /// Moves the stream to `window`: the provider is notified, cached infos
-    /// and pinned copies are dropped (party state is re-derived from
-    /// `(id, window)`).
+    /// Moves the stream to `window`: the provider is notified and cached
+    /// infos are dropped (party state is re-derived from `(id, window)`).
     pub fn set_window(&mut self, window: usize) {
         self.window = window;
         self.provider.advance_window(window);
-        self.pinned.clear();
-        self.infos.borrow_mut().clear();
+        self.infos.get_mut().clear();
+    }
+
+    /// `id`'s party as the provider lends it, counted as one
+    /// materialization; `None` if `id` is not in the population.
+    fn lend(&self, id: PartyId) -> Option<Cow<'_, Party>> {
+        if !self.contains(id) {
+            return None;
+        }
+        self.materialized.set(self.materialized.get() + 1);
+        self.provider.party(id, self.window)
     }
 
     /// Borrows `id`'s party (materializing it if the backing is lazy) and
     /// applies `f`; `None` if `id` is not in the population.
     pub fn with_party<R>(&self, id: PartyId, f: impl FnOnce(&Party) -> R) -> Option<R> {
-        if let Some(p) = self.pinned.get(&id) {
-            return Some(f(p));
-        }
-        if !self.contains(id) {
-            return None;
-        }
-        self.materialized.set(self.materialized.get() + 1);
-        let mut f = Some(f);
-        let mut out = None;
-        self.provider.with_party(id, self.window, &mut |p: &Party| {
-            if let Some(f) = f.take() {
-                out = Some(f(p));
-            }
-        });
-        out
+        self.lend(id).map(|p| f(&p))
     }
 
-    /// An owned copy of `id`'s party, or `None` if unknown.
+    /// An owned copy of `id`'s party, or `None` if unknown. A party the
+    /// provider just built is moved out, not copied again.
     pub fn party(&self, id: PartyId) -> Option<Party> {
-        self.with_party(id, |p| p.clone())
+        self.lend(id).map(Cow::into_owned)
     }
 
-    /// Materializes a concrete cohort in the given id order, skipping
-    /// unknown ids. The returned `Vec` is the round's working set; dropping
-    /// it is the eviction that keeps residency O(cohort).
-    pub fn cohort(&self, ids: &[PartyId]) -> Vec<Party> {
-        let cohort: Vec<Party> = ids.iter().filter_map(|&id| self.party(id)).collect();
+    /// Lends a concrete cohort in the given id order, skipping unknown ids:
+    /// resident parties are borrowed, lazy ones built. The returned `Vec`
+    /// is the round's working set; dropping it is the eviction that keeps
+    /// residency O(cohort).
+    pub fn cohort(&self, ids: &[PartyId]) -> Vec<Cow<'_, Party>> {
+        let cohort: Vec<Cow<'_, Party>> = ids.iter().filter_map(|&id| self.lend(id)).collect();
         if cohort.len() > self.peak_cohort.get() {
             self.peak_cohort.set(cohort.len());
         }
@@ -316,38 +300,21 @@ impl PopulationStore {
         Some(info)
     }
 
-    /// Mutates `id`'s party in place, pinning a materialized copy when the
-    /// provider is lazy; `None` if `id` is not in the population.
+    /// Mutates `id`'s party in place; `None` if `id` is not in the
+    /// population or the provider rebuilds its parties from
+    /// `(id, window)` (only [`from_parties`](Self::from_parties) stores
+    /// can be mutated).
     pub fn with_party_mut<R>(&mut self, id: PartyId, f: impl FnOnce(&mut Party) -> R) -> Option<R> {
-        if !self.contains(id) {
-            return None;
-        }
-        self.infos.borrow_mut().remove(&id);
-        if let Some(p) = self.pinned.get_mut(&id) {
-            return Some(f(p));
-        }
-        let mut f = Some(f);
-        let mut out = None;
-        let absorbed = self.provider.with_party_mut(id, &mut |p: &mut Party| {
-            if let Some(f) = f.take() {
-                out = Some(f(p));
-            }
-        });
-        if absorbed {
-            return out;
-        }
-        let mut party = self.build(id)?;
-        let f = f.take()?;
-        let out = f(&mut party);
-        self.pinned.insert(id, party);
-        Some(out)
+        let party = self.provider.party_mut(id)?;
+        self.infos.get_mut().remove(&id);
+        Some(f(party))
     }
 
     /// Residency counters.
     pub fn stats(&self) -> PopulationStats {
         PopulationStats {
             population: self.order.len(),
-            pinned: self.pinned.len(),
+            pinned: 0,
             peak_cohort: self.peak_cohort.get(),
             materializations: self.materialized.get(),
             window: self.window,
@@ -364,21 +331,6 @@ impl PopulationStore {
             ids,
             set,
         }
-    }
-
-    /// Builds a fresh copy straight from the provider (bypassing pins).
-    fn build(&self, id: PartyId) -> Option<Party> {
-        if !self.contains(id) {
-            return None;
-        }
-        self.materialized.set(self.materialized.get() + 1);
-        let mut out = None;
-        self.provider.with_party(id, self.window, &mut |p: &Party| {
-            if out.is_none() {
-                out = Some(p.clone());
-            }
-        });
-        out
     }
 }
 
@@ -415,11 +367,6 @@ impl<'a> PopulationView<'a> {
         self.set.contains(&id)
     }
 
-    /// The backing store (full population, not just this view).
-    pub fn store(&self) -> &'a PopulationStore {
-        self.store
-    }
-
     /// Borrows `id`'s party if it is in view.
     pub fn with_party<R>(&self, id: PartyId, f: impl FnOnce(&Party) -> R) -> Option<R> {
         if !self.contains(id) {
@@ -428,18 +375,10 @@ impl<'a> PopulationView<'a> {
         self.store.with_party(id, f)
     }
 
-    /// An owned copy of `id`'s party if it is in view.
-    pub fn party(&self, id: PartyId) -> Option<Party> {
-        if !self.contains(id) {
-            return None;
-        }
-        self.store.party(id)
-    }
-
-    /// Materializes the subset of `ids` that is in view, preserving the
-    /// given order — the cohort filter the round driver applies between
+    /// Lends the subset of `ids` that is in view, preserving the given
+    /// order — the cohort filter the round driver applies between
     /// selection and local training.
-    pub fn parties(&self, ids: &[PartyId]) -> Vec<Party> {
+    pub fn parties(&self, ids: &[PartyId]) -> Vec<Cow<'a, Party>> {
         let in_view: Vec<PartyId> = ids
             .iter()
             .copied()
@@ -508,10 +447,8 @@ mod tests {
             (0..self.n).map(PartyId).collect()
         }
 
-        fn with_party(&self, id: PartyId, window: usize, f: &mut dyn FnMut(&Party)) {
-            if id.0 < self.n {
-                f(&self.build(id, window));
-            }
+        fn party(&self, id: PartyId, window: usize) -> Option<Cow<'_, Party>> {
+            (id.0 < self.n).then(|| Cow::Owned(self.build(id, window)))
         }
     }
 
@@ -553,7 +490,10 @@ mod tests {
         assert_eq!(view.ids(), &[PartyId(4), PartyId(1)]);
         assert!(view.contains(PartyId(1)));
         assert!(!view.contains(PartyId(0)));
-        assert!(view.party(PartyId(0)).is_none(), "out-of-view id is hidden");
+        assert!(
+            view.with_party(PartyId(0), |p| p.id()).is_none(),
+            "out-of-view id is hidden"
+        );
         let cohort = view.parties(&[PartyId(1), PartyId(0), PartyId(4)]);
         assert_eq!(
             cohort.iter().map(|p| p.id()).collect::<Vec<_>>(),
@@ -575,25 +515,37 @@ mod tests {
     }
 
     #[test]
-    fn mutating_under_lazy_provider_pins_until_window_advance() {
+    fn owned_cohorts_are_borrowed_and_seeded_cohorts_are_built() {
+        let owned = PopulationStore::from_parties(make_parties(4));
+        let cohort = owned.cohort(&[PartyId(2), PartyId(0)]);
+        assert!(cohort.iter().all(|p| matches!(p, Cow::Borrowed(_))));
+        assert_eq!(owned.stats().peak_cohort, 2);
+        let seeded = PopulationStore::new(Box::new(SeededProvider { n: 10 }));
+        let cohort = seeded.cohort(&[PartyId(4), PartyId(8), PartyId(1)]);
+        assert!(cohort.iter().all(|p| matches!(p, Cow::Owned(_))));
+        assert_eq!(seeded.stats().peak_cohort, 3);
+        assert_eq!(seeded.stats().materializations, 3);
+    }
+
+    #[test]
+    fn mutating_a_seeded_party_is_refused_and_changes_nothing() {
         let mut store = PopulationStore::new(Box::new(SeededProvider { n: 10 }));
-        let before = store
-            .with_party(PartyId(3), |p| p.train().len())
-            .expect("id");
+        let before = store.party(PartyId(3)).expect("id");
         let mut rng = StdRng::seed_from_u64(9);
         let gen = PrototypeGenerator::new(ImageShape::new(1, 4, 4), 3, &mut rng);
         let (train, test) = (
             gen.generate_uniform(3, &mut rng),
             gen.generate_uniform(2, &mut rng),
         );
-        store.with_party_mut(PartyId(3), |p| p.advance_window(train, test));
-        assert_eq!(store.stats().pinned, 1);
-        let after = store
-            .with_party(PartyId(3), |p| p.train().len())
-            .expect("id");
-        assert_ne!(before, after, "reads must see the pinned mutation");
-        store.set_window(1);
-        assert_eq!(store.stats().pinned, 0, "window advance drops pins");
+        let applied = store.with_party_mut(PartyId(3), |p| p.advance_window(train, test));
+        assert!(applied.is_none(), "a seeded provider owns no mutable party");
+        let after = store.party(PartyId(3)).expect("id");
+        assert_eq!(before.train_labels(), after.train_labels());
+        assert_eq!(
+            before.train_features().as_slice(),
+            after.train_features().as_slice()
+        );
+        assert!(after.prev_train().is_none());
     }
 
     #[test]

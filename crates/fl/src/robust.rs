@@ -128,7 +128,46 @@ impl RobustFold {
 /// default path stays bit-identical to the pre-robustness runtime. The
 /// robust folds reuse the same validity predicate and the same η blend, so
 /// switching policies changes *only* the location estimator.
+///
+/// An update holding a non-finite parameter is quarantined under every
+/// policy (score 0: it has no distance to anything) and the rest are
+/// folded as if it had never arrived. A cohort with no such update takes
+/// the policy's path untouched.
 pub fn aggregate_robust(
+    global: &[f32],
+    ready: &[WeightedUpdate],
+    server_lr: f32,
+    policy: &FoldPolicy,
+) -> RobustFold {
+    let finite = |w: &WeightedUpdate| w.update.params.iter().all(|x| x.is_finite());
+    if ready.iter().all(finite) {
+        return fold_under(global, ready, server_lr, policy);
+    }
+    let kept: Vec<WeightedUpdate> = ready.iter().filter(|w| finite(w)).cloned().collect();
+    let fold = fold_under(global, &kept, server_lr, policy);
+    let mut kept_verdicts = fold.verdicts.into_iter();
+    let verdicts = ready
+        .iter()
+        .filter_map(|w| {
+            if finite(w) {
+                kept_verdicts.next()
+            } else {
+                Some(UpdateVerdict {
+                    party: w.update.party,
+                    quarantined: true,
+                    score: 0.0,
+                })
+            }
+        })
+        .collect();
+    RobustFold {
+        params: fold.params,
+        verdicts,
+    }
+}
+
+/// [`aggregate_robust`]'s dispatch over updates already known finite.
+fn fold_under(
     global: &[f32],
     ready: &[WeightedUpdate],
     server_lr: f32,
@@ -748,6 +787,38 @@ mod tests {
                 );
             }
             prop_assert!(fold.params.is_some(), "honest survivors must aggregate");
+        }
+    }
+
+    #[test]
+    fn non_finite_update_is_quarantined_and_the_rest_fold_as_without_it() {
+        let honest = honest(5);
+        let mut ready = honest.clone();
+        ready.insert(2, wu(9, vec![f32::NAN, -1.0, 0.5], 10.0));
+        let global = [0.25, 0.5, -0.75];
+        for policy in [
+            FoldPolicy::Mean,
+            FoldPolicy::TrimmedMean { beta: 0.2 },
+            FoldPolicy::CoordinateMedian,
+            FoldPolicy::Krum { f: 1 },
+        ] {
+            let want = aggregate_robust(&global, &honest, 0.5, &policy);
+            let got = aggregate_robust(&global, &ready, 0.5, &policy);
+            let bits = |p: &Option<Vec<f32>>| {
+                p.as_ref()
+                    .map(|v| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+            };
+            assert!(want.params.is_some(), "{policy}");
+            assert_eq!(bits(&got.params), bits(&want.params), "{policy}");
+            assert_eq!(got.verdicts.len(), ready.len(), "{policy}");
+            assert!(
+                got.verdicts[2].quarantined,
+                "{policy}: the NaN upload folds"
+            );
+            assert_eq!(got.verdicts[2].party, PartyId(9));
+            let mut rest = got.verdicts.clone();
+            rest.remove(2);
+            assert_eq!(rest, want.verdicts, "{policy}");
         }
     }
 

@@ -107,8 +107,8 @@ pub trait CohortTransport {
     }
 }
 
-/// The in-process transport: cohort members are materialized from the
-/// population view, trained in this process, and their uploads shipped
+/// The in-process transport: cohort members are lent by the population
+/// view, trained in this process, and their uploads shipped
 /// through the engine's simulated wire
 /// ([`ScenarioEngine::transport_upload`] — codec roundtrip, error
 /// feedback, wire-level attack corruption).
@@ -124,10 +124,11 @@ impl CohortTransport for LocalTransport {
         ledger: Option<&CommLedger>,
         local_step: &mut LocalStepFn<'_>,
     ) -> Vec<UploadOutcome> {
-        // The round's working set: only the sampled cohort is materialized,
-        // and dropping it at the end of this exchange is the eviction that
+        // The round's working set: only the sampled cohort is lent —
+        // borrowed from a resident provider, built by a lazy one — and
+        // dropping it at the end of this exchange is the eviction that
         // keeps residency O(cohort) regardless of population size.
-        let cohort: Vec<Party> = live.parties(x.cohort);
+        let cohort = live.parties(x.cohort);
         let bcast = engine.broadcast(x.key, x.globals, x.codec, x.cohort, ledger);
         let updates: Vec<ModelUpdate> = cohort
             .iter()

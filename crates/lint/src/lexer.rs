@@ -312,13 +312,19 @@ pub fn lex(src: &str) -> LexFile {
 }
 
 /// Consumes a `"`-delimited string starting at `b[i] == '"'`, honouring
-/// backslash escapes and counting newlines. Returns the index past the
+/// backslash escapes and counting newlines, including the one an
+/// end-of-line `\` continuation escapes. Returns the index past the
 /// closing quote.
 fn skip_string(b: &[u8], mut i: usize, line: &mut usize) -> usize {
     i += 1;
     while i < b.len() {
         match b[i] {
-            b'\\' => i += 2,
+            b'\\' => {
+                if b.get(i + 1) == Some(&b'\n') {
+                    *line += 1;
+                }
+                i += 2;
+            }
             b'"' => return i + 1,
             b'\n' => {
                 *line += 1;
@@ -611,6 +617,13 @@ mod tests {
             !f.allowed("det-map", 2),
             "marker does not cover the next line"
         );
+    }
+
+    #[test]
+    fn string_line_continuations_advance_the_line() {
+        let f = lex("let s = \"a \\\n   b\";\nnext();\n");
+        let next = f.tokens.iter().find(|t| t.ident() == Some("next"));
+        assert_eq!(next.map(|t| t.line), Some(3));
     }
 
     #[test]

@@ -16,10 +16,10 @@ use crate::rules::FileClass;
 /// through. D-rules apply to their `src/` (bin targets excluded).
 pub const DETERMINISTIC_CRATES: &[&str] = &["fl", "baselines", "core", "cluster"];
 
-/// Crates whose library code must not panic on hot paths (P001). The codec
-/// lives inside `fl`, so `fl` + `core` covers the ISSUE's fl/core/codec
-/// surface.
-pub const PANIC_FREE_CRATES: &[&str] = &["fl", "core"];
+/// Crates whose library code must not panic on hot paths (P001): `fl`
+/// (which holds the codec), `core`, and `net`, whose coordinator faces
+/// bytes and registrations from other processes.
+pub const PANIC_FREE_CRATES: &[&str] = &["fl", "core", "net"];
 
 /// The audited unsafe allowlist (U001): the single SIMD intrinsics module,
 /// and one test binary whose counting `#[global_allocator]` proves
@@ -181,7 +181,7 @@ mod tests {
         assert!(!classify("crates/net/src/frame.rs").timing_exempt);
         // The carve-out is timing only — no determinism/panic scope change.
         assert!(!classify("crates/net/src/deadline.rs").deterministic);
-        assert!(!classify("crates/net/src/deadline.rs").panic_scope);
+        assert!(classify("crates/net/src/deadline.rs").panic_scope);
     }
 
     #[test]
@@ -203,9 +203,11 @@ mod tests {
     }
 
     #[test]
-    fn panic_scope_is_fl_and_core_lib() {
+    fn panic_scope_is_fl_core_and_net_lib() {
         assert!(classify("crates/fl/src/codec.rs").panic_scope);
         assert!(classify("crates/core/src/consolidate.rs").panic_scope);
+        assert!(classify("crates/net/src/coordinator.rs").panic_scope);
+        assert!(!classify("crates/net/tests/loopback.rs").panic_scope);
         assert!(!classify("crates/tensor/src/matrix.rs").panic_scope);
         assert!(!classify("crates/fl/src/bin/tool.rs").panic_scope);
     }

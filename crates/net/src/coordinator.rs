@@ -22,7 +22,9 @@
 //!   its parties are pinned as mid-round dropouts for the current round
 //!   (so in-flight join chunks are resolved as lost) and as leavers from
 //!   the next round on ([`ChurnSchedule::pin_dropout`] /
-//!   [`pin_leave`](shiftex_fl::ChurnSchedule::pin_leave)).
+//!   [`pin_leave`](shiftex_fl::ChurnSchedule::pin_leave));
+//! * a cohort party that **no worker registered** (workers launched for a
+//!   different partition) is shipped nothing and lost the same way.
 //!
 //! Remote scope: the wire carries static, non-delta, non-error-feedback
 //! codec frames (`dense` / `quant8` / `topk` without `delta`/`ef`), and
@@ -302,10 +304,11 @@ impl CohortTransport for Coordinator {
 
         for (i, &p) in x.cohort.iter().enumerate() {
             let seed = x.seeds[i];
-            let ci = *self
-                .owner
-                .get(&p)
-                .unwrap_or_else(|| panic!("party {} is hosted by no worker", p.0));
+            // A party no worker registered is shipped nothing; it is lost
+            // below like a party on a dead worker.
+            let Some(&ci) = self.owner.get(&p) else {
+                continue;
+            };
             if !self.conns[ci].alive || newly_dead.contains(&ci) {
                 continue;
             }
@@ -316,6 +319,7 @@ impl CohortTransport for Coordinator {
                 // engine's optimistic `join_states` entry.
                 let sync = engine
                     .join_sync(x.key, p)
+                    // lint:allow(panic): under chunked joins `broadcast` just began a sync for every fresh party
                     .expect("fresh party under chunked joins has a sync");
                 let total = sync.num_chunks();
                 let mut res = Ok(());
@@ -381,7 +385,9 @@ impl CohortTransport for Coordinator {
         // Collect uploads per connection under the shared round deadline.
         let mut expected: BTreeMap<usize, BTreeSet<PartyId>> = BTreeMap::new();
         for &p in x.cohort {
-            let ci = self.owner[&p];
+            let Some(&ci) = self.owner.get(&p) else {
+                continue;
+            };
             if self.conns[ci].alive && !newly_dead.contains(&ci) {
                 expected.entry(ci).or_default().insert(p);
             }
@@ -471,11 +477,18 @@ impl CohortTransport for Coordinator {
             .map(|&p| match received.remove(&p) {
                 Some(update) => UploadOutcome::Delivered(update),
                 None => {
-                    if !self.conns[self.owner[&p]].alive {
+                    let owner = self.owner.get(&p).copied();
+                    if !owner.is_some_and(|ci| self.conns[ci].alive) {
                         // A really-dead worker also loses the join chunks
                         // in flight to it; a merely-late one physically
                         // received them, so only its upload is charged.
                         engine.churn_mut().pin_dropout(p, round);
+                    }
+                    if owner.is_none() {
+                        // No worker hosts it (mis-launched workers): it
+                        // can never upload, so it leaves like a party on
+                        // a dead worker.
+                        engine.churn_mut().pin_leave(p, round + 1);
                     }
                     self.stats.lost_uploads += 1;
                     UploadOutcome::Lost(p)
