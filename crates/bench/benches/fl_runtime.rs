@@ -106,6 +106,38 @@ fn bench_tensor_kernels(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_data_kernels(c: &mut Criterion) {
+    use shiftex_tensor::rngx;
+    // One CIFAR-10-C party window: 200 samples of 3×8×8 = 38 400 pixels,
+    // each one Box–Muller normal, plus one more per pixel under Gaussian
+    // noise. The per-call label is the sampler before batching.
+    const PIXELS: usize = 200 * 192;
+    let mut rng = StdRng::seed_from_u64(34);
+    let gen = PrototypeGenerator::new(ImageShape::new(3, 8, 8), 10, &mut rng);
+    let clear = Regime::clear();
+    let gaussian = Regime::corrupted(Corruption::GaussianNoise, 3);
+    let mut out = vec![0.0f32; PIXELS];
+    let mut group = c.benchmark_group("data_kernels");
+    group.sample_size(10);
+    group.bench_function("normal_per_call_38400", |b| {
+        b.iter(|| {
+            for o in out.iter_mut() {
+                *o = rngx::normal(&mut rng, 0.0, 0.4);
+            }
+        })
+    });
+    group.bench_function("fill_normal_38400", |b| {
+        b.iter(|| rngx::fill_normal(&mut rng, 0.0, 0.4, &mut out))
+    });
+    group.bench_function("generate_cifar10c_200x192_clear", |b| {
+        b.iter(|| gen.generate_with_regime(200, &clear, &mut rng))
+    });
+    group.bench_function("generate_cifar10c_200x192_gaussian3", |b| {
+        b.iter(|| gen.generate_with_regime(200, &gaussian, &mut rng))
+    });
+    group.finish();
+}
+
 fn bench_nn_kernels(c: &mut Criterion) {
     use shiftex_fl::{aggregate_robust, FoldPolicy, ModelUpdate, WeightedUpdate};
     use shiftex_nn::{naive, ConvShape, InputShape, Layer, LayerCache, Sgd};
@@ -653,6 +685,7 @@ criterion_group!(
     benches,
     bench_window_step,
     bench_tensor_kernels,
+    bench_data_kernels,
     bench_nn_kernels,
     bench_codecs,
     bench_algorithms,

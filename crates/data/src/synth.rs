@@ -82,8 +82,9 @@ impl PrototypeGenerator {
         assert!(class < self.num_classes, "class {class} out of range");
         assert_eq!(out.len(), self.shape.dim(), "output buffer length mismatch");
         let style = rngx::normal(rng, 0.0, self.style_std);
+        rngx::fill_normal(rng, 0.0, self.noise_std, out);
         for (o, &p) in out.iter_mut().zip(self.prototypes[class].iter()) {
-            *o = p + style + rngx::normal(rng, 0.0, self.noise_std);
+            *o = p + style + *o;
         }
     }
 

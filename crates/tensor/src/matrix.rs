@@ -126,9 +126,11 @@ impl Matrix {
     }
 
     /// Samples every element i.i.d. from `N(mean, std²)` using the Box–Muller
-    /// transform (see [`crate::rngx::normal`]).
+    /// transform (see [`crate::rngx::fill_normal`]), in row-major order.
     pub fn randn(rows: usize, cols: usize, mean: f32, std: f32, rng: &mut impl Rng) -> Self {
-        Self::from_fn(rows, cols, |_, _| crate::rngx::normal(rng, mean, std))
+        let mut m = Self::zeros(rows, cols);
+        crate::rngx::fill_normal(rng, mean, std, &mut m.data);
+        m
     }
 
     /// Xavier/Glorot-uniform initialisation for a dense-layer weight of shape
