@@ -335,24 +335,27 @@ fn smooth_noise(shape: ImageShape, rng: &mut impl Rng) -> Vec<f32> {
     let grid: Vec<f32> = (0..COARSE * COARSE)
         .map(|_| rngx::normal(rng, 0.0, 0.6))
         .collect();
-    let mut out = vec![0.0f32; shape.dim()];
-    for c in 0..shape.c {
-        for y in 0..shape.h {
-            for xx in 0..shape.w {
-                let gy = y as f32 / shape.h.max(1) as f32 * (COARSE - 1) as f32;
-                let gx = xx as f32 / shape.w.max(1) as f32 * (COARSE - 1) as f32;
-                let (y0, x0) = (gy.floor() as usize, gx.floor() as usize);
-                let (y1, x1) = ((y0 + 1).min(COARSE - 1), (x0 + 1).min(COARSE - 1));
-                let (fy, fx) = (gy - y0 as f32, gx - x0 as f32);
-                out[c * shape.h * shape.w + y * shape.w + xx] =
-                    grid[y0 * COARSE + x0] * (1.0 - fy) * (1.0 - fx)
-                        + grid[y0 * COARSE + x1] * (1.0 - fy) * fx
-                        + grid[y1 * COARSE + x0] * fy * (1.0 - fx)
-                        + grid[y1 * COARSE + x1] * fy * fx;
-            }
+    // Bilinear taps along one axis: the two grid cells and the weight of
+    // the second. The field is the same in every channel.
+    let taps = |i: usize, n: usize| {
+        let g = i as f32 / n.max(1) as f32 * (COARSE - 1) as f32;
+        let i0 = g.floor() as usize;
+        (i0, (i0 + 1).min(COARSE - 1), g - i0 as f32)
+    };
+    let cols: Vec<_> = (0..shape.w).map(|x| taps(x, shape.w)).collect();
+    let mut plane = Vec::with_capacity(shape.h * shape.w);
+    for y in 0..shape.h {
+        let (y0, y1, fy) = taps(y, shape.h);
+        for &(x0, x1, fx) in &cols {
+            plane.push(
+                grid[y0 * COARSE + x0] * (1.0 - fy) * (1.0 - fx)
+                    + grid[y0 * COARSE + x1] * (1.0 - fy) * fx
+                    + grid[y1 * COARSE + x0] * fy * (1.0 - fx)
+                    + grid[y1 * COARSE + x1] * fy * fx,
+            );
         }
     }
-    out
+    plane.repeat(shape.c)
 }
 
 /// Smooth random displacement of pixels.
