@@ -84,7 +84,7 @@ impl PrototypeGenerator {
         let style = rngx::normal(rng, 0.0, self.style_std);
         rngx::fill_normal(rng, 0.0, self.noise_std, out);
         for (o, &p) in out.iter_mut().zip(self.prototypes[class].iter()) {
-            *o = p + style + *o;
+            *o += p + style;
         }
     }
 

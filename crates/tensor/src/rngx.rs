@@ -123,8 +123,8 @@ fn ln(x: f32) -> f32 {
     y as f32
 }
 
-/// `2/π · 2^24` and `π/2`: `cosf`'s quadrant reduction on targets without
-/// round-to-int instructions (x86-64 among them).
+/// `2/π · 2^24` and `π/2`: `cosf`'s quadrant reduction as glibc builds it
+/// without round-to-int intrinsics, which is how x86-64 glibc ships it.
 const SINCOSF_HPI_INV: u64 = 0x4164_5f30_6dc9_c883;
 const SINCOSF_HPI: u64 = 0x3ff9_21fb_5444_2d18;
 /// The sign of the sine in quadrants 0..3.
