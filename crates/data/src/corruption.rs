@@ -11,8 +11,8 @@ use shiftex_tensor::rngx;
 
 use crate::dataset::ImageShape;
 
-/// Pixels the noise corruptions draw per [`rngx::fill_normal`] call, into a
-/// stack buffer.
+/// Pixels [`add_noise`] draws per [`rngx::fill_normal`] call, into a stack
+/// buffer.
 const NOISE_BLOCK: usize = 64;
 
 /// Corruption family. Severity is passed at application time (1–5).
@@ -111,29 +111,8 @@ impl Corruption {
         assert_eq!(x.len(), shape.dim(), "buffer length mismatch");
         let s = severity as f32 / 5.0; // 0.2 .. 1.0
         match self {
-            Corruption::GaussianNoise => {
-                let mut noise = [0.0f32; NOISE_BLOCK];
-                for chunk in x.chunks_mut(NOISE_BLOCK) {
-                    let noise = &mut noise[..chunk.len()];
-                    rngx::fill_normal(rng, 0.0, 0.8 * s, noise);
-                    for (v, n) in chunk.iter_mut().zip(noise.iter()) {
-                        *v += n;
-                    }
-                }
-            }
-            Corruption::ShotNoise => {
-                // Standard normals scaled per pixel: the same bits as one
-                // `normal(0, 0.7 s scale)` draw each.
-                let mut z = [0.0f32; NOISE_BLOCK];
-                for chunk in x.chunks_mut(NOISE_BLOCK) {
-                    let z = &mut z[..chunk.len()];
-                    rngx::fill_normal(rng, 0.0, 1.0, z);
-                    for (v, z) in chunk.iter_mut().zip(z.iter()) {
-                        let scale = (v.abs() + 0.1).sqrt();
-                        *v += 0.0 + 0.7 * s * scale * z;
-                    }
-                }
-            }
+            Corruption::GaussianNoise => add_noise(x, rng, |_| 0.8 * s),
+            Corruption::ShotNoise => add_noise(x, rng, |v| 0.7 * s * (v.abs() + 0.1).sqrt()),
             Corruption::ImpulseNoise => {
                 let p = 0.25 * s;
                 for v in x.iter_mut() {
@@ -243,6 +222,19 @@ impl std::fmt::Display for Corruption {
             Corruption::JpegCompression => "jpeg",
         };
         f.write_str(s)
+    }
+}
+
+/// Adds `0 + std(v)·z` to every pixel `v`, `z` a standard normal drawn in
+/// blocks: bit for bit one `rngx::normal(rng, 0.0, std(v))` per pixel.
+fn add_noise(x: &mut [f32], rng: &mut impl Rng, std: impl Fn(f32) -> f32) {
+    let mut z = [0.0f32; NOISE_BLOCK];
+    for chunk in x.chunks_mut(NOISE_BLOCK) {
+        let z = &mut z[..chunk.len()];
+        rngx::fill_normal(rng, 0.0, 1.0, z);
+        for (v, &z) in chunk.iter_mut().zip(z.iter()) {
+            *v += 0.0 + std(*v) * z;
+        }
     }
 }
 
