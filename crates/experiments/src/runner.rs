@@ -427,8 +427,8 @@ fn run_round_block<A: FederatedAlgorithm + ?Sized>(
             // chunking is off, keeping the monolithic column byte-pinned).
             first_contact_down_bytes: (comm.first_contact_down_bytes + comm.join_chunk_down_bytes)
                 - (comm_before.first_contact_down_bytes + comm_before.join_chunk_down_bytes),
-            quarantined: outcome.robustness.quarantined as u64,
-            fold_score: outcome.robustness.max_score,
+            quarantined: outcome.quarantined as u64,
+            fold_score: outcome.fold_score,
         });
     }
     per_round

@@ -29,9 +29,10 @@
 //!
 //! Everything else — selection gating by churn, mid-round dropout fates,
 //! deadline scoring, buffering, staleness discounts, codec encode/decode,
-//! first-contact full-state frames, error feedback, byte metering — is the
-//! driver's job and therefore *identical across algorithms by
-//! construction*.
+//! first-contact full-state frames, error feedback, byte metering — is
+//! shared runtime and therefore *identical across algorithms by
+//! construction*: the driver sequences it, and the [`ScenarioEngine`]
+//! decides every upload's fate and writes every ledger entry.
 //!
 //! [`streams`]: FederatedAlgorithm::streams
 //! [`broadcast_state`]: FederatedAlgorithm::broadcast_state
@@ -45,7 +46,6 @@ use std::collections::BTreeSet;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use shiftex_nn::{train_local_params, ArchSpec, TrainConfig};
 
 use crate::codec::CodecSpec;
@@ -56,7 +56,7 @@ use crate::population::{PopulationStore, PopulationView};
 use crate::robust::{FoldPolicy, UpdateVerdict};
 use crate::scenario::{RoundMode, ScenarioEngine, WeightedUpdate};
 use crate::selection::{ParticipantSelector, UniformSelector};
-use crate::transport::{CohortExchange, CohortTransport, LocalTransport, UploadOutcome};
+use crate::transport::{CohortExchange, CohortTransport, LocalTransport};
 use crate::update::ModelUpdate;
 
 /// One federated algorithm's lifecycle under the scenario runtime.
@@ -119,10 +119,10 @@ pub trait FederatedAlgorithm {
     /// into stream `key` under `policy` — algorithms delegate the value
     /// combination to [`aggregate_robust`](crate::robust::aggregate_robust)
     /// so every (algorithm × fold) cell shares one robust-statistics
-    /// implementation, and return its per-update verdicts so the driver can
-    /// meter quarantines and feed the selector. An empty `ready` set must
-    /// leave the stream's parameters untouched (churn can empty any round)
-    /// and return no verdicts.
+    /// implementation, and return its per-update verdicts so the engine can
+    /// meter quarantines and the driver can feed the selector. An empty
+    /// `ready` set must leave the stream's parameters untouched (churn can
+    /// empty any round) and return no verdicts.
     fn fold(
         &mut self,
         key: usize,
@@ -183,44 +183,6 @@ pub fn local_update(
     }
 }
 
-/// Per-round robust-aggregation telemetry, summed over an algorithm's
-/// streams: how many updates arrived, how many the fold refused, and how
-/// suspicious the cohort looked (fold-specific distance scores from
-/// [`UpdateVerdict::score`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct RobustnessReport {
-    /// Updates the engine released into folds this round.
-    pub received: usize,
-    /// Updates a robust fold quarantined (received but not aggregated).
-    pub quarantined: usize,
-    /// Updates that entered an aggregation (`received − quarantined`).
-    pub folded: usize,
-    /// Mean fold distance score over received updates (0 under `Mean`).
-    pub mean_score: f32,
-    /// Largest fold distance score this round (0 under `Mean`).
-    pub max_score: f32,
-}
-
-impl RobustnessReport {
-    /// Accumulates one stream's fold verdicts into the round report.
-    fn absorb(&mut self, verdicts: &[UpdateVerdict]) {
-        let prior = self.received as f32;
-        self.received += verdicts.len();
-        for v in verdicts {
-            if v.quarantined {
-                self.quarantined += 1;
-            } else {
-                self.folded += 1;
-            }
-            self.max_score = self.max_score.max(v.score);
-        }
-        if self.received > 0 {
-            let sum: f32 = prior * self.mean_score + verdicts.iter().map(|v| v.score).sum::<f32>();
-            self.mean_score = sum / self.received as f32;
-        }
-    }
-}
-
 /// What one scenario-mediated round did, across all of an algorithm's
 /// streams.
 #[derive(Debug, Clone, PartialEq)]
@@ -232,13 +194,14 @@ pub struct AlgoRoundOutcome {
     /// Updates folded into an aggregation, summed over streams (excludes
     /// quarantined updates).
     pub folded: usize,
-    /// Parties whose uploads were aborted this round (mid-round dropout or
-    /// late-drop), across streams.
+    /// Parties whose uploads were aborted this round (lost by the
+    /// transport, mid-round dropout or late-drop), across streams.
     pub lost: Vec<PartyId>,
-    /// Updates deferred into staleness buffers this round, across streams.
-    pub deferred: usize,
-    /// Robust-aggregation telemetry for this round.
-    pub robustness: RobustnessReport,
+    /// Updates a robust fold quarantined, summed over streams.
+    pub quarantined: usize,
+    /// Largest fold distance score this round ([`UpdateVerdict::score`];
+    /// 0 under `Mean`).
+    pub fold_score: f32,
 }
 
 /// The codec policy a round runs under: one static spec for every stream,
@@ -345,14 +308,12 @@ impl<'a> RoundCtx<'a> {
 /// frames, label-poisoning attackers train on flipped labels, uploads ship
 /// through the codec with error feedback when configured and wire-level
 /// attackers corrupt theirs in transit; a networked transport ships the
-/// same frames to worker processes). Parties the transport reports as
-/// [`UploadOutcome::Lost`] (real disconnects, sockets stalled past the
-/// round deadline) are metered as aborted uploads at the exact frame size
-/// and fed to the selector's availability hook — the same paths the
-/// engine's simulated churn and straggler axes use. The engine then applies
-/// dropout/straggler/staleness fates, the selector hears utility, liveness
-/// and rejection signals, and whatever matured folds under the context's
-/// policy, with quarantined uploads metered and refunded.
+/// same frames to worker processes). The engine then decides every
+/// upload's fate ([`ScenarioEngine::collect`]: real losses, dropout,
+/// stragglers, staleness) and meters it, the selector hears utility,
+/// liveness and rejection signals, and whatever matured folds under the
+/// context's policy, with quarantined uploads handed back to the engine to
+/// meter and refund.
 ///
 /// This is the *only* round driver: ShiftEx and every baseline pay for the
 /// same scenario axes and the same bytes, so head-to-head numbers compare
@@ -382,9 +343,8 @@ pub fn run_algorithm_round<A: FederatedAlgorithm + ?Sized>(
         RoundMode::Async(a) => a.server_lr,
     };
 
-    let mut deferred = 0usize;
     let mut lost = Vec::new();
-    let mut robustness = RobustnessReport::default();
+    let (mut folded, mut quarantined, mut fold_score) = (0usize, 0usize, 0.0f32);
     for key in algorithm.streams() {
         let cohort_ids = algorithm.cohort(key, &live, selector, rng);
         let globals = algorithm.broadcast_state(key);
@@ -412,7 +372,7 @@ pub fn run_algorithm_round<A: FederatedAlgorithm + ?Sized>(
         // networked coordinator, which draws these exact seeds here before
         // any socket I/O).
         let seeds: Vec<u64> = cohort_ids.iter().map(|_| rng.random::<u64>()).collect();
-        let outcomes = transport.exchange(
+        let uploads = transport.exchange(
             &CohortExchange {
                 key,
                 globals: &globals,
@@ -425,52 +385,35 @@ pub fn run_algorithm_round<A: FederatedAlgorithm + ?Sized>(
             ledger,
             &mut |party, decoded, seed| algorithm.local_step(key, party, decoded, seed),
         );
-        let mut arrived: Vec<ModelUpdate> = Vec::with_capacity(outcomes.len());
-        for outcome in outcomes {
-            match outcome {
-                UploadOutcome::Delivered(update) => arrived.push(update),
-                UploadOutcome::Lost(party) => {
-                    // A real loss (socket died or stalled past the round
-                    // deadline): the party paid for the upload it never
-                    // landed — meter the exact frame size as aborted and
-                    // let availability-aware selectors cool the party
-                    // down, exactly as the simulated axes do.
-                    if let Some(l) = ledger {
-                        l.record_aborted_upload(codec.update_len(globals.len()));
-                    }
-                    selector.on_unavailable(party);
-                    lost.push(party);
-                }
-            }
-        }
-        let delivery = engine.collect(key, arrived, codec, ledger);
+        let delivery = engine.collect(key, uploads, codec, ledger);
         for &party in &delivery.lost {
             selector.on_unavailable(party);
         }
-        deferred += delivery.deferred.len();
         lost.extend_from_slice(&delivery.lost);
         let verdicts = algorithm.fold(key, &delivery.ready, server_lr, policy);
-        let quarantined: BTreeSet<PartyId> = verdicts
+        let refused: BTreeSet<PartyId> = verdicts
             .iter()
             .filter(|v| v.quarantined)
             .map(|v| v.party)
             .collect();
         for w in &delivery.ready {
-            if quarantined.contains(&w.update.party) {
-                // The upload completed and its bytes were metered; overlay
-                // the rejection, tell the selector the party was alive but
-                // refused, and refund the shipped mass into the party's
-                // error-feedback accumulator so lossy codecs re-ship it.
-                if let Some(ledger) = ledger {
-                    ledger.record_quarantined_upload(w.update.encoded_len(codec));
-                }
+            if refused.contains(&w.update.party) {
+                // Alive but refused: `on_rejected`, not `on_unavailable`,
+                // so an availability cooldown does not punish the party.
                 selector.on_rejected(w.update.party);
-                engine.refund_quarantined(key, codec, &w.update);
+                engine.quarantine(key, codec, &w.update, ledger);
             } else {
                 selector.observe(w.update.party, w.update.train_loss);
             }
         }
-        robustness.absorb(&verdicts);
+        for v in &verdicts {
+            if v.quarantined {
+                quarantined += 1;
+            } else {
+                folded += 1;
+            }
+            fold_score = fold_score.max(v.score);
+        }
     }
     algorithm.end_round(&live, rng);
     // Close the round on the transport (a networked coordinator tells its
@@ -480,10 +423,10 @@ pub fn run_algorithm_round<A: FederatedAlgorithm + ?Sized>(
     AlgoRoundOutcome {
         round,
         live: live_ids,
-        folded: robustness.folded,
+        folded,
         lost,
-        deferred,
-        robustness,
+        quarantined,
+        fold_score,
     }
 }
 
@@ -493,8 +436,11 @@ mod tests {
     use crate::scenario::{
         ChurnSchedule, ChurnSpec, DelayDist, LatePolicy, ScenarioSpec, StragglerSpec,
     };
+    use crate::transport::{LocalStepFn, UploadOutcome};
+    use crate::PartyInfo;
     use shiftex_data::{ImageShape, PrototypeGenerator};
     use shiftex_nn::Sequential;
+    use std::collections::BTreeMap;
 
     /// Minimal single-model reference implementation for driver tests.
     struct PlainFedAvg {
@@ -757,6 +703,83 @@ mod tests {
         );
     }
 
+    /// [`LocalTransport`] that then loses two cohort members for real: a
+    /// stalled upload, and a party on a dead worker, pinned as this round's
+    /// dropout the way a networked coordinator pins it.
+    struct LossyTransport {
+        stalled: PartyId,
+        dead: PartyId,
+    }
+
+    impl CohortTransport for LossyTransport {
+        fn exchange(
+            &mut self,
+            x: &CohortExchange<'_>,
+            live: &PopulationView<'_>,
+            engine: &mut ScenarioEngine,
+            ledger: Option<&CommLedger>,
+            local_step: &mut LocalStepFn<'_>,
+        ) -> Vec<UploadOutcome> {
+            let mut outcomes = LocalTransport.exchange(x, live, engine, ledger, local_step);
+            let round = engine.round();
+            engine.churn_mut().pin_dropout(self.dead, round);
+            for (outcome, &p) in outcomes.iter_mut().zip(x.cohort) {
+                if p == self.stalled || p == self.dead {
+                    *outcome = UploadOutcome::Lost(p);
+                }
+            }
+            outcomes
+        }
+    }
+
+    /// Uniform selection that counts each party's `on_unavailable` calls.
+    #[derive(Default)]
+    struct UnavailableLog(BTreeMap<PartyId, usize>);
+
+    impl ParticipantSelector for UnavailableLog {
+        fn select(&mut self, pool: &[PartyInfo], m: usize, rng: &mut StdRng) -> Vec<PartyId> {
+            UniformSelector.select(pool, m, rng)
+        }
+        fn on_unavailable(&mut self, party: PartyId) {
+            *self.0.entry(party).or_default() += 1;
+        }
+    }
+
+    #[test]
+    fn transport_losses_are_counted_like_simulated_ones() {
+        let (mut alg, store, ids, mut rng) = setup(4, 11);
+        let n = alg.params.len();
+        let mut engine = ScenarioEngine::new(ScenarioSpec::sync(0), &ids);
+        let ledger = CommLedger::new();
+        let (stalled, dead) = (PartyId(1), PartyId(2));
+        let mut transport = LossyTransport { stalled, dead };
+        let mut log = UnavailableLog::default();
+        let out = run_algorithm_round(
+            &mut alg,
+            &mut RoundCtx::new(&store, &mut engine)
+                .with_ledger(&ledger)
+                .with_selector(&mut log)
+                .with_transport(&mut transport),
+            &mut rng,
+        );
+        let stats = engine.stats();
+        assert_eq!(stats.selected, 4, "every cohort member was selected");
+        assert_eq!(stats.delivered, 2);
+        // Only the pinned party drops out; the stall is a late drop.
+        assert!(engine.churn().drops_out(dead, out.round));
+        assert!(!engine.churn().drops_out(stalled, out.round));
+        assert_eq!((stats.dropped_churn, stats.dropped_late), (1, 1));
+        let totals = ledger.totals();
+        assert_eq!(totals.aborted_messages, 2);
+        assert_eq!(
+            totals.aborted_up_bytes,
+            2 * CodecSpec::dense().update_len(n) as u64
+        );
+        assert_eq!(out.lost, vec![stalled, dead], "each loss reported once");
+        assert_eq!(log.0, [(stalled, 1), (dead, 1)].into_iter().collect());
+        assert_eq!(out.folded, 2);
+    }
+
     /// A schedule under which every party in `ids` leaves before `round`.
     fn everyone_leaves_before(round: usize, ids: &[PartyId]) -> ChurnSchedule {
         ids.iter().fold(ChurnSchedule::always_on(0.0, 0), |c, &id| {
@@ -780,7 +803,7 @@ mod tests {
         *engine.churn_mut() = everyone_leaves_before(2, &ids);
         let mut ctx = RoundCtx::new(&store, &mut engine);
         let r1 = run_algorithm_round(&mut alg, &mut ctx, &mut rng);
-        assert_eq!((r1.folded, r1.deferred), (0, 3));
+        assert_eq!((r1.folded, ctx.engine.stats().deferred), (0, 3));
         assert_eq!(alg.params, init);
         // Round 2 has nobody live, but the deferred updates still mature
         // and aggregate.

@@ -56,12 +56,6 @@ impl JoinConfig {
             chunk_bytes,
         }
     }
-
-    /// Replaces the join-frame codec.
-    pub fn with_codec(mut self, codec: CodecSpec) -> Self {
-        self.codec = codec;
-        self
-    }
 }
 
 /// Delivery state of one chunk of a join frame.

@@ -40,8 +40,7 @@ pub mod transport;
 mod update;
 
 pub use algo::{
-    local_update, run_algorithm_round, AlgoRoundOutcome, FederatedAlgorithm, RobustnessReport,
-    RoundCodec, RoundCtx,
+    local_update, run_algorithm_round, AlgoRoundOutcome, FederatedAlgorithm, RoundCodec, RoundCtx,
 };
 pub use codec::{CodecError, CodecKind, CodecSpec};
 pub use comm::{CommLedger, CommTotals};

@@ -34,6 +34,7 @@ use crate::codec::CodecSpec;
 use crate::comm::CommLedger;
 use crate::join::{JoinConfig, JoinSync};
 use crate::party::PartyId;
+use crate::transport::UploadOutcome;
 use crate::update::ModelUpdate;
 
 // ---------------------------------------------------------------------------
@@ -664,11 +665,10 @@ pub struct WeightedUpdate {
 pub struct RoundDelivery {
     /// Updates to aggregate now, staleness-weighted.
     pub ready: Vec<WeightedUpdate>,
-    /// Parties whose uploads were aborted this round (mid-round dropout or
-    /// late-drop) — feedback for availability-aware selectors.
+    /// Parties whose uploads were aborted this round (the transport lost
+    /// them, mid-round dropout, or late-drop), each once, in cohort order
+    /// — feedback for availability-aware selectors.
     pub lost: Vec<PartyId>,
-    /// Parties whose updates were deferred to a later round.
-    pub deferred: Vec<PartyId>,
 }
 
 /// What one [`ScenarioEngine::broadcast`] call delivered.
@@ -676,9 +676,17 @@ pub struct RoundDelivery {
 /// Veterans of the stream decode the regular (possibly delta-coded) frame;
 /// first-contact recipients decode the self-contained full-state frame
 /// they were metered for. [`state_for`](Self::state_for) hands each party
-/// the state it actually received.
+/// the state it actually received, and the two specs say which frames were
+/// metered, so a networked transport ships exactly those.
 #[derive(Debug, Clone)]
 pub struct BroadcastDelivery {
+    /// Spec of the regular frame metered for every veteran recipient.
+    pub spec: CodecSpec,
+    /// Spec of the monolithic first-contact frame metered for every
+    /// [`fresh`](Self::fresh) recipient; `None` on the chunked join path,
+    /// where fresh recipients are shipped their in-flight
+    /// [`JoinSync`] chunks instead.
+    pub fresh_spec: Option<CodecSpec>,
     /// Decoded regular frame — also the stream's next delta reference.
     pub decoded: Vec<f32>,
     /// Decoded self-contained first-contact frame, when any recipient saw
@@ -783,25 +791,12 @@ impl ScenarioEngine {
         self.join = Some(config);
     }
 
-    /// The chunked-join configuration, if enabled.
-    pub fn join_config(&self) -> Option<&JoinConfig> {
-        self.join.as_ref()
-    }
-
     /// The in-progress chunked join sync for `(key, party)`, if any. A
     /// networked coordinator reads the in-flight chunk payloads from here
     /// right after [`ScenarioEngine::broadcast`] put them in flight — the
     /// bytes it must actually write to the party's socket.
     pub fn join_sync(&self, key: usize, party: PartyId) -> Option<&JoinSync> {
         self.join_syncs.get(&(key, party))
-    }
-
-    /// Progress of `party`'s chunked first-contact sync on stream `key`:
-    /// `(delivered, total)` chunks, or `None` when no sync is in flight.
-    pub fn join_progress(&self, key: usize, party: PartyId) -> Option<(usize, usize)> {
-        self.join_syncs
-            .get(&(key, party))
-            .map(|s| (s.delivered_chunks(), s.num_chunks()))
     }
 
     /// Mean absolute error-feedback residual accumulated on stream `key`
@@ -889,19 +884,21 @@ impl ScenarioEngine {
         recipients: &[PartyId],
         ledger: Option<&CommLedger>,
     ) -> BroadcastDelivery {
+        let reference = self.last_broadcast.get(&key).map_or(&[][..], Vec::as_slice);
+        // First broadcast on a stream has no delta reference: sparsified
+        // downlinks fall back to a dense full-state frame (see
+        // [`CodecSpec::broadcast_spec`]).
+        let bspec = codec.broadcast_spec(!reference.is_empty());
         if recipients.is_empty() {
             return BroadcastDelivery {
+                spec: bspec,
+                fresh_spec: None,
                 decoded: global.to_vec(),
                 first_contact: None,
                 fresh: BTreeSet::new(),
                 join_states: BTreeMap::new(),
             };
         }
-        let reference = self.last_broadcast.get(&key).map_or(&[][..], Vec::as_slice);
-        // First broadcast on a stream has no delta reference: sparsified
-        // downlinks fall back to a dense full-state frame (see
-        // [`CodecSpec::broadcast_spec`]).
-        let bspec = codec.broadcast_spec(!reference.is_empty());
         let decoded = bspec.transport(global.to_vec(), reference);
         let contacted = self.contacted.entry(key).or_default();
         let fresh: BTreeSet<PartyId> = recipients
@@ -943,6 +940,8 @@ impl ScenarioEngine {
             }
             self.last_broadcast.insert(key, decoded.clone());
             return BroadcastDelivery {
+                spec: bspec,
+                fresh_spec: None,
                 decoded,
                 first_contact: None,
                 fresh,
@@ -981,6 +980,8 @@ impl ScenarioEngine {
         contacted.extend(recipients.iter().copied());
         self.last_broadcast.insert(key, decoded.clone());
         BroadcastDelivery {
+            spec: bspec,
+            fresh_spec: Some(fc_spec),
             decoded,
             first_contact,
             fresh,
@@ -1050,17 +1051,25 @@ impl ScenarioEngine {
         update.transport_with_feedback(codec, reference, acc)
     }
 
-    /// Applies mid-round dropout and straggler fates to this round's fresh
-    /// `updates` on stream `key`, then flushes whatever the round mode says
-    /// is ready to aggregate.
+    /// Decides the fate of every cohort member's upload on stream `key`
+    /// this round — the one place a fate is decided — then flushes
+    /// whatever the round mode says is ready to aggregate.
+    ///
+    /// `outcomes` are the transport's, one per cohort member in cohort
+    /// order. A [`UploadOutcome::Lost`] upload (a real disconnect or a
+    /// socket stalled past the deadline) is aborted at the stream's
+    /// full-frame upload size; it counts as churn when the party drops out
+    /// this round (a networked transport pins the parties of a dead worker)
+    /// and as a late drop otherwise. No parameters came back, so nothing is
+    /// refunded. Delivered uploads then face the simulated dropout and
+    /// straggler fates.
     ///
     /// Every upload is metered at its exact `codec` wire size: aborted
-    /// uploads (dropout, late-drop) immediately, successful arrivals when
-    /// they are flushed.
+    /// uploads immediately, successful arrivals when they are flushed.
     pub fn collect(
         &mut self,
         key: usize,
-        updates: Vec<ModelUpdate>,
+        outcomes: Vec<UploadOutcome>,
         codec: &CodecSpec,
         ledger: Option<&CommLedger>,
     ) -> RoundDelivery {
@@ -1068,12 +1077,28 @@ impl ScenarioEngine {
         let round = self.round;
         let seed = self.spec.seed;
         self.resolve_pending_joins(key, ledger);
-        self.stats.selected += updates.len() as u64;
+        self.stats.selected += outcomes.len() as u64;
         // Owned for the duration of the round so lost uploads can refund
         // the error-feedback accumulators without aliasing `self`.
         let mut buffer = self.buffers.remove(&key).unwrap_or_default();
 
-        for update in updates {
+        for outcome in outcomes {
+            let update = match outcome {
+                UploadOutcome::Delivered(update) => update,
+                UploadOutcome::Lost(party) => {
+                    if let Some(l) = ledger {
+                        let n = self.last_broadcast.get(&key).map_or(0, Vec::len);
+                        l.record_aborted_upload(codec.update_len(n));
+                    }
+                    if self.churn.drops_out(party, round) {
+                        self.stats.dropped_churn += 1;
+                    } else {
+                        self.stats.dropped_late += 1;
+                    }
+                    delivery.lost.push(party);
+                    continue;
+                }
+            };
             let party = update.party;
             // Transient churn: the party crashed mid-round; its upload is
             // aborted (and the wasted bytes metered).
@@ -1110,7 +1135,6 @@ impl ScenarioEngine {
                 }
                 _ => {
                     self.stats.deferred += 1;
-                    delivery.deferred.push(party);
                     buffer.push(PendingUpdate {
                         update,
                         born: round,
@@ -1233,12 +1257,21 @@ impl ScenarioEngine {
     }
 
     /// A delivered update was quarantined by a robust fold: its bytes were
-    /// paid and metered, but the change it carried never entered the
-    /// globals — refund it into the party's error-feedback accumulator so
-    /// lossy-codec parties re-ship the rejected mass rather than silently
-    /// losing it (same refund as a lost upload; see the private
-    /// `refund_feedback`'s rationale).
-    pub fn refund_quarantined(&mut self, key: usize, codec: &CodecSpec, update: &ModelUpdate) {
+    /// paid and metered, so the refusal is overlaid on the ledger, but the
+    /// change it carried never entered the globals — refund it into the
+    /// party's error-feedback accumulator so lossy-codec parties re-ship
+    /// the rejected mass rather than silently losing it (same refund as a
+    /// lost upload; see the private `refund_feedback`'s rationale).
+    pub(crate) fn quarantine(
+        &mut self,
+        key: usize,
+        codec: &CodecSpec,
+        update: &ModelUpdate,
+        ledger: Option<&CommLedger>,
+    ) {
+        if let Some(l) = ledger {
+            l.record_quarantined_upload(update.encoded_len(codec));
+        }
         self.refund_feedback(key, codec, update);
     }
 }
@@ -1307,6 +1340,11 @@ mod tests {
             num_samples: n,
             train_loss: 0.5,
         }
+    }
+
+    /// `updates` as a transport reports them: every one delivered.
+    fn delivered(updates: Vec<ModelUpdate>) -> Vec<UploadOutcome> {
+        updates.into_iter().map(UploadOutcome::Delivered).collect()
     }
 
     fn ids(n: usize) -> Vec<PartyId> {
@@ -1430,7 +1468,7 @@ mod tests {
         };
         let shipped = engine.transport_upload(0, fresh, &codec, &reference);
         assert_eq!(shipped.params, vec![0.0, 0.0, 3.0, -4.0]);
-        let d = engine.collect(0, vec![shipped], &codec, None);
+        let d = engine.collect(0, delivered(vec![shipped]), &codec, None);
         assert_eq!(d.lost, vec![PartyId(0)]);
         // The aborted upload's shipped mass went back into the accumulator
         // (which already held the sparsification error), so a party with
@@ -1471,6 +1509,10 @@ mod tests {
         assert_eq!(b.state_for(PartyId(1)), &g2[..], "joiner: exact globals");
         assert_eq!(b.state_for(PartyId(0)), &b.decoded[..]);
         assert_ne!(b.state_for(PartyId(0)), &g2[..], "veteran: lossy delta");
+        // The delivery names the two frames it metered.
+        assert_eq!(b.spec, codec.broadcast_spec(true));
+        assert_eq!(b.fresh_spec, Some(CodecSpec::dense()));
+        assert_eq!(first.spec, CodecSpec::dense(), "no reference yet");
     }
 
     #[test]
@@ -1479,7 +1521,7 @@ mod tests {
         engine.begin_round();
         let delivery = engine.collect(
             0,
-            (0..4).map(|p| update(p, 10)).collect(),
+            delivered((0..4).map(|p| update(p, 10)).collect()),
             &CodecSpec::dense(),
             None,
         );
@@ -1505,12 +1547,12 @@ mod tests {
         engine.begin_round();
         let d1 = engine.collect(
             0,
-            vec![update(0, 10), update(1, 10)],
+            delivered(vec![update(0, 10), update(1, 10)]),
             &CodecSpec::dense(),
             None,
         );
         assert!(d1.ready.is_empty(), "everything straggles past round 1");
-        assert_eq!(d1.deferred.len(), 2);
+        assert_eq!(engine.stats().deferred, 2);
         assert_eq!(engine.buffered(0), 2);
         engine.begin_round();
         let d2 = engine.collect(0, Vec::new(), &CodecSpec::dense(), None);
@@ -1536,7 +1578,7 @@ mod tests {
         engine.begin_round();
         let d = engine.collect(
             0,
-            vec![update(0, 10), update(1, 10)],
+            delivered(vec![update(0, 10), update(1, 10)]),
             &CodecSpec::dense(),
             Some(&ledger),
         );
@@ -1561,14 +1603,14 @@ mod tests {
         engine.begin_round();
         let d = engine.collect(
             0,
-            vec![update(0, 10), update(1, 10)],
+            delivered(vec![update(0, 10), update(1, 10)]),
             &CodecSpec::dense(),
             None,
         );
         assert!(d.ready.is_empty(), "below min_buffer: hold");
         assert_eq!(engine.buffered(0), 2);
         engine.begin_round();
-        let d = engine.collect(0, vec![update(2, 10)], &CodecSpec::dense(), None);
+        let d = engine.collect(0, delivered(vec![update(2, 10)]), &CodecSpec::dense(), None);
         assert_eq!(d.ready.len(), 3, "buffer reached threshold");
         let stale: Vec<usize> = d.ready.iter().map(|w| w.staleness).collect();
         assert!(stale.contains(&1) && stale.contains(&0));
@@ -1584,13 +1626,13 @@ mod tests {
         });
         let mut engine = ScenarioEngine::new(spec, &ids(4));
         engine.begin_round();
-        let d = engine.collect(0, vec![update(0, 10)], &CodecSpec::dense(), None);
+        let d = engine.collect(0, delivered(vec![update(0, 10)]), &CodecSpec::dense(), None);
         assert!(d.ready.is_empty());
         // Let the buffered update age far past max_staleness.
         for _ in 0..4 {
             engine.begin_round();
         }
-        let d = engine.collect(0, vec![update(1, 10)], &CodecSpec::dense(), None);
+        let d = engine.collect(0, delivered(vec![update(1, 10)]), &CodecSpec::dense(), None);
         assert!(
             d.ready.len() == 1 && d.ready[0].update.party == PartyId(1),
             "only the fresh update survives: {d:?}"
@@ -1603,8 +1645,8 @@ mod tests {
     fn streams_are_isolated() {
         let mut engine = ScenarioEngine::new(ScenarioSpec::sync(7), &ids(4));
         engine.begin_round();
-        let d0 = engine.collect(0, vec![update(0, 10)], &CodecSpec::dense(), None);
-        let d1 = engine.collect(1, vec![update(1, 10)], &CodecSpec::dense(), None);
+        let d0 = engine.collect(0, delivered(vec![update(0, 10)]), &CodecSpec::dense(), None);
+        let d1 = engine.collect(1, delivered(vec![update(1, 10)]), &CodecSpec::dense(), None);
         assert_eq!(d0.ready.len(), 1);
         assert_eq!(d1.ready.len(), 1);
         assert_eq!(d0.ready[0].update.party, PartyId(0));
@@ -1784,7 +1826,7 @@ mod tests {
                         engine.transport_upload(0, update(p.0, 10), &CodecSpec::dense(), &[0.0; 4])
                     })
                     .collect();
-                let d = engine.collect(0, uploads, &CodecSpec::dense(), None);
+                let d = engine.collect(0, delivered(uploads), &CodecSpec::dense(), None);
                 for w in &d.ready {
                     trace.push((w.update.party, w.update.params.clone()));
                 }
@@ -1871,7 +1913,7 @@ mod tests {
         assert_eq!(t.join_chunk_messages, chunks as u64);
         assert_eq!(t.join_lost_down_bytes, wire, "whole flight churned away");
         assert_eq!(t.join_lost_messages, chunks as u64);
-        assert_eq!(engine.join_progress(0, PartyId(0)), Some((0, chunks)));
+        assert_eq!(join_progress(&engine, PartyId(0)), Some((0, chunks)));
 
         engine.begin_round();
         let g2 = vec![9.0, 9.0, 9.0, 9.0];
@@ -1886,7 +1928,7 @@ mod tests {
         let t = ledger.totals();
         assert_eq!(t.join_chunk_down_bytes, 2 * wire, "full re-ship, metered");
         assert_eq!(t.join_lost_down_bytes, wire, "no further loss");
-        assert_eq!(engine.join_progress(0, PartyId(0)), None, "sync complete");
+        assert_eq!(join_progress(&engine, PartyId(0)), None, "sync complete");
 
         engine.begin_round();
         let before = ledger.totals();
@@ -1898,6 +1940,13 @@ mod tests {
             codec.broadcast_spec(true).broadcast_len(4) as u64,
             "veterans ride the regular downlink"
         );
+    }
+
+    /// `(delivered, total)` chunks of `party`'s open sync on stream 0.
+    fn join_progress(engine: &ScenarioEngine, party: PartyId) -> Option<(usize, usize)> {
+        engine
+            .join_sync(0, party)
+            .map(|s| (s.delivered_chunks(), s.num_chunks()))
     }
 
     #[test]
@@ -1914,12 +1963,14 @@ mod tests {
         engine.begin_round();
         engine.broadcast(0, &g, &codec, &[PartyId(0)], Some(&ledger));
         engine.collect(0, Vec::new(), &codec, Some(&ledger));
-        assert_eq!(engine.join_progress(0, PartyId(0)), None);
+        assert_eq!(join_progress(&engine, PartyId(0)), None);
 
         engine.begin_round();
         let b = engine.broadcast(0, &g, &codec, &ids(2), Some(&ledger));
         assert_eq!(b.fresh, [PartyId(1)].into_iter().collect());
         assert!(b.join_states.contains_key(&PartyId(1)));
+        assert_eq!(b.spec, codec.broadcast_spec(true));
+        assert_eq!(b.fresh_spec, None, "joiners ship chunks");
         engine.collect(0, Vec::new(), &codec, Some(&ledger));
 
         let frame = CodecSpec::quant8(256).broadcast_len(g.len());

@@ -16,11 +16,13 @@
 //! * a networked implementation (`shiftex_net`) ships the same encoded
 //!   codec frames over TCP to worker processes and reports parties whose
 //!   sockets stalled past the round deadline or disconnected as
-//!   [`UploadOutcome::Lost`]. The driver meters each loss as an aborted
-//!   upload and feeds it to
+//!   [`UploadOutcome::Lost`]. The driver hands every outcome to
+//!   [`ScenarioEngine::collect`], which counts and meters each loss as an
+//!   aborted upload exactly as it does its simulated dropouts and late
+//!   drops, and the selector hears
 //!   [`ParticipantSelector::on_unavailable`](crate::ParticipantSelector::on_unavailable)
-//!   — real stragglers and real churn entering the same accounting as the
-//!   engine's simulated axes.
+//!   once per lost party — real stragglers and real churn entering the
+//!   same accounting as the engine's simulated axes.
 //!
 //! A remote transport reproduces the *default*
 //! [`FederatedAlgorithm::local_step`](crate::FederatedAlgorithm::local_step)
@@ -46,8 +48,8 @@ pub enum UploadOutcome {
     Delivered(ModelUpdate),
     /// The party trained (or was asked to) but its upload never arrived:
     /// a real mid-round disconnect or a socket stalled past the round
-    /// deadline. The driver meters the loss as an aborted upload at the
-    /// exact frame size and notifies the selector's availability hook.
+    /// deadline. [`ScenarioEngine::collect`] meters the loss as an aborted
+    /// upload at the exact frame size and reports the party lost.
     Lost(PartyId),
 }
 

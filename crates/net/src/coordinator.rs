@@ -5,23 +5,25 @@
 //! to [`RoundCtx::with_transport`](shiftex_fl::RoundCtx::with_transport)
 //! and [`run_algorithm_round`](shiftex_fl::run_algorithm_round) uses it
 //! exactly where [`LocalTransport`](shiftex_fl::LocalTransport) runs the
-//! in-process exchange. The [`ScenarioEngine`] stays the single metering
-//! and membership authority: the coordinator calls
-//! [`ScenarioEngine::broadcast`] once per exchange (which meters every
-//! downlink payload on the [`CommLedger`]), ships the *same encoded
-//! frames* the engine just metered, and reports what really came back.
+//! in-process exchange. The [`ScenarioEngine`] stays the single metering,
+//! fate and membership authority; the coordinator only moves bytes. It
+//! calls [`ScenarioEngine::broadcast`] once per exchange (which meters
+//! every downlink payload on the [`CommLedger`]), encodes each frame under
+//! the spec the returned delivery says was metered, and reports what
+//! really came back.
 //!
 //! Real failures enter the simulated accounting instead of bypassing it:
 //!
 //! * a worker whose socket **stalls** past the round deadline is a real
 //!   straggler — its missing uploads come back as
-//!   [`UploadOutcome::Lost`], which the round driver meters as aborted
-//!   uploads and feeds to the selector's availability hook (the
-//!   connection stays; late uploads are drained as stale next round);
+//!   [`UploadOutcome::Lost`], which the engine's `collect` meters as
+//!   aborted uploads and counts as late drops (the connection stays; late
+//!   uploads are drained as stale next round);
 //! * a worker whose socket **dies** (EOF, reset, desync) is real churn —
 //!   its parties are pinned as mid-round dropouts for the current round
-//!   (so in-flight join chunks are resolved as lost) and as leavers from
-//!   the next round on ([`ChurnSchedule::pin_dropout`] /
+//!   (so in-flight join chunks are resolved as lost and their lost
+//!   uploads count as churn) and as leavers from the next round on
+//!   ([`ChurnSchedule::pin_dropout`] /
 //!   [`pin_leave`](shiftex_fl::ChurnSchedule::pin_leave));
 //! * a cohort party that **no worker registered** (workers launched for a
 //!   different partition) is shipped nothing and lost the same way.
@@ -81,8 +83,8 @@ pub struct NetStats {
     /// Control-plane frames received.
     pub control_in_msgs: u64,
     /// Cohort uploads that never arrived (deadline miss, dead socket,
-    /// graceful leave) — each one metered by the round driver as an
-    /// aborted upload.
+    /// graceful leave) — each one metered by the engine as an aborted
+    /// upload.
     pub lost_uploads: u64,
     /// Rounds whose collection hit the wall-clock deadline.
     pub deadline_misses: u64,
@@ -91,7 +93,7 @@ pub struct NetStats {
     pub dead_conns: u64,
     /// Worker connections that departed gracefully via `Leave`.
     pub leaves: u64,
-    /// Rounds completed ([`Coordinator::end_round`] calls).
+    /// Rounds completed (`round_complete` calls).
     pub rounds: u64,
 }
 
@@ -217,34 +219,6 @@ impl Coordinator {
         self.owner.len()
     }
 
-    /// Ends the round on the wire: every live worker gets a `RoundEnd`
-    /// frame (so it can discard stale per-round state). Connections that
-    /// die here are buried like any other dead socket.
-    pub fn end_round(&mut self, engine: &mut ScenarioEngine) {
-        let round = engine.round();
-        let mut dead = Vec::new();
-        for (ci, conn) in self.conns.iter_mut().enumerate() {
-            if !conn.alive {
-                continue;
-            }
-            match write_msg(
-                &mut conn.stream,
-                MsgKind::RoundEnd,
-                &encode_round_end(round),
-            ) {
-                Ok(n) => {
-                    self.stats.control_out_bytes += n as u64;
-                    self.stats.control_out_msgs += 1;
-                }
-                Err(_) => dead.push(ci),
-            }
-        }
-        for ci in dead {
-            self.bury(ci, engine, round);
-        }
-        self.stats.rounds += 1;
-    }
-
     /// Closes every worker socket; workers observe EOF and exit.
     pub fn shutdown(self) -> NetStats {
         self.stats
@@ -290,14 +264,11 @@ impl CohortTransport for Coordinator {
         );
         let round = engine.round();
         self.round = round;
-        let chunked = engine.join_config().is_some();
-        let had_reference = engine.last_broadcast(x.key).is_some();
         // Single metering authority: this call records every downlink
         // payload (regular, first-contact, join chunks) on the ledger and
         // advances the join-sync state machines. What ships below is the
         // byte-identical realisation of what was just metered.
         let bcast = engine.broadcast(x.key, x.globals, x.codec, x.cohort, ledger);
-        let bspec = x.codec.broadcast_spec(had_reference);
         let mut reg_frame: Option<Vec<u8>> = None;
         let mut fc_frame: Option<Vec<u8>> = None;
         let mut newly_dead: BTreeSet<usize> = BTreeSet::new();
@@ -312,14 +283,15 @@ impl CohortTransport for Coordinator {
             if !self.conns[ci].alive || newly_dead.contains(&ci) {
                 continue;
             }
-            let sent: Result<(), NetError> = if bcast.fresh.contains(&p) && chunked {
+            let fresh = bcast.fresh.contains(&p);
+            let sent: Result<(), NetError> = if fresh && bcast.fresh_spec.is_none() {
                 // Ship exactly the chunks `ship_missing` just put in
                 // flight (and metered); the worker reassembles the
                 // snapshot frame and trains from its decode, same as the
                 // engine's optimistic `join_states` entry.
                 let sync = engine
                     .join_sync(x.key, p)
-                    // lint:allow(panic): under chunked joins `broadcast` just began a sync for every fresh party
+                    // lint:allow(panic): with no monolithic first-contact frame `broadcast` just began a sync for every fresh party
                     .expect("fresh party under chunked joins has a sync");
                 let total = sync.num_chunks();
                 let mut res = Ok(());
@@ -353,12 +325,11 @@ impl CohortTransport for Coordinator {
                 // Frames are encoded at most once per exchange and reused
                 // for every recipient — identical bytes, identical
                 // metering.
-                let frame: &[u8] = if bcast.fresh.contains(&p) {
-                    fc_frame.get_or_insert_with(|| {
-                        x.codec.first_contact_spec().encode_global(x.globals, &[])
-                    })
-                } else {
-                    reg_frame.get_or_insert_with(|| bspec.encode_global(x.globals, &[]))
+                let frame: &[u8] = match bcast.fresh_spec {
+                    Some(spec) if fresh => {
+                        fc_frame.get_or_insert_with(|| spec.encode_global(x.globals, &[]))
+                    }
+                    _ => reg_frame.get_or_insert_with(|| bcast.spec.encode_global(x.globals, &[])),
                 };
                 let msg = BroadcastMsg {
                     key: x.key,
@@ -497,8 +468,31 @@ impl CohortTransport for Coordinator {
             .collect()
     }
 
-    /// Driver round-complete hook: send `RoundEnd` to every live worker.
+    /// Ends the round on the wire: every live worker gets a `RoundEnd`
+    /// frame (so it can discard stale per-round state). Connections that
+    /// die here are buried like any other dead socket.
     fn round_complete(&mut self, engine: &mut ScenarioEngine) {
-        self.end_round(engine);
+        let round = engine.round();
+        let mut dead = Vec::new();
+        for (ci, conn) in self.conns.iter_mut().enumerate() {
+            if !conn.alive {
+                continue;
+            }
+            match write_msg(
+                &mut conn.stream,
+                MsgKind::RoundEnd,
+                &encode_round_end(round),
+            ) {
+                Ok(n) => {
+                    self.stats.control_out_bytes += n as u64;
+                    self.stats.control_out_msgs += 1;
+                }
+                Err(_) => dead.push(ci),
+            }
+        }
+        for ci in dead {
+            self.bury(ci, engine, round);
+        }
+        self.stats.rounds += 1;
     }
 }
