@@ -609,9 +609,7 @@ fn bench_net(c: &mut Criterion) {
         build_algorithm, netfed_fed_seed, netfed_stream_seed, run_worker, worker_partition,
         FedSelector, LazyPopulation, NetFedConfig, Scenario,
     };
-    use shiftex_fl::{
-        run_algorithm_round, CodecSpec, CommLedger, RoundCtx, ScenarioEngine, ScenarioSpec,
-    };
+    use shiftex_fl::{run_algorithm_round, CodecSpec, RoundCtx, ScenarioEngine, ScenarioSpec};
     use shiftex_net::Coordinator;
 
     // A real 4-worker federation on loopback: each iteration is one full
@@ -659,7 +657,6 @@ fn bench_net(c: &mut Criterion) {
     let store = LazyPopulation::new(scenario.clone(), stream_seed).into_store();
     let ids = store.party_ids();
     let mut engine = ScenarioEngine::new(fed, &ids);
-    let ledger = CommLedger::new();
     let mut rng = StdRng::seed_from_u64(stream_seed);
     let mut algorithm =
         build_algorithm("fedavg", &scenario, &ShiftExConfig::default()).expect("fedavg");
@@ -667,7 +664,6 @@ fn bench_net(c: &mut Criterion) {
 
     let mut ctx = RoundCtx::new(&store, &mut engine)
         .with_codec(&cfg.codec)
-        .with_ledger(&ledger)
         .with_transport(&mut coordinator);
     let mut group = c.benchmark_group("fl_net");
     group.sample_size(10);

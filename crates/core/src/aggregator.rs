@@ -645,8 +645,8 @@ mod tests {
     use rand::SeedableRng;
     use shiftex_data::{Corruption, Dataset, ImageShape, PrototypeGenerator, Regime};
     use shiftex_fl::{
-        run_algorithm_round, AsyncSpec, ChurnSpec, CommLedger, LatePolicy, Party, PopulationStore,
-        RoundCtx, ScenarioEngine, ScenarioSpec, StragglerSpec,
+        run_algorithm_round, AsyncSpec, ChurnSpec, LatePolicy, Party, PopulationStore, RoundCtx,
+        ScenarioEngine, ScenarioSpec, StragglerSpec,
     };
 
     const SAMPLES: usize = 48;
@@ -999,7 +999,6 @@ mod tests {
         assert_eq!(fed.shiftex.num_experts(), 2);
 
         let mut engine = ScenarioEngine::new(spec, &fed.store.party_ids());
-        let ledger = CommLedger::new();
         let before = fed.eval();
         let params = |shiftex: &ShiftEx| -> Vec<Vec<f32>> {
             shiftex
@@ -1009,7 +1008,7 @@ mod tests {
                 .collect()
         };
         let params_before = params(&fed.shiftex);
-        let mut ctx = RoundCtx::new(&fed.store, &mut engine).with_ledger(&ledger);
+        let mut ctx = RoundCtx::new(&fed.store, &mut engine);
         for _ in 0..6 {
             run_algorithm_round(&mut fed.shiftex, &mut ctx, &mut fed.rng);
         }
@@ -1030,7 +1029,7 @@ mod tests {
             "accuracy must not collapse under churn: {before} -> {after}"
         );
         assert_eq!(
-            ledger.totals().aborted_messages,
+            engine.comm().aborted_messages,
             stats.dropped_churn + stats.dropped_late
         );
     }

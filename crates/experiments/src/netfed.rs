@@ -21,8 +21,8 @@ use rand::SeedableRng;
 use shiftex_baselines::OortSelector;
 use shiftex_core::ShiftExConfig;
 use shiftex_fl::{
-    run_algorithm_round, CodecSpec, CohortTransport, CommLedger, CommTotals, JoinConfig,
-    ParticipantSelector, Party, PartyId, RoundCtx, ScenarioSpec, UniformSelector,
+    run_algorithm_round, CodecSpec, CohortTransport, CommTotals, JoinConfig, ParticipantSelector,
+    Party, PartyId, RoundCtx, ScenarioSpec, UniformSelector,
 };
 use shiftex_net::{serve, NetError, WorkerConfig, WorkerSummary};
 
@@ -160,7 +160,6 @@ pub fn run_netfed_rounds(
     if let Some(chunk_bytes) = cfg.join_chunk_bytes {
         engine.enable_join_chunking(JoinConfig::quantized(chunk_bytes));
     }
-    let ledger = CommLedger::new();
     let mut rng = StdRng::seed_from_u64(stream_seed);
     let mut algorithm = build_algorithm(&cfg.strategy, scenario, &ShiftExConfig::default())
         .unwrap_or_else(|| panic!("unknown strategy {:?}", cfg.strategy));
@@ -175,7 +174,6 @@ pub fn run_netfed_rounds(
     let mut ctx = RoundCtx::new(&store, &mut engine)
         .with_codec(&cfg.codec)
         .with_selector(selector)
-        .with_ledger(&ledger)
         .with_transport(transport);
     let mut lost = Vec::new();
     for _ in 0..cfg.rounds {
@@ -188,7 +186,7 @@ pub fn run_netfed_rounds(
         .collect();
     NetFedRun {
         params,
-        comm: ledger.totals(),
+        comm: engine.comm(),
         lost,
         cooldown_marks: match cfg.selector {
             FedSelector::Uniform => None,

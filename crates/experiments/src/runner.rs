@@ -15,10 +15,9 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use shiftex_baselines::OortSelector;
 use shiftex_fl::{
-    run_algorithm_round, BudgetSpec, CodecController, CodecSpec, CommLedger, CommTotals,
-    FederatedAlgorithm, FoldPolicy, JoinConfig, ParticipantSelector, ParticipationStats,
-    PopulationStore, RoundCodec, RoundCtx, RoundParticipation, ScenarioEngine, ScenarioSpec,
-    UniformSelector,
+    run_algorithm_round, BudgetSpec, CodecController, CodecSpec, CommTotals, FederatedAlgorithm,
+    FoldPolicy, JoinConfig, ParticipantSelector, ParticipationStats, PopulationStore, RoundCodec,
+    RoundCtx, RoundParticipation, ScenarioEngine, ScenarioSpec, UniformSelector,
 };
 
 use crate::algorithms::build_algorithm;
@@ -312,7 +311,6 @@ pub fn run_federation_scenario<A: FederatedAlgorithm + ?Sized>(
         Some(c) => RoundCodec::Adaptive(c),
         None => RoundCodec::Static(&opts.codec),
     };
-    let ledger = CommLedger::new();
     let mut selector = opts.selector.build();
     algorithm.init(&store.view(ids.clone()), &mut rng);
     let param_count = algorithm
@@ -332,8 +330,7 @@ pub fn run_federation_scenario<A: FederatedAlgorithm + ?Sized>(
         &mut RoundCtx::new(&store, &mut engine)
             .with_codec(round_codec)
             .with_selector(selector.as_mut())
-            .with_fold(&opts.fold)
-            .with_ledger(&ledger),
+            .with_fold(&opts.fold),
         opts.bootstrap_rounds,
         &mut rng,
         &mut participation,
@@ -358,8 +355,7 @@ pub fn run_federation_scenario<A: FederatedAlgorithm + ?Sized>(
             &mut RoundCtx::new(&store, &mut engine)
                 .with_codec(round_codec)
                 .with_selector(selector.as_mut())
-                .with_fold(&opts.fold)
-                .with_ledger(&ledger),
+                .with_fold(&opts.fold),
             opts.rounds_per_window,
             &mut rng,
             &mut participation,
@@ -379,7 +375,7 @@ pub fn run_federation_scenario<A: FederatedAlgorithm + ?Sized>(
         final_models: algorithm.num_models(),
         participation,
         totals: engine.stats(),
-        comm: ledger.totals(),
+        comm: engine.comm(),
         codec: opts.codec,
         codec_label: match opts.budget {
             Some(_) => "adaptive".to_string(),
@@ -392,7 +388,7 @@ pub fn run_federation_scenario<A: FederatedAlgorithm + ?Sized>(
 }
 
 /// Runs `rounds` scenario-mediated rounds under `ctx`, recording one
-/// participation row per round (byte columns from the context's ledger);
+/// participation row per round (byte columns from the engine's ledger);
 /// returns this block's accuracy trace.
 fn run_round_block<A: FederatedAlgorithm + ?Sized>(
     algorithm: &mut A,
@@ -401,11 +397,10 @@ fn run_round_block<A: FederatedAlgorithm + ?Sized>(
     rng: &mut StdRng,
     participation: &mut Vec<RoundParticipation>,
 ) -> Vec<f32> {
-    let comm_totals = |ctx: &RoundCtx<'_>| ctx.ledger.map(CommLedger::totals).unwrap_or_default();
     let mut per_round = Vec::with_capacity(rounds);
     for _ in 0..rounds {
         let before = ctx.engine.stats();
-        let comm_before = comm_totals(ctx);
+        let comm_before = ctx.engine.comm();
         let outcome = run_algorithm_round(algorithm, ctx, rng);
         // `outcome.live` is already in population order (the engine filters
         // the id universe in place), which is the member sequence the
@@ -413,7 +408,7 @@ fn run_round_block<A: FederatedAlgorithm + ?Sized>(
         let live = ctx.population.view(outcome.live.clone());
         let accuracy = algorithm.eval(&live);
         per_round.push(accuracy);
-        let comm = comm_totals(ctx);
+        let comm = ctx.engine.comm();
         participation.push(RoundParticipation {
             round: outcome.round,
             live: live.len(),
@@ -595,7 +590,43 @@ mod tests {
                 result.comm.first_contact_messages > 0,
                 "{name}: round-1 cohorts are first contacts"
             );
+            assert_byte_columns_reconcile(name, &result);
         }
+        // The `scale_lazy_churn` shape: the same axes over a lazy
+        // population, an adaptive codec under a byte budget, and chunked
+        // quantised joins.
+        let opts = FedRunOptions::new(1, 2, rounds)
+            .with_population(PopulationMode::Lazy)
+            .with_budget(BudgetSpec::per_round(98_304))
+            .with_join_chunking(JoinConfig::quantized(1024));
+        for name in ["shiftex", "fedavg"] {
+            let result = run_named(name, &scenario, &fed, &opts);
+            assert!(
+                result.comm.join_chunk_down_bytes > 0,
+                "{name}: joins ship in chunks"
+            );
+            assert_byte_columns_reconcile(name, &result);
+        }
+    }
+
+    /// The per-round byte columns add up to the engine's ledger: uploads
+    /// landed or aborted, regular downlinks, and first contacts in either
+    /// framing.
+    fn assert_byte_columns_reconcile(name: &str, r: &FedRunResult) {
+        let sum = |column: fn(&RoundParticipation) -> u64| -> u64 {
+            r.participation.iter().map(column).sum()
+        };
+        assert_eq!(
+            sum(|p| p.up_bytes),
+            r.comm.up_bytes + r.comm.aborted_up_bytes,
+            "{name}: up"
+        );
+        assert_eq!(sum(|p| p.down_bytes), r.comm.down_bytes, "{name}: down");
+        assert_eq!(
+            sum(|p| p.first_contact_down_bytes),
+            r.comm.first_contact_down_bytes + r.comm.join_chunk_down_bytes,
+            "{name}: first contact"
+        );
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The unified algorithm API: every federated algorithm — ShiftEx and all
 //! baselines — implements [`FederatedAlgorithm`], and one generic driver
 //! ([`run_algorithm_round`], configured by a [`RoundCtx`]) threads the
-//! scenario engine (churn, stragglers, staleness-aware async aggregation),
-//! the wire codec, the participant selector, the fold policy, the
-//! communication ledger, and the cohort transport through each of them
+//! scenario engine (churn, stragglers, staleness-aware async aggregation,
+//! the communication ledger), the wire codec, the participant selector,
+//! the fold policy, and the cohort transport through each of them
 //! identically.
 //!
 //! The paper's claim is comparative, so the runtime must be too: an
@@ -49,7 +49,6 @@ use rand::{Rng, SeedableRng};
 use shiftex_nn::{train_local_params, ArchSpec, TrainConfig};
 
 use crate::codec::CodecSpec;
-use crate::comm::CommLedger;
 use crate::control::CodecController;
 use crate::party::{Party, PartyId};
 use crate::population::{PopulationStore, PopulationView};
@@ -230,10 +229,11 @@ impl<'a> From<&'a CodecController> for RoundCodec<'a> {
 }
 
 /// Everything a round runs against besides the algorithm and the seed: the
-/// population, the scenario engine, and the wire / selection / fold /
-/// metering / transport policies. [`RoundCtx::new`] is the paper's clean
-/// protocol — lossless dense frames, uniform selection, mean fold, no
-/// ledger, in-process transport — and each `with_*` swaps one policy in.
+/// population, the scenario engine (which meters every byte on its own
+/// ledger, read through [`ScenarioEngine::comm`]), and the wire /
+/// selection / fold / transport policies. [`RoundCtx::new`] is the paper's
+/// clean protocol — lossless dense frames, uniform selection, mean fold,
+/// in-process transport — and each `with_*` swaps one policy in.
 pub struct RoundCtx<'a> {
     /// The party population rounds draw cohorts from.
     pub population: &'a PopulationStore,
@@ -246,8 +246,6 @@ pub struct RoundCtx<'a> {
     pub selector: Option<&'a mut dyn ParticipantSelector>,
     /// Fold every stream's released updates pass through.
     pub fold: &'a FoldPolicy,
-    /// Byte meter for every exchange, if any.
-    pub ledger: Option<&'a CommLedger>,
     /// Where the broadcast → local-step → upload leg runs (`None` =
     /// [`LocalTransport`]).
     pub transport: Option<&'a mut dyn CohortTransport>,
@@ -263,7 +261,6 @@ impl<'a> RoundCtx<'a> {
             codec: RoundCodec::Static(&DENSE),
             selector: None,
             fold: &FoldPolicy::Mean,
-            ledger: None,
             transport: None,
         }
     }
@@ -284,12 +281,6 @@ impl<'a> RoundCtx<'a> {
     /// Folds under `fold`.
     pub fn with_fold(mut self, fold: &'a FoldPolicy) -> Self {
         self.fold = fold;
-        self
-    }
-
-    /// Meters every exchange on `ledger`.
-    pub fn with_ledger(mut self, ledger: &'a CommLedger) -> Self {
-        self.ledger = Some(ledger);
         self
     }
 
@@ -323,7 +314,7 @@ pub fn run_algorithm_round<A: FederatedAlgorithm + ?Sized>(
     ctx: &mut RoundCtx<'_>,
     rng: &mut StdRng,
 ) -> AlgoRoundOutcome {
-    let (population, codec, policy, ledger) = (ctx.population, ctx.codec, ctx.fold, ctx.ledger);
+    let (population, codec, policy) = (ctx.population, ctx.codec, ctx.fold);
     let engine = &mut *ctx.engine;
     let selector: &mut dyn ParticipantSelector = match &mut ctx.selector {
         Some(selector) => &mut **selector,
@@ -355,13 +346,12 @@ pub fn run_algorithm_round<A: FederatedAlgorithm + ?Sized>(
         let codec: &CodecSpec = match codec {
             RoundCodec::Static(spec) => spec,
             RoundCodec::Adaptive(controller) => {
-                let totals = ledger.map(|l| l.totals()).unwrap_or_default();
                 adaptive_spec = controller.spec_for(
                     round,
                     key,
                     cohort_ids.len(),
                     globals.len(),
-                    &totals,
+                    &engine.comm(),
                     engine.ef_magnitude(key),
                 );
                 &adaptive_spec
@@ -382,10 +372,10 @@ pub fn run_algorithm_round<A: FederatedAlgorithm + ?Sized>(
             },
             &live,
             engine,
-            ledger,
+            None,
             &mut |party, decoded, seed| algorithm.local_step(key, party, decoded, seed),
         );
-        let delivery = engine.collect(key, uploads, codec, ledger);
+        let delivery = engine.collect(key, uploads, codec);
         for &party in &delivery.lost {
             selector.on_unavailable(party);
         }
@@ -401,7 +391,7 @@ pub fn run_algorithm_round<A: FederatedAlgorithm + ?Sized>(
                 // Alive but refused: `on_rejected`, not `on_unavailable`,
                 // so an availability cooldown does not punish the party.
                 selector.on_rejected(w.update.party);
-                engine.quarantine(key, codec, &w.update, ledger);
+                engine.quarantine(key, codec, &w.update);
             } else {
                 selector.observe(w.update.party, w.update.train_loss);
             }
@@ -437,7 +427,7 @@ mod tests {
         ChurnSchedule, ChurnSpec, DelayDist, LatePolicy, ScenarioSpec, StragglerSpec,
     };
     use crate::transport::{LocalStepFn, UploadOutcome};
-    use crate::PartyInfo;
+    use crate::{CommLedger, PartyInfo};
     use shiftex_data::{ImageShape, PrototypeGenerator};
     use shiftex_nn::Sequential;
     use std::collections::BTreeMap;
@@ -623,15 +613,12 @@ mod tests {
         ] {
             let (mut alg, store, ids, mut rng) = setup(3, 34);
             let n = alg.params.len();
-            let ledger = CommLedger::new();
             let mut engine = ScenarioEngine::new(ScenarioSpec::sync(0), &ids);
-            let mut ctx = RoundCtx::new(&store, &mut engine)
-                .with_codec(&codec)
-                .with_ledger(&ledger);
+            let mut ctx = RoundCtx::new(&store, &mut engine).with_codec(&codec);
             // Round 1's recipients hold no reference: their self-contained
             // full-state frames land on the distinct first-contact counters.
             run_algorithm_round(&mut alg, &mut ctx, &mut rng);
-            let t1 = ledger.totals();
+            let t1 = ctx.engine.comm();
             let first = codec.first_contact_spec().broadcast_len(n) as u64;
             assert_eq!(t1.down_bytes, 0, "{codec}: round 1 is all first contact");
             assert_eq!(t1.first_contact_down_bytes, 3 * first, "{codec}");
@@ -642,7 +629,7 @@ mod tests {
             // references round 1's stored broadcast and still decodes.
             let out = run_algorithm_round(&mut alg, &mut ctx, &mut rng);
             assert_eq!(out.folded, 3, "{codec}");
-            let t2 = ledger.totals();
+            let t2 = ctx.engine.comm();
             let regular = codec.broadcast_spec(true).broadcast_len(n) as u64;
             assert_eq!(t2.down_bytes, 3 * regular, "{codec}");
             assert_eq!(t2.first_contact_down_bytes, 3 * first, "{codec}");
@@ -657,13 +644,12 @@ mod tests {
         let before = alg.params.clone();
         let spec = ScenarioSpec::sync(1).with_churn(ChurnSpec::dropout_only(1.0));
         let mut engine = ScenarioEngine::new(spec, &ids);
-        let ledger = CommLedger::new();
-        let mut ctx = RoundCtx::new(&store, &mut engine).with_ledger(&ledger);
+        let mut ctx = RoundCtx::new(&store, &mut engine);
         let out = run_algorithm_round(&mut alg, &mut ctx, &mut rng);
         assert_eq!(out.folded, 0);
         assert_eq!(out.lost.len(), 4);
         assert_eq!(alg.params, before, "no survivors → globals unchanged");
-        assert_eq!(ledger.totals().aborted_messages, 4);
+        assert_eq!(ctx.engine.comm().aborted_messages, 4);
     }
 
     #[test]
@@ -678,8 +664,7 @@ mod tests {
             dropout: 0.3,
         });
         let mut engine = ScenarioEngine::new(spec, &ids);
-        let ledger = CommLedger::new();
-        let mut ctx = RoundCtx::new(&store, &mut engine).with_ledger(&ledger);
+        let mut ctx = RoundCtx::new(&store, &mut engine);
         for round in 1..=6 {
             assert_eq!(
                 run_algorithm_round(&mut alg, &mut ctx, &mut rng).round,
@@ -697,7 +682,7 @@ mod tests {
             "30% dropout over 6 rounds: {totals:?}"
         );
         assert_eq!(
-            ledger.totals().aborted_messages,
+            engine.comm().aborted_messages,
             totals.dropped_churn + totals.dropped_late,
             "aborted uploads are on the ledger"
         );
@@ -717,10 +702,10 @@ mod tests {
             x: &CohortExchange<'_>,
             live: &PopulationView<'_>,
             engine: &mut ScenarioEngine,
-            ledger: Option<&CommLedger>,
+            _ledger: Option<&CommLedger>,
             local_step: &mut LocalStepFn<'_>,
         ) -> Vec<UploadOutcome> {
-            let mut outcomes = LocalTransport.exchange(x, live, engine, ledger, local_step);
+            let mut outcomes = LocalTransport.exchange(x, live, engine, None, local_step);
             let round = engine.round();
             engine.churn_mut().pin_dropout(self.dead, round);
             for (outcome, &p) in outcomes.iter_mut().zip(x.cohort) {
@@ -750,14 +735,12 @@ mod tests {
         let (mut alg, store, ids, mut rng) = setup(4, 11);
         let n = alg.params.len();
         let mut engine = ScenarioEngine::new(ScenarioSpec::sync(0), &ids);
-        let ledger = CommLedger::new();
         let (stalled, dead) = (PartyId(1), PartyId(2));
         let mut transport = LossyTransport { stalled, dead };
         let mut log = UnavailableLog::default();
         let out = run_algorithm_round(
             &mut alg,
             &mut RoundCtx::new(&store, &mut engine)
-                .with_ledger(&ledger)
                 .with_selector(&mut log)
                 .with_transport(&mut transport),
             &mut rng,
@@ -769,7 +752,7 @@ mod tests {
         assert!(engine.churn().drops_out(dead, out.round));
         assert!(!engine.churn().drops_out(stalled, out.round));
         assert_eq!((stats.dropped_churn, stats.dropped_late), (1, 1));
-        let totals = ledger.totals();
+        let totals = engine.comm();
         assert_eq!(totals.aborted_messages, 2);
         assert_eq!(
             totals.aborted_up_bytes,

@@ -1,7 +1,5 @@
-//! Communication accounting: upload/download byte ledger shared across
-//! threads.
-
-use std::sync::{Mutex, MutexGuard, PoisonError};
+//! Communication accounting: the upload/download byte ledger the
+//! [`ScenarioEngine`](crate::ScenarioEngine) owns and writes.
 
 use serde::{Deserialize, Serialize};
 
@@ -50,13 +48,16 @@ pub struct CommTotals {
     pub join_lost_messages: u64,
 }
 
-/// Thread-safe communication ledger.
+/// Communication ledger of one run.
 ///
-/// Every simulated exchange is metered here, which is how the harness
-/// reports ShiftEx's communication overhead next to the baselines'.
+/// Every exchange is metered here, which is how the harness reports
+/// ShiftEx's communication overhead next to the baselines'. Each
+/// [`ScenarioEngine`](crate::ScenarioEngine) owns one and is its only
+/// writer; callers read it through
+/// [`ScenarioEngine::comm`](crate::ScenarioEngine::comm).
 #[derive(Debug, Default)]
 pub struct CommLedger {
-    totals: Mutex<CommTotals>,
+    totals: CommTotals,
 }
 
 impl CommLedger {
@@ -65,22 +66,16 @@ impl CommLedger {
         Self::default()
     }
 
-    /// The counters, poison-tolerant: every update is a plain add, so a
-    /// holder that panicked cannot have left them inconsistent.
-    fn lock(&self) -> MutexGuard<'_, CommTotals> {
-        self.totals.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Records a party → aggregator payload.
-    pub fn record_upload(&self, bytes: usize) {
-        let mut t = self.lock();
+    pub(crate) fn record_upload(&mut self, bytes: usize) {
+        let t = &mut self.totals;
         t.up_bytes += bytes as u64;
         t.messages += 1;
     }
 
     /// Records an aggregator → party payload.
-    pub fn record_download(&self, bytes: usize) {
-        let mut t = self.lock();
+    pub(crate) fn record_download(&mut self, bytes: usize) {
+        let t = &mut self.totals;
         t.down_bytes += bytes as u64;
         t.messages += 1;
     }
@@ -89,8 +84,8 @@ impl CommLedger {
     /// with no broadcast reference (first contact on a stream). Counted as
     /// a real message but kept on distinct byte/message counters — see
     /// [`CommTotals::first_contact_down_bytes`].
-    pub fn record_first_contact_download(&self, bytes: usize) {
-        let mut t = self.lock();
+    pub(crate) fn record_first_contact_download(&mut self, bytes: usize) {
+        let t = &mut self.totals;
         t.first_contact_down_bytes += bytes as u64;
         t.first_contact_messages += 1;
         t.messages += 1;
@@ -100,8 +95,8 @@ impl CommLedger {
     /// (mid-round dropout, or a straggler past the deadline under a drop
     /// policy). Kept separate from successful traffic so overhead reports
     /// stay honest under churn: the bytes were spent, the update wasn't.
-    pub fn record_aborted_upload(&self, bytes: usize) {
-        let mut t = self.lock();
+    pub(crate) fn record_aborted_upload(&mut self, bytes: usize) {
+        let t = &mut self.totals;
         t.aborted_up_bytes += bytes as u64;
         t.aborted_messages += 1;
     }
@@ -110,8 +105,8 @@ impl CommLedger {
     /// then quarantined. The upload already hit `up_bytes` when it shipped;
     /// this overlays the rejection so robustness tables can report what the
     /// federation paid for updates it refused to aggregate.
-    pub fn record_quarantined_upload(&self, bytes: usize) {
-        let mut t = self.lock();
+    pub(crate) fn record_quarantined_upload(&mut self, bytes: usize) {
+        let t = &mut self.totals;
         t.quarantined_up_bytes += bytes as u64;
         t.quarantined_updates += 1;
     }
@@ -120,8 +115,8 @@ impl CommLedger {
     /// chunk is a real message). Chunked joins are metered here instead of
     /// [`CommLedger::record_first_contact_download`] so the two join paths
     /// never double-count.
-    pub fn record_join_chunks(&self, bytes: usize, chunks: usize) {
-        let mut t = self.lock();
+    pub(crate) fn record_join_chunks(&mut self, bytes: usize, chunks: usize) {
+        let t = &mut self.totals;
         t.join_chunk_down_bytes += bytes as u64;
         t.join_chunk_messages += chunks as u64;
         t.messages += chunks as u64;
@@ -131,20 +126,15 @@ impl CommLedger {
     /// lost to mid-round churn before the recipient could use them. Overlay
     /// only: the spend already hit its primary counter when it shipped, so
     /// neither bytes nor messages are re-counted here.
-    pub fn record_join_loss(&self, bytes: usize, frames: usize) {
-        let mut t = self.lock();
+    pub(crate) fn record_join_loss(&mut self, bytes: usize, frames: usize) {
+        let t = &mut self.totals;
         t.join_lost_down_bytes += bytes as u64;
         t.join_lost_messages += frames as u64;
     }
 
     /// Snapshot of the counters.
     pub fn totals(&self) -> CommTotals {
-        *self.lock()
-    }
-
-    /// Resets all counters.
-    pub fn reset(&self) {
-        *self.lock() = CommTotals::default();
+        self.totals
     }
 }
 
@@ -154,7 +144,7 @@ mod tests {
 
     #[test]
     fn records_both_directions() {
-        let ledger = CommLedger::new();
+        let mut ledger = CommLedger::new();
         ledger.record_upload(100);
         ledger.record_download(40);
         ledger.record_upload(60);
@@ -166,7 +156,7 @@ mod tests {
 
     #[test]
     fn aborted_uploads_are_metered_separately() {
-        let ledger = CommLedger::new();
+        let mut ledger = CommLedger::new();
         ledger.record_upload(100);
         ledger.record_aborted_upload(70);
         ledger.record_aborted_upload(30);
@@ -179,7 +169,7 @@ mod tests {
 
     #[test]
     fn first_contact_downloads_are_metered_separately() {
-        let ledger = CommLedger::new();
+        let mut ledger = CommLedger::new();
         ledger.record_download(100);
         ledger.record_first_contact_download(400);
         let t = ledger.totals();
@@ -191,7 +181,7 @@ mod tests {
 
     #[test]
     fn quarantined_uploads_overlay_successful_traffic() {
-        let ledger = CommLedger::new();
+        let mut ledger = CommLedger::new();
         ledger.record_upload(100);
         ledger.record_upload(100);
         ledger.record_quarantined_upload(100);
@@ -204,7 +194,7 @@ mod tests {
 
     #[test]
     fn join_chunks_are_messages_but_losses_are_overlay() {
-        let ledger = CommLedger::new();
+        let mut ledger = CommLedger::new();
         ledger.record_join_chunks(300, 3);
         ledger.record_join_loss(100, 1);
         let t = ledger.totals();
@@ -218,31 +208,5 @@ mod tests {
             "chunked joins never touch the regular downlink counter"
         );
         assert_eq!(t.first_contact_down_bytes, 0);
-    }
-
-    #[test]
-    fn reset_clears() {
-        let ledger = CommLedger::new();
-        ledger.record_upload(10);
-        ledger.reset();
-        assert_eq!(ledger.totals(), CommTotals::default());
-    }
-
-    #[test]
-    fn ledger_is_thread_safe() {
-        let ledger = std::sync::Arc::new(CommLedger::new());
-        let mut handles = Vec::new();
-        for _ in 0..4 {
-            let l = ledger.clone();
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..1000 {
-                    l.record_upload(1);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().expect("no panics");
-        }
-        assert_eq!(ledger.totals().up_bytes, 4000);
     }
 }

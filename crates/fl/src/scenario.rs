@@ -31,7 +31,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use serde::{Deserialize, Serialize};
 
 use crate::codec::CodecSpec;
-use crate::comm::CommLedger;
+use crate::comm::{CommLedger, CommTotals};
 use crate::join::{JoinConfig, JoinSync};
 use crate::party::PartyId;
 use crate::transport::UploadOutcome;
@@ -757,6 +757,8 @@ pub struct ScenarioEngine {
     pending_joins: BTreeMap<usize, BTreeMap<PartyId, (u64, usize)>>,
     round: usize,
     stats: ParticipationStats,
+    /// Every byte this engine's rounds put on the wire.
+    ledger: CommLedger,
 }
 
 impl ScenarioEngine {
@@ -778,6 +780,7 @@ impl ScenarioEngine {
             pending_joins: BTreeMap::new(),
             round: 0,
             stats: ParticipationStats::default(),
+            ledger: CommLedger::new(),
         }
     }
 
@@ -845,6 +848,12 @@ impl ScenarioEngine {
         self.stats
     }
 
+    /// Cumulative communication counters: every broadcast, upload and
+    /// join frame this engine has metered.
+    pub fn comm(&self) -> CommTotals {
+        self.ledger.totals()
+    }
+
     /// Updates currently waiting in stream `key`'s buffer.
     pub fn buffered(&self, key: usize) -> usize {
         self.buffers.get(&key).map_or(0, Vec::len)
@@ -882,7 +891,6 @@ impl ScenarioEngine {
         global: &[f32],
         codec: &CodecSpec,
         recipients: &[PartyId],
-        ledger: Option<&CommLedger>,
     ) -> BroadcastDelivery {
         let reference = self.last_broadcast.get(&key).map_or(&[][..], Vec::as_slice);
         // First broadcast on a stream has no delta reference: sparsified
@@ -900,6 +908,7 @@ impl ScenarioEngine {
             };
         }
         let decoded = bspec.transport(global.to_vec(), reference);
+        let frame = bspec.broadcast_len(global.len());
         let contacted = self.contacted.entry(key).or_default();
         let fresh: BTreeSet<PartyId> = recipients
             .iter()
@@ -919,9 +928,7 @@ impl ScenarioEngine {
                     .entry((key, p))
                     .or_insert_with(|| JoinSync::begin(global, &join));
                 let (bytes, chunks) = sync.ship_missing();
-                if let Some(l) = ledger {
-                    l.record_join_chunks(bytes, chunks);
-                }
+                self.ledger.record_join_chunks(bytes, chunks);
                 if let Some(state) = sync.decoded() {
                     join_states.insert(p, state);
                 }
@@ -930,12 +937,9 @@ impl ScenarioEngine {
                     .or_default()
                     .insert(p, (0, self.round));
             }
-            if let Some(l) = ledger {
-                let frame = bspec.broadcast_len(global.len());
-                for p in recipients {
-                    if !fresh.contains(p) {
-                        l.record_download(frame);
-                    }
+            for p in recipients {
+                if !fresh.contains(p) {
+                    self.ledger.record_download(frame);
                 }
             }
             self.last_broadcast.insert(key, decoded.clone());
@@ -957,14 +961,11 @@ impl ScenarioEngine {
             Some(fc_spec.transport(global.to_vec(), &[]))
         };
         let first_frame = fc_spec.broadcast_len(global.len());
-        if let Some(l) = ledger {
-            let frame = bspec.broadcast_len(global.len());
-            for p in recipients {
-                if fresh.contains(p) {
-                    l.record_first_contact_download(first_frame);
-                } else {
-                    l.record_download(frame);
-                }
+        for p in recipients {
+            if fresh.contains(p) {
+                self.ledger.record_first_contact_download(first_frame);
+            } else {
+                self.ledger.record_download(frame);
             }
         }
         // A fresh recipient's monolithic frame is provisional until the
@@ -1071,12 +1072,11 @@ impl ScenarioEngine {
         key: usize,
         outcomes: Vec<UploadOutcome>,
         codec: &CodecSpec,
-        ledger: Option<&CommLedger>,
     ) -> RoundDelivery {
         let mut delivery = RoundDelivery::default();
         let round = self.round;
         let seed = self.spec.seed;
-        self.resolve_pending_joins(key, ledger);
+        self.resolve_pending_joins(key);
         self.stats.selected += outcomes.len() as u64;
         // Owned for the duration of the round so lost uploads can refund
         // the error-feedback accumulators without aliasing `self`.
@@ -1086,10 +1086,8 @@ impl ScenarioEngine {
             let update = match outcome {
                 UploadOutcome::Delivered(update) => update,
                 UploadOutcome::Lost(party) => {
-                    if let Some(l) = ledger {
-                        let n = self.last_broadcast.get(&key).map_or(0, Vec::len);
-                        l.record_aborted_upload(codec.update_len(n));
-                    }
+                    let n = self.last_broadcast.get(&key).map_or(0, Vec::len);
+                    self.ledger.record_aborted_upload(codec.update_len(n));
                     if self.churn.drops_out(party, round) {
                         self.stats.dropped_churn += 1;
                     } else {
@@ -1103,9 +1101,7 @@ impl ScenarioEngine {
             // Transient churn: the party crashed mid-round; its upload is
             // aborted (and the wasted bytes metered).
             if self.churn.drops_out(party, round) {
-                if let Some(l) = ledger {
-                    l.record_aborted_upload(update.encoded_len(codec));
-                }
+                self.ledger.record_aborted_upload(update.encoded_len(codec));
                 self.stats.dropped_churn += 1;
                 self.refund_feedback(key, codec, &update);
                 delivery.lost.push(party);
@@ -1126,9 +1122,7 @@ impl ScenarioEngine {
             }
             match self.spec.stragglers.as_ref().map(|s| s.late) {
                 Some(LatePolicy::Drop) => {
-                    if let Some(l) = ledger {
-                        l.record_aborted_upload(update.encoded_len(codec));
-                    }
+                    self.ledger.record_aborted_upload(update.encoded_len(codec));
                     self.stats.dropped_late += 1;
                     self.refund_feedback(key, codec, &update);
                     delivery.lost.push(party);
@@ -1161,16 +1155,12 @@ impl ScenarioEngine {
                 if staleness > self.spec.max_staleness() {
                     // Arrived, but too old to be useful: the upload happened
                     // (meter it) yet the work is discarded.
-                    if let Some(l) = ledger {
-                        l.record_upload(pending.update.encoded_len(codec));
-                    }
+                    self.ledger.record_upload(pending.update.encoded_len(codec));
                     self.stats.stale_dropped += 1;
                     self.refund_feedback(key, codec, &pending.update);
                     continue;
                 }
-                if let Some(l) = ledger {
-                    l.record_upload(pending.update.encoded_len(codec));
-                }
+                self.ledger.record_upload(pending.update.encoded_len(codec));
                 let weight =
                     pending.update.num_samples as f32 * self.spec.staleness_weight(staleness);
                 delivery.ready.push(WeightedUpdate {
@@ -1200,7 +1190,7 @@ impl ScenarioEngine {
     /// and the sync resumes where it left off. Survivors bank their
     /// chunks, and a completed chunked sync promotes the party to
     /// contacted.
-    fn resolve_pending_joins(&mut self, key: usize, ledger: Option<&CommLedger>) {
+    fn resolve_pending_joins(&mut self, key: usize) {
         let Some(pending) = self.pending_joins.remove(&key) else {
             return;
         };
@@ -1212,9 +1202,7 @@ impl ScenarioEngine {
                 };
                 if dropped {
                     let (lost, chunks) = sync.lose_in_flight();
-                    if let Some(l) = ledger {
-                        l.record_join_loss(lost, chunks);
-                    }
+                    self.ledger.record_join_loss(lost, chunks);
                 } else {
                     sync.ack_in_flight();
                     if sync.is_complete() {
@@ -1223,9 +1211,7 @@ impl ScenarioEngine {
                     }
                 }
             } else if dropped {
-                if let Some(l) = ledger {
-                    l.record_join_loss(bytes as usize, 1);
-                }
+                self.ledger.record_join_loss(bytes as usize, 1);
                 self.contacted.entry(key).or_default().remove(&party);
             }
         }
@@ -1262,16 +1248,9 @@ impl ScenarioEngine {
     /// party's error-feedback accumulator so lossy-codec parties re-ship
     /// the rejected mass rather than silently losing it (same refund as a
     /// lost upload; see the private `refund_feedback`'s rationale).
-    pub(crate) fn quarantine(
-        &mut self,
-        key: usize,
-        codec: &CodecSpec,
-        update: &ModelUpdate,
-        ledger: Option<&CommLedger>,
-    ) {
-        if let Some(l) = ledger {
-            l.record_quarantined_upload(update.encoded_len(codec));
-        }
+    pub(crate) fn quarantine(&mut self, key: usize, codec: &CodecSpec, update: &ModelUpdate) {
+        self.ledger
+            .record_quarantined_upload(update.encoded_len(codec));
         self.refund_feedback(key, codec, update);
     }
 }
@@ -1457,9 +1436,7 @@ mod tests {
         engine.begin_round();
         // Establish the stream reference (all-zero globals) the refund is
         // computed against.
-        let reference = engine
-            .broadcast(0, &[0.0; 4], &codec, &ids(1), None)
-            .decoded;
+        let reference = engine.broadcast(0, &[0.0; 4], &codec, &ids(1)).decoded;
         let fresh = ModelUpdate {
             party: PartyId(0),
             params: vec![1.0, -2.0, 3.0, -4.0],
@@ -1468,7 +1445,7 @@ mod tests {
         };
         let shipped = engine.transport_upload(0, fresh, &codec, &reference);
         assert_eq!(shipped.params, vec![0.0, 0.0, 3.0, -4.0]);
-        let d = engine.collect(0, delivered(vec![shipped]), &codec, None);
+        let d = engine.collect(0, delivered(vec![shipped]), &codec);
         assert_eq!(d.lost, vec![PartyId(0)]);
         // The aborted upload's shipped mass went back into the accumulator
         // (which already held the sparsification error), so a party with
@@ -1498,13 +1475,13 @@ mod tests {
         let mut engine = ScenarioEngine::new(ScenarioSpec::sync(2), &ids(2));
         engine.begin_round();
         let g1 = vec![1.0, 2.0, 3.0, 4.0];
-        let first = engine.broadcast(0, &g1, &codec, &[PartyId(0)], None);
+        let first = engine.broadcast(0, &g1, &codec, &[PartyId(0)]);
         assert!(first.fresh.contains(&PartyId(0)));
         // Round 1 frames are self-contained either way — one shared state.
         assert!(first.first_contact.is_none());
         engine.begin_round();
         let g2 = vec![2.0, 2.5, 3.0, 8.0];
-        let b = engine.broadcast(0, &g2, &codec, &ids(2), None);
+        let b = engine.broadcast(0, &g2, &codec, &ids(2));
         assert_eq!(b.fresh, [PartyId(1)].into_iter().collect());
         assert_eq!(b.state_for(PartyId(1)), &g2[..], "joiner: exact globals");
         assert_eq!(b.state_for(PartyId(0)), &b.decoded[..]);
@@ -1523,7 +1500,6 @@ mod tests {
             0,
             delivered((0..4).map(|p| update(p, 10)).collect()),
             &CodecSpec::dense(),
-            None,
         );
         assert_eq!(delivery.ready.len(), 4);
         assert!(delivery.lost.is_empty());
@@ -1549,13 +1525,12 @@ mod tests {
             0,
             delivered(vec![update(0, 10), update(1, 10)]),
             &CodecSpec::dense(),
-            None,
         );
         assert!(d1.ready.is_empty(), "everything straggles past round 1");
         assert_eq!(engine.stats().deferred, 2);
         assert_eq!(engine.buffered(0), 2);
         engine.begin_round();
-        let d2 = engine.collect(0, Vec::new(), &CodecSpec::dense(), None);
+        let d2 = engine.collect(0, Vec::new(), &CodecSpec::dense());
         assert_eq!(d2.ready.len(), 2);
         for w in &d2.ready {
             assert_eq!(w.staleness, 1);
@@ -1573,19 +1548,17 @@ mod tests {
             deadline: 1.0,
             late: LatePolicy::Drop,
         });
-        let ledger = CommLedger::new();
         let mut engine = ScenarioEngine::new(spec, &ids(2));
         engine.begin_round();
         let d = engine.collect(
             0,
             delivered(vec![update(0, 10), update(1, 10)]),
             &CodecSpec::dense(),
-            Some(&ledger),
         );
         assert!(d.ready.is_empty());
         assert_eq!(d.lost.len(), 2);
         assert_eq!(engine.stats().dropped_late, 2);
-        let totals = ledger.totals();
+        let totals = engine.comm();
         assert_eq!(totals.aborted_messages, 2);
         assert!(totals.aborted_up_bytes > 0);
         assert_eq!(totals.up_bytes, 0, "aborted uploads never complete");
@@ -1605,12 +1578,11 @@ mod tests {
             0,
             delivered(vec![update(0, 10), update(1, 10)]),
             &CodecSpec::dense(),
-            None,
         );
         assert!(d.ready.is_empty(), "below min_buffer: hold");
         assert_eq!(engine.buffered(0), 2);
         engine.begin_round();
-        let d = engine.collect(0, delivered(vec![update(2, 10)]), &CodecSpec::dense(), None);
+        let d = engine.collect(0, delivered(vec![update(2, 10)]), &CodecSpec::dense());
         assert_eq!(d.ready.len(), 3, "buffer reached threshold");
         let stale: Vec<usize> = d.ready.iter().map(|w| w.staleness).collect();
         assert!(stale.contains(&1) && stale.contains(&0));
@@ -1626,13 +1598,13 @@ mod tests {
         });
         let mut engine = ScenarioEngine::new(spec, &ids(4));
         engine.begin_round();
-        let d = engine.collect(0, delivered(vec![update(0, 10)]), &CodecSpec::dense(), None);
+        let d = engine.collect(0, delivered(vec![update(0, 10)]), &CodecSpec::dense());
         assert!(d.ready.is_empty());
         // Let the buffered update age far past max_staleness.
         for _ in 0..4 {
             engine.begin_round();
         }
-        let d = engine.collect(0, delivered(vec![update(1, 10)]), &CodecSpec::dense(), None);
+        let d = engine.collect(0, delivered(vec![update(1, 10)]), &CodecSpec::dense());
         assert!(
             d.ready.len() == 1 && d.ready[0].update.party == PartyId(1),
             "only the fresh update survives: {d:?}"
@@ -1645,8 +1617,8 @@ mod tests {
     fn streams_are_isolated() {
         let mut engine = ScenarioEngine::new(ScenarioSpec::sync(7), &ids(4));
         engine.begin_round();
-        let d0 = engine.collect(0, delivered(vec![update(0, 10)]), &CodecSpec::dense(), None);
-        let d1 = engine.collect(1, delivered(vec![update(1, 10)]), &CodecSpec::dense(), None);
+        let d0 = engine.collect(0, delivered(vec![update(0, 10)]), &CodecSpec::dense());
+        let d1 = engine.collect(1, delivered(vec![update(1, 10)]), &CodecSpec::dense());
         assert_eq!(d0.ready.len(), 1);
         assert_eq!(d1.ready.len(), 1);
         assert_eq!(d0.ready[0].update.party, PartyId(0));
@@ -1826,7 +1798,7 @@ mod tests {
                         engine.transport_upload(0, update(p.0, 10), &CodecSpec::dense(), &[0.0; 4])
                     })
                     .collect();
-                let d = engine.collect(0, delivered(uploads), &CodecSpec::dense(), None);
+                let d = engine.collect(0, delivered(uploads), &CodecSpec::dense());
                 for w in &d.ready {
                     trace.push((w.update.party, w.update.params.clone()));
                 }
@@ -1859,15 +1831,14 @@ mod tests {
         let codec = CodecSpec::dense();
         let spec = ScenarioSpec::sync(6).with_churn(ChurnSpec::dropout_only(0.5));
         let mut engine = drop_then_survive_engine(spec);
-        let ledger = CommLedger::new();
         let g = vec![1.0, 2.0, 3.0, 4.0];
         let fc_frame = codec.first_contact_spec().broadcast_len(g.len()) as u64;
 
         engine.begin_round();
-        let b1 = engine.broadcast(0, &g, &codec, &ids(1), Some(&ledger));
+        let b1 = engine.broadcast(0, &g, &codec, &ids(1));
         assert!(b1.fresh.contains(&PartyId(0)));
-        engine.collect(0, Vec::new(), &codec, Some(&ledger));
-        let t = ledger.totals();
+        engine.collect(0, Vec::new(), &codec);
+        let t = engine.comm();
         assert_eq!(
             t.first_contact_down_bytes, fc_frame,
             "billed, not clawed back"
@@ -1876,15 +1847,15 @@ mod tests {
         assert_eq!(t.join_lost_messages, 1);
 
         engine.begin_round();
-        let b2 = engine.broadcast(0, &g, &codec, &ids(1), Some(&ledger));
+        let b2 = engine.broadcast(0, &g, &codec, &ids(1));
         assert!(b2.fresh.contains(&PartyId(0)), "rejoiner is fresh again");
-        engine.collect(0, Vec::new(), &codec, Some(&ledger));
-        let t = ledger.totals();
+        engine.collect(0, Vec::new(), &codec);
+        let t = engine.comm();
         assert_eq!(t.first_contact_down_bytes, 2 * fc_frame, "honest re-bill");
         assert_eq!(t.join_lost_down_bytes, fc_frame, "survivor loses nothing");
 
         engine.begin_round();
-        let b3 = engine.broadcast(0, &g, &codec, &ids(1), Some(&ledger));
+        let b3 = engine.broadcast(0, &g, &codec, &ids(1));
         assert!(b3.fresh.is_empty(), "now a veteran");
     }
 
@@ -1898,17 +1869,16 @@ mod tests {
         let spec = ScenarioSpec::sync(6).with_churn(ChurnSpec::dropout_only(0.5));
         let mut engine = drop_then_survive_engine(spec);
         engine.enable_join_chunking(JoinConfig::dense(8));
-        let ledger = CommLedger::new();
         let g1 = vec![1.0, 2.0, 3.0, 4.0];
         let frame = CodecSpec::dense().broadcast_len(g1.len());
         let chunks = frame.div_ceil(8);
         let wire = (frame + chunks * crate::join::JOIN_CHUNK_HEADER_LEN) as u64;
 
         engine.begin_round();
-        let b1 = engine.broadcast(0, &g1, &codec, &ids(1), Some(&ledger));
+        let b1 = engine.broadcast(0, &g1, &codec, &ids(1));
         assert_eq!(b1.state_for(PartyId(0)), &g1[..]);
-        engine.collect(0, Vec::new(), &codec, Some(&ledger));
-        let t = ledger.totals();
+        engine.collect(0, Vec::new(), &codec);
+        let t = engine.comm();
         assert_eq!(t.join_chunk_down_bytes, wire);
         assert_eq!(t.join_chunk_messages, chunks as u64);
         assert_eq!(t.join_lost_down_bytes, wire, "whole flight churned away");
@@ -1917,24 +1887,24 @@ mod tests {
 
         engine.begin_round();
         let g2 = vec![9.0, 9.0, 9.0, 9.0];
-        let b2 = engine.broadcast(0, &g2, &codec, &ids(1), Some(&ledger));
+        let b2 = engine.broadcast(0, &g2, &codec, &ids(1));
         assert!(b2.fresh.contains(&PartyId(0)), "sync still open: fresh");
         assert_eq!(
             b2.state_for(PartyId(0)),
             &g1[..],
             "resumer trains from its sync's snapshot, not round-2 globals"
         );
-        engine.collect(0, Vec::new(), &codec, Some(&ledger));
-        let t = ledger.totals();
+        engine.collect(0, Vec::new(), &codec);
+        let t = engine.comm();
         assert_eq!(t.join_chunk_down_bytes, 2 * wire, "full re-ship, metered");
         assert_eq!(t.join_lost_down_bytes, wire, "no further loss");
         assert_eq!(join_progress(&engine, PartyId(0)), None, "sync complete");
 
         engine.begin_round();
-        let before = ledger.totals();
-        let b3 = engine.broadcast(0, &g2, &codec, &ids(1), Some(&ledger));
+        let before = engine.comm();
+        let b3 = engine.broadcast(0, &g2, &codec, &ids(1));
         assert!(b3.fresh.is_empty(), "promoted to veteran");
-        let t = ledger.totals();
+        let t = engine.comm();
         assert_eq!(
             t.down_bytes - before.down_bytes,
             codec.broadcast_spec(true).broadcast_len(4) as u64,
@@ -1957,25 +1927,24 @@ mod tests {
         let codec = CodecSpec::quant8(256).with_delta();
         let mut engine = ScenarioEngine::new(ScenarioSpec::sync(3), &ids(2));
         engine.enable_join_chunking(JoinConfig::quantized(16));
-        let ledger = CommLedger::new();
         let g = vec![0.5, -0.5, 0.25, -0.25];
 
         engine.begin_round();
-        engine.broadcast(0, &g, &codec, &[PartyId(0)], Some(&ledger));
-        engine.collect(0, Vec::new(), &codec, Some(&ledger));
+        engine.broadcast(0, &g, &codec, &[PartyId(0)]);
+        engine.collect(0, Vec::new(), &codec);
         assert_eq!(join_progress(&engine, PartyId(0)), None);
 
         engine.begin_round();
-        let b = engine.broadcast(0, &g, &codec, &ids(2), Some(&ledger));
+        let b = engine.broadcast(0, &g, &codec, &ids(2));
         assert_eq!(b.fresh, [PartyId(1)].into_iter().collect());
         assert!(b.join_states.contains_key(&PartyId(1)));
         assert_eq!(b.spec, codec.broadcast_spec(true));
         assert_eq!(b.fresh_spec, None, "joiners ship chunks");
-        engine.collect(0, Vec::new(), &codec, Some(&ledger));
+        engine.collect(0, Vec::new(), &codec);
 
         let frame = CodecSpec::quant8(256).broadcast_len(g.len());
         let chunks = frame.div_ceil(16);
-        let t = ledger.totals();
+        let t = engine.comm();
         assert_eq!(t.first_contact_down_bytes, 0, "monolithic path never ran");
         assert_eq!(t.first_contact_messages, 0);
         assert_eq!(

@@ -91,6 +91,11 @@ pub type LocalStepFn<'a> = dyn FnMut(&Party, &[f32], u64) -> ModelUpdate + 'a;
 /// bit-reproducibility contract.
 pub trait CohortTransport {
     /// Executes one stream's exchange for this round.
+    ///
+    /// `ledger` is unused: the engine owns the run's [`CommLedger`] and
+    /// meters every frame itself, so the driver passes `None`. The
+    /// parameter stays because transports outside this workspace
+    /// implement this exact signature.
     fn exchange(
         &mut self,
         exchange: &CohortExchange<'_>,
@@ -123,7 +128,7 @@ impl CohortTransport for LocalTransport {
         x: &CohortExchange<'_>,
         live: &PopulationView<'_>,
         engine: &mut ScenarioEngine,
-        ledger: Option<&CommLedger>,
+        _ledger: Option<&CommLedger>,
         local_step: &mut LocalStepFn<'_>,
     ) -> Vec<UploadOutcome> {
         // The round's working set: only the sampled cohort is lent —
@@ -131,7 +136,7 @@ impl CohortTransport for LocalTransport {
         // dropping it at the end of this exchange is the eviction that
         // keeps residency O(cohort) regardless of population size.
         let cohort = live.parties(x.cohort);
-        let bcast = engine.broadcast(x.key, x.globals, x.codec, x.cohort, ledger);
+        let bcast = engine.broadcast(x.key, x.globals, x.codec, x.cohort);
         let updates: Vec<ModelUpdate> = cohort
             .iter()
             .zip(x.seeds.iter())

@@ -8,9 +8,9 @@
 //! in-process exchange. The [`ScenarioEngine`] stays the single metering,
 //! fate and membership authority; the coordinator only moves bytes. It
 //! calls [`ScenarioEngine::broadcast`] once per exchange (which meters
-//! every downlink payload on the [`CommLedger`]), encodes each frame under
-//! the spec the returned delivery says was metered, and reports what
-//! really came back.
+//! every downlink payload on the engine's own ledger, read back through
+//! [`ScenarioEngine::comm`]), encodes each frame under the spec the
+//! returned delivery says was metered, and reports what really came back.
 //!
 //! Real failures enter the simulated accounting instead of bypassing it:
 //!
@@ -249,7 +249,7 @@ impl CohortTransport for Coordinator {
         x: &CohortExchange<'_>,
         _live: &PopulationView<'_>,
         engine: &mut ScenarioEngine,
-        ledger: Option<&CommLedger>,
+        _ledger: Option<&CommLedger>,
         _local_step: &mut LocalStepFn<'_>,
     ) -> Vec<UploadOutcome> {
         assert_eq!(
@@ -265,10 +265,10 @@ impl CohortTransport for Coordinator {
         let round = engine.round();
         self.round = round;
         // Single metering authority: this call records every downlink
-        // payload (regular, first-contact, join chunks) on the ledger and
-        // advances the join-sync state machines. What ships below is the
-        // byte-identical realisation of what was just metered.
-        let bcast = engine.broadcast(x.key, x.globals, x.codec, x.cohort, ledger);
+        // payload (regular, first-contact, join chunks) on the engine's
+        // ledger and advances the join-sync state machines. What ships
+        // below is the byte-identical realisation of what was just metered.
+        let bcast = engine.broadcast(x.key, x.globals, x.codec, x.cohort);
         let mut reg_frame: Option<Vec<u8>> = None;
         let mut fc_frame: Option<Vec<u8>> = None;
         let mut newly_dead: BTreeSet<usize> = BTreeSet::new();

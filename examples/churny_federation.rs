@@ -13,9 +13,9 @@ use rand::{rngs::StdRng, SeedableRng};
 use shiftex::baselines::FedAvg;
 use shiftex::data::{ImageShape, PrototypeGenerator};
 use shiftex::fl::{
-    run_algorithm_round, AsyncSpec, ChurnSpec, CommLedger, CommTotals, FederatedAlgorithm,
-    LatePolicy, ParticipationStats, Party, PartyId, PopulationStore, RoundCtx, ScenarioEngine,
-    ScenarioSpec, StragglerSpec,
+    run_algorithm_round, AsyncSpec, ChurnSpec, CommTotals, FederatedAlgorithm, LatePolicy,
+    ParticipationStats, Party, PartyId, PopulationStore, RoundCtx, ScenarioEngine, ScenarioSpec,
+    StragglerSpec,
 };
 use shiftex::nn::{ArchSpec, TrainConfig};
 
@@ -53,8 +53,7 @@ fn federate(scenario: ScenarioSpec) -> Run {
     fedavg.init(&store.view(ids.clone()), &mut rng);
 
     let mut engine = ScenarioEngine::new(scenario, &ids);
-    let ledger = CommLedger::new();
-    let mut ctx = RoundCtx::new(&store, &mut engine).with_ledger(&ledger);
+    let mut ctx = RoundCtx::new(&store, &mut engine);
     let mut rounds = Vec::with_capacity(ROUNDS);
     let mut live = ids;
     for _ in 0..ROUNDS {
@@ -66,7 +65,7 @@ fn federate(scenario: ScenarioSpec) -> Run {
         accuracy: fedavg.eval(&store.view(live)),
         rounds,
         totals: engine.stats(),
-        comm: ledger.totals(),
+        comm: engine.comm(),
     }
 }
 

@@ -30,15 +30,17 @@
 //! Every algorithm — ShiftEx and each baseline — implements
 //! [`fl::FederatedAlgorithm`] and trains through the same
 //! [`fl::run_algorithm_round`], configured by an [`fl::RoundCtx`] (codec,
-//! selector, fold, ledger, transport; the defaults are the paper's clean
-//! synchronous protocol). ShiftEx has no other runtime:
+//! selector, fold, transport; the defaults are the paper's clean
+//! synchronous protocol). The [`fl::ScenarioEngine`] meters every byte;
+//! read its totals with [`fl::ScenarioEngine::comm`]. ShiftEx has no other
+//! runtime:
 //!
 //! ```
 //! use rand::{rngs::StdRng, SeedableRng};
 //! use shiftex::core::{ShiftEx, ShiftExConfig};
 //! use shiftex::data::{Corruption, ImageShape, PrototypeGenerator, Regime};
 //! use shiftex::fl::{
-//!     run_algorithm_round, CodecSpec, CommLedger, FederatedAlgorithm, Party, PartyId,
+//!     run_algorithm_round, CodecSpec, FederatedAlgorithm, Party, PartyId,
 //!     PopulationStore, RoundCtx, ScenarioEngine, ScenarioSpec,
 //! };
 //! use shiftex::nn::ArchSpec;
@@ -61,15 +63,13 @@
 //! let mut shiftex = ShiftEx::new(ShiftExConfig::default(), spec, &mut rng);
 //! shiftex.init(&population.view(ids.clone()), &mut rng);
 //! let mut engine = ScenarioEngine::new(ScenarioSpec::sync(0), &ids);
-//! let (codec, ledger) = (CodecSpec::quant8(64), CommLedger::new());
+//! let codec = CodecSpec::quant8(64);
 //! for round in 1..=3 {
-//!     let mut ctx = RoundCtx::new(&population, &mut engine)
-//!         .with_codec(&codec)
-//!         .with_ledger(&ledger);
+//!     let mut ctx = RoundCtx::new(&population, &mut engine).with_codec(&codec);
 //!     let outcome = run_algorithm_round(&mut shiftex, &mut ctx, &mut rng);
 //!     assert_eq!((outcome.round, outcome.folded), (round, 8));
 //! }
-//! assert!(ledger.totals().up_bytes > 0);
+//! assert!(engine.comm().up_bytes > 0);
 //!
 //! // Fog arrives for half the parties; the window boundary detects it.
 //! let fog = Regime::corrupted(Corruption::Fog, 5);

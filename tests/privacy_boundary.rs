@@ -6,7 +6,7 @@ use shiftex::baselines::FedAvg;
 use shiftex::core::{compute_shift_stats, ShiftEx, ShiftExConfig};
 use shiftex::data::{ImageShape, PrototypeGenerator};
 use shiftex::fl::{
-    run_algorithm_round, CodecSpec, CommLedger, CommTotals, FederatedAlgorithm, Party, PartyId,
+    run_algorithm_round, CodecSpec, CommTotals, FederatedAlgorithm, Party, PartyId,
     PopulationStore, RoundCtx, ScenarioEngine, ScenarioSpec,
 };
 use shiftex::nn::{ArchSpec, Sequential, TrainConfig};
@@ -60,13 +60,10 @@ fn metered_round(input: usize, hidden: usize, codec: &CodecSpec) -> (CommTotals,
     let spec = ArchSpec::mlp("t", input * input, &[hidden], 3);
     let mut fedavg = FedAvg::new(spec, TrainConfig::default(), 4);
     fedavg.init(&store.view(ids.clone()), &mut rng);
-    let ledger = CommLedger::new();
     let mut engine = ScenarioEngine::new(ScenarioSpec::sync(0), &ids);
-    let mut ctx = RoundCtx::new(&store, &mut engine)
-        .with_codec(codec)
-        .with_ledger(&ledger);
+    let mut ctx = RoundCtx::new(&store, &mut engine).with_codec(codec);
     run_algorithm_round(&mut fedavg, &mut ctx, &mut rng);
-    (ledger.totals(), fedavg.params().len())
+    (engine.comm(), fedavg.params().len())
 }
 
 #[test]
