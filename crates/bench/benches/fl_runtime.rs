@@ -263,6 +263,39 @@ fn bench_nn_kernels(c: &mut Criterion) {
         });
     }
 
+    // The input InstanceNorm at the 60-row test split, beside the per-row
+    // loop it replaced; then one party's whole local update, model
+    // initialisation draws included, at the wide_cohort_byzantine (8 rows
+    // of LeNet-lite) and paper_shift (200 rows of ResNet-18-lite) shapes.
+    // Own RNG, so the labels around them keep their inputs.
+    {
+        use shiftex_nn::{naive, train_local_params, TrainConfig};
+        let mut rng = StdRng::seed_from_u64(62);
+        let x = Matrix::randn(60, 192, 0.5, 2.0, &mut rng);
+        let (mut out, mut cache) = (Matrix::default(), LayerCache::default());
+        group.bench_function("instance_norm_60x192", |b| {
+            b.iter(|| Layer::InstanceNorm.forward(&x, &mut out, &mut cache))
+        });
+        group.bench_function("instance_norm_60x192_naive", |b| {
+            b.iter(|| naive::instance_norm(&x))
+        });
+        for (label, spec, rows) in [
+            ("local_update_lenet_b8", &lenet, 8),
+            ("local_update_resnet18lite_200", &resnet, 200),
+        ] {
+            let global = Sequential::build(spec, &mut rng).params_flat();
+            let x = Matrix::randn(rows, spec.input.dim(), 0.0, 1.0, &mut rng);
+            let y: Vec<usize> = (0..rows).map(|i| i % spec.classes).collect();
+            let cfg = TrainConfig::default();
+            group.bench_function(label, |b| {
+                b.iter_with_setup(
+                    || StdRng::seed_from_u64(63),
+                    |mut party_rng| train_local_params(spec, &global, &x, &y, &cfg, &mut party_rng),
+                )
+            });
+        }
+    }
+
     // The wide_cohort_byzantine fold: 200 LeNet-lite updates (2146
     // parameters), 40 tolerated liars.
     let dim = Sequential::build(&lenet, &mut rng).num_params();

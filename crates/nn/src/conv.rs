@@ -12,11 +12,16 @@
 //!   image — seeds one accumulator row per output channel with its bias and
 //!   multiplies the filter bank into it. Each output pixel receives its
 //!   taps in ascending `(ic, ky, kx)` order, exactly the scalar loop's.
-//! * **backward, parameters** gathers the transposed *patch-major* panel
-//!   `(rows·h·w) × (in_c·k·k)` and accumulates `grad_out · panel` one batch
-//!   row at a time: every filter weight receives its addends in ascending
-//!   `(b, oy, ox)` order, zero gradients added as `±0.0` where the scalar
-//!   loop skips them.
+//!   The panel is gathered one tap row at a time, as a shifted copy of the
+//!   chunk's channel plane with the padding masked to `+0.0` ([`Panel`]).
+//! * **backward, parameters** gathers the forward's tap-major panel again
+//!   and packs `grad_out` pixel-major, `(rows·h·w) × out_c`; one product
+//!   `panel · grad_out` per chunk accumulates a `taps × out_c` scratch that
+//!   is transposed into the filter gradient at the end. Every filter weight
+//!   receives its addends in ascending `(b, oy, ox)` order from `+0.0`
+//!   (`x·g` is `g·x` bit for bit), zero gradients added as `±0.0` where
+//!   the scalar loop skips them. The bias gradient adds every packed pixel
+//!   row, zeros included, all channels side by side.
 //! * **backward, input** is the forward kernel run on `grad_out` with the
 //!   filter bank transposed and flipped, `w'[ic][oc, ky, kx] =
 //!   w[oc][ic, k−1−ky, k−1−kx]`: ascending flipped taps are descending
@@ -41,9 +46,10 @@
 //! # Residency
 //!
 //! Panels are built per chunk of at most [`MAX_CHUNK_ROWS`] rows and
-//! [`PANEL_FLOATS`] elements, whatever the batch: scratch is O(chunk),
-//! never O(dataset). Chunking changes which rows share a panel, not the
-//! order in which any output element is accumulated.
+//! [`PANEL_FLOATS`] elements, whatever the batch: scratch (the panel, the
+//! channel planes and masks it is gathered from, the packed gradient) is
+//! O(chunk), never O(dataset). Chunking changes which rows share a panel,
+//! not the order in which any output element is accumulated.
 
 use serde::{Deserialize, Serialize};
 use shiftex_tensor::{gemm_acc, Matrix};
@@ -93,11 +99,15 @@ impl ConvShape {
 #[derive(Debug, Default)]
 pub(crate) struct ConvScratch {
     /// im2col panel of the current chunk.
-    panel: Vec<f32>,
+    panel: Panel,
     /// One accumulator row per output channel over the chunk's pixels.
     acc: Vec<f32>,
     /// Transposed, flipped filter bank of the input-gradient pass.
     flipped: Vec<f32>,
+    /// Backward: the chunk's `grad_out`, pixel-major (`pixels × out_c`).
+    grad_px: Vec<f32>,
+    /// Backward: the filter gradient, tap-major (`taps × out_c`).
+    grad_wt: Vec<f32>,
 }
 
 /// Forward convolution of `input` (`batch × in_c·h·w`) into `out`
@@ -126,34 +136,46 @@ pub(crate) fn backward(
     param_grad: &mut [f32],
     scratch: &mut ConvScratch,
 ) {
-    let (taps, px) = (shape.taps(), shape.pixels());
-    let (grad_w, grad_b) = param_grad.split_at_mut(shape.out_c * taps);
-    grad_w.fill(0.0);
-    grad_b.fill(0.0);
-    let step = shape.chunk_rows();
-    for first in (0..input.rows()).step_by(step) {
-        let rows = step.min(input.rows() - first);
-        im2col::<true>(shape, input, first, rows, &mut scratch.panel);
-        for (r, patches) in scratch.panel.chunks_exact(px * taps).enumerate() {
-            let g = grad_out.row(first + r);
-            gemm_acc(g, patches, grad_w, px, taps);
-            for (gb, plane) in grad_b.iter_mut().zip(g.chunks_exact(px)) {
-                for &v in plane {
-                    if v != 0.0 {
-                        *gb += v;
-                    }
-                }
-            }
-        }
-    }
-
-    let Some(grad_in) = grad_in else { return };
     let ConvShape { in_c, out_c, k, .. } = shape;
+    let (taps, px) = (shape.taps(), shape.pixels());
     let ConvScratch {
         panel,
         acc,
         flipped,
+        grad_px,
+        grad_wt,
     } = scratch;
+    let (grad_w, grad_b) = param_grad.split_at_mut(out_c * taps);
+    grad_b.fill(0.0);
+    grad_wt.clear();
+    grad_wt.resize(taps * out_c, 0.0);
+    let step = shape.chunk_rows();
+    for first in (0..input.rows()).step_by(step) {
+        let rows = step.min(input.rows() - first);
+        panel.gather(shape, input, first, rows);
+        grad_px.clear();
+        grad_px.resize(rows * px * out_c, 0.0);
+        for (r, packed) in grad_px.chunks_exact_mut(px * out_c).enumerate() {
+            for (oc, plane) in grad_out.row(first + r).chunks_exact(px).enumerate() {
+                for (p, &g) in plane.iter().enumerate() {
+                    packed[p * out_c + oc] = g;
+                }
+            }
+        }
+        gemm_acc(&panel.data, grad_px, grad_wt, rows * px, out_c);
+        for pixel in grad_px.chunks_exact(out_c) {
+            for (gb, &g) in grad_b.iter_mut().zip(pixel) {
+                *gb += g;
+            }
+        }
+    }
+    for (oc, gw) in grad_w.chunks_exact_mut(taps).enumerate() {
+        for (t, w) in gw.iter_mut().enumerate() {
+            *w = grad_wt[t * out_c + oc];
+        }
+    }
+
+    let Some(grad_in) = grad_in else { return };
     flipped.clear();
     for ic in 0..in_c {
         for oc in 0..out_c {
@@ -177,7 +199,7 @@ fn correlate(
     weight: &[f32],
     seed: impl Fn(usize) -> f32,
     out: &mut Matrix,
-    panel: &mut Vec<f32>,
+    panel: &mut Panel,
     acc: &mut Vec<f32>,
 ) {
     let (taps, px) = (shape.taps(), shape.pixels());
@@ -186,12 +208,12 @@ fn correlate(
     for first in (0..input.rows()).step_by(step) {
         let rows = step.min(input.rows() - first);
         let n = rows * px;
-        im2col::<false>(shape, input, first, rows, panel);
+        panel.gather(shape, input, first, rows);
         acc.clear();
         for oc in 0..shape.out_c {
             acc.resize((oc + 1) * n, seed(oc));
         }
-        gemm_acc(weight, panel, acc, taps, n);
+        gemm_acc(weight, &panel.data, acc, taps, n);
         for (oc, acc_row) in acc.chunks_exact(n).enumerate() {
             for (r, plane) in acc_row.chunks_exact(px).enumerate() {
                 out.row_mut(first + r)[oc * px..(oc + 1) * px].copy_from_slice(plane);
@@ -200,59 +222,85 @@ fn correlate(
     }
 }
 
-/// Gathers the im2col panel of `rows` rows of `input` starting at `first`:
-/// entry `(tap, pixel)` is the input value under `tap = (ic, ky, kx)` at
-/// output `pixel = (row, oy, ox)`, `+0.0` outside the image. Tap-major
-/// (`taps × pixels`) by default, pixel-major (`pixels × taps`) under
-/// `PATCH_MAJOR`.
-fn im2col<const PATCH_MAJOR: bool>(
-    shape: ConvShape,
-    input: &Matrix,
-    first: usize,
-    rows: usize,
-    panel: &mut Vec<f32>,
-) {
-    let ConvShape { in_c, k, h, w, .. } = shape;
-    let (taps, px, pad) = (shape.taps(), shape.pixels(), k / 2);
-    let n = rows * px;
-    panel.clear();
-    panel.resize(taps * n, 0.0);
-    for ic in 0..in_c {
-        for ky in 0..k {
-            // Output rows whose tap row `oy + ky - pad` lies inside the image.
-            let (oy0, oy1) = (pad.saturating_sub(ky), (h + pad).saturating_sub(ky).min(h));
-            for kx in 0..k {
-                let (ox0, ox1) = (pad.saturating_sub(kx), (w + pad).saturating_sub(kx).min(w));
-                if oy0 >= oy1 || ox0 >= ox1 {
-                    continue;
-                }
-                let tap = (ic * k + ky) * k + kx;
-                for r in 0..rows {
-                    let chan = &input.row(first + r)[ic * px..(ic + 1) * px];
-                    if PATCH_MAJOR {
-                        for oy in oy0..oy1 {
-                            let src = &chan[(oy + ky - pad) * w + ox0 + kx - pad..][..ox1 - ox0];
-                            let base = (r * px + oy * w + ox0) * taps + tap;
-                            for (i, &v) in src.iter().enumerate() {
-                                panel[base + i * taps] = v;
-                            }
-                        }
-                    } else {
-                        // The in-image pixels of this tap, first to last, are
-                        // one contiguous run of the plane shifted by the tap
-                        // offset: copy it whole, then clear the columns the
-                        // shift wrapped around a row end. Column-major so the
-                        // stores stay a handful of scalar writes.
-                        let plane = &mut panel[tap * n + r * px..][..px];
-                        let (lo, hi) = (oy0 * w + ox0, (oy1 - 1) * w + ox1);
-                        let src = (oy0 + ky - pad) * w + ox0 + kx - pad;
-                        plane[lo..hi].copy_from_slice(&chan[src..src + hi - lo]);
-                        for col in (0..ox0).chain(ox1..w) {
-                            for oy in oy0..oy1 {
-                                plane[oy * w + col] = 0.0;
-                            }
+/// The im2col panel of one row chunk, with the buffers that gather it.
+#[derive(Debug, Default)]
+struct Panel {
+    /// Entry `(tap, pixel)`: the input value under `tap = (ic, ky, kx)` at
+    /// output `pixel = (row, oy, ox)`, `+0.0` outside the image; tap-major
+    /// (`taps × rows·h·w`).
+    data: Vec<f32>,
+    /// The chunk channel-major — channel `ic` of every row, row after row
+    /// — each channel between runs of `pad·w + pad` zeros.
+    planes: Vec<f32>,
+    /// Per kernel offset `(ky, kx)`, one mask per chunk pixel: all ones
+    /// where the offset lands inside the image, zero where it pads.
+    masks: Vec<u32>,
+    /// `(k, h, w, rows)` that `masks` was built for.
+    masks_for: (usize, usize, usize, usize),
+}
+
+impl Panel {
+    /// Gathers the panel of `rows` rows of `input` starting at `first`.
+    ///
+    /// Within one channel of the channel-major chunk, the values a tap
+    /// reads at consecutive output pixels are consecutive inputs shifted by
+    /// the tap's offset `(ky − pad)·w + kx − pad`, across row ends and
+    /// image ends alike. So each panel row is one shifted copy of its
+    /// channel, masked: the offset's mask clears every pixel where the tap
+    /// falls outside the image — and with it every value the shift pulled
+    /// in from a neighbouring row or image, or from the zero runs — to
+    /// `+0.0`.
+    fn gather(&mut self, shape: ConvShape, input: &Matrix, first: usize, rows: usize) {
+        let ConvShape { in_c, k, h, w, .. } = shape;
+        let (px, pad) = (shape.pixels(), k / 2);
+        let n = rows * px;
+        self.data.resize(shape.taps() * n, 0.0);
+        if n == 0 {
+            return;
+        }
+        let margin = pad * w + pad;
+        self.planes.clear();
+        self.planes.reserve(in_c * (n + margin) + margin);
+        self.planes.resize(margin, 0.0);
+        for ic in 0..in_c {
+            for r in first..first + rows {
+                self.planes
+                    .extend_from_slice(&input.row(r)[ic * px..(ic + 1) * px]);
+            }
+            self.planes.resize(self.planes.len() + margin, 0.0);
+        }
+        if self.masks_for != (k, h, w, rows) {
+            self.masks_for = (k, h, w, rows);
+            self.masks.clear();
+            self.masks.reserve(k * k * n);
+            for ky in 0..k {
+                let rows_in = pad.saturating_sub(ky)..(h + pad).saturating_sub(ky).min(h);
+                for kx in 0..k {
+                    let cols_in = pad.saturating_sub(kx)..(w + pad).saturating_sub(kx).min(w);
+                    let image = self.masks.len();
+                    for oy in 0..h {
+                        for ox in 0..w {
+                            let keep = rows_in.contains(&oy) && cols_in.contains(&ox);
+                            self.masks.push(if keep { u32::MAX } else { 0 });
                         }
                     }
+                    for _ in 1..rows {
+                        self.masks.extend_from_within(image..image + px);
+                    }
+                }
+            }
+        }
+        for (ic, taps) in self.data.chunks_exact_mut(k * k * n).enumerate() {
+            let channel = ic * (n + margin);
+            for (t, (row, mask)) in taps
+                .chunks_exact_mut(n)
+                .zip(self.masks.chunks_exact(n))
+                .enumerate()
+            {
+                // Panel entry `j` reads channel entry `j + (ky·w + kx) − margin`.
+                let src = &self.planes[channel + t / k * w + t % k..][..n];
+                for ((v, &x), &m) in row.iter_mut().zip(src).zip(mask) {
+                    *v = f32::from_bits(x.to_bits() & m);
                 }
             }
         }

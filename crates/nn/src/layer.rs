@@ -66,7 +66,8 @@ pub struct LayerCache {
     winners: Vec<usize>,
     /// InstanceNorm: per-row standard deviation.
     stds: Vec<f32>,
-    /// Conv: im2col panel and accumulator rows of one row chunk.
+    /// Conv: im2col panel, accumulator rows and gradient scratch of one
+    /// row chunk.
     conv: ConvScratch,
     /// Dense: `Wᵀ` packed for the input-gradient product of a narrow layer.
     pack: Vec<f32>,
@@ -249,20 +250,50 @@ fn zip_into(a: &Matrix, b: &Matrix, out: &mut Matrix, f: impl Fn(f32, f32) -> f3
     }
 }
 
+/// Rows [`norm_forward`] standardises side by side.
+const NORM_BLOCK: usize = 8;
+
 /// Per-row standardisation into `out`; `stds` receives the per-row std
-/// (eps-floored).
+/// (eps-floored). Blocks of [`NORM_BLOCK`] rows, then the rest one by one.
 fn norm_forward(input: &Matrix, out: &mut Matrix, stds: &mut Vec<f32>) {
-    let n = input.cols().max(1) as f32;
-    out.reset(input.rows(), input.cols());
-    out.as_mut_slice().copy_from_slice(input.as_slice());
+    let rows = input.rows();
+    out.reset(rows, input.cols());
     stds.clear();
-    for r in 0..input.rows() {
-        let row = out.row_mut(r);
-        let mean: f32 = row.iter().sum::<f32>() / n;
-        let var: f32 = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / n;
-        let std = (var + 1e-5).sqrt();
-        for v in row.iter_mut() {
-            *v = (*v - mean) / std;
+    let blocked = rows - rows % NORM_BLOCK;
+    for first in (0..blocked).step_by(NORM_BLOCK) {
+        norm_rows::<NORM_BLOCK>(input, first, out, stds);
+    }
+    for r in blocked..rows {
+        norm_rows::<1>(input, r, out, stds);
+    }
+}
+
+/// Standardises rows `first..first + B` of `input` into `out` and appends
+/// their stds. The `B` rows run as independent chains, but each row's mean
+/// and variance sums still go in ascending column order and start from
+/// `-0.0`, where `Iterator::<f32>::sum` starts: the per-row loop of
+/// [`crate::naive::instance_norm`], bit for bit.
+fn norm_rows<const B: usize>(input: &Matrix, first: usize, out: &mut Matrix, stds: &mut Vec<f32>) {
+    let cols = input.cols();
+    let n = cols.max(1) as f32;
+    let x: [&[f32]; B] = std::array::from_fn(|j| &input.row(first + j)[..cols]);
+    let mut mean = [-0.0f32; B];
+    for c in 0..cols {
+        for (s, row) in mean.iter_mut().zip(&x) {
+            *s += row[c];
+        }
+    }
+    let mean = mean.map(|s| s / n);
+    let mut var = [-0.0f32; B];
+    for c in 0..cols {
+        for ((s, row), &m) in var.iter_mut().zip(&x).zip(&mean) {
+            *s += (row[c] - m) * (row[c] - m);
+        }
+    }
+    for (j, (row, (&m, &v))) in x.iter().zip(mean.iter().zip(&var)).enumerate() {
+        let std = (v / n + 1e-5).sqrt();
+        for (o, &xv) in out.row_mut(first + j).iter_mut().zip(*row) {
+            *o = (xv - m) / std;
         }
         stds.push(std);
     }
@@ -524,6 +555,32 @@ mod tests {
                     (numeric - analytic).abs() < 2e-2,
                     "({r},{c}): numeric {numeric} vs analytic {analytic}"
                 );
+            }
+        }
+    }
+
+    /// The blocked InstanceNorm against the per-row loop it replaced, bit
+    /// for bit in outputs and stds: row counts around the 8-row block, and
+    /// rows that are all `-0.0`, constant, or near `1e±30` in magnitude.
+    #[test]
+    fn instance_norm_matches_naive_bit_for_bit() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut rng = StdRng::seed_from_u64(13);
+        for cols in [1, 7, 64, 192] {
+            for rows in 0..=17 {
+                let x = Matrix::from_fn(rows, cols, |r, c| match r % 6 {
+                    0 => -0.0,
+                    1 => 2.5,
+                    2 => shiftex_tensor::rngx::normal(&mut rng, 0.0, 1e30),
+                    3 => shiftex_tensor::rngx::normal(&mut rng, 0.0, 1e-30),
+                    4 if c % 2 == 0 => -0.0,
+                    _ => shiftex_tensor::rngx::normal(&mut rng, 3.0, 2.0),
+                });
+                let (expect, expect_stds) = crate::naive::instance_norm(&x);
+                let (got, cache) = forward(&Layer::InstanceNorm, &x);
+                let at = format!("{rows}x{cols}");
+                assert_eq!(bits(got.as_slice()), bits(expect.as_slice()), "{at}");
+                assert_eq!(bits(&cache.stds), bits(&expect_stds), "{at} stds");
             }
         }
     }

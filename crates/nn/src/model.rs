@@ -63,6 +63,14 @@ struct Workspace {
     flat_grad: Vec<f32>,
 }
 
+/// The Xavier-uniform values of a `rows × cols` weight matrix, row-major:
+/// one `random_range(-a..a)` draw each, `a = √(6 / (rows + cols))`, as
+/// `Matrix::xavier` draws them.
+fn xavier_draws<R: Rng>(rows: usize, cols: usize, rng: &mut R) -> impl Iterator<Item = f32> + '_ {
+    let a = (6.0 / (rows + cols) as f32).sqrt();
+    (0..rows * cols).map(move |_| rng.random_range(-a..a))
+}
+
 /// Rows of `logits` whose arg-max (first on ties) is the row's label.
 fn top1_hits(logits: &Matrix, labels: &[usize]) -> usize {
     logits
@@ -79,13 +87,35 @@ impl Sequential {
     /// `rng` so builds are reproducible.
     pub fn build(spec: &ArchSpec, rng: &mut impl Rng) -> Self {
         Self::assemble(spec, |rows, cols, conv| {
-            let weight = Matrix::xavier(rows, cols, rng);
-            if conv {
-                weight.map(|v| v * (2.0 / cols as f32).sqrt())
+            let draws = xavier_draws(rows, cols, rng);
+            let data = if conv {
+                draws.map(|v| v * (2.0 / cols as f32).sqrt()).collect()
             } else {
-                weight
-            }
+                draws.collect()
+            };
+            Matrix::from_vec(rows, cols, data)
         })
+    }
+
+    /// [`Sequential::from_params`] after taking every draw
+    /// [`Sequential::build`] takes from `rng`, in the same order, and
+    /// dropping the values: `rng` ends where `build` leaves it, without the
+    /// values stored, scaled or copied.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params.len()` does not match the architecture.
+    pub(crate) fn from_params_after_init_draws(
+        spec: &ArchSpec,
+        params: &[f32],
+        rng: &mut impl Rng,
+    ) -> Self {
+        let mut model = Self::assemble(spec, |rows, cols, _| {
+            xavier_draws(rows, cols, rng).for_each(drop);
+            Matrix::zeros(rows, cols)
+        });
+        model.set_params_flat(params);
+        model
     }
 
     /// Builds the model of `spec` that holds `params` (as produced by

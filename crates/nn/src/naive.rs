@@ -1,11 +1,16 @@
-//! Scalar reference convolution: the oracle of the GEMM-lowered kernels.
+//! Scalar reference kernels: the oracles of the production layers.
 //!
-//! Seven-deep textbook loops with two bounds branches per tap and no
-//! blocking, panels or scratch — the convolution this crate shipped until
-//! the production path was lowered onto `shiftex_tensor::gemm_acc`, kept
-//! verbatim. Property tests assert that [`crate::Layer::Conv2d`] matches
-//! these loops bit for bit, and the `nn_kernels/*_naive` benches time them;
-//! production code always goes through [`crate::Layer`].
+//! * The convolution: seven-deep textbook loops with two bounds branches
+//!   per tap and no blocking, panels or scratch — what this crate shipped
+//!   until the production path was lowered onto `shiftex_tensor::gemm_acc`,
+//!   kept verbatim.
+//! * The instance norm: one row at a time, two serial sums per row — what
+//!   this crate shipped until [`crate::Layer::InstanceNorm`] standardised
+//!   rows side by side, kept verbatim.
+//!
+//! Tests assert that [`crate::Layer`] matches these loops bit for bit, and
+//! the `nn_kernels/*_naive` benches time them; production code always goes
+//! through [`crate::Layer`].
 
 use shiftex_tensor::Matrix;
 
@@ -119,4 +124,23 @@ pub fn conv_backward(
     }
     grad_w.extend_from_slice(&grad_b);
     (grad_in, grad_w)
+}
+
+/// Per-row standardisation of `input`: `(output, stds)`, each row shifted
+/// to zero mean and scaled by its eps-floored standard deviation.
+pub fn instance_norm(input: &Matrix) -> (Matrix, Vec<f32>) {
+    let n = input.cols().max(1) as f32;
+    let mut out = input.clone();
+    let mut stds = Vec::with_capacity(input.rows());
+    for r in 0..input.rows() {
+        let row = out.row_mut(r);
+        let mean: f32 = row.iter().sum::<f32>() / n;
+        let var: f32 = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / n;
+        let std = (var + 1e-5).sqrt();
+        for v in row.iter_mut() {
+            *v = (*v - mean) / std;
+        }
+        stds.push(std);
+    }
+    (out, stds)
 }

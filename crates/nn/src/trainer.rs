@@ -73,10 +73,9 @@ pub fn train_local_params(
 ) -> LocalFitReport {
     // Not `Sequential::from_params`: the initialisation draws of `build`
     // come off the party's seeded stream *before* the shuffle draws of
-    // `train`, so every conformance golden pins them. Only the values are
-    // discarded, never the draws.
-    let mut model = Sequential::build(spec, rng);
-    model.set_params_flat(global_params);
+    // `train`, so every conformance golden pins them. The draws are taken
+    // and their values dropped; no initialised model is built.
+    let mut model = Sequential::from_params_after_init_draws(spec, global_params, rng);
     let report = model.train(x, labels, cfg, rng);
     LocalFitReport {
         params: model.params_flat(),
@@ -89,7 +88,7 @@ pub fn train_local_params(
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     #[test]
     fn local_training_improves_loss() {
@@ -122,6 +121,44 @@ mod tests {
         let mut fresh = Sequential::build(&spec, &mut rng);
         fresh.set_params_flat(&init);
         assert!(trained.evaluate(&x, &labels).loss < fresh.evaluate(&x, &labels).loss);
+    }
+
+    /// Taking `build`'s draws without building leaves the parameters and
+    /// the stream of `build` + `set_params_flat`, exactly.
+    #[test]
+    fn init_draws_without_a_model_match_build() {
+        use crate::arch::InputShape;
+        for spec in [
+            ArchSpec::mlp("t", 12, &[9, 5], 4),
+            ArchSpec::lenet5_lite(InputShape { c: 1, h: 8, w: 8 }, 10, 24),
+            ArchSpec::resnet18_lite(InputShape { c: 3, h: 8, w: 8 }, 10, 24),
+        ] {
+            let mut rng = StdRng::seed_from_u64(30);
+            let global = Sequential::build(&spec, &mut rng).params_flat();
+            let x = Matrix::randn(19, spec.input.dim(), 0.0, 1.0, &mut rng);
+            let labels: Vec<usize> = (0..19).map(|i| i % spec.classes).collect();
+            let cfg = TrainConfig {
+                batch_size: 8,
+                prox_mu: Some(0.01),
+                ..TrainConfig::default()
+            };
+
+            let (mut old_rng, mut new_rng) = (rng.clone(), rng);
+            let mut model = Sequential::build(&spec, &mut old_rng);
+            model.set_params_flat(&global);
+            model.train(&x, &labels, &cfg, &mut old_rng);
+            let fit = train_local_params(&spec, &global, &x, &labels, &cfg, &mut new_rng);
+
+            let bits = |v: &[f32]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&fit.params),
+                bits(&model.params_flat()),
+                "{}",
+                spec.label
+            );
+            assert_ne!(fit.params, global, "{}: training moved nothing", spec.label);
+            assert_eq!(new_rng.next_u64(), old_rng.next_u64(), "{}", spec.label);
+        }
     }
 
     #[test]
