@@ -34,12 +34,10 @@ mod calibrate;
 mod divergence;
 mod kernel;
 mod mmd;
-mod online;
 mod summary;
 
 pub use calibrate::{CalibratedThresholds, ThresholdCalibrator};
 pub use divergence::{jsd, jsd_max, kl_divergence};
 pub use kernel::RbfKernel;
 pub use mmd::{mmd2_biased, mmd2_linear, mmd2_unbiased};
-pub use online::DriftMonitor;
 pub use summary::EmbeddingProfile;

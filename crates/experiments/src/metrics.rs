@@ -56,6 +56,8 @@ pub struct WindowMetricsAgg {
     pub recovery_rounds: Option<usize>,
     /// Number of runs that failed to recover within budget.
     pub unrecovered_runs: usize,
+    /// Number of runs aggregated.
+    pub runs: usize,
     /// Round budget (for "> R" rendering).
     pub round_budget: usize,
 }
@@ -94,6 +96,7 @@ pub fn aggregate_windows(
                 max_acc: Summary::of(&maxes),
                 recovery_rounds: recovery,
                 unrecovered_runs: unrecovered,
+                runs: runs.len(),
                 round_budget,
             }
         })
@@ -105,14 +108,9 @@ impl WindowMetricsAgg {
     /// runs failed to recover within the budget.
     pub fn recovery_display(&self) -> String {
         match self.recovery_rounds {
-            Some(r) if self.unrecovered_runs * 2 <= self.round_budget_runs() => r.to_string(),
+            Some(r) if self.unrecovered_runs * 2 <= self.runs => r.to_string(),
             _ => format!(">{}", self.round_budget),
         }
-    }
-
-    fn round_budget_runs(&self) -> usize {
-        // Total runs = recovered + unrecovered; recovered count is implicit.
-        self.unrecovered_runs + usize::from(self.recovery_rounds.is_some())
     }
 }
 
@@ -164,5 +162,28 @@ mod tests {
         let runs = vec![vec![window_metrics(0.9, 0.4, &[0.5])]];
         let agg = aggregate_windows(&runs, 51);
         assert_eq!(agg[0].recovery_display(), ">51");
+        // One of three runs recovered: most did not.
+        let runs = vec![
+            vec![window_metrics(0.8, 0.5, &[0.77])],
+            vec![window_metrics(0.8, 0.5, &[0.7])],
+            vec![window_metrics(0.8, 0.5, &[0.7])],
+        ];
+        assert_eq!(aggregate_windows(&runs, 1)[0].recovery_display(), ">1");
+    }
+
+    #[test]
+    fn recovery_display_prints_the_median_when_most_runs_recovered() {
+        // Pre-shift 0.8 → target 0.76. Three runs recover at rounds 2, 3
+        // and 4; two never do. 2 of 5 unrecovered is a minority.
+        let runs = vec![
+            vec![window_metrics(0.8, 0.5, &[0.6, 0.77])],
+            vec![window_metrics(0.8, 0.5, &[0.6, 0.7, 0.77])],
+            vec![window_metrics(0.8, 0.5, &[0.6, 0.7, 0.7, 0.77])],
+            vec![window_metrics(0.8, 0.5, &[0.6, 0.7, 0.7, 0.7])],
+            vec![window_metrics(0.8, 0.5, &[0.6, 0.7, 0.7, 0.7])],
+        ];
+        let agg = aggregate_windows(&runs, 4);
+        assert_eq!(agg[0].unrecovered_runs, 2);
+        assert_eq!(agg[0].recovery_display(), "3");
     }
 }

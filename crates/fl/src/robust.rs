@@ -183,14 +183,7 @@ fn fold_under(
     match *policy {
         FoldPolicy::Mean => RobustFold {
             params: aggregate_weighted(global, ready, server_lr),
-            verdicts: ready
-                .iter()
-                .map(|w| UpdateVerdict {
-                    party: w.update.party,
-                    quarantined: false,
-                    score: 0.0,
-                })
-                .collect(),
+            verdicts: inert_verdicts(ready),
         },
         FoldPolicy::TrimmedMean { beta } => trimmed_mean(global, ready, server_lr, beta),
         FoldPolicy::CoordinateMedian => coordinate_median(global, ready, server_lr),
