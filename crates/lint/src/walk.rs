@@ -22,12 +22,14 @@ pub const DETERMINISTIC_CRATES: &[&str] = &["fl", "baselines", "core", "cluster"
 pub const PANIC_FREE_CRATES: &[&str] = &["fl", "core", "net"];
 
 /// The audited unsafe allowlist (U001): the single SIMD intrinsics module,
-/// and one test binary whose counting `#[global_allocator]` proves
-/// `read_msg` allocates for bytes received (a global allocator is an
-/// `unsafe impl`). Growing this list is a deliberate, reviewed act.
+/// and two test binaries with a counting `#[global_allocator]` (a global
+/// allocator is an `unsafe impl`): one proves `read_msg` allocates for
+/// bytes received, the other pins the work counts of fixed operations.
+/// Growing this list is a deliberate, reviewed act.
 pub const UNSAFE_ALLOWLIST: &[&str] = &[
     "crates/tensor/src/simd.rs",
     "crates/net/tests/read_msg_alloc.rs",
+    "crates/bench/tests/work_counts.rs",
 ];
 
 /// Timing carve-out for the networked-federation crate (D002/D003): the
@@ -188,6 +190,8 @@ mod tests {
     fn unsafe_allowlist_is_exactly_the_simd_module_and_the_allocator_probe() {
         assert!(classify("crates/tensor/src/simd.rs").unsafe_allowed);
         assert!(classify("crates/net/tests/read_msg_alloc.rs").unsafe_allowed);
+        assert!(classify("crates/bench/tests/work_counts.rs").unsafe_allowed);
+        assert!(!classify("crates/bench/tests/other.rs").unsafe_allowed);
         assert!(!classify("crates/net/tests/other.rs").unsafe_allowed);
         assert!(!classify("crates/net/src/frame.rs").unsafe_allowed);
         assert!(!classify("crates/tensor/src/vector.rs").unsafe_allowed);
