@@ -263,6 +263,22 @@ fn bench_nn_kernels(c: &mut Criterion) {
         });
     }
 
+    // LeNet-lite's first pool (6 channels of 8x8) at the 8-row batch,
+    // beside the branching loop it replaced. Own RNG, so the labels around
+    // it keep their inputs.
+    {
+        let mut rng = StdRng::seed_from_u64(66);
+        let x = Matrix::randn(8, 6 * 8 * 8, 0.0, 1.0, &mut rng).map(|v| v.max(0.0));
+        let layer = Layer::MaxPool2d { c: 6, h: 8, w: 8 };
+        let (mut out, mut cache) = (Matrix::default(), LayerCache::default());
+        group.bench_function("max_pool_lenet_c1_b8", |b| {
+            b.iter(|| layer.forward(&x, &mut out, &mut cache))
+        });
+        group.bench_function("max_pool_lenet_c1_b8_naive", |b| {
+            b.iter(|| naive::max_pool(&x, 6, 8, 8))
+        });
+    }
+
     // The input InstanceNorm at the 60-row test split, beside the per-row
     // loop it replaced; then one party's whole local update, model
     // initialisation draws included, at the wide_cohort_byzantine (8 rows
@@ -554,6 +570,38 @@ fn bench_population(c: &mut Criterion) {
     group.bench_function("materialize_cohort_10_of_10k", |b| {
         b.iter(|| store.cohort(&cohort_ids))
     });
+
+    // The two per-round costs of the 800-party scale_lazy_churn population
+    // beyond training: one eval pass past window 0 (each party's test split
+    // alone), and one FLIPS fit over its 800 label histograms of 10
+    // classes, as `ShiftEx::cohort` refits it every round.
+    {
+        use shiftex_fl::{evaluate_on_view, FlipsSelector};
+        use shiftex_nn::Sequential;
+
+        let scenario = Scenario::build_with_population(
+            DatasetKind::FashionMnist,
+            SimScale::Smoke,
+            7,
+            Some(800),
+            Some(8),
+        );
+        let mut store = LazyPopulation::new(scenario.clone(), 7).into_store();
+        let infos = store.view(store.party_ids()).infos();
+        group.bench_function("flips_fit_800x10", |b| {
+            b.iter_with_setup(
+                || StdRng::seed_from_u64(64),
+                |mut rng| FlipsSelector::fit(&infos, 4, &mut rng),
+            )
+        });
+        store.set_window(1);
+        let params =
+            Sequential::build(&scenario.spec, &mut StdRng::seed_from_u64(65)).params_flat();
+        let view = store.view(store.party_ids());
+        group.bench_function("lazy_eval_800_parties_w1", |b| {
+            b.iter(|| evaluate_on_view(&scenario.spec, &params, &view))
+        });
+    }
     group.finish();
 }
 

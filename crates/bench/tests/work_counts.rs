@@ -80,8 +80,8 @@ const TABLE: [(&str, usize, usize); 6] = [
     ("train_local_params/resnet18lite_200",      34,     269885),
     ("materialize_cohort_10_of_10k",             63,      40768),
     ("lazy_eval_800_parties_w0",              16012,   60138339),
-    ("lazy_eval_800_parties_w1",              29612,   65309539),
-    ("flips_fit_800x10",                       2584,     398884),
+    ("lazy_eval_800_parties_w1",              19212,   60112739),
+    ("flips_fit_800x10",                       2601,     482084),
 ];
 
 /// `(calls, bytes)` allocated while `f` runs; `f`'s result is dropped

@@ -72,6 +72,13 @@ impl KMeans {
     /// Panics if `points` is empty, dimensions differ, or `n_init == 0`.
     pub fn fit(&self, points: &[Vec<f32>], rng: &mut impl Rng) -> KMeansResult {
         assert!(self.n_init > 0, "n_init must be positive");
+        self.fit_points(&Points::new(points), rng)
+    }
+
+    /// [`KMeans::fit`] over a layout built once by the caller, so a sweep
+    /// over k shares it across every k and every restart.
+    pub(crate) fn fit_points(&self, points: &Points<'_>, rng: &mut impl Rng) -> KMeansResult {
+        assert!(self.n_init > 0, "n_init must be positive");
         let mut best: Option<KMeansResult> = None;
         for _ in 0..self.n_init {
             let fit = self.fit_once(points, rng);
@@ -83,28 +90,23 @@ impl KMeans {
     }
 
     /// One k-means++ seeded Lloyd run.
-    fn fit_once(&self, points: &[Vec<f32>], rng: &mut impl Rng) -> KMeansResult {
-        assert!(!points.is_empty(), "kmeans on empty point set");
-        let dim = points[0].len();
-        assert!(
-            points.iter().all(|p| p.len() == dim),
-            "point dimension mismatch"
-        );
-        let k = self.k.min(points.len());
+    fn fit_once(&self, points: &Points<'_>, rng: &mut impl Rng) -> KMeansResult {
+        let rows = points.rows;
+        let dim = points.dim;
+        let k = self.k.min(rows.len());
 
-        let mut centroids = plus_plus_init(points, k, rng);
-        let mut assignment = vec![0usize; points.len()];
+        let mut assignment = vec![0usize; rows.len()];
+        let mut dists = vec![0.0f32; rows.len()];
+        let mut centroids = plus_plus_init(points, k, &mut dists, rng);
         let mut iterations = 0;
         for iter in 0..self.max_iter {
             iterations = iter + 1;
             // Assign.
-            for (i, p) in points.iter().enumerate() {
-                assignment[i] = nearest(p, &centroids).0;
-            }
+            points.nearest(&centroids, &mut assignment, &mut dists);
             // Update.
             let mut sums = vec![vec![0.0f32; dim]; centroids.len()];
             let mut counts = vec![0usize; centroids.len()];
-            for (p, &a) in points.iter().zip(assignment.iter()) {
+            for (p, &a) in rows.iter().zip(assignment.iter()) {
                 vector::axpy(&mut sums[a], 1.0, p);
                 counts[a] += 1;
             }
@@ -123,9 +125,7 @@ impl KMeans {
         }
 
         // Final assignment, then drop empty clusters and re-index.
-        for (i, p) in points.iter().enumerate() {
-            assignment[i] = nearest(p, &centroids).0;
-        }
+        points.nearest(&centroids, &mut assignment, &mut dists);
         let mut used: Vec<usize> = assignment.clone();
         used.sort_unstable();
         used.dedup();
@@ -138,7 +138,7 @@ impl KMeans {
         for a in assignment.iter_mut() {
             *a = remap[a];
         }
-        let inertia = points
+        let inertia = rows
             .iter()
             .zip(assignment.iter())
             .map(|(p, &a)| vector::sq_dist(p, &centroids[a]))
@@ -152,30 +152,158 @@ impl KMeans {
     }
 }
 
+/// Lanes of a [`Points`] block: one point per lane, eight points at once.
+const BLOCK: usize = 8;
+
+/// A point set laid out for its distance kernels.
+///
+/// Below [`vector::LANES`] dims, [`vector::sq_dist`] never fills one of its
+/// lane accumulators: its result is `0.0` plus a sum of squared differences
+/// that starts at `0.0` and adds the dims in ascending order. So the points
+/// are transposed once into blocks of [`BLOCK`] points, dims outermost,
+/// and one pass over a block computes that same sum for eight points side
+/// by side, one point per lane — the same bits as `sq_dist` per pair, with
+/// no multiply fused into an add. At [`vector::LANES`] dims or more (and at
+/// zero), every pair goes through `sq_dist`.
+#[derive(Debug)]
+pub(crate) struct Points<'a> {
+    rows: &'a [Vec<f32>],
+    dim: usize,
+    /// Block `b` holds points `b·BLOCK ..`: dim `d` of its lanes at
+    /// `[b·dim + d]`, a short last block padded with zeros. `None` when
+    /// pairs go through `sq_dist`.
+    blocks: Option<Vec<[f32; BLOCK]>>,
+}
+
+impl<'a> Points<'a> {
+    /// Lays `rows` out for the kernels.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` is empty or dimensions differ.
+    pub(crate) fn new(rows: &'a [Vec<f32>]) -> Self {
+        assert!(!rows.is_empty(), "kmeans on empty point set");
+        let dim = rows[0].len();
+        assert!(
+            rows.iter().all(|p| p.len() == dim),
+            "point dimension mismatch"
+        );
+        let blocks = (dim > 0 && dim < vector::LANES).then(|| {
+            let mut blocks = vec![[0.0f32; BLOCK]; rows.len().div_ceil(BLOCK) * dim];
+            for (i, p) in rows.iter().enumerate() {
+                let block = &mut blocks[(i / BLOCK) * dim..][..dim];
+                for (lanes, &v) in block.iter_mut().zip(p) {
+                    lanes[i % BLOCK] = v;
+                }
+            }
+            blocks
+        });
+        Self { rows, dim, blocks }
+    }
+
+    /// The same points, every pair through `sq_dist`: the reference the
+    /// block kernels are tested against.
+    #[cfg(test)]
+    fn by_rows(rows: &'a [Vec<f32>]) -> Self {
+        Self {
+            blocks: None,
+            ..Self::new(rows)
+        }
+    }
+
+    /// `out[i] = sq_dist(point i, c)`.
+    fn sq_dists_to(&self, c: &[f32], out: &mut [f32]) {
+        let Some(blocks) = &self.blocks else {
+            for (o, p) in out.iter_mut().zip(self.rows) {
+                *o = vector::sq_dist(p, c);
+            }
+            return;
+        };
+        assert_eq!(c.len(), self.dim, "sq_dist length mismatch");
+        for (block, out) in blocks.chunks_exact(self.dim).zip(out.chunks_mut(BLOCK)) {
+            let d = block_sq_dists(block, c);
+            out.copy_from_slice(&d[..out.len()]);
+        }
+    }
+
+    /// `(assignment[i], dists[i]) = nearest(point i, centroids)`: the first
+    /// centroid, in order, at the smallest squared distance.
+    fn nearest(&self, centroids: &[Vec<f32>], assignment: &mut [usize], dists: &mut [f32]) {
+        let Some(blocks) = &self.blocks else {
+            for ((a, d), p) in assignment.iter_mut().zip(dists.iter_mut()).zip(self.rows) {
+                (*a, *d) = nearest(p, centroids);
+            }
+            return;
+        };
+        for c in centroids {
+            assert_eq!(c.len(), self.dim, "sq_dist length mismatch");
+        }
+        let lanes = blocks
+            .chunks_exact(self.dim)
+            .zip(assignment.chunks_mut(BLOCK).zip(dists.chunks_mut(BLOCK)));
+        for (block, (assignment, dists)) in lanes {
+            let mut best = [f32::INFINITY; BLOCK];
+            let mut arg = [0usize; BLOCK];
+            for (i, c) in centroids.iter().enumerate() {
+                let d = block_sq_dists(block, c);
+                for l in 0..BLOCK {
+                    if d[l] < best[l] {
+                        best[l] = d[l];
+                        arg[l] = i;
+                    }
+                }
+            }
+            assignment.copy_from_slice(&arg[..assignment.len()]);
+            dists.copy_from_slice(&best[..dists.len()]);
+        }
+    }
+}
+
+/// Squared distances from the [`BLOCK`] points of `block` to `c`, one per
+/// lane: each lane adds its dims' squared differences in ascending order
+/// from `0.0`.
+#[inline(always)]
+fn block_sq_dists(block: &[[f32; BLOCK]], c: &[f32]) -> [f32; BLOCK] {
+    let mut acc = [0.0f32; BLOCK];
+    for (lanes, &cd) in block.iter().zip(c) {
+        for (a, &x) in acc.iter_mut().zip(lanes) {
+            let diff = x - cd;
+            *a += diff * diff;
+        }
+    }
+    acc
+}
+
 /// k-means++ seeding: first centre uniform, subsequent centres with
 /// probability proportional to squared distance to the nearest chosen one.
 ///
 /// Keeps a running nearest-centroid distance per point and folds in only the
 /// newest centre each round — O(n·k·d) total instead of the O(n·k²·d) of
 /// recomputing all distances per round, with identical sampling weights
-/// (`min` over the same values, accumulated incrementally).
-fn plus_plus_init(points: &[Vec<f32>], k: usize, rng: &mut impl Rng) -> Vec<Vec<f32>> {
+/// (`min` over the same values, accumulated incrementally). `fresh` (one
+/// entry per point) takes the newest centre's distances.
+fn plus_plus_init(
+    points: &Points<'_>,
+    k: usize,
+    fresh: &mut [f32],
+    rng: &mut impl Rng,
+) -> Vec<Vec<f32>> {
+    let rows = points.rows;
     let mut centroids: Vec<Vec<f32>> = Vec::with_capacity(k);
-    centroids.push(points[rng.random_range(0..points.len())].clone());
-    let mut d2: Vec<f32> = points
-        .iter()
-        .map(|p| vector::sq_dist(p, &centroids[0]))
-        .collect();
+    centroids.push(rows[rng.random_range(0..rows.len())].clone());
+    let mut d2 = vec![0.0f32; rows.len()];
+    points.sq_dists_to(&centroids[0], &mut d2);
     while centroids.len() < k {
         let total: f32 = d2.iter().sum();
         let next = if total <= 1e-12 {
             // All points coincide with chosen centroids; pick uniformly.
-            points[rng.random_range(0..points.len())].clone()
+            rows[rng.random_range(0..rows.len())].clone()
         } else {
-            points[rngx::categorical(rng, &d2)].clone()
+            rows[rngx::categorical(rng, &d2)].clone()
         };
-        for (best, p) in d2.iter_mut().zip(points.iter()) {
-            *best = best.min(vector::sq_dist(p, &next));
+        points.sq_dists_to(&next, fresh);
+        for (best, &d) in d2.iter_mut().zip(fresh.iter()) {
+            *best = best.min(d);
         }
         centroids.push(next);
     }
@@ -199,7 +327,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn two_blobs(n_per: usize, sep: f32, seed: u64) -> Vec<Vec<f32>> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -212,6 +340,128 @@ mod tests {
             ]);
         }
         points
+    }
+
+    /// `to_bits`, with every NaN as one class (IEEE 754 leaves a NaN's
+    /// payload open).
+    fn bits(v: f32) -> u32 {
+        if v.is_nan() {
+            f32::NAN.to_bits()
+        } else {
+            v.to_bits()
+        }
+    }
+
+    /// `n` points of `dim` normals; with `specials`, one entry in eight is
+    /// ±0.0, a subnormal, ±∞ or a huge value whose square overflows.
+    fn scattered(n: usize, dim: usize, specials: bool, rng: &mut StdRng) -> Vec<Vec<f32>> {
+        let pool = [
+            0.0,
+            -0.0,
+            1e-40,
+            -3e-39,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            3e38,
+        ];
+        (0..n)
+            .map(|_| {
+                (0..dim)
+                    .map(|_| match rng.random_range(0..8 * pool.len()) {
+                        k if specials && k < pool.len() => pool[k],
+                        _ => rngx::normal(rng, 0.0, 1.0),
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Below `LANES` dims the block kernels give `sq_dist`'s bits per pair,
+    /// and the nearest centroid (first on ties) that `nearest` gives, at
+    /// point counts around the block edge.
+    #[test]
+    fn block_kernels_match_sq_dist_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(17);
+        for dim in 1..vector::LANES {
+            for n in [1, 7, 8, 9, 37] {
+                for specials in [false, true] {
+                    let rows = scattered(n, dim, specials, &mut rng);
+                    let points = Points::new(&rows);
+                    assert!(points.blocks.is_some(), "dim {dim} takes the block kernels");
+                    // Duplicate centroids exercise the tie rule.
+                    let mut centroids = scattered(3, dim, specials, &mut rng);
+                    centroids.push(centroids[1].clone());
+                    centroids.push(rows[n / 2].clone());
+                    let at = format!("dim {dim}, n {n}, specials {specials}");
+                    let mut out = vec![0.0; n];
+                    points.sq_dists_to(&centroids[0], &mut out);
+                    let want: Vec<u32> = rows
+                        .iter()
+                        .map(|p| bits(vector::sq_dist(p, &centroids[0])))
+                        .collect();
+                    assert_eq!(out.into_iter().map(bits).collect::<Vec<_>>(), want, "{at}");
+                    let (mut assignment, mut dists) = (vec![9; n], vec![0.0; n]);
+                    points.nearest(&centroids, &mut assignment, &mut dists);
+                    for (i, p) in rows.iter().enumerate() {
+                        let (a, d) = nearest(p, &centroids);
+                        assert_eq!(
+                            (assignment[i], bits(dists[i])),
+                            (a, bits(d)),
+                            "{at}, point {i}"
+                        );
+                    }
+                }
+            }
+        }
+        let wide = scattered(9, vector::LANES, false, &mut rng);
+        assert!(
+            Points::new(&wide).blocks.is_none(),
+            "LANES dims go pair by pair"
+        );
+    }
+
+    /// Fits over the block layout equal fits pair by pair through
+    /// `sq_dist`: assignment, centroid bits, inertia bits, iteration count,
+    /// and the RNG's next draw. Dims 10 (FLIPS's label histograms) and 24
+    /// (ShiftEx's embeddings) take the blocks, 40 goes pair by pair on both
+    /// sides.
+    #[test]
+    fn block_fits_match_pairwise_fits_bit_for_bit() {
+        for seed in 0..40u64 {
+            let mut data_rng = StdRng::seed_from_u64(seed);
+            for dim in [2, 10, 24, 40] {
+                let n = 21 + (seed as usize % 8);
+                let rows: Vec<Vec<f32>> = (0..n)
+                    .map(|i| {
+                        let centre = (i % 3) as f32 * 2.0;
+                        (0..dim)
+                            .map(|_| centre + rngx::normal(&mut data_rng, 0.0, 0.7))
+                            .collect()
+                    })
+                    .collect();
+                for k in 1..=4 {
+                    let fit = |points: &Points<'_>| {
+                        let mut rng = StdRng::seed_from_u64(seed * 31 + k as u64);
+                        let fit = KMeans::new(k).fit_points(points, &mut rng);
+                        (fit, rng.random::<u64>())
+                    };
+                    let (blocked, next) = fit(&Points::new(&rows));
+                    let (pairwise, want_next) = fit(&Points::by_rows(&rows));
+                    let at = format!("seed {seed}, dim {dim}, k {k}");
+                    assert_eq!(blocked.assignment, pairwise.assignment, "{at}");
+                    assert_eq!(blocked.iterations, pairwise.iterations, "{at}");
+                    assert_eq!(bits(blocked.inertia), bits(pairwise.inertia), "{at}");
+                    let centroid_bits = |fit: &KMeansResult| -> Vec<Vec<u32>> {
+                        fit.centroids
+                            .iter()
+                            .map(|c| c.iter().copied().map(bits).collect())
+                            .collect()
+                    };
+                    assert_eq!(centroid_bits(&blocked), centroid_bits(&pairwise), "{at}");
+                    assert_eq!(next, want_next, "{at}: RNG draws");
+                }
+            }
+        }
     }
 
     #[test]

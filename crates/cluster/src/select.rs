@@ -6,7 +6,7 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::kmeans::{KMeans, KMeansResult};
+use crate::kmeans::{KMeans, KMeansResult, Points};
 use crate::validity::davies_bouldin;
 
 /// Outcome of a k sweep.
@@ -53,11 +53,13 @@ pub fn choose_k(points: &[Vec<f32>], k_max: usize, rng: &mut impl Rng) -> KSelec
     // "perfect" without describing any real regime structure.
     let k_max = k_max.min(points.len() / 2).max(1);
 
+    // Laid out once for the kernels, shared by every k and every restart.
+    let layout = Points::new(points);
     let mut fits: Vec<KMeansResult> = Vec::with_capacity(k_max);
     let mut db_scores = Vec::with_capacity(k_max);
     let mut inertias = Vec::with_capacity(k_max);
     for k in 1..=k_max {
-        let fit = KMeans::new(k).fit(points, rng);
+        let fit = KMeans::new(k).fit_points(&layout, rng);
         db_scores.push(davies_bouldin(points, &fit.assignment, &fit.centroids));
         inertias.push(fit.inertia);
         fits.push(fit);

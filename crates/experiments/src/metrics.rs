@@ -52,8 +52,9 @@ pub struct WindowMetricsAgg {
     pub drop: Summary,
     /// Max accuracy (percent): mean ± std over runs.
     pub max_acc: Summary,
-    /// Median recovery rounds among runs that recovered.
-    pub recovery_rounds: Option<usize>,
+    /// Median recovery rounds among runs that recovered: with an even
+    /// count, the mean of the two middle runs (so it may end in `.5`).
+    pub recovery_rounds: Option<f32>,
     /// Number of runs that failed to recover within budget.
     pub unrecovered_runs: usize,
     /// Number of runs aggregated.
@@ -86,10 +87,11 @@ pub fn aggregate_windows(
                 runs.iter().filter_map(|r| r[w].recovery_rounds).collect();
             recoveries.sort_unstable();
             let unrecovered = runs.len() - recoveries.len();
-            let recovery = if recoveries.is_empty() {
-                None
-            } else {
-                Some(recoveries[recoveries.len() / 2])
+            let mid = recoveries.len() / 2;
+            let recovery = match recoveries.len() {
+                0 => None,
+                n if n % 2 == 1 => Some(recoveries[mid] as f32),
+                _ => Some((recoveries[mid - 1] + recoveries[mid]) as f32 / 2.0),
             };
             WindowMetricsAgg {
                 drop: Summary::of(&drops),
@@ -104,11 +106,18 @@ pub fn aggregate_windows(
 }
 
 impl WindowMetricsAgg {
-    /// Renders recovery as the paper does: a round count, or `>R` when most
+    /// Renders recovery as the paper does: a round count (with a decimal
+    /// only when the median falls between two runs), or `>R` when most
     /// runs failed to recover within the budget.
     pub fn recovery_display(&self) -> String {
         match self.recovery_rounds {
-            Some(r) if self.unrecovered_runs * 2 <= self.runs => r.to_string(),
+            Some(r) if self.unrecovered_runs * 2 <= self.runs => {
+                if r.fract() == 0.0 {
+                    format!("{r:.0}")
+                } else {
+                    format!("{r:.1}")
+                }
+            }
             _ => format!(">{}", self.round_budget),
         }
     }
@@ -154,7 +163,7 @@ mod tests {
         assert_eq!(agg.len(), 1);
         assert!((agg[0].drop.mean - 25.0).abs() < 1e-3);
         assert_eq!(agg[0].unrecovered_runs, 1);
-        assert_eq!(agg[0].recovery_rounds, Some(1));
+        assert_eq!(agg[0].recovery_rounds, Some(1.0));
     }
 
     #[test]
@@ -185,5 +194,27 @@ mod tests {
         let agg = aggregate_windows(&runs, 4);
         assert_eq!(agg[0].unrecovered_runs, 2);
         assert_eq!(agg[0].recovery_display(), "3");
+    }
+
+    #[test]
+    fn even_recovered_counts_take_the_mean_of_the_middle_two() {
+        // Pre-shift 0.8 → target 0.76. Runs recover at rounds 2, 3, 5 and
+        // 6, one never does: the median is 4, not the upper middle 5.
+        let trace = |round: usize| {
+            let mut accs = vec![0.6; round];
+            accs[round - 1] = 0.77;
+            accs
+        };
+        let mut runs: Vec<Vec<WindowMetrics>> = [2, 3, 5, 6]
+            .into_iter()
+            .map(|r| vec![window_metrics(0.8, 0.5, &trace(r))])
+            .collect();
+        runs.push(vec![window_metrics(0.8, 0.5, &[0.6; 6])]);
+        let agg = aggregate_windows(&runs, 6);
+        assert_eq!(agg[0].recovery_rounds, Some(4.0));
+        assert_eq!(agg[0].recovery_display(), "4");
+        // Rounds 2 and 3: the median falls between them.
+        let agg = aggregate_windows(&runs[..2], 6);
+        assert_eq!(agg[0].recovery_display(), "2.5");
     }
 }

@@ -25,6 +25,7 @@ use std::borrow::Cow;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use shiftex_data::Dataset;
 use shiftex_fl::{Party, PartyId, PartyProvider, PopulationStore};
 
 use crate::scenario::Scenario;
@@ -41,10 +42,14 @@ pub fn party_stream_seed(stream_seed: u64, id: PartyId, window: usize) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Party `i` at window 0, from its own `(id, 0)` stream.
-fn build_window0(scenario: &Scenario, stream_seed: u64, i: usize) -> Party {
+/// Party `i` at window 0, from its own `(id, 0)` stream. Without
+/// `with_test` the stream stops before the test rows, its last draw: a party
+/// about to be replayed past window 0 drops that split unread.
+fn build_window0(scenario: &Scenario, stream_seed: u64, i: usize, with_test: bool) -> Party {
     let seed = party_stream_seed(stream_seed, PartyId(i), 0);
-    scenario.build_party(i, &mut StdRng::seed_from_u64(seed))
+    let rng = &mut StdRng::seed_from_u64(seed);
+    let (train, test) = scenario.draw_window(i, 0, with_test, rng);
+    Party::new(PartyId(i), train, test)
 }
 
 /// Advances `party` through every window in `(from, to]`, one
@@ -98,9 +103,23 @@ impl PartyProvider for LazyPopulation {
         if id.0 >= self.scenario.profile.num_parties {
             return None;
         }
-        let mut party = build_window0(&self.scenario, self.stream_seed, id.0);
+        let mut party = build_window0(&self.scenario, self.stream_seed, id.0, window == 0);
         replay(&self.scenario, self.stream_seed, &mut party, 0, window);
         Some(Cow::Owned(party))
+    }
+
+    /// Draws only the `(id, window)` stream, up to its test rows: the
+    /// window's training rows come first in that stream and are dropped.
+    /// No earlier window is rebuilt, since a window's test split depends on
+    /// nothing carried over.
+    fn test_split(&self, id: PartyId, window: usize) -> Option<Cow<'_, Dataset>> {
+        if id.0 >= self.scenario.profile.num_parties {
+            return None;
+        }
+        let seed = party_stream_seed(self.stream_seed, id, window);
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let (_, test) = self.scenario.draw_window(id.0, window, true, rng);
+        Some(Cow::Owned(test))
     }
 }
 
@@ -123,7 +142,7 @@ impl ResidentPopulation {
     /// streams.
     pub fn new(scenario: Scenario, stream_seed: u64) -> Self {
         let parties = (0..scenario.profile.num_parties)
-            .map(|i| build_window0(&scenario, stream_seed, i))
+            .map(|i| build_window0(&scenario, stream_seed, i, true))
             .collect();
         Self {
             scenario,
@@ -233,6 +252,49 @@ mod tests {
         let a = store.party(PartyId(23)).expect("id");
         assert_eq!(a.train_features().as_slice(), b.train_features().as_slice());
         assert_eq!(a.test().features(), b.test().features());
+    }
+
+    /// A split's features and labels, features by `to_bits`.
+    fn split_bits(split: &Dataset) -> (Vec<u32>, Vec<usize>) {
+        let features = split.features().as_slice().iter().map(|v| v.to_bits());
+        (features.collect(), split.labels().to_vec())
+    }
+
+    /// Every read of a party's test split returns the same bits: the lazy
+    /// test-split read (only the window's own stream), the lazy whole-party
+    /// read (which skips window 0's test rows past window 0), and both
+    /// resident reads, at windows 0–2, over a sliding and a tumbling
+    /// dataset.
+    #[test]
+    fn test_splits_match_whole_party_reads_bit_for_bit() {
+        use shiftex_data::WindowingMode;
+        for (kind, windowing) in [
+            (DatasetKind::FashionMnist, WindowingMode::Sliding),
+            (DatasetKind::Fmow, WindowingMode::Tumbling),
+        ] {
+            let scenario =
+                Scenario::build_with_population(kind, SimScale::Smoke, 3, Some(12), Some(8));
+            assert_eq!(scenario.profile.windowing, windowing);
+            let lazy = LazyPopulation::new(scenario.clone(), 77);
+            let mut resident = ResidentPopulation::new(scenario, 77);
+            for window in 0..3 {
+                resident.advance_window(window);
+                for id in [PartyId(0), PartyId(5), PartyId(11)] {
+                    let at = format!("{kind:?}, window {window}, {id}");
+                    let party = resident.party(id, window).expect("resident id");
+                    let want = split_bits(party.test());
+                    assert!(!want.1.is_empty(), "{at}: an empty split pins nothing");
+                    let split = resident.test_split(id, window).expect("resident id");
+                    assert!(matches!(split, Cow::Borrowed(_)), "{at}: resident lends");
+                    assert_eq!(split_bits(&split), want, "{at}: resident test_split");
+                    let party = lazy.party(id, window).expect("lazy id");
+                    assert_eq!(split_bits(party.test()), want, "{at}: lazy party");
+                    let split = lazy.test_split(id, window).expect("lazy id");
+                    assert_eq!(split_bits(&split), want, "{at}: lazy test_split");
+                }
+            }
+            assert!(lazy.test_split(PartyId(12), 0).is_none(), "unknown id");
+        }
     }
 
     #[test]

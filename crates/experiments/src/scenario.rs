@@ -127,16 +127,48 @@ impl Scenario {
         self.rounds_per_window * 3
     }
 
+    /// Party `i`'s rows for `window`, drawn off `rng` (its own `(id,
+    /// window)` stream) in the stream's one order: the window's fresh
+    /// training rows, then its test rows. With `with_test` false the draws
+    /// stop before the test rows and the test split comes back empty.
+    ///
+    /// Nothing follows the test rows in a window's stream, so a reader that
+    /// skips them leaves every earlier draw as it was, and a reader that
+    /// wants only the test rows must still draw the training rows before
+    /// them. [`build_party`](Self::build_party),
+    /// [`advance_party`](Self::advance_party) and the population providers'
+    /// test-split reads all draw through here, so they cannot disagree on
+    /// that order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window` is out of schedule range.
+    pub fn draw_window(
+        &self,
+        i: usize,
+        window: usize,
+        with_test: bool,
+        rng: &mut StdRng,
+    ) -> (Dataset, Dataset) {
+        let regime = self.schedule.regime(window, i);
+        let fresh_n = match (window, self.profile.windowing) {
+            (0, _) | (_, WindowingMode::Tumbling) => self.profile.samples_per_party,
+            (_, WindowingMode::Sliding) => self.profile.samples_per_party / 2,
+        };
+        let fresh = self.generator.generate_with_regime(fresh_n, regime, rng);
+        let test = if with_test {
+            self.generator
+                .generate_with_regime(self.profile.test_samples_per_party, regime, rng)
+        } else {
+            Dataset::empty(self.profile.classes, self.profile.shape)
+        };
+        (fresh, test)
+    }
+
     /// Builds party `i`'s window-0 (bootstrap) state, drawing from `rng` —
     /// the population providers call it against party `i`'s own stream.
     pub fn build_party(&self, i: usize, rng: &mut StdRng) -> Party {
-        let regime = self.schedule.regime(0, i);
-        let train =
-            self.generator
-                .generate_with_regime(self.profile.samples_per_party, regime, rng);
-        let test =
-            self.generator
-                .generate_with_regime(self.profile.test_samples_per_party, regime, rng);
+        let (train, test) = self.draw_window(i, 0, true, rng);
         Party::new(PartyId(i), train, test)
     }
 
@@ -152,27 +184,18 @@ impl Scenario {
     ///
     /// Panics if `window` is out of schedule range.
     pub fn advance_party(&self, party: &mut Party, window: usize, rng: &mut StdRng) {
-        let i = party.id().0;
-        let regime = self.schedule.regime(window, i);
-        let fresh_n = match self.profile.windowing {
-            WindowingMode::Tumbling => self.profile.samples_per_party,
-            WindowingMode::Sliding => self.profile.samples_per_party / 2,
-        };
-        let fresh = self.generator.generate_with_regime(fresh_n, regime, rng);
+        let (fresh, test) = self.draw_window(party.id().0, window, true, rng);
         let train = match self.profile.windowing {
             WindowingMode::Tumbling => fresh,
             WindowingMode::Sliding => {
                 // Keep the most recent half of the old window.
                 let old = party.train();
-                let keep = old.len().min(self.profile.samples_per_party - fresh_n);
+                let keep = old.len().min(self.profile.samples_per_party - fresh.len());
                 let idx: Vec<usize> = (old.len() - keep..old.len()).collect();
                 let carried = old.subset(&idx);
                 Dataset::concat(&[&carried, &fresh])
             }
         };
-        let test =
-            self.generator
-                .generate_with_regime(self.profile.test_samples_per_party, regime, rng);
         party.advance_window(train, test);
     }
 

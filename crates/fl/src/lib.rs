@@ -68,9 +68,10 @@ pub fn evaluate_on_view(spec: &ArchSpec, params: &[f32], view: &PopulationView<'
 }
 
 /// Sample-weighted population accuracy where `params_of` supplies each
-/// party's assigned parameters — the one per-party scoring loop. Parties
-/// are materialized one at a time in view order and dropped after scoring,
-/// so evaluation stays O(1)-resident at any population size.
+/// party's assigned parameters — the one per-party scoring loop. Only each
+/// party's test split is read ([`PopulationView::with_test_split`]), one
+/// at a time in view order and dropped after scoring, so evaluation stays
+/// O(1)-resident at any population size.
 pub fn evaluate_assigned_view<'a>(
     spec: &ArchSpec,
     view: &PopulationView<'_>,
@@ -81,8 +82,8 @@ pub fn evaluate_assigned_view<'a>(
     // One built model per distinct parameter slice (by pointer identity).
     let mut cache: Vec<(&[f32], Sequential)> = Vec::new();
     for &id in view.ids() {
-        view.with_party(id, |party| {
-            if party.test().is_empty() {
+        view.with_test_split(id, |test| {
+            if test.is_empty() {
                 return;
             }
             let params = params_of(id);
@@ -98,10 +99,8 @@ pub fn evaluate_assigned_view<'a>(
             };
             // Arg-max against the label only; the same `f32` accuracy, then
             // `f64` weighting, that an `EvalReport` would have gone through.
-            let n = party.test_labels().len();
-            let hits = cache[slot]
-                .1
-                .count_correct(party.test_features(), party.test_labels());
+            let n = test.labels().len();
+            let hits = cache[slot].1.count_correct(test.features(), test.labels());
             let accuracy = hits as f32 / n as f32;
             correct += accuracy as f64 * n as f64;
             total += n;

@@ -53,6 +53,11 @@ impl Party {
         &self.test
     }
 
+    /// The party's current-window test data, moved out of the party.
+    pub fn into_test(self) -> Dataset {
+        self.test
+    }
+
     /// Training feature matrix.
     pub fn train_features(&self) -> &Matrix {
         self.train.features()

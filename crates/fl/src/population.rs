@@ -57,6 +57,8 @@ use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
 
+use shiftex_data::Dataset;
+
 use crate::party::{Party, PartyId, PartyInfo};
 
 /// Source of parties for a [`PopulationStore`].
@@ -115,6 +117,19 @@ pub trait PartyProvider: std::fmt::Debug {
     /// that keeps its parties resident lends a borrow; one that rebuilds
     /// them hands over the party it just built.
     fn party(&self, id: PartyId, window: usize) -> Option<Cow<'_, Party>>;
+
+    /// `id`'s test split at `window`, or `None` if `id` is unknown — all
+    /// that evaluation reads of a party. The default lends
+    /// [`party`](Self::party)'s split: borrowed from a resident party,
+    /// moved out of a built one. A provider that can produce the split
+    /// without building the rest of the party overrides this; the split
+    /// must be bit-identical to `party(id, window)`'s.
+    fn test_split(&self, id: PartyId, window: usize) -> Option<Cow<'_, Dataset>> {
+        Some(match self.party(id, window)? {
+            Cow::Borrowed(party) => Cow::Borrowed(party.test()),
+            Cow::Owned(party) => Cow::Owned(party.into_test()),
+        })
+    }
 
     /// `id`'s party for in-place mutation, if this provider owns storage
     /// the caller may change. Providers that derive their parties from
@@ -254,20 +269,38 @@ impl PopulationStore {
         self.infos.get_mut().clear();
     }
 
+    /// Whether `id` is in the population; if so, the read about to be made
+    /// of it is counted as one materialization.
+    fn count_read(&self, id: PartyId) -> bool {
+        let known = self.contains(id);
+        if known {
+            self.materialized.set(self.materialized.get() + 1);
+        }
+        known
+    }
+
     /// `id`'s party as the provider lends it, counted as one
     /// materialization; `None` if `id` is not in the population.
     fn lend(&self, id: PartyId) -> Option<Cow<'_, Party>> {
-        if !self.contains(id) {
-            return None;
-        }
-        self.materialized.set(self.materialized.get() + 1);
-        self.provider.party(id, self.window)
+        self.count_read(id)
+            .then(|| self.provider.party(id, self.window))
+            .flatten()
     }
 
     /// Borrows `id`'s party (materializing it if the backing is lazy) and
     /// applies `f`; `None` if `id` is not in the population.
     pub fn with_party<R>(&self, id: PartyId, f: impl FnOnce(&Party) -> R) -> Option<R> {
         self.lend(id).map(|p| f(&p))
+    }
+
+    /// Borrows `id`'s test split ([`PartyProvider::test_split`]) and
+    /// applies `f`; `None` if `id` is not in the population. Counted as one
+    /// materialization, like a whole-party read.
+    pub fn with_test_split<R>(&self, id: PartyId, f: impl FnOnce(&Dataset) -> R) -> Option<R> {
+        self.count_read(id)
+            .then(|| self.provider.test_split(id, self.window))
+            .flatten()
+            .map(|test| f(&test))
     }
 
     /// An owned copy of `id`'s party, or `None` if unknown. A party the
@@ -373,6 +406,14 @@ impl<'a> PopulationView<'a> {
             return None;
         }
         self.store.with_party(id, f)
+    }
+
+    /// Borrows `id`'s test split if it is in view — what evaluation reads.
+    pub fn with_test_split<R>(&self, id: PartyId, f: impl FnOnce(&Dataset) -> R) -> Option<R> {
+        if !self.contains(id) {
+            return None;
+        }
+        self.store.with_test_split(id, f)
     }
 
     /// Lends the subset of `ids` that is in view, preserving the given
@@ -546,6 +587,40 @@ mod tests {
             after.train_features().as_slice()
         );
         assert!(after.prev_train().is_none());
+    }
+
+    #[test]
+    fn test_split_reads_lend_the_party_split_and_count_as_reads() {
+        let seeded = SeededProvider { n: 10 };
+        let built = seeded.build(PartyId(4), 0);
+        let split = seeded.test_split(PartyId(4), 0).expect("known id");
+        assert!(
+            matches!(split, Cow::Owned(_)),
+            "a built party's split moves out"
+        );
+        assert_eq!(split.features(), built.test_features());
+        assert_eq!(split.labels(), built.test_labels());
+        assert!(seeded.test_split(PartyId(10), 0).is_none());
+
+        let store = PopulationStore::from_parties(make_parties(3));
+        let view = store.view(vec![PartyId(2)]);
+        let want = store.with_party(PartyId(2), |p| p.test_labels().to_vec());
+        let before = store.stats().materializations;
+        let got = view.with_test_split(PartyId(2), |t| t.labels().to_vec());
+        assert_eq!(got, want);
+        assert!(
+            view.with_test_split(PartyId(0), |_| ()).is_none(),
+            "out of view"
+        );
+        assert!(
+            store.with_test_split(PartyId(7), |_| ()).is_none(),
+            "unknown id"
+        );
+        assert_eq!(
+            store.stats().materializations,
+            before + 1,
+            "a split read counts as one materialization, a refused one as none"
+        );
     }
 
     #[test]

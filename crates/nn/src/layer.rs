@@ -301,6 +301,14 @@ fn norm_rows<const B: usize>(input: &Matrix, first: usize, out: &mut Matrix, std
 
 /// Forward 2×2/stride-2 max pooling into `out`; `winners` receives the flat
 /// input index behind every output element.
+///
+/// Each window is scanned top-left, top-right, bottom-left, bottom-right
+/// from `-∞` at index 0, and a candidate wins only when strictly greater:
+/// the first maximum wins a tie, a NaN never wins, and a window with
+/// nothing above `-∞` reports `-∞` at index 0. The scan is a select per
+/// candidate over two input-row slices rather than a branch, which real
+/// activations mispredict; [`crate::naive::max_pool`] is the branching
+/// loop it replaced, bit for bit.
 fn pool_forward(
     input: &Matrix,
     c: usize,
@@ -322,25 +330,32 @@ fn pool_forward(
     for b in 0..batch {
         let x = input.row(b);
         let out_row = out.row_mut(b);
-        for ch in 0..c {
-            let cbase = ch * h * w;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut best = f32::NEG_INFINITY;
-                    let mut best_idx = 0usize;
-                    for dy in 0..2 {
-                        for dx in 0..2 {
-                            let idx = cbase + (oy * 2 + dy) * w + ox * 2 + dx;
-                            if x[idx] > best {
-                                best = x[idx];
-                                best_idx = idx;
-                            }
-                        }
-                    }
-                    let o = ch * oh * ow + oy * ow + ox;
-                    out_row[o] = best;
-                    winners[b * out_dim + o] = best_idx;
+        let win_row = &mut winners[b * out_dim..(b + 1) * out_dim];
+        for row in 0..c * oh {
+            // Output row `row` pools input rows `2·row` and `2·row + 1`
+            // (channel-major rows of `w`, so channels need no offset of
+            // their own).
+            let top_at = 2 * row * w;
+            let (top, bottom) = x[top_at..top_at + 2 * w].split_at(w);
+            let o = row * ow;
+            let pooled = out_row[o..o + ow].iter_mut().zip(&mut win_row[o..o + ow]);
+            let pairs = top.chunks_exact(2).zip(bottom.chunks_exact(2));
+            for (ox, ((t, bt), (best_out, win))) in pairs.zip(pooled).enumerate() {
+                let at = top_at + 2 * ox;
+                let candidates = [
+                    (t[0], at),
+                    (t[1], at + 1),
+                    (bt[0], at + w),
+                    (bt[1], at + w + 1),
+                ];
+                let (mut best, mut best_idx) = (f32::NEG_INFINITY, 0usize);
+                for (v, idx) in candidates {
+                    let wins = v > best;
+                    best = if wins { v } else { best };
+                    best_idx = if wins { idx } else { best_idx };
                 }
+                *best_out = best;
+                *win = best_idx;
             }
         }
     }
@@ -350,7 +365,7 @@ fn pool_forward(
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn dense(fan_in: usize, fan_out: usize, seed: u64) -> Layer {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -581,6 +596,37 @@ mod tests {
                 let at = format!("{rows}x{cols}");
                 assert_eq!(bits(got.as_slice()), bits(expect.as_slice()), "{at}");
                 assert_eq!(bits(&cache.stds), bits(&expect_stds), "{at} stds");
+            }
+        }
+    }
+
+    /// The select-based max pool against the branching loop it replaced,
+    /// bit for bit in outputs and winners: ties (the first maximum wins,
+    /// `+0.0` after `-0.0` included), NaN candidates, and windows of only
+    /// `-∞` and NaN (`-∞` at index 0), across batch sizes and shapes.
+    #[test]
+    fn max_pool_matches_naive_bit_for_bit() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut rng = StdRng::seed_from_u64(14);
+        let pool = [f32::NAN, f32::NEG_INFINITY, -0.0, 0.0, 1.5, 1.5, -2.0];
+        for (c, h, w) in [(1, 2, 2), (6, 8, 8), (12, 4, 4), (3, 2, 6), (2, 6, 2)] {
+            for rows in 0..=5 {
+                let x = Matrix::from_fn(rows, c * h * w, |r, _| match r {
+                    // All -∞ and NaN: no candidate beats the start.
+                    0 => pool[rng.random_range(0..2)],
+                    // Specials only: dense ties.
+                    1 => pool[rng.random_range(0..pool.len())],
+                    _ => match rng.random_range(0..4) {
+                        0 => pool[rng.random_range(0..pool.len())],
+                        _ => shiftex_tensor::rngx::normal(&mut rng, 0.0, 1.0),
+                    },
+                });
+                let (expect, expect_winners) = crate::naive::max_pool(&x, c, h, w);
+                let layer = Layer::MaxPool2d { c, h, w };
+                let (got, cache) = forward(&layer, &x);
+                let at = format!("{rows} rows of {c}x{h}x{w}");
+                assert_eq!(bits(got.as_slice()), bits(expect.as_slice()), "{at}");
+                assert_eq!(cache.winners, expect_winners, "{at} winners");
             }
         }
     }

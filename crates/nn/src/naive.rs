@@ -7,6 +7,9 @@
 //! * The instance norm: one row at a time, two serial sums per row — what
 //!   this crate shipped until [`crate::Layer::InstanceNorm`] standardised
 //!   rows side by side, kept verbatim.
+//! * The max pool: one branch per window candidate — what this crate
+//!   shipped until [`crate::Layer::MaxPool2d`] selected over row slices,
+//!   kept verbatim.
 //!
 //! Tests assert that [`crate::Layer`] matches these loops bit for bit, and
 //! the `nn_kernels/*_naive` benches time them; production code always goes
@@ -143,4 +146,41 @@ pub fn instance_norm(input: &Matrix) -> (Matrix, Vec<f32>) {
         stds.push(std);
     }
     (out, stds)
+}
+
+/// Forward 2×2/stride-2 max pooling of `input` (`batch × c·h·w`, `h` and
+/// `w` even): `(output, winners)`, `winners` holding the flat input index
+/// (within its row) behind every output element.
+pub fn max_pool(input: &Matrix, c: usize, h: usize, w: usize) -> (Matrix, Vec<usize>) {
+    let (oh, ow) = (h / 2, w / 2);
+    let batch = input.rows();
+    let out_dim = c * oh * ow;
+    let mut out = Matrix::zeros(batch, out_dim);
+    let mut winners = vec![0usize; batch * out_dim];
+    for b in 0..batch {
+        let x = input.row(b);
+        let out_row = out.row_mut(b);
+        for ch in 0..c {
+            let cbase = ch * h * w;
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let mut best = f32::NEG_INFINITY;
+                    let mut best_idx = 0usize;
+                    for dy in 0..2 {
+                        for dx in 0..2 {
+                            let idx = cbase + (oy * 2 + dy) * w + ox * 2 + dx;
+                            if x[idx] > best {
+                                best = x[idx];
+                                best_idx = idx;
+                            }
+                        }
+                    }
+                    let o = ch * oh * ow + oy * ow + ox;
+                    out_row[o] = best;
+                    winners[b * out_dim + o] = best_idx;
+                }
+            }
+        }
+    }
+    (out, winners)
 }
