@@ -264,8 +264,10 @@ fn bench_nn_kernels(c: &mut Criterion) {
     }
 
     // LeNet-lite's first pool (6 channels of 8x8) at the 8-row batch,
-    // beside the branching loop it replaced. Own RNG, so the labels around
-    // it keep their inputs.
+    // beside the branching loop it replaced. The loop gets its shape
+    // through `black_box`, as the layer reads it from its enum at run time:
+    // constant dims would let the compiler unroll the scan. Own RNG, so the
+    // labels around it keep their inputs.
     {
         let mut rng = StdRng::seed_from_u64(66);
         let x = Matrix::randn(8, 6 * 8 * 8, 0.0, 1.0, &mut rng).map(|v| v.max(0.0));
@@ -275,7 +277,11 @@ fn bench_nn_kernels(c: &mut Criterion) {
             b.iter(|| layer.forward(&x, &mut out, &mut cache))
         });
         group.bench_function("max_pool_lenet_c1_b8_naive", |b| {
-            b.iter(|| naive::max_pool(&x, 6, 8, 8))
+            let dims = || std::hint::black_box((6, 8, 8));
+            b.iter(|| {
+                let (c, h, w) = dims();
+                naive::max_pool(&x, c, h, w)
+            })
         });
     }
 
