@@ -149,10 +149,11 @@ impl FederatedAlgorithm for FedAvg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
     use shiftex_data::{ImageShape, PrototypeGenerator};
     use shiftex_fl::{
         run_algorithm_round, Party, PopulationStore, RoundCtx, ScenarioEngine, ScenarioSpec,
+        UniformSelector,
     };
 
     /// Six uniform parties; trains `alg` for eight driver rounds and
@@ -189,6 +190,76 @@ mod tests {
         assert_eq!(alg.name(), "FedAvg");
         assert_eq!(alg.train_config(0).prox_mu, None);
         assert_improves_through_the_driver(alg);
+    }
+
+    /// Five parties of 16 training rows, except party 2, which has none.
+    fn store_with_an_empty_party(rng: &mut StdRng) -> PopulationStore {
+        let gen = PrototypeGenerator::new(ImageShape::new(1, 4, 4), 3, rng);
+        let parties = (0..5)
+            .map(|i| {
+                let rows = if i == 2 { 0 } else { 16 };
+                Party::new(
+                    PartyId(i),
+                    gen.generate_uniform(rows, rng),
+                    gen.generate_uniform(8, rng),
+                )
+            })
+            .collect();
+        PopulationStore::from_parties(parties)
+    }
+
+    #[test]
+    fn cohort_sources_keep_their_empty_party_and_rng_rules() {
+        let spec = ArchSpec::mlp("t", 16, &[10], 3);
+        let train = TrainConfig::default();
+        let mut rng = StdRng::seed_from_u64(5);
+        let store = store_with_an_empty_party(&mut rng);
+        let all = store.view(store.party_ids());
+        let nobody = store.view(Vec::new());
+        // The selector path keeps the empty-train party; the FLIPS path
+        // drops zero-train parties after selection.
+        let sources: [(Box<dyn FederatedAlgorithm>, bool); 4] = [
+            (Box::new(FedAvg::new(spec.clone(), train, 5)), true),
+            (
+                Box::new(FedAvg::fedprox(spec.clone(), train, 5, 0.01)),
+                true,
+            ),
+            (
+                Box::new(crate::Fielding::new(spec.clone(), train, 5)),
+                false,
+            ),
+            (
+                Box::new(crate::Fielding::flips(spec.clone(), train, 5)),
+                false,
+            ),
+        ];
+        for (mut alg, keeps_empty) in sources {
+            alg.init(&all, &mut rng);
+            let cohort = alg.cohort(0, &all, &mut UniformSelector, &mut rng);
+            let name = alg.name().to_string();
+            assert_eq!(
+                cohort.contains(&PartyId(2)),
+                keeps_empty,
+                "{name}: {cohort:?}"
+            );
+            assert!(cohort.len() >= 4, "{name}: {cohort:?}");
+            // A cohort over an empty view returns before any draw.
+            let mut untouched = rng.clone();
+            assert!(alg
+                .cohort(0, &nobody, &mut UniformSelector, &mut rng)
+                .is_empty());
+            assert_eq!(rng.random::<u64>(), untouched.random::<u64>(), "{name}");
+        }
+        // A FLIPS source fit over an empty view has no clusters to draw from.
+        for mut alg in [
+            crate::Fielding::new(spec.clone(), train, 5),
+            crate::Fielding::flips(spec.clone(), train, 5),
+        ] {
+            alg.init(&nobody, &mut rng);
+            assert!(alg
+                .cohort(0, &all, &mut UniformSelector, &mut rng)
+                .is_empty());
+        }
     }
 
     #[test]

@@ -136,6 +136,46 @@ fn loopback_dense_sync_is_bit_identical_to_in_process_driver() {
     assert_eq!(uploads, stats.upload_msgs);
 }
 
+/// FNV-1a over each stream's key and final parameter bits, then the
+/// ledger totals' `Debug` text (so a new counter moves the hash).
+fn netfed_fingerprint(run: &NetFedRun) -> u64 {
+    let mut bytes = Vec::new();
+    for (key, params) in &run.params {
+        bytes.extend((*key as u64).to_le_bytes());
+        params
+            .iter()
+            .for_each(|p| bytes.extend(p.to_bits().to_le_bytes()));
+    }
+    bytes.extend(format!("{:?}", run.comm).bytes());
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn loopback_sessions_are_bit_pinned() {
+    // FedAvg is the `netfed_tcp` benchmark workload's strategy; Fielding
+    // cohorts from its own label clusters instead of the driver's selector.
+    let scenario = scenario();
+    let computed: Vec<(&str, u64)> = ["fedavg", "fielding"]
+        .into_iter()
+        .map(|strategy| {
+            let (run, stats, _, _, _) =
+                net_session(&scenario, &config(strategy, CodecSpec::dense(), None));
+            assert!(run.lost.is_empty() && stats.lost_uploads == 0, "{strategy}");
+            (strategy, netfed_fingerprint(&run))
+        })
+        .collect();
+    assert_eq!(
+        computed,
+        [
+            ("fedavg", 0x026b_38dd_0631_211f),
+            ("fielding", 0x0f96_b91a_1174_ed3c)
+        ],
+        "loopback sessions moved"
+    );
+}
+
 #[test]
 fn loopback_quant8_sync_is_bit_identical_to_in_process_driver() {
     let scenario = scenario();

@@ -14,6 +14,14 @@
 //! * a wide cohort (FedAvg, 40 parties × 8 samples, every party every
 //!   round, quant8, Krum `f = 8`): 40 updates span one full and one partial
 //!   panel of the Krum distance kernel;
+//! * FedProx, Fielding, FLIPS and FedDrift on `algorithm_conformance`'s
+//!   dense synchronous golden fixture (FedAvg and ShiftEx are pinned
+//!   there);
+//! * all six algorithms under churn with dropout and quant8 uploads;
+//! * all six algorithms under `scale_lazy_churn`'s axes at smoke size:
+//!   a lazy population, churn, stragglers, async folds, the adaptive codec
+//!   and chunked joins;
+//! * FedDrift on a fixture where it splits into several models;
 //! * [`aggregate_robust`] under all four policies on a fixed 200 × 2146
 //!   fold (the benchmark's `wide_cohort_byzantine` shape), hashing the
 //!   folded parameters, every verdict score and every quarantine flag.
@@ -25,18 +33,22 @@
 use shiftex::core::ShiftExConfig;
 use shiftex::data::{DatasetKind, SimScale};
 use shiftex::experiments::{
-    build_algorithm, run_federation_scenario, FedRunOptions, Scenario, ALGORITHM_NAMES,
+    build_algorithm, run_federation_scenario, FedRunOptions, FedRunResult, PopulationMode,
+    Scenario, ALGORITHM_NAMES,
 };
 use shiftex::fl::{
-    aggregate_robust, AttackKind, AttackSpec, CodecSpec, CommTotals, FoldPolicy, ModelUpdate,
-    ParticipationStats, PartyId, RoundParticipation, ScenarioSpec, WeightedUpdate,
+    aggregate_robust, AsyncSpec, AttackKind, AttackSpec, BudgetSpec, ChurnSpec, CodecSpec,
+    CommTotals, DelayDist, FoldPolicy, JoinConfig, LatePolicy, ModelUpdate, ParticipationStats,
+    PartyId, RoundParticipation, ScenarioSpec, StragglerSpec, WeightedUpdate,
 };
 
-/// Pinned fingerprints, one per row (see the module docs). FedDrift's rows
-/// equal FedAvg's: on this fixture no party's loss regresses past FedDrift's
-/// 0.35 tolerance, so it never splits and runs FedAvg's rounds exactly.
+/// Pinned fingerprints, one per row (see the module docs). FedDrift's
+/// attacked, `churn` and `lazy_churn` rows equal FedAvg's: on those
+/// fixtures no party's loss regresses past FedDrift's 0.35 tolerance, so it
+/// never splits and runs FedAvg's rounds exactly. `split/feddrift` is the
+/// row where it does.
 #[rustfmt::skip]
-const TABLE: [(&str, u64); 23] = [
+const TABLE: [(&str, u64); 40] = [
     ("fedavg/krum",            0x88ab_39a9_6435_1983),
     ("fedprox/krum",           0x7f7f_ac0d_7502_0034),
     ("fielding/krum",          0x5699_c0c7_1beb_8f7f),
@@ -60,6 +72,23 @@ const TABLE: [(&str, u64); 23] = [
     ("fold200x2146/trimmed",   0x22d6_5e67_944d_274a),
     ("fold200x2146/median",    0x99c1_252e_9835_41a9),
     ("fold200x2146/krum",      0xb482_37e3_98a0_80d0),
+    ("dense/fedprox",          0xa4cf_2e43_7cdb_950b),
+    ("dense/fielding",         0x6118_8e48_cfe6_7713),
+    ("dense/flips",            0x2d23_e79b_b072_e057),
+    ("dense/feddrift",         0xc1db_b7db_5915_4235),
+    ("churn/fedavg",           0x9d36_410f_9dde_5c50),
+    ("churn/fedprox",          0xf970_7496_1c5a_4329),
+    ("churn/fielding",         0x0ac8_0e2e_d97e_0727),
+    ("churn/flips",            0xdf88_8d69_6306_331e),
+    ("churn/feddrift",         0x9d36_410f_9dde_5c50),
+    ("churn/shiftex",          0xc0a7_8e3d_287e_ee2a),
+    ("lazy_churn/fedavg",      0xe927_abc5_9e60_94bc),
+    ("lazy_churn/fedprox",     0x08fd_7700_4caa_3b88),
+    ("lazy_churn/fielding",    0xb82e_07f4_0ca4_0b1e),
+    ("lazy_churn/flips",       0x8403_95b4_5107_6078),
+    ("lazy_churn/feddrift",    0xe927_abc5_9e60_94bc),
+    ("lazy_churn/shiftex",     0x8785_3b9e_0e53_99e8),
+    ("split/feddrift",         0x1dbb_8236_ce20_35c3),
 ];
 
 /// FNV-1a, fed little-endian words.
@@ -89,15 +118,15 @@ impl Fnv {
     }
 }
 
-/// Runs `name` and hashes what the run exposes. The destructuring is
-/// exhaustive on purpose: a new counter does not compile until it is
-/// hashed here (and the table re-pinned).
+/// Runs `name` and hashes what the run exposes; returns the hash and the
+/// run. The destructuring is exhaustive on purpose: a new counter does not
+/// compile until it is hashed here (and the table re-pinned).
 fn run_fingerprint(
     name: &str,
     scenario: &Scenario,
     fed: &ScenarioSpec,
     opts: &FedRunOptions,
-) -> u64 {
+) -> (u64, FedRunResult) {
     let mut algorithm =
         build_algorithm(name, scenario, &ShiftExConfig::default()).expect("known algorithm");
     let result = run_federation_scenario(algorithm.as_mut(), scenario, fed, opts);
@@ -180,7 +209,7 @@ fn run_fingerprint(
         h.u64(key as u64);
         h.f32s(&algorithm.broadcast_state(key));
     }
-    h.0
+    (h.0, result)
 }
 
 /// Compares computed rows with [`TABLE`]. On a mismatch the whole set is
@@ -218,7 +247,7 @@ fn attacked_rows(fold_label: &str, fold: FoldPolicy) {
     let computed: Vec<(String, u64)> = ALGORITHM_NAMES
         .iter()
         .map(|name| {
-            let fp = run_fingerprint(name, &scenario, &fed, &opts);
+            let (fp, _) = run_fingerprint(name, &scenario, &fed, &opts);
             (format!("{name}/{fold_label}"), fp)
         })
         .collect();
@@ -254,8 +283,138 @@ fn wide_cohort_krum_is_bit_pinned() {
     let opts = FedRunOptions::new(1, 2, 2)
         .with_codec(CodecSpec::quant8(256))
         .with_fold(FoldPolicy::Krum { f: 8 });
-    let fp = run_fingerprint("fedavg", &scenario, &fed, &opts);
+    let (fp, _) = run_fingerprint("fedavg", &scenario, &fed, &opts);
     assert_pinned(&[("wide40/fedavg/krum".to_string(), fp)]);
+}
+
+/// Runs each of `names` on one fixture and pins the rows `{prefix}/{name}`.
+/// Returns the runs, in `names` order.
+fn pinned_rows(
+    prefix: &str,
+    names: &[&str],
+    scenario: &Scenario,
+    fed: &ScenarioSpec,
+    opts: &FedRunOptions,
+) -> Vec<FedRunResult> {
+    let (computed, runs): (Vec<(String, u64)>, Vec<FedRunResult>) = names
+        .iter()
+        .map(|name| {
+            let (fp, run) = run_fingerprint(name, scenario, fed, opts);
+            ((format!("{prefix}/{name}"), fp), run)
+        })
+        .unzip();
+    assert_pinned(&computed);
+    runs
+}
+
+#[test]
+fn dense_sync_golden_fixture_is_bit_pinned_for_four_more_algorithms() {
+    // `algorithm_conformance`'s golden fixture: FashionMNIST smoke, seed
+    // 17, sync federation seed 9, 2 bootstrap rounds + 1 window × 2
+    // rounds, dense codec, uniform selection.
+    let scenario =
+        Scenario::build_with_population(DatasetKind::FashionMnist, SimScale::Smoke, 17, None, None);
+    pinned_rows(
+        "dense",
+        &["fedprox", "fielding", "flips", "feddrift"],
+        &scenario,
+        &ScenarioSpec::sync(9),
+        &FedRunOptions::new(1, 2, 2),
+    );
+}
+
+#[test]
+fn every_algorithm_under_churn_dropout_and_quant8_is_bit_pinned() {
+    // `algorithm_conformance`'s churned determinism fixture.
+    let scenario =
+        Scenario::build_with_population(DatasetKind::Femnist, SimScale::Smoke, 31, None, None);
+    let fed = ScenarioSpec::sync(7).with_churn(ChurnSpec {
+        join_fraction: 0.25,
+        join_ramp_rounds: 2,
+        leave_fraction: 0.25,
+        leave_after: 2,
+        horizon: 4,
+        dropout: 0.2,
+    });
+    let opts = FedRunOptions::new(1, 2, 2).with_codec(CodecSpec::quant8(256));
+    for run in pinned_rows("churn", &ALGORITHM_NAMES, &scenario, &fed, &opts) {
+        assert!(
+            run.totals.dropped_churn > 0,
+            "{}: dropout fired",
+            run.strategy
+        );
+    }
+}
+
+#[test]
+fn every_algorithm_under_lazy_churn_axes_is_bit_pinned() {
+    // The `scale_lazy_churn` benchmark workload's axes at smoke size: 24
+    // lazy parties of 8 rows, a churn ramp with dropout, exponential
+    // stragglers deferred past the deadline, async folds over stale
+    // updates, a byte budget the adaptive codec must meet, and joins
+    // synced in 1 KiB quantized chunks.
+    let scenario = Scenario::build_with_population(
+        DatasetKind::FashionMnist,
+        SimScale::Smoke,
+        43,
+        Some(24),
+        Some(8),
+    );
+    let fed = ScenarioSpec::sync(19)
+        .with_churn(ChurnSpec {
+            join_fraction: 0.2,
+            join_ramp_rounds: 2,
+            leave_fraction: 0.0,
+            leave_after: 5,
+            horizon: 8,
+            dropout: 0.1,
+        })
+        .with_stragglers(StragglerSpec {
+            dist: DelayDist::Exponential { mean: 0.8 },
+            slow_fraction: 0.0,
+            slow_factor: 4.0,
+            deadline: 1.0,
+            late: LatePolicy::Defer,
+        })
+        .with_async(AsyncSpec {
+            min_buffer: 4,
+            staleness_alpha: 0.5,
+            max_staleness: 3,
+            server_lr: 1.0,
+        });
+    let opts = FedRunOptions::new(1, 4, 4)
+        .with_population(PopulationMode::Lazy)
+        .with_budget(BudgetSpec::per_round(98_304))
+        .with_join_chunking(JoinConfig::quantized(1024));
+    for run in pinned_rows("lazy_churn", &ALGORITHM_NAMES, &scenario, &fed, &opts) {
+        let name = &run.strategy;
+        assert!(run.totals.deferred > 0, "{name}: stragglers were deferred");
+        assert!(run.compression_ratio() > 1.0, "{name}: the budget binds");
+        assert!(
+            run.comm.join_chunk_messages > 0,
+            "{name}: joins were chunked"
+        );
+    }
+}
+
+#[test]
+fn feddrift_split_is_bit_pinned() {
+    // FashionMNIST smoke, seed 5, 4 bootstrap rounds + 2 windows × 2
+    // rounds: drifted parties' losses regress past the 0.35 tolerance, so
+    // FedDrift's clustering path spawns models.
+    let scenario =
+        Scenario::build_with_population(DatasetKind::FashionMnist, SimScale::Smoke, 5, None, None);
+    let runs = pinned_rows(
+        "split",
+        &["feddrift"],
+        &scenario,
+        &ScenarioSpec::sync(105),
+        &FedRunOptions::new(2, 4, 2),
+    );
+    assert!(
+        runs[0].final_models > 1,
+        "FedDrift must split on this fixture"
+    );
 }
 
 /// `n` values in `[-scale, scale)` from integer arithmetic only, so the
