@@ -1,28 +1,73 @@
-//! FedAvg (McMahan et al., AISTATS 2017): one global model, federated
-//! averaging, no shift awareness — the reference point every comparison in
-//! the paper is anchored to — and FedProx (Li et al., MLSys 2020), which is
-//! FedAvg plus a proximal term that keeps local updates near the global
-//! model: the canonical "traditional FL" baseline. The server side is the
-//! same, so FedProx is [`FedAvg::fedprox`]: the same struct with the
-//! proximal coefficient set in its local [`TrainConfig`].
+//! The paper's single-model baselines (§6): one global model folded by
+//! federated averaging, with no shift awareness. They differ in two
+//! decisions only, each held in one field:
 //!
-//! Cohort selection delegates to the scenario driver's pluggable
-//! [`ParticipantSelector`], so the same implementation runs as classic
-//! uniform FedAvg or as OORT-selected FedAvg (`--selector oort`).
+//! * **the proximal term**, [`TrainConfig::prox_mu`]. FedProx (Li et al.,
+//!   MLSys 2020) keeps local updates near the global model with it;
+//! * **the cohort source**. FedAvg (McMahan et al., AISTATS 2017) and
+//!   FedProx draw each round's cohort through the driver's pluggable
+//!   [`ParticipantSelector`], so they run as classic uniform FedAvg or as
+//!   OORT-selected FedAvg (`--selector oort`). FLIPS (Bhope et al.,
+//!   Middleware 2023) and Fielding (Li et al., 2024) ignore the driver's
+//!   selector and deal cohorts from label clusters ([`FlipsSelector`]).
+//!
+//! **FLIPS** ([`FedAvg::flips`]) fits the label clusters **once**, at
+//! [`FederatedAlgorithm::init`]. It is the federation ShiftEx borrows its
+//! selection subsystem from. As a baseline it isolates what equitable
+//! label representation buys *without* any shift reaction: parties whose
+//! label mix drifts across windows keep their stale cluster membership.
+//!
+//! **Fielding** ([`FedAvg::fielding`]) refits the label clusters at every
+//! window boundary. Per the paper, it "re-clusters parties based on label
+//! distributions to train balanced experts, as in FLIPS, but overlooks
+//! covariate shifts": the refit reacts to label histograms only, so
+//! weather-style covariate shifts pass undetected.
+
+use std::collections::BTreeSet;
 
 use rand::rngs::StdRng;
 use shiftex_fl::{
-    aggregate_robust, evaluate_on_view, FederatedAlgorithm, FoldPolicy, ParticipantSelector,
-    PartyId, PopulationView, UpdateVerdict, WeightedUpdate,
+    aggregate_robust, evaluate_on_view, FederatedAlgorithm, FlipsSelector, FoldPolicy,
+    ParticipantSelector, PartyId, PartyInfo, PopulationView, UpdateVerdict, WeightedUpdate,
 };
 use shiftex_nn::{ArchSpec, Sequential, TrainConfig};
 
-/// The FedAvg baseline, and FedProx via [`FedAvg::fedprox`].
+/// Most label clusters a FLIPS or Fielding fit may form.
+const MAX_LABEL_CLUSTERS: usize = 4;
+
+/// Where each round's cohort comes from. A label-cluster fit is `None`
+/// until one over a non-empty view.
+#[derive(Debug)]
+enum CohortSource {
+    /// The driver's selector (FedAvg, FedProx).
+    Selector,
+    /// Label clusters fit once, at `init` (FLIPS).
+    Flips(Option<FlipsSelector>),
+    /// Label clusters fit at `init` and refit at every window boundary
+    /// (Fielding).
+    Fielding(Option<FlipsSelector>),
+}
+
+/// Fits (or refits) label clusters over `infos`; an empty view leaves them
+/// as they are.
+fn fit_label_clusters(fit: &mut Option<FlipsSelector>, infos: &[PartyInfo], rng: &mut StdRng) {
+    if infos.is_empty() {
+        return;
+    }
+    match fit {
+        Some(s) => s.refit(infos, MAX_LABEL_CLUSTERS, rng),
+        None => *fit = Some(FlipsSelector::fit(infos, MAX_LABEL_CLUSTERS, rng)),
+    }
+}
+
+/// The single-model baseline: FedAvg, and FedProx, FLIPS and Fielding
+/// through [`FedAvg::fedprox`], [`FedAvg::flips`] and [`FedAvg::fielding`].
 #[derive(Debug)]
 pub struct FedAvg {
     spec: ArchSpec,
     train: TrainConfig,
     participants_per_round: usize,
+    cohorts: CohortSource,
     params: Vec<f32>,
 }
 
@@ -35,6 +80,7 @@ impl FedAvg {
             spec,
             train,
             participants_per_round,
+            cohorts: CohortSource::Selector,
             params: Vec::new(),
         }
     }
@@ -59,6 +105,25 @@ impl FedAvg {
         Self::new(spec, train, participants_per_round)
     }
 
+    /// Creates a FLIPS instance: cohorts dealt from label clusters fitted
+    /// at [`FederatedAlgorithm::init`] time and never refit, reported as
+    /// `"FLIPS"`.
+    pub fn flips(spec: ArchSpec, train: TrainConfig, participants_per_round: usize) -> Self {
+        Self {
+            cohorts: CohortSource::Flips(None),
+            ..Self::new(spec, train, participants_per_round)
+        }
+    }
+
+    /// Creates a Fielding instance: FLIPS with the label clusters refit at
+    /// every window boundary, reported as `"Fielding"`.
+    pub fn fielding(spec: ArchSpec, train: TrainConfig, participants_per_round: usize) -> Self {
+        Self {
+            cohorts: CohortSource::Fielding(None),
+            ..Self::new(spec, train, participants_per_round)
+        }
+    }
+
     /// Current global parameters (empty before `init`).
     pub fn params(&self) -> &[f32] {
         &self.params
@@ -67,9 +132,11 @@ impl FedAvg {
 
 impl FederatedAlgorithm for FedAvg {
     fn name(&self) -> &str {
-        match self.train.prox_mu {
-            Some(_) => "FedProx",
-            None => "FedAvg",
+        match (&self.cohorts, self.train.prox_mu) {
+            (CohortSource::Selector, None) => "FedAvg",
+            (CohortSource::Selector, Some(_)) => "FedProx",
+            (CohortSource::Flips(_), _) => "FLIPS",
+            (CohortSource::Fielding(_), _) => "Fielding",
         }
     }
 
@@ -77,12 +144,21 @@ impl FederatedAlgorithm for FedAvg {
         &self.spec
     }
 
-    fn init(&mut self, _parties: &PopulationView<'_>, rng: &mut StdRng) {
+    fn init(&mut self, parties: &PopulationView<'_>, rng: &mut StdRng) {
         self.params = Sequential::build(&self.spec, rng).params_flat();
+        if let CohortSource::Flips(fit) | CohortSource::Fielding(fit) = &mut self.cohorts {
+            fit_label_clusters(fit, &parties.infos(), rng);
+        }
     }
 
-    fn begin_window(&mut self, _window: usize, _members: &PopulationView<'_>, _rng: &mut StdRng) {
-        // Single global model: nothing to reorganise at window boundaries.
+    fn begin_window(&mut self, _window: usize, members: &PopulationView<'_>, rng: &mut StdRng) {
+        // Fielding re-clusters on the *new* label distributions. FLIPS
+        // "assumes stationary label distributions": no refit, which is its
+        // failure mode under shift. FedAvg and FedProx have nothing to
+        // reorganise.
+        if let CohortSource::Fielding(fit) = &mut self.cohorts {
+            fit_label_clusters(fit, &members.infos(), rng);
+        }
     }
 
     fn streams(&self) -> Vec<usize> {
@@ -104,18 +180,25 @@ impl FederatedAlgorithm for FedAvg {
         selector: &mut dyn ParticipantSelector,
         rng: &mut StdRng,
     ) -> Vec<PartyId> {
+        // The label-cluster path drops zero-train parties after selection;
+        // the selector path keeps them.
+        let (selector, drop_empty): (&mut dyn ParticipantSelector, bool) = match &mut self.cohorts {
+            CohortSource::Selector => (selector, false),
+            CohortSource::Flips(Some(s)) | CohortSource::Fielding(Some(s)) => (s, true),
+            CohortSource::Flips(None) | CohortSource::Fielding(None) => return Vec::new(),
+        };
         if live.is_empty() {
             return Vec::new();
         }
         let infos = live.infos();
-        let chosen: std::collections::BTreeSet<PartyId> = selector
+        let chosen: BTreeSet<PartyId> = selector
             .select(&infos, self.participants_per_round, rng)
             .into_iter()
             .collect();
-        live.ids()
+        infos
             .iter()
-            .copied()
-            .filter(|id| chosen.contains(id))
+            .filter(|i| chosen.contains(&i.id) && !(drop_empty && i.num_samples == 0))
+            .map(|i| i.id)
             .collect()
     }
 
@@ -224,14 +307,8 @@ mod tests {
                 Box::new(FedAvg::fedprox(spec.clone(), train, 5, 0.01)),
                 true,
             ),
-            (
-                Box::new(crate::Fielding::new(spec.clone(), train, 5)),
-                false,
-            ),
-            (
-                Box::new(crate::Fielding::flips(spec.clone(), train, 5)),
-                false,
-            ),
+            (Box::new(FedAvg::fielding(spec.clone(), train, 5)), false),
+            (Box::new(FedAvg::flips(spec.clone(), train, 5)), false),
         ];
         for (mut alg, keeps_empty) in sources {
             alg.init(&all, &mut rng);
@@ -252,8 +329,8 @@ mod tests {
         }
         // A FLIPS source fit over an empty view has no clusters to draw from.
         for mut alg in [
-            crate::Fielding::new(spec.clone(), train, 5),
-            crate::Fielding::flips(spec.clone(), train, 5),
+            FedAvg::fielding(spec.clone(), train, 5),
+            FedAvg::flips(spec.clone(), train, 5),
         ] {
             alg.init(&nobody, &mut rng);
             assert!(alg
@@ -269,5 +346,77 @@ mod tests {
         assert_eq!(alg.name(), "FedProx");
         assert_eq!(alg.train_config(0).prox_mu, Some(0.01));
         assert_improves_through_the_driver(alg);
+    }
+
+    /// Label clusters of the last fit (0 before one).
+    fn label_clusters(alg: &FedAvg) -> usize {
+        match &alg.cohorts {
+            CohortSource::Flips(Some(s)) | CohortSource::Fielding(Some(s)) => {
+                s.clusters().clusters.len()
+            }
+            _ => 0,
+        }
+    }
+
+    /// Eight parties, half class-0-heavy and half class-3-heavy.
+    fn two_label_regimes(rng: &mut StdRng) -> (PopulationStore, Vec<PartyId>) {
+        let gen = PrototypeGenerator::new(ImageShape::new(1, 4, 4), 4, rng);
+        let parties: Vec<Party> = (0..8)
+            .map(|i| {
+                let weights = if i < 4 {
+                    vec![8.0, 1.0, 1.0, 1.0]
+                } else {
+                    vec![1.0, 1.0, 1.0, 8.0]
+                };
+                Party::new(
+                    PartyId(i),
+                    gen.generate(32, &weights, rng),
+                    gen.generate_uniform(16, rng),
+                )
+            })
+            .collect();
+        let ids = parties.iter().map(Party::id).collect();
+        (PopulationStore::from_parties(parties), ids)
+    }
+
+    #[test]
+    fn fielding_reclusters_each_window() {
+        let mut rng = StdRng::seed_from_u64(0);
+        let (store, ids) = two_label_regimes(&mut rng);
+        let spec = ArchSpec::mlp("t", 16, &[10], 4);
+        let mut alg = FedAvg::fielding(spec, TrainConfig::default(), 4);
+        assert_eq!(alg.name(), "Fielding");
+        alg.init(&store.view(store.party_ids()), &mut rng);
+        assert_eq!(label_clusters(&alg), 2);
+        let mut engine = ScenarioEngine::new(ScenarioSpec::sync(1), &ids);
+        for _ in 0..6 {
+            run_algorithm_round(&mut alg, &mut RoundCtx::new(&store, &mut engine), &mut rng);
+        }
+        assert!(alg.eval(&store.view(store.party_ids())) > 0.3);
+        // A boundary refit still works over a member view.
+        alg.begin_window(1, &store.view(store.party_ids()), &mut rng);
+        assert!(label_clusters(&alg) >= 1);
+    }
+
+    #[test]
+    fn flips_balances_cohorts_and_keeps_clusters_static() {
+        let mut rng = StdRng::seed_from_u64(0);
+        let (store, ids) = two_label_regimes(&mut rng);
+        let spec = ArchSpec::mlp("t", 16, &[10], 4);
+        let mut alg = FedAvg::flips(spec, TrainConfig::default(), 4);
+        assert_eq!(alg.name(), "FLIPS");
+        alg.init(&store.view(store.party_ids()), &mut rng);
+        let fitted = label_clusters(&alg);
+        assert_eq!(fitted, 2, "two label regimes");
+        let mut engine = ScenarioEngine::new(ScenarioSpec::sync(1), &ids);
+        for _ in 0..4 {
+            run_algorithm_round(&mut alg, &mut RoundCtx::new(&store, &mut engine), &mut rng);
+        }
+        // Window boundaries leave the clustering untouched: the boundary
+        // must not draw from the RNG a refit would consume.
+        let mut untouched = rng.clone();
+        alg.begin_window(1, &store.view(store.party_ids()), &mut rng);
+        assert_eq!(label_clusters(&alg), fitted);
+        assert_eq!(rng.random::<u64>(), untouched.random::<u64>());
     }
 }

@@ -375,7 +375,7 @@ fn bench_codecs(c: &mut Criterion) {
 }
 
 fn bench_algorithms(c: &mut Criterion) {
-    use shiftex_baselines::{FedAvg, FedDrift, FedDriftConfig, Fielding};
+    use shiftex_baselines::{FedAvg, FedDrift, FedDriftConfig};
     use shiftex_fl::{
         run_algorithm_round, ChurnSpec, CodecSpec, FederatedAlgorithm, PopulationStore, RoundCtx,
         ScenarioEngine, ScenarioSpec,
@@ -411,9 +411,9 @@ fn bench_algorithms(c: &mut Criterion) {
         ),
         (
             "fielding",
-            Box::new(Fielding::new(spec.clone(), train, 100)),
+            Box::new(FedAvg::fielding(spec.clone(), train, 100)),
         ),
-        ("flips", Box::new(Fielding::flips(spec.clone(), train, 100))),
+        ("flips", Box::new(FedAvg::flips(spec.clone(), train, 100))),
         (
             "feddrift",
             Box::new(FedDrift::new(

@@ -7,7 +7,7 @@
 //! arm — the scenario driver, codecs, selectors and reports compose with it
 //! for free.
 
-use shiftex_baselines::{FedAvg, FedDrift, FedDriftConfig, Fielding};
+use shiftex_baselines::{FedAvg, FedDrift, FedDriftConfig};
 use shiftex_core::{ShiftEx, ShiftExConfig};
 use shiftex_fl::FederatedAlgorithm;
 use shiftex_nn::TrainConfig;
@@ -55,8 +55,8 @@ pub fn build_algorithm(
     Some(match name.to_ascii_lowercase().as_str() {
         "fedavg" => Box::new(FedAvg::new(spec, train, ppr)),
         "fedprox" => Box::new(FedAvg::fedprox(spec, train, ppr, 0.01)),
-        "fielding" => Box::new(Fielding::new(spec, train, ppr)),
-        "flips" => Box::new(Fielding::flips(spec, train, ppr)),
+        "fielding" => Box::new(FedAvg::fielding(spec, train, ppr)),
+        "flips" => Box::new(FedAvg::flips(spec, train, ppr)),
         "feddrift" => Box::new(FedDrift::new(spec, train, ppr, FedDriftConfig::default())),
         "shiftex" => {
             let cfg = ShiftExConfig {

@@ -17,7 +17,7 @@
 //! |--------|-------|----------|
 //! | [`core`] | `shiftex-core` | the ShiftEx framework (Algorithms 1–2) |
 //! | [`fl`] | `shiftex-fl` | federated runtime: parties, rounds, FedAvg/FedProx |
-//! | [`baselines`] | `shiftex-baselines` | FedProx, OORT, Fielding, FedDrift |
+//! | [`baselines`] | `shiftex-baselines` | FedAvg/FedProx/FLIPS/Fielding, FedDrift, OORT |
 //! | [`detect`] | `shiftex-detect` | MMD / JSD detectors + threshold calibration |
 //! | [`cluster`] | `shiftex-cluster` | k-means + Davies–Bouldin model selection |
 //! | [`data`] | `shiftex-data` | synthetic shifted-stream datasets |
