@@ -81,7 +81,7 @@ const TABLE: [(&str, usize, usize); 6] = [
     ("materialize_cohort_10_of_10k",             63,      40768),
     ("lazy_eval_800_parties_w0",              16012,   60138339),
     ("lazy_eval_800_parties_w1",              19212,   60112739),
-    ("flips_fit_800x10",                       2601,     482084),
+    ("flips_fit_800x10",                       1101,     418884),
 ];
 
 /// `(calls, bytes)` allocated while `f` runs; `f`'s result is dropped

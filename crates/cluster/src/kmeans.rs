@@ -98,26 +98,31 @@ impl KMeans {
         let mut assignment = vec![0usize; rows.len()];
         let mut dists = vec![0.0f32; rows.len()];
         let mut centroids = plus_plus_init(points, k, &mut dists, rng);
+        // The update step's rows, allocated once per fit: each iteration
+        // zeroes them, sums into them, and divides a cluster's row in place
+        // into its new centroid, which then swaps with the old one.
+        let mut sums = vec![vec![0.0f32; dim]; centroids.len()];
+        let mut counts = vec![0usize; centroids.len()];
         let mut iterations = 0;
         for iter in 0..self.max_iter {
             iterations = iter + 1;
             // Assign.
             points.nearest(&centroids, &mut assignment, &mut dists);
             // Update.
-            let mut sums = vec![vec![0.0f32; dim]; centroids.len()];
-            let mut counts = vec![0usize; centroids.len()];
+            sums.iter_mut().for_each(|sum| sum.fill(0.0));
+            counts.fill(0);
             for (p, &a) in rows.iter().zip(assignment.iter()) {
                 vector::axpy(&mut sums[a], 1.0, p);
                 counts[a] += 1;
             }
             let mut movement = 0.0;
-            for (c, (sum, &count)) in centroids.iter_mut().zip(sums.iter().zip(counts.iter())) {
+            for (c, (sum, &count)) in centroids.iter_mut().zip(sums.iter_mut().zip(&counts)) {
                 if count == 0 {
                     continue; // keep old centroid; may be dropped below
                 }
-                let new: Vec<f32> = sum.iter().map(|&s| s / count as f32).collect();
-                movement += vector::l2_dist(c, &new);
-                *c = new;
+                sum.iter_mut().for_each(|s| *s /= count as f32);
+                movement += vector::l2_dist(c, sum);
+                std::mem::swap(c, sum);
             }
             if movement < self.tol {
                 break;

@@ -42,5 +42,5 @@ pub use frame::{
     MsgKind, NetError, BROADCAST_CTX_LEN, FRAME_HEADER_LEN, JOIN_CHUNK_CTX_LEN, MAX_FRAME_LEN,
     PROTO_VERSION, UPLOAD_CTX_LEN,
 };
-pub use stream::{ByteCounters, CountingStream};
+pub use stream::CountingStream;
 pub use worker::{serve, TrainFn, WorkerConfig, WorkerSummary};

@@ -8,57 +8,34 @@
 //! the protocol's fixed framing overhead.
 
 use std::io::{self, Read, Write};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
-/// Shared read/written byte counters of one [`CountingStream`].
-#[derive(Debug, Default)]
-pub struct ByteCounters {
-    read: AtomicU64,
-    written: AtomicU64,
-}
-
-impl ByteCounters {
-    /// Bytes read from the underlying stream so far.
-    pub fn read(&self) -> u64 {
-        self.read.load(Ordering::Relaxed)
-    }
-
-    /// Bytes written to the underlying stream so far.
-    pub fn written(&self) -> u64 {
-        self.written.load(Ordering::Relaxed)
-    }
-}
-
-/// A `Read + Write` wrapper that counts every byte crossing it.
+/// A `Read + Write` wrapper that counts every byte crossing it. Its owner
+/// reads the counts; nothing else holds them.
 #[derive(Debug)]
 pub struct CountingStream<S> {
     inner: S,
-    counters: Arc<ByteCounters>,
+    read: u64,
+    written: u64,
 }
 
 impl<S> CountingStream<S> {
-    /// Wraps `inner` with fresh zeroed counters.
+    /// Wraps `inner` with zeroed counters.
     pub fn new(inner: S) -> Self {
         Self {
             inner,
-            counters: Arc::new(ByteCounters::default()),
+            read: 0,
+            written: 0,
         }
-    }
-
-    /// A handle to this stream's counters (shared, lock-free).
-    pub fn counters(&self) -> Arc<ByteCounters> {
-        Arc::clone(&self.counters)
     }
 
     /// Bytes read so far.
     pub fn bytes_read(&self) -> u64 {
-        self.counters.read()
+        self.read
     }
 
     /// Bytes written so far.
     pub fn bytes_written(&self) -> u64 {
-        self.counters.written()
+        self.written
     }
 
     /// The wrapped stream (e.g. to set socket timeouts on a `TcpStream`).
@@ -80,7 +57,7 @@ impl<S> CountingStream<S> {
 impl<S: Read> Read for CountingStream<S> {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         let n = self.inner.read(buf)?;
-        self.counters.read.fetch_add(n as u64, Ordering::Relaxed);
+        self.read += n as u64;
         Ok(n)
     }
 }
@@ -88,7 +65,7 @@ impl<S: Read> Read for CountingStream<S> {
 impl<S: Write> Write for CountingStream<S> {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         let n = self.inner.write(buf)?;
-        self.counters.written.fetch_add(n as u64, Ordering::Relaxed);
+        self.written += n as u64;
         Ok(n)
     }
 
@@ -110,8 +87,6 @@ mod tests {
         s.get_mut().set_position(0);
         let mut buf = [0u8; 3];
         s.read_exact(&mut buf).expect("read");
-        assert_eq!(s.bytes_read(), 3);
-        let counters = s.counters();
-        assert_eq!((counters.read(), counters.written()), (3, 5));
+        assert_eq!((s.bytes_read(), s.bytes_written()), (3, 5));
     }
 }
