@@ -138,6 +138,24 @@ mod tests {
         assert_eq!(back, snap);
     }
 
+    /// The round trip above cannot see a byte change in the checkpoint
+    /// format (a renamed field, a reordered key, a float printed another
+    /// way) as long as both directions change together; this pin can.
+    #[test]
+    fn snapshot_json_bytes_are_pinned() {
+        let (sx, _store, _rng) = booted();
+        let json = sx.snapshot().to_json().expect("serialises");
+        let hash = json.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!(
+            (json.len(), hash),
+            (69_215, 0x3fe4_79c7_0538_3ad4),
+            "snapshot JSON bytes moved: (len, fnv1a) = ({}, {hash:#018x})",
+            json.len()
+        );
+    }
+
     #[test]
     fn restore_recovers_serving_state() {
         let (sx, store, mut rng) = booted();
