@@ -16,7 +16,6 @@
 use std::collections::BTreeMap;
 
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 use shiftex_cluster::choose_k;
 use shiftex_fl::{
     aggregate_robust, evaluate_assigned_view, FederatedAlgorithm, FoldPolicy, ParticipantSelector,
@@ -25,7 +24,7 @@ use shiftex_fl::{
 use shiftex_nn::{ArchSpec, Sequential, TrainConfig};
 
 /// FedDrift tunables.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FedDriftConfig {
     /// Loss increase (absolute, nats) tolerated before a party counts as
     /// drifted.

@@ -21,12 +21,11 @@
 use std::collections::BTreeMap;
 
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 use shiftex_fl::{ParticipantSelector, PartyId, PartyInfo};
 use shiftex_tensor::rngx;
 
 /// Tunables of the availability-aware [`OortSelector`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OortSelectorConfig {
     /// Fraction of each cohort reserved for never-selected parties.
     pub exploration_fraction: f32,

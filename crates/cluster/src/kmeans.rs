@@ -1,11 +1,10 @@
 //! Lloyd's k-means with k-means++ initialisation.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use shiftex_tensor::{rngx, vector};
 
 /// K-means configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KMeans {
     /// Number of clusters.
     pub k: usize,
@@ -21,7 +20,7 @@ pub struct KMeans {
 }
 
 /// Result of a k-means fit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KMeansResult {
     /// Final centroids (`k` vectors; empty clusters are dropped, so the
     /// actual count may be smaller than requested).

@@ -4,13 +4,12 @@
 //! Index with the elbow method", §5.2.2).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::kmeans::{KMeans, KMeansResult, Points};
 use crate::validity::davies_bouldin;
 
 /// Outcome of a k sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KSelection {
     /// Chosen number of clusters.
     pub k: usize,

@@ -13,7 +13,6 @@
 use std::collections::BTreeMap;
 
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 use shiftex_cluster::choose_k;
 use shiftex_detect::{CalibratedThresholds, EmbeddingProfile, RbfKernel, ThresholdCalibrator};
 use shiftex_fl::{
@@ -40,7 +39,7 @@ use crate::snapshot::{RegistrySnapshot, SNAPSHOT_VERSION};
 const CALIBRATION_MAX_PARTIES: usize = 64;
 
 /// What happened in one window of aggregator-side processing.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WindowReport {
     /// Window index (1-based; 0 is bootstrap).
     pub window: usize,

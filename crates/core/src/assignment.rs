@@ -11,12 +11,11 @@
 //! ablation benches: an exact branch-and-bound for small instances and a
 //! marginal-cost greedy that scales linearly.
 
-use serde::{Deserialize, Serialize};
 use shiftex_detect::jsd;
 use shiftex_tensor::vector;
 
 /// An instance of the Eq. 2 assignment problem.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AssignmentProblem {
     /// `cost[c][k]` = MMD²(P_c(X), P_k(X)) between party `c` and facility
     /// (expert) `k`. Columns cover existing experts first, then candidates.
@@ -35,7 +34,7 @@ pub struct AssignmentProblem {
 }
 
 /// A feasible solution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Assignment {
     /// `party_to_facility[c]` = facility index for party `c`.
     pub party_to_facility: Vec<usize>,

@@ -1,6 +1,5 @@
 //! ShiftEx configuration.
 
-use serde::{Deserialize, Serialize};
 use shiftex_nn::TrainConfig;
 
 /// All tunables of the ShiftEx aggregator, with the paper's defaults.
@@ -8,7 +7,7 @@ use shiftex_nn::TrainConfig;
 /// Thresholds `δ_cov` / `δ_label` are usually left `None` and calibrated
 /// from bootstrap-phase null distributions (§5); setting them explicitly
 /// is the threshold-sensitivity ablation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShiftExConfig {
     /// Covariate-shift threshold on MMD²; `None` = calibrate at bootstrap.
     pub delta_cov: Option<f32>,

@@ -1,14 +1,13 @@
 //! Expert consolidation (§5.2.5): merge experts whose parameters have
 //! drifted together, keeping the pool compact.
 
-use serde::{Deserialize, Serialize};
 use shiftex_detect::{EmbeddingProfile, RbfKernel};
 use shiftex_nn::{cosine_params, weighted_merge};
 
 use crate::registry::{ExpertId, ExpertRegistry};
 
 /// Record of one merge, for window reports and the ablation benches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MergeEvent {
     /// Expert that absorbed the other.
     pub kept: ExpertId,

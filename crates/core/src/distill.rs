@@ -10,14 +10,13 @@
 //! resource §5.4 already budgets for MMD drift detection.
 
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 use shiftex_nn::{softmax_cross_entropy, ArchSpec, Sequential, Sgd};
 use shiftex_tensor::{vector, Matrix};
 
 use crate::registry::Expert;
 
 /// Distillation hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DistillConfig {
     /// Optimisation epochs over the reference set.
     pub epochs: usize,
@@ -41,7 +40,7 @@ impl Default for DistillConfig {
 }
 
 /// Outcome of a distillation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DistillReport {
     /// The student's flattened parameters.
     pub student_params: Vec<f32>,

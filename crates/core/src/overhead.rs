@@ -7,10 +7,8 @@
 //! drift detection. The total aggregator-side space overhead is
 //! O(k·d + n·d + m·D)."
 
-use serde::{Deserialize, Serialize};
-
 /// Byte-level space accounting for one deployment configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OverheadReport {
     /// Party-side bytes: one d-dimensional f32 feature vector.
     pub party_bytes: u64,

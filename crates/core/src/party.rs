@@ -7,14 +7,13 @@
 //! `{P_t(X), ŷ_t, Δcov, Δlabel}` — never raw data.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use shiftex_detect::{jsd, EmbeddingProfile, RbfKernel};
 use shiftex_fl::{Party, PartyId};
 use shiftex_nn::Sequential;
 
 /// The statistics one party transmits to the aggregator each window
 /// (Algorithm 1 line 10).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShiftStats {
     /// Reporting party.
     pub party: PartyId,

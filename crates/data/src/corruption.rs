@@ -6,7 +6,6 @@
 //! which the paper's Figure 1 uses as a weather condition.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use shiftex_tensor::rngx;
 
 use crate::dataset::ImageShape;
@@ -16,7 +15,7 @@ use crate::dataset::ImageShape;
 const NOISE_BLOCK: usize = 64;
 
 /// Corruption family. Severity is passed at application time (1–5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Corruption {
     /// Additive white Gaussian noise.
     GaussianNoise,

@@ -1,11 +1,10 @@
 //! Dataset container shared by every crate in the workspace.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use shiftex_tensor::{stats, Matrix};
 
 /// Image volume description: channels × height × width.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ImageShape {
     /// Channel count (1 = grayscale, 3 = RGB-like).
     pub c: usize,
@@ -40,7 +39,7 @@ impl ImageShape {
 /// assert_eq!(ds.len(), 4);
 /// assert_eq!(ds.label_histogram(), vec![0.5, 0.5]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     features: Matrix,
     labels: Vec<usize>,

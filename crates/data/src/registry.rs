@@ -2,7 +2,6 @@
 //! profiles with matching shift structure, party counts and windowing modes.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::corruption::Corruption;
 use crate::dataset::ImageShape;
@@ -10,7 +9,7 @@ use crate::shift::{Regime, RegimeId};
 use crate::transform::Transform;
 
 /// The five evaluation datasets (§6 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DatasetKind {
     /// Functional Map of the World: satellite land use, natural shifts.
     Fmow,
@@ -72,7 +71,7 @@ macro_rules! fmt_impl {
 use fmt_impl;
 
 /// Simulation scale presets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimScale {
     /// Minutes-long CI scale: few parties, tiny windows.
     Smoke,
@@ -95,7 +94,7 @@ impl SimScale {
 }
 
 /// Windowing mode per the paper's "Windowing Strategy" (§6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WindowingMode {
     /// Disjoint fixed-size windows (FMoW, Tiny-ImageNet-C).
     Tumbling,
@@ -104,7 +103,7 @@ pub enum WindowingMode {
 }
 
 /// Scenario parameters for one dataset at one scale.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatasetProfile {
     /// Which dataset this profiles.
     pub kind: DatasetKind,

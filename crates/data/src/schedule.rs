@@ -9,14 +9,13 @@
 //! receive a fresh Dirichlet label distribution.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use shiftex_tensor::rngx;
 
 use crate::registry::DatasetProfile;
 use crate::shift::Regime;
 
 /// A fully-materialised schedule: `regimes[window][party]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShiftSchedule {
     regimes: Vec<Vec<Regime>>,
     num_parties: usize,

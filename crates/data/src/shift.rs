@@ -7,14 +7,13 @@
 //! exploits.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::corruption::Corruption;
 use crate::dataset::Dataset;
 use crate::transform::Transform;
 
 /// Opaque regime identifier, used by shift schedules and expert bookkeeping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RegimeId(pub u32);
 
 impl std::fmt::Display for RegimeId {
@@ -24,7 +23,7 @@ impl std::fmt::Display for RegimeId {
 }
 
 /// The covariate component of a regime.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum CovariateSpec {
     /// Clean inputs.
     Clear,
@@ -35,7 +34,7 @@ pub enum CovariateSpec {
 }
 
 /// A data-generating condition: covariate spec + optional label distribution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Regime {
     /// Identifier (stable across windows for recurring regimes).
     pub id: RegimeId,

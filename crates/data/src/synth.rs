@@ -7,14 +7,13 @@
 //! images, while class separation keeps the task learnable by small models.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use shiftex_tensor::{rngx, Matrix};
 
 use crate::dataset::{Dataset, ImageShape};
 use crate::shift::Regime;
 
 /// Synthetic data generator with one smooth prototype per class.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PrototypeGenerator {
     shape: ImageShape,
     num_classes: usize,

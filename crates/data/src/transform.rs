@@ -3,13 +3,12 @@
 //! rotation, scaling, color jitter)").
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use shiftex_tensor::rngx;
 
 use crate::dataset::ImageShape;
 
 /// A geometric or photometric input transform.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Transform {
     /// Rotation about the image centre, in degrees.
     Rotation(f32),

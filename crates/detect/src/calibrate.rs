@@ -25,7 +25,7 @@ pub struct CalibratedThresholds {
 
 /// Bootstrap calibrator: estimates null distributions under "no shift" and
 /// places thresholds at the `1 − p_value` quantile.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThresholdCalibrator {
     /// Significance level (probability of a false shift alarm per test).
     pub p_value: f32,

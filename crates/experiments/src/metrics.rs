@@ -2,11 +2,10 @@
 //! Accuracy Drop, Recovery Time and Max Accuracy, per window, aggregated
 //! over repeated runs with mean ± std.
 
-use serde::{Deserialize, Serialize};
 use shiftex_tensor::stats::Summary;
 
 /// Metrics of one window for one run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WindowMetrics {
     /// Immediate post-shift decline: pre-shift accuracy minus the first
     /// accuracy measured after the shift (percentage points).
@@ -46,7 +45,7 @@ pub fn window_metrics(pre_shift_acc: f32, post_shift: f32, per_round: &[f32]) ->
 }
 
 /// Aggregate of one window's metrics over several runs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WindowMetricsAgg {
     /// Drop (percentage points): mean ± std over runs.
     pub drop: Summary,

@@ -12,7 +12,6 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use shiftex_baselines::OortSelector;
 use shiftex_fl::{
     run_algorithm_round, BudgetSpec, CodecController, CodecSpec, CommTotals, FederatedAlgorithm,
@@ -26,7 +25,7 @@ use crate::population::{LazyPopulation, ResidentPopulation};
 use crate::scenario::Scenario;
 
 /// Everything recorded from one algorithm × scenario × federation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FedRunResult {
     /// Algorithm name.
     pub strategy: String,
@@ -96,7 +95,7 @@ impl FedRunResult {
 /// their own internal policy (ShiftEx's per-expert FLIPS, Fielding/FLIPS
 /// label clusters) ignore it; the single-model algorithms (FedAvg, FedProx)
 /// and FedDrift's per-model cohorts consume it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FedSelector {
     /// Uniform sampling without replacement.
     Uniform,
@@ -130,7 +129,7 @@ impl FedSelector {
 /// loop through the same [`PopulationStore`] interface, so a run is
 /// bit-identical under either: the mode is a memory/speed choice, never a
 /// data or protocol one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PopulationMode {
     /// Parties as seeded specs ([`LazyPopulation`]): rebuilt when sampled
     /// into a cohort, dropped when the round drops it. Resident memory is
@@ -155,7 +154,7 @@ impl PopulationMode {
 }
 
 /// Round budget and communication regime of a federation-scenario run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FedRunOptions {
     /// Shifted windows to simulate (W1..).
     pub windows: usize,

@@ -25,7 +25,7 @@
 //!   absolutes (residual ranges are narrower); top-k deltas are the
 //!   classic sparsified-update scheme.
 //!
-//! [`CodecSpec`] is the serialisable, `Copy` configuration that selects and
+//! [`CodecSpec`] is the `Copy` configuration that selects and
 //! parameterises a codec; a round runs under the one in its
 //! [`RoundCtx`](crate::RoundCtx). Encoded sizes are **value-independent** —
 //! [`CodecSpec::update_len`] / [`CodecSpec::broadcast_len`] compute the
@@ -52,8 +52,6 @@
 //! ```
 
 use std::fmt;
-
-use serde::{Deserialize, Serialize};
 
 use crate::party::PartyId;
 use crate::update::ModelUpdate;
@@ -285,10 +283,10 @@ fn decode_topk(reader: &mut Reader<'_>, n: usize) -> Result<Vec<f32>, CodecError
 }
 
 // ---------------------------------------------------------------------------
-// CodecSpec: serialisable configuration + framing.
+// CodecSpec: configuration + framing.
 
 /// Which base codec transforms parameter values into payload bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CodecKind {
     /// Lossless binary framing: `n` little-endian `f32` words.
     Dense,
@@ -343,9 +341,8 @@ impl CodecKind {
 
 /// Wire-format configuration: a base codec plus an optional delta stage.
 ///
-/// `Copy` and serialisable so it can ride inside run options and scenario
-/// reports.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// `Copy` so it can ride inside run options and scenario reports.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CodecSpec {
     /// Base payload codec.
     pub kind: CodecKind,

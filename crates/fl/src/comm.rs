@@ -1,10 +1,8 @@
 //! Communication accounting: the upload/download byte ledger the
 //! [`ScenarioEngine`](crate::ScenarioEngine) owns and writes.
 
-use serde::{Deserialize, Serialize};
-
 /// Aggregate communication counters for one simulation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CommTotals {
     /// Bytes uploaded party → aggregator.
     pub up_bytes: u64,

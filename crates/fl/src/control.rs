@@ -25,8 +25,6 @@
 //! the same SplitMix64 discipline as churn and attack scheduling — so
 //! reruns are bit-identical and `shiftex-lint`'s determinism rules hold.
 
-use serde::{Deserialize, Serialize};
-
 use crate::codec::CodecSpec;
 use crate::comm::CommTotals;
 use crate::scenario::draw_unit;
@@ -41,7 +39,7 @@ const EF_THRESHOLD: f32 = 0.01;
 /// Scenario-level byte budget for the adaptive codec controller.
 ///
 /// `None` caps are unlimited; with both set, both must hold.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BudgetSpec {
     /// Cap on estimated total bytes per `(round, stream)`:
     /// `cohort × (uplink + downlink)` frame bytes.
@@ -85,7 +83,7 @@ impl BudgetSpec {
 /// its construction parameters and the observed round state, holding no
 /// mutable state of its own — which is what makes adaptive runs resumable
 /// and rerun-identical.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CodecController {
     seed: u64,
     budget: BudgetSpec,

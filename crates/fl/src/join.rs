@@ -19,8 +19,6 @@
 //! stay within their per-coordinate quantisation envelope (both
 //! proptest-pinned).
 
-use serde::{Deserialize, Serialize};
-
 use crate::codec::CodecSpec;
 
 /// Per-chunk wire overhead: `[seq: u32][total: u32]` framing prepended to
@@ -28,7 +26,7 @@ use crate::codec::CodecSpec;
 pub const JOIN_CHUNK_HEADER_LEN: usize = 8;
 
 /// Configuration of the chunked join path.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JoinConfig {
     /// Codec for the full-state first-contact frame. Reduced through
     /// [`CodecSpec::first_contact_spec`] before encoding, so delta / error

@@ -19,7 +19,7 @@ impl std::fmt::Display for PartyId {
 /// The aggregator never reads `train`/`test` directly — only the statistics
 /// a party chooses to publish ([`Party::info`], embedding profiles) and its
 /// model updates cross the trust boundary.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Party {
     id: PartyId,
     train: Dataset,
@@ -118,7 +118,7 @@ impl Party {
 
 /// The metadata a selector may use — everything here is aggregate statistics
 /// a party is willing to publish (no raw data).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PartyInfo {
     /// Party identifier.
     pub id: PartyId,

@@ -181,7 +181,7 @@ impl PartyProvider for OwnedProvider {
 
 /// Residency counters for the memory-envelope tests and the `scenarios`
 /// bin's scale report.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PopulationStats {
     /// Total parties the provider can produce.
     pub population: usize,

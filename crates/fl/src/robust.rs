@@ -29,15 +29,13 @@
 //! ledger's quarantine counters and its error-feedback residual refunded)
 //! and a per-fold distance score for the detection surface.
 
-use serde::{Deserialize, Serialize};
-
 use shiftex_tensor::{sq_dist_acc, MR, NR};
 
 use crate::party::PartyId;
 use crate::scenario::{aggregate_weighted, blend, fold_weighted, is_valid, WeightedUpdate};
 
 /// How an algorithm folds staleness-weighted updates into its globals.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub enum FoldPolicy {
     /// Staleness-weighted federated averaging — bit-identical to
     /// [`aggregate_weighted`], zero breakdown point.
@@ -90,7 +88,7 @@ impl FoldPolicy {
 }
 
 /// The fold's judgement of one input update.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UpdateVerdict {
     /// Whose update.
     pub party: PartyId,

@@ -28,8 +28,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use serde::{Deserialize, Serialize};
-
 use crate::codec::CodecSpec;
 use crate::comm::{CommLedger, CommTotals};
 use crate::join::{JoinConfig, JoinSync};
@@ -77,7 +75,7 @@ const SALT_ATTACK_NOISE: u64 = 0xa5;
 
 /// Parametric churn process: staggered joins, scheduled leaves, and
 /// transient per-round dropout.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChurnSpec {
     /// Fraction of parties that come online late.
     pub join_fraction: f32,
@@ -238,7 +236,7 @@ impl ChurnSchedule {
 // Stragglers.
 
 /// Per-party simulated update delay, in round-lengths.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DelayDist {
     /// Every update takes exactly this long.
     Constant(f32),
@@ -268,7 +266,7 @@ impl DelayDist {
 }
 
 /// What happens to an update that misses the round deadline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LatePolicy {
     /// The upload is aborted and the work wasted.
     Drop,
@@ -278,7 +276,7 @@ pub enum LatePolicy {
 
 /// Straggler model: delay distribution, systematic slow parties, and a
 /// round deadline with a late policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StragglerSpec {
     /// Base delay distribution shared by all parties.
     pub dist: DelayDist,
@@ -330,7 +328,7 @@ impl StragglerSpec {
 // Asynchrony.
 
 /// Staleness-aware buffered (FedBuff-style) aggregation parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AsyncSpec {
     /// Minimum buffered updates before an aggregation fires.
     pub min_buffer: usize,
@@ -355,7 +353,7 @@ impl Default for AsyncSpec {
 
 /// Synchronous (classic FedAvg round clock) or asynchronous (buffered)
 /// aggregation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RoundMode {
     /// Aggregate whatever arrived by each round's deadline.
     Sync,
@@ -367,7 +365,7 @@ pub enum RoundMode {
 // Byzantine / faulty parties.
 
 /// What a hostile party does to its contribution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AttackKind {
     /// Reflect the trained parameters through the broadcast reference:
     /// `p ← 2·ref − p`, i.e. the exact negation of the party's real
@@ -388,7 +386,7 @@ pub enum AttackKind {
 }
 
 /// When an attacker actually attacks.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AttackSchedule {
     /// Every round the attacker participates.
     Always,
@@ -411,7 +409,7 @@ pub enum AttackSchedule {
 /// and activation are hash-derived from the scenario seed exactly like
 /// churn and straggler fates, so hostile runs are rerun-deterministic and
 /// compose with every other axis.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AttackSpec {
     /// What attackers do.
     pub kind: AttackKind,
@@ -512,7 +510,7 @@ impl AttackSpec {
 /// let rerun = ScenarioSpec::sync(7).with_churn(ChurnSpec::dropout_only(0.2));
 /// assert_eq!(spec.churn, rerun.churn);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     /// Churn process, if any.
     pub churn: Option<ChurnSpec>,
@@ -520,8 +518,7 @@ pub struct ScenarioSpec {
     pub stragglers: Option<StragglerSpec>,
     /// Aggregation discipline.
     pub mode: RoundMode,
-    /// Byzantine adversary, if any (absent in serialized specs from before
-    /// the adversary axis — the shim decodes a missing key as `None`).
+    /// Byzantine adversary, if any.
     pub attack: Option<AttackSpec>,
     /// Seed for every hash-derived draw in this scenario.
     pub seed: u64,
@@ -588,7 +585,7 @@ impl ScenarioSpec {
 // Participation accounting.
 
 /// Aggregate participation/liveness counters for one scenario run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ParticipationStats {
     /// Cohort slots filled (parties that started local training).
     pub selected: u64,
@@ -623,7 +620,7 @@ impl ParticipationStats {
 }
 
 /// Per-round participation record of a scenario run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoundParticipation {
     /// 1-based round index.
     pub round: usize,

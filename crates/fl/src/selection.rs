@@ -6,7 +6,6 @@
 use std::collections::BTreeSet;
 
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 use shiftex_cluster::choose_k;
 use shiftex_tensor::rngx;
 
@@ -71,7 +70,7 @@ impl ParticipantSelector for UniformSelector {
 }
 
 /// Label-distribution clustering result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LabelClusters {
     /// Party ids per cluster.
     pub clusters: Vec<Vec<PartyId>>,

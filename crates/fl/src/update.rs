@@ -1,12 +1,10 @@
 //! Model updates: the unit of party → aggregator communication.
 
-use serde::{Deserialize, Serialize};
-
 use crate::codec::{CodecError, CodecSpec};
 use crate::party::PartyId;
 
 /// One party's contribution to a federated round.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelUpdate {
     /// Originating party.
     pub party: PartyId,

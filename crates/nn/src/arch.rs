@@ -8,10 +8,8 @@
 //! trains on CPU in milliseconds — the substitution is documented in
 //! `DESIGN.md` §3.
 
-use serde::{Deserialize, Serialize};
-
 /// Named architecture families mirroring the paper's model table (§6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ArchName {
     /// LeNet-5 stand-in (FEMNIST, Fashion-MNIST).
     LeNet5Lite,
@@ -41,7 +39,7 @@ impl std::fmt::Display for ArchName {
 /// Input volume description: channels × height × width.
 ///
 /// Dense-only models use `(1, 1, dim)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct InputShape {
     /// Channel count.
     pub c: usize,
@@ -64,7 +62,7 @@ impl InputShape {
 }
 
 /// Declarative layer description used to build a [`crate::Sequential`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LayerSpec {
     /// Fully-connected layer with the given output width.
     Dense(usize),
@@ -88,7 +86,7 @@ pub enum LayerSpec {
 /// The penultimate layer of the built model (the input to the final dense
 /// classifier) is the **embedding layer** whose activations feed MMD-based
 /// shift detection; its width is [`ArchSpec::embed_dim`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArchSpec {
     /// Architecture family name.
     pub name: ArchName,

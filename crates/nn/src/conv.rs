@@ -51,7 +51,6 @@
 //! O(chunk), never O(dataset). Chunking changes which rows share a panel,
 //! not the order in which any output element is accumulated.
 
-use serde::{Deserialize, Serialize};
 use shiftex_tensor::{gemm_acc, Matrix};
 
 /// Most rows one im2col panel covers.
@@ -63,7 +62,7 @@ const MAX_CHUNK_ROWS: usize = 32;
 const PANEL_FLOATS: usize = 1 << 16;
 
 /// Geometry of one convolution layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConvShape {
     /// Input channels.
     pub in_c: usize,

@@ -5,16 +5,17 @@
 //! `(channels, height, width)` volume whose dimensions are fixed at
 //! construction time.
 
-use serde::{Deserialize, Serialize};
 use shiftex_tensor::{vector, Matrix};
 
 use crate::conv::{self, ConvScratch, ConvShape};
 
 /// A single differentiable layer.
 ///
-/// The enum (rather than a trait object) keeps models `Clone + Serialize`,
-/// which federated averaging and the expert registry rely on.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// The enum (rather than a trait object) keeps models `Clone` with a fixed
+/// parameter order, so [`Sequential::params_flat`](crate::Sequential::params_flat)
+/// is one walk over the layers. Folds and the expert registry work on
+/// those flat vectors, never on layers.
+#[derive(Debug, Clone)]
 pub enum Layer {
     /// Fully-connected layer: `y = x·W + b` with `W: (in, out)`.
     Dense {

@@ -2,7 +2,6 @@
 //! extraction and flattened-parameter access.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use shiftex_tensor::Matrix;
 
 use crate::arch::{ArchSpec, InputShape, LayerSpec};
@@ -13,7 +12,7 @@ use crate::optim::Sgd;
 use crate::trainer::TrainConfig;
 
 /// Evaluation result: mean loss and top-1 accuracy over a dataset.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EvalReport {
     /// Mean cross-entropy loss.
     pub loss: f32,
@@ -24,7 +23,7 @@ pub struct EvalReport {
 }
 
 /// Report of one local `train` call.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FitReport {
     /// Mean loss of the first epoch.
     pub initial_loss: f32,
@@ -39,7 +38,7 @@ pub struct FitReport {
 /// The activation entering that final classifier is the **embedding** used
 /// throughout ShiftEx for covariate-shift detection (`P_c_t(X)` in the
 /// paper's Algorithm 1).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Sequential {
     spec: ArchSpec,
     layers: Vec<Layer>,

@@ -1,13 +1,11 @@
 //! Stochastic gradient descent with momentum and weight decay.
 
-use serde::{Deserialize, Serialize};
-
 /// SGD optimizer state.
 ///
 /// Operates on flattened parameter vectors (see
 /// [`crate::Sequential::params_flat`]); velocity state is allocated lazily on
 /// the first step so a fresh `Sgd` can be created per local-training call.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Sgd {
     /// Learning rate.
     pub lr: f32,

@@ -5,14 +5,13 @@
 //! crate never touches layer internals.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use shiftex_tensor::Matrix;
 
 use crate::arch::ArchSpec;
 use crate::model::Sequential;
 
 /// Hyper-parameters for one local training call.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainConfig {
     /// Number of passes over the local data.
     pub epochs: usize,
@@ -42,7 +41,7 @@ impl Default for TrainConfig {
 }
 
 /// Result of [`train_local_params`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LocalFitReport {
     /// Updated flattened parameters.
     pub params: Vec<f32>,

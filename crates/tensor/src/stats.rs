@@ -1,7 +1,7 @@
 //! Descriptive statistics used by threshold calibration and reporting.
 
 /// Summary of a scalar sample: mean, standard deviation and extremes.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Arithmetic mean.
     pub mean: f32,
