@@ -55,14 +55,6 @@ impl ShiftSchedule {
             .filter(|&p| self.regimes[window][p] != self.regimes[window - 1][p])
             .collect()
     }
-
-    /// Distinct regime ids present in a window.
-    pub fn regimes_in_window(&self, window: usize) -> Vec<u32> {
-        let mut ids: Vec<u32> = self.regimes[window].iter().map(|r| r.id.0).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids
-    }
 }
 
 /// Builder for [`ShiftSchedule`].
@@ -75,7 +67,6 @@ pub struct ScheduleBuilder {
     label_alpha: Option<f32>,
     base_label_alpha: Option<f32>,
     classes: usize,
-    recurrence_after: Option<usize>,
 }
 
 impl ScheduleBuilder {
@@ -96,7 +87,6 @@ impl ScheduleBuilder {
             label_alpha: None,
             base_label_alpha: None,
             classes,
-            recurrence_after: None,
         }
     }
 
@@ -143,19 +133,6 @@ impl ScheduleBuilder {
         self
     }
 
-    /// After this many windows, regimes recur from the start of the pool
-    /// (exercises ShiftEx's latent-memory expert reuse).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `windows == 0`: a recurrence period of zero windows has no
-    /// pool position to return to.
-    pub fn recur_after(mut self, windows: usize) -> Self {
-        assert!(windows > 0, "recurrence period must be at least one window");
-        self.recurrence_after = Some(windows);
-        self
-    }
-
     /// Materialises the schedule.
     pub fn build(self, rng: &mut impl Rng) -> ShiftSchedule {
         let windows = self.eval_windows + 1; // + bootstrap W0
@@ -181,10 +158,7 @@ impl ScheduleBuilder {
             let idx = if variants == 0 {
                 0
             } else {
-                match self.recurrence_after {
-                    Some(r) if w > r => 1 + ((w - 1) % r) % variants,
-                    _ => 1 + (w - 1) % variants,
-                }
+                1 + (w - 1) % variants
             };
             let incoming = self.pool[idx].clone();
 
@@ -264,24 +238,6 @@ mod tests {
         for &p in &s.shifted_parties(1) {
             assert!(s.regime(1, p).label_dist.is_some());
         }
-    }
-
-    #[test]
-    fn recurrence_repeats_regimes() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let s = ScheduleBuilder::new(10, 4, pool(), 4)
-            .shift_fraction(1.0)
-            .recur_after(2)
-            .build(&mut rng);
-        // With pool of 2 variants and recurrence after 2, W3 should reuse
-        // W1's regime id.
-        assert_eq!(s.regimes_in_window(3), s.regimes_in_window(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "recurrence period must be at least one window")]
-    fn zero_recurrence_period_is_rejected() {
-        let _ = ScheduleBuilder::new(10, 4, pool(), 4).recur_after(0);
     }
 
     #[test]
