@@ -35,7 +35,7 @@ pub mod scenario;
 pub mod tables;
 
 pub use algorithms::{build_algorithm, ALGORITHMS, ALGORITHM_NAMES};
-pub use metrics::{aggregate_windows, WindowMetrics, WindowMetricsAgg};
+pub use metrics::{aggregate_windows, rounds_to_reach, WindowMetrics, WindowMetricsAgg};
 pub use netfed::{
     netfed_config_from_args, netfed_fed_seed, netfed_stream_seed, run_netfed_rounds, run_worker,
     worker_partition, NetFedConfig, NetFedRun,

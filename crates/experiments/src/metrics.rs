@@ -25,12 +25,7 @@ pub struct WindowMetrics {
 /// * `per_round` — accuracy after each training round of this window
 pub fn window_metrics(pre_shift_acc: f32, post_shift: f32, per_round: &[f32]) -> WindowMetrics {
     let drop_pct = (pre_shift_acc - post_shift) * 100.0;
-    let target = 0.95 * pre_shift_acc;
-    let recovery_rounds = if post_shift >= target {
-        Some(0)
-    } else {
-        per_round.iter().position(|&a| a >= target).map(|i| i + 1)
-    };
+    let recovery_rounds = rounds_to_reach(0.95 * pre_shift_acc, post_shift, per_round);
     let max_acc_pct = per_round
         .iter()
         .copied()
@@ -41,6 +36,18 @@ pub fn window_metrics(pre_shift_acc: f32, post_shift: f32, per_round: &[f32]) ->
         drop_pct,
         recovery_rounds,
         max_acc_pct,
+    }
+}
+
+/// Training rounds a window needs to reach accuracy `target` (in `[0,1]`):
+/// `Some(0)` when the post-shift accuracy already does, `None` when no
+/// round of `per_round` does. Recovery Time is this with the run's own
+/// target, `0.95 ×` its pre-shift accuracy.
+pub fn rounds_to_reach(target: f32, post_shift: f32, per_round: &[f32]) -> Option<usize> {
+    if post_shift >= target {
+        Some(0)
+    } else {
+        per_round.iter().position(|&a| a >= target).map(|i| i + 1)
     }
 }
 

@@ -6,6 +6,13 @@
 //! whole table, so W1, Drop and Recovery Time are reported but not
 //! asserted: at W1 ShiftEx ties with or loses to FedDrift.
 //!
+//! Recovery Time counts rounds to 95 % of a run's *own* pre-shift
+//! accuracy, so it cannot rank algorithms against each other. A second
+//! table prints a common-target time beside it: the rounds each algorithm
+//! needs, in each window, to reach FedAvg's mean Max in that window. It is
+//! read off the accuracy traces the runs already record, and is not
+//! asserted.
+//!
 //! ```text
 //! cargo test --release --test paper_claim -- --ignored --nocapture
 //! ```
@@ -14,7 +21,10 @@ use std::collections::BTreeMap;
 
 use shiftex::core::ShiftExConfig;
 use shiftex::data::{DatasetKind, SimScale};
-use shiftex::experiments::{aggregate_windows, report, run_scenario, Scenario, ALGORITHM_NAMES};
+use shiftex::experiments::{
+    aggregate_windows, report, rounds_to_reach, run_scenario, FedRunResult, Scenario,
+    WindowMetrics, WindowMetricsAgg, ALGORITHMS, ALGORITHM_NAMES,
+};
 
 const RUNS: usize = 5;
 const SEED: u64 = 7;
@@ -29,6 +39,7 @@ fn shiftex_max_beats_every_baseline_by_three_points_at_w2_to_w5() {
     for kind in [DatasetKind::Femnist, DatasetKind::FashionMnist] {
         let scenario = Scenario::build(kind, SimScale::Small, SEED);
         let mut per_strategy = BTreeMap::new();
+        let mut runs = BTreeMap::new();
         for name in ALGORITHM_NAMES {
             let results = run_scenario(name, &scenario, RUNS, &cfg);
             let windows: Vec<_> = results.iter().map(|r| r.windows.clone()).collect();
@@ -36,8 +47,13 @@ fn shiftex_max_beats_every_baseline_by_three_points_at_w2_to_w5() {
                 results[0].strategy.clone(),
                 aggregate_windows(&windows, scenario.rounds_per_window),
             );
+            runs.insert(results[0].strategy.clone(), results);
         }
         println!("{}", report::render_table(&kind.to_string(), &per_strategy));
+        println!(
+            "{}",
+            common_target_table(&kind.to_string(), &scenario, &per_strategy, &runs)
+        );
 
         let shiftex = &per_strategy["ShiftEx"];
         assert_eq!(shiftex.len(), 5, "{kind}: five eval windows");
@@ -63,4 +79,66 @@ fn shiftex_max_beats_every_baseline_by_three_points_at_w2_to_w5() {
         failures.is_empty(),
         "ShiftEx's Max beats the best baseline by < {MIN_MARGIN} points: {failures:?}"
     );
+}
+
+/// Renders, per algorithm and window, the rounds to reach FedAvg's mean Max
+/// in that window (the median over runs, `>R` when most runs never do),
+/// with the paper's own Time in brackets.
+fn common_target_table(
+    dataset: &str,
+    scenario: &Scenario,
+    per_strategy: &BTreeMap<String, Vec<WindowMetricsAgg>>,
+    runs: &BTreeMap<String, Vec<FedRunResult>>,
+) -> String {
+    let rounds = scenario.rounds_per_window;
+    let targets: Vec<f32> = per_strategy["FedAvg"]
+        .iter()
+        .map(|agg| agg.max_acc.mean / 100.0)
+        .collect();
+    let mut out = format!(
+        "{dataset}: rounds to FedAvg's mean Max per window (paper's Time in brackets)\n{:<10}",
+        "Tech."
+    );
+    for (w, target) in targets.iter().enumerate() {
+        out.push_str(&format!(
+            "| {:>13} ",
+            format!("W{} @{:.1}", w + 1, target * 100.0)
+        ));
+    }
+    out.push('\n');
+    for (_, name) in ALGORITHMS {
+        // The common target takes Recovery Time's place; Drop and Max stay.
+        let timed: Vec<Vec<WindowMetrics>> = runs[name]
+            .iter()
+            .map(|run| {
+                let trace = &run.accuracy_series[scenario.bootstrap_rounds()..];
+                run.windows
+                    .iter()
+                    .zip(trace.chunks(rounds))
+                    .enumerate()
+                    .map(|(w, (metrics, per_round))| WindowMetrics {
+                        recovery_rounds: rounds_to_reach(
+                            targets[w],
+                            run.post_shift_accuracy[w],
+                            per_round,
+                        ),
+                        ..*metrics
+                    })
+                    .collect()
+            })
+            .collect();
+        out.push_str(&format!("{name:<10}"));
+        for (common, paper) in aggregate_windows(&timed, rounds)
+            .iter()
+            .zip(&per_strategy[name])
+        {
+            out.push_str(&format!(
+                "| {:>5} ({:>5}) ",
+                common.recovery_display(),
+                paper.recovery_display()
+            ));
+        }
+        out.push('\n');
+    }
+    out
 }
