@@ -5,9 +5,9 @@
 //! `Deserialize` traits plus same-named derive macros. Instead of serde's
 //! visitor architecture, types convert to and from a JSON-shaped [`Value`]
 //! tree; `serde_json` (also vendored) renders that tree to text and parses it
-//! back. The derive macros emit externally-tagged enums and transparent
-//! newtypes, matching the wire shapes real serde would produce for the types
-//! in this workspace (which use no `#[serde(...)]` attributes).
+//! back. The derive macros cover structs only, emitting objects and
+//! transparent newtypes: the wire shapes real serde would produce for the
+//! types in this workspace (which use no `#[serde(...)]` attributes).
 
 #![forbid(unsafe_code)]
 

@@ -4,43 +4,28 @@
 //! `Value` data model. The parser is hand-rolled over `proc_macro` token
 //! trees (no `syn`/`quote` in the offline environment) and supports exactly
 //! the shapes this workspace derives on: non-generic structs with named
-//! fields, tuple structs, and enums with unit / tuple / struct variants —
-//! no `#[serde(...)]` attributes.
+//! fields, tuple structs and unit structs — no enums and no
+//! `#[serde(...)]` attributes.
 //!
 //! Wire shapes match real serde's defaults: structs are JSON objects,
-//! newtypes are transparent, enums are externally tagged (unit variants as
-//! bare strings).
+//! newtypes are transparent.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
 #[derive(Debug)]
 enum Shape {
-    NamedStruct {
-        fields: Vec<String>,
-    },
-    TupleStruct {
-        arity: usize,
-    },
-    UnitStruct,
-    Enum {
-        variants: Vec<(String, VariantShape)>,
-    },
-}
-
-#[derive(Debug)]
-enum VariantShape {
+    Named { fields: Vec<String> },
+    Tuple { arity: usize },
     Unit,
-    Tuple(usize),
-    Named(Vec<String>),
 }
 
-/// Derives the vendored `serde::Serialize` for a struct or enum.
+/// Derives the vendored `serde::Serialize` for a struct.
 #[proc_macro_derive(Serialize)]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     expand(input, gen_serialize)
 }
 
-/// Derives the vendored `serde::Deserialize` for a struct or enum.
+/// Derives the vendored `serde::Deserialize` for a struct.
 #[proc_macro_derive(Deserialize)]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     expand(input, gen_deserialize)
@@ -68,7 +53,7 @@ fn parse_item(input: TokenStream) -> Result<(String, Shape), String> {
 
     let keyword = match tokens.get(pos) {
         Some(TokenTree::Ident(id)) => id.to_string(),
-        other => return Err(format!("expected `struct` or `enum`, got {other:?}")),
+        other => return Err(format!("expected `struct`, got {other:?}")),
     };
     pos += 1;
 
@@ -88,21 +73,14 @@ fn parse_item(input: TokenStream) -> Result<(String, Shape), String> {
         "struct" => match tokens.get(pos) {
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
                 let fields = parse_named_fields(g.stream())?;
-                Ok((name, Shape::NamedStruct { fields }))
+                Ok((name, Shape::Named { fields }))
             }
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
                 let arity = count_tuple_fields(g.stream())?;
-                Ok((name, Shape::TupleStruct { arity }))
+                Ok((name, Shape::Tuple { arity }))
             }
-            Some(TokenTree::Punct(p)) if p.as_char() == ';' => Ok((name, Shape::UnitStruct)),
+            Some(TokenTree::Punct(p)) if p.as_char() == ';' => Ok((name, Shape::Unit)),
             other => Err(format!("unsupported struct body for `{name}`: {other:?}")),
-        },
-        "enum" => match tokens.get(pos) {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                let variants = parse_variants(g.stream())?;
-                Ok((name, Shape::Enum { variants }))
-            }
-            other => Err(format!("expected enum body for `{name}`, got {other:?}")),
         },
         other => Err(format!("cannot derive serde impls for `{other}` items")),
     }
@@ -209,46 +187,13 @@ fn count_tuple_fields(stream: TokenStream) -> Result<usize, String> {
     Ok(arity)
 }
 
-fn parse_variants(stream: TokenStream) -> Result<Vec<(String, VariantShape)>, String> {
-    let tokens: Vec<TokenTree> = stream.into_iter().collect();
-    let mut pos = 0;
-    let mut variants = Vec::new();
-    while pos < tokens.len() {
-        skip_attributes(&tokens, &mut pos)?;
-        if pos >= tokens.len() {
-            break;
-        }
-        let name = match tokens.get(pos) {
-            Some(TokenTree::Ident(id)) => id.to_string(),
-            other => return Err(format!("expected variant name, got {other:?}")),
-        };
-        pos += 1;
-        let shape = match tokens.get(pos) {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                pos += 1;
-                VariantShape::Tuple(count_tuple_fields(g.stream())?)
-            }
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                pos += 1;
-                VariantShape::Named(parse_named_fields(g.stream())?)
-            }
-            _ => VariantShape::Unit,
-        };
-        // Skip a `= discriminant` and trailing comma.
-        skip_until_toplevel_comma(&tokens, &mut pos);
-        pos += 1;
-        variants.push((name, shape));
-    }
-    Ok(variants)
-}
-
 // ---------------------------------------------------------------------------
 // Code generation
 // ---------------------------------------------------------------------------
 
 fn gen_serialize(name: &str, shape: &Shape) -> String {
     let body = match shape {
-        Shape::NamedStruct { fields } => {
+        Shape::Named { fields } => {
             let entries: Vec<String> = fields
                 .iter()
                 .map(|f| {
@@ -260,61 +205,13 @@ fn gen_serialize(name: &str, shape: &Shape) -> String {
                 .collect();
             format!("::serde::Value::Map(::std::vec![{}])", entries.join(", "))
         }
-        Shape::TupleStruct { arity: 0 } | Shape::UnitStruct => "::serde::Value::Null".to_string(),
-        Shape::TupleStruct { arity: 1 } => "::serde::Serialize::to_value(&self.0)".to_string(),
-        Shape::TupleStruct { arity } => {
+        Shape::Tuple { arity: 0 } | Shape::Unit => "::serde::Value::Null".to_string(),
+        Shape::Tuple { arity: 1 } => "::serde::Serialize::to_value(&self.0)".to_string(),
+        Shape::Tuple { arity } => {
             let items: Vec<String> = (0..*arity)
                 .map(|i| format!("::serde::Serialize::to_value(&self.{i})"))
                 .collect();
             format!("::serde::Value::Seq(::std::vec![{}])", items.join(", "))
-        }
-        Shape::Enum { variants } => {
-            let arms: Vec<String> = variants
-                .iter()
-                .map(|(v, vs)| match vs {
-                    VariantShape::Unit => format!(
-                        "{name}::{v} => ::serde::Value::Str(::std::string::String::from({v:?}))"
-                    ),
-                    VariantShape::Tuple(1) => format!(
-                        "{name}::{v}(__f0) => ::serde::Value::Map(::std::vec![(\
-                         ::std::string::String::from({v:?}), \
-                         ::serde::Serialize::to_value(__f0))])"
-                    ),
-                    VariantShape::Tuple(arity) => {
-                        let binds: Vec<String> = (0..*arity).map(|i| format!("__f{i}")).collect();
-                        let items: Vec<String> = binds
-                            .iter()
-                            .map(|b| format!("::serde::Serialize::to_value({b})"))
-                            .collect();
-                        format!(
-                            "{name}::{v}({}) => ::serde::Value::Map(::std::vec![(\
-                             ::std::string::String::from({v:?}), \
-                             ::serde::Value::Seq(::std::vec![{}]))])",
-                            binds.join(", "),
-                            items.join(", ")
-                        )
-                    }
-                    VariantShape::Named(fields) => {
-                        let binds = fields.join(", ");
-                        let entries: Vec<String> = fields
-                            .iter()
-                            .map(|f| {
-                                format!(
-                                    "(::std::string::String::from({f:?}), \
-                                     ::serde::Serialize::to_value({f}))"
-                                )
-                            })
-                            .collect();
-                        format!(
-                            "{name}::{v} {{ {binds} }} => ::serde::Value::Map(::std::vec![(\
-                             ::std::string::String::from({v:?}), \
-                             ::serde::Value::Map(::std::vec![{}]))])",
-                            entries.join(", ")
-                        )
-                    }
-                })
-                .collect();
-            format!("match self {{ {} }}", arms.join(", "))
         }
     };
     format!(
@@ -325,7 +222,7 @@ fn gen_serialize(name: &str, shape: &Shape) -> String {
 
 fn gen_deserialize(name: &str, shape: &Shape) -> String {
     let body = match shape {
-        Shape::NamedStruct { fields } => format!(
+        Shape::Named { fields } => format!(
             "let __map = __value.as_map().ok_or_else(|| \
              ::serde::DeError::expected(\"object\", __value))?; \
              ::std::result::Result::Ok({name} {{ {} }})",
@@ -335,14 +232,14 @@ fn gen_deserialize(name: &str, shape: &Shape) -> String {
                 .collect::<Vec<_>>()
                 .join(", ")
         ),
-        Shape::TupleStruct { arity: 0 } => {
+        Shape::Tuple { arity: 0 } => {
             format!("::std::result::Result::Ok({name}())")
         }
-        Shape::UnitStruct => format!("::std::result::Result::Ok({name})"),
-        Shape::TupleStruct { arity: 1 } => format!(
+        Shape::Unit => format!("::std::result::Result::Ok({name})"),
+        Shape::Tuple { arity: 1 } => format!(
             "::std::result::Result::Ok({name}(::serde::Deserialize::from_value(__value)?))"
         ),
-        Shape::TupleStruct { arity } => format!(
+        Shape::Tuple { arity } => format!(
             "let __items = __value.as_seq().ok_or_else(|| \
              ::serde::DeError::expected(\"array\", __value))?; \
              if __items.len() != {arity} {{ \
@@ -354,66 +251,6 @@ fn gen_deserialize(name: &str, shape: &Shape) -> String {
                 .collect::<Vec<_>>()
                 .join(", ")
         ),
-        Shape::Enum { variants } => {
-            let unit_arms: Vec<String> = variants
-                .iter()
-                .filter(|(_, vs)| matches!(vs, VariantShape::Unit))
-                .map(|(v, _)| format!("{v:?} => ::std::result::Result::Ok({name}::{v})"))
-                .collect();
-            let tagged_arms: Vec<String> = variants
-                .iter()
-                .map(|(v, vs)| {
-                    let build = match vs {
-                        VariantShape::Unit => format!("::std::result::Result::Ok({name}::{v})"),
-                        VariantShape::Tuple(1) => format!(
-                            "::std::result::Result::Ok({name}::{v}(\
-                             ::serde::Deserialize::from_value(__inner)?))"
-                        ),
-                        VariantShape::Tuple(arity) => format!(
-                            "{{ let __items = __inner.as_seq().ok_or_else(|| \
-                             ::serde::DeError::expected(\"array\", __inner))?; \
-                             if __items.len() != {arity} {{ \
-                             return ::std::result::Result::Err(::serde::DeError::custom(\
-                             \"wrong tuple arity for variant\")); }} \
-                             ::std::result::Result::Ok({name}::{v}({})) }}",
-                            (0..*arity)
-                                .map(|i| format!("::serde::Deserialize::from_value(&__items[{i}])?"))
-                                .collect::<Vec<_>>()
-                                .join(", ")
-                        ),
-                        VariantShape::Named(fields) => format!(
-                            "{{ let __map = __inner.as_map().ok_or_else(|| \
-                             ::serde::DeError::expected(\"object\", __inner))?; \
-                             ::std::result::Result::Ok({name}::{v} {{ {} }}) }}",
-                            fields
-                                .iter()
-                                .map(|f| format!("{f}: {}", named_field_expr("__map", f)))
-                                .collect::<Vec<_>>()
-                                .join(", ")
-                        ),
-                    };
-                    format!("{v:?} => {build}")
-                })
-                .collect();
-            format!(
-                "match __value {{ \
-                 ::serde::Value::Str(__s) => match __s.as_str() {{ \
-                 {unit}{unit_sep} \
-                 __other => ::std::result::Result::Err(::serde::DeError::custom(\
-                 ::std::format!(\"unknown variant `{{__other}}` of {name}\"))) }}, \
-                 ::serde::Value::Map(__entries) if __entries.len() == 1 => {{ \
-                 let (__tag, __inner) = &__entries[0]; \
-                 match __tag.as_str() {{ \
-                 {tagged}, \
-                 __other => ::std::result::Result::Err(::serde::DeError::custom(\
-                 ::std::format!(\"unknown variant `{{__other}}` of {name}\"))) }} }}, \
-                 __other => ::std::result::Result::Err(\
-                 ::serde::DeError::expected(\"enum variant\", __other)) }}",
-                unit = unit_arms.join(", "),
-                unit_sep = if unit_arms.is_empty() { "" } else { "," },
-                tagged = tagged_arms.join(", "),
-            )
-        }
     };
     format!(
         "#[automatically_derived] impl ::serde::Deserialize for {name} {{ \
