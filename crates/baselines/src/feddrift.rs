@@ -21,7 +21,7 @@ use shiftex_fl::{
     aggregate_robust, evaluate_assigned_view, FederatedAlgorithm, FoldPolicy, ParticipantSelector,
     PartyId, PopulationView, UpdateVerdict, WeightedUpdate,
 };
-use shiftex_nn::{ArchSpec, Sequential, TrainConfig};
+use shiftex_nn::{ArchSpec, InferScratch, Sequential, TrainConfig};
 
 /// FedDrift tunables.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -82,13 +82,15 @@ impl FedDrift {
     }
 
     /// Per-party loss of its local data under every model; parties stream
-    /// through the view one at a time (only the loss rows stay resident).
+    /// through the view one at a time (only the loss rows stay resident),
+    /// all scored on one inference scratch.
     fn loss_matrix(&self, parties: &PopulationView<'_>) -> Vec<Vec<f32>> {
         let built: Vec<Sequential> = self
             .models
             .iter()
             .map(|m| Sequential::from_params(&self.spec, m))
             .collect();
+        let mut scratch = InferScratch::default();
         parties
             .ids()
             .iter()
@@ -101,7 +103,12 @@ impl FedDrift {
                                 if p.train().is_empty() {
                                     0.0
                                 } else {
-                                    m.evaluate(p.train_features(), p.train_labels()).loss
+                                    m.evaluate_in(
+                                        &mut scratch,
+                                        p.train_features(),
+                                        p.train_labels(),
+                                    )
+                                    .loss
                                 }
                             })
                             .collect()

@@ -14,7 +14,9 @@
 //! * `materialize_cohort_10_of_10k`: a 10-party cohort rebuilt from a
 //!   10 000-party lazy FashionMNIST-smoke population at window 0;
 //! * one `evaluate_on_view` pass over the 800-party lazy FashionMNIST-smoke
-//!   population (the `scale_lazy_churn` shape), at window 0 and window 1;
+//!   population (the `scale_lazy_churn` shape), at window 0 and window 1,
+//!   and a repeat pass in the same window (`_repeat`: the test-split reads
+//!   resume from the cursors the first pass kept);
 //! * one `FlipsSelector::fit` over that population's 800 label histograms
 //!   of 10 classes (`k_max` 4, as `ShiftEx::cohort` fits it).
 //!
@@ -75,13 +77,15 @@ static ALLOCATOR: Counting = Counting;
 /// Pinned `(row, allocation calls, allocated bytes)`, one per row (see the
 /// module docs).
 #[rustfmt::skip]
-const TABLE: [(&str, usize, usize); 6] = [
+const TABLE: [(&str, usize, usize); 8] = [
     ("train_local_params/lenet_b8",              72,     354523),
     ("train_local_params/resnet18lite_200",      34,     269885),
     ("materialize_cohort_10_of_10k",             63,      40768),
-    ("lazy_eval_800_parties_w0",              16012,   60138339),
-    ("lazy_eval_800_parties_w1",              19212,   60112739),
-    ("flips_fit_800x10",                       1101,     418884),
+    ("lazy_eval_800_parties_w0",               4959,    2743123),
+    ("lazy_eval_800_parties_w0_repeat",        2426,     959051),
+    ("lazy_eval_800_parties_w1",               8159,    2717523),
+    ("lazy_eval_800_parties_w1_repeat",        4026,    1368651),
+    ("flips_fit_800x10",                        301,     380484),
 ];
 
 /// `(calls, bytes)` allocated while `f` runs; `f`'s result is dropped
@@ -141,16 +145,30 @@ fn count_rows() -> Vec<(&'static str, (usize, usize))> {
 
     let (scenario, mut store) = lazy_population(800, 7);
     let params = Sequential::build(&scenario.spec, &mut rng).params_flat();
-    for (label, window) in [
-        ("lazy_eval_800_parties_w0", 0),
-        ("lazy_eval_800_parties_w1", 1),
+    for (labels, window) in [
+        (
+            [
+                "lazy_eval_800_parties_w0",
+                "lazy_eval_800_parties_w0_repeat",
+            ],
+            0,
+        ),
+        (
+            [
+                "lazy_eval_800_parties_w1",
+                "lazy_eval_800_parties_w1_repeat",
+            ],
+            1,
+        ),
     ] {
         store.set_window(window);
         let view = store.view(store.party_ids());
-        rows.push((
-            label,
-            allocated_by(|| evaluate_on_view(&scenario.spec, &params, &view)),
-        ));
+        for label in labels {
+            rows.push((
+                label,
+                allocated_by(|| evaluate_on_view(&scenario.spec, &params, &view)),
+            ));
+        }
     }
 
     store.set_window(0);

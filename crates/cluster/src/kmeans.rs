@@ -76,7 +76,11 @@ impl KMeans {
 
     /// [`KMeans::fit`] over a layout built once by the caller, so a sweep
     /// over k shares it across every k and every restart.
-    pub(crate) fn fit_points(&self, points: &Points<'_>, rng: &mut impl Rng) -> KMeansResult {
+    pub(crate) fn fit_points<P: AsRef<[f32]>>(
+        &self,
+        points: &Points<'_, P>,
+        rng: &mut impl Rng,
+    ) -> KMeansResult {
         assert!(self.n_init > 0, "n_init must be positive");
         let mut best: Option<KMeansResult> = None;
         for _ in 0..self.n_init {
@@ -89,7 +93,11 @@ impl KMeans {
     }
 
     /// One k-means++ seeded Lloyd run.
-    fn fit_once(&self, points: &Points<'_>, rng: &mut impl Rng) -> KMeansResult {
+    fn fit_once<P: AsRef<[f32]>>(
+        &self,
+        points: &Points<'_, P>,
+        rng: &mut impl Rng,
+    ) -> KMeansResult {
         let rows = points.rows;
         let dim = points.dim;
         let k = self.k.min(rows.len());
@@ -111,7 +119,7 @@ impl KMeans {
             sums.iter_mut().for_each(|sum| sum.fill(0.0));
             counts.fill(0);
             for (p, &a) in rows.iter().zip(assignment.iter()) {
-                vector::axpy(&mut sums[a], 1.0, p);
+                vector::axpy(&mut sums[a], 1.0, p.as_ref());
                 counts[a] += 1;
             }
             let mut movement = 0.0;
@@ -145,7 +153,7 @@ impl KMeans {
         let inertia = rows
             .iter()
             .zip(assignment.iter())
-            .map(|(p, &a)| vector::sq_dist(p, &centroids[a]))
+            .map(|(p, &a)| vector::sq_dist(p.as_ref(), &centroids[a]))
             .sum();
         KMeansResult {
             centroids,
@@ -168,10 +176,11 @@ const BLOCK: usize = 8;
 /// and one pass over a block computes that same sum for eight points side
 /// by side, one point per lane — the same bits as `sq_dist` per pair, with
 /// no multiply fused into an add. At [`vector::LANES`] dims or more (and at
-/// zero), every pair goes through `sq_dist`.
+/// zero), every pair goes through `sq_dist`. A row is anything that lends
+/// an `[f32]`, so points kept inside other records are laid out in place.
 #[derive(Debug)]
-pub(crate) struct Points<'a> {
-    rows: &'a [Vec<f32>],
+pub(crate) struct Points<'a, P = Vec<f32>> {
+    rows: &'a [P],
     dim: usize,
     /// Block `b` holds points `b·BLOCK ..`: dim `d` of its lanes at
     /// `[b·dim + d]`, a short last block padded with zeros. `None` when
@@ -179,24 +188,24 @@ pub(crate) struct Points<'a> {
     blocks: Option<Vec<[f32; BLOCK]>>,
 }
 
-impl<'a> Points<'a> {
+impl<'a, P: AsRef<[f32]>> Points<'a, P> {
     /// Lays `rows` out for the kernels.
     ///
     /// # Panics
     ///
     /// Panics if `rows` is empty or dimensions differ.
-    pub(crate) fn new(rows: &'a [Vec<f32>]) -> Self {
+    pub(crate) fn new(rows: &'a [P]) -> Self {
         assert!(!rows.is_empty(), "kmeans on empty point set");
-        let dim = rows[0].len();
+        let dim = rows[0].as_ref().len();
         assert!(
-            rows.iter().all(|p| p.len() == dim),
+            rows.iter().all(|p| p.as_ref().len() == dim),
             "point dimension mismatch"
         );
         let blocks = (dim > 0 && dim < vector::LANES).then(|| {
             let mut blocks = vec![[0.0f32; BLOCK]; rows.len().div_ceil(BLOCK) * dim];
             for (i, p) in rows.iter().enumerate() {
                 let block = &mut blocks[(i / BLOCK) * dim..][..dim];
-                for (lanes, &v) in block.iter_mut().zip(p) {
+                for (lanes, &v) in block.iter_mut().zip(p.as_ref()) {
                     lanes[i % BLOCK] = v;
                 }
             }
@@ -208,7 +217,7 @@ impl<'a> Points<'a> {
     /// The same points, every pair through `sq_dist`: the reference the
     /// block kernels are tested against.
     #[cfg(test)]
-    fn by_rows(rows: &'a [Vec<f32>]) -> Self {
+    fn by_rows(rows: &'a [P]) -> Self {
         Self {
             blocks: None,
             ..Self::new(rows)
@@ -219,7 +228,7 @@ impl<'a> Points<'a> {
     fn sq_dists_to(&self, c: &[f32], out: &mut [f32]) {
         let Some(blocks) = &self.blocks else {
             for (o, p) in out.iter_mut().zip(self.rows) {
-                *o = vector::sq_dist(p, c);
+                *o = vector::sq_dist(p.as_ref(), c);
             }
             return;
         };
@@ -235,7 +244,7 @@ impl<'a> Points<'a> {
     fn nearest(&self, centroids: &[Vec<f32>], assignment: &mut [usize], dists: &mut [f32]) {
         let Some(blocks) = &self.blocks else {
             for ((a, d), p) in assignment.iter_mut().zip(dists.iter_mut()).zip(self.rows) {
-                (*a, *d) = nearest(p, centroids);
+                (*a, *d) = nearest(p.as_ref(), centroids);
             }
             return;
         };
@@ -286,24 +295,24 @@ fn block_sq_dists(block: &[[f32; BLOCK]], c: &[f32]) -> [f32; BLOCK] {
 /// recomputing all distances per round, with identical sampling weights
 /// (`min` over the same values, accumulated incrementally). `fresh` (one
 /// entry per point) takes the newest centre's distances.
-fn plus_plus_init(
-    points: &Points<'_>,
+fn plus_plus_init<P: AsRef<[f32]>>(
+    points: &Points<'_, P>,
     k: usize,
     fresh: &mut [f32],
     rng: &mut impl Rng,
 ) -> Vec<Vec<f32>> {
     let rows = points.rows;
     let mut centroids: Vec<Vec<f32>> = Vec::with_capacity(k);
-    centroids.push(rows[rng.random_range(0..rows.len())].clone());
+    centroids.push(rows[rng.random_range(0..rows.len())].as_ref().to_vec());
     let mut d2 = vec![0.0f32; rows.len()];
     points.sq_dists_to(&centroids[0], &mut d2);
     while centroids.len() < k {
         let total: f32 = d2.iter().sum();
         let next = if total <= 1e-12 {
             // All points coincide with chosen centroids; pick uniformly.
-            rows[rng.random_range(0..rows.len())].clone()
+            rows[rng.random_range(0..rows.len())].as_ref().to_vec()
         } else {
-            rows[rngx::categorical(rng, &d2)].clone()
+            rows[rngx::categorical(rng, &d2)].as_ref().to_vec()
         };
         points.sq_dists_to(&next, fresh);
         for (best, &d) in d2.iter_mut().zip(fresh.iter()) {

@@ -28,5 +28,5 @@ mod select;
 mod validity;
 
 pub use kmeans::{KMeans, KMeansResult};
-pub use select::{choose_k, KSelection, DB_ACCEPT, ELBOW_FRAC};
+pub use select::{choose_k, choose_k_rows, KSelection, DB_ACCEPT, ELBOW_FRAC};
 pub use validity::davies_bouldin;

@@ -45,6 +45,23 @@ pub const ELBOW_FRAC: f32 = 0.1;
 ///
 /// Panics if `points` is empty or `k_max == 0`.
 pub fn choose_k(points: &[Vec<f32>], k_max: usize, rng: &mut impl Rng) -> KSelection {
+    choose_k_rows(points, k_max, rng)
+}
+
+/// [`choose_k`] over rows of any type that lends an `[f32]`, such as
+/// slices borrowed out of other records: a caller whose points already
+/// live elsewhere fits them in place instead of copying each into a `Vec`.
+/// The same draws and the same bits as [`choose_k`] over copies of the
+/// rows.
+///
+/// # Panics
+///
+/// Panics if `points` is empty or `k_max == 0`.
+pub fn choose_k_rows<P: AsRef<[f32]>>(
+    points: &[P],
+    k_max: usize,
+    rng: &mut impl Rng,
+) -> KSelection {
     assert!(!points.is_empty(), "choose_k on empty point set");
     assert!(k_max > 0, "k_max must be positive");
     // Cap k so clusters average ≥ 2 points: singleton-heavy solutions have

@@ -13,7 +13,11 @@ use shiftex_tensor::vector;
 ///
 /// Panics if `assignment.len() != points.len()` or an assignment index is
 /// out of range.
-pub fn davies_bouldin(points: &[Vec<f32>], assignment: &[usize], centroids: &[Vec<f32>]) -> f32 {
+pub fn davies_bouldin<P: AsRef<[f32]>>(
+    points: &[P],
+    assignment: &[usize],
+    centroids: &[Vec<f32>],
+) -> f32 {
     assert_eq!(points.len(), assignment.len(), "assignment length mismatch");
     let k = centroids.len();
     if k < 2 {
@@ -24,7 +28,7 @@ pub fn davies_bouldin(points: &[Vec<f32>], assignment: &[usize], centroids: &[Ve
     let mut counts = vec![0usize; k];
     for (p, &a) in points.iter().zip(assignment.iter()) {
         assert!(a < k, "assignment index {a} out of range");
-        scatter[a] += vector::l2_dist(p, &centroids[a]);
+        scatter[a] += vector::l2_dist(p.as_ref(), &centroids[a]);
         counts[a] += 1;
     }
     for (s, &c) in scatter.iter_mut().zip(counts.iter()) {

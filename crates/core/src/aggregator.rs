@@ -20,7 +20,7 @@ use shiftex_fl::{
     ParticipantSelector, PartyId, PartyInfo, PopulationView, UniformSelector, UpdateVerdict,
     WeightedUpdate,
 };
-use shiftex_nn::{train_local_params, ArchSpec, Sequential, TrainConfig};
+use shiftex_nn::{train_local_params, ArchSpec, InferScratch, Sequential, TrainConfig};
 use shiftex_tensor::Matrix;
 
 use crate::config::ShiftExConfig;
@@ -187,7 +187,7 @@ impl ShiftEx {
     /// Party side (Algorithm 1): every member of `parties` with data
     /// "transmits" its shift statistics under `model`. Each member is
     /// materialized, summarised, and dropped in turn — only the
-    /// O(profile_rows) statistics stay resident.
+    /// O(profile_rows) statistics and one inference scratch stay resident.
     fn shift_stats(
         &self,
         parties: &PopulationView<'_>,
@@ -195,13 +195,21 @@ impl ShiftEx {
         kernel: Option<&RbfKernel>,
         rng: &mut StdRng,
     ) -> Vec<ShiftStats> {
+        let mut scratch = InferScratch::default();
         parties
             .ids()
             .iter()
             .filter_map(|&id| {
                 parties
                     .with_party(id, |p| {
-                        compute_shift_stats(p, model, self.cfg.profile_rows, kernel, rng)
+                        compute_shift_stats(
+                            p,
+                            model,
+                            &mut scratch,
+                            self.cfg.profile_rows,
+                            kernel,
+                            rng,
+                        )
                     })
                     .flatten()
             })
@@ -298,6 +306,7 @@ impl ShiftEx {
         let mut mats: Vec<Matrix> = Vec::new();
         let mut hists: Vec<Vec<f32>> = Vec::new();
         let mut count = 0usize;
+        let mut scratch = InferScratch::default();
         for (i, &id) in ids.iter().enumerate() {
             let calibrates = calibrate && i % stride == 0;
             if !freeze && !calibrates {
@@ -309,9 +318,9 @@ impl ShiftEx {
                 if data.is_empty() {
                     return;
                 }
-                let emb = encoder.embed(data.features());
+                let emb = encoder.embed_in(&mut scratch, data.features());
                 if freeze {
-                    profiles.push(EmbeddingProfile::from_embeddings(&emb, rows, rng));
+                    profiles.push(EmbeddingProfile::from_embeddings(emb, rows, rng));
                 }
                 // The null is learned from the previous window only.
                 if let Some(prev) = prev.filter(|_| calibrates) {

@@ -9,7 +9,7 @@
 use rand::Rng;
 use shiftex_detect::{jsd, EmbeddingProfile, RbfKernel};
 use shiftex_fl::{Party, PartyId};
-use shiftex_nn::Sequential;
+use shiftex_nn::{InferScratch, Sequential};
 
 /// The statistics one party transmits to the aggregator each window
 /// (Algorithm 1 line 10).
@@ -38,9 +38,11 @@ pub struct ShiftStats {
 /// embeddings), it is used for the MMD so scores are comparable to the
 /// calibrated threshold; otherwise the per-pair median heuristic applies.
 /// A party whose current window has no training data reports nothing.
+/// Both embeddings run on `scratch`, which a pass over many parties reuses.
 pub fn compute_shift_stats(
     party: &Party,
     model: &Sequential,
+    scratch: &mut InferScratch,
     profile_rows: usize,
     kernel: Option<&RbfKernel>,
     rng: &mut impl Rng,
@@ -48,14 +50,14 @@ pub fn compute_shift_stats(
     if party.train().is_empty() {
         return None;
     }
-    let emb_now = model.embed(party.train_features());
-    let profile = EmbeddingProfile::from_embeddings(&emb_now, profile_rows, rng);
+    let emb_now = model.embed_in(scratch, party.train_features());
+    let profile = EmbeddingProfile::from_embeddings(emb_now, profile_rows, rng);
     let label_hist = party.train().label_histogram();
 
     let (mmd, jsd_v) = match party.prev_train() {
         Some(prev) if !prev.is_empty() => {
-            let emb_prev = model.embed(prev.features());
-            let prev_profile = EmbeddingProfile::from_embeddings(&emb_prev, profile_rows, rng);
+            let emb_prev = model.embed_in(scratch, prev.features());
+            let prev_profile = EmbeddingProfile::from_embeddings(emb_prev, profile_rows, rng);
             let prev_hist = prev.label_histogram();
             let mmd = match kernel {
                 Some(k) => profile.mmd_to_with(&prev_profile, k),
@@ -84,6 +86,12 @@ mod tests {
     use shiftex_data::{Corruption, ImageShape, PrototypeGenerator, Regime};
     use shiftex_nn::ArchSpec;
 
+    /// `compute_shift_stats` on a fresh scratch, with no calibrated kernel.
+    fn stats_of(party: &Party, model: &Sequential, rows: usize, rng: &mut StdRng) -> ShiftStats {
+        compute_shift_stats(party, model, &mut InferScratch::default(), rows, None, rng)
+            .expect("party has data")
+    }
+
     fn setup() -> (PrototypeGenerator, Sequential, StdRng) {
         let mut rng = StdRng::seed_from_u64(0);
         let gen = PrototypeGenerator::new(ImageShape::new(1, 8, 8), 4, &mut rng);
@@ -100,8 +108,7 @@ mod tests {
             gen.generate_uniform(40, &mut rng),
             gen.generate_uniform(10, &mut rng),
         );
-        let stats =
-            compute_shift_stats(&party, &model, 32, None, &mut rng).expect("party has data");
+        let stats = stats_of(&party, &model, 32, &mut rng);
         assert_eq!(stats.mmd, 0.0);
         assert_eq!(stats.jsd, 0.0);
         assert_eq!(stats.num_samples, 40);
@@ -120,8 +127,7 @@ mod tests {
             gen.generate_uniform(60, &mut rng),
             gen.generate_uniform(10, &mut rng),
         );
-        let s_stable =
-            compute_shift_stats(&stable, &model, 48, None, &mut rng).expect("party has data");
+        let s_stable = stats_of(&stable, &model, 48, &mut rng);
 
         // Shifted party: fog corruption arrives in the second window.
         let mut shifted = Party::new(
@@ -131,8 +137,7 @@ mod tests {
         );
         let foggy = gen.generate_with_regime(60, &Regime::corrupted(Corruption::Fog, 4), &mut rng);
         shifted.advance_window(foggy, gen.generate_uniform(10, &mut rng));
-        let s_shifted =
-            compute_shift_stats(&shifted, &model, 48, None, &mut rng).expect("party has data");
+        let s_shifted = stats_of(&shifted, &model, 48, &mut rng);
 
         assert!(
             s_shifted.mmd > s_stable.mmd * 3.0,
@@ -155,8 +160,7 @@ mod tests {
             gen.generate(60, &[10.0, 0.3, 0.3, 0.3], &mut rng),
             gen.generate_uniform(10, &mut rng),
         );
-        let stats =
-            compute_shift_stats(&party, &model, 48, None, &mut rng).expect("party has data");
+        let stats = stats_of(&party, &model, 48, &mut rng);
         assert!(stats.jsd > 0.1, "label shift jsd {}", stats.jsd);
     }
 
@@ -168,8 +172,7 @@ mod tests {
             gen.generate_uniform(100, &mut rng),
             gen.generate_uniform(10, &mut rng),
         );
-        let stats =
-            compute_shift_stats(&party, &model, 16, None, &mut rng).expect("party has data");
+        let stats = stats_of(&party, &model, 16, &mut rng);
         assert_eq!(stats.profile.len(), 16);
         assert_eq!(stats.profile.dim(), model.embed_dim());
     }

@@ -11,8 +11,12 @@
 //! Two providers share that one stream, and the runner uses nothing else:
 //!
 //! * [`LazyPopulation`] — rebuilds a party every time it is sampled into a
-//!   cohort and hands it over for the round to drop; resident memory is
-//!   independent of population size, every read pays a rebuild.
+//!   cohort and hands it over for the round to drop; every read pays a
+//!   rebuild. The one thing it keeps is a per-window test-split cursor,
+//!   a 32 B stream state (~80 B with its map node) for each party whose
+//!   test split was read this window, so that repeat reads skip the
+//!   training rows; otherwise resident memory is independent of
+//!   population size.
 //! * [`ResidentPopulation`] — builds every party up front, advances them
 //!   in place at each window and lends borrows. Reads are free, memory is
 //!   O(population).
@@ -22,6 +26,8 @@
 //! all six algorithms.
 
 use std::borrow::Cow;
+use std::cell::RefCell;
+use std::collections::BTreeMap;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -48,8 +54,16 @@ pub fn party_stream_seed(stream_seed: u64, id: PartyId, window: usize) -> u64 {
 fn build_window0(scenario: &Scenario, stream_seed: u64, i: usize, with_test: bool) -> Party {
     let seed = party_stream_seed(stream_seed, PartyId(i), 0);
     let rng = &mut StdRng::seed_from_u64(seed);
-    let (train, test) = scenario.draw_window(i, 0, with_test, rng);
-    Party::new(PartyId(i), train, test)
+    if with_test {
+        return scenario.build_party(i, rng);
+    }
+    let train = scenario.draw_fresh(i, 0, rng);
+    let profile = &scenario.profile;
+    Party::new(
+        PartyId(i),
+        train,
+        Dataset::empty(profile.classes, profile.shape),
+    )
 }
 
 /// Advances `party` through every window in `(from, to]`, one
@@ -65,15 +79,33 @@ fn replay(scenario: &Scenario, stream_seed: u64, party: &mut Party, from: usize,
 
 /// Party provider that materializes nothing until asked.
 ///
-/// Holds only the scenario recipe and a stream seed; every
-/// [`party`](PartyProvider::party) call rebuilds the requested party from
-/// its per-`(id, window)` seed chain and hands it over. Re-instantiation
-/// is bit-identical by construction — the same seeds drive the same
-/// generator calls.
+/// Holds the scenario recipe, a stream seed and one window's test-split
+/// cursors; every [`party`](PartyProvider::party) call rebuilds the
+/// requested party from its per-`(id, window)` seed chain and hands it
+/// over. Re-instantiation is bit-identical by construction — the same
+/// seeds drive the same generator calls.
+///
+/// The first [`test_split`](PartyProvider::test_split) read of a party in a
+/// window keeps its `(id, window)` stream as it stands after the window's
+/// training rows (32 B, a [`StdRng`]); every later read of that split in
+/// the same window resumes a copy of it and draws only the test rows. An
+/// evaluation pass over 800 parties so keeps 63 KB (~80 B a party, with
+/// the map's half-full nodes) until
+/// [`advance_window`](PartyProvider::advance_window) drops them; a read
+/// for another window starts from the seed again.
 #[derive(Debug, Clone)]
 pub struct LazyPopulation {
     scenario: Scenario,
     stream_seed: u64,
+    cursors: RefCell<TestCursors>,
+}
+
+/// Streams of one window, each stopped just before its party's test rows.
+#[derive(Debug, Clone, Default)]
+struct TestCursors {
+    /// The window every kept stream belongs to.
+    window: usize,
+    streams: BTreeMap<PartyId, StdRng>,
 }
 
 impl LazyPopulation {
@@ -83,6 +115,7 @@ impl LazyPopulation {
         Self {
             scenario,
             stream_seed,
+            cursors: RefCell::default(),
         }
     }
 
@@ -108,18 +141,36 @@ impl PartyProvider for LazyPopulation {
         Some(Cow::Owned(party))
     }
 
-    /// Draws only the `(id, window)` stream, up to its test rows: the
-    /// window's training rows come first in that stream and are dropped.
-    /// No earlier window is rebuilt, since a window's test split depends on
-    /// nothing carried over.
+    /// Draws only the `(id, window)` stream, up to its test rows. No
+    /// earlier window is rebuilt, since a window's test split depends on
+    /// nothing carried over. The window's training rows come first in that
+    /// stream: the first read in a window draws and drops them and keeps
+    /// the stream's state after them, and later reads resume from it.
     fn test_split(&self, id: PartyId, window: usize) -> Option<Cow<'_, Dataset>> {
         if id.0 >= self.scenario.profile.num_parties {
             return None;
         }
-        let seed = party_stream_seed(self.stream_seed, id, window);
-        let rng = &mut StdRng::seed_from_u64(seed);
-        let (_, test) = self.scenario.draw_window(id.0, window, true, rng);
-        Some(Cow::Owned(test))
+        let mut cursors = self.cursors.borrow_mut();
+        if cursors.window != window {
+            cursors.streams.clear();
+            cursors.window = window;
+        }
+        let mut rng = cursors
+            .streams
+            .entry(id)
+            .or_insert_with(|| {
+                let seed = party_stream_seed(self.stream_seed, id, window);
+                let mut rng = StdRng::seed_from_u64(seed);
+                self.scenario.draw_fresh(id.0, window, &mut rng);
+                rng
+            })
+            .clone();
+        Some(Cow::Owned(self.scenario.draw_test(id.0, window, &mut rng)))
+    }
+
+    /// Drops the test-split cursors: they belong to the window left.
+    fn advance_window(&mut self, _window: usize) {
+        self.cursors.get_mut().streams.clear();
     }
 }
 
@@ -263,8 +314,10 @@ mod tests {
     /// Every read of a party's test split returns the same bits: the lazy
     /// test-split read (only the window's own stream), the lazy whole-party
     /// read (which skips window 0's test rows past window 0), and both
-    /// resident reads, at windows 0–2, over a sliding and a tumbling
-    /// dataset.
+    /// resident reads, over a sliding and a tumbling dataset. One lazy
+    /// provider reads every split twice, visiting windows out of order and
+    /// never told of a window change, so a cursor kept from another window
+    /// or another party would show.
     #[test]
     fn test_splits_match_whole_party_reads_bit_for_bit() {
         use shiftex_data::WindowingMode;
@@ -277,7 +330,7 @@ mod tests {
             assert_eq!(scenario.profile.windowing, windowing);
             let lazy = LazyPopulation::new(scenario.clone(), 77);
             let mut resident = ResidentPopulation::new(scenario, 77);
-            for window in 0..3 {
+            for window in [0, 2, 1, 0, 2] {
                 resident.advance_window(window);
                 for id in [PartyId(0), PartyId(5), PartyId(11)] {
                     let at = format!("{kind:?}, window {window}, {id}");
@@ -287,10 +340,12 @@ mod tests {
                     let split = resident.test_split(id, window).expect("resident id");
                     assert!(matches!(split, Cow::Borrowed(_)), "{at}: resident lends");
                     assert_eq!(split_bits(&split), want, "{at}: resident test_split");
+                    for read in ["first", "second"] {
+                        let split = lazy.test_split(id, window).expect("lazy id");
+                        assert_eq!(split_bits(&split), want, "{at}: {read} lazy test_split");
+                    }
                     let party = lazy.party(id, window).expect("lazy id");
                     assert_eq!(split_bits(party.test()), want, "{at}: lazy party");
-                    let split = lazy.test_split(id, window).expect("lazy id");
-                    assert_eq!(split_bits(&split), want, "{at}: lazy test_split");
                 }
             }
             assert!(lazy.test_split(PartyId(12), 0).is_none(), "unknown id");

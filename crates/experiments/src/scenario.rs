@@ -127,48 +127,48 @@ impl Scenario {
         self.rounds_per_window * 3
     }
 
-    /// Party `i`'s rows for `window`, drawn off `rng` (its own `(id,
-    /// window)` stream) in the stream's one order: the window's fresh
-    /// training rows, then its test rows. With `with_test` false the draws
-    /// stop before the test rows and the test split comes back empty.
+    /// Party `i`'s fresh training rows for `window`, drawn off `rng` (its
+    /// own `(id, window)` stream). A window's stream has one order: these
+    /// rows, then [`draw_test`](Self::draw_test)'s test rows, and nothing
+    /// after them.
     ///
-    /// Nothing follows the test rows in a window's stream, so a reader that
-    /// skips them leaves every earlier draw as it was, and a reader that
-    /// wants only the test rows must still draw the training rows before
-    /// them. [`build_party`](Self::build_party),
-    /// [`advance_party`](Self::advance_party) and the population providers'
-    /// test-split reads all draw through here, so they cannot disagree on
-    /// that order.
+    /// So a reader that skips the test rows leaves every earlier draw as it
+    /// was, and a reader that wants only the test rows must first draw
+    /// these, or resume from a stream state saved just after them.
+    /// [`build_party`](Self::build_party),
+    /// [`advance_party`](Self::advance_party) and the population providers
+    /// all draw through these two halves, so they cannot disagree on that
+    /// order.
     ///
     /// # Panics
     ///
     /// Panics if `window` is out of schedule range.
-    pub fn draw_window(
-        &self,
-        i: usize,
-        window: usize,
-        with_test: bool,
-        rng: &mut StdRng,
-    ) -> (Dataset, Dataset) {
-        let regime = self.schedule.regime(window, i);
-        let fresh_n = match (window, self.profile.windowing) {
+    pub fn draw_fresh(&self, i: usize, window: usize, rng: &mut StdRng) -> Dataset {
+        let n = match (window, self.profile.windowing) {
             (0, _) | (_, WindowingMode::Tumbling) => self.profile.samples_per_party,
             (_, WindowingMode::Sliding) => self.profile.samples_per_party / 2,
         };
-        let fresh = self.generator.generate_with_regime(fresh_n, regime, rng);
-        let test = if with_test {
-            self.generator
-                .generate_with_regime(self.profile.test_samples_per_party, regime, rng)
-        } else {
-            Dataset::empty(self.profile.classes, self.profile.shape)
-        };
-        (fresh, test)
+        self.generator
+            .generate_with_regime(n, self.schedule.regime(window, i), rng)
+    }
+
+    /// Party `i`'s test rows for `window`: the draws that follow
+    /// [`draw_fresh`](Self::draw_fresh)'s on the same stream.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window` is out of schedule range.
+    pub fn draw_test(&self, i: usize, window: usize, rng: &mut StdRng) -> Dataset {
+        let n = self.profile.test_samples_per_party;
+        self.generator
+            .generate_with_regime(n, self.schedule.regime(window, i), rng)
     }
 
     /// Builds party `i`'s window-0 (bootstrap) state, drawing from `rng` —
     /// the population providers call it against party `i`'s own stream.
     pub fn build_party(&self, i: usize, rng: &mut StdRng) -> Party {
-        let (train, test) = self.draw_window(i, 0, true, rng);
+        let train = self.draw_fresh(i, 0, rng);
+        let test = self.draw_test(i, 0, rng);
         Party::new(PartyId(i), train, test)
     }
 
@@ -184,7 +184,8 @@ impl Scenario {
     ///
     /// Panics if `window` is out of schedule range.
     pub fn advance_party(&self, party: &mut Party, window: usize, rng: &mut StdRng) {
-        let (fresh, test) = self.draw_window(party.id().0, window, true, rng);
+        let fresh = self.draw_fresh(party.id().0, window, rng);
+        let test = self.draw_test(party.id().0, window, rng);
         let train = match self.profile.windowing {
             WindowingMode::Tumbling => fresh,
             WindowingMode::Sliding => {

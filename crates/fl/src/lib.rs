@@ -58,7 +58,7 @@ pub use selection::{FlipsSelector, ParticipantSelector, UniformSelector};
 pub use transport::{CohortExchange, CohortTransport, LocalStepFn, LocalTransport, UploadOutcome};
 pub use update::ModelUpdate;
 
-use shiftex_nn::{ArchSpec, Sequential};
+use shiftex_nn::{ArchSpec, InferScratch, Sequential};
 
 /// Evaluates `params` on the test split of every party in `view`,
 /// returning the sample-weighted mean accuracy in `[0, 1]` (0 when no party
@@ -70,8 +70,9 @@ pub fn evaluate_on_view(spec: &ArchSpec, params: &[f32], view: &PopulationView<'
 /// Sample-weighted population accuracy where `params_of` supplies each
 /// party's assigned parameters — the one per-party scoring loop. Only each
 /// party's test split is read ([`PopulationView::with_test_split`]), one
-/// at a time in view order and dropped after scoring, so evaluation stays
-/// O(1)-resident at any population size.
+/// at a time in view order and dropped after scoring, and every party is
+/// scored on one [`InferScratch`], so evaluation stays O(1)-resident at any
+/// population size.
 pub fn evaluate_assigned_view<'a>(
     spec: &ArchSpec,
     view: &PopulationView<'_>,
@@ -81,6 +82,7 @@ pub fn evaluate_assigned_view<'a>(
     let mut total = 0usize;
     // One built model per distinct parameter slice (by pointer identity).
     let mut cache: Vec<(&[f32], Sequential)> = Vec::new();
+    let mut scratch = InferScratch::default();
     for &id in view.ids() {
         view.with_test_split(id, |test| {
             if test.is_empty() {
@@ -100,7 +102,9 @@ pub fn evaluate_assigned_view<'a>(
             // Arg-max against the label only; the same `f32` accuracy, then
             // `f64` weighting, that an `EvalReport` would have gone through.
             let n = test.labels().len();
-            let hits = cache[slot].1.count_correct(test.features(), test.labels());
+            let hits = cache[slot]
+                .1
+                .count_correct_in(&mut scratch, test.features(), test.labels());
             let accuracy = hits as f32 / n as f32;
             correct += accuracy as f64 * n as f64;
             total += n;

@@ -123,7 +123,11 @@ pub trait PartyProvider: std::fmt::Debug {
     /// [`party`](Self::party)'s split: borrowed from a resident party,
     /// moved out of a built one. A provider that can produce the split
     /// without building the rest of the party overrides this; the split
-    /// must be bit-identical to `party(id, window)`'s.
+    /// must be bit-identical to `party(id, window)`'s. An override may keep
+    /// per-window state to make repeat reads cheaper (the scenario-backed
+    /// lazy provider keeps a 32 B stream cursor per party read, dropped in
+    /// [`advance_window`](Self::advance_window)), but its answer must not
+    /// depend on which reads came before.
     fn test_split(&self, id: PartyId, window: usize) -> Option<Cow<'_, Dataset>> {
         Some(match self.party(id, window)? {
             Cow::Borrowed(party) => Cow::Borrowed(party.test()),

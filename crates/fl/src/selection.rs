@@ -6,7 +6,7 @@
 use std::collections::BTreeSet;
 
 use rand::rngs::StdRng;
-use shiftex_cluster::choose_k;
+use shiftex_cluster::choose_k_rows;
 use shiftex_tensor::rngx;
 
 use crate::party::{PartyId, PartyInfo};
@@ -86,8 +86,8 @@ pub struct LabelClusters {
 /// Panics if `infos` is empty.
 pub fn cluster_by_labels(infos: &[PartyInfo], k_max: usize, rng: &mut StdRng) -> LabelClusters {
     assert!(!infos.is_empty(), "cannot cluster an empty party set");
-    let points: Vec<Vec<f32>> = infos.iter().map(|i| i.label_hist.clone()).collect();
-    let selection = choose_k(&points, k_max.max(1), rng);
+    let points: Vec<&[f32]> = infos.iter().map(|i| i.label_hist.as_slice()).collect();
+    let selection = choose_k_rows(&points, k_max.max(1), rng);
     let mut clusters = vec![Vec::new(); selection.result.centroids.len()];
     for (i, &c) in selection.result.assignment.iter().enumerate() {
         clusters[c].push(infos[i].id);

@@ -44,6 +44,6 @@ pub use average::{cosine_params, param_l2_distance, weighted_merge};
 pub use conv::ConvShape;
 pub use layer::{Layer, LayerCache};
 pub use loss::softmax_cross_entropy;
-pub use model::{EvalReport, Sequential};
+pub use model::{EvalReport, InferScratch, Sequential};
 pub use optim::Sgd;
 pub use trainer::{train_local_params, LocalFitReport, TrainConfig};

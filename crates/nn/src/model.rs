@@ -7,7 +7,7 @@ use shiftex_tensor::Matrix;
 use crate::arch::{ArchSpec, InputShape, LayerSpec};
 use crate::conv::ConvShape;
 use crate::layer::{Layer, LayerCache};
-use crate::loss::{softmax_cross_entropy, softmax_cross_entropy_into};
+use crate::loss::softmax_cross_entropy_into;
 use crate::optim::Sgd;
 use crate::trainer::TrainConfig;
 
@@ -60,6 +60,22 @@ struct Workspace {
     grad_next: Matrix,
     /// Parameter gradient in flatten order, each layer writing its slice.
     flat_grad: Vec<f32>,
+}
+
+/// Every buffer an inference pass touches: the layer cache (conv panels,
+/// pool winners, norm statistics) and the two activation matrices layers
+/// ping-pong between. Owned by the caller and reused across
+/// [`Sequential::count_correct_in`], [`Sequential::evaluate_in`] and
+/// [`Sequential::embed_in`] calls — any model, any batch size — so a
+/// scoring loop over a population allocates only while a call needs more
+/// room than every call before it.
+#[derive(Debug, Default)]
+pub struct InferScratch {
+    cache: LayerCache,
+    /// The last layer's output once a pass has run.
+    cur: Matrix,
+    /// The next layer's output; free scratch once a pass has run.
+    next: Matrix,
 }
 
 /// The Xavier-uniform values of a `rows × cols` weight matrix, row-major:
@@ -247,26 +263,28 @@ impl Sequential {
         }
     }
 
-    /// Runs `layers` over `x` in inference mode. Layer 0 reads `x` where it
-    /// is; later activations ping-pong between two buffers.
-    fn infer<'a>(x: &Matrix, layers: impl Iterator<Item = &'a Layer>) -> Matrix {
-        let mut cache = LayerCache::default();
-        let (mut cur, mut next) = (Matrix::default(), Matrix::default());
-        let mut input = None;
+    /// Runs `layers` over `x` in inference mode on the buffers of
+    /// `scratch`, leaving the output in `scratch.cur`. Layer 0 reads `x`
+    /// where it is; later activations ping-pong between the scratch's two
+    /// matrices. With no layer to run the output is a copy of `x`.
+    fn infer<'l>(x: &Matrix, layers: impl Iterator<Item = &'l Layer>, scratch: &mut InferScratch) {
+        let InferScratch { cache, cur, next } = scratch;
+        let mut ran = false;
         for layer in layers {
-            layer.forward(input.unwrap_or(x), &mut next, &mut cache);
-            std::mem::swap(&mut cur, &mut next);
-            input = Some(&cur);
+            layer.forward(if ran { &*cur } else { x }, next, cache);
+            std::mem::swap(cur, next);
+            ran = true;
         }
-        match input {
-            Some(_) => cur,
-            None => x.clone(),
+        if !ran {
+            cur.clone_from(x);
         }
     }
 
     /// Full forward pass, returning the class logits.
     pub fn forward(&self, x: &Matrix) -> Matrix {
-        Self::infer(x, self.layers.iter())
+        let mut scratch = InferScratch::default();
+        Self::infer(x, self.layers.iter(), &mut scratch);
+        scratch.cur
     }
 
     /// Forward pass that stops at the penultimate layer, returning the
@@ -280,8 +298,18 @@ impl Sequential {
     /// input distribution through the learned feature map, while
     /// classification uses the normalised path.
     pub fn embed(&self, x: &Matrix) -> Matrix {
+        let mut scratch = InferScratch::default();
+        self.embed_in(&mut scratch, x);
+        scratch.cur
+    }
+
+    /// [`Sequential::embed`] on the buffers of `scratch`, which lends the
+    /// embedding (a copy of `x` when the model has no hidden layer).
+    pub fn embed_in<'s>(&self, scratch: &'s mut InferScratch, x: &Matrix) -> &'s Matrix {
         let body = &self.layers[..self.layers.len() - 1];
-        Self::infer(x, body.iter().filter(|l| !matches!(l, Layer::InstanceNorm)))
+        let layers = body.iter().filter(|l| !matches!(l, Layer::InstanceNorm));
+        Self::infer(x, layers, scratch);
+        &scratch.cur
     }
 
     /// Evaluates mean loss and top-1 accuracy.
@@ -290,6 +318,21 @@ impl Sequential {
     ///
     /// Panics if `labels.len() != x.rows()`.
     pub fn evaluate(&self, x: &Matrix, labels: &[usize]) -> EvalReport {
+        self.evaluate_in(&mut InferScratch::default(), x, labels)
+    }
+
+    /// [`Sequential::evaluate`] on the buffers of `scratch`: the logits
+    /// and the loss's softmax rows both live there.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `labels.len() != x.rows()`.
+    pub fn evaluate_in(
+        &self,
+        scratch: &mut InferScratch,
+        x: &Matrix,
+        labels: &[usize],
+    ) -> EvalReport {
         if x.rows() == 0 {
             return EvalReport {
                 loss: 0.0,
@@ -297,11 +340,12 @@ impl Sequential {
                 n: 0,
             };
         }
-        let logits = self.forward(x);
-        let (loss, _) = softmax_cross_entropy(&logits, labels);
+        // The logits are in `cur`, and `next` is free for the softmax rows.
+        Self::infer(x, self.layers.iter(), scratch);
+        let loss = softmax_cross_entropy_into(&scratch.cur, labels, &mut scratch.next);
         EvalReport {
             loss,
-            accuracy: top1_hits(&logits, labels) as f32 / labels.len() as f32,
+            accuracy: top1_hits(&scratch.cur, labels) as f32 / labels.len() as f32,
             n: labels.len(),
         }
     }
@@ -310,10 +354,21 @@ impl Sequential {
     /// numerator of [`EvalReport::accuracy`] without the loss (an `exp` per
     /// logit), for scoring loops that read nothing else.
     pub fn count_correct(&self, x: &Matrix, labels: &[usize]) -> usize {
+        self.count_correct_in(&mut InferScratch::default(), x, labels)
+    }
+
+    /// [`Sequential::count_correct`] on the buffers of `scratch`.
+    pub fn count_correct_in(
+        &self,
+        scratch: &mut InferScratch,
+        x: &Matrix,
+        labels: &[usize],
+    ) -> usize {
         if x.rows() == 0 {
             return 0;
         }
-        top1_hits(&self.forward(x), labels)
+        Self::infer(x, self.layers.iter(), scratch);
+        top1_hits(&scratch.cur, labels)
     }
 
     /// One SGD step on a single mini-batch; returns the batch loss.
@@ -651,6 +706,44 @@ mod tests {
             "{hits} of 37"
         );
         assert_eq!(model.count_correct(&Matrix::zeros(0, 4), &[]), 0);
+    }
+
+    /// One scratch serves any model and any batch: across an MLP and
+    /// LeNet-lite, over batches that shrink, grow and reach 0 rows, every
+    /// `_in` call returns the bits of the fresh call.
+    #[test]
+    fn one_scratch_matches_fresh_calls_across_models_and_batch_sizes() {
+        let mut rng = StdRng::seed_from_u64(13);
+        let mlp = ArchSpec::mlp("t", 64, &[9, 5], 4);
+        let lenet = ArchSpec::lenet5_lite(InputShape { c: 1, h: 8, w: 8 }, 4, 16);
+        let bare = ArchSpec::mlp("bare", 64, &[], 4);
+        let models: Vec<Sequential> = [&mlp, &lenet, &bare]
+            .into_iter()
+            .map(|spec| Sequential::build(spec, &mut rng))
+            .collect();
+        let bits = |m: &Matrix| -> Vec<u32> { m.as_slice().iter().map(|v| v.to_bits()).collect() };
+        let mut scratch = InferScratch::default();
+        for (step, rows) in [7, 2, 12, 0, 5, 12, 1].into_iter().enumerate() {
+            let x = Matrix::randn(rows, 64, 0.5, 1.5, &mut rng);
+            let y: Vec<usize> = (0..rows).map(|i| (i + step) % 4).collect();
+            for (m, model) in models.iter().enumerate() {
+                let at = format!("step {step}, model {m}, {rows} rows");
+                let want = model.evaluate(&x, &y);
+                let got = model.evaluate_in(&mut scratch, &x, &y);
+                assert_eq!(got.loss.to_bits(), want.loss.to_bits(), "{at}: loss");
+                assert_eq!(got.accuracy.to_bits(), want.accuracy.to_bits(), "{at}");
+                assert_eq!(got.n, want.n, "{at}: n");
+                let want = model.count_correct(&x, &y);
+                assert_eq!(model.count_correct_in(&mut scratch, &x, &y), want, "{at}");
+                let want = model.embed(&x);
+                let got = model.embed_in(&mut scratch, &x);
+                assert_eq!(got.shape(), want.shape(), "{at}: embedding shape");
+                assert_eq!(bits(got), bits(&want), "{at}: embedding");
+            }
+        }
+        // With no hidden layer the embedding is a copy of the input.
+        let x = Matrix::randn(3, 64, 0.0, 1.0, &mut rng);
+        assert_eq!(bits(models[2].embed_in(&mut scratch, &x)), bits(&x));
     }
 
     #[test]

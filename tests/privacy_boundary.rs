@@ -9,7 +9,7 @@ use shiftex::fl::{
     run_algorithm_round, CodecSpec, CommTotals, FederatedAlgorithm, Party, PartyId,
     PopulationStore, RoundCtx, ScenarioEngine, ScenarioSpec,
 };
-use shiftex::nn::{ArchSpec, Sequential, TrainConfig};
+use shiftex::nn::{ArchSpec, InferScratch, Sequential, TrainConfig};
 
 fn party(samples: usize, rng: &mut StdRng) -> (Party, PrototypeGenerator) {
     let gen = PrototypeGenerator::new(ImageShape::new(1, 8, 8), 4, rng);
@@ -29,8 +29,15 @@ fn shift_stats_are_bounded_aggregates_not_raw_data() {
     let model = Sequential::build(&spec, &mut rng);
 
     let profile_rows = 32;
-    let stats =
-        compute_shift_stats(&party, &model, profile_rows, None, &mut rng).expect("party has data");
+    let stats = compute_shift_stats(
+        &party,
+        &model,
+        &mut InferScratch::default(),
+        profile_rows,
+        None,
+        &mut rng,
+    )
+    .expect("party has data");
 
     // The profile is capped regardless of how much raw data the party holds…
     assert_eq!(stats.profile.len(), profile_rows);
