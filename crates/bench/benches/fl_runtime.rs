@@ -318,6 +318,42 @@ fn bench_nn_kernels(c: &mut Criterion) {
         }
     }
 
+    // The LeNet-lite pieces the two largest phases run: a 4-row inference
+    // forward on a warm scratch (the scale_lazy_churn eval pass scores 800
+    // parties so), conv1's weight gradient as a training step runs it (no
+    // input gradient below the first parametric layer), and the second
+    // pool (12 channels of 4x4) at the 8-row batch, winners recorded. Own
+    // RNG, so the labels around them keep their inputs.
+    {
+        use shiftex_nn::InferScratch;
+        let mut rng = StdRng::seed_from_u64(67);
+        let model = Sequential::build(&lenet, &mut rng);
+        let x = Matrix::randn(4, lenet.input.dim(), 0.0, 1.0, &mut rng);
+        let y: Vec<usize> = (0..4).map(|i| i % lenet.classes).collect();
+        let mut scratch = InferScratch::default();
+        model.count_correct_in(&mut scratch, &x, &y);
+        group.bench_function("forward_lenet_b4", |b| {
+            b.iter(|| model.count_correct_in(&mut scratch, &x, &y))
+        });
+
+        let (_, _, _, layer) = conv(1, 6, 8, &mut rng);
+        let x = Matrix::randn(8, 64, 0.0, 1.0, &mut rng);
+        let grad_out = relu_sparse(Matrix::randn(8, 6 * 64, 0.0, 1.0, &mut rng));
+        let (mut out, mut cache) = (Matrix::default(), LayerCache::default());
+        layer.forward(&x, &mut out, &mut cache);
+        let mut param_grad = vec![0.0; layer.num_params()];
+        group.bench_function("conv_bwd_lenet_c1_b8", |b| {
+            b.iter(|| layer.backward(&x, &out, &mut cache, &grad_out, None, &mut param_grad))
+        });
+
+        let x = Matrix::randn(8, 12 * 4 * 4, 0.0, 1.0, &mut rng).map(|v| v.max(0.0));
+        let layer = Layer::MaxPool2d { c: 12, h: 4, w: 4 };
+        let (mut out, mut cache) = (Matrix::default(), LayerCache::default());
+        group.bench_function("max_pool_lenet_c2_b8", |b| {
+            b.iter(|| layer.forward(&x, &mut out, &mut cache))
+        });
+    }
+
     // The wide_cohort_byzantine fold: 200 LeNet-lite updates (2146
     // parameters), 40 tolerated liars.
     let dim = Sequential::build(&lenet, &mut rng).num_params();

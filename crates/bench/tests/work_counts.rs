@@ -1,9 +1,14 @@
 //! Exact work counts beside the clock: the allocation calls and bytes of
-//! fixed party-side and server-side operations.
+//! fixed party-side and server-side operations, and the most memory each
+//! holds at once.
 //!
 //! Wall-clock benches on a shared box swing 1.1–1.5× with nothing changed;
 //! these counts do not move unless the code does. Each row of [`TABLE`]
-//! pins one operation's `(calls, bytes)` exactly. A change that moves a row
+//! pins one operation's `(calls, bytes, peak)` exactly: allocation calls
+//! (reallocations included), bytes those calls asked for, and the
+//! high-water mark of live bytes above their level when the operation
+//! started — `dealloc` subtracts, `realloc` moves the count from the old
+//! size to the new. A change that moves a row
 //! says why in its CHANGES entry; `--nocapture` prints the rows as counted,
 //! in the table's own layout.
 //!
@@ -18,7 +23,11 @@
 //!   and a repeat pass in the same window (`_repeat`: the test-split reads
 //!   resume from the cursors the first pass kept);
 //! * one `FlipsSelector::fit` over that population's 800 label histograms
-//!   of 10 classes (`k_max` 4, as `ShiftEx::cohort` fits it).
+//!   of 10 classes (`k_max` 4, as `ShiftEx::cohort` fits it);
+//! * `lenet_count_correct_b4_x800_warm`: 800 LeNet-lite `count_correct_in`
+//!   calls of 4 rows on one `InferScratch` that has scored once before —
+//!   the eval pass's per-party forward, which a warm scratch runs without
+//!   allocating.
 //!
 //! Its own test binary, because the counting allocator is process-wide:
 //! nothing else may allocate while it measures, so there is one test.
@@ -36,14 +45,23 @@ use rand::SeedableRng;
 use shiftex_data::{DatasetKind, SimScale};
 use shiftex_experiments::{LazyPopulation, Scenario};
 use shiftex_fl::{evaluate_on_view, FlipsSelector, PartyId, PartyInfo, PopulationStore};
-use shiftex_nn::{train_local_params, ArchSpec, InputShape, Sequential, TrainConfig};
+use shiftex_nn::{train_local_params, ArchSpec, InferScratch, InputShape, Sequential, TrainConfig};
 use shiftex_tensor::Matrix;
 
-/// The system allocator, counting the bytes and the calls that allocate.
+/// The system allocator, counting the bytes and the calls that allocate,
+/// and the bytes live with their high-water mark.
 struct Counting;
 
 static BYTES: AtomicUsize = AtomicUsize::new(0);
 static CALLS: AtomicUsize = AtomicUsize::new(0);
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+/// Adds `size` live bytes and raises the high-water mark to match.
+fn grow_live(size: usize) {
+    let live = LIVE.fetch_add(size, Ordering::Relaxed) + size;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
 
 // SAFETY: every method forwards to `System` with the caller's arguments
 // unchanged; the counters are plain statistics that publish nothing.
@@ -52,12 +70,14 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         BYTES.fetch_add(layout.size(), Ordering::Relaxed);
         CALLS.fetch_add(1, Ordering::Relaxed);
+        grow_live(layout.size());
         // SAFETY: the caller's `GlobalAlloc::alloc` contract, passed on.
         unsafe { System.alloc(layout) }
     }
 
     // SAFETY: the trait's own contract; the body only forwards it.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
         // SAFETY: `ptr` came from `System` through `alloc`/`realloc` above.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -66,6 +86,14 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         BYTES.fetch_add(new_size, Ordering::Relaxed);
         CALLS.fetch_add(1, Ordering::Relaxed);
+        // Live bytes go from the old size to the new: what the program
+        // owns, not the moment a moving realloc holds both blocks.
+        match new_size.checked_sub(layout.size()) {
+            Some(grown) => grow_live(grown),
+            None => {
+                LIVE.fetch_sub(layout.size() - new_size, Ordering::Relaxed);
+            }
+        }
         // SAFETY: the caller's `GlobalAlloc::realloc` contract, passed on.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -74,29 +102,34 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// Pinned `(row, allocation calls, allocated bytes)`, one per row (see the
-/// module docs).
+/// Pinned `(row, allocation calls, allocated bytes, peak live bytes)`, one
+/// per row (see the module docs).
 #[rustfmt::skip]
-const TABLE: [(&str, usize, usize); 8] = [
-    ("train_local_params/lenet_b8",              72,     354523),
-    ("train_local_params/resnet18lite_200",      34,     269885),
-    ("materialize_cohort_10_of_10k",             63,      40768),
-    ("lazy_eval_800_parties_w0",               4959,    2743123),
-    ("lazy_eval_800_parties_w0_repeat",        2426,     959051),
-    ("lazy_eval_800_parties_w1",               8159,    2717523),
-    ("lazy_eval_800_parties_w1_repeat",        4026,    1368651),
-    ("flips_fit_800x10",                        301,     380484),
+const TABLE: [(&str, usize, usize, usize); 9] = [
+    ("train_local_params/lenet_b8",              71,     344711,     261651),
+    ("train_local_params/resnet18lite_200",      34,     269549,     219253),
+    ("materialize_cohort_10_of_10k",             63,      40768,      36456),
+    ("lazy_eval_800_parties_w0",               4959,    2727947,     119475),
+    ("lazy_eval_800_parties_w0_repeat",        2426,     943875,      55947),
+    ("lazy_eval_800_parties_w1",               8159,    2702347,     118675),
+    ("lazy_eval_800_parties_w1_repeat",        4026,    1353475,      56203),
+    ("flips_fit_800x10",                        301,     380484,      88320),
+    ("lenet_count_correct_b4_x800_warm",          0,          0,          0),
 ];
 
-/// `(calls, bytes)` allocated while `f` runs; `f`'s result is dropped
-/// inside the measurement, so a row counts what the operation builds and
-/// hands back too.
-fn allocated_by<T>(f: impl FnOnce() -> T) -> (usize, usize) {
+/// `(calls, bytes, peak)` of what `f` allocates while it runs, `peak`
+/// being the high-water mark of live bytes above their level at the
+/// start; `f`'s result is dropped inside the measurement, so a row counts
+/// what the operation builds and hands back too.
+fn allocated_by<T>(f: impl FnOnce() -> T) -> (usize, usize, usize) {
     let (calls, bytes) = (CALLS.load(Ordering::Relaxed), BYTES.load(Ordering::Relaxed));
+    let start = LIVE.load(Ordering::Relaxed);
+    PEAK.store(start, Ordering::Relaxed);
     drop(f());
     (
         CALLS.load(Ordering::Relaxed) - calls,
         BYTES.load(Ordering::Relaxed) - bytes,
+        PEAK.load(Ordering::Relaxed) - start,
     )
 }
 
@@ -116,7 +149,7 @@ fn lazy_population(parties: usize, seed: u64) -> (Scenario, PopulationStore) {
 
 /// Counts every row once, in [`TABLE`] order. Inputs are built outside the
 /// measurements.
-fn count_rows() -> Vec<(&'static str, (usize, usize))> {
+fn count_rows() -> Vec<(&'static str, (usize, usize, usize))> {
     let mut rows = Vec::new();
     let mut rng = StdRng::seed_from_u64(62);
 
@@ -178,6 +211,24 @@ fn count_rows() -> Vec<(&'static str, (usize, usize))> {
         "flips_fit_800x10",
         allocated_by(|| FlipsSelector::fit(&infos, 4, &mut fit_rng)),
     ));
+
+    let model = Sequential::build(&lenet, &mut rng);
+    let batches: Vec<Matrix> = (0..800)
+        .map(|_| Matrix::randn(4, lenet.input.dim(), 0.0, 1.0, &mut rng))
+        .collect();
+    let y: Vec<usize> = (0..4).map(|i| i % lenet.classes).collect();
+    let mut scratch = InferScratch::default();
+    model.count_correct_in(&mut scratch, &batches[0], &y);
+    rows.push((
+        "lenet_count_correct_b4_x800_warm",
+        allocated_by(|| {
+            let hits: usize = batches
+                .iter()
+                .map(|x| model.count_correct_in(&mut scratch, x, &y))
+                .sum();
+            hits
+        }),
+    ));
     rows
 }
 
@@ -189,13 +240,13 @@ fn work_counts_are_pinned() {
     assert_eq!(first, second, "two passes must count the same work");
     let wrong: Vec<&str> = first
         .iter()
-        .filter(|&&(label, (calls, bytes))| !TABLE.contains(&(label, calls, bytes)))
+        .filter(|&&(label, (calls, bytes, peak))| !TABLE.contains(&(label, calls, bytes, peak)))
         .map(|&(label, _)| label)
         .collect();
     if !wrong.is_empty() {
-        for (label, (calls, bytes)) in &first {
+        for (label, (calls, bytes, peak)) in &first {
             let quoted = format!("{label:?},");
-            println!("    ({quoted:<40}{calls:>6}, {bytes:>10}),");
+            println!("    ({quoted:<40}{calls:>6}, {bytes:>10}, {peak:>10}),");
         }
         panic!("work counts moved: {wrong:?}");
     }

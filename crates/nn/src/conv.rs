@@ -9,24 +9,31 @@
 //! * **forward** gathers a *tap-major* panel `(in_c·k·k) × (rows·h·w)` —
 //!   row `(ic, ky, kx)` holds, for every output pixel of the chunk, the
 //!   input value under that tap, `+0.0` where the tap falls outside the
-//!   image — seeds one accumulator row per output channel with its bias and
-//!   multiplies the filter bank into it. Each output pixel receives its
-//!   taps in ascending `(ic, ky, kx)` order, exactly the scalar loop's.
-//!   The panel is gathered one tap row at a time, as a shifted copy of the
-//!   chunk's channel plane with the padding masked to `+0.0` ([`Panel`]).
-//! * **backward, parameters** gathers the forward's tap-major panel again
-//!   and packs `grad_out` pixel-major, `(rows·h·w) × out_c`; one product
-//!   `panel · grad_out` per chunk accumulates a `taps × out_c` scratch that
-//!   is transposed into the filter gradient at the end. Every filter weight
-//!   receives its addends in ascending `(b, oy, ox)` order from `+0.0`
-//!   (`x·g` is `g·x` bit for bit), zero gradients added as `±0.0` where
-//!   the scalar loop skips them. The bias gradient adds every packed pixel
-//!   row, zeros included, all channels side by side.
+//!   image. Each output row of the batch is one **output block**, its
+//!   `out_c × h·w` slice of `out`: every channel plane is seeded with its
+//!   bias, and the filter bank is multiplied into the block where it lies
+//!   ([`shiftex_tensor::gemm_acc_strided`], the row's panel columns as the
+//!   right operand). Nothing is accumulated elsewhere and copied out, and
+//!   `out` is not zero-filled first. Each output pixel receives its taps
+//!   in ascending `(ic, ky, kx)` order, exactly the scalar loop's. The
+//!   panel is gathered one tap row at a time, as a shifted copy of the
+//!   chunk's channel plane with the padding masked to `+0.0` ([`Panel`]);
+//!   a single-channel input (LeNet-lite's first layer) is its own channel
+//!   plane and is read in place.
+//! * **backward, parameters** gathers the forward's tap-major panel again,
+//!   plus one **bias tap row** of `1.0`s, and packs `grad_out` pixel-major,
+//!   `(rows·h·w) × out_c`; one product `panel · grad_out` per chunk
+//!   accumulates a `(taps + 1) × out_c` scratch from `+0.0`. Its first
+//!   `taps` rows are transposed into the filter gradient at the end; its
+//!   last row, `Σ 1·g`, is the bias gradient, since `1·g = g` bit for bit.
+//!   Every filter weight and every bias receives its addends in ascending
+//!   `(b, oy, ox)` order from `+0.0` (`x·g` is `g·x` bit for bit), zero
+//!   gradients added as `±0.0` where the scalar loop skips them.
 //! * **backward, input** is the forward kernel run on `grad_out` with the
 //!   filter bank transposed and flipped, `w'[ic][oc, ky, kx] =
-//!   w[oc][ic, k−1−ky, k−1−kx]`: ascending flipped taps are descending
-//!   original taps, i.e. ascending `(oy, ox)` for each input pixel, after
-//!   ascending `oc` — the scalar loop's order again.
+//!   w[oc][ic, k−1−ky, k−1−kx]`, seeded `+0.0`: ascending flipped taps are
+//!   descending original taps, i.e. ascending `(oy, ox)` for each input
+//!   pixel, after ascending `oc` — the scalar loop's order again.
 //!
 //! # Why the zero addends are harmless
 //!
@@ -51,7 +58,7 @@
 //! O(chunk), never O(dataset). Chunking changes which rows share a panel,
 //! not the order in which any output element is accumulated.
 
-use shiftex_tensor::{gemm_acc, Matrix};
+use shiftex_tensor::{gemm_acc, gemm_acc_strided, Matrix};
 
 /// Most rows one im2col panel covers.
 const MAX_CHUNK_ROWS: usize = 32;
@@ -99,13 +106,12 @@ impl ConvShape {
 pub(crate) struct ConvScratch {
     /// im2col panel of the current chunk.
     panel: Panel,
-    /// One accumulator row per output channel over the chunk's pixels.
-    acc: Vec<f32>,
     /// Transposed, flipped filter bank of the input-gradient pass.
     flipped: Vec<f32>,
     /// Backward: the chunk's `grad_out`, pixel-major (`pixels × out_c`).
     grad_px: Vec<f32>,
-    /// Backward: the filter gradient, tap-major (`taps × out_c`).
+    /// Backward: the filter gradient, tap-major (`taps × out_c`), then the
+    /// bias gradient as the ones row's product (one more row of `out_c`).
     grad_wt: Vec<f32>,
 }
 
@@ -119,8 +125,7 @@ pub(crate) fn forward(
     out: &mut Matrix,
     scratch: &mut ConvScratch,
 ) {
-    let ConvScratch { panel, acc, .. } = scratch;
-    correlate(shape, input, weight, |oc| bias[oc], out, panel, acc);
+    correlate(shape, input, weight, |oc| bias[oc], out, &mut scratch.panel);
 }
 
 /// Backward convolution: the filter and bias gradients are written over
@@ -139,40 +144,37 @@ pub(crate) fn backward(
     let (taps, px) = (shape.taps(), shape.pixels());
     let ConvScratch {
         panel,
-        acc,
         flipped,
         grad_px,
         grad_wt,
     } = scratch;
-    let (grad_w, grad_b) = param_grad.split_at_mut(out_c * taps);
-    grad_b.fill(0.0);
     grad_wt.clear();
-    grad_wt.resize(taps * out_c, 0.0);
+    grad_wt.resize((taps + 1) * out_c, 0.0);
     let step = shape.chunk_rows();
     for first in (0..input.rows()).step_by(step) {
         let rows = step.min(input.rows() - first);
-        panel.gather(shape, input, first, rows);
-        grad_px.clear();
+        panel.gather(shape, input, first, rows, true);
+        // Pixel-major `grad_out`: entry `(row, p)·out_c + oc`, each channel
+        // plane written down its column of the row's block.
         grad_px.resize(rows * px * out_c, 0.0);
-        for (r, packed) in grad_px.chunks_exact_mut(px * out_c).enumerate() {
-            for (oc, plane) in grad_out.row(first + r).chunks_exact(px).enumerate() {
-                for (p, &g) in plane.iter().enumerate() {
-                    packed[p * out_c + oc] = g;
+        let blocks = grad_px.chunks_exact_mut((px * out_c).max(1));
+        let grad_rows = grad_out.as_slice()[first * out_c * px..].chunks_exact((out_c * px).max(1));
+        for (packed, grad_row) in blocks.zip(grad_rows) {
+            for (oc, plane) in grad_row.chunks_exact(px).enumerate() {
+                for (dst, &g) in packed[oc..].iter_mut().step_by(out_c).zip(plane) {
+                    *dst = g;
                 }
             }
         }
         gemm_acc(&panel.data, grad_px, grad_wt, rows * px, out_c);
-        for pixel in grad_px.chunks_exact(out_c) {
-            for (gb, &g) in grad_b.iter_mut().zip(pixel) {
-                *gb += g;
-            }
-        }
     }
+    let (grad_w, grad_b) = param_grad.split_at_mut(out_c * taps);
     for (oc, gw) in grad_w.chunks_exact_mut(taps).enumerate() {
-        for (t, w) in gw.iter_mut().enumerate() {
-            *w = grad_wt[t * out_c + oc];
+        for (w, &g) in gw.iter_mut().zip(grad_wt[oc..].iter().step_by(out_c)) {
+            *w = g;
         }
     }
+    grad_b.copy_from_slice(&grad_wt[taps * out_c..]);
 
     let Some(grad_in) = grad_in else { return };
     flipped.clear();
@@ -187,11 +189,14 @@ pub(crate) fn backward(
         out_c: in_c,
         ..shape
     };
-    correlate(transposed, grad_out, flipped, |_| 0.0, grad_in, panel, acc);
+    correlate(transposed, grad_out, flipped, |_| 0.0, grad_in, panel);
 }
 
 /// `out[b][oc] = seed(oc) + Σ_t weight[oc][t] · tap_t(input[b])`, taps
-/// ascending, one row chunk at a time.
+/// ascending, one row chunk at a time. Each output row is one block of
+/// `out_c × h·w`: seeded plane by plane, then handed to the GEMM as its
+/// output, with the chunk panel's columns of that row as the right operand
+/// where they lie.
 fn correlate(
     shape: ConvShape,
     input: &Matrix,
@@ -199,24 +204,23 @@ fn correlate(
     seed: impl Fn(usize) -> f32,
     out: &mut Matrix,
     panel: &mut Panel,
-    acc: &mut Vec<f32>,
 ) {
     let (taps, px) = (shape.taps(), shape.pixels());
-    out.reset(input.rows(), shape.out_c * px);
+    out.reshape_for_overwrite(input.rows(), shape.out_c * px);
+    if px == 0 {
+        return;
+    }
     let step = shape.chunk_rows();
     for first in (0..input.rows()).step_by(step) {
         let rows = step.min(input.rows() - first);
         let n = rows * px;
-        panel.gather(shape, input, first, rows);
-        acc.clear();
-        for oc in 0..shape.out_c {
-            acc.resize((oc + 1) * n, seed(oc));
-        }
-        gemm_acc(weight, &panel.data, acc, taps, n);
-        for (oc, acc_row) in acc.chunks_exact(n).enumerate() {
-            for (r, plane) in acc_row.chunks_exact(px).enumerate() {
-                out.row_mut(first + r)[oc * px..(oc + 1) * px].copy_from_slice(plane);
+        panel.gather(shape, input, first, rows, false);
+        for r in 0..rows {
+            let block = out.row_mut(first + r);
+            for (oc, plane) in block.chunks_exact_mut(px).enumerate() {
+                plane.fill(seed(oc));
             }
+            gemm_acc_strided(weight, &panel.data[r * px..], n, block, taps, px);
         }
     }
 }
@@ -226,20 +230,34 @@ fn correlate(
 struct Panel {
     /// Entry `(tap, pixel)`: the input value under `tap = (ic, ky, kx)` at
     /// output `pixel = (row, oy, ox)`, `+0.0` outside the image; tap-major
-    /// (`taps × rows·h·w`).
+    /// (`taps × rows·h·w`). A backward gather appends one row of `1.0`s,
+    /// the bias's tap.
     data: Vec<f32>,
-    /// The chunk channel-major — channel `ic` of every row, row after row
-    /// — each channel between runs of `pad·w + pad` zeros.
+    /// The chunk channel-major — channel `ic` of every row, row after row —
+    /// when the input has more than one channel. A single-channel chunk is
+    /// already that, in the input's own rows.
     planes: Vec<f32>,
+    /// One set per geometry the panel has gathered: an inference scratch
+    /// that a model's layers share keeps every convolution's masks, rather
+    /// than rebuilding one set per layer per pass.
+    masks: Vec<Masks>,
+}
+
+/// The padding masks of one geometry.
+#[derive(Debug)]
+struct Masks {
+    /// `(k, h, w)`.
+    geometry: (usize, usize, usize),
+    /// Images in the chunk `bits` was built for.
+    rows: usize,
     /// Per kernel offset `(ky, kx)`, one mask per chunk pixel: all ones
     /// where the offset lands inside the image, zero where it pads.
-    masks: Vec<u32>,
-    /// `(k, h, w, rows)` that `masks` was built for.
-    masks_for: (usize, usize, usize, usize),
+    bits: Vec<u32>,
 }
 
 impl Panel {
-    /// Gathers the panel of `rows` rows of `input` starting at `first`.
+    /// Gathers the panel of `rows` rows of `input` starting at `first`,
+    /// plus the ones row when `ones` is set.
     ///
     /// Within one channel of the channel-major chunk, the values a tap
     /// reads at consecutive output pixels are consecutive inputs shifted by
@@ -247,60 +265,106 @@ impl Panel {
     /// image ends alike. So each panel row is one shifted copy of its
     /// channel, masked: the offset's mask clears every pixel where the tap
     /// falls outside the image — and with it every value the shift pulled
-    /// in from a neighbouring row or image, or from the zero runs — to
-    /// `+0.0`.
-    fn gather(&mut self, shape: ConvShape, input: &Matrix, first: usize, rows: usize) {
+    /// in from a neighbouring row or image — to `+0.0`. A shift past either
+    /// end of the chunk reads nothing: the tap is outside the image there.
+    fn gather(&mut self, shape: ConvShape, input: &Matrix, first: usize, rows: usize, ones: bool) {
         let ConvShape { in_c, k, h, w, .. } = shape;
         let (px, pad) = (shape.pixels(), k / 2);
         let n = rows * px;
-        self.data.resize(shape.taps() * n, 0.0);
+        let Panel {
+            data,
+            planes,
+            masks,
+        } = self;
+        data.resize((shape.taps() + usize::from(ones)) * n, 0.0);
         if n == 0 {
             return;
         }
-        let margin = pad * w + pad;
-        self.planes.clear();
-        self.planes.reserve(in_c * (n + margin) + margin);
-        self.planes.resize(margin, 0.0);
-        for ic in 0..in_c {
-            for r in first..first + rows {
-                self.planes
-                    .extend_from_slice(&input.row(r)[ic * px..(ic + 1) * px]);
-            }
-            self.planes.resize(self.planes.len() + margin, 0.0);
-        }
-        if self.masks_for != (k, h, w, rows) {
-            self.masks_for = (k, h, w, rows);
-            self.masks.clear();
-            self.masks.reserve(k * k * n);
-            for ky in 0..k {
-                let rows_in = pad.saturating_sub(ky)..(h + pad).saturating_sub(ky).min(h);
-                for kx in 0..k {
-                    let cols_in = pad.saturating_sub(kx)..(w + pad).saturating_sub(kx).min(w);
-                    let image = self.masks.len();
-                    for oy in 0..h {
-                        for ox in 0..w {
-                            let keep = rows_in.contains(&oy) && cols_in.contains(&ox);
-                            self.masks.push(if keep { u32::MAX } else { 0 });
-                        }
-                    }
-                    for _ in 1..rows {
-                        self.masks.extend_from_within(image..image + px);
-                    }
+        let chunk: &[f32] = if in_c == 1 {
+            &input.as_slice()[first * px..][..n]
+        } else {
+            planes.clear();
+            for ic in 0..in_c {
+                for r in first..first + rows {
+                    planes.extend_from_slice(&input.row(r)[ic * px..(ic + 1) * px]);
                 }
             }
+            planes
+        };
+        let at = match masks.iter().position(|m| m.geometry == (k, h, w)) {
+            Some(at) => at,
+            None => {
+                masks.push(Masks {
+                    geometry: (k, h, w),
+                    rows: 0,
+                    bits: Vec::new(),
+                });
+                masks.len() - 1
+            }
+        };
+        let masks = &mut masks[at];
+        if masks.rows != rows {
+            masks.rows = rows;
+            build_masks(&mut masks.bits, k, h, w, rows);
         }
-        for (ic, taps) in self.data.chunks_exact_mut(k * k * n).enumerate() {
-            let channel = ic * (n + margin);
+        let mask = &masks.bits;
+        let (taps, bias_row) = data.split_at_mut(shape.taps() * n);
+        for (channel, taps) in chunk.chunks_exact(n).zip(taps.chunks_exact_mut(k * k * n)) {
             for (t, (row, mask)) in taps
                 .chunks_exact_mut(n)
-                .zip(self.masks.chunks_exact(n))
+                .zip(mask.chunks_exact(n))
                 .enumerate()
             {
-                // Panel entry `j` reads channel entry `j + (ky·w + kx) − margin`.
-                let src = &self.planes[channel + t / k * w + t % k..][..n];
-                for ((v, &x), &m) in row.iter_mut().zip(src).zip(mask) {
+                // Panel entry `j` reads channel entry `j + shift`.
+                let shift = (t / k * w + t % k) as isize - (pad * w + pad) as isize;
+                let off_end = shift.unsigned_abs().min(n);
+                let (lo, hi) = if shift < 0 {
+                    (off_end, n)
+                } else {
+                    (0, n - off_end)
+                };
+                let from = (lo as isize + shift).clamp(0, n as isize) as usize;
+                let src = &channel[from..][..hi - lo];
+                for ((v, &x), &m) in row[lo..hi].iter_mut().zip(src).zip(&mask[lo..hi]) {
                     *v = f32::from_bits(x.to_bits() & m);
                 }
+                // Past either end of the chunk the tap is outside the image:
+                // the mask is zero, and masks any value to `+0.0`.
+                let any = channel[0].to_bits();
+                let (head, tail) = row.split_at_mut(hi);
+                let edges = head[..lo].iter_mut().zip(&mask[..lo]);
+                for (v, &m) in edges.chain(tail.iter_mut().zip(&mask[hi..])) {
+                    *v = f32::from_bits(any & m);
+                }
+            }
+        }
+        bias_row.fill(1.0);
+    }
+}
+
+/// Rebuilds `masks` for kernel side `k` over a chunk of `rows` images of
+/// `h × w`: per offset `(ky, kx)`, one mask per chunk pixel, all ones where
+/// the offset reads inside the image and zero where it reads padding.
+fn build_masks(masks: &mut Vec<u32>, k: usize, h: usize, w: usize, rows: usize) {
+    let pad = k / 2;
+    let px = h * w;
+    let inside =
+        |kk: usize, len: usize| pad.saturating_sub(kk)..(len + pad).saturating_sub(kk).min(len);
+    masks.clear();
+    masks.reserve(k * k * rows * px);
+    for ky in 0..k {
+        let rows_in = inside(ky, h);
+        for kx in 0..k {
+            let cols_in = inside(kx, w);
+            let image = masks.len();
+            for oy in 0..h {
+                for ox in 0..w {
+                    let keep = rows_in.contains(&oy) && cols_in.contains(&ox);
+                    masks.push(if keep { u32::MAX } else { 0 });
+                }
+            }
+            for _ in 1..rows {
+                masks.extend_from_within(image..image + px);
             }
         }
     }

@@ -58,17 +58,22 @@ pub enum Layer {
 /// own input and output — those the caller retains and lends back, so
 /// nothing is cloned — plus the convolution's scratch.
 ///
+/// Only [`Layer::forward`] writes the records (pool winners, norm stds);
+/// [`Layer::infer`] leaves them as they were and uses the cache for the
+/// convolution's scratch alone, so one cache serves a whole inference pass
+/// over any stack of layers.
+///
 /// A cache belongs to one layer for as long as its owner likes: every
 /// buffer is resized in place, so after the first mini-batch of a
 /// `Sequential::train` call a training step allocates nothing here.
 #[derive(Debug, Default)]
 pub struct LayerCache {
-    /// MaxPool: per-output flat index of the winning input element.
-    winners: Vec<usize>,
+    /// MaxPool: per output, the flat index (within its row) of the winning
+    /// input element.
+    winners: Vec<u32>,
     /// InstanceNorm: per-row standard deviation.
     stds: Vec<f32>,
-    /// Conv: im2col panel, accumulator rows and gradient scratch of one
-    /// row chunk.
+    /// Conv: im2col panel and gradient scratch of one row chunk.
     conv: ConvScratch,
     /// Dense: `Wᵀ` packed for the input-gradient product of a narrow layer.
     pack: Vec<f32>,
@@ -115,11 +120,26 @@ impl Layer {
         }
     }
 
-    /// Runs the forward pass into `out` (reshaped, allocation kept),
-    /// leaving in `cache` what [`Layer::backward`] will need besides
-    /// `input` and `out` themselves. Inference and training share this one
-    /// path.
+    /// Runs the training forward pass into `out` (reshaped, allocation
+    /// kept), leaving in `cache` what [`Layer::backward`] will need besides
+    /// `input` and `out` themselves: the pool winners and the norm stds.
+    ///
+    /// Inference and training share this one path but for those records:
+    /// [`Layer::infer`] computes the same `out`, bit for bit, and writes
+    /// none of them.
     pub fn forward(&self, input: &Matrix, out: &mut Matrix, cache: &mut LayerCache) {
+        self.run::<true>(input, out, cache);
+    }
+
+    /// The inference forward pass: `out` is [`Layer::forward`]'s bit for
+    /// bit, but no pool winner or norm std is recorded, so [`Layer::backward`]
+    /// cannot follow it. `cache` lends the convolution its scratch.
+    pub fn infer(&self, input: &Matrix, out: &mut Matrix, cache: &mut LayerCache) {
+        self.run::<false>(input, out, cache);
+    }
+
+    /// [`Layer::forward`] (`RECORD`) or [`Layer::infer`].
+    fn run<const RECORD: bool>(&self, input: &Matrix, out: &mut Matrix, cache: &mut LayerCache) {
         match self {
             Layer::Dense { w, b } => {
                 input.matmul_into(w, out);
@@ -133,9 +153,9 @@ impl Layer {
                 bias,
             } => conv::forward(*shape, input, weight.as_slice(), bias, out, &mut cache.conv),
             Layer::MaxPool2d { c, h, w } => {
-                pool_forward(input, *c, *h, *w, out, &mut cache.winners)
+                pool_forward::<RECORD>(input, *c, *h, *w, out, &mut cache.winners)
             }
-            Layer::InstanceNorm => norm_forward(input, out, &mut cache.stds),
+            Layer::InstanceNorm => norm_forward::<RECORD>(input, out, &mut cache.stds),
         }
     }
 
@@ -208,7 +228,7 @@ impl Layer {
                     let gi = grad_in.row_mut(r);
                     let winners = &cache.winners[r * out_dim..(r + 1) * out_dim];
                     for (&src, &g) in winners.iter().zip(go.iter()) {
-                        gi[src] += g;
+                        gi[src as usize] += g;
                     }
                 }
             }
@@ -235,7 +255,7 @@ impl Layer {
 
 /// `out = f(input)` elementwise, reusing `out`'s allocation.
 fn map_into(input: &Matrix, out: &mut Matrix, f: impl Fn(f32) -> f32) {
-    out.reset(input.rows(), input.cols());
+    out.reshape_for_overwrite(input.rows(), input.cols());
     for (o, &v) in out.as_mut_slice().iter_mut().zip(input.as_slice()) {
         *o = f(v);
     }
@@ -254,27 +274,43 @@ fn zip_into(a: &Matrix, b: &Matrix, out: &mut Matrix, f: impl Fn(f32, f32) -> f3
 /// Rows [`norm_forward`] standardises side by side.
 const NORM_BLOCK: usize = 8;
 
-/// Per-row standardisation into `out`; `stds` receives the per-row std
-/// (eps-floored). Blocks of [`NORM_BLOCK`] rows, then the rest one by one.
-fn norm_forward(input: &Matrix, out: &mut Matrix, stds: &mut Vec<f32>) {
+/// Per-row standardisation into `out`; with `RECORD`, `stds` receives the
+/// per-row std (eps-floored), and without it `stds` is left alone. Blocks
+/// of [`NORM_BLOCK`] rows, then one of half that many if the rest allows
+/// (the 4-row test split of an eval pass is one such block), then the rest
+/// one by one.
+fn norm_forward<const RECORD: bool>(input: &Matrix, out: &mut Matrix, stds: &mut Vec<f32>) {
+    const HALF: usize = NORM_BLOCK / 2;
     let rows = input.rows();
-    out.reset(rows, input.cols());
-    stds.clear();
-    let blocked = rows - rows % NORM_BLOCK;
-    for first in (0..blocked).step_by(NORM_BLOCK) {
-        norm_rows::<NORM_BLOCK>(input, first, out, stds);
+    out.reshape_for_overwrite(rows, input.cols());
+    if RECORD {
+        stds.clear();
     }
-    for r in blocked..rows {
-        norm_rows::<1>(input, r, out, stds);
+    let mut first = 0;
+    while rows - first >= NORM_BLOCK {
+        norm_rows::<NORM_BLOCK, RECORD>(input, first, out, stds);
+        first += NORM_BLOCK;
+    }
+    if rows - first >= HALF {
+        norm_rows::<HALF, RECORD>(input, first, out, stds);
+        first += HALF;
+    }
+    for r in first..rows {
+        norm_rows::<1, RECORD>(input, r, out, stds);
     }
 }
 
-/// Standardises rows `first..first + B` of `input` into `out` and appends
-/// their stds. The `B` rows run as independent chains, but each row's mean
+/// Standardises rows `first..first + B` of `input` into `out` and, with
+/// `RECORD`, appends their stds. The `B` rows run as independent chains, but each row's mean
 /// and variance sums still go in ascending column order and start from
 /// `-0.0`, where `Iterator::<f32>::sum` starts: the per-row loop of
 /// [`crate::naive::instance_norm`], bit for bit.
-fn norm_rows<const B: usize>(input: &Matrix, first: usize, out: &mut Matrix, stds: &mut Vec<f32>) {
+fn norm_rows<const B: usize, const RECORD: bool>(
+    input: &Matrix,
+    first: usize,
+    out: &mut Matrix,
+    stds: &mut Vec<f32>,
+) {
     let cols = input.cols();
     let n = cols.max(1) as f32;
     let x: [&[f32]; B] = std::array::from_fn(|j| &input.row(first + j)[..cols]);
@@ -296,68 +332,173 @@ fn norm_rows<const B: usize>(input: &Matrix, first: usize, out: &mut Matrix, std
         for (o, &xv) in out.row_mut(first + j).iter_mut().zip(*row) {
             *o = (xv - m) / std;
         }
-        stds.push(std);
+        if RECORD {
+            stds.push(std);
+        }
     }
 }
 
-/// Forward 2×2/stride-2 max pooling into `out`; `winners` receives the flat
-/// input index behind every output element.
+/// Outputs one lane block of [`pool_lanes`] pools.
+const POOL_LANES: usize = 8;
+
+/// Forward 2×2/stride-2 max pooling into `out`; with `RECORD`, `winners`
+/// receives the flat input index (within its row) behind every output
+/// element, and without it `winners` is left alone.
 ///
-/// Each window is scanned top-left, top-right, bottom-left, bottom-right
-/// from `-∞` at index 0, and a candidate wins only when strictly greater:
-/// the first maximum wins a tie, a NaN never wins, and a window with
-/// nothing above `-∞` reports `-∞` at index 0. The scan is a select per
-/// candidate over two input-row slices rather than a branch, which real
-/// activations mispredict; [`crate::naive::max_pool`] is the branching
-/// loop it replaced, bit for bit.
-fn pool_forward(
+/// Each window is the chain `best = v > best ? v : best` over top-left,
+/// top-right, bottom-left, bottom-right from `-∞` — the branching loop of
+/// [`crate::naive::max_pool`], bit for bit: the first maximum wins a tie
+/// (`-0.0` before `+0.0` included), a NaN never wins, and a window with
+/// nothing above `-∞` reports `-∞`. The winner index rides the same
+/// comparison, from index 0 of the row, so such a window reports index 0.
+///
+/// Where the output width divides [`POOL_LANES`], blocks of that many
+/// consecutive outputs — whole output rows, `32` consecutive inputs — run
+/// as lanes ([`pool_lanes`]); every other output row runs the same chain
+/// one window at a time ([`pool_row`]).
+fn pool_forward<const RECORD: bool>(
     input: &Matrix,
     c: usize,
     h: usize,
     w: usize,
     out: &mut Matrix,
-    winners: &mut Vec<usize>,
+    winners: &mut Vec<u32>,
 ) {
     assert!(
         h.is_multiple_of(2) && w.is_multiple_of(2),
         "pooling requires even spatial dims, got {h}x{w}"
     );
-    let (oh, ow) = (h / 2, w / 2);
-    let batch = input.rows();
-    let out_dim = c * oh * ow;
-    out.reset(batch, out_dim);
-    winners.clear();
-    winners.resize(batch * out_dim, 0);
-    for b in 0..batch {
-        let x = input.row(b);
-        let out_row = out.row_mut(b);
-        let win_row = &mut winners[b * out_dim..(b + 1) * out_dim];
-        for row in 0..c * oh {
-            // Output row `row` pools input rows `2·row` and `2·row + 1`
-            // (channel-major rows of `w`, so channels need no offset of
-            // their own).
-            let top_at = 2 * row * w;
-            let (top, bottom) = x[top_at..top_at + 2 * w].split_at(w);
-            let o = row * ow;
-            let pooled = out_row[o..o + ow].iter_mut().zip(&mut win_row[o..o + ow]);
-            let pairs = top.chunks_exact(2).zip(bottom.chunks_exact(2));
-            for (ox, ((t, bt), (best_out, win))) in pairs.zip(pooled).enumerate() {
-                let at = top_at + 2 * ox;
-                let candidates = [
-                    (t[0], at),
-                    (t[1], at + 1),
-                    (bt[0], at + w),
-                    (bt[1], at + w + 1),
-                ];
-                let (mut best, mut best_idx) = (f32::NEG_INFINITY, 0usize);
-                for (v, idx) in candidates {
-                    let wins = v > best;
-                    best = if wins { v } else { best };
-                    best_idx = if wins { idx } else { best_idx };
+    let ow = w / 2;
+    let out_dim = c * (h / 2) * ow;
+    out.reshape_for_overwrite(input.rows(), out_dim);
+    if RECORD {
+        assert!(
+            u32::try_from(input.cols()).is_ok(),
+            "pool winners index rows of at most u32::MAX elements"
+        );
+        winners.clear();
+        winners.resize(out.len(), 0);
+    }
+    // Output rows one lane block covers, if a block is whole output rows.
+    let block_rows = match ow {
+        1 | 2 | 4 | 8 => POOL_LANES / ow,
+        _ => 0,
+    };
+    let windows = input.as_slice().chunks_exact(input.cols().max(1));
+    let pooled = out.as_mut_slice().chunks_exact_mut(out_dim.max(1));
+    for (b, (x, out_row)) in windows.zip(pooled).enumerate() {
+        let win_row = if RECORD {
+            &mut winners[b * out_dim..(b + 1) * out_dim]
+        } else {
+            &mut [][..]
+        };
+        let lane_rows = match block_rows {
+            0 => 0,
+            n => c * (h / 2) / n * n,
+        };
+        let lanes_out = lane_rows * ow;
+        match ow {
+            1 => pool_lanes::<1, RECORD>(x, &mut out_row[..lanes_out], win_row),
+            2 => pool_lanes::<2, RECORD>(x, &mut out_row[..lanes_out], win_row),
+            4 => pool_lanes::<4, RECORD>(x, &mut out_row[..lanes_out], win_row),
+            8 => pool_lanes::<8, RECORD>(x, &mut out_row[..lanes_out], win_row),
+            _ => {}
+        }
+        for row in lane_rows..c * (h / 2) {
+            let o = row * ow..(row + 1) * ow;
+            let win = if RECORD {
+                &mut win_row[o.clone()]
+            } else {
+                &mut [][..]
+            };
+            pool_row::<RECORD>(x, row, w, &mut out_row[o], win);
+        }
+    }
+}
+
+/// `max(v, best)` with the operands in that order: `v` if `v > best`,
+/// otherwise `best` — so a NaN `v` or a `v` equal to `best` (either zero
+/// against the other) keeps `best`. This is x86's `maxps v, best`.
+#[inline(always)]
+fn max_of(v: f32, best: f32) -> f32 {
+    if v > best {
+        v
+    } else {
+        best
+    }
+}
+
+/// Pools `out.len()` outputs of the row `x` (a multiple of [`POOL_LANES`]
+/// outputs from its start) in blocks of [`POOL_LANES`] lanes: lane `j` of
+/// a block is output row `j / OW`, column `j % OW` of the block's
+/// `POOL_LANES / OW` output rows, whose windows span the block's `32`
+/// consecutive inputs. The four window candidates are four lane vectors,
+/// and each step of the chain is one lane-wise [`max_of`] — with `RECORD`,
+/// the winner index is blended on the same comparison. Every lane runs
+/// [`pool_row`]'s chain, in its order, so the two agree bit for bit.
+fn pool_lanes<const OW: usize, const RECORD: bool>(x: &[f32], out: &mut [f32], win: &mut [u32]) {
+    // Top-left input of lane `j`, from the block's first input.
+    let at: [usize; POOL_LANES] = std::array::from_fn(|j| j / OW * 4 * OW + 2 * (j % OW));
+    // The four candidates' offsets from their top-left, in chain order.
+    let taps = [0, 1, 2 * OW, 2 * OW + 1];
+    let blocks = x
+        .chunks_exact(4 * POOL_LANES)
+        .zip(out.chunks_exact_mut(POOL_LANES));
+    for (block, (src, dst)) in blocks.enumerate() {
+        let src: &[f32; 4 * POOL_LANES] = src.try_into().expect("a whole lane block");
+        let mut best = [f32::NEG_INFINITY; POOL_LANES];
+        let mut idx = [0u32; POOL_LANES];
+        let first = (block * 4 * POOL_LANES) as u32;
+        for tap in taps {
+            let v: [f32; POOL_LANES] = std::array::from_fn(|j| src[at[j] + tap]);
+            if RECORD {
+                for j in 0..POOL_LANES {
+                    let wins = v[j] > best[j];
+                    idx[j] = if wins {
+                        first + (at[j] + tap) as u32
+                    } else {
+                        idx[j]
+                    };
                 }
-                *best_out = best;
-                *win = best_idx;
             }
+            for (b, &v) in best.iter_mut().zip(&v) {
+                *b = max_of(v, *b);
+            }
+        }
+        dst.copy_from_slice(&best);
+        if RECORD {
+            win[block * POOL_LANES..][..POOL_LANES].copy_from_slice(&idx);
+        }
+    }
+}
+
+/// Pools output row `row` of the row `x` (input width `w`) into `out`
+/// (and, with `RECORD`, its winners into `win`), one window at a time.
+fn pool_row<const RECORD: bool>(x: &[f32], row: usize, w: usize, out: &mut [f32], win: &mut [u32]) {
+    // Output row `row` pools input rows `2·row` and `2·row + 1`
+    // (channel-major rows of `w`, so channels need no offset of their own).
+    let top_at = 2 * row * w;
+    let (top, bottom) = x[top_at..top_at + 2 * w].split_at(w);
+    let pairs = top.chunks_exact(2).zip(bottom.chunks_exact(2));
+    for (ox, ((t, bt), o)) in pairs.zip(out.iter_mut()).enumerate() {
+        let at = (top_at + 2 * ox) as u32;
+        let w = w as u32;
+        let candidates = [
+            (t[0], at),
+            (t[1], at + 1),
+            (bt[0], at + w),
+            (bt[1], at + w + 1),
+        ];
+        let (mut best, mut best_idx) = (f32::NEG_INFINITY, 0u32);
+        for (v, idx) in candidates {
+            if RECORD {
+                best_idx = if v > best { idx } else { best_idx };
+            }
+            best = max_of(v, best);
+        }
+        *o = best;
+        if RECORD {
+            win[ox] = best_idx;
         }
     }
 }
@@ -627,8 +768,83 @@ mod tests {
                 let (got, cache) = forward(&layer, &x);
                 let at = format!("{rows} rows of {c}x{h}x{w}");
                 assert_eq!(bits(got.as_slice()), bits(expect.as_slice()), "{at}");
-                assert_eq!(cache.winners, expect_winners, "{at} winners");
+                let winners: Vec<usize> = cache.winners.iter().map(|&i| i as usize).collect();
+                assert_eq!(winners, expect_winners, "{at} winners");
             }
+        }
+    }
+
+    /// Values for a pooling input: mostly the specials a window can tie or
+    /// stall on, else a normal draw.
+    fn pool_value(rng: &mut StdRng, specials: f64) -> f32 {
+        const SPECIAL: [f32; 7] = [f32::NAN, f32::NEG_INFINITY, -0.0, 0.0, 1.5, 1.5, -2.0];
+        if rng.random_bool(specials) {
+            SPECIAL[rng.random_range(0..SPECIAL.len())]
+        } else {
+            shiftex_tensor::rngx::normal(rng, 0.0, 1.0)
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// The pool against [`crate::naive::max_pool`], values and winners,
+        /// through both passes: the training forward records the naive
+        /// winners, and inference writes the same values and no winner.
+        /// Widths put the lane blocks to work whole (output width 1, 2, 4
+        /// or 8), with a tail of output rows, and not at all (3, 5, 6);
+        /// rows are all `-∞` and NaN (index 0 wins), all `±0.0` (the first
+        /// zero wins), specials only (dense ties and NaN), or mixed.
+        #[test]
+        fn prop_max_pool_matches_naive_in_values_and_winners(seed in 0u64..1_000_000) {
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let c = rng.random_range(1..=13);
+            let h = 2 * rng.random_range(1..=5);
+            let w = 2 * [1, 2, 3, 4, 5, 6, 8][rng.random_range(0..7)];
+            let rows = rng.random_range(0..=9);
+            let x = Matrix::from_fn(rows, c * h * w, |r, _| match r % 4 {
+                0 => [f32::NAN, f32::NEG_INFINITY][rng.random_range(0..2)],
+                1 => [0.0, -0.0][rng.random_range(0..2)],
+                2 => pool_value(&mut rng, 1.0),
+                _ => pool_value(&mut rng, 0.3),
+            });
+            let (expect, expect_winners) = crate::naive::max_pool(&x, c, h, w);
+            let layer = Layer::MaxPool2d { c, h, w };
+            let at = format!("{rows} rows of {c}x{h}x{w}");
+
+            let (got, cache) = forward(&layer, &x);
+            proptest::prop_assert_eq!(bits(got.as_slice()), bits(expect.as_slice()), "{}", at);
+            let winners: Vec<usize> = cache.winners.iter().map(|&i| i as usize).collect();
+            proptest::prop_assert_eq!(winners, expect_winners, "{} winners", at);
+
+            let mut inferred = Matrix::default();
+            let mut cache = LayerCache::default();
+            layer.infer(&x, &mut inferred, &mut cache);
+            proptest::prop_assert_eq!(bits(inferred.as_slice()), bits(expect.as_slice()), "{}", at);
+            proptest::prop_assert!(cache.winners.is_empty(), "inference records no winner");
+        }
+    }
+
+    /// Inference leaves the records of an earlier training forward alone:
+    /// a norm and a pool cache keep their stds and winners, and a fresh
+    /// cache gains none.
+    #[test]
+    fn inference_writes_no_records() {
+        let mut rng = StdRng::seed_from_u64(15);
+        let x = Matrix::randn(5, 4 * 4 * 2, 0.0, 1.0, &mut rng);
+        for layer in [Layer::InstanceNorm, Layer::MaxPool2d { c: 2, h: 4, w: 4 }] {
+            let (trained, mut cache) = forward(&layer, &x);
+            let (winners, stds) = (cache.winners.clone(), cache.stds.clone());
+            let other = Matrix::randn(3, x.cols(), 1.0, 2.0, &mut rng);
+            let mut out = Matrix::default();
+            layer.infer(&other, &mut out, &mut cache);
+            assert_eq!((&cache.winners, &cache.stds), (&winners, &stds));
+            layer.infer(&x, &mut out, &mut cache);
+            assert_eq!(out, trained);
+            let mut fresh = LayerCache::default();
+            layer.infer(&x, &mut out, &mut fresh);
+            assert!(fresh.winners.is_empty() && fresh.stds.is_empty());
         }
     }
 

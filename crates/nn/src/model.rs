@@ -62,13 +62,15 @@ struct Workspace {
     flat_grad: Vec<f32>,
 }
 
-/// Every buffer an inference pass touches: the layer cache (conv panels,
-/// pool winners, norm statistics) and the two activation matrices layers
-/// ping-pong between. Owned by the caller and reused across
-/// [`Sequential::count_correct_in`], [`Sequential::evaluate_in`] and
-/// [`Sequential::embed_in`] calls — any model, any batch size — so a
-/// scoring loop over a population allocates only while a call needs more
-/// room than every call before it.
+/// Every buffer an inference pass touches: the convolution scratch of a
+/// [`LayerCache`] and the two activation matrices layers ping-pong between.
+/// The pass runs [`Layer::infer`], which records nothing for a backward
+/// pass — no pool winners, no norm stds — so the cache holds scratch alone.
+/// Owned by the caller and reused across [`Sequential::count_correct_in`],
+/// [`Sequential::evaluate_in`] and [`Sequential::embed_in`] calls — any
+/// model, any batch size — so a scoring loop over a population allocates
+/// only while a call needs more room than every call before it, and a warm
+/// scratch not at all.
 #[derive(Debug, Default)]
 pub struct InferScratch {
     cache: LayerCache,
@@ -263,7 +265,7 @@ impl Sequential {
         }
     }
 
-    /// Runs `layers` over `x` in inference mode on the buffers of
+    /// Runs `layers` over `x` through [`Layer::infer`] on the buffers of
     /// `scratch`, leaving the output in `scratch.cur`. Layer 0 reads `x`
     /// where it is; later activations ping-pong between the scratch's two
     /// matrices. With no layer to run the output is a copy of `x`.
@@ -271,7 +273,7 @@ impl Sequential {
         let InferScratch { cache, cur, next } = scratch;
         let mut ran = false;
         for layer in layers {
-            layer.forward(if ran { &*cur } else { x }, next, cache);
+            layer.infer(if ran { &*cur } else { x }, next, cache);
             std::mem::swap(cur, next);
             ran = true;
         }
@@ -397,6 +399,18 @@ impl Sequential {
             .expect("every model ends in a dense classifier")
     }
 
+    /// The training forward pass: layer `i`'s output in `acts[i]` and its
+    /// records for the backward pass in `caches[i]`.
+    fn forward_train(&self, acts: &mut Vec<Matrix>, caches: &mut Vec<LayerCache>, x: &Matrix) {
+        let depth = self.layers.len();
+        acts.resize_with(depth, Matrix::default);
+        caches.resize_with(depth, LayerCache::default);
+        for (i, layer) in self.layers.iter().enumerate() {
+            let (before, after) = acts.split_at_mut(i);
+            layer.forward(before.last().unwrap_or(x), &mut after[0], &mut caches[i]);
+        }
+    }
+
     /// [`Sequential::train_batch`] on the buffers of `ws`. The backward
     /// sweep runs from the last layer down to layer `floor`, which computes
     /// its parameter gradient only.
@@ -417,14 +431,8 @@ impl Sequential {
             flat_grad,
         } = ws;
         let depth = self.layers.len();
-        acts.resize_with(depth, Matrix::default);
-        caches.resize_with(depth, LayerCache::default);
+        self.forward_train(acts, caches, x);
         flat_grad.resize(self.num_params(), 0.0);
-
-        for (i, layer) in self.layers.iter().enumerate() {
-            let (before, after) = acts.split_at_mut(i);
-            layer.forward(before.last().unwrap_or(x), &mut after[0], &mut caches[i]);
-        }
         let loss = softmax_cross_entropy_into(&acts[depth - 1], labels, grad);
 
         let mut end = flat_grad.len();
@@ -744,6 +752,64 @@ mod tests {
         // With no hidden layer the embedding is a copy of the input.
         let x = Matrix::randn(3, 64, 0.0, 1.0, &mut rng);
         assert_eq!(bits(models[2].embed_in(&mut scratch, &x)), bits(&x));
+    }
+
+    /// `layers` run through the training forward, each on a cache of its
+    /// own, as a training step runs them.
+    fn forward_recording<'l>(x: &Matrix, layers: impl Iterator<Item = &'l Layer>) -> Matrix {
+        let mut cur = x.clone();
+        for layer in layers {
+            let mut out = Matrix::default();
+            layer.forward(&cur, &mut out, &mut LayerCache::default());
+            cur = out;
+        }
+        cur
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The record-free inference pass is the training forward, bit for
+        /// bit, for an MLP, LeNet-lite and ResNet-18-lite at batches of
+        /// 0–40 rows: the logits behind `count_correct_in` and
+        /// `evaluate_in`, and the embedding of `embed_in` — one scratch
+        /// shared by all three models, as a scoring loop shares it.
+        #[test]
+        fn prop_inference_is_the_training_forward_bit_for_bit(
+            seed in 0u64..1_000_000,
+            rows in 0usize..=40,
+        ) {
+            let bits = |m: &Matrix| -> Vec<u32> { m.as_slice().iter().map(|v| v.to_bits()).collect() };
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mlp = ArchSpec::mlp("t", 192, &[48, 24], 10);
+            let lenet = ArchSpec::lenet5_lite(InputShape { c: 1, h: 8, w: 8 }, 10, 24);
+            let resnet = ArchSpec::resnet18_lite(InputShape { c: 3, h: 8, w: 8 }, 10, 24);
+            let mut scratch = InferScratch::default();
+            for spec in [&mlp, &lenet, &resnet] {
+                let model = Sequential::build(spec, &mut rng);
+                let x = Matrix::randn(rows, spec.input.dim(), 0.3, 1.5, &mut rng);
+                let y: Vec<usize> = (0..rows).map(|i| (i * 7 + 3) % spec.classes).collect();
+                let at = format!("{} at {rows} rows", spec.label);
+
+                let (mut acts, mut caches) = (Vec::new(), Vec::new());
+                model.forward_train(&mut acts, &mut caches, &x);
+                let logits = &acts[acts.len() - 1];
+                proptest::prop_assert_eq!(bits(&model.forward(&x)), bits(logits), "{}", at);
+                let hits = model.count_correct_in(&mut scratch, &x, &y);
+                proptest::prop_assert_eq!(hits, if rows == 0 { 0 } else { top1_hits(logits, &y) }, "{}", at);
+                if rows > 0 {
+                    let report = model.evaluate_in(&mut scratch, &x, &y);
+                    let loss = crate::loss::softmax_cross_entropy(logits, &y).0;
+                    proptest::prop_assert_eq!(report.loss.to_bits(), loss.to_bits(), "{}", at);
+                }
+
+                let body = &model.layers[..model.layers.len() - 1];
+                let embed_layers = body.iter().filter(|l| !matches!(l, Layer::InstanceNorm));
+                let expect = forward_recording(&x, embed_layers);
+                let got = model.embed_in(&mut scratch, &x);
+                proptest::prop_assert_eq!(bits(got), bits(&expect), "{} embedding", at);
+            }
+        }
     }
 
     #[test]

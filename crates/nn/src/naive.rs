@@ -8,8 +8,8 @@
 //!   this crate shipped until [`crate::Layer::InstanceNorm`] standardised
 //!   rows side by side, kept verbatim.
 //! * The max pool: one branch per window candidate — what this crate
-//!   shipped until [`crate::Layer::MaxPool2d`] selected over row slices,
-//!   kept verbatim.
+//!   shipped until [`crate::Layer::MaxPool2d`] selected over row slices
+//!   (and later pooled eight windows as lanes), kept verbatim.
 //!
 //! Tests assert that [`crate::Layer`] matches these loops bit for bit, and
 //! the `nn_kernels/*_naive` benches time them; production code always goes

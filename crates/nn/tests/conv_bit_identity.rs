@@ -194,3 +194,61 @@ fn lenet_shapes_match_naive_bit_for_bit() {
         assert_eq!(bits(got.as_slice()), bits(expect.as_slice()), "{shape:?}");
     }
 }
+
+/// Batches that cross the chunk bound once, twice and three times — the
+/// 32-row cap at both LeNet-lite shapes, and the 9-row chunks the panel
+/// budget gives a 28×28 input — forward, and backward with and without the
+/// input gradient: each output row is its own GEMM block, and the weight
+/// and bias gradients run over every chunk in turn.
+#[test]
+fn batches_across_chunk_bounds_match_naive_bit_for_bit() {
+    let mut rng = StdRng::seed_from_u64(13);
+    let lenet = [(1, 6, 8), (6, 12, 4)].map(|c| (c, [31, 33, 64, 65, 96, 97, 100]));
+    let wide = [((1, 6, 28), [8, 9, 10, 19, 27, 28, 29])];
+    for ((in_c, out_c, side), batches) in lenet.into_iter().chain(wide) {
+        let shape = ConvShape {
+            in_c,
+            out_c,
+            k: 3,
+            h: side,
+            w: side,
+        };
+        let weight = Matrix::randn(out_c, shape.taps(), 0.0, 0.3, &mut rng);
+        let bias: Vec<f32> = (0..out_c).map(|i| 0.02 * i as f32 - 0.05).collect();
+        let layer = Layer::Conv2d {
+            shape,
+            weight: weight.clone(),
+            bias: bias.clone(),
+        };
+        for rows in batches {
+            let x = sparse_randn(rows, in_c * shape.pixels(), 0.3, &mut rng);
+            let grad_out = sparse_randn(rows, out_c * shape.pixels(), 0.6, &mut rng);
+            let at = format!("{rows} rows of {shape:?}");
+            let (mut out, mut cache) = (Matrix::default(), LayerCache::default());
+            layer.forward(&x, &mut out, &mut cache);
+            let expect = naive::conv_forward(shape, &x, &weight, &bias);
+            assert_eq!(bits(out.as_slice()), bits(expect.as_slice()), "{at}");
+
+            let (expect_in, expect_params) = naive::conv_backward(shape, &x, &grad_out, &weight);
+            let mut grad_in = Matrix::default();
+            let mut params = vec![f32::NAN; layer.num_params()];
+            layer.backward(
+                &x,
+                &out,
+                &mut cache,
+                &grad_out,
+                Some(&mut grad_in),
+                &mut params,
+            );
+            assert_eq!(
+                bits(grad_in.as_slice()),
+                bits(expect_in.as_slice()),
+                "{at} grad_in"
+            );
+            assert_eq!(bits(&params), bits(&expect_params), "{at} grad_w|grad_b");
+            let mut dead = vec![f32::NAN; layer.num_params()];
+            layer.backward(&x, &out, &mut cache, &grad_out, None, &mut dead);
+            assert_eq!(bits(&dead), bits(&expect_params), "{at} without grad_in");
+        }
+    }
+}

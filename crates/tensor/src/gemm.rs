@@ -109,12 +109,19 @@ impl<'a> Lhs<'a> {
     }
 }
 
-/// `c[i, j] += Σ_k addend(a[i, k], b[k, j])` for row-major `b` (`kd × n`)
-/// and `c` (whole rows of width `n`), tile by tile on the caller's thread:
-/// each band of [`MR`] rows keeps its slice of `a` cache-resident while it
-/// sweeps `b` once. `ADD` picks the addend; see the module docs for the
-/// arithmetic contract.
-pub(crate) fn gemm<const ADD: Addend>(a: Lhs<'_>, b: &[f32], c: &mut [f32], kd: usize, n: usize) {
+/// `c[i, j] += Σ_k addend(a[i, k], b[k, j])` for `b` (`kd` rows of `n`
+/// columns at row stride `ldb`) and `c` (whole rows of width `n`), tile by
+/// tile on the caller's thread: each band of [`MR`] rows keeps its slice of
+/// `a` cache-resident while it sweeps `b` once. `ADD` picks the addend; see
+/// the module docs for the arithmetic contract.
+pub(crate) fn gemm<const ADD: Addend>(
+    a: Lhs<'_>,
+    b: &[f32],
+    ldb: usize,
+    c: &mut [f32],
+    kd: usize,
+    n: usize,
+) {
     if c.is_empty() || kd == 0 {
         return; // an empty sum adds nothing
     }
@@ -124,7 +131,7 @@ pub(crate) fn gemm<const ADD: Addend>(a: Lhs<'_>, b: &[f32], c: &mut [f32], kd: 
             let nc = NR.min(n - j0);
             let shape = (MR.min(m - i0), nc, kd);
             let c_tile = &mut c[i0 * n + j0..];
-            tile::<ADD>(a.rows_from(i0), &b[j0..], n, c_tile, n, shape);
+            tile::<ADD>(a.rows_from(i0), &b[j0..], ldb, c_tile, n, shape);
         }
     }
 }
@@ -148,6 +155,33 @@ pub(crate) fn gemm<const ADD: Addend>(a: Lhs<'_>, b: &[f32], c: &mut [f32], kd: 
 /// implied by `out`.
 pub fn gemm_acc(a: &[f32], b: &[f32], out: &mut [f32], kd: usize, n: usize) {
     tile_acc::<MUL_ADD>(a, b, out, kd, n);
+}
+
+/// [`gemm_acc`] over the first `n` columns of a wider `b`: row `k` of the
+/// right operand is `b[k · ldb..][..n]`. Same kernel, same addend order,
+/// same bits; a caller whose right operand is a column block of a larger
+/// row-major matrix multiplies it where it lies instead of copying it out.
+///
+/// # Panics
+///
+/// Panics if `ldb < n` or a slice length disagrees with `kd`, `n`, `ldb`
+/// and the row count implied by `out`.
+pub fn gemm_acc_strided(a: &[f32], b: &[f32], ldb: usize, out: &mut [f32], kd: usize, n: usize) {
+    if out.is_empty() {
+        return;
+    }
+    assert!(ldb >= n, "rhs stride {ldb} narrower than its {n} columns");
+    assert_eq!(out.len() % n, 0, "tile product output is not whole rows");
+    assert_eq!(
+        a.len(),
+        out.len() / n * kd,
+        "tile product lhs length mismatch"
+    );
+    assert!(
+        kd == 0 || b.len() >= (kd - 1) * ldb + n,
+        "tile product rhs too short"
+    );
+    gemm::<MUL_ADD>(Lhs::rows(a, kd), b, ldb, out, kd, n);
 }
 
 /// Accumulating squared distances on the same register tile:
@@ -179,7 +213,7 @@ fn tile_acc<const ADD: Addend>(a: &[f32], b: &[f32], out: &mut [f32], kd: usize,
         "tile product lhs length mismatch"
     );
     assert_eq!(b.len(), kd * n, "tile product rhs length mismatch");
-    gemm::<ADD>(Lhs::rows(a, kd), b, out, kd, n);
+    gemm::<ADD>(Lhs::rows(a, kd), b, n, out, kd, n);
 }
 
 /// One register tile on safe `[f32; VL]` lanes: rows `0..mr` and columns

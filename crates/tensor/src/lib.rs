@@ -39,7 +39,7 @@ mod simd;
 pub mod stats;
 pub mod vector;
 
-pub use gemm::{gemm_acc, sq_dist_acc, MR, NR};
+pub use gemm::{gemm_acc, gemm_acc_strided, sq_dist_acc, MR, NR};
 pub use matrix::{naive, Matrix};
 
 /// Error type for shape mismatches and invalid numeric arguments.

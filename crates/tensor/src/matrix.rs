@@ -190,6 +190,16 @@ impl Matrix {
         self.cols = cols;
     }
 
+    /// Reshapes to `rows × cols` keeping the allocation *and* the values:
+    /// elements past the old length are zero, the rest hold whatever they
+    /// held. For kernels that write every element before reading any,
+    /// where [`Matrix::reset`]'s zero-fill would be overwritten unread.
+    pub fn reshape_for_overwrite(&mut self, rows: usize, cols: usize) {
+        self.data.resize(rows * cols, 0.0);
+        self.rows = rows;
+        self.cols = cols;
+    }
+
     /// Element accessor.
     ///
     /// # Panics
@@ -286,7 +296,14 @@ impl Matrix {
         );
         let (kd, n) = (self.cols, rhs.cols);
         out.reset(self.rows, n);
-        gemm::<MUL_ADD>(Lhs::rows(&self.data, kd), &rhs.data, &mut out.data, kd, n);
+        gemm::<MUL_ADD>(
+            Lhs::rows(&self.data, kd),
+            &rhs.data,
+            n,
+            &mut out.data,
+            kd,
+            n,
+        );
     }
 
     /// `selfᵀ · rhs` without materialising the transpose: the same kernel
@@ -322,7 +339,7 @@ impl Matrix {
         );
         out.fill(0.0);
         let a = Lhs::transposed(&self.data, self.cols);
-        gemm::<MUL_ADD>(a, &rhs.data, out, self.rows, rhs.cols);
+        gemm::<MUL_ADD>(a, &rhs.data, rhs.cols, out, self.rows, rhs.cols);
     }
 
     /// `self · rhsᵀ` without materialising the transpose.
@@ -378,7 +395,7 @@ impl Matrix {
                     pack[k * p + j] = v;
                 }
             }
-            return gemm::<MUL_ADD>(Lhs::rows(a, kd), pack, &mut out.data, kd, p);
+            return gemm::<MUL_ADD>(Lhs::rows(a, kd), pack, p, &mut out.data, kd, p);
         }
         // Row pairs share each streamed rhs row via dot2; a trailing odd row
         // falls back to a single dot (bit-identical result).
