@@ -328,14 +328,10 @@ impl Panel {
                 for ((v, &x), &m) in row[lo..hi].iter_mut().zip(src).zip(&mask[lo..hi]) {
                     *v = f32::from_bits(x.to_bits() & m);
                 }
-                // Past either end of the chunk the tap is outside the image:
-                // the mask is zero, and masks any value to `+0.0`.
-                let any = channel[0].to_bits();
-                let (head, tail) = row.split_at_mut(hi);
-                let edges = head[..lo].iter_mut().zip(&mask[..lo]);
-                for (v, &m) in edges.chain(tail.iter_mut().zip(&mask[hi..])) {
-                    *v = f32::from_bits(any & m);
-                }
+                // Past either end of the chunk the tap is outside the image,
+                // where the mask would give `+0.0`.
+                row[..lo].fill(0.0);
+                row[hi..].fill(0.0);
             }
         }
         bias_row.fill(1.0);

@@ -449,18 +449,29 @@ pub(crate) mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// `gemm_acc` on random shapes, onto a random ReLU-sparse `out`.
+        /// `gemm_acc` on random shapes, onto a random ReLU-sparse `out`;
+        /// and `gemm_acc_strided` with the same `b` as the first `n`
+        /// columns of a matrix `slack` columns wider.
         #[test]
         fn prop_gemm_acc_matches_scalar_loop(m in 1usize..14, n in 1usize..60, kd in 0usize..70,
-                                             seed in 0u64..1000) {
+                                             slack in 0usize..20, seed in 0u64..1000) {
             let mut rng = StdRng::seed_from_u64(seed);
             let a = relu_sparse(m * kd, &mut rng);
             let b = relu_sparse(kd * n, &mut rng);
             let mut fast = relu_sparse(m * n, &mut rng);
             let mut slow = fast.clone();
+            let mut strided = fast.clone();
             gemm_acc(&a, &b, &mut fast, kd, n);
             gemm_acc_oracle(&a, &b, &mut slow, kd, n);
             prop_assert_eq!(bits(&fast), bits(&slow));
+
+            let ldb = n + slack;
+            let mut wide = relu_sparse(kd * ldb, &mut rng);
+            for (row, src) in wide.chunks_exact_mut(ldb).zip(b.chunks_exact(n)) {
+                row[..n].copy_from_slice(src);
+            }
+            gemm_acc_strided(&a, &wide, ldb, &mut strided, kd, n);
+            prop_assert_eq!(bits(&strided), bits(&slow));
         }
     }
 
