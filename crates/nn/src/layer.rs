@@ -379,11 +379,12 @@ fn pool_forward<const RECORD: bool>(
         winners.clear();
         winners.resize(out.len(), 0);
     }
-    // Output rows one lane block covers, if a block is whole output rows.
-    let block_rows = match ow {
-        1 | 2 | 4 | 8 => POOL_LANES / ow,
+    // Output rows the lane blocks cover: whole blocks of whole output rows.
+    let lane_rows = match ow {
+        1 | 2 | 4 | 8 => c * (h / 2) / (POOL_LANES / ow) * (POOL_LANES / ow),
         _ => 0,
     };
+    let lanes_out = lane_rows * ow;
     let windows = input.as_slice().chunks_exact(input.cols().max(1));
     let pooled = out.as_mut_slice().chunks_exact_mut(out_dim.max(1));
     for (b, (x, out_row)) in windows.zip(pooled).enumerate() {
@@ -392,11 +393,6 @@ fn pool_forward<const RECORD: bool>(
         } else {
             &mut [][..]
         };
-        let lane_rows = match block_rows {
-            0 => 0,
-            n => c * (h / 2) / n * n,
-        };
-        let lanes_out = lane_rows * ow;
         match ow {
             1 => pool_lanes::<1, RECORD>(x, &mut out_row[..lanes_out], win_row),
             2 => pool_lanes::<2, RECORD>(x, &mut out_row[..lanes_out], win_row),
